@@ -15,7 +15,8 @@ from .channels import (QuantumChannel, StationaryResult, Superoperator, compose,
                        stationary_state, to_superoperator)
 from .errors import (BosonLoopError, ConfigError, ConvergenceError,
                      DegenerateFixedPointError, OutOfBasisError,
-                     ReconstructionError, SpectralRadiusError, TruncationError)
+                     ReconstructionError, SizeCapError, SpectralRadiusError,
+                     TruncationError)
 from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,
                      LossSpec, UnfoldResult, average_stationary, detection_pass,
                      effective_transfer_matrix, evolve_kraus, evolve_pdm,
@@ -25,9 +26,9 @@ from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,
 from .fock import (FockBasis, enumerate_sector, iter_sector, joint_index,
                    sector_size, tensor_index_map, total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
-from .matrixkit import (Interferometer, eig_principal, haar_random_unitary,
-                        load_matrix, permanent, save_matrix_json,
-                        spectral_radius, submatrix_by_multiplicity, unvec, vec)
+from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
+                        permanent, save_matrix_json, spectral_radius,
+                        submatrix_by_multiplicity, unvec, vec)
 from .qstate import (DensityMatrix, ProbabilityDistribution, classical_fidelity,
                      diagonal_distribution, fock_state_dm, partial_trace,
                      random_density_matrix, tensor_product, trace_distance,

@@ -5,24 +5,32 @@ Truncation bookkeeping is explicit: every channel carries
 which the Kraus set is complete (sum K^dag K = identity) on the truncated
 space.  Applying a channel to states populated beyond that bound is a hard
 error rather than a silent leak.
+
+Photon-number structure: a Kraus operator whose nonzero entries all move
+the photon number by one shift maps |i><j| to operators of the same charge
+n_i - n_j.  When every Kraus operator has one shift (Fock and
+number-diagonal inputs, with or without losses), the superoperator G is
+block-diagonal in the charge, the stationary state lies in the charge-0
+block, and fixed points, spectra and iterates are computed on the blocks.
+A Kraus set with coherences between sectors is the case of one block
+holding all of G.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DegenerateFixedPointError, TruncationError
+from .errors import DegenerateFixedPointError, SizeCapError, TruncationError
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
-from .matrixkit import unvec, vec
+from .matrixkit import vec
 from .qstate import POPULATED_CUTOFF, DensityMatrix
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
-SUPEROP_DIM_CAP = 256     # largest loop-space dimension for superoperator assembly
-_DENSE_EIG_CAP = 4096
+SUPEROP_DIM_CAP = 4096    # largest superoperator block built densely (assembly and eig)
 
 
 class QuantumChannel:
@@ -41,12 +49,53 @@ class QuantumChannel:
         self.kraus = kraus
         self.valid_max_photons = int(valid_max_photons)
         self.max_photon_gain = int(max_photon_gain)
+        self._superop_blocks = {}
 
     def completeness_operator(self) -> np.ndarray:
         """sum K^dag K, identity on the valid subspace."""
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
         for k in self.kraus:
             out += k.conj().T @ k
+        return out
+
+    @cached_property
+    def charge_blocks(self) -> list:
+        """Column-stacked indices (i + d j) of the blocks of G, grouped by the
+        charge n_i - n_j with charge 0 first; a single block of every index
+        when some Kraus operator mixes photon-number shifts."""
+        totals = self.basis.totals()
+        for k in self.kraus:
+            rows, cols = np.nonzero(k)
+            shifts = totals[rows] - totals[cols]
+            if np.any(shifts != shifts[:1]):
+                return [np.arange(self.basis.size ** 2)]
+        charge = vec(np.subtract.outer(totals, totals))
+        n = self.basis.n_max
+        return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]
+
+    def superop_block(self, b: int) -> np.ndarray:
+        """G restricted to charge block `b`, built from the Kraus operators
+        without forming conj(K) kron K; memoized."""
+        if b not in self._superop_blocks:
+            idx = self.charge_blocks[b]
+            if idx.size > SUPEROP_DIM_CAP:
+                raise SizeCapError(
+                    f"superoperator block dimension {idx.size} exceeds the cap "
+                    f"{SUPEROP_DIM_CAP}", cap=SUPEROP_DIM_CAP, required=int(idx.size))
+            cols, rows = np.divmod(idx, self.basis.size)
+            g = np.zeros((idx.size, idx.size), dtype=complex)
+            for k in self.kraus:
+                g += (np.take(np.take(k, rows, 0), rows, 1)
+                      * np.take(np.take(k.conj(), cols, 0), cols, 1))
+            self._superop_blocks[b] = g
+        return self._superop_blocks[b]
+
+    def unvec_block0(self, v: np.ndarray) -> np.ndarray:
+        """The d x d matrix whose charge-0 block entries are `v`, zero elsewhere."""
+        d = self.basis.size
+        cols, rows = np.divmod(self.charge_blocks[0], d)
+        out = np.zeros((d, d), dtype=complex)
+        out[rows, cols] = v
         return out
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
@@ -59,7 +108,9 @@ class QuantumChannel:
     def apply(self, rho: DensityMatrix, leak_tolerance: float = 0.0) -> DensityMatrix:
         """Apply the channel to a state within the valid subspace.
 
-        Population above `valid_max_photons` exceeding
+        A state inside the charge-0 block of a charge-conserving channel takes
+        one matrix-vector product with that block; any other state takes the
+        Kraus sum.  Population above `valid_max_photons` exceeding
         max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError; smaller
         amounts are allowed to leak and the output trace is renormalized.
         """
@@ -72,7 +123,13 @@ class QuantumChannel:
                 f"state populates sectors above the channel validity bound "
                 f"{self.valid_max_photons} with weight {excess:.3e}"
             )
-        out = self.apply_matrix(rho.mat)
+        v = vec(rho.mat)
+        block = self.charge_blocks[0]
+        if (len(self.charge_blocks) > 1 and block.size <= SUPEROP_DIM_CAP
+                and np.count_nonzero(v[block]) == np.count_nonzero(v)):
+            out = self.unvec_block0(self.superop_block(0) @ v[block])
+        else:
+            out = self.apply_matrix(rho.mat)
         if excess > 0.0:
             tr = np.trace(out).real
             if tr <= 0:
@@ -207,21 +264,17 @@ class Superoperator:
     basis: FockBasis
     matrix: np.ndarray
 
-    def apply(self, rho_mat: np.ndarray) -> np.ndarray:
-        d = self.basis.size
-        return unvec(self.matrix @ vec(rho_mat), d, d)
-
 
 def to_superoperator(channel: QuantumChannel) -> Superoperator:
-    """G = sum conj(K) kron K under column stacking."""
+    """The whole of G = sum conj(K) kron K, assembled from its charge blocks."""
     d = channel.basis.size
-    if d > SUPEROP_DIM_CAP:
-        raise ValueError(
-            f"loop dimension {d} exceeds the superoperator guard {SUPEROP_DIM_CAP}"
-        )
+    if d * d > SUPEROP_DIM_CAP:
+        raise SizeCapError(
+            f"superoperator dimension {d * d} exceeds the cap {SUPEROP_DIM_CAP}",
+            cap=SUPEROP_DIM_CAP, required=d * d)
     g = np.zeros((d * d, d * d), dtype=complex)
-    for k in channel.kraus:
-        g += np.kron(k.conj(), k)
+    for b, idx in enumerate(channel.charge_blocks):
+        g[np.ix_(idx, idx)] = channel.superop_block(b)
     return Superoperator(channel.basis, g)
 
 
@@ -235,30 +288,30 @@ class StationaryResult:
     unit_eigenvalue_count: int
 
 
-def fixed_point(channel, residual_tol: float = 1e-10) -> DensityMatrix | None:
+def fixed_point(channel: QuantumChannel, residual_tol: float = 1e-10) -> DensityMatrix | None:
     """Fast trace-normalized fixed point of G, without spectral diagnostics.
 
-    Solves the bordered system (I - G + t vec(I)^H) x = t, which is
-    nonsingular exactly when the unit eigenvalue is simple; returns None on
-    any sign of trouble (singular system, large residual, non-state output)
-    so callers can fall back to the dense spectral route.
+    Solves the bordered system (I - G_0 + t vec(I)^H) x = t on the charge-0
+    block G_0, which holds every state reachable from a number-diagonal one.
+    The system is nonsingular exactly when the unit eigenvalue of G_0 is
+    simple; returns None on any sign of trouble (singular system, large
+    residual, non-state output, a leaking truncation) so callers can fall
+    back to `stationary_state`, which also inspects the other blocks.
     """
-    superop = channel if isinstance(channel, Superoperator) else to_superoperator(channel)
-    g = superop.matrix
-    d = superop.basis.size
-    tr_vec = vec(np.eye(d, dtype=complex))
+    g = channel.superop_block(0)
+    m = g.shape[0]
+    d = channel.basis.size
+    tr_vec = vec(np.eye(d, dtype=complex))[channel.charge_blocks[0]]
     t = tr_vec / d
-    a = np.eye(d * d, dtype=complex) - g + np.outer(t, tr_vec.conj())
+    a = np.eye(m, dtype=complex) - g + np.outer(t, tr_vec.conj())
+    # a degenerate fixed space makes the bordered matrix singular; any
+    # trace-1 fixed point still solves A x = t exactly, so solve a generic
+    # right-hand side alongside to expose rank loss
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     try:
-        lu, piv = scipy.linalg.lu_factor(a)
-        x = scipy.linalg.lu_solve((lu, piv), t)
-        # a degenerate fixed space makes the bordered matrix singular; any
-        # trace-1 fixed point still solves A x = t exactly, so probe the
-        # factorization with a generic right-hand side to expose rank loss
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        probe = scipy.linalg.lu_solve((lu, piv), z)
-    except (scipy.linalg.LinAlgError, ValueError):
+        x, probe = np.linalg.solve(a, np.column_stack([t, z])).T
+    except np.linalg.LinAlgError:
         return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(probe))):
         return None
@@ -266,7 +319,7 @@ def fixed_point(channel, residual_tol: float = 1e-10) -> DensityMatrix | None:
         return None
     if np.linalg.norm(g @ x - x) > residual_tol * max(1.0, np.linalg.norm(x)):
         return None
-    rho = unvec(x, d, d)
+    rho = channel.unvec_block0(x)
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
@@ -274,49 +327,48 @@ def fixed_point(channel, residual_tol: float = 1e-10) -> DensityMatrix | None:
     rho /= tr
     if np.linalg.eigvalsh(rho)[0] < -1e-8:
         return None
-    return DensityMatrix(superop.basis, rho, check=False)
+    return DensityMatrix(channel.basis, rho, check=False)
 
 
-def stationary_state(channel, degeneracy_gap: float = 1e-8,
+def stationary_state(channel: QuantumChannel, degeneracy_gap: float = 1e-8,
                      eigenvalue_tol: float = 1e-6) -> StationaryResult:
     """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
 
-    Raises DegenerateFixedPointError when the eigenvalue-1 eigenspace has
-    numerical dimension above one (more than one eigenvalue within
+    The eigenvector comes from the charge-0 block, which holds the spectral
+    radius of a positive map and hence the eigenvalue closest to 1; the
+    diagnostics read the union of the block spectra, which is the spectrum
+    of G.  Raises DegenerateFixedPointError when the eigenvalue-1 eigenspace
+    has numerical dimension above one (more than one eigenvalue within
     `degeneracy_gap` of 1), in which case the stationary state is not unique.
     The principal eigenvalue must sit within `eigenvalue_tol` of 1: a larger
     drift means the truncation leaks the stationary state itself.  Loosening
     the tolerance computes the truncated model's own fixed point, which is
     exact for the channel as built regardless of the leak.
     """
-    superop = channel if isinstance(channel, Superoperator) else to_superoperator(channel)
-    g = superop.matrix
-    if g.shape[0] > _DENSE_EIG_CAP:
-        raise ValueError(
-            f"superoperator dimension {g.shape[0]} too large for dense diagnostics"
-        )
-    evals, evecs = np.linalg.eig(g)
-    dist = np.abs(evals - 1.0)
-    order = np.argsort(dist)
-    lam = evals[order[0]]
+    evals, evecs = np.linalg.eig(channel.superop_block(0))
+    i = int(np.argmin(np.abs(evals - 1.0)))
+    lam = evals[i]
     if abs(lam - 1.0) > eigenvalue_tol:
         raise TruncationError(
             f"no superoperator eigenvalue within {eigenvalue_tol:.1e} of 1 "
             f"(closest {lam!r}); the truncated channel leaks too much, "
             "increase n_max"
         )
-    n_unit = int(np.count_nonzero(np.abs(evals - lam) < degeneracy_gap))
+    spectrum = np.concatenate([evals] + [
+        np.linalg.eigvals(channel.superop_block(b))
+        for b in range(1, len(channel.charge_blocks))
+    ])
+    n_unit = int(np.count_nonzero(np.abs(spectrum - lam) < degeneracy_gap))
     if n_unit > 1:
         raise DegenerateFixedPointError(
             f"non-unique stationary state: {n_unit} eigenvalues within "
             f"{degeneracy_gap:.1e} of the unit eigenvalue"
         )
-    moduli = np.abs(evals)
-    moduli[order[0]] = -np.inf
+    moduli = np.abs(spectrum)
+    moduli[i] = -np.inf
     second = float(moduli.max())
 
-    d = superop.basis.size
-    rho = unvec(evecs[:, order[0]], d, d)
+    rho = channel.unvec_block0(evecs[:, i])
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateFixedPointError(
@@ -325,7 +377,7 @@ def stationary_state(channel, degeneracy_gap: float = 1e-8,
     rho = rho / tr
     rho = (rho + rho.conj().T) / 2
     return StationaryResult(
-        rho=DensityMatrix(superop.basis, rho),
+        rho=DensityMatrix(channel.basis, rho),
         eigenvalue=complex(lam),
         second_modulus=second,
         unit_eigenvalue_count=n_unit,

@@ -6,7 +6,7 @@ the config hash and per-file content hashes, so identical (config, seed)
 pairs are byte-reproducible.
 
 Exit codes: 0 ok, 2 config, 3 truncation, 4 degenerate fixed point,
-5 reconstruction failure.
+5 reconstruction failure, 6 size cap.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (BosonLoopError, ConfigError, DegenerateFixedPointError,
-                     ReconstructionError, TruncationError)
+                     ReconstructionError, SizeCapError, TruncationError)
 from .evolve import (ExperimentConfig, LossSpec, detection_pass,
                      effective_transfer_matrix, evolve_kraus, evolve_pdm,
                      stabilization_samples, stationary_loop_iterate,
@@ -41,6 +41,7 @@ EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_DEGENERATE = 4
 EXIT_RECONSTRUCTION = 5
+EXIT_SIZE_CAP = 6
 
 _TOP_KEYS = {"schema", "M", "L", "n_max", "iterations", "input", "unitary",
              "losses", "seed"}
@@ -396,9 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(code: int, exc: Exception) -> str:
+def _error_payload(code: int, exc: Exception, **fields) -> str:
     return json.dumps({
-        "error": {"code": code, "type": type(exc).__name__, "message": str(exc)}
+        "error": {"code": code, "type": type(exc).__name__, "message": str(exc),
+                  **fields}
     })
 
 
@@ -418,6 +420,9 @@ def main(argv=None) -> int:
     except ReconstructionError as exc:
         print(_error_payload(EXIT_RECONSTRUCTION, exc))
         return EXIT_RECONSTRUCTION
+    except SizeCapError as exc:
+        print(_error_payload(EXIT_SIZE_CAP, exc, cap=exc.cap, required=exc.required))
+        return EXIT_SIZE_CAP
     except BosonLoopError as exc:
         print(_error_payload(1, exc))
         return 1

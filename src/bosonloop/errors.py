@@ -44,3 +44,12 @@ class ConvergenceError(BosonLoopError):
 
 class ConfigError(BosonLoopError):
     """Invalid experiment configuration."""
+
+
+class SizeCapError(BosonLoopError, ValueError):
+    """A dense array the request needs is larger than the package's cap for it."""
+
+    def __init__(self, message, cap=None, required=None):
+        super().__init__(message)
+        self.cap = cap
+        self.required = required

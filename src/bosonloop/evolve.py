@@ -27,7 +27,8 @@ import numpy as np
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
                        loop_channel, stationary_state)
 from .channels import loss_channel as _loss_channel
-from .errors import ConvergenceError, DegenerateFixedPointError, TruncationError
+from .errors import (ConvergenceError, DegenerateFixedPointError, SizeCapError,
+                     TruncationError)
 from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
@@ -396,9 +397,10 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     n_tot = sum(input_occ)
     m_tot = len(input_occ)
     if sector_size(m_tot, n_tot) > UNFOLD_SECTOR_CAP:
-        raise ValueError(
+        raise SizeCapError(
             f"unfolded sector has {sector_size(m_tot, n_tot)} states, "
-            f"above the cap {UNFOLD_SECTOR_CAP}"
+            f"above the cap {UNFOLD_SECTOR_CAP}",
+            cap=UNFOLD_SECTOR_CAP, required=sector_size(m_tot, n_tot),
         )
     amps = lift_apply_fock(u_total, input_occ)
     probs = np.abs(amps) ** 2

@@ -9,10 +9,7 @@ import json
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 PERMANENT_SIZE_CAP = 30
-_DENSE_EIG_CAP = 4096
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -105,61 +102,6 @@ def spectral_radius(a: np.ndarray) -> float:
     if a.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
-def eig_principal(a: np.ndarray, target: complex = 1.0, tol: float = 1e-10,
-                  max_iterations: int = 200_000):
-    """Eigenpair with eigenvalue closest to `target` (superoperator fixed points).
-
-    Dense decomposition up to dimension 4096; above that, power iteration on
-    the half-shifted matrix (A+I)/2, which is adequate for channel
-    superoperators whose spectrum lies in the closed unit disk and whose
-    target eigenvalue is 1.  Guarantees ||A v - lam v|| <= tol ||v|| or raises
-    ConvergenceError carrying the residual.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n <= _DENSE_EIG_CAP:
-        evals, evecs = np.linalg.eig(a)
-        i = int(np.argmin(np.abs(evals - target)))
-        lam, v = evals[i], evecs[:, i]
-        v = v / np.linalg.norm(v)
-        residual = np.linalg.norm(a @ v - lam * v)
-        if residual > tol:
-            # polish with a couple of inverse-iteration steps
-            for _ in range(5):
-                try:
-                    v = np.linalg.solve(a - (lam + 1e-14) * np.eye(n), v)
-                except np.linalg.LinAlgError:
-                    break
-                v /= np.linalg.norm(v)
-                lam = v.conj() @ a @ v
-                residual = np.linalg.norm(a @ v - lam * v)
-                if residual <= tol:
-                    break
-        if residual > tol:
-            raise ConvergenceError(
-                f"principal eigenpair residual {residual:.3e} above {tol:.1e}",
-                residual=float(residual),
-            )
-        return complex(lam), v
-    b = 0.5 * (a + np.eye(n))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    residual = np.inf
-    for _ in range(max_iterations):
-        v = b @ v
-        v /= np.linalg.norm(v)
-        lam = v.conj() @ a @ v
-        residual = np.linalg.norm(a @ v - lam * v)
-        if residual <= tol:
-            return complex(lam), v
-    raise ConvergenceError(
-        f"power iteration did not reach tol {tol:.1e} after {max_iterations} "
-        f"iterations (residual {residual:.3e})",
-        residual=float(residual),
-    )
 
 
 class Interferometer:

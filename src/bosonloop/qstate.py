@@ -1,6 +1,7 @@
 """Density matrices and probability distributions over truncated Fock bases."""
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,14 +193,47 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
+@lru_cache(maxsize=None)
+def _sector_layout(basis: FockBasis) -> tuple:
+    """Gather indices that stack the photon-number diagonal blocks of a
+    matrix, zero-padded to the largest sector, with the padding mask and the
+    mask of the entries between sectors."""
+    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    idx = np.zeros((len(slices), max(sl.stop - sl.start for sl in slices)), dtype=int)
+    inside = np.zeros(idx.shape, dtype=bool)
+    for n, sl in enumerate(slices):
+        idx[n, :sl.stop - sl.start] = np.arange(sl.start, sl.stop)
+        inside[n, :sl.stop - sl.start] = True
+    totals = basis.totals()
+    return (idx[:, :, None], idx[:, None, :], inside[:, :, None] & inside[:, None, :],
+            totals[:, None] != totals[None, :])
+
+
+def _sector_blocks(rho: DensityMatrix) -> np.ndarray | None:
+    """The stacked diagonal sector blocks of rho, or None when rho has
+    coherences between photon-number sectors."""
+    rows, cols, inside, between = _sector_layout(rho.basis)
+    if rho.mat[between].any():
+        return None
+    return np.where(inside, rho.mat[rows, cols], 0.0)
+
+
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1]."""
+    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1].
+
+    When both states are block-diagonal in photon number the trace splits
+    into a sum over the sector blocks, which are handled as one stack.
+    """
     if rho.basis != sigma.basis:
         raise ValueError("fidelity needs matching bases")
-    evals, evecs = np.linalg.eigh(rho.mat)
-    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = sqrt_rho @ sigma.mat @ sqrt_rho
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    a, b = _sector_blocks(rho), _sector_blocks(sigma)
+    if a is None or b is None:
+        a, b = rho.mat, sigma.mat
+    evals, evecs = np.linalg.eigh(a)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
+    inner = sqrt_a @ b @ sqrt_a
+    lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
     f = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
     return min(max(f, 0.0), 1.0)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import factorial, prod, sqrt
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ReconstructionError
 from .fock import FockBasis
@@ -330,6 +329,8 @@ def fit_photon_statistics(dist: ProbabilityDistribution) -> PhotonStatisticsFit:
 
     def sse(model):
         return lambda x: float(((p - model(x, n_max)) ** 2).sum())
+
+    import scipy.optimize  # deferred: importing scipy costs most of the package's start-up
 
     hi = max(10.0 * mean, 1.0)
     thermal = scipy.optimize.minimize_scalar(sse(thermal_pmf), bounds=(0.0, hi),

@@ -23,7 +23,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import BosonLoopError, SpectralRadiusError
+from .errors import BosonLoopError, SizeCapError, SpectralRadiusError
 from .fock import FockBasis
 from .matrixkit import spectral_radius
 from .qstate import DensityMatrix
@@ -289,14 +289,16 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
     m_ext = rho_ext.basis.modes
     n_looped = modes - m_ext
     if n_looped ** (k + l) > SYSTEM_DIM_CAP:
-        raise ValueError(
+        raise SizeCapError(
             f"stationary system for order ({k},{l}) has dimension "
-            f"{n_looped ** (k + l)}, above the cap {SYSTEM_DIM_CAP}"
+            f"{n_looped ** (k + l)}, above the cap {SYSTEM_DIM_CAP}",
+            cap=SYSTEM_DIM_CAP, required=n_looped ** (k + l),
         )
     if modes ** (k + l) > ASSEMBLY_SIZE_CAP:
-        raise ValueError(
+        raise SizeCapError(
             f"order ({k},{l}) needs a full-mode tensor with {modes ** (k + l)} "
-            f"entries, above the cap {ASSEMBLY_SIZE_CAP}"
+            f"entries, above the cap {ASSEMBLY_SIZE_CAP}",
+            cap=ASSEMBLY_SIZE_CAP, required=modes ** (k + l),
         )
     _check_spectral_radius(matrix, n_looped)
     ext = ext_moments if ext_moments is not None else _MomentCache(rho_ext)

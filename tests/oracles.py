@@ -112,3 +112,33 @@ def comb_float(n: int, k: int) -> float:
     if k < 0 or k > n:
         return 0.0
     return factorial(n) / (factorial(k) * factorial(n - k))
+
+
+def superoperator_kron(kraus) -> np.ndarray:
+    """The whole superoperator sum conj(K) kron K under column stacking."""
+    return sum(np.kron(k.conj(), k) for k in kraus)
+
+
+def stationary_dense(g: np.ndarray, degeneracy_gap: float = 1e-8) -> tuple:
+    """Stationary state and spectral diagnostics from one dense eig of the whole G.
+
+    Returns (rho, eigenvalue closest to 1, second largest modulus, number of
+    eigenvalues within `degeneracy_gap` of that eigenvalue).
+    """
+    d = int(round(sqrt(g.shape[0])))
+    evals, evecs = np.linalg.eig(g)
+    i = int(np.argmin(np.abs(evals - 1.0)))
+    n_unit = int(np.count_nonzero(np.abs(evals - evals[i]) < degeneracy_gap))
+    moduli = np.abs(evals)
+    moduli[i] = -np.inf
+    rho = evecs[:, i].reshape((d, d), order="F")
+    rho = rho / np.trace(rho)
+    return (rho + rho.conj().T) / 2, evals[i], float(moduli.max()), n_unit
+
+
+def fidelity_svd(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity as the squared trace norm of sqrt(a) sqrt(b)."""
+    def psd_sqrt(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return float(np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False).sum() ** 2)

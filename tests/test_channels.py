@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from bosonloop.channels import (compose, identity_channel, loop_channel,
+from bosonloop.channels import (SUPEROP_DIM_CAP, QuantumChannel, compose,
+                                fixed_point, identity_channel, loop_channel,
                                 loss_channel, stationary_state,
                                 to_superoperator)
-from bosonloop.errors import DegenerateFixedPointError, TruncationError
+from bosonloop.errors import (DegenerateFixedPointError, SizeCapError,
+                              TruncationError)
+from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
+                              stabilization_samples)
 from bosonloop.fock import FockBasis, tensor_index_map
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
 from bosonloop.qstate import (DensityMatrix, fock_state_dm, partial_trace,
                               random_density_matrix, tensor_product,
-                              trace_distance)
+                              trace_distance, uhlmann_fidelity)
 
-from oracles import apply_loss_direct, kraus_pure_fock
+from oracles import (apply_loss_direct, fidelity_svd, kraus_pure_fock,
+                     stationary_dense, superoperator_kron)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -244,3 +249,96 @@ def test_swap_stationary_state_is_injected_photon():
     chan = loop_channel(lifted, rho_ext)
     result = stationary_state(chan)
     assert trace_distance(result.rho, fock_state_dm(chan.basis, (1,))) < 1e-10
+
+
+@pytest.mark.parametrize("modes, looped, n_max, haar_seed, losses", [
+    (2, 1, 14, 3, LossSpec()),
+    (3, 2, 7, 39, LossSpec()),
+    (2, 1, 10, 8, LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
+                           loop_transmission=0.9)),
+])
+def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
+                                                         haar_seed, losses):
+    setup = _LoopSetup(ExperimentConfig(
+        modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
+        input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
+        losses=losses))
+    chan = setup.loop_update_channel()
+    assert len(chan.charge_blocks) == 2 * n_max + 1
+    g = superoperator_kron(chan.kraus)
+    np.testing.assert_allclose(to_superoperator(chan).matrix, g, atol=1e-14)
+
+    rho, lam, second, n_unit = stationary_dense(g)
+    result = stationary_state(chan)
+    np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
+    assert abs(result.eigenvalue - lam) < 1e-12
+    assert abs(result.second_modulus - second) < 1e-12
+    assert result.unit_eigenvalue_count == n_unit
+    # the bordered solve declines when the truncation leaks past its residual bound
+    fast = fixed_point(chan)
+    assert (fast is None) == (abs(lam - 1.0) > 1e-10)
+    if fast is not None:
+        np.testing.assert_allclose(fast.mat, rho, atol=1e-10)
+
+    # iterates from the vacuum stay in the charge-0 block: block matvec = Kraus sum
+    state = setup.vacuum_line()
+    for _ in range(5):
+        nxt = chan.apply(state, leak_tolerance=1.0)
+        np.testing.assert_allclose(nxt.mat, chan.apply_matrix(state.mat), atol=1e-12)
+        state = nxt
+
+
+def test_external_coherence_takes_the_one_block_route():
+    # injected (|0> + |1>)/sqrt(2): Kraus operators mix photon-number shifts
+    ext = FockBasis(1, 1)
+    rho_ext = DensityMatrix(ext, np.full((2, 2), 0.5))
+    lifted = lift(haar_random_unitary(2, 9), FockBasis(2, 6))
+    chan = loop_channel(lifted, rho_ext)
+    assert len(chan.charge_blocks) == 1
+    rho, lam, second, n_unit = stationary_dense(superoperator_kron(chan.kraus))
+    result = stationary_state(chan, eigenvalue_tol=0.05)
+    assert np.abs(result.rho.mat - np.diag(np.diag(result.rho.mat))).max() > 1e-3
+    np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
+    assert abs(result.eigenvalue - lam) < 1e-12
+    assert abs(result.second_modulus - second) < 1e-12
+    assert result.unit_eigenvalue_count == n_unit
+
+
+def _pinched(rho):
+    """rho with its coherences between photon-number sectors removed."""
+    totals = rho.basis.totals()
+    return DensityMatrix(rho.basis, np.where(totals[:, None] == totals[None, :], rho.mat, 0))
+
+
+@pytest.mark.parametrize("basis", [FockBasis(1, 6), FockBasis(2, 5), FockBasis(3, 3)])
+def test_blockwise_fidelity_matches_dense_uhlmann(basis):
+    for seed in range(10):
+        a = _pinched(random_density_matrix(basis, seed))
+        b = _pinched(random_density_matrix(basis, 100 + seed))
+        assert abs(uhlmann_fidelity(a, b) - fidelity_svd(a.mat, b.mat)) < 1e-12
+    # one coherent state sends the pair down the dense route
+    c = random_density_matrix(basis, 7)
+    assert abs(uhlmann_fidelity(a, c) - fidelity_svd(a.mat, c.mat)) < 1e-12
+
+
+def test_superoperator_block_over_the_cap_is_a_size_cap_error():
+    basis = FockBasis(1, 64)
+    mixing = np.full((basis.size, basis.size), 1.0 / basis.size)
+    chan = QuantumChannel(basis, [mixing], valid_max_photons=64)
+    with pytest.raises(SizeCapError) as err:
+        fixed_point(chan)
+    assert (err.value.cap, err.value.required) == (SUPEROP_DIM_CAP, basis.size ** 2)
+
+
+# stabilization times of 24 Haar samples, computed from the whole superoperator
+# with the Kraus sum as the channel step and the dense Uhlmann fidelity
+PINNED_TAUS = [31, 6, 3, 441, 15, 69, 27, 8, 11, 5, 10, 4, 4, 13, 3, 22, 18, 11,
+               6, 10, 8, 48, 17, 8]
+
+
+def test_stabilization_times_pinned():
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
+                           input_occupation=(1,), n_max=14)
+    study = stabilization_samples(cfg, samples=24, seed=7)
+    assert study.skipped == 0
+    assert study.times == PINNED_TAUS

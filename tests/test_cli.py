@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bosonloop.cli import main
+import bosonloop
+from bosonloop.cli import EXIT_SIZE_CAP, main
 from bosonloop.matrixkit import save_matrix_json
 from bosonloop.qstate import DensityMatrix, ProbabilityDistribution
 
@@ -202,3 +207,39 @@ def test_manifest_lists_all_outputs(tmp_path):
     assert listed == on_disk
     assert manifest["subcommand"] == "evolve"
     assert manifest["wall_time_s"] >= 0
+
+
+def test_size_cap_exits_6_with_json_error(tmp_path, capsys):
+    # the unfolded 10-iteration interferometer has a 184756-state sector
+    path = write_config(tmp_path, n_max=None, iterations=10)
+    out = tmp_path / "o"
+    assert main(["evolve", path, "--method", "unfold", "--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (EXIT_SIZE_CAP, "SizeCapError")
+    assert err["cap"] == 100_000 and err["required"] == 184756
+    assert captured.err == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_stationary_superop_two_looped_modes_n_max_10(tmp_path):
+    # the whole superoperator has dimension 4356; its largest charge block 506
+    path = write_config(tmp_path, M=4, L=2, n_max=10, iterations=1,
+                        input={"type": "fock", "occupation": [1, 0]},
+                        unitary={"type": "haar", "seed": 1})
+    out = tmp_path / "stat"
+    assert main(["stationary", path, "--method", "superop", "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert abs(complex(*diag["stationary_eigenvalue"]) - 1.0) < 1e-6
+    assert diag["second_largest_eigenvalue_modulus"] < 1.0
+    rho = DensityMatrix.from_json(out / "rho_stat.json")
+    assert rho.basis.size == 66
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, bosonloop.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

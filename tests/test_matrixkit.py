@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonloop.errors import ConvergenceError
-from bosonloop.matrixkit import (Interferometer, eig_principal,
-                                 haar_random_unitary, load_matrix,
+from bosonloop.matrixkit import (Interferometer, haar_random_unitary, load_matrix,
                                  load_matrix_json, permanent,
                                  save_matrix_json, spectral_radius,
                                  submatrix_by_multiplicity, unvec, vec)
@@ -116,23 +114,6 @@ def test_spectral_radius():
     a = random_complex(rng, 5)
     a /= 2 * np.linalg.norm(a, 2)
     assert spectral_radius(a) == pytest.approx(np.abs(np.linalg.eigvals(a)).max())
-
-
-def test_eig_principal_against_dense_oracle():
-    rng = np.random.default_rng(18)
-    a = random_complex(rng, 8)
-    a /= 1.5 * np.linalg.norm(a, 2)
-    a += np.eye(8) * 0.3
-    lam, v = eig_principal(a)
-    evals = np.linalg.eigvals(a)
-    assert abs(lam - evals[np.argmin(np.abs(evals - 1))]) < 1e-10
-    assert np.linalg.norm(a @ v - lam * v) <= 1e-10
-
-
-def test_eig_principal_power_iteration_cap():
-    # dimension above the dense cap with a hostile spectrum cannot converge fast
-    with pytest.raises(ConvergenceError):
-        eig_principal(np.diag(np.linspace(0.99999, 1.0, 5000)), max_iterations=3)
 
 
 def test_interferometer_blocks():
