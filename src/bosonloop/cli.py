@@ -5,7 +5,7 @@ Every run stages its output files in memory, writes them atomically
 the config hash and per-file content hashes, so identical (config, seed)
 pairs are byte-reproducible.
 
-Exit codes: 0 ok, 2 config, 3 truncation, 4 degenerate fixed point,
+Exit codes: 0 ok, 2 config or request, 3 truncation, 4 degenerate fixed point,
 5 reconstruction failure, 6 size cap.
 """
 
@@ -27,8 +27,8 @@ from .evolve import (ExperimentConfig, LossSpec, detection_pass,
                      stabilization_samples, stationary_loop_iterate,
                      stationary_loop_state, unfolded_distribution)
 from .fock import FockBasis
-from .matrixkit import load_matrix, spectral_radius
-from .qstate import DensityMatrix, fock_state_dm, uhlmann_fidelity
+from .matrixkit import Interferometer, load_matrix, spectral_radius
+from .qstate import DensityMatrix, embed, fock_state_dm, uhlmann_fidelity
 from .reconstruct import (build_moment_system, reconstruct_analytic,
                           reconstruct_convex)
 from .tensors import recursive_stationary
@@ -50,10 +50,26 @@ _UNITARY_KEYS = {"file": {"type", "path"}, "haar": {"type", "seed"}}
 _LOSS_KEYS = {"t_in", "t_out", "loop_T"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+def _section(d, allowed, where: str) -> dict:
+    """`d` as a JSON object whose keys all lie in `allowed`, a set or a table
+    of sets by the object's "type"."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    if isinstance(allowed, dict):
+        allowed = allowed.get(d.get("type"), {"type"})
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    return d
+
+
+def _number(value, where: str, kind=int):
+    """A non-negative JSON number of type `kind` (float admits integers);
+    booleans, strings, NaN and, for int, floats are rejected."""
+    kinds = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not value >= 0:
+        raise ConfigError(f"{where} must be a non-negative {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path) -> tuple:
@@ -65,52 +81,51 @@ def load_config(path) -> tuple:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    if raw.get("schema") != SCHEMA_VERSION:
+    schema = _section(raw, _TOP_KEYS, "config").get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
     base = os.path.dirname(os.path.abspath(path))
     try:
-        modes = int(raw["M"])
-        looped = int(raw["L"])
-        iterations = int(raw.get("iterations", 1))
+        modes = _number(raw["M"], "M")
+        looped = _number(raw["L"], "L")
+        iterations = _number(raw.get("iterations", 1), "iterations")
         n_max = raw.get("n_max")
-        n_max = None if n_max is None else int(n_max)
+        n_max = None if n_max is None else _number(n_max, "n_max")
 
-        inp = raw["input"]
-        _reject_unknown(inp, _INPUT_KEYS.get(inp.get("type"), {"type"}), "input")
+        inp = _section(raw["input"], _INPUT_KEYS, "input")
         occupation = input_state = None
         if inp.get("type") == "fock":
-            occupation = tuple(int(x) for x in inp["occupation"])
+            occupation = tuple(_number(x, "input.occupation") for x in inp["occupation"])
         elif inp.get("type") == "dm":
             input_state = DensityMatrix.from_json(os.path.join(base, inp["path"]))
         else:
             raise ConfigError(f"input.type must be 'fock' or 'dm', got {inp.get('type')!r}")
 
-        uni = raw["unitary"]
-        _reject_unknown(uni, _UNITARY_KEYS.get(uni.get("type"), {"type"}), "unitary")
+        uni = _section(raw["unitary"], _UNITARY_KEYS, "unitary")
         unitary = haar_seed = None
         if uni.get("type") == "file":
             unitary = load_matrix(os.path.join(base, uni["path"]))
+            if Interferometer(unitary, looped).modes != modes:  # checks unitarity
+                raise ConfigError(f"unitary file holds a {unitary.shape} matrix for M={modes}")
         elif uni.get("type") == "haar":
-            haar_seed = int(uni["seed"])
+            haar_seed = _number(uni["seed"], "unitary.seed")
         else:
             raise ConfigError(f"unitary.type must be 'file' or 'haar', got {uni.get('type')!r}")
 
         losses = LossSpec()
         if "losses" in raw:
-            _reject_unknown(raw["losses"], _LOSS_KEYS, "losses")
-            losses = LossSpec(
-                t_in=np.asarray(raw["losses"].get("t_in", np.ones(modes)), dtype=float),
-                t_out=np.asarray(raw["losses"].get("t_out", np.ones(modes)), dtype=float),
-                loop_transmission=float(raw["losses"].get("loop_T", 1.0)),
-            )
+            sec = _section(raw["losses"], _LOSS_KEYS, "losses")
+            t_in, t_out = (np.array([_number(x, f"losses.{key}", float)
+                                     for x in sec.get(key, [1.0] * modes)])
+                           for key in ("t_in", "t_out"))
+            losses = LossSpec(t_in, t_out,
+                              _number(sec.get("loop_T", 1.0), "losses.loop_T", float))
+            losses.resolve(modes)  # checks the lengths and the [0, 1] ranges
         config = ExperimentConfig(
             modes=modes, looped=looped, iterations=iterations,
             unitary=unitary, haar_seed=haar_seed,
             input_occupation=occupation, input_state=input_state,
-            n_max=n_max, losses=losses, seed=int(raw.get("seed", 0)),
+            n_max=n_max, losses=losses, seed=_number(raw.get("seed", 0), "seed"),
         )
     except ConfigError:
         raise
@@ -178,8 +193,20 @@ def _counts_csv(counts: dict) -> str:
     )
 
 
-def cmd_evolve(args) -> int:
+def _load(args, needs_loop: bool = False) -> tuple:
+    """`load_config` plus the subcommand's preconditions on its counts and config."""
+    for name, low in (("samples", 1), ("shots", 1), ("rank_cap", 1), ("seed", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
     config, raw = load_config(args.config)
+    if needs_loop and config.looped == 0:
+        raise ConfigError(f"{args.command} needs at least one looped mode (L >= 1)")
+    return config, raw
+
+
+def cmd_evolve(args) -> int:
+    config, raw = _load(args)
     started = time.monotonic()
     stager = _Stager(args.out)
     if args.method == "unfold":
@@ -205,16 +232,13 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    config, raw = load_config(args.config)
+    config, raw = _load(args, needs_loop=True)
     started = time.monotonic()
     stager = _Stager(args.out)
-    diagnostics = {}
+    result = None
     if args.method == "superop":
         result = stationary_loop_state(config)
         rho_stat = result.rho
-        diagnostics["stationary_eigenvalue"] = [result.eigenvalue.real,
-                                                result.eigenvalue.imag]
-        diagnostics["second_largest_eigenvalue_modulus"] = result.second_modulus
     elif args.method == "iterate":
         rho_stat = stationary_loop_iterate(config)
     else:  # tensors
@@ -224,15 +248,17 @@ def cmd_stationary(args) -> int:
         tensor_set = recursive_stationary(m_eff, _raw_external_state(config), rank_cap)
         system = build_moment_system(FockBasis(config.looped, rank_cap), tensor_set)
         rho_stat, _ = reconstruct_analytic(system)
-    if args.method != "superop":
+    if result is None:
         # diagnostics still come from the superoperator spectrum when feasible
         try:
             result = stationary_loop_state(config)
-            diagnostics["stationary_eigenvalue"] = [result.eigenvalue.real,
-                                                    result.eigenvalue.imag]
-            diagnostics["second_largest_eigenvalue_modulus"] = result.second_modulus
         except BosonLoopError:
             pass
+    diagnostics = {}
+    if result is not None:
+        diagnostics["stationary_eigenvalue"] = [result.eigenvalue.real,
+                                                result.eigenvalue.imag]
+        diagnostics["second_largest_eigenvalue_modulus"] = result.second_modulus
     diagnostics["spectral_radius_u_ll"] = spectral_radius(
         config.interferometer().u_ll
     )
@@ -246,7 +272,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_stabilization(args) -> int:
-    config, raw = load_config(args.config)
+    config, raw = _load(args, needs_loop=True)
     started = time.monotonic()
     stager = _Stager(args.out)
     seed = args.seed if args.seed is not None else config.seed
@@ -271,7 +297,7 @@ def cmd_stabilization(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config, raw = load_config(args.config)
+    config, raw = _load(args, needs_loop=True)
     started = time.monotonic()
     stager = _Stager(args.out)
     truth = stationary_loop_state(config).rho
@@ -312,25 +338,14 @@ def _raw_external_state(config: ExperimentConfig) -> DensityMatrix:
     return config.input_state
 
 
-def _embed_to(rho: DensityMatrix, basis: FockBasis) -> DensityMatrix:
-    if rho.basis == basis:
-        return rho
-    if rho.basis.n_max > basis.n_max:
-        raise ValueError("cannot embed into a smaller basis")
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    idx = np.array([basis.index_of(occ) for occ in rho.basis.states])
-    mat[np.ix_(idx, idx)] = rho.mat
-    return DensityMatrix(basis, mat, check=False)
-
-
 def _padded_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity after zero-padding the smaller-truncation state."""
     big = a.basis if a.basis.n_max >= b.basis.n_max else b.basis
-    return uhlmann_fidelity(_embed_to(a, big), _embed_to(b, big))
+    return uhlmann_fidelity(embed(a, big), embed(b, big))
 
 
 def cmd_sample(args) -> int:
-    config, raw = load_config(args.config)
+    config, raw = _load(args, needs_loop=args.target == "stationary")
     started = time.monotonic()
     stager = _Stager(args.out)
     seed = args.seed if args.seed is not None else config.seed

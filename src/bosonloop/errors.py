@@ -42,8 +42,8 @@ class ConvergenceError(BosonLoopError):
         self.residual = residual
 
 
-class ConfigError(BosonLoopError):
-    """Invalid experiment configuration."""
+class ConfigError(BosonLoopError, ValueError):
+    """Invalid experiment configuration, or a request the configuration cannot serve."""
 
 
 class SizeCapError(BosonLoopError, ValueError):

@@ -20,25 +20,26 @@ pass with the k-th loop update.
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
                        loop_channel, stationary_state)
 from .channels import loss_channel as _loss_channel
-from .errors import (ConvergenceError, DegenerateFixedPointError, SizeCapError,
-                     TruncationError)
+from .errors import (ConfigError, ConvergenceError, DegenerateFixedPointError,
+                     SizeCapError, TruncationError)
 from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
-from .qstate import (DensityMatrix, ProbabilityDistribution, fock_state_dm,
-                     partial_trace, tensor_product, trace_distance,
-                     uhlmann_fidelity)
+from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
+                     overflow_weight, partial_trace, tensor_product,
+                     trace_distance, uhlmann_fidelity)
 
 LEAK_TOLERANCE = 1e-9          # per-iteration truncation leak allowed past n_max
 UNFOLD_SECTOR_CAP = 100_000
 _RETRY_DIM_CAP = 64            # loop-space dimension beyond which retries stop
+TRUNCATION_RETRIES = 3         # _grow_n_max rungs a Haar sample may climb
 
 
 def _grow_n_max(n_max: int, looped: int) -> int:
@@ -62,7 +63,7 @@ class LossSpec:
         t_out = np.ones(modes) if self.t_out is None else np.asarray(self.t_out, dtype=float)
         if t_in.shape != (modes,) or t_out.shape != (modes,):
             raise ValueError(f"loss arrays must have one amplitude per mode ({modes})")
-        if np.any((t_in < 0) | (t_in > 1)) or np.any((t_out < 0) | (t_out > 1)):
+        if not np.all((t_in >= 0) & (t_in <= 1) & (t_out >= 0) & (t_out <= 1)):
             raise ValueError("amplitude transmissions must lie in [0, 1]")
         if not 0.0 <= self.loop_transmission <= 1.0:
             raise ValueError("loop transmission must lie in [0, 1]")
@@ -137,12 +138,7 @@ class ExperimentConfig:
         return Interferometer(self.transfer_matrix(), self.looped)
 
     def with_unitary(self, u: np.ndarray) -> "ExperimentConfig":
-        return ExperimentConfig(
-            modes=self.modes, looped=self.looped, iterations=self.iterations,
-            unitary=u, haar_seed=None,
-            input_occupation=self.input_occupation, input_state=self.input_state,
-            n_max=self.n_max, losses=self.losses, seed=self.seed,
-        )
+        return replace(self, unitary=u, haar_seed=None)
 
 
 def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) -> np.ndarray:
@@ -203,7 +199,7 @@ class _LoopSetup:
         rho_ext = (
             fock_state_dm(self.ext, config.input_occupation)
             if config.input_occupation is not None
-            else _embed(config.input_state, self.ext)
+            else embed(config.input_state, self.ext)
         )
         self.rho_ext_raw = rho_ext
         self.in_ext = _maybe_loss(spec.t_in[: self.n_ext] ** 2, self.ext)
@@ -222,7 +218,7 @@ class _LoopSetup:
     def step(self, rho_line: DensityMatrix):
         """One iteration: returns (rho_det, next line state, leaked weight)."""
         rho_loop_in = self.in_loop.apply(rho_line) if self.in_loop else rho_line
-        leaked = _joint_overflow(self.rho_ext_in, rho_loop_in, self.n_max)
+        leaked = overflow_weight(self.rho_ext_in, rho_loop_in, self.n_max)
         if leaked > LEAK_TOLERANCE:
             raise TruncationError(
                 f"iteration would leak weight {leaked:.3e} past n_max={self.n_max}; "
@@ -259,29 +255,6 @@ def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
     return _loss_channel(power_transmissions, basis.modes, basis.n_max)
 
 
-def _embed(rho: DensityMatrix, basis: FockBasis) -> DensityMatrix:
-    """Embed a state into a basis with the same modes and n_max at least as large."""
-    if rho.basis == basis:
-        return rho
-    if rho.basis.modes != basis.modes or rho.basis.n_max > basis.n_max:
-        raise ValueError(f"cannot embed {rho.basis!r} into {basis!r}")
-    idx = np.array([basis.index_of(occ) for occ in rho.basis.states])
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    mat[np.ix_(idx, idx)] = rho.mat
-    return DensityMatrix(basis, mat, check=False)
-
-
-def _joint_overflow(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> float:
-    wa = rho_a.sector_weights()
-    wb = rho_b.sector_weights()
-    return float(sum(
-        wa[na] * wb[nb]
-        for na in range(len(wa))
-        for nb in range(len(wb))
-        if na + nb > n_max
-    ))
-
-
 def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     """L = 0: every iteration is an independent single-pass run."""
     n_max = config.n_max if config.n_max is not None else max(config.n_env, 1)
@@ -299,18 +272,21 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     )
 
 
-def evolve_pdm(config: ExperimentConfig, record_loop: bool = False) -> EvolutionTrace:
-    """Partial-density-matrix evolution: k joint passes with per-iteration traces."""
+def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> EvolutionTrace:
+    """k joint passes from the vacuum line; the line state advances by the
+    joint pass's own output, or by the one-iteration Kraus channel when `kraus`."""
     if config.looped == 0:
         return _singlepass_trace(config)
     setup = _LoopSetup(config)
+    channel = setup.loop_update_channel() if kraus else None
     rho_line = setup.vacuum_line()
     loop_states = [rho_line] if record_loop else None
     dists = []
-    rho_det = None
     max_leak = 0.0
     for _ in range(config.iterations):
-        rho_det, rho_line, leaked = setup.step(rho_line)
+        rho_det, rho_next, leaked = setup.step(rho_line)
+        rho_line = (channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
+                    if kraus else rho_next)
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
         if record_loop:
@@ -320,6 +296,11 @@ def evolve_pdm(config: ExperimentConfig, record_loop: bool = False) -> Evolution
         final_loop_state=rho_line, loop_states=loop_states,
         max_leaked_weight=max_leak, n_max=setup.n_max,
     )
+
+
+def evolve_pdm(config: ExperimentConfig, record_loop: bool = False) -> EvolutionTrace:
+    """Partial-density-matrix evolution: k joint passes with per-iteration traces."""
+    return _iterate(config, record_loop, kraus=False)
 
 
 def evolve_kraus(config: ExperimentConfig, record_loop: bool = False) -> EvolutionTrace:
@@ -329,27 +310,7 @@ def evolve_kraus(config: ExperimentConfig, record_loop: bool = False) -> Evoluti
     detection at iteration i reuses the joint pass on the channel's input
     state, so iteration counts line up with the PDM route exactly.
     """
-    if config.looped == 0:
-        return _singlepass_trace(config)
-    setup = _LoopSetup(config)
-    channel = setup.loop_update_channel()
-    rho_line = setup.vacuum_line()
-    loop_states = [rho_line] if record_loop else None
-    dists = []
-    rho_det = None
-    max_leak = 0.0
-    for _ in range(config.iterations):
-        rho_det, _, leaked = setup.step(rho_line)
-        rho_line = channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
-        max_leak = max(max_leak, leaked)
-        dists.append(rho_det.diagonal_distribution())
-        if record_loop:
-            loop_states.append(rho_line)
-    return EvolutionTrace(
-        rho_det=rho_det, distribution=dists[-1], iteration_distributions=dists,
-        final_loop_state=rho_line, loop_states=loop_states,
-        max_leaked_weight=max_leak, n_max=setup.n_max,
-    )
+    return _iterate(config, record_loop, kraus=True)
 
 
 @dataclass
@@ -372,9 +333,9 @@ def unfold(config: ExperimentConfig):
     Fock inputs without losses only (this engine is the exact ground truth).
     """
     if config.input_occupation is None:
-        raise ValueError("unfolding supports pure Fock inputs only")
+        raise ConfigError("unfolding supports pure Fock inputs only")
     if not config.losses.trivial:
-        raise ValueError("unfolding does not model losses")
+        raise ConfigError("unfolding does not model losses")
     u = config.transfer_matrix()
     m_ext, loop, k = config.n_external, config.looped, config.iterations
     m_tot = m_ext * k + loop
@@ -469,7 +430,7 @@ def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix,
     Returns (rho_det, next line state).
     """
     setup = _LoopSetup(config, n_max=n_max)
-    line = _embed(rho_line, setup.loop)
+    line = embed(rho_line, setup.loop)
     rho_det, rho_next, _ = setup.step(line)
     return rho_det, rho_next
 
@@ -497,6 +458,38 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     )
 
 
+def _haar_samples(config: ExperimentConfig, samples: int, seed: int, threads: int,
+                  solve) -> list:
+    """`solve(sample_config)` on Haar-random transfer matrices, one result per sample.
+
+    Per-sample seeds are spawned from the master seed, so the results do not
+    depend on the thread count.  A sample with a degenerate fixed point, or
+    that fails to converge, gives None.  A sample whose loop state is too
+    heavy-tailed for the configured n_max is retried at a 1.5x larger
+    truncation up to TRUNCATION_RETRIES times: the required bound is
+    state-dependent, and near-decoupled matrices produce nearly thermal loop
+    states far wider than the typical Haar draw.
+    """
+    def one(child):
+        u = haar_random_unitary(config.modes, child)
+        n_max = config.resolve_n_max()
+        for attempt in range(TRUNCATION_RETRIES + 1):
+            try:
+                return solve(replace(config, unitary=u, haar_seed=None, n_max=n_max))
+            except TruncationError:
+                n_max = _grow_n_max(n_max, config.looped)
+                if attempt == TRUNCATION_RETRIES or n_max is None:
+                    raise
+            except (DegenerateFixedPointError, ConvergenceError):
+                return None
+
+    children = np.random.SeedSequence(seed).spawn(samples)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, children))
+    return [one(c) for c in children]
+
+
 @dataclass
 class StabilizationStudy:
     times: list
@@ -505,46 +498,16 @@ class StabilizationStudy:
 
 def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
                           tolerance: float = 1e-6, threads: int = 1,
-                          max_iterations: int = 100_000,
-                          truncation_retries: int = 3) -> StabilizationStudy:
+                          max_iterations: int = 100_000) -> StabilizationStudy:
     """Stabilization times over Haar-random transfer matrices.
 
-    Per-sample seeds are spawned from the master seed, so the result is
-    deterministic regardless of thread count.  Samples with a degenerate
-    fixed point (or that fail to converge) are skipped and counted.  A sample
-    whose loop state is too heavy-tailed for the configured n_max is retried
-    at a 1.5x larger truncation up to `truncation_retries` times: the
-    required bound is state-dependent, and near-decoupled matrices produce
-    nearly thermal loop states far wider than the typical Haar draw.
+    Samples with a degenerate fixed point (or that fail to converge) are
+    skipped and counted; heavy-tailed samples climb the truncation ladder of
+    `_haar_samples`.
     """
-    children = np.random.SeedSequence(seed).spawn(samples)
-
-    def one(child):
-        u = haar_random_unitary(config.modes, child)
-        sample = config.with_unitary(u)
-        n_max = sample.resolve_n_max()
-        for attempt in range(truncation_retries + 1):
-            try:
-                cfg = ExperimentConfig(
-                    modes=sample.modes, looped=sample.looped,
-                    iterations=sample.iterations, unitary=u,
-                    input_occupation=sample.input_occupation,
-                    input_state=sample.input_state, n_max=n_max,
-                    losses=sample.losses, seed=sample.seed,
-                )
-                return stabilization_time(cfg, tolerance, max_iterations)
-            except TruncationError:
-                n_max = _grow_n_max(n_max, sample.looped)
-                if attempt == truncation_retries or n_max is None:
-                    raise
-            except (DegenerateFixedPointError, ConvergenceError):
-                return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, children))
-    else:
-        results = [one(c) for c in children]
+    results = _haar_samples(
+        config, samples, seed, threads,
+        lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
     times = [t for t in results if t is not None]
     return StabilizationStudy(times=times, skipped=len(results) - len(times))
 
@@ -557,8 +520,8 @@ class AverageStationaryResult:
 
 
 def average_stationary(config: ExperimentConfig, samples: int, seed: int,
-                       allow_multimode: bool = False, threads: int = 1,
-                       truncation_retries: int = 3) -> AverageStationaryResult:
+                       allow_multimode: bool = False,
+                       threads: int = 1) -> AverageStationaryResult:
     """Mean stationary state over Haar-random transfer matrices.
 
     Raw element-wise averaging is only physically meaningful when the
@@ -573,26 +536,8 @@ def average_stationary(config: ExperimentConfig, samples: int, seed: int,
             "raw averaging over matrices is only meaningful for one looped mode; "
             "pass allow_multimode=True to average anyway"
         )
-    children = np.random.SeedSequence(seed).spawn(samples)
-
-    def one(child):
-        u = haar_random_unitary(config.modes, child)
-        n_max = config.resolve_n_max()
-        for attempt in range(truncation_retries + 1):
-            try:
-                return stationary_loop_state(config.with_unitary(u), n_max=n_max).rho
-            except TruncationError:
-                n_max = _grow_n_max(n_max, config.looped)
-                if attempt == truncation_retries or n_max is None:
-                    raise
-            except DegenerateFixedPointError:
-                return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, children))
-    else:
-        results = [one(c) for c in children]
+    results = _haar_samples(config, samples, seed, threads,
+                            lambda cfg: stationary_loop_state(cfg).rho)
     states = [r for r in results if r is not None]
     skipped = len(results) - len(states)
     if not states:
@@ -602,7 +547,7 @@ def average_stationary(config: ExperimentConfig, samples: int, seed: int,
     basis = max((s.basis for s in states), key=lambda b: b.n_max)
     mean = np.zeros((basis.size, basis.size), dtype=complex)
     for s in states:
-        mean += _embed(s, basis).mat
+        mean += embed(s, basis).mat
     mean /= len(states)
     return AverageStationaryResult(
         rho=DensityMatrix(basis, mean),

@@ -104,6 +104,31 @@ def random_density_matrix(basis: FockBasis, seed: int) -> DensityMatrix:
     return DensityMatrix(basis, mat, check=False)
 
 
+def embed(rho: DensityMatrix, basis: FockBasis) -> DensityMatrix:
+    """Zero-pad a state onto a basis with the same modes and an n_max at least
+    as large.  A truncated basis is the leading block of every larger
+    truncation of the same modes, so the state fills the top-left corner."""
+    if rho.basis == basis:
+        return rho
+    if rho.basis.modes != basis.modes or rho.basis.n_max > basis.n_max:
+        raise ValueError(f"cannot embed {rho.basis!r} into {basis!r}")
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    mat[:rho.basis.size, :rho.basis.size] = rho.mat
+    return DensityMatrix(basis, mat, check=False)
+
+
+def overflow_weight(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> float:
+    """Diagonal mass of rho_a (x) rho_b in joint sectors above n_max."""
+    wa = rho_a.sector_weights()
+    wb = rho_b.sector_weights()
+    return float(sum(
+        wa[na] * wb[nb]
+        for na in range(len(wa))
+        for nb in range(len(wb))
+        if na + nb > n_max
+    ))
+
+
 def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
                    max_dropped: float = 0.0) -> DensityMatrix:
     """Tensor product with Fock renumbering, A's modes leading.
@@ -115,14 +140,7 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
     """
     if joint.modes != rho_a.basis.modes + rho_b.basis.modes:
         raise ValueError("joint basis mode count does not match the factors")
-    wa = rho_a.sector_weights()
-    wb = rho_b.sector_weights()
-    dropped = sum(
-        float(wa[na] * wb[nb])
-        for na in range(len(wa))
-        for nb in range(len(wb))
-        if na + nb > joint.n_max
-    )
+    dropped = overflow_weight(rho_a, rho_b, joint.n_max)
     if dropped > max(max_dropped, POPULATED_CUTOFF):
         raise TruncationError(
             f"tensor product would push weight {dropped:.3e} past n_max={joint.n_max}",
@@ -243,25 +261,14 @@ def classical_fidelity(p, q) -> float:
     pv = p.probabilities if isinstance(p, ProbabilityDistribution) else np.asarray(p, dtype=float)
     qv = q.probabilities if isinstance(q, ProbabilityDistribution) else np.asarray(q, dtype=float)
     if isinstance(p, ProbabilityDistribution) and isinstance(q, ProbabilityDistribution):
-        if p.basis != q.basis:
-            pv, qv = _align_distributions(p, q)
+        if p.basis.modes != q.basis.modes:
+            raise ValueError("distributions live on different mode counts")
+        # zero-pad onto the larger truncation, as `embed` does for states
+        size = max(p.basis.size, q.basis.size)
+        pv, qv = (np.pad(v, (0, size - v.size)) for v in (pv, qv))
     if pv.shape != qv.shape:
         raise ValueError("distributions have different sizes")
     return float(np.sqrt(pv * qv).sum())
-
-
-def _align_distributions(p, q):
-    """Zero-pad two distributions over same-mode bases onto the larger basis."""
-    if p.basis.modes != q.basis.modes:
-        raise ValueError("distributions live on different mode counts")
-    big = p.basis if p.basis.n_max >= q.basis.n_max else q.basis
-    out = []
-    for dist in (p, q):
-        v = np.zeros(big.size)
-        for occ, prob in zip(dist.basis.states, dist.probabilities):
-            v[big.index_of(occ)] = prob
-        out.append(v)
-    return out
 
 
 class ProbabilityDistribution:

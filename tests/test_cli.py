@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bosonloop
 from bosonloop.cli import EXIT_SIZE_CAP, main
@@ -243,3 +249,126 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+NON_UNITARY = {"rows": 2, "cols": 2, "re": [1, 1, 0, 1], "im": [0, 0, 0, 0]}
+NO_LOOP = {"M": 3, "L": 0, "input": {"type": "fock", "occupation": [1, 0, 0]}}
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    pytest.param({"input": [1]}, ["evolve"], id="input-not-object"),
+    pytest.param({"unitary": "haar"}, ["evolve"], id="unitary-not-object"),
+    pytest.param({"unitary": {"type": "file", "path": "u.json"}}, ["evolve"],
+                 id="non-unitary-file"),
+    pytest.param({"losses": {"t_in": [1.5, 1.0]}}, ["evolve"], id="t_in-above-1"),
+    pytest.param({"losses": {"loop_T": -0.1}}, ["evolve"], id="loop_T-negative"),
+    pytest.param({"losses": {"t_in": [0.5, 1.0]}}, ["evolve", "--method", "unfold"],
+                 id="unfold-with-losses"),
+    pytest.param(NO_LOOP, ["stationary"], id="L0-stationary"),
+    pytest.param(NO_LOOP, ["stationary", "--method", "iterate"], id="L0-iterate"),
+    pytest.param(NO_LOOP, ["stationary", "--method", "tensors"], id="L0-tensors"),
+    pytest.param(NO_LOOP, ["stabilization", "--samples", "2"], id="L0-stabilization"),
+    pytest.param(NO_LOOP, ["reconstruct"], id="L0-reconstruct"),
+    pytest.param(NO_LOOP, ["sample"], id="L0-sample"),
+    pytest.param({}, ["sample", "--shots", "0"], id="shots-0"),
+    pytest.param({}, ["sample", "--seed", "-1"], id="cli-seed-negative"),
+    pytest.param({}, ["reconstruct", "--rank-cap", "0"], id="rank-cap-0"),
+    pytest.param({}, ["stationary", "--method", "tensors", "--rank-cap", "0"],
+                 id="tensors-rank-cap-0"),
+    pytest.param({}, ["stabilization", "--samples", "-1"], id="samples-negative"),
+    pytest.param({"seed": -1}, ["sample"], id="config-seed-negative"),
+    pytest.param({"unitary": {"type": "haar", "seed": -1}}, ["evolve"],
+                 id="haar-seed-negative"),
+])
+def test_invalid_request_exits_2_with_json_error(tmp_path, capsys, overrides, argv):
+    (tmp_path / "u.json").write_text(json.dumps(NON_UNITARY))
+    path = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (2, "ConfigError")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+# Each mutation makes the BASE config invalid: a wrong-typed or out-of-range
+# value, a missing required key or an unknown key.
+_NOT_A_COUNT = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=4), st.integers(max_value=-1),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_NOT_A_FRACTION = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.floats().filter(lambda x: not 0 <= x <= 1))
+_NOT_AN_OBJECT = st.one_of(st.none(), _NOT_A_COUNT.filter(lambda v: not isinstance(v, dict)),
+                           st.integers())
+_NOT_A_TYPE = st.one_of(st.none(), _NOT_A_COUNT)
+_WRONG_LENGTH = st.lists(st.floats(0, 1), max_size=4).filter(lambda v: len(v) != 2)
+_INVALID_VALUES = {
+    ("schema",): st.one_of(st.none(), _NOT_A_COUNT).filter(lambda v: v != 1),
+    ("M",): st.one_of(st.none(), _NOT_A_COUNT),
+    ("L",): st.one_of(st.none(), _NOT_A_COUNT, st.integers(min_value=2)),
+    ("n_max",): _NOT_A_COUNT,
+    ("iterations",): st.one_of(st.none(), _NOT_A_COUNT, st.just(0)),
+    ("seed",): st.one_of(st.none(), _NOT_A_COUNT),
+    ("input",): _NOT_AN_OBJECT,
+    ("input", "type"): _NOT_A_TYPE,
+    ("input", "occupation"): st.one_of(
+        st.none(), _NOT_A_COUNT, st.lists(st.integers(0, 3)).filter(lambda v: len(v) != 1),
+        st.lists(_NOT_A_COUNT, min_size=1, max_size=1)),
+    ("unitary",): _NOT_AN_OBJECT,
+    ("unitary", "type"): _NOT_A_TYPE,
+    ("unitary", "seed"): st.one_of(st.none(), _NOT_A_COUNT),
+    ("unitary", "path"): st.one_of(st.just("u.json"), st.text(max_size=6), _NOT_A_COUNT),
+    ("losses",): _NOT_AN_OBJECT,
+    ("losses", "t_in"): st.one_of(_NOT_A_COUNT, _WRONG_LENGTH,
+                                  st.lists(_NOT_A_FRACTION, min_size=2, max_size=2)),
+    ("losses", "t_out"): st.one_of(_NOT_A_COUNT, _WRONG_LENGTH,
+                                   st.lists(_NOT_A_FRACTION, min_size=2, max_size=2)),
+    ("losses", "loop_T"): _NOT_A_FRACTION,
+}
+_DELETE = object()
+_REQUIRED = [("schema",), ("M",), ("L",), ("input",), ("unitary",), ("input", "type"),
+             ("input", "occupation"), ("unitary", "type"), ("unitary", "seed")]
+_MUTATIONS = st.one_of(
+    st.sampled_from(sorted(_INVALID_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), _INVALID_VALUES[key])),
+    st.tuples(st.sampled_from(_REQUIRED), st.just(_DELETE)),
+    st.tuples(st.sampled_from([(), ("input",), ("unitary",), ("losses",)]),
+              st.text(max_size=5)).map(lambda m: (m[0] + ("typo_" + m[1],), 1)),
+)
+_SUBCOMMANDS = [["evolve"], ["evolve", "--method", "unfold"], ["stationary"],
+                ["stationary", "--method", "tensors", "--rank-cap", "2"],
+                ["stabilization", "--samples", "1"], ["reconstruct", "--rank-cap", "2"],
+                ["sample", "--shots", "5"]]
+
+
+def _mutated(key: tuple, value) -> dict:
+    cfg = copy.deepcopy({**BASE, "losses": {"t_in": [1.0, 1.0]}})
+    if key[0] == "unitary" and key[-1] == "path":
+        cfg["unitary"] = {"type": "file"}
+    parent = cfg
+    for part in key[:-1]:
+        parent = parent[part]
+    if value is _DELETE:
+        del parent[key[-1]]
+    else:
+        parent[key[-1]] = value
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutation=_MUTATIONS, argv=st.sampled_from(_SUBCOMMANDS))
+def test_mutated_config_exits_nonzero_with_json_error(mutation, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "u.json").write_text(json.dumps(NON_UNITARY))
+        path = tmp / "config.json"
+        path.write_text(json.dumps(_mutated(*mutation)))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([argv[0], str(path), *argv[1:], "--out", str(tmp / "o")])
+        assert code != 0
+        assert "error" in json.loads(stdout.getvalue())
+        assert not (tmp / "o").exists()

@@ -244,6 +244,26 @@ def test_average_stationary_single_sample_and_structure():
     assert np.abs(off_diag).max() < 1e-8  # photon-number blocks stay diagonal
 
 
+def test_average_stationary_climbs_the_truncation_ladder():
+    # three of the four samples leak past n_max=8 and one of them past 12, so
+    # the mean is taken on the n_max=18 basis; values pinned from the
+    # index_of-placement implementation of the padding
+    cfg = haar_config(2, 1, 1, 0, n_max=8)
+    avg = average_stationary(cfg, samples=4, seed=0)
+    assert avg.rho.basis == FockBasis(1, 18)
+    assert (avg.samples_used, avg.skipped) == (4, 0)
+    pinned = [
+        4.2283748235512297e-01, 3.2129361499198045e-01, 1.5842114847838279e-01,
+        5.5792458615615492e-02, 2.4479378354317426e-02, 1.0572141860800644e-02,
+        4.1411568135520764e-03, 1.5195422410999985e-03, 5.6081727067626604e-04,
+        2.1986826617223542e-04, 9.2066145268141194e-05, 4.0009823776652594e-05,
+        1.7493854686595176e-05, 7.5568413834785576e-06, 3.1932711379467840e-06,
+        1.3051566302945604e-06, 5.0779747947990102e-07, 1.9142328736726752e-07,
+        6.6438629605098918e-08,
+    ]
+    np.testing.assert_allclose(np.diag(avg.rho.mat), pinned, rtol=0, atol=1e-12)
+
+
 def test_average_stationary_multimode_needs_opt_in():
     # heavy input losses keep the loop states narrow enough for a small basis
     losses = LossSpec(t_in=np.array([0.4, 0.4, 0.4]))

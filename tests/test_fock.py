@@ -66,6 +66,16 @@ def test_index_round_trip():
                 assert basis.state(i) == occ
 
 
+def test_smaller_truncation_is_the_leading_block():
+    # so a state moves to a larger n_max by zero-padding (qstate.embed)
+    for modes in range(1, 5):
+        for n_big in range(8):
+            big = FockBasis(modes, n_big)
+            for n_small in range(n_big + 1):
+                assert big.states[:total_size(modes, n_small)] == \
+                    FockBasis(modes, n_small).states
+
+
 def test_rank_in_sector_matches_listing():
     basis = FockBasis(3, 2)
     # the listing's 4th two-photon state, 0-based rank 3

@@ -4,7 +4,7 @@ import pytest
 from bosonloop.errors import TruncationError
 from bosonloop.fock import FockBasis
 from bosonloop.qstate import (DensityMatrix, ProbabilityDistribution,
-                              classical_fidelity, diagonal_distribution,
+                              classical_fidelity, diagonal_distribution, embed,
                               fock_state_dm, partial_trace,
                               random_density_matrix, tensor_product,
                               trace_distance, uhlmann_fidelity)
@@ -141,6 +141,38 @@ def test_classical_fidelity():
     assert classical_fidelity(p, p) == pytest.approx(1.0)
     q = ProbabilityDistribution(basis, np.array([0.0, 1.0, 0.0]))
     assert classical_fidelity(p, q) == pytest.approx(0.5)
+    # distributions on different truncations are compared on the larger one
+    small, big = FockBasis(2, 1), FockBasis(2, 2)
+    r = ProbabilityDistribution(small, np.array([0.5, 0.25, 0.25]))
+    t = ProbabilityDistribution(big, np.full(big.size, 1 / big.size))
+    expected = sum(np.sqrt(prob * t.probability_of(occ))
+                   for occ, prob in zip(small.states, r.probabilities))
+    assert classical_fidelity(r, t) == pytest.approx(expected, abs=1e-15)
+    assert classical_fidelity(t, r) == pytest.approx(expected, abs=1e-15)
+    with pytest.raises(ValueError):
+        classical_fidelity(p, t)
+
+
+@pytest.mark.parametrize("modes, n_small, n_big",
+                         [(1, 0, 3), (1, 2, 5), (2, 1, 4), (3, 2, 3), (3, 3, 5), (4, 2, 4)])
+def test_embed_matches_index_of_placement(modes, n_small, n_big):
+    small, big = FockBasis(modes, n_small), FockBasis(modes, n_big)
+    rho = random_density_matrix(small, 11 + modes)
+    idx = [big.index_of(occ) for occ in small.states]
+    expected = np.zeros((big.size, big.size), dtype=complex)
+    expected[np.ix_(idx, idx)] = rho.mat
+    out = embed(rho, big)
+    assert out.basis == big
+    np.testing.assert_array_equal(out.mat, expected)
+
+
+def test_embed_rejects_mode_mismatch_and_shrinking():
+    rho = random_density_matrix(FockBasis(2, 2), 3)
+    assert embed(rho, FockBasis(2, 2)) is rho
+    with pytest.raises(ValueError):
+        embed(rho, FockBasis(3, 4))
+    with pytest.raises(ValueError):
+        embed(rho, FockBasis(2, 1))
 
 
 def test_diagonal_distribution():
