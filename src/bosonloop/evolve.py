@@ -226,8 +226,7 @@ class _LoopSetup:
                 f"{self.config.iterations * self.n_env}",
                 required_n_max=self.config.iterations * self.n_env,
             )
-        rho_joint = tensor_product(self.rho_ext_in, rho_loop_in, self.joint,
-                                   max_dropped=LEAK_TOLERANCE)
+        rho_joint = tensor_product(self.rho_ext_in, rho_loop_in, self.joint, dropped=leaked)
         rho_out = DensityMatrix(self.joint, self.lifted.conjugate(rho_joint.mat),
                                 check=False)
         rho_det = partial_trace(rho_out, (0, self.n_ext))

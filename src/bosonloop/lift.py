@@ -129,16 +129,19 @@ class LiftedUnitary:
         return out
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array."""
+        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array; the
+        sector-pair blocks of rho that are all zero stay zero."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.basis.size, self.basis.size):
             raise ValueError("density matrix shape does not match the basis")
-        out = np.empty_like(rho)
+        out = np.zeros_like(rho)
         blocks = [self.block(n) for n in range(self.basis.n_max + 1)]
+        adjoints = [b.conj().T for b in blocks]
         slices = [self.basis.sector_slice(n) for n in range(self.basis.n_max + 1)]
-        for na, ba in enumerate(blocks):
-            for nb, bb in enumerate(blocks):
-                out[slices[na], slices[nb]] = ba @ rho[slices[na], slices[nb]] @ bb.conj().T
+        for ba, sa in zip(blocks, slices):
+            for bb, sb in zip(adjoints, slices):
+                if rho[sa, sb].any():
+                    out[sa, sb] = ba @ rho[sa, sb] @ bb
         return out
 
 

@@ -105,15 +105,21 @@ def random_density_matrix(basis: FockBasis, seed: int) -> DensityMatrix:
 
 
 def embed(rho: DensityMatrix, basis: FockBasis) -> DensityMatrix:
-    """Zero-pad a state onto a basis with the same modes and an n_max at least
-    as large.  A truncated basis is the leading block of every larger
-    truncation of the same modes, so the state fills the top-left corner."""
+    """Put a state onto another truncation of the same modes.  A truncated
+    basis is the leading block of every larger truncation, so the state is
+    zero-padded, or cut when the sectors it drops carry at most
+    POPULATED_CUTOFF of diagonal weight (a TruncationError otherwise)."""
     if rho.basis == basis:
         return rho
-    if rho.basis.modes != basis.modes or rho.basis.n_max > basis.n_max:
+    if rho.basis.modes != basis.modes:
         raise ValueError(f"cannot embed {rho.basis!r} into {basis!r}")
+    lost = rho.sector_weights()[basis.n_max + 1:].sum()
+    if lost > POPULATED_CUTOFF:
+        raise TruncationError(f"cutting {rho.basis!r} to {basis!r} drops weight {lost:.3e}",
+                              required_n_max=rho.max_populated_sector())
+    size = min(rho.basis.size, basis.size)
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    mat[:rho.basis.size, :rho.basis.size] = rho.mat
+    mat[:size, :size] = rho.mat[:size, :size]
     return DensityMatrix(basis, mat, check=False)
 
 
@@ -129,28 +135,39 @@ def overflow_weight(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> f
     ))
 
 
+@lru_cache(maxsize=None)
+def _tensor_layout(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
+    """Gather grids of each joint state's A part and B part.  A part beyond
+    its factor's truncation points at the zero row padded onto that factor."""
+    idx = tensor_index_map(basis_a, basis_b, joint)
+    pairs = np.nonzero(idx >= 0)
+    parts = [np.full(joint.size, basis.size) for basis in (basis_a, basis_b)]
+    for part, factor in zip(parts, pairs):
+        part[idx[pairs]] = factor
+    return tuple(np.ix_(part, part) for part in parts)
+
+
 def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
-                   max_dropped: float = 0.0) -> DensityMatrix:
+                   dropped: float | None = None) -> DensityMatrix:
     """Tensor product with Fock renumbering, A's modes leading.
 
-    Joint sectors beyond joint.n_max are a hard error when they carry weight:
-    the diagonal mass that would land past the truncation must not exceed
-    max(max_dropped, POPULATED_CUTOFF).  Anything below that threshold is
-    dropped and the trace renormalized.
+    Only the kept entries are built, each as the one product
+    rho_a[i, i'] * rho_b[j, j'] that np.kron makes.  The diagonal mass that
+    lands past joint.n_max is dropped and the trace renormalized.  A caller
+    that has weighed that mass against its own tolerance passes it as
+    `dropped`; otherwise it is computed, and above POPULATED_CUTOFF it is a
+    TruncationError.
     """
     if joint.modes != rho_a.basis.modes + rho_b.basis.modes:
         raise ValueError("joint basis mode count does not match the factors")
-    dropped = overflow_weight(rho_a, rho_b, joint.n_max)
-    if dropped > max(max_dropped, POPULATED_CUTOFF):
-        raise TruncationError(
-            f"tensor product would push weight {dropped:.3e} past n_max={joint.n_max}",
-        )
-    idx = tensor_index_map(rho_a.basis, rho_b.basis, joint)
-    kron = np.kron(rho_a.mat, rho_b.mat)
-    flat = idx.reshape(-1)
-    keep = np.nonzero(flat >= 0)[0]
-    mat = np.zeros((joint.size, joint.size), dtype=complex)
-    mat[np.ix_(flat[keep], flat[keep])] = kron[np.ix_(keep, keep)]
+    if dropped is None:
+        dropped = overflow_weight(rho_a, rho_b, joint.n_max)
+        if dropped > POPULATED_CUTOFF:
+            raise TruncationError(
+                f"tensor product would push weight {dropped:.3e} past n_max={joint.n_max}",
+            )
+    ia, ib = _tensor_layout(rho_a.basis, rho_b.basis, joint)
+    mat = np.pad(rho_a.mat, (0, 1))[ia] * np.pad(rho_b.mat, (0, 1))[ib]
     if dropped > 0.0:
         tr = np.trace(mat).real
         if tr <= 0:
@@ -176,6 +193,18 @@ def _split_keep(basis: FockBasis, keep) -> tuple:
     return start, stop
 
 
+@lru_cache(maxsize=None)
+def _trace_buckets(basis: FockBasis, start: int, stop: int) -> tuple:
+    """Gather grids (kept, joint) per state of the traced-out modes."""
+    keep_basis = FockBasis(stop - start, basis.n_max)
+    buckets = {}
+    for i, occ in enumerate(basis.states):
+        kept = keep_basis.index_of(occ[start:stop])
+        buckets.setdefault(occ[:start] + occ[stop:], []).append((kept, i))
+    return tuple((np.ix_(kidx, kidx), np.ix_(jidx, jidx))
+                 for kidx, jidx in (zip(*pairs) for pairs in buckets.values()))
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all modes outside `keep` (a contiguous leading or trailing range).
 
@@ -183,23 +212,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     returns the trivial 1x1 state.
     """
     start, stop = _split_keep(rho.basis, keep)
-    basis = rho.basis
-    n_keep = stop - start
-    keep_basis = FockBasis(n_keep, basis.n_max)
+    keep_basis = FockBasis(stop - start, rho.basis.n_max)
     out = np.zeros((keep_basis.size, keep_basis.size), dtype=complex)
-    if n_keep == 0:
+    if stop == start:
         out[0, 0] = np.trace(rho.mat)
         return DensityMatrix(keep_basis, out, check=False)
-    # bucket joint indices by the traced-out part; vectorized add per bucket
-    buckets = {}
-    for i, occ in enumerate(basis.states):
-        kept = occ[start:stop]
-        traced = occ[:start] + occ[stop:]
-        buckets.setdefault(traced, []).append((keep_basis.index_of(kept), i))
-    for pairs in buckets.values():
-        kidx = np.array([p[0] for p in pairs])
-        jidx = np.array([p[1] for p in pairs])
-        out[np.ix_(kidx, kidx)] += rho.mat[np.ix_(jidx, jidx)]
+    # one vectorized add per state of the traced-out modes
+    for kept, joint in _trace_buckets(rho.basis, start, stop):
+        out[kept] += rho.mat[joint]
     return DensityMatrix(keep_basis, out, check=False)
 
 

@@ -10,7 +10,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.fock import enumerate_sector
+from bosonloop.fock import enumerate_sector, tensor_index_map
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -142,3 +142,33 @@ def fidelity_svd(a: np.ndarray, b: np.ndarray) -> float:
         w, v = np.linalg.eigh(m)
         return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return float(np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False).sum() ** 2)
+
+
+def tensor_product_kron(a: np.ndarray, b: np.ndarray, basis_a, basis_b, joint,
+                        renormalize: bool) -> np.ndarray:
+    """Joint matrix by the full np.kron, scattered into the joint basis.
+
+    Keeps the kron entries whose A and B parts combine to at most
+    joint.n_max photons; with `renormalize` the kept trace is scaled to 1.
+    """
+    idx = tensor_index_map(basis_a, basis_b, joint)
+    kron = np.kron(a, b)
+    flat = idx.reshape(-1)
+    keep = np.nonzero(flat >= 0)[0]
+    mat = np.zeros((joint.size, joint.size), dtype=complex)
+    mat[np.ix_(flat[keep], flat[keep])] = kron[np.ix_(keep, keep)]
+    if renormalize:
+        mat /= np.trace(mat).real
+    return mat
+
+
+def conjugate_all_blocks(lifted, rho: np.ndarray) -> np.ndarray:
+    """L(U) rho L(U)^dag as one product per sector-pair block, zero blocks included."""
+    basis = lifted.basis
+    out = np.empty_like(rho)
+    blocks = [lifted.block(n) for n in range(basis.n_max + 1)]
+    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    for na, ba in enumerate(blocks):
+        for nb, bb in enumerate(blocks):
+            out[slices[na], slices[nb]] = ba @ rho[slices[na], slices[nb]] @ bb.conj().T
+    return out

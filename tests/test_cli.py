@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import bosonloop
 from bosonloop.cli import EXIT_SIZE_CAP, main
+from bosonloop.fock import FockBasis
 from bosonloop.matrixkit import save_matrix_json
-from bosonloop.qstate import DensityMatrix, ProbabilityDistribution
+from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
 
 BASE = {
     "schema": 1,
@@ -82,6 +83,45 @@ def test_evolve_pdm_and_kraus_byte_identical(tmp_path):
     for i in (1, 2, 3):
         name = f"distribution_iter_{i:03d}.csv"
         assert (out_pdm / name).read_bytes() == (out_kr / name).read_bytes()
+
+
+_PINNED_DISTRIBUTIONS = {
+    "distribution_iter_001.csv": "65fc740bc532d9cec76402f7eb5c85bbd54fabe5a347c0e6a657c0d4ce1ca911",
+    "distribution_iter_002.csv": "ca40498a9aff353f153ef676de5adb2a6363673e930f3dba30ee93eb94d61df1",
+    "distribution_iter_003.csv": "11b324df4280278fca03b43641338cfaa2fa4cedcda5a0eeec653f1076ce6628",
+}
+# sha256 of every output of the kron-based joint pass; artifacts stay
+# byte-identical for the same (config, seed)
+PINNED_EVOLVE_SHA256 = {
+    "pdm": {**_PINNED_DISTRIBUTIONS,
+            "rho_det.json": "f3979fc7db951fb8bbc8bfbfc5b9d2e54cd779eea579b3bbf886e580ba600784",
+            "run_info.json": "7d43fef3a5062e353519de9ff2911290e2befb351ba3f2ac5d57bf3b70470b8b"},
+    "kraus": {**_PINNED_DISTRIBUTIONS,
+              "rho_det.json": "087b44d19c89ac2f07e354abf833a9174450bc2abaae679e0cefc525d2f87315",
+              "run_info.json": "f6d230b5601356dade1213794a530fccf6e66b2212a314d4aae8cf6bec87f353"},
+}
+
+
+@pytest.mark.parametrize("method", ["pdm", "kraus"])
+def test_evolve_artifacts_pinned(tmp_path, method):
+    path = write_config(tmp_path, M=4, L=2, input={"type": "fock", "occupation": [1, 1]},
+                        unitary={"type": "haar", "seed": 21})
+    out = tmp_path / method
+    assert main(["evolve", path, "--method", method, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_EVOLVE_SHA256[method]
+
+
+def test_dm_input_on_a_larger_truncation(tmp_path):
+    # |1><1| stored at n_max=5 runs as the Fock input (1,) at the config's n_max=2
+    fock_state_dm(FockBasis(1, 5), (1,)).to_json(tmp_path / "in.json")
+    path = write_config(tmp_path, n_max=2, iterations=2,
+                        input={"type": "dm", "path": "in.json"})
+    assert main(["evolve", path, "--out", str(tmp_path / "dm")]) == 0
+    path = write_config(tmp_path, n_max=2, iterations=2)
+    assert main(["evolve", path, "--out", str(tmp_path / "fock")]) == 0
+    for name in ("distribution_iter_002.csv", "rho_det.json"):
+        assert (tmp_path / "dm" / name).read_bytes() == (tmp_path / "fock" / name).read_bytes()
 
 
 def test_evolve_unfold_agrees(tmp_path):

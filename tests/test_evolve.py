@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonloop.errors import (ConvergenceError, DegenerateFixedPointError,
                               TruncationError)
@@ -121,6 +125,50 @@ def test_lossy_engines_agree():
     t_kraus = evolve_kraus(cfg, record_loop=True)
     for a, b in zip(t_pdm.loop_states, t_kraus.loop_states):
         assert trace_distance(a, b) < 1e-10
+    for a, b in zip(t_pdm.iteration_distributions, t_kraus.iteration_distributions):
+        assert _tv(a, b) < 1e-10
+
+
+@st.composite
+def _small_lossy_configs(draw, max_photons=4):
+    """M <= 4, L in {1, 2}, k <= 3, random losses, and a Fock input with at
+    most `max_photons` photons over the k injections (the default n_max)."""
+    looped = draw(st.integers(1, 2))
+    modes = draw(st.integers(looped + 1, 4))
+    iterations = draw(st.integers(1, 3))
+    n_ext = modes - looped
+    occupation = draw(st.lists(st.integers(0, 2), min_size=n_ext, max_size=n_ext)
+                      .filter(lambda occ: sum(occ) * iterations <= max_photons))
+    amplitudes = st.lists(st.floats(0.0, 1.0), min_size=modes, max_size=modes)
+    losses = LossSpec(t_in=np.array(draw(amplitudes)), t_out=np.array(draw(amplitudes)),
+                      loop_transmission=draw(st.floats(0.0, 1.0)))
+    return haar_config(modes, looped, iterations, draw(st.integers(0, 2 ** 31)),
+                       occupation=tuple(occupation), losses=losses)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cfg=_small_lossy_configs())
+def test_pdm_and_kraus_agree_on_random_small_configs(cfg):
+    t_pdm = evolve_pdm(cfg, record_loop=True)
+    t_kraus = evolve_kraus(cfg, record_loop=True)
+    for a, b in zip(t_pdm.iteration_distributions, t_kraus.iteration_distributions):
+        assert _tv(a, b) < 1e-10
+    for state in t_pdm.loop_states + t_kraus.loop_states:
+        assert abs(np.trace(state.mat).real - 1.0) < 1e-10
+
+
+def test_joint_pass_memory_stays_near_the_state_size():
+    # joint dimension 2002: the np.kron of the two factors alone would hold
+    # 146M complex entries (2.3 GB), the joint state holds 4.0M (64 MB)
+    cfg = haar_config(5, 2, 3, 1, occupation=(1, 1, 1))
+    tracemalloc.start()
+    try:
+        t_pdm = evolve_pdm(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+    t_kraus = evolve_kraus(cfg)
     for a, b in zip(t_pdm.iteration_distributions, t_kraus.iteration_distributions):
         assert _tv(a, b) < 1e-10
 

@@ -7,8 +7,9 @@ from bosonloop.fock import FockBasis, enumerate_sector
 from bosonloop.lift import lift, lift_apply_fock
 from bosonloop.matrixkit import (haar_random_unitary, permanent,
                                  submatrix_by_multiplicity)
+from bosonloop.qstate import random_density_matrix
 
-from oracles import lift_block_polynomial
+from oracles import conjugate_all_blocks, lift_block_polynomial
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -142,6 +143,22 @@ def test_conjugate_matches_full_matrix():
     full = lifted.full()
     np.testing.assert_allclose(lifted.conjugate(rho), full @ rho @ full.conj().T,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("modes, n_max, transmission",
+                         [(2, 5, 1.0), (3, 4, 1.0), (3, 4, 0.8), (4, 3, 1.0)])
+def test_conjugate_matches_all_blocks_loop(modes, n_max, transmission):
+    basis = FockBasis(modes, n_max)
+    lifted = lift(transmission * haar_random_unitary(modes, 80 + modes), basis)
+    coherent = random_density_matrix(basis, 81).mat
+    totals = basis.totals()
+    block_diagonal = np.where(totals[:, None] == totals[None, :], coherent, 0.0)
+    one_empty = block_diagonal.copy()
+    one_empty[basis.sector_slice(1)] = 0.0
+    one_empty[:, basis.sector_slice(1)] = 0.0
+    for rho in (coherent, block_diagonal, one_empty, np.asfortranarray(block_diagonal)):
+        np.testing.assert_array_equal(lifted.conjugate(rho),
+                                      conjugate_all_blocks(lifted, rho))
 
 
 def test_lift_apply_fock_matches_block_column():

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonloop.errors import TruncationError
 from bosonloop.fock import FockBasis
-from bosonloop.qstate import (DensityMatrix, ProbabilityDistribution,
-                              classical_fidelity, diagonal_distribution, embed,
-                              fock_state_dm, partial_trace,
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
+                              ProbabilityDistribution, classical_fidelity,
+                              diagonal_distribution, embed, fock_state_dm,
+                              overflow_weight, partial_trace,
                               random_density_matrix, tensor_product,
                               trace_distance, uhlmann_fidelity)
+
+from oracles import tensor_product_kron
 
 
 def test_fock_state_dm():
@@ -58,6 +63,38 @@ def test_tensor_product_truncation_overflow():
     joint = FockBasis(2, 2)
     with pytest.raises(TruncationError):
         tensor_product(fock_state_dm(a, (2,)), fock_state_dm(a, (1,)), joint)
+
+
+def _laid_out(mat: np.ndarray, layout: str) -> np.ndarray:
+    """The same matrix in C order, F order, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(mat)
+    if layout == "strided":
+        wide = np.zeros((2 * mat.shape[0], 2 * mat.shape[1]), dtype=complex)
+        wide[::2, 1::2] = mat
+        return wide[::2, 1::2]
+    return mat
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(modes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       n_max=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6)),
+       layouts=st.tuples(*[st.sampled_from(["C", "F", "strided"])] * 2),
+       seed=st.integers(0, 2 ** 16), renormalize=st.booleans())
+def test_tensor_product_matches_kron_oracle(modes, n_max, layouts, seed, renormalize):
+    # factors on smaller, equal or larger truncations than the joint basis;
+    # with `renormalize` the weight past the joint truncation is dropped
+    basis_a, basis_b = FockBasis(modes[0], n_max[0]), FockBasis(modes[1], n_max[1])
+    joint_n_max = n_max[2] if renormalize else max(n_max[2], n_max[0] + n_max[1])
+    joint = FockBasis(sum(modes), joint_n_max)
+    ra, rb = (DensityMatrix(basis, _laid_out(random_density_matrix(basis, s).mat, layout),
+                            check=False)
+              for basis, s, layout in zip((basis_a, basis_b), (seed, seed + 1), layouts))
+    dropped = overflow_weight(ra, rb, joint.n_max)
+    rho = tensor_product(ra, rb, joint, dropped=dropped if renormalize else None)
+    assert rho.mat.flags.c_contiguous
+    np.testing.assert_array_equal(
+        rho.mat, tensor_product_kron(ra.mat, rb.mat, basis_a, basis_b, joint, dropped > 0.0))
 
 
 def test_partial_trace_recovers_factor():
@@ -171,8 +208,25 @@ def test_embed_rejects_mode_mismatch_and_shrinking():
     assert embed(rho, FockBasis(2, 2)) is rho
     with pytest.raises(ValueError):
         embed(rho, FockBasis(3, 4))
-    with pytest.raises(ValueError):
+    # shrinking drops populated sectors
+    with pytest.raises(TruncationError) as info:
         embed(rho, FockBasis(2, 1))
+    assert info.value.required_n_max == 2
+
+
+def test_embed_cuts_unpopulated_sectors():
+    small = FockBasis(2, 1)
+    rho = embed(random_density_matrix(small, 4), FockBasis(2, 4))
+    back = embed(rho, small)
+    assert back.basis == small
+    np.testing.assert_array_equal(back.mat, random_density_matrix(small, 4).mat)
+    # weight up to POPULATED_CUTOFF in the dropped sectors is let go
+    leaky = rho.mat.copy()
+    leaky[-1, -1] = POPULATED_CUTOFF
+    assert embed(DensityMatrix(FockBasis(2, 4), leaky, check=False), small).basis == small
+    leaky[-1, -1] = 2 * POPULATED_CUTOFF
+    with pytest.raises(TruncationError):
+        embed(DensityMatrix(FockBasis(2, 4), leaky, check=False), small)
 
 
 def test_diagonal_distribution():
