@@ -110,17 +110,25 @@ class _MomentCache:
         return complex(np.trace(self.rho.mat @ d_cre.conj().T @ d_ann))
 
     def tensor(self, k: int, l: int) -> np.ndarray:
+        """The rank-(k, l) tensor: one `value` per pair of sorted multisets,
+        copied to every index tuple that sorts to that pair."""
         if (k, l) not in self._tensors:
             m = self.basis.modes
-            out = np.zeros((m,) * (k + l), dtype=complex)
-            cache = {}
-            for idx in np.ndindex(*(m,) * (k + l)):
-                key = (tuple(sorted(idx[:k])), tuple(sorted(idx[k:])))
-                if key not in cache:
-                    cache[key] = self.value(*key)
-                out[idx] = cache[key]
-            self._tensors[(k, l)] = out
+            cre_sets, cre_of = _sorted_multisets(m, k)
+            ann_sets, ann_of = _sorted_multisets(m, l)
+            values = np.array([[self.value(c, a) for a in ann_sets] for c in cre_sets],
+                              dtype=complex)
+            self._tensors[(k, l)] = values[np.ix_(cre_of, ann_of)].reshape((m,) * (k + l))
         return self._tensors[(k, l)]
+
+
+def _sorted_multisets(modes: int, k: int):
+    """The sorted index tuples over (modes,)*k, and for each row-major flat
+    index the position of its sorted form in that list."""
+    grid = np.sort(np.indices((modes,) * k).reshape(k, modes ** k), axis=0)
+    codes = modes ** np.arange(k - 1, -1, -1) @ grid
+    _, first, position = np.unique(codes, return_index=True, return_inverse=True)
+    return [tuple(grid[:, j].tolist()) for j in first], position
 
 
 def expectations_from_dm(rho: DensityMatrix, k: int, l: int) -> CorrelationTensor:
@@ -241,39 +249,59 @@ def _check_spectral_radius(matrix: np.ndarray, n_looped: int) -> float:
     return radius
 
 
+def _split_indices(k: int, l: int, modes: int, m_ext: int):
+    """Per row-major entry of a rank-(k, l) tensor over `modes` modes: its
+    flat index into the E factor, its flat index into the L factor, and its
+    group cre_e * (l + 1) + ann_e (the numbers of E creation and annihilation
+    indices), by Horner's rule over the k + l index positions."""
+    rank, n_looped = k + l, modes - m_ext
+    flat = np.arange(modes ** rank)
+    e_idx = np.zeros_like(flat)
+    l_idx = np.zeros_like(flat)
+    group = np.zeros(flat.size, dtype=np.int16)
+    for pos in range(rank):
+        digit = flat // modes ** (rank - 1 - pos) % modes
+        is_e = digit < m_ext
+        e_idx = np.where(is_e, e_idx * m_ext + digit, e_idx)
+        l_idx = np.where(is_e, l_idx, l_idx * n_looped + digit - m_ext)
+        group += is_e * np.int16(l + 1 if pos < k else 1)
+    return e_idx, l_idx, group
+
+
 def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
                   loop_set: TensorSet, include_loop: bool) -> np.ndarray:
     """Full-M tensor of the product state rho_ext (x) rho_loop.
 
     Entries factorize across the E/L split; the all-loop block is zeroed when
-    it is the unknown of the current stationary solve.
+    it is the unknown of the current stationary solve.  Entries are gathered
+    group by group (see `_split_indices`), so each factor is fetched once per
+    group.  The product is the textbook complex product that numpy's scalar
+    multiply computes (np.multiply on complex arrays may round the imaginary
+    part differently), and an entry whose E moment is zero stays exactly 0
+    without its L factor being looked up.
     """
-    out = np.zeros((modes,) * (k + l), dtype=complex)
-    ext_cache = {}
-    for idx in np.ndindex(*(modes,) * (k + l)):
-        cre, ann = idx[:k], idx[k:]
-        cre_e = tuple(i for i in cre if i < m_ext)
-        cre_l = tuple(i - m_ext for i in cre if i >= m_ext)
-        ann_e = tuple(j for j in ann if j < m_ext)
-        ann_l = tuple(j - m_ext for j in ann if j >= m_ext)
-        k_l, l_l = len(cre_l), len(ann_l)
-        if not include_loop and k_l == k and l_l == l:
+    e_idx, l_idx, group = _split_indices(k, l, modes, m_ext)
+    n_groups = (k + 1) * (l + 1)
+    order = np.argsort(group, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_groups))))
+    one = np.ones(1, dtype=complex)  # the rank-(0, 0) moment of either factor
+    out = np.zeros(group.size, dtype=complex)
+    for g in range(n_groups):
+        cre_e, ann_e = divmod(g, l + 1)
+        if g == 0 and not include_loop:
             continue
-        ext_key = (len(cre_e), len(ann_e))
-        if ext_key == (0, 0):
-            ext_val = 1.0 + 0j
-        else:
-            if ext_key not in ext_cache:
-                ext_cache[ext_key] = ext.tensor(*ext_key)
-            ext_val = ext_cache[ext_key][cre_e + ann_e]
-        if ext_val == 0.0:
+        sel = order[bounds[g]:bounds[g + 1]]
+        e_val = (ext.tensor(cre_e, ann_e).reshape(-1) if g else one)[e_idx[sel]]
+        keep = e_val != 0
+        sel, e_val = sel[keep], e_val[keep]
+        if not sel.size:
             continue
-        if (k_l, l_l) == (0, 0):
-            loop_val = 1.0 + 0j
-        else:
-            loop_val = loop_set.get(k_l, l_l).values[cre_l + ann_l]
-        out[idx] = ext_val * loop_val
-    return out
+        looped = (loop_set.get(k - cre_e, l - ann_e).values.reshape(-1)
+                  if (cre_e, ann_e) != (k, l) else one)
+        l_val = looped[l_idx[sel]]
+        out.real[sel] = e_val.real * l_val.real - e_val.imag * l_val.imag
+        out.imag[sel] = e_val.real * l_val.imag + e_val.imag * l_val.real
+    return out.reshape((modes,) * (k + l))
 
 
 def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
@@ -361,16 +389,14 @@ def stationary_output_tensor(k: int, l: int, matrix: np.ndarray,
     matrix = np.asarray(matrix, dtype=complex)
     modes = matrix.shape[0]
     m_ext = rho_ext.basis.modes
+    blocks = {"detect": slice(0, m_ext), "loop": slice(m_ext, modes)}
+    if block not in blocks:
+        raise ValueError(f"unknown block {block!r}")
     ext = _MomentCache(rho_ext)
     c_in = _input_tensor(k, l, modes, m_ext, ext, loop_set, include_loop=True)
     full = transform(CorrelationTensor(k, l, modes, c_in), matrix).values
-    if block == "detect":
-        sl = (slice(0, m_ext),) * (k + l)
-        return CorrelationTensor(k, l, m_ext, full[sl])
-    if block == "loop":
-        sl = (slice(m_ext, modes),) * (k + l)
-        return CorrelationTensor(k, l, modes - m_ext, full[sl])
-    raise ValueError(f"unknown block {block!r}")
+    sl = blocks[block]
+    return CorrelationTensor(k, l, sl.stop - sl.start, full[(sl,) * (k + l)])
 
 
 def estimate_n_max(c11: CorrelationTensor, c22: CorrelationTensor) -> int:

@@ -10,7 +10,8 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.fock import enumerate_sector, tensor_index_map
+from bosonloop.fock import FockBasis, enumerate_sector, tensor_index_map
+from bosonloop.qstate import DensityMatrix
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -172,3 +173,62 @@ def conjugate_all_blocks(lifted, rho: np.ndarray) -> np.ndarray:
         for nb, bb in enumerate(blocks):
             out[slices[na], slices[nb]] = ba @ rho[slices[na], slices[nb]] @ bb.conj().T
     return out
+
+
+def input_tensor_loop(k: int, l: int, modes: int, m_ext: int, ext, loop_set,
+                      include_loop: bool) -> np.ndarray:
+    """Full-M tensor of rho_ext (x) rho_loop, one entry at a time.
+
+    Splits every index tuple into its E and L parts and multiplies the two
+    scalar moments; entries with a zero E moment are skipped (left exactly 0).
+    """
+    out = np.zeros((modes,) * (k + l), dtype=complex)
+    ext_cache = {}
+    for idx in np.ndindex(*(modes,) * (k + l)):
+        cre, ann = idx[:k], idx[k:]
+        cre_e = tuple(i for i in cre if i < m_ext)
+        cre_l = tuple(i - m_ext for i in cre if i >= m_ext)
+        ann_e = tuple(j for j in ann if j < m_ext)
+        ann_l = tuple(j - m_ext for j in ann if j >= m_ext)
+        k_l, l_l = len(cre_l), len(ann_l)
+        if not include_loop and k_l == k and l_l == l:
+            continue
+        ext_key = (len(cre_e), len(ann_e))
+        if ext_key == (0, 0):
+            ext_val = 1.0 + 0j
+        else:
+            if ext_key not in ext_cache:
+                ext_cache[ext_key] = ext.tensor(*ext_key)
+            ext_val = ext_cache[ext_key][cre_e + ann_e]
+        if ext_val == 0.0:
+            continue
+        if (k_l, l_l) == (0, 0):
+            loop_val = 1.0 + 0j
+        else:
+            loop_val = loop_set.get(k_l, l_l).values[cre_l + ann_l]
+        out[idx] = ext_val * loop_val
+    return out
+
+
+def moment_tensor_loop(cache, k: int, l: int) -> np.ndarray:
+    """Rank-(k, l) moment tensor of a `_MomentCache`, one entry at a time,
+    calling `cache.value` once per pair of sorted index multisets."""
+    m = cache.basis.modes
+    out = np.zeros((m,) * (k + l), dtype=complex)
+    values = {}
+    for idx in np.ndindex(*(m,) * (k + l)):
+        key = (tuple(sorted(idx[:k])), tuple(sorted(idx[k:])))
+        if key not in values:
+            values[key] = cache.value(*key)
+        out[idx] = values[key]
+    return out
+
+
+def coherent_dm(alphas, n_max: int) -> DensityMatrix:
+    """Product coherent state |alpha_1 .. alpha_m> cut at n_max photons and
+    renormalized, from its Fock expansion prod_i alpha_i^n_i / sqrt(n_i!)."""
+    basis = FockBasis(len(alphas), n_max)
+    psi = np.array([prod(a ** n / sqrt(factorial(n)) for a, n in zip(alphas, occ))
+                    for occ in basis.states], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    return DensityMatrix(basis, np.outer(psi, psi.conj()))

@@ -18,6 +18,7 @@ from bosonloop.cli import EXIT_SIZE_CAP, main
 from bosonloop.fock import FockBasis
 from bosonloop.matrixkit import save_matrix_json
 from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
+from oracles import coherent_dm
 
 BASE = {
     "schema": 1,
@@ -110,6 +111,38 @@ def test_evolve_artifacts_pinned(tmp_path, method):
     assert main(["evolve", path, "--method", method, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_EVOLVE_SHA256[method]
+
+
+# sha256 of every output of the tensor route from its per-entry assembly loop;
+# the coherent two-mode input has complex external moments
+PINNED_TENSOR_SHA256 = {
+    "stationary": {
+        "diagnostics.json": "378d0adf3a2bc15f848e055cac1194c8c49da7024b806f29faeff4ffe6718994",
+        "rho_stat.json": "1fc79ce8675ec1ef298ae8e6cd9bd46fb5a645027c5f57c2ee84e4ca059b4865",
+        "stationary_distribution.csv": "d9bcb334b8a277bc12dee5478551275d083dff03f74a531559ba768ba7fae4e9",
+    },
+    "reconstruct": {
+        "fidelity_vs_rank.csv": "d45d33ac14ab291a0b17d5efb5c7c0d57461ea989011298ef1ef7c3fd699e807",
+        "reconstructed_rho.json": "2d9d916e067e9883cf7898c588982e237e2bb081aae46c55bd4162809683c60a",
+        "reconstruction_report.json": "9bf8b5e59af2211f57ff99520a6bf02590e9f5dd9c7491563db7f048f5628b6d",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["stationary", "reconstruct"])
+def test_tensor_artifacts_pinned(tmp_path, command):
+    if command == "stationary":
+        coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 4).to_json(tmp_path / "in.json")
+        path = write_config(tmp_path, M=3, L=1, n_max=8, input={"type": "dm", "path": "in.json"},
+                            unitary={"type": "haar", "seed": 11})
+        method = "tensors"
+    else:
+        path = write_config(tmp_path, M=3, L=2, n_max=7, unitary={"type": "haar", "seed": 39})
+        method = "analytic"
+    out = tmp_path / command
+    assert main([command, path, "--method", method, "--rank-cap", "4", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_TENSOR_SHA256[command]
 
 
 def test_dm_input_on_a_larger_truncation(tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from bosonloop.errors import (ConvergenceError, DegenerateFixedPointError,
                               TruncationError)
-from bosonloop.evolve import (ExperimentConfig, LossSpec, average_stationary,
-                              detection_pass, effective_transfer_matrix,
-                              evolve_kraus, evolve_pdm, stabilization_samples,
+from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
+                              average_stationary, detection_pass,
+                              effective_transfer_matrix, evolve_kraus,
+                              evolve_pdm, stabilization_samples,
                               stabilization_time, stationary_loop_iterate,
                               stationary_loop_state, unfold,
                               unfolded_distribution)
@@ -155,6 +156,15 @@ def test_pdm_and_kraus_agree_on_random_small_configs(cfg):
         assert _tv(a, b) < 1e-10
     for state in t_pdm.loop_states + t_kraus.loop_states:
         assert abs(np.trace(state.mat).real - 1.0) < 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cfg=_small_lossy_configs())
+def test_loop_update_channel_is_complete_on_its_valid_sectors(cfg):
+    chan = _LoopSetup(cfg).loop_update_channel()
+    d_ok = sum(len(chan.basis.sector(n)) for n in range(chan.valid_max_photons + 1))
+    comp = chan.completeness_operator()[:d_ok, :d_ok]
+    assert np.abs(comp - np.eye(d_ok)).max() < 1e-9
 
 
 def test_joint_pass_memory_stays_near_the_state_size():

@@ -1,7 +1,10 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonloop.errors import SpectralRadiusError
 from bosonloop.evolve import (ExperimentConfig, LossSpec,
@@ -12,11 +15,13 @@ from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (DensityMatrix, fock_state_dm,
                               random_density_matrix)
-from bosonloop.tensors import (CorrelationTensor, TensorSet, estimate_n_max,
-                               expectations_from_dm, moment,
+from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
+                               TensorSet, _input_tensor, _MomentCache,
+                               estimate_n_max, expectations_from_dm, moment,
                                recursive_stationary, stationary_first_order,
                                stationary_order, stationary_output_tensor,
                                tensor_set_from_dm, transform)
+from oracles import coherent_dm, input_tensor_loop, moment_tensor_loop
 
 
 def test_vacuum_moments_vanish():
@@ -267,3 +272,84 @@ def test_tensor_set_json_round_trip(tmp_path):
     for n, m in ts.keys():
         np.testing.assert_allclose(back.get(n, m).values, ts.get(n, m).values,
                                    atol=0)
+
+
+def test_output_tensor_rejects_unknown_block_before_assembly():
+    # the empty tensor set would fail the assembly with a KeyError
+    u = haar_random_unitary(2, 22)
+    ext = fock_state_dm(FockBasis(1, 1), (1,))
+    with pytest.raises(ValueError, match="unknown block"):
+        stationary_output_tensor(1, 1, u, ext, TensorSet(1), block="external")
+
+
+def _random_loop_set(n_looped, top, rng):
+    """Tensors (a, b), b <= a <= top, whose entries include zeros, signed
+    zeros and negative numbers; (b, a) comes by conjugate symmetry."""
+    out = TensorSet(n_looped)
+    for a in range(1, top + 1):
+        for b in range(a + 1):
+            shape = (n_looped,) * (a + b)
+            re = rng.standard_normal(shape) * rng.integers(0, 2, shape)
+            im = rng.standard_normal(shape) * rng.integers(0, 2, shape)
+            out.put(CorrelationTensor(a, b, n_looped, re + 1j * im))
+    return out
+
+
+@st.composite
+def _external_states(draw, m_ext):
+    kind = draw(st.sampled_from(["fock", "mixed", "coherent"]))
+    n_max = draw(st.integers(1, 3))
+    basis = FockBasis(m_ext, n_max)
+    if kind == "fock":
+        return fock_state_dm(basis, draw(st.sampled_from(basis.states)))
+    if kind == "mixed":
+        return random_density_matrix(basis, draw(st.integers(0, 2 ** 31)))
+    # sparse coherent: some modes in vacuum, the others at complex amplitudes
+    amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return coherent_dm(draw(st.lists(st.just(0j) | amp, min_size=m_ext, max_size=m_ext)),
+                       n_max)
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), m_ext=st.integers(1, 3), looped=st.integers(1, 2),
+       k=st.integers(0, 3), l=st.integers(0, 3), include_loop=st.booleans(),
+       seed=st.integers(0, 2 ** 31))
+def test_input_tensor_matches_loop_oracle(data, m_ext, looped, k, l, include_loop, seed):
+    rho = data.draw(_external_states(m_ext))
+    loop_set = _random_loop_set(looped, 3, np.random.default_rng(seed))
+    args = (k, l, m_ext + looped, m_ext)
+    got = _input_tensor(*args, _MomentCache(rho), loop_set, include_loop)
+    want = input_tensor_loop(*args, _MomentCache(rho), loop_set, include_loop)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_moment_tensor_matches_loop_oracle(modes):
+    states = [random_density_matrix(FockBasis(modes, 3), 40 + modes),
+              coherent_dm([0.6 + 0.4j, -0.3 + 0.5j, 0.2j][:modes], 3)]
+    for rho in states:
+        for k in range(4):
+            for l in range(4):
+                got = _MomentCache(rho).tensor(k, l)
+                assert _same_bits(got, moment_tensor_loop(_MomentCache(rho), k, l))
+
+
+def test_input_tensor_memory_at_the_assembly_cap():
+    # M=4 with three external modes at order (5, 5): 4^10 = 2^20 entries,
+    # a 16 MB output; a (k + l) x N index matrix alone would take 80 MB
+    rho = random_density_matrix(FockBasis(3, 2), 51)
+    loop_set = _random_loop_set(1, 5, np.random.default_rng(52))
+    tracemalloc.start()
+    try:
+        out = _input_tensor(5, 5, 4, 3, _MomentCache(rho), loop_set, include_loop=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == ASSEMBLY_SIZE_CAP
+    assert peak < 100 * 2 ** 20
