@@ -23,8 +23,8 @@ from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,
                      stabilization_samples, stabilization_time,
                      stationary_loop_iterate, stationary_loop_state, unfold,
                      unfolded_distribution)
-from .fock import (FockBasis, enumerate_sector, iter_sector, joint_index,
-                   sector_size, tensor_index_map, total_size)
+from .fock import (FockBasis, enumerate_sector, joint_index, sector_size,
+                   tensor_index_map, total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
                         permanent, save_matrix_json, spectral_radius,

@@ -22,7 +22,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import DegenerateFixedPointError, SizeCapError, TruncationError
+from .errors import (DENSE_DIM_CAP, DegenerateFixedPointError, SizeCapError,
+                     TruncationError)
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
 from .matrixkit import vec
@@ -30,7 +31,6 @@ from .qstate import POPULATED_CUTOFF, DensityMatrix
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
-SUPEROP_DIM_CAP = 4096    # largest superoperator block built densely (assembly and eig)
 
 
 class QuantumChannel:
@@ -78,10 +78,10 @@ class QuantumChannel:
         without forming conj(K) kron K; memoized."""
         if b not in self._superop_blocks:
             idx = self.charge_blocks[b]
-            if idx.size > SUPEROP_DIM_CAP:
+            if idx.size > DENSE_DIM_CAP:
                 raise SizeCapError(
                     f"superoperator block dimension {idx.size} exceeds the cap "
-                    f"{SUPEROP_DIM_CAP}", cap=SUPEROP_DIM_CAP, required=int(idx.size))
+                    f"{DENSE_DIM_CAP}", cap=DENSE_DIM_CAP, required=int(idx.size))
             cols, rows = np.divmod(idx, self.basis.size)
             g = np.zeros((idx.size, idx.size), dtype=complex)
             for k in self.kraus:
@@ -125,7 +125,7 @@ class QuantumChannel:
             )
         v = vec(rho.mat)
         block = self.charge_blocks[0]
-        if (len(self.charge_blocks) > 1 and block.size <= SUPEROP_DIM_CAP
+        if (len(self.charge_blocks) > 1 and block.size <= DENSE_DIM_CAP
                 and np.count_nonzero(v[block]) == np.count_nonzero(v)):
             out = self.unvec_block0(self.superop_block(0) @ v[block])
         else:
@@ -268,10 +268,10 @@ class Superoperator:
 def to_superoperator(channel: QuantumChannel) -> Superoperator:
     """The whole of G = sum conj(K) kron K, assembled from its charge blocks."""
     d = channel.basis.size
-    if d * d > SUPEROP_DIM_CAP:
+    if d * d > DENSE_DIM_CAP:
         raise SizeCapError(
-            f"superoperator dimension {d * d} exceeds the cap {SUPEROP_DIM_CAP}",
-            cap=SUPEROP_DIM_CAP, required=d * d)
+            f"superoperator dimension {d * d} exceeds the cap {DENSE_DIM_CAP}",
+            cap=DENSE_DIM_CAP, required=d * d)
     g = np.zeros((d * d, d * d), dtype=complex)
     for b, idx in enumerate(channel.charge_blocks):
         g[np.ix_(idx, idx)] = channel.superop_block(b)

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every run stages its output files in memory, writes them atomically
-(temp file + rename) only on success, and finishes with a manifest carrying
-the config hash and per-file content hashes, so identical (config, seed)
-pairs are byte-reproducible.
+`main` runs every subcommand the same way: it checks the request, loads the
+config, lets the subcommand stage its output files in memory, writes them
+atomically (temp file + rename) only on success, and finishes with a
+manifest carrying the config hash and per-file content hashes, so identical
+(config, seed) pairs are byte-reproducible.
 
 Exit codes: 0 ok, 2 config or request, 3 truncation, 4 degenerate fixed point,
-5 reconstruction failure, 6 size cap.
+5 reconstruction failure, 6 size cap, 1 any other package error (such as a
+ConvergenceError from `stationary --method iterate`).
 """
 
 import argparse
@@ -42,6 +44,10 @@ EXIT_TRUNCATION = 3
 EXIT_DEGENERATE = 4
 EXIT_RECONSTRUCTION = 5
 EXIT_SIZE_CAP = 6
+# the exit code of each package error type; any other package error exits 1
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TruncationError, EXIT_TRUNCATION),
+               (DegenerateFixedPointError, EXIT_DEGENERATE),
+               (ReconstructionError, EXIT_RECONSTRUCTION), (SizeCapError, EXIT_SIZE_CAP))
 
 _TOP_KEYS = {"schema", "M", "L", "n_max", "iterations", "input", "unitary",
              "losses", "seed"}
@@ -134,6 +140,20 @@ def load_config(path) -> tuple:
     return config, raw
 
 
+def _write_atomic(out_dir, name: str, data: bytes) -> None:
+    """Write `out_dir/name` through a temp file and a rename; a failed write
+    removes the temp file."""
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class _Stager:
     """Collects output files in memory; flushes atomically on success only."""
 
@@ -152,15 +172,7 @@ class _Stager:
         entries = []
         for name in sorted(self.files):
             data = self.files[name].encode()
-            fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=f".{name}.")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, os.path.join(self.out_dir, name))
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _write_atomic(self.out_dir, name, data)
             entries.append({"path": name,
                             "sha256": hashlib.sha256(data).hexdigest()})
         return entries
@@ -178,12 +190,8 @@ def _write_manifest(stager: _Stager, raw_config: dict, subcommand: str,
         "outputs": outputs,
         "wall_time_s": round(time.monotonic() - started, 6),
     }
-    os.makedirs(stager.out_dir, exist_ok=True)
-    data = (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()
-    fd, tmp = tempfile.mkstemp(dir=stager.out_dir, prefix=".manifest.")
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, os.path.join(stager.out_dir, "manifest.json"))
+    _write_atomic(stager.out_dir, "manifest.json",
+                  (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode())
 
 
 def _counts_csv(counts: dict) -> str:
@@ -193,22 +201,26 @@ def _counts_csv(counts: dict) -> str:
     )
 
 
-def _load(args, needs_loop: bool = False) -> tuple:
-    """`load_config` plus the subcommand's preconditions on its counts and config."""
+def _load(args) -> tuple:
+    """`load_config` plus the subcommand's preconditions on its counts and
+    config; a missing --seed becomes the config's seed."""
     for name, low in (("samples", 1), ("shots", 1), ("rank_cap", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not 0 < tolerance < 1:
+        raise ConfigError(f"--tolerance must lie strictly between 0 and 1, got {tolerance}")
     config, raw = load_config(args.config)
+    needs_loop = args.needs_loop or getattr(args, "target", None) == "stationary"
     if needs_loop and config.looped == 0:
         raise ConfigError(f"{args.command} needs at least one looped mode (L >= 1)")
+    if getattr(args, "seed", None) is None:
+        args.seed = config.seed
     return config, raw
 
 
-def cmd_evolve(args) -> int:
-    config, raw = _load(args)
-    started = time.monotonic()
-    stager = _Stager(args.out)
+def cmd_evolve(args, config, stager) -> None:
     if args.method == "unfold":
         result = unfolded_distribution(config)
         dists, rho_det = result.iteration_distributions, result.rho_det
@@ -227,14 +239,9 @@ def cmd_evolve(args) -> int:
         "method": args.method, "iterations": config.iterations,
         "n_max": n_max, "max_leaked_weight": leak,
     })
-    _write_manifest(stager, raw, "evolve", config.seed, started)
-    return EXIT_OK
 
 
-def cmd_stationary(args) -> int:
-    config, raw = _load(args, needs_loop=True)
-    started = time.monotonic()
-    stager = _Stager(args.out)
+def cmd_stationary(args, config, stager) -> None:
     result = None
     if args.method == "superop":
         result = stationary_loop_state(config)
@@ -267,17 +274,10 @@ def cmd_stationary(args) -> int:
     stager.add_text("stationary_distribution.csv",
                     rho_det.diagonal_distribution().to_csv_text(FLOAT_FMT))
     stager.add_json("diagnostics.json", {"method": args.method, **diagnostics})
-    _write_manifest(stager, raw, "stationary", config.seed, started)
-    return EXIT_OK
 
 
-def cmd_stabilization(args) -> int:
-    config, raw = _load(args, needs_loop=True)
-    started = time.monotonic()
-    stager = _Stager(args.out)
-    seed = args.seed if args.seed is not None else config.seed
-    study = stabilization_samples(config, args.samples, seed,
-                                  tolerance=args.tolerance, threads=args.threads)
+def cmd_stabilization(args, config, stager) -> None:
+    study = stabilization_samples(config, args.samples, args.seed, tolerance=args.tolerance)
     times = np.array(sorted(study.times))
     hist = "".join(
         f"{tau};{int((times == tau).sum())}\n" for tau in np.unique(times)
@@ -292,14 +292,9 @@ def cmd_stabilization(args) -> int:
                 float(np.percentile(times, 75))] if times.size else None,
         "tolerance": args.tolerance,
     })
-    _write_manifest(stager, raw, "stabilization", seed, started)
-    return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
-    config, raw = _load(args, needs_loop=True)
-    started = time.monotonic()
-    stager = _Stager(args.out)
+def cmd_reconstruct(args, config, stager) -> None:
     truth = stationary_loop_state(config).rho
     m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
                                       config.looped)
@@ -326,8 +321,6 @@ def cmd_reconstruct(args) -> int:
         "negativity_before_projection": info.negativity_before_projection,
         "converged": info.converged,
     })
-    _write_manifest(stager, raw, "reconstruct", config.seed, started)
-    return EXIT_OK
 
 
 def _raw_external_state(config: ExperimentConfig) -> DensityMatrix:
@@ -344,24 +337,18 @@ def _padded_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     return uhlmann_fidelity(embed(a, big), embed(b, big))
 
 
-def cmd_sample(args) -> int:
-    config, raw = _load(args, needs_loop=args.target == "stationary")
-    started = time.monotonic()
-    stager = _Stager(args.out)
-    seed = args.seed if args.seed is not None else config.seed
+def cmd_sample(args, config, stager) -> None:
     if args.target == "stationary":
         rho_stat = stationary_loop_state(config).rho
         rho_det, _ = detection_pass(config, rho_stat)
         dist = rho_det.diagonal_distribution()
     else:
         dist = evolve_pdm(config).distribution
-    counts = dist.sample(args.shots, seed)
+    counts = dist.sample(args.shots, args.seed)
     stager.add_text("counts.csv", _counts_csv(counts))
     stager.add_json("sample_info.json", {
-        "target": args.target, "shots": args.shots, "seed": seed,
+        "target": args.target, "shots": args.shots, "seed": args.seed,
     })
-    _write_manifest(stager, raw, "sample", seed, started)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,15 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bosonloop",
         description="Simulate boson sampling interferometers with optical feedback",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for Monte Carlo layers")
+    # accepted for old command lines and ignored: the Monte Carlo runs serially
+    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="run one evolution engine for k iterations")
     p.add_argument("config")
     p.add_argument("--method", choices=["unfold", "pdm", "kraus"], default="pdm")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_evolve, needs_loop=False)
 
     p = sub.add_parser("stationary", help="compute the stationary loop state")
     p.add_argument("config")
@@ -385,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="superop")
     p.add_argument("--rank-cap", type=int, default=6, dest="rank_cap")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stationary)
+    p.set_defaults(func=cmd_stationary, needs_loop=True)
 
     p = sub.add_parser("stabilization", help="histogram stabilization times over Haar samples")
     p.add_argument("config")
@@ -393,14 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stabilization)
+    p.set_defaults(func=cmd_stabilization, needs_loop=True)
 
     p = sub.add_parser("reconstruct", help="reconstruct the stationary state from tensors")
     p.add_argument("config")
     p.add_argument("--method", choices=["analytic", "convex"], default="analytic")
     p.add_argument("--rank-cap", type=int, default=4, dest="rank_cap")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_reconstruct, needs_loop=True)
 
     p = sub.add_parser("sample", help="draw counts from an output distribution")
     p.add_argument("config")
@@ -408,39 +395,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--target", choices=["stationary", "final"], default="stationary")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, needs_loop=False)  # unless --target stationary
     return parser
 
 
-def _error_payload(code: int, exc: Exception, **fields) -> str:
-    return json.dumps({
-        "error": {"code": code, "type": type(exc).__name__, "message": str(exc),
-                  **fields}
-    })
-
-
 def main(argv=None) -> int:
+    """Run one subcommand; a package error prints a JSON error object and
+    returns its exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(_error_payload(EXIT_CONFIG, exc))
-        return EXIT_CONFIG
-    except TruncationError as exc:
-        print(_error_payload(EXIT_TRUNCATION, exc))
-        return EXIT_TRUNCATION
-    except DegenerateFixedPointError as exc:
-        print(_error_payload(EXIT_DEGENERATE, exc))
-        return EXIT_DEGENERATE
-    except ReconstructionError as exc:
-        print(_error_payload(EXIT_RECONSTRUCTION, exc))
-        return EXIT_RECONSTRUCTION
-    except SizeCapError as exc:
-        print(_error_payload(EXIT_SIZE_CAP, exc, cap=exc.cap, required=exc.required))
-        return EXIT_SIZE_CAP
+        config, raw = _load(args)
+        started = time.monotonic()
+        stager = _Stager(args.out)
+        args.func(args, config, stager)
+        _write_manifest(stager, raw, args.command, args.seed, started)
+        return EXIT_OK
     except BosonLoopError as exc:
-        print(_error_payload(1, exc))
-        return 1
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 1)
+        error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SizeCapError):
+            error.update(cap=exc.cap, required=exc.required)
+        print(json.dumps({"error": error}))
+        return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense-size cap."""
+
+DENSE_DIM_CAP = 4096   # largest square dimension of a dense array the package builds
 
 
 class BosonLoopError(Exception):

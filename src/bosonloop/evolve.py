@@ -19,7 +19,6 @@ pass with the k-th loop update.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
                        loop_channel, stationary_state)
 from .channels import loss_channel as _loss_channel
-from .errors import (ConfigError, ConvergenceError, DegenerateFixedPointError,
-                     SizeCapError, TruncationError)
+from .errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
+                     DegenerateFixedPointError, SizeCapError, TruncationError)
 from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
@@ -187,6 +186,11 @@ class _LoopSetup:
                 f"{config.iterations * self.n_env}",
                 required_n_max=config.iterations * self.n_env,
             )
+        required = total_size(self.modes, self.n_max)
+        if required > DENSE_DIM_CAP:
+            raise SizeCapError(
+                f"joint Fock space has {required} states, above the cap {DENSE_DIM_CAP}",
+                cap=DENSE_DIM_CAP, required=required)
         self.joint = FockBasis(self.modes, self.n_max)
         self.ext = FockBasis(self.n_ext, self.n_max)
         self.loop = FockBasis(self.looped, self.n_max) if self.looped else None
@@ -457,17 +461,15 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     )
 
 
-def _haar_samples(config: ExperimentConfig, samples: int, seed: int, threads: int,
-                  solve) -> list:
+def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> list:
     """`solve(sample_config)` on Haar-random transfer matrices, one result per sample.
 
-    Per-sample seeds are spawned from the master seed, so the results do not
-    depend on the thread count.  A sample with a degenerate fixed point, or
-    that fails to converge, gives None.  A sample whose loop state is too
-    heavy-tailed for the configured n_max is retried at a 1.5x larger
-    truncation up to TRUNCATION_RETRIES times: the required bound is
-    state-dependent, and near-decoupled matrices produce nearly thermal loop
-    states far wider than the typical Haar draw.
+    Per-sample seeds are spawned from the master seed.  A sample with a
+    degenerate fixed point, or that fails to converge, gives None.  A sample
+    whose loop state is too heavy-tailed for the configured n_max is retried
+    at a 1.5x larger truncation up to TRUNCATION_RETRIES times: the required
+    bound is state-dependent, and near-decoupled matrices produce nearly
+    thermal loop states far wider than the typical Haar draw.
     """
     def one(child):
         u = haar_random_unitary(config.modes, child)
@@ -482,11 +484,7 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, threads: in
             except (DegenerateFixedPointError, ConvergenceError):
                 return None
 
-    children = np.random.SeedSequence(seed).spawn(samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, children))
-    return [one(c) for c in children]
+    return [one(child) for child in np.random.SeedSequence(seed).spawn(samples)]
 
 
 @dataclass
@@ -496,7 +494,7 @@ class StabilizationStudy:
 
 
 def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
-                          tolerance: float = 1e-6, threads: int = 1,
+                          tolerance: float = 1e-6,
                           max_iterations: int = 100_000) -> StabilizationStudy:
     """Stabilization times over Haar-random transfer matrices.
 
@@ -504,9 +502,8 @@ def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
     skipped and counted; heavy-tailed samples climb the truncation ladder of
     `_haar_samples`.
     """
-    results = _haar_samples(
-        config, samples, seed, threads,
-        lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
+    results = _haar_samples(config, samples, seed,
+                            lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
     times = [t for t in results if t is not None]
     return StabilizationStudy(times=times, skipped=len(results) - len(times))
 
@@ -519,8 +516,7 @@ class AverageStationaryResult:
 
 
 def average_stationary(config: ExperimentConfig, samples: int, seed: int,
-                       allow_multimode: bool = False,
-                       threads: int = 1) -> AverageStationaryResult:
+                       allow_multimode: bool = False) -> AverageStationaryResult:
     """Mean stationary state over Haar-random transfer matrices.
 
     Raw element-wise averaging is only physically meaningful when the
@@ -535,7 +531,7 @@ def average_stationary(config: ExperimentConfig, samples: int, seed: int,
             "raw averaging over matrices is only meaningful for one looped mode; "
             "pass allow_multimode=True to average anyway"
         )
-    results = _haar_samples(config, samples, seed, threads,
+    results = _haar_samples(config, samples, seed,
                             lambda cfg: stationary_loop_state(cfg).rho)
     states = [r for r in results if r is not None]
     skipped = len(results) - len(states)

@@ -33,29 +33,15 @@ def _check_args(modes, total):
         raise ValueError(f"photon number must be >= 0, got {total}")
 
 
-def iter_sector(modes: int, total: int):
-    """Yield occupation tuples with the given total in ascending lexicographic order."""
-    _check_args(modes, total)
-    yield from _compositions(total, modes)
-
-
-def _compositions(total, modes):
-    if modes == 0:
-        if total == 0:
-            yield ()
-        return
-    if modes == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, modes - 1):
-            yield (head,) + rest
-
-
 @lru_cache(maxsize=None)
 def enumerate_sector(modes: int, total: int) -> tuple:
-    """All occupation tuples of length `modes` summing to `total` (cached table)."""
-    return tuple(iter_sector(modes, total))
+    """All occupation tuples of length `modes` summing to `total`, in ascending
+    lexicographic order (cached table)."""
+    _check_args(modes, total)
+    if modes == 1:
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total + 1)
+                 for rest in enumerate_sector(modes - 1, total - head))
 
 
 class FockBasis:

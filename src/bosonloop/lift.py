@@ -51,6 +51,17 @@ def _raising_maps(modes: int, total: int):
     return target, weight
 
 
+def _add_photon(column: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
+    """sum_b column[b] a_dag[b] applied to amplitudes on sector total-1;
+    returns the amplitudes on sector `total`."""
+    modes = len(column)
+    target, weight = _raising_maps(modes, total)
+    out = np.zeros(sector_size(modes, total), dtype=complex)
+    for b in range(modes):
+        out[target[b]] += column[b] * (weight[b] * amps)
+    return out
+
+
 class LiftedUnitary:
     """Per-sector Fock-space blocks of a transfer matrix, computed lazily."""
 
@@ -84,17 +95,13 @@ class LiftedUnitary:
         m = self.basis.modes
         sec = enumerate_sector(m, n)
         prev_rank = {occ: i for i, occ in enumerate(enumerate_sector(m, n - 1))}
-        target, weight = _raising_maps(m, n)
         prev = self._blocks[n - 1]
         blk = np.zeros((len(sec), len(sec)), dtype=complex)
         for j, occ in enumerate(sec):
             a = next(i for i, x in enumerate(occ) if x > 0)
             parent = occ[:a] + (occ[a] - 1,) + occ[a + 1:]
             pcol = prev[:, prev_rank[parent]]
-            acc = np.zeros(len(sec), dtype=complex)
-            for b in range(m):
-                acc[target[b]] += self.matrix[b, a] * (weight[b] * pcol)
-            blk[:, j] = acc / sqrt(occ[a])
+            blk[:, j] = _add_photon(self.matrix[:, a], pcol, n) / sqrt(occ[a])
         return blk
 
     def _block_permanent(self, n: int) -> np.ndarray:
@@ -160,18 +167,13 @@ def lift_apply_fock(matrix: np.ndarray, occupation) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=complex)
     occupation = tuple(occupation)
-    m = matrix.shape[0]
-    if len(occupation) != m:
+    if len(occupation) != matrix.shape[0]:
         raise ValueError("occupation length does not match the matrix dimension")
     amps = np.ones(1, dtype=complex)
     n = 0
     for mode, count in enumerate(occupation):
         for _ in range(count):
             n += 1
-            target, weight = _raising_maps(m, n)
-            nxt = np.zeros(sector_size(m, n), dtype=complex)
-            for b in range(m):
-                nxt[target[b]] += matrix[b, mode] * (weight[b] * amps)
-            amps = nxt
+            amps = _add_photon(matrix[:, mode], amps, n)
     norm = sqrt(prod(factorial(x) for x in occupation))
     return amps / norm

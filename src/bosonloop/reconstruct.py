@@ -49,10 +49,6 @@ class MomentSystem:
             "is missing", missing_moment=key,
         )
 
-    def has(self, s_vec, r_vec) -> bool:
-        key = (tuple(s_vec), tuple(r_vec))
-        return key in self.moments or (key[1], key[0]) in self.moments
-
     def canonical_keys(self):
         """Stored keys in a documented deterministic order."""
         return sorted(self.moments, key=lambda k: (sum(k[0]) + sum(k[1]), k))

@@ -23,16 +23,15 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import BosonLoopError, SizeCapError, SpectralRadiusError
+from .errors import DENSE_DIM_CAP, BosonLoopError, SizeCapError, SpectralRadiusError
 from .fock import FockBasis
 from .matrixkit import spectral_radius
 from .qstate import DensityMatrix
 
 _SOLVE_RESIDUAL = 1e-9
 SPECTRAL_RADIUS_MARGIN = 1e-10
-# the Kronecker system has dimension L^(k+l) and its assembly walks all
-# M^(k+l) entries of the full-mode input tensor; both are capped explicitly
-SYSTEM_DIM_CAP = 4096
+# the Kronecker system has dimension L^(k+l), capped at DENSE_DIM_CAP, and its
+# assembly walks all M^(k+l) entries of the full-mode input tensor
 ASSEMBLY_SIZE_CAP = 1 << 20
 
 
@@ -184,9 +183,6 @@ class TensorSet:
             raise ValueError("tensor mode count does not match the set")
         self._tensors[(tensor.k, tensor.l)] = tensor
 
-    def has(self, k: int, l: int) -> bool:
-        return (k, l) in self._tensors or (l, k) in self._tensors
-
     def get(self, k: int, l: int) -> CorrelationTensor:
         if (k, l) in self._tensors:
             return self._tensors[(k, l)]
@@ -196,10 +192,6 @@ class TensorSet:
 
     def keys(self):
         return sorted(self._tensors)
-
-    @property
-    def max_rank(self) -> int:
-        return max((k for k, _ in self._tensors), default=0)
 
     def to_json(self, path) -> None:
         payload = {"modes": self.modes,
@@ -316,11 +308,11 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
     modes = matrix.shape[0]
     m_ext = rho_ext.basis.modes
     n_looped = modes - m_ext
-    if n_looped ** (k + l) > SYSTEM_DIM_CAP:
+    if n_looped ** (k + l) > DENSE_DIM_CAP:
         raise SizeCapError(
             f"stationary system for order ({k},{l}) has dimension "
-            f"{n_looped ** (k + l)}, above the cap {SYSTEM_DIM_CAP}",
-            cap=SYSTEM_DIM_CAP, required=n_looped ** (k + l),
+            f"{n_looped ** (k + l)}, above the cap {DENSE_DIM_CAP}",
+            cap=DENSE_DIM_CAP, required=n_looped ** (k + l),
         )
     if modes ** (k + l) > ASSEMBLY_SIZE_CAP:
         raise SizeCapError(

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from bosonloop.channels import (SUPEROP_DIM_CAP, QuantumChannel, compose,
-                                fixed_point, identity_channel, loop_channel,
-                                loss_channel, stationary_state,
-                                to_superoperator)
-from bosonloop.errors import (DegenerateFixedPointError, SizeCapError,
-                              TruncationError)
+from bosonloop.channels import (QuantumChannel, compose, fixed_point,
+                                identity_channel, loop_channel, loss_channel,
+                                stationary_state, to_superoperator)
+from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
+                              SizeCapError, TruncationError)
 from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
                               stabilization_samples)
 from bosonloop.fock import FockBasis, tensor_index_map
@@ -327,7 +326,7 @@ def test_superoperator_block_over_the_cap_is_a_size_cap_error():
     chan = QuantumChannel(basis, [mixing], valid_max_photons=64)
     with pytest.raises(SizeCapError) as err:
         fixed_point(chan)
-    assert (err.value.cap, err.value.required) == (SUPEROP_DIM_CAP, basis.size ** 2)
+    assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, basis.size ** 2)
 
 
 # stabilization times of 24 Haar samples, computed from the whole superoperator

