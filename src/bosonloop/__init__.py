@@ -14,7 +14,7 @@ from .channels import (QuantumChannel, StationaryResult, Superoperator, compose,
                        identity_channel, loop_channel, loss_channel,
                        stationary_state, to_superoperator)
 from .errors import (BosonLoopError, ConfigError, ConvergenceError,
-                     DegenerateFixedPointError, OutOfBasisError,
+                     DegenerateFixedPointError, OutOfBasisError, OutputError,
                      ReconstructionError, SizeCapError, SpectralRadiusError,
                      TruncationError)
 from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,

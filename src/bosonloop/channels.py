@@ -351,7 +351,7 @@ def stationary_state(channel: QuantumChannel, degeneracy_gap: float = 1e-8,
     if abs(lam - 1.0) > eigenvalue_tol:
         raise TruncationError(
             f"no superoperator eigenvalue within {eigenvalue_tol:.1e} of 1 "
-            f"(closest {lam!r}); the truncated channel leaks too much, "
+            f"(closest {complex(lam):.12g}); the truncated channel leaks too much, "
             "increase n_max"
         )
     spectrum = np.concatenate([evals] + [

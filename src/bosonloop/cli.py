@@ -8,10 +8,12 @@ manifest carrying the config hash and per-file content hashes, so identical
 
 Exit codes: 0 ok, 2 config or request, 3 truncation, 4 degenerate fixed point,
 5 reconstruction failure, 6 size cap, 1 any other package error (such as a
-ConvergenceError from `stationary --method iterate`).
+ConvergenceError from `stationary --method iterate`, or an OutputError when
+the files cannot be written; the files the run already wrote are removed).
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (BosonLoopError, ConfigError, DegenerateFixedPointError,
-                     ReconstructionError, SizeCapError, TruncationError)
+                     OutputError, ReconstructionError, SizeCapError,
+                     TruncationError)
 from .evolve import (ExperimentConfig, LossSpec, detection_pass,
                      effective_transfer_matrix, evolve_kraus, evolve_pdm,
                      stabilization_samples, stationary_loop_iterate,
@@ -140,6 +143,35 @@ def load_config(path) -> tuple:
     return config, raw
 
 
+def json_text(payload) -> str:
+    """Exactly `json.dumps(payload, indent=1, sort_keys=True)`.
+
+    `indent` makes the stdlib fall back to its pure-Python encoder, so the
+    layout of dicts and lists is rebuilt here and every list that holds only
+    floats goes to the C encoder in one call, its item separator carrying
+    the newline and indent; both encoders print floats with `float.__repr__`
+    and the same NaN/Infinity spellings.  Anything else is encoded by the
+    stdlib itself, its newlines shifted to the current indent (JSON text
+    has no raw newline inside a string).
+    """
+    return _json_text(payload, "\n")
+
+
+def _json_text(o, newline: str) -> str:
+    inner = newline + " "
+    if isinstance(o, (list, tuple)) and o:
+        if all(type(x) is float for x in o):
+            body = json.dumps(o, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(_json_text(x, inner) for x in o)
+        return "[" + inner + body + newline + "]"
+    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        body = ("," + inner).join(json.dumps(k) + ": " + _json_text(v, inner)
+                                  for k, v in sorted(o.items()))
+        return "{" + inner + body + newline + "}"
+    return json.dumps(o, indent=1, sort_keys=True).replace("\n", newline)
+
+
 def _write_atomic(out_dir, name: str, data: bytes) -> None:
     """Write `out_dir/name` through a temp file and a rename; a failed write
     removes the temp file."""
@@ -160,12 +192,13 @@ class _Stager:
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.files = {}
+        self.written = []
 
     def add_text(self, name: str, text: str) -> None:
         self.files[name] = text
 
     def add_json(self, name: str, payload) -> None:
-        self.files[name] = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        self.files[name] = json_text(payload) + "\n"
 
     def flush(self) -> list:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -173,6 +206,7 @@ class _Stager:
         for name in sorted(self.files):
             data = self.files[name].encode()
             _write_atomic(self.out_dir, name, data)
+            self.written.append(os.path.join(self.out_dir, name))
             entries.append({"path": name,
                             "sha256": hashlib.sha256(data).hexdigest()})
         return entries
@@ -180,18 +214,26 @@ class _Stager:
 
 def _write_manifest(stager: _Stager, raw_config: dict, subcommand: str,
                     seed, started: float) -> None:
+    """Flush the staged files and write the manifest; an OSError on the way
+    removes the files already in place and becomes an OutputError."""
     canon = json.dumps(raw_config, sort_keys=True, separators=(",", ":")).encode()
-    outputs = stager.flush()
-    manifest = {
-        "subcommand": subcommand,
-        "artifact_version": __version__,
-        "config_hash": hashlib.sha256(canon).hexdigest(),
-        "seed": seed,
-        "outputs": outputs,
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    _write_atomic(stager.out_dir, "manifest.json",
-                  (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode())
+    try:
+        outputs = stager.flush()
+        manifest = {
+            "subcommand": subcommand,
+            "artifact_version": __version__,
+            "config_hash": hashlib.sha256(canon).hexdigest(),
+            "seed": seed,
+            "outputs": outputs,
+            "wall_time_s": round(time.monotonic() - started, 6),
+        }
+        _write_atomic(stager.out_dir, "manifest.json",
+                      (json_text(manifest) + "\n").encode())
+    except OSError as exc:
+        for path in stager.written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise OutputError(f"cannot write outputs to {stager.out_dir}: {exc}") from exc
 
 
 def _counts_csv(counts: dict) -> str:

@@ -44,6 +44,10 @@ class ConvergenceError(BosonLoopError):
         self.residual = residual
 
 
+class OutputError(BosonLoopError):
+    """The output files could not be written."""
+
+
 class ConfigError(BosonLoopError, ValueError):
     """Invalid experiment configuration, or a request the configuration cannot serve."""
 

@@ -51,14 +51,31 @@ def _raising_maps(modes: int, total: int):
     return target, weight
 
 
-def _add_photon(column: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
-    """sum_b column[b] a_dag[b] applied to amplitudes on sector total-1;
-    returns the amplitudes on sector `total`."""
-    modes = len(column)
+@lru_cache(maxsize=None)
+def _parent_columns(modes: int, total: int):
+    """For each state of sector `total`: its first occupied mode a, the rank
+    of its parent (one photon fewer in mode a) in sector total-1, and
+    sqrt(occ_a)."""
+    sec = enumerate_sector(modes, total)
+    rank = {occ: i for i, occ in enumerate(enumerate_sector(modes, total - 1))}
+    first = [next(i for i, x in enumerate(occ) if x > 0) for occ in sec]
+    parent = [rank[occ[:a] + (occ[a] - 1,) + occ[a + 1:]] for a, occ in zip(first, sec)]
+    norm = [sqrt(occ[a]) for a, occ in zip(first, sec)]
+    return np.array(first, dtype=int), np.array(parent, dtype=int), np.array(norm)
+
+
+def _add_photon(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
+    """sum_b coef[b, j] a_dag[b] applied to column j of the amplitudes on
+    sector total-1, for every column j at once; returns the amplitudes on
+    sector `total`, one column per input column.  The coefficients enter as
+    (1, k) rows: a 1-D row times a 1 x 1 array takes numpy's strided complex
+    multiply, which rounds without the fused multiply-add of its contiguous
+    loops, so single-column results would drift by an ulp."""
+    modes = len(coef)
     target, weight = _raising_maps(modes, total)
-    out = np.zeros(sector_size(modes, total), dtype=complex)
+    out = np.zeros((sector_size(modes, total), amps.shape[1]), dtype=complex)
     for b in range(modes):
-        out[target[b]] += column[b] * (weight[b] * amps)
+        out[target[b]] += coef[b:b + 1] * (weight[b][:, None] * amps)
     return out
 
 
@@ -92,17 +109,10 @@ class LiftedUnitary:
         return self._blocks[total]
 
     def _block_recurrence(self, n: int) -> np.ndarray:
-        m = self.basis.modes
-        sec = enumerate_sector(m, n)
-        prev_rank = {occ: i for i, occ in enumerate(enumerate_sector(m, n - 1))}
-        prev = self._blocks[n - 1]
-        blk = np.zeros((len(sec), len(sec)), dtype=complex)
-        for j, occ in enumerate(sec):
-            a = next(i for i, x in enumerate(occ) if x > 0)
-            parent = occ[:a] + (occ[a] - 1,) + occ[a + 1:]
-            pcol = prev[:, prev_rank[parent]]
-            blk[:, j] = _add_photon(self.matrix[:, a], pcol, n) / sqrt(occ[a])
-        return blk
+        """Column j is L(U)|occ_j>: one photon in the first occupied mode a
+        of occ_j added to the parent column, divided by sqrt(occ_j[a])."""
+        first, parent, norm = _parent_columns(self.basis.modes, n)
+        return _add_photon(self.matrix[:, first], self._blocks[n - 1][:, parent], n) / norm
 
     def _block_permanent(self, n: int) -> np.ndarray:
         sec = enumerate_sector(self.basis.modes, n)
@@ -169,11 +179,11 @@ def lift_apply_fock(matrix: np.ndarray, occupation) -> np.ndarray:
     occupation = tuple(occupation)
     if len(occupation) != matrix.shape[0]:
         raise ValueError("occupation length does not match the matrix dimension")
-    amps = np.ones(1, dtype=complex)
+    amps = np.ones((1, 1), dtype=complex)
     n = 0
     for mode, count in enumerate(occupation):
         for _ in range(count):
             n += 1
-            amps = _add_photon(matrix[:, mode], amps, n)
+            amps = _add_photon(matrix[:, mode:mode + 1], amps, n)
     norm = sqrt(prod(factorial(x) for x in occupation))
-    return amps / norm
+    return amps[:, 0] / norm

@@ -35,7 +35,7 @@ class DensityMatrix:
                 raise ValueError(f"matrix is not Hermitian (defect {herm:.3e})")
             tr = np.trace(mat).real
             if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValueError(f"trace is {tr!r}, expected 1")
+                raise ValueError(f"trace is {float(tr)!r}, expected 1")
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < PSD_EIG_FLOOR:
                 raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
@@ -303,7 +303,7 @@ class ProbabilityDistribution:
                 raise ValueError(f"negative probability {probabilities.min():.3e}")
             s = probabilities.sum()
             if abs(s - 1.0) > 1e-9:
-                raise ValueError(f"probabilities sum to {s!r}, expected 1")
+                raise ValueError(f"probabilities sum to {float(s)!r}, expected 1")
         self.basis = basis
         self.probabilities = probabilities
 
@@ -368,5 +368,5 @@ def diagonal_distribution(rho: DensityMatrix) -> ProbabilityDistribution:
     diag = np.clip(diag, 0.0, None)
     s = diag.sum()
     if abs(s - 1.0) > 1e-9:
-        raise ValueError(f"diagonal sums to {s!r}; state is corrupted")
+        raise ValueError(f"diagonal sums to {float(s)!r}; state is corrupted")
     return ProbabilityDistribution(rho.basis, diag / s, check=False)

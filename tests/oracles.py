@@ -10,7 +10,8 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.fock import FockBasis, enumerate_sector, tensor_index_map
+from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
+from bosonloop.lift import _raising_maps
 from bosonloop.qstate import DensityMatrix
 
 
@@ -54,6 +55,49 @@ def lift_block_polynomial(u: np.ndarray, n: int) -> np.ndarray:
         for occ, coeff in poly.items():
             block[rank[occ], j] = coeff * sqrt(prod(factorial(x) for x in occ)) / norm_j
     return block
+
+
+def _add_photon_column(column: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
+    """sum_b column[b] a_dag[b] applied to amplitudes on sector total-1;
+    returns the amplitudes on sector `total`."""
+    modes = len(column)
+    target, weight = _raising_maps(modes, total)
+    out = np.zeros(sector_size(modes, total), dtype=complex)
+    for b in range(modes):
+        out[target[b]] += column[b] * (weight[b] * amps)
+    return out
+
+
+def lift_blocks_by_column(matrix: np.ndarray, n_max: int) -> list:
+    """Sector blocks 0..n_max of the lift, built one column at a time: the
+    creation-operator recurrence as the package ran it before it lifted
+    whole blocks at once."""
+    m = matrix.shape[0]
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, n_max + 1):
+        sec = enumerate_sector(m, n)
+        prev_rank = {occ: i for i, occ in enumerate(enumerate_sector(m, n - 1))}
+        prev = blocks[n - 1]
+        blk = np.zeros((len(sec), len(sec)), dtype=complex)
+        for j, occ in enumerate(sec):
+            a = next(i for i, x in enumerate(occ) if x > 0)
+            parent = occ[:a] + (occ[a] - 1,) + occ[a + 1:]
+            pcol = prev[:, prev_rank[parent]]
+            blk[:, j] = _add_photon_column(matrix[:, a], pcol, n) / sqrt(occ[a])
+        blocks.append(blk)
+    return blocks
+
+
+def lift_apply_fock_by_column(matrix: np.ndarray, occupation) -> np.ndarray:
+    """`lift_apply_fock` as it ran on a single amplitude vector."""
+    amps = np.ones(1, dtype=complex)
+    n = 0
+    for mode, count in enumerate(occupation):
+        for _ in range(count):
+            n += 1
+            amps = _add_photon_column(matrix[:, mode], amps, n)
+    norm = sqrt(prod(factorial(x) for x in occupation))
+    return amps / norm
 
 
 def kraus_pure_fock(u_full: np.ndarray, jmap: np.ndarray, ext_index: int):

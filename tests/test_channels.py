@@ -241,6 +241,14 @@ def test_stationary_state_degenerate_for_decoupled_matrix():
         stationary_state(chan)
 
 
+def test_leaking_truncation_error_prints_a_plain_number():
+    lifted = lift(haar_random_unitary(2, 9), FockBasis(2, 4))
+    chan = loop_channel(lifted, fock_state_dm(FockBasis(1, 4), (1,)))
+    with pytest.raises(TruncationError, match=r"closest 0\.98710215\d*[+-]") as info:
+        stationary_state(chan)
+    assert "np." not in str(info.value)
+
+
 def test_swap_stationary_state_is_injected_photon():
     joint = FockBasis(2, 3)
     lifted = lift(SWAP, joint)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bosonloop
 import bosonloop.cli
-from bosonloop.cli import EXIT_SIZE_CAP, main
+from bosonloop.cli import EXIT_SIZE_CAP, json_text, main
 from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
@@ -105,10 +105,13 @@ PINNED_EVOLVE_SHA256 = {
     "kraus": {**_PINNED_DISTRIBUTIONS,
               "rho_det.json": "087b44d19c89ac2f07e354abf833a9174450bc2abaae679e0cefc525d2f87315",
               "run_info.json": "f6d230b5601356dade1213794a530fccf6e66b2212a314d4aae8cf6bec87f353"},
+    "unfold": {**_PINNED_DISTRIBUTIONS,
+               "rho_det.json": "ee4359a763e323dcdbbe7b21c2a1315d3d57a18746ef98dd0d7411866d74c0a3",
+               "run_info.json": "f13fe811bfbf3fefcb8a759a4cd81254a3c3e6bbde516dc303a674edfca4b482"},
 }
 
 
-@pytest.mark.parametrize("method", ["pdm", "kraus"])
+@pytest.mark.parametrize("method", ["pdm", "kraus", "unfold"])
 def test_evolve_artifacts_pinned(tmp_path, method):
     path = write_config(tmp_path, M=4, L=2, input={"type": "fock", "occupation": [1, 1]},
                         unitary={"type": "haar", "seed": 21})
@@ -134,6 +137,29 @@ PINNED_TENSOR_SHA256 = {
 }
 
 
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308,
+                                  float("nan"), float("inf"), float("-inf")]))
+_FLOAT_ITEMS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_KEYS = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "😀", "a b"]))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6), _FLOATS,
+    st.lists(_FLOAT_ITEMS, max_size=6),
+    st.lists(st.one_of(_FLOATS, st.integers(), st.booleans()), max_size=6))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(payload=_JSON_PAYLOADS)
+def test_json_text_is_the_stdlib_indented_text(payload):
+    assert json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+
+
 @pytest.mark.parametrize("command", ["stationary", "reconstruct"])
 def test_tensor_artifacts_pinned(tmp_path, command):
     if command == "stationary":
@@ -148,6 +174,39 @@ def test_tensor_artifacts_pinned(tmp_path, command):
     assert main([command, path, "--method", method, "--rank-cap", "4", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_TENSOR_SHA256[command]
+
+
+# sha256 of the outputs of the superoperator route (lossy, M=3) and of a
+# stabilization study, recorded before JSON artifacts were written through the
+# C encoder
+PINNED_CHANNEL_SHA256 = {
+    "stationary": {
+        "diagnostics.json": "5300da23355a3114f7df9ec89d534539f1e29a7415bd4b26310e4728d8f2d2e3",
+        "rho_stat.json": "18c53608371a90bf3c18734cae31bab8cffd30ddb3bed725f7c8a65ac9421917",
+        "stationary_distribution.csv": "06b06570b5d48cdc33146238432d75f34d1f0055c79fd8c3041327081ed5aa4c",
+    },
+    "stabilization": {
+        "stabilization_histogram.csv": "e2e97194715f151538a2c55df19028902910191d5f5bca5962b07312c413e5c6",
+        "summary.json": "730dd2c417a0d8c45e8d9f798d12f93153e8467bb631c791c297fee4639dd715",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["stationary", "stabilization"])
+def test_channel_artifacts_pinned(tmp_path, command):
+    if command == "stationary":
+        losses = {"t_in": [0.9, 0.8, 0.95], "t_out": [1.0, 0.9, 1.0], "loop_T": 0.85}
+        path = write_config(tmp_path, M=3, L=1, n_max=8, iterations=1, losses=losses,
+                            input={"type": "fock", "occupation": [1, 0]},
+                            unitary={"type": "haar", "seed": 12})
+        argv = ["--method", "superop"]
+    else:
+        path = write_config(tmp_path, n_max=10, iterations=1)
+        argv = ["--samples", "6", "--seed", "5"]
+    out = tmp_path / command
+    assert main([command, path, *argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_CHANNEL_SHA256[command]
 
 
 def test_dm_input_on_a_larger_truncation(tmp_path):
@@ -344,7 +403,7 @@ def test_each_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     replace = os.replace
 
     def failing_replace(src, dst):
@@ -353,9 +412,41 @@ def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
         replace(src, dst)
     monkeypatch.setattr(os, "replace", failing_replace)
     out = tmp_path / "o"
-    with pytest.raises(OSError, match="disk full"):
-        main(["evolve", write_config(tmp_path), "--out", str(out)])
-    assert not [p.name for p in out.iterdir() if p.name.startswith(".manifest")]
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (1, "OutputError")
+    assert "disk full" in err["message"]
+    assert captured.err == ""
+    # the data files renamed into place before the manifest failed are gone too
+    assert out.is_dir() and not list(out.iterdir())
+
+
+def test_failed_data_file_write_removes_the_files_before_it(tmp_path, monkeypatch, capsys):
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "rho_det.json":
+            raise PermissionError("read-only")
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "o"
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (1, "OutputError")
+    assert not list(out.iterdir())
+
+
+def test_out_naming_a_file_exits_1_with_json_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("keep")
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (1, "OutputError")
+    assert str(out) in err["message"]
+    assert captured.err == ""
+    assert out.read_text() == "keep"
 
 
 def test_stationary_superop_two_looped_modes_n_max_10(tmp_path):

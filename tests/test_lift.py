@@ -2,6 +2,8 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonloop.fock import FockBasis, enumerate_sector
 from bosonloop.lift import lift, lift_apply_fock
@@ -9,7 +11,8 @@ from bosonloop.matrixkit import (haar_random_unitary, permanent,
                                  submatrix_by_multiplicity)
 from bosonloop.qstate import random_density_matrix
 
-from oracles import conjugate_all_blocks, lift_block_polynomial
+from oracles import (conjugate_all_blocks, lift_apply_fock_by_column,
+                     lift_block_polynomial, lift_blocks_by_column)
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -175,3 +178,29 @@ def test_lift_apply_fock_matches_block_column():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         lift(np.eye(3), FockBasis(2, 2))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bit patterns of a complex array: equal bits mean equal values
+    and equal signs of zero in both the real and imaginary parts."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(modes=st.integers(1, 6), n_max=st.integers(0, 6), seed=st.integers(0, 2**31),
+       contraction=st.booleans(), data=st.data())
+def test_block_lift_is_bit_identical_to_column_recurrence(modes, n_max, seed, contraction,
+                                                          data):
+    if contraction:
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+        u = g * (data.draw(st.floats(0.05, 1.0)) / np.linalg.norm(g, 2))
+    else:
+        u = haar_random_unitary(modes, seed)
+    lifted = lift(u, FockBasis(modes, n_max))
+    for n, expected in enumerate(lift_blocks_by_column(u, n_max)):
+        np.testing.assert_array_equal(_bits(lifted.block(n)), _bits(expected))
+    occ = tuple(data.draw(st.lists(st.integers(0, 6), min_size=modes, max_size=modes)
+                          .filter(lambda o: sum(o) <= n_max)))
+    np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
+                                  _bits(lift_apply_fock_by_column(u, occ)))

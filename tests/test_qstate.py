@@ -36,6 +36,19 @@ def test_density_matrix_validation():
         DensityMatrix(basis, np.diag([1.5, -0.5]))  # not PSD
 
 
+def test_sum_errors_print_plain_numbers():
+    basis = FockBasis(1, 2)
+    weights = np.array([0.5, 0.3, 0.1])
+    for build, text in ((lambda: DensityMatrix(basis, np.diag(weights)), "trace is 0.9,"),
+                        (lambda: ProbabilityDistribution(basis, weights), "sum to 0.9,"),
+                        (lambda: diagonal_distribution(
+                            DensityMatrix(basis, np.diag(weights), check=False)),
+                         "sums to 0.9;")):
+        with pytest.raises(ValueError, match=text) as info:
+            build()
+        assert "np." not in str(info.value)
+
+
 def test_tensor_product_projector():
     a = FockBasis(1, 2)
     b = FockBasis(2, 2)
