@@ -23,8 +23,8 @@ from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,
                      stabilization_samples, stabilization_time,
                      stationary_loop_iterate, stationary_loop_state, unfold,
                      unfolded_distribution)
-from .fock import (FockBasis, enumerate_sector, joint_index, sector_size,
-                   tensor_index_map, total_size)
+from .fock import (FockBasis, enumerate_sector, sector_size, tensor_index_map,
+                   total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
                         permanent, save_matrix_json, spectral_radius,
@@ -40,8 +40,7 @@ from .reconstruct import (MomentSystem, PhotonStatisticsFit, build_moment_system
                           thermal_pmf)
 from .tensors import (CorrelationTensor, TensorSet, estimate_n_max,
                       expectations_from_dm, moment, moments_from_tensor_set,
-                      recursive_stationary, stationary_first_order,
-                      stationary_order, stationary_output_tensor,
-                      tensor_set_from_dm, transform)
+                      recursive_stationary, stationary_order,
+                      stationary_output_tensor, tensor_set_from_dm, transform)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

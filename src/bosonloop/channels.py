@@ -31,6 +31,8 @@ from .qstate import POPULATED_CUTOFF, DensityMatrix
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
+_FIXED_POINT_RESIDUAL = 1e-10  # relative |G x - x| above which fixed_point gives up
+_DEGENERACY_GAP = 1e-8    # eigenvalues this close to the unit one count as degenerate
 
 
 class QuantumChannel:
@@ -288,7 +290,7 @@ class StationaryResult:
     unit_eigenvalue_count: int
 
 
-def fixed_point(channel: QuantumChannel, residual_tol: float = 1e-10) -> DensityMatrix | None:
+def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     """Fast trace-normalized fixed point of G, without spectral diagnostics.
 
     Solves the bordered system (I - G_0 + t vec(I)^H) x = t on the charge-0
@@ -317,7 +319,7 @@ def fixed_point(channel: QuantumChannel, residual_tol: float = 1e-10) -> Density
         return None
     if np.linalg.norm(a @ probe - z) > 1e-8 * np.linalg.norm(z):
         return None
-    if np.linalg.norm(g @ x - x) > residual_tol * max(1.0, np.linalg.norm(x)):
+    if np.linalg.norm(g @ x - x) > _FIXED_POINT_RESIDUAL * max(1.0, np.linalg.norm(x)):
         return None
     rho = channel.unvec_block0(x)
     rho = (rho + rho.conj().T) / 2
@@ -330,8 +332,7 @@ def fixed_point(channel: QuantumChannel, residual_tol: float = 1e-10) -> Density
     return DensityMatrix(channel.basis, rho, check=False)
 
 
-def stationary_state(channel: QuantumChannel, degeneracy_gap: float = 1e-8,
-                     eigenvalue_tol: float = 1e-6) -> StationaryResult:
+def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> StationaryResult:
     """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
 
     The eigenvector comes from the charge-0 block, which holds the spectral
@@ -339,7 +340,7 @@ def stationary_state(channel: QuantumChannel, degeneracy_gap: float = 1e-8,
     diagnostics read the union of the block spectra, which is the spectrum
     of G.  Raises DegenerateFixedPointError when the eigenvalue-1 eigenspace
     has numerical dimension above one (more than one eigenvalue within
-    `degeneracy_gap` of 1), in which case the stationary state is not unique.
+    _DEGENERACY_GAP of 1), in which case the stationary state is not unique.
     The principal eigenvalue must sit within `eigenvalue_tol` of 1: a larger
     drift means the truncation leaks the stationary state itself.  Loosening
     the tolerance computes the truncated model's own fixed point, which is
@@ -358,11 +359,11 @@ def stationary_state(channel: QuantumChannel, degeneracy_gap: float = 1e-8,
         np.linalg.eigvals(channel.superop_block(b))
         for b in range(1, len(channel.charge_blocks))
     ])
-    n_unit = int(np.count_nonzero(np.abs(spectrum - lam) < degeneracy_gap))
+    n_unit = int(np.count_nonzero(np.abs(spectrum - lam) < _DEGENERACY_GAP))
     if n_unit > 1:
         raise DegenerateFixedPointError(
             f"non-unique stationary state: {n_unit} eigenvalues within "
-            f"{degeneracy_gap:.1e} of the unit eigenvalue"
+            f"{_DEGENERACY_GAP:.1e} of the unit eigenvalue"
         )
     moduli = np.abs(spectrum)
     moduli[i] = -np.inf

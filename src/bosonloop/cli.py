@@ -33,12 +33,12 @@ from .evolve import (ExperimentConfig, LossSpec, detection_pass,
                      stationary_loop_state, unfolded_distribution)
 from .fock import FockBasis
 from .matrixkit import Interferometer, load_matrix, spectral_radius
-from .qstate import DensityMatrix, embed, fock_state_dm, uhlmann_fidelity
-from .reconstruct import (build_moment_system, reconstruct_analytic,
-                          reconstruct_convex)
+from .qstate import (FLOAT_FMT, DensityMatrix, embed, fock_state_dm,
+                     uhlmann_fidelity)
+from .reconstruct import (MomentSystem, build_moment_system,
+                          reconstruct_analytic, reconstruct_convex)
 from .tensors import recursive_stationary
 
-FLOAT_FMT = "%.12e"
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
@@ -275,7 +275,7 @@ def cmd_evolve(args, config, stager) -> None:
         leak = trace.max_leaked_weight
         n_max = trace.n_max
     for i, dist in enumerate(dists, start=1):
-        stager.add_text(f"distribution_iter_{i:03d}.csv", dist.to_csv_text(FLOAT_FMT))
+        stager.add_text(f"distribution_iter_{i:03d}.csv", dist.to_csv_text())
     stager.add_json("rho_det.json", rho_det.to_payload())
     stager.add_json("run_info.json", {
         "method": args.method, "iterations": config.iterations,
@@ -291,12 +291,7 @@ def cmd_stationary(args, config, stager) -> None:
     elif args.method == "iterate":
         rho_stat = stationary_loop_iterate(config)
     else:  # tensors
-        m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
-                                          config.looped)
-        rank_cap = args.rank_cap
-        tensor_set = recursive_stationary(m_eff, _raw_external_state(config), rank_cap)
-        system = build_moment_system(FockBasis(config.looped, rank_cap), tensor_set)
-        rho_stat, _ = reconstruct_analytic(system)
+        rho_stat, _ = reconstruct_analytic(_stationary_moments(config, args.rank_cap))
     if result is None:
         # diagnostics still come from the superoperator spectrum when feasible
         try:
@@ -314,7 +309,7 @@ def cmd_stationary(args, config, stager) -> None:
     rho_det, _ = detection_pass(config, rho_stat)
     stager.add_json("rho_stat.json", rho_stat.to_payload())
     stager.add_text("stationary_distribution.csv",
-                    rho_det.diagonal_distribution().to_csv_text(FLOAT_FMT))
+                    rho_det.diagonal_distribution().to_csv_text())
     stager.add_json("diagnostics.json", {"method": args.method, **diagnostics})
 
 
@@ -338,16 +333,13 @@ def cmd_stabilization(args, config, stager) -> None:
 
 def cmd_reconstruct(args, config, stager) -> None:
     truth = stationary_loop_state(config).rho
-    m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
-                                      config.looped)
-    tensor_set = recursive_stationary(m_eff, _raw_external_state(config), args.rank_cap)
+    system = _stationary_moments(config, args.rank_cap)
     method = reconstruct_analytic if args.method == "analytic" else reconstruct_convex
 
     rows = []
     final = None
     for rank in range(1, args.rank_cap + 1):
-        system = build_moment_system(FockBasis(config.looped, rank), tensor_set)
-        rho_rec, info = method(system)
+        rho_rec, info = method(system, n_max=rank)
         fidelity = _padded_fidelity(rho_rec, truth)
         rows.append((rank, fidelity))
         final = (rho_rec, info, fidelity)
@@ -365,12 +357,19 @@ def cmd_reconstruct(args, config, stager) -> None:
     })
 
 
-def _raw_external_state(config: ExperimentConfig) -> DensityMatrix:
-    """The injected state on its minimal basis (pre-loss; losses sit in M_eff)."""
+def _stationary_moments(config: ExperimentConfig, rank_cap: int) -> MomentSystem:
+    """The stationary loop moments up to `rank_cap` on the looped modes' basis
+    truncated at `rank_cap`.  The tensors come from the injected state on its
+    minimal basis, before losses, since the losses sit in M_eff."""
+    m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
+                                      config.looped)
     if config.input_occupation is not None:
         basis = FockBasis(config.n_external, max(config.n_env, 1))
-        return fock_state_dm(basis, config.input_occupation)
-    return config.input_state
+        rho_ext = fock_state_dm(basis, config.input_occupation)
+    else:
+        rho_ext = config.input_state
+    tensor_set = recursive_stationary(m_eff, rho_ext, rank_cap)
+    return build_moment_system(FockBasis(config.looped, rank_cap), tensor_set)
 
 
 def _padded_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

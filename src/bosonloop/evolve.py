@@ -172,13 +172,13 @@ class EvolutionTrace:
 class _LoopSetup:
     """Bases, lifted matrix, input state and loss channels resolved from a config."""
 
-    def __init__(self, config: ExperimentConfig, n_max: int | None = None):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
         self.modes = config.modes
         self.looped = config.looped
         self.n_ext = config.n_external
         self.n_env = config.n_env
-        self.n_max = config.resolve_n_max() if n_max is None else n_max
+        self.n_max = config.resolve_n_max()
         if self.n_max < self.n_env:
             raise TruncationError(
                 f"n_max={self.n_max} cannot hold the {self.n_env}-photon input; "
@@ -205,7 +205,6 @@ class _LoopSetup:
             if config.input_occupation is not None
             else embed(config.input_state, self.ext)
         )
-        self.rho_ext_raw = rho_ext
         self.in_ext = _maybe_loss(spec.t_in[: self.n_ext] ** 2, self.ext)
         self.rho_ext_in = self.in_ext.apply(rho_ext) if self.in_ext else rho_ext
         if self.looped:
@@ -260,8 +259,9 @@ def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
 
 def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     """L = 0: every iteration is an independent single-pass run."""
-    n_max = config.n_max if config.n_max is not None else max(config.n_env, 1)
-    setup = _LoopSetup(config, n_max=n_max)
+    if config.n_max is None:
+        config = replace(config, n_max=max(config.n_env, 1))
+    setup = _LoopSetup(config)
     rho_out = DensityMatrix(setup.joint, setup.lifted.conjugate(setup.rho_ext_in.mat),
                             check=False)
     if setup.out_ext:
@@ -335,10 +335,7 @@ def unfold(config: ExperimentConfig):
     looped modes thread through all iterations and sit last.  Supports pure
     Fock inputs without losses only (this engine is the exact ground truth).
     """
-    if config.input_occupation is None:
-        raise ConfigError("unfolding supports pure Fock inputs only")
-    if not config.losses.trivial:
-        raise ConfigError("unfolding does not model losses")
+    _check_unfoldable(config)
     u = config.transfer_matrix()
     m_ext, loop, k = config.n_external, config.looped, config.iterations
     m_tot = m_ext * k + loop
@@ -353,19 +350,31 @@ def unfold(config: ExperimentConfig):
     return u_total, input_occ
 
 
+def _check_unfoldable(config: ExperimentConfig) -> None:
+    if config.input_occupation is None:
+        raise ConfigError("unfolding supports pure Fock inputs only")
+    if not config.losses.trivial:
+        raise ConfigError("unfolding does not model losses")
+
+
 def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
-    """Exact joint distribution over all detectable spatiotemporal modes."""
-    u_total, input_occ = unfold(config)
+    """Exact joint distribution over all detectable spatiotemporal modes.
+
+    The size of the unfolded photon-number sector is checked before the
+    k-step transfer matrix is built.
+    """
+    _check_unfoldable(config)
     k = config.iterations
     m_ext = config.n_external
-    n_tot = sum(input_occ)
-    m_tot = len(input_occ)
-    if sector_size(m_tot, n_tot) > UNFOLD_SECTOR_CAP:
+    m_tot = m_ext * k + config.looped
+    n_tot = k * config.n_env
+    required = sector_size(m_tot, n_tot)
+    if required > UNFOLD_SECTOR_CAP:
         raise SizeCapError(
-            f"unfolded sector has {sector_size(m_tot, n_tot)} states, "
-            f"above the cap {UNFOLD_SECTOR_CAP}",
-            cap=UNFOLD_SECTOR_CAP, required=sector_size(m_tot, n_tot),
+            f"unfolded sector has {required} states, above the cap {UNFOLD_SECTOR_CAP}",
+            cap=UNFOLD_SECTOR_CAP, required=required,
         )
+    u_total, input_occ = unfold(config)
     amps = lift_apply_fock(u_total, input_occ)
     probs = np.abs(amps) ** 2
     sector = enumerate_sector(m_tot, n_tot)
@@ -402,11 +411,11 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     )
 
 
-def stationary_loop_state(config: ExperimentConfig, n_max: int | None = None) -> StationaryResult:
+def stationary_loop_state(config: ExperimentConfig) -> StationaryResult:
     """Fixed point of the one-iteration loop channel via the superoperator."""
     if config.looped == 0:
         raise ValueError("a stationary loop state needs at least one looped mode")
-    setup = _LoopSetup(config, n_max=n_max)
+    setup = _LoopSetup(config)
     return stationary_state(setup.loop_update_channel())
 
 
@@ -426,13 +435,12 @@ def stationary_loop_iterate(config: ExperimentConfig, tol: float = 1e-12,
     )
 
 
-def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix,
-                   n_max: int | None = None):
+def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
     """Interfere a loop state with the injected input once; detect the externals.
 
     Returns (rho_det, next line state).
     """
-    setup = _LoopSetup(config, n_max=n_max)
+    setup = _LoopSetup(config)
     line = embed(rho_line, setup.loop)
     rho_det, rho_next, _ = setup.step(line)
     return rho_det, rho_next
@@ -515,22 +523,19 @@ class AverageStationaryResult:
     skipped: int
 
 
-def average_stationary(config: ExperimentConfig, samples: int, seed: int,
-                       allow_multimode: bool = False) -> AverageStationaryResult:
+def average_stationary(config: ExperimentConfig, samples: int,
+                       seed: int) -> AverageStationaryResult:
     """Mean stationary state over Haar-random transfer matrices.
 
     Raw element-wise averaging is only physically meaningful when the
     per-sample states share a basis structure without coherences, which holds
-    for a single looped mode and Fock inputs; multimode averaging requires
-    opting in.  Heavy-tailed samples are retried at growing truncations (as
+    for a single looped mode and Fock inputs; several looped modes are
+    refused.  Heavy-tailed samples are retried at growing truncations (as
     in `stabilization_samples`) and everything is averaged on the largest
     basis encountered, zero-padding the rest.
     """
-    if config.looped > 1 and not allow_multimode:
-        raise ValueError(
-            "raw averaging over matrices is only meaningful for one looped mode; "
-            "pass allow_multimode=True to average anyway"
-        )
+    if config.looped > 1:
+        raise ValueError("raw averaging over matrices is only meaningful for one looped mode")
     results = _haar_samples(config, samples, seed,
                             lambda cfg: stationary_loop_state(cfg).rho)
     states = [r for r in results if r is not None]

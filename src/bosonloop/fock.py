@@ -88,12 +88,6 @@ class FockBasis:
                 f"(modes={self.modes}, n_max={self.n_max})"
             ) from None
 
-    def rank_in_sector(self, occupation) -> int:
-        """Rank of the state within its own photon-number sector."""
-        occ = tuple(occupation)
-        i = self.index_of(occ)
-        return i - int(self._offsets[sum(occ)])
-
     def state(self, index: int):
         """Occupation tuple at a global index."""
         return self.states[index]
@@ -101,10 +95,6 @@ class FockBasis:
     def totals(self) -> np.ndarray:
         """Total photon number of every basis state, as an int array."""
         return np.array([sum(occ) for occ in self.states], dtype=int)
-
-    def occupations(self) -> np.ndarray:
-        """(size, modes) int array of all occupation vectors in global order."""
-        return np.array(self.states, dtype=int).reshape(self.size, self.modes)
 
     def __len__(self):
         return self.size
@@ -143,11 +133,3 @@ def tensor_index_map(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -
             if na + sum(occ_b) <= joint.n_max:
                 out[ia, ib] = joint.index_of(occ_a + occ_b)
     return out
-
-
-def joint_index(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis,
-                occ_a, occ_b) -> int:
-    """Global joint index of one concatenated pair; OutOfBasisError on overflow."""
-    if basis_a.modes != len(occ_a) or basis_b.modes != len(occ_b):
-        raise ValueError("occupation lengths do not match the subsystem bases")
-    return joint.index_of(tuple(occ_a) + tuple(occ_b))

@@ -17,9 +17,9 @@ matrix) each block has operator norm <= 1.  The single-photon block equals U
 up to the permutation induced by the lexicographic ordering of one-photon
 states.
 
-Two interchangeable evaluation paths are provided: a creation-operator
-substitution recurrence (default, fast) and the direct permanent formula.
-They agree to machine precision and tests pin both.
+Blocks are built by a creation-operator substitution recurrence, one photon
+at a time from the block below; the permanent formula above is what the
+tests check its entries against.
 """
 
 from functools import lru_cache
@@ -28,7 +28,6 @@ from math import factorial, prod, sqrt
 import numpy as np
 
 from .fock import FockBasis, enumerate_sector, sector_size
-from .matrixkit import permanent, submatrix_by_multiplicity
 
 
 @lru_cache(maxsize=None)
@@ -82,30 +81,22 @@ def _add_photon(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
 class LiftedUnitary:
     """Per-sector Fock-space blocks of a transfer matrix, computed lazily."""
 
-    def __init__(self, matrix: np.ndarray, basis: FockBasis, method: str = "recurrence"):
+    def __init__(self, matrix: np.ndarray, basis: FockBasis):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (basis.modes, basis.modes):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis with {basis.modes} modes"
             )
-        if method not in ("recurrence", "permanent"):
-            raise ValueError(f"unknown lift method {method!r}")
         self.matrix = matrix
         self.basis = basis
-        self.method = method
         self._blocks = {0: np.ones((1, 1), dtype=complex)}
 
     def block(self, total: int) -> np.ndarray:
         """Sector block for a fixed total photon number (memoized)."""
         if not 0 <= total <= self.basis.n_max:
             raise ValueError(f"sector {total} outside 0..{self.basis.n_max}")
-        if total not in self._blocks:
-            if self.method == "recurrence":
-                for n in range(1, total + 1):
-                    if n not in self._blocks:
-                        self._blocks[n] = self._block_recurrence(n)
-            else:
-                self._blocks[total] = self._block_permanent(total)
+        for n in range(len(self._blocks), total + 1):
+            self._blocks[n] = self._block_recurrence(n)
         return self._blocks[total]
 
     def _block_recurrence(self, n: int) -> np.ndarray:
@@ -113,16 +104,6 @@ class LiftedUnitary:
         of occ_j added to the parent column, divided by sqrt(occ_j[a])."""
         first, parent, norm = _parent_columns(self.basis.modes, n)
         return _add_photon(self.matrix[:, first], self._blocks[n - 1][:, parent], n) / norm
-
-    def _block_permanent(self, n: int) -> np.ndarray:
-        sec = enumerate_sector(self.basis.modes, n)
-        blk = np.zeros((len(sec), len(sec)), dtype=complex)
-        norms = [sqrt(prod(factorial(x) for x in occ)) for occ in sec]
-        for i, iocc in enumerate(sec):
-            for j, jocc in enumerate(sec):
-                sub = submatrix_by_multiplicity(self.matrix, iocc, jocc)
-                blk[i, j] = permanent(sub) / (norms[i] * norms[j])
-        return blk
 
     def full(self) -> np.ndarray:
         """Dense block-diagonal matrix over the whole truncated basis."""
@@ -162,9 +143,9 @@ class LiftedUnitary:
         return out
 
 
-def lift(matrix: np.ndarray, basis: FockBasis, method: str = "recurrence") -> LiftedUnitary:
+def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedUnitary:
     """Lift a transfer matrix onto the truncated Fock basis."""
-    return LiftedUnitary(matrix, basis, method=method)
+    return LiftedUnitary(matrix, basis)
 
 
 def lift_apply_fock(matrix: np.ndarray, occupation) -> np.ndarray:

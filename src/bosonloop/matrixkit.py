@@ -108,11 +108,10 @@ class Interferometer:
     """An M-mode transfer matrix with the external/looped block partition.
 
     The last `n_looped` modes feed back into themselves between iterations.
-    A strictly unitary matrix is required unless `lossy=True`, in which case
-    any contraction (all singular values <= 1) is accepted.
+    The matrix must be unitary; losses are modelled separately (`LossSpec`).
     """
 
-    def __init__(self, matrix: np.ndarray, n_looped: int = 0, lossy: bool = False):
+    def __init__(self, matrix: np.ndarray, n_looped: int = 0):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transfer matrix must be square, got {matrix.shape}")
@@ -121,17 +120,11 @@ class Interferometer:
         m = matrix.shape[0]
         if not 0 <= n_looped < m:
             raise ValueError(f"need 0 <= n_looped < modes, got L={n_looped}, M={m}")
-        if lossy:
-            smax = np.linalg.norm(matrix, 2)
-            if smax > 1 + 1e-12:
-                raise ValueError(f"lossy matrix must be a contraction, max singular value {smax}")
-        else:
-            defect = np.abs(matrix.conj().T @ matrix - np.eye(m)).max()
-            if defect > 1e-12:
-                raise ValueError(f"matrix is not unitary (defect {defect:.3e}); pass lossy=True for contractions")
+        defect = np.abs(matrix.conj().T @ matrix - np.eye(m)).max()
+        if defect > 1e-12:
+            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         self.matrix = matrix
         self.n_looped = n_looped
-        self.lossy = lossy
 
     @property
     def modes(self) -> int:
@@ -162,7 +155,7 @@ class Interferometer:
         return self.matrix[e:, e:]
 
     def __repr__(self):
-        return f"Interferometer(modes={self.modes}, n_looped={self.n_looped}, lossy={self.lossy})"
+        return f"Interferometer(modes={self.modes}, n_looped={self.n_looped})"
 
 
 def save_matrix_json(a: np.ndarray, path) -> None:

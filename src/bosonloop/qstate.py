@@ -8,6 +8,8 @@ import numpy as np
 from .errors import TruncationError
 from .fock import FockBasis, tensor_index_map
 
+# printf format of every probability and fidelity written to a CSV artifact
+FLOAT_FMT = "%.12e"
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
@@ -50,10 +52,10 @@ class DensityMatrix:
             for n in range(self.basis.n_max + 1)
         ])
 
-    def max_populated_sector(self, cutoff: float = POPULATED_CUTOFF) -> int:
-        """Largest photon number whose sector carries mass above `cutoff`."""
+    def max_populated_sector(self) -> int:
+        """Largest photon number whose sector carries mass above POPULATED_CUTOFF."""
         weights = self.sector_weights()
-        populated = np.nonzero(weights > cutoff)[0]
+        populated = np.nonzero(weights > POPULATED_CUTOFF)[0]
         return int(populated[-1]) if populated.size else 0
 
     def purity(self) -> float:
@@ -176,23 +178,6 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
     return DensityMatrix(joint, mat, check=False)
 
 
-def _split_keep(basis: FockBasis, keep) -> tuple:
-    """Normalize `keep` (range or (start, stop)) to a contiguous leading or trailing block."""
-    if isinstance(keep, range):
-        start, stop, step = keep.start, keep.stop, keep.step
-        if step != 1:
-            raise ValueError("keep range must have step 1")
-    else:
-        start, stop = keep
-    if not 0 <= start <= stop <= basis.modes:
-        raise ValueError(f"keep range ({start}, {stop}) outside 0..{basis.modes}")
-    if start != 0 and stop != basis.modes:
-        raise ValueError(
-            "partial trace supports only contiguous leading or trailing mode blocks"
-        )
-    return start, stop
-
-
 @lru_cache(maxsize=None)
 def _trace_buckets(basis: FockBasis, start: int, stop: int) -> tuple:
     """Gather grids (kept, joint) per state of the traced-out modes."""
@@ -206,12 +191,19 @@ def _trace_buckets(basis: FockBasis, start: int, stop: int) -> tuple:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all modes outside `keep` (a contiguous leading or trailing range).
+    """Trace out all modes outside `keep` = (start, stop), a contiguous leading
+    or trailing block of modes.
 
     Trace, Hermiticity and positivity are preserved.  Keeping zero modes
     returns the trivial 1x1 state.
     """
-    start, stop = _split_keep(rho.basis, keep)
+    start, stop = keep
+    if not 0 <= start <= stop <= rho.basis.modes:
+        raise ValueError(f"keep range ({start}, {stop}) outside 0..{rho.basis.modes}")
+    if start != 0 and stop != rho.basis.modes:
+        raise ValueError(
+            "partial trace supports only contiguous leading or trailing mode blocks"
+        )
     keep_basis = FockBasis(stop - start, rho.basis.n_max)
     out = np.zeros((keep_basis.size, keep_basis.size), dtype=complex)
     if stop == start:
@@ -325,15 +317,15 @@ class ProbabilityDistribution:
             if c > 0
         }
 
-    def to_csv_text(self, fmt: str = "%.12e") -> str:
+    def to_csv_text(self) -> str:
         return "".join(
-            ",".join(str(x) for x in occ) + ";" + fmt % prob + "\n"
+            ",".join(str(x) for x in occ) + ";" + FLOAT_FMT % prob + "\n"
             for occ, prob in zip(self.basis.states, self.probabilities)
         )
 
-    def to_csv(self, path, fmt: str = "%.12e") -> None:
+    def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_csv_text(fmt))
+            fh.write(self.to_csv_text())
 
     @classmethod
     def from_csv(cls, path, check: bool = True) -> "ProbabilityDistribution":

@@ -29,6 +29,8 @@ from .matrixkit import unvec, vec
 from .qstate import DensityMatrix, ProbabilityDistribution
 from .tensors import TensorSet, moments_from_tensor_set
 
+_CONVEX_TOL = 1e-9  # change of the residual at which the convex iteration stops
+
 
 class MomentSystem:
     """Moments over a truncated basis keyed by per-mode rank vectors (s, r)."""
@@ -168,14 +170,15 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
 
 
 def reconstruct_convex(system: MomentSystem, n_max: int | None = None,
-                       max_iterations: int = 5000, tol: float = 1e-9):
+                       max_iterations: int = 5000):
     """Constrained least squares over the density-matrix set.
 
     Alternates an exact projection onto the least-squares affine manifold
     (a pseudo-inverse-preconditioned gradient step) with the exact projection
-    onto the Hermitian PSD trace-1 set, keeping the best iterate by residual.
-    Tolerates partial moment sets.  Returns (DensityMatrix, info); a hit
-    iteration cap is reported via info.converged = False.
+    onto the Hermitian PSD trace-1 set, keeping the best iterate by residual,
+    until the residual moves by less than 1e-9.  Tolerates partial moment
+    sets.  Returns (DensityMatrix, info); a hit iteration cap is reported via
+    info.converged = False.
     """
     n_cap = system.basis.n_max if n_max is None else n_max
     basis = FockBasis(system.basis.modes, n_cap)
@@ -197,7 +200,7 @@ def reconstruct_convex(system: MomentSystem, n_max: int | None = None,
         obj = float(np.linalg.norm(b @ x - c))
         if obj < best_obj:
             best_obj, best_x = obj, x
-        if abs(prev_obj - obj) < tol:
+        if abs(prev_obj - obj) < _CONVEX_TOL:
             converged = True
             break
         prev_obj = obj

@@ -16,7 +16,6 @@ moment (known from the injected state) times a pure-L moment of lower total
 order, which is what makes the order-by-order stationary solve closed.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import ceil, sqrt
@@ -60,18 +59,6 @@ class CorrelationTensor:
         perm = tuple(range(self.k, self.k + self.l)) + tuple(range(self.k))
         return CorrelationTensor(self.l, self.k, self.modes,
                                  np.conjugate(self.values.transpose(perm)))
-
-    def to_payload(self) -> dict:
-        """JSON form with flat row-major entries, index order (i1..ik, j1..jl)."""
-        flat = self.values.reshape(-1)
-        return {"k": self.k, "l": self.l, "modes": self.modes,
-                "re": flat.real.tolist(), "im": flat.imag.tolist()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CorrelationTensor":
-        k, l, modes = int(payload["k"]), int(payload["l"]), int(payload["modes"])
-        flat = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
-        return cls(k, l, modes, flat.reshape((modes,) * (k + l)))
 
 
 def _annihilation_ops(basis: FockBasis):
@@ -193,46 +180,10 @@ class TensorSet:
     def keys(self):
         return sorted(self._tensors)
 
-    def to_json(self, path) -> None:
-        payload = {"modes": self.modes,
-                   "tensors": [self._tensors[key].to_payload() for key in self.keys()]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "TensorSet":
-        with open(path) as fh:
-            payload = json.load(fh)
-        out = cls(int(payload["modes"]))
-        for entry in payload["tensors"]:
-            out.put(CorrelationTensor.from_payload(entry))
-        return out
-
-
-def _blocks(matrix: np.ndarray, n_looped: int):
-    m_ext = matrix.shape[0] - n_looped
-    return matrix[m_ext:, :m_ext], matrix[m_ext:, m_ext:]
-
-
-def stationary_first_order(matrix: np.ndarray, n_looped: int, c_ext) -> np.ndarray:
-    """Stationary <a> over the looped modes: (I - U_LL)^-1 U_LE <a>_E."""
-    u_le, u_ll = _blocks(np.asarray(matrix, dtype=complex), n_looped)
-    c_ext = np.asarray(c_ext, dtype=complex)
-    a = np.eye(n_looped) - u_ll
-    if np.linalg.cond(a) > 1e14:
-        raise SpectralRadiusError(
-            "I - U_LL is numerically singular; no unique stationary first-order tensor"
-        )
-    c_loop = np.linalg.solve(a, u_le @ c_ext)
-    residual = np.linalg.norm(u_le @ c_ext + u_ll @ c_loop - c_loop)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(c_loop)):
-        raise BosonLoopError(f"first-order stationarity residual {residual:.3e}")
-    return c_loop
-
 
 def _check_spectral_radius(matrix: np.ndarray, n_looped: int) -> float:
-    _, u_ll = _blocks(matrix, n_looped)
-    radius = spectral_radius(u_ll)
+    m_ext = matrix.shape[0] - n_looped
+    radius = spectral_radius(matrix[m_ext:, m_ext:])
     if radius >= 1.0 - SPECTRAL_RADIUS_MARGIN:
         raise SpectralRadiusError(
             f"spectral radius of the loop block is {radius:.12f} >= 1 - 1e-10; "
@@ -409,15 +360,14 @@ def estimate_n_max(c11: CorrelationTensor, c22: CorrelationTensor) -> int:
     return ceil(total - 1e-12)
 
 
-def moments_from_tensor_set(tensor_set: TensorSet, include_conjugates: bool = True) -> dict:
-    """Flatten a tensor set into {(s_vec, r_vec): moment} per-mode rank form."""
+def moments_from_tensor_set(tensor_set: TensorSet) -> dict:
+    """Flatten a tensor set and its conjugates into {(s_vec, r_vec): moment}
+    per-mode rank form."""
     out = {}
     modes = tensor_set.modes
     zero = (0,) * modes
     out[(zero, zero)] = 1.0 + 0j
-    pairs = set(tensor_set.keys())
-    if include_conjugates:
-        pairs |= {(l, k) for k, l in tensor_set.keys()}
+    pairs = set(tensor_set.keys()) | {(l, k) for k, l in tensor_set.keys()}
     for k, l in sorted(pairs):
         tensor = tensor_set.get(k, l)
         for cre in combinations_with_replacement(range(modes), k):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,50 @@ def test_channel_artifacts_pinned(tmp_path, command):
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_CHANNEL_SHA256[command]
 
 
+# sha256 of the outputs of the convex reconstruction, the iterated stationary
+# state and both sampling targets, recorded before their unused options were
+# removed
+PINNED_ROUTE_SHA256 = {
+    "reconstruct-convex": {
+        "fidelity_vs_rank.csv": "d485d383a9fd775f53cbdec8ececfe21700dc97e0822e795d9dd104857dc951c",
+        "reconstructed_rho.json": "bb586a5b2a2876fab9a09471ada53c78cac44662bd87f90025a8fb835b02752a",
+        "reconstruction_report.json": "60a4aa8c2e6db9ff2bd111bf20555f6540c50e89b66bb80679b1ab2c35cfadd5",
+    },
+    "stationary-iterate": {
+        "diagnostics.json": "e2a9f6cc49c1f825e1227d3f43511b384f3f432305148b65f13e653f03a37c63",
+        "rho_stat.json": "112f43e03af59b39a8bd42bd070abb010e93de60cf192c3e388020fa17c6c19d",
+        "stationary_distribution.csv": "0c8a6d7d0ef3373ac17da8d1260cd356d07be209bed183217ea1d990b20e37ae",
+    },
+    "sample-stationary": {
+        "counts.csv": "424cee913d91d14daf7fe637010fa4dd8af29fbeddc8ec57a7d532dad28c9e6d",
+        "sample_info.json": "d02adec979023eea423c5cf51455b509bffe88f10d51b8258174b22ad1c097a5",
+    },
+    "sample-final": {
+        "counts.csv": "fdb4dbfca80210077c11f0aa31e0072199e5e1cc60501706714aa17192d56f1d",
+        "sample_info.json": "6c232cb020b22c9e9b1bf7ea76080f08ad6739d6f0b7b35c7165d804deb9c164",
+    },
+}
+
+
+@pytest.mark.parametrize("route", list(PINNED_ROUTE_SHA256))
+def test_route_artifacts_pinned(tmp_path, route):
+    command, choice = route.split("-")
+    if command == "reconstruct":
+        path = write_config(tmp_path, M=3, L=2, n_max=7, unitary={"type": "haar", "seed": 39})
+        argv = ["--method", choice, "--rank-cap", "3"]
+    elif command == "stationary":
+        path = write_config(tmp_path)
+        argv = ["--method", choice]
+    else:
+        overrides = {"M": 3, "input": {"type": "fock", "occupation": [1, 0]}} if choice == "final" else {}
+        path = write_config(tmp_path, **overrides)
+        argv = ["--target", choice, "--shots", "200", "--seed", "7"]
+    out = tmp_path / route
+    assert main([command, path, *argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_ROUTE_SHA256[route]
+
+
 def test_dm_input_on_a_larger_truncation(tmp_path):
     # |1><1| stored at n_max=5 runs as the Fock input (1,) at the config's n_max=2
     fock_state_dm(FockBasis(1, 5), (1,)).to_json(tmp_path / "in.json")
@@ -363,6 +408,21 @@ def test_size_cap_exits_6_with_json_error(tmp_path, capsys):
     assert err["cap"] == 100_000 and err["required"] == 184756
     assert captured.err == ""
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_unfold_size_cap_is_checked_before_unfolding(tmp_path, capsys, monkeypatch):
+    # 400 iterations of (1, 1) into M=3, L=1 unfold to 800 photons in 801 modes
+    def build(config):
+        raise AssertionError("the unfolded transfer matrix was built before the size check")
+    monkeypatch.setattr(bosonloop.evolve, "unfold", build)
+    path = write_config(tmp_path, M=3, n_max=None, iterations=400,
+                        input={"type": "fock", "occupation": [1, 1]})
+    out = tmp_path / "o"
+    assert main(["evolve", path, "--method", "unfold", "--out", str(out)]) == 6
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (EXIT_SIZE_CAP, "SizeCapError")
+    assert (err["cap"], err["required"]) == (100_000, comb(1600, 800))
+    assert not out.exists()
 
 
 def test_oversized_joint_fock_space_exits_6_before_building_it(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,22 +323,18 @@ def test_average_stationary_climbs_the_truncation_ladder():
     np.testing.assert_allclose(np.diag(avg.rho.mat), pinned, rtol=0, atol=1e-12)
 
 
-def test_average_stationary_multimode_needs_opt_in():
-    # heavy input losses keep the loop states narrow enough for a small basis
-    losses = LossSpec(t_in=np.array([0.4, 0.4, 0.4]))
+def test_average_stationary_refuses_multimode():
     cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=0,
-                           input_occupation=(1,), n_max=6, losses=losses)
+                           input_occupation=(1,), n_max=6)
     with pytest.raises(ValueError):
         average_stationary(cfg, samples=2, seed=0)
-    avg = average_stationary(cfg, samples=2, seed=0, allow_multimode=True)
-    assert np.trace(avg.rho.mat).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_detection_pass_matches_final_iteration():
     cfg = haar_config(2, 1, 3, 18)
     trace = evolve_pdm(cfg, record_loop=True)
-    rho_det, rho_next = detection_pass(cfg, trace.loop_states[2],
-                                       n_max=trace.n_max)
+    rho_det, rho_next = detection_pass(replace(cfg, n_max=trace.n_max),
+                                       trace.loop_states[2])
     assert trace_distance(rho_det, trace.rho_det) < 1e-12
     assert trace_distance(rho_next, trace.loop_states[3]) < 1e-12
 

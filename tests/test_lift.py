@@ -81,15 +81,6 @@ def test_entries_match_permanent_formula():
                 assert lifted.block(n)[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-def test_permanent_method_agrees_with_recurrence():
-    u = haar_random_unitary(3, 8)
-    basis = FockBasis(3, 3)
-    a = lift(u, basis, method="recurrence")
-    b = lift(u, basis, method="permanent")
-    for n in range(4):
-        np.testing.assert_allclose(a.block(n), b.block(n), atol=1e-12)
-
-
 def test_homomorphism_per_sector():
     rng_seeds = [(2, 31, 32), (3, 33, 34), (4, 35, 36)]
     for modes, s1, s2 in rng_seeds:

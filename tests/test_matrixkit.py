@@ -132,9 +132,6 @@ def test_interferometer_blocks():
 def test_interferometer_validation():
     with pytest.raises(ValueError):
         Interferometer(np.eye(3) * 1.5, 1)
-    Interferometer(np.eye(3) * 0.5, 1, lossy=True)
-    with pytest.raises(ValueError):
-        Interferometer(np.eye(3) * 1.5, 1, lossy=True)
     with pytest.raises(ValueError):
         Interferometer(haar_random_unitary(3, 0), 3)
 

@@ -18,9 +18,9 @@ from bosonloop.qstate import (DensityMatrix, fock_state_dm,
 from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                TensorSet, _input_tensor, _MomentCache,
                                estimate_n_max, expectations_from_dm, moment,
-                               recursive_stationary, stationary_first_order,
-                               stationary_order, stationary_output_tensor,
-                               tensor_set_from_dm, transform)
+                               recursive_stationary, stationary_order,
+                               stationary_output_tensor, tensor_set_from_dm,
+                               transform)
 from oracles import coherent_dm, input_tensor_loop, moment_tensor_loop
 
 
@@ -105,17 +105,20 @@ def test_transform_matches_density_matrix_evolution():
 
 
 def test_first_order_scalar_case():
+    # stationary <a> of the loop: (I - U_LL)^-1 U_LE <a>_E
     u = haar_random_unitary(2, 13)
-    c_ext = np.array([0.3 + 0.1j])
-    got = stationary_first_order(u, 1, c_ext)
+    ext = coherent_dm([0.3 + 0.1j], 6)
+    c_ext = expectations_from_dm(ext, 0, 1).values
+    got = recursive_stationary(u, ext, rank_cap=1).get(0, 1).values
     want = u[1, 0] * c_ext[0] / (1 - u[1, 1])
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_first_order_matches_power_iteration():
     u = haar_random_unitary(3, 39)  # two looped modes, well-contracting loop block
-    c_ext = np.array([0.2 - 0.4j])
-    got = stationary_first_order(u, 2, c_ext)
+    ext = coherent_dm([0.2 - 0.4j], 6)
+    c_ext = expectations_from_dm(ext, 0, 1).values
+    got = recursive_stationary(u, ext, rank_cap=1).get(0, 1).values
     c = np.zeros(2, dtype=complex)
     for _ in range(2000):
         c = u[1:, :1] @ c_ext + u[1:, 1:] @ c
@@ -124,7 +127,9 @@ def test_first_order_matches_power_iteration():
 
 def test_first_order_fock_input_vanishes():
     u = haar_random_unitary(2, 15)
-    assert np.abs(stationary_first_order(u, 1, np.zeros(1))).max() == 0.0
+    ext = fock_state_dm(FockBasis(1, 1), (1,))
+    got = recursive_stationary(u, ext, rank_cap=1).get(0, 1).values
+    assert np.abs(got).max() == 0.0
 
 
 def test_stationary_rank11_matches_superoperator_photon_number():
@@ -259,19 +264,6 @@ def test_estimate_n_max_rejects_inconsistent_variance():
     c22 = CorrelationTensor(2, 2, 1, np.zeros((1, 1, 1, 1)))
     with pytest.raises(ValueError):
         estimate_n_max(c11, c22)  # variance = 0 + 2 - 4 < 0
-
-
-def test_tensor_set_json_round_trip(tmp_path):
-    u = haar_random_unitary(2, 26)
-    ext = fock_state_dm(FockBasis(1, 1), (1,))
-    ts = recursive_stationary(u, ext, rank_cap=2)
-    path = tmp_path / "tensors.json"
-    ts.to_json(path)
-    back = TensorSet.from_json(path)
-    assert back.keys() == ts.keys()
-    for n, m in ts.keys():
-        np.testing.assert_allclose(back.get(n, m).values, ts.get(n, m).values,
-                                   atol=0)
 
 
 def test_output_tensor_rejects_unknown_block_before_assembly():
