@@ -33,6 +33,7 @@ _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
 _FIXED_POINT_RESIDUAL = 1e-10  # relative |G x - x| above which fixed_point gives up
 _DEGENERACY_GAP = 1e-8    # eigenvalues this close to the unit one count as degenerate
+_PAIR_BATCH = 1 << 16     # Kraus nonzero pairs formed at once when building blocks
 
 
 class QuantumChannel:
@@ -61,36 +62,92 @@ class QuantumChannel:
         return out
 
     @cached_property
+    def _nonzeros(self) -> tuple:
+        """The nonzero entries of the Kraus operators, operator after
+        operator, as (rows, cols, values, owner): owner is the index of the
+        operator each entry comes from."""
+        found = [np.nonzero(k) for k in self.kraus]
+        return (np.concatenate([r for r, _ in found]),
+                np.concatenate([c for _, c in found]),
+                np.concatenate([k[rc] for k, rc in zip(self.kraus, found)]),
+                np.repeat(np.arange(len(found)), [r.size for r, _ in found]))
+
+    @cached_property
     def charge_blocks(self) -> list:
         """Column-stacked indices (i + d j) of the blocks of G, grouped by the
         charge n_i - n_j with charge 0 first; a single block of every index
         when some Kraus operator mixes photon-number shifts."""
         totals = self.basis.totals()
-        for k in self.kraus:
-            rows, cols = np.nonzero(k)
-            shifts = totals[rows] - totals[cols]
-            if np.any(shifts != shifts[:1]):
-                return [np.arange(self.basis.size ** 2)]
+        rows, cols, _, owner = self._nonzeros
+        shifts = totals[rows] - totals[cols]
+        if np.any((owner[1:] == owner[:-1]) & (shifts[1:] != shifts[:-1])):
+            return [np.arange(self.basis.size ** 2)]
         charge = vec(np.subtract.outer(totals, totals))
         n = self.basis.n_max
         return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]
 
     def superop_block(self, b: int) -> np.ndarray:
-        """G restricted to charge block `b`, built from the Kraus operators
-        without forming conj(K) kron K; memoized."""
+        """G restricted to charge block `b`, memoized.  Block 0 is built on
+        its own; the first request for any other block builds them all."""
         if b not in self._superop_blocks:
-            idx = self.charge_blocks[b]
-            if idx.size > DENSE_DIM_CAP:
-                raise SizeCapError(
-                    f"superoperator block dimension {idx.size} exceeds the cap "
-                    f"{DENSE_DIM_CAP}", cap=DENSE_DIM_CAP, required=int(idx.size))
-            cols, rows = np.divmod(idx, self.basis.size)
-            g = np.zeros((idx.size, idx.size), dtype=complex)
-            for k in self.kraus:
-                g += (np.take(np.take(k, rows, 0), rows, 1)
-                      * np.take(np.take(k.conj(), cols, 0), cols, 1))
-            self._superop_blocks[b] = g
+            which = [0] if b == 0 else range(1, len(self.charge_blocks))
+            self._superop_blocks.update(zip(which, self._build_blocks(which)))
         return self._superop_blocks[b]
+
+    def _build_blocks(self, which) -> list:
+        """Charge blocks `which` of G, from the Kraus nonzeros (r, c, v).
+
+        Each pair p, q of one operator's nonzeros adds v_p conj(v_q) at
+        (r_p + d r_q, c_p + d c_q), inside one block; into block 0 of several
+        only pairs within one row sector go, so pairs are formed within
+        groups: the operators, or their row sectors.  np.add.at adds them one
+        after another in operator order into blocks that start at +0, the
+        order of the Kraus sum; the products skipped are exact zeros, which
+        change no sum and no sign.  Both factors are contiguous 1-D gathers:
+        a broadcast outer product takes numpy's strided complex multiply,
+        which rounds without the fused multiply-add of the contiguous loop.
+        At most _PAIR_BATCH pairs, or one group's, are formed at a time.
+        """
+        d = self.basis.size
+        sizes = [self.charge_blocks[b].size for b in which]
+        for m in sizes:
+            if m > DENSE_DIM_CAP:
+                raise SizeCapError(
+                    f"superoperator block dimension {m} exceeds the cap "
+                    f"{DENSE_DIM_CAP}", cap=DENSE_DIM_CAP, required=m)
+        # where each vec index's row, and its column, falls in the stacked blocks
+        row_at = np.full(d * d, -1)
+        col_at = np.zeros(d * d, dtype=int)
+        offsets = np.cumsum([0] + [m * m for m in sizes])
+        for b, m, offset in zip(which, sizes, offsets):
+            row_at[self.charge_blocks[b]] = offset + m * np.arange(m)
+            col_at[self.charge_blocks[b]] = np.arange(m)
+        flat = np.zeros(offsets[-1], dtype=complex)
+
+        rows, cols, values, group = self._nonzeros
+        if 0 in which and len(self.charge_blocks) > 1:
+            group = group * (self.basis.n_max + 1) + self.basis.totals()[rows]
+        # sizes of the runs of nonzeros that share a group
+        counts = np.diff(np.flatnonzero(group[1:] != group[:-1]) + 1,
+                         prepend=0, append=rows.size)
+        conj = values.conj()
+        first = np.cumsum(counts) - counts       # first nonzero of each group
+        pair_end = np.cumsum(counts ** 2)
+        pair_start = pair_end - counts ** 2
+        lo = 0
+        while lo < counts.size:
+            hi = max(lo + 1, int(np.searchsorted(pair_end, pair_start[lo] + _PAIR_BATCH,
+                                                 side="right")))
+            owner = np.repeat(np.arange(lo, hi), counts[lo:hi] ** 2)   # group of each pair
+            p, q = np.divmod(np.arange(pair_start[lo], pair_end[hi - 1]) - pair_start[owner],
+                             counts[owner])
+            p, q = p + first[owner], q + first[owner]
+            at = row_at[rows[p] + d * rows[q]]
+            keep = at >= 0
+            p, q = p[keep], q[keep]
+            np.add.at(flat, at[keep] + col_at[cols[p] + d * cols[q]], values[p] * conj[q])
+            lo = hi
+        return [part.reshape(m, m) for part, m in zip(np.split(flat, offsets[1:-1]), sizes)]
 
     def unvec_block0(self, v: np.ndarray) -> np.ndarray:
         """The d x d matrix whose charge-0 block entries are `v`, zero elsewhere."""
@@ -118,8 +175,7 @@ class QuantumChannel:
         """
         if rho.basis != self.basis:
             raise ValueError("state basis does not match the channel basis")
-        weights = rho.sector_weights()
-        excess = float(weights[self.valid_max_photons + 1:].sum())
+        excess = float(rho.sector_weights(self.valid_max_photons).sum())
         if excess > max(leak_tolerance, POPULATED_CUTOFF):
             raise TruncationError(
                 f"state populates sectors above the channel validity bound "
@@ -153,7 +209,8 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     modes are the trailing L.  Spectrally decomposes rho_ext (eigenvalues
     below 1e-12 dropped) and emits K = sqrt(lambda_j) <m| L(U) |psi_j> for
     every external output basis state m, pruning Kraus operators that vanish
-    by photon-number bookkeeping.
+    by photon-number bookkeeping.  The columns of L(U) are read from its
+    sector blocks; the dense lifted matrix is never built.
     """
     joint = lifted.basis
     ext_basis = rho_ext.basis
@@ -171,19 +228,26 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     ext_out = FockBasis(ext_basis.modes, joint.n_max)
     jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
     jmap_out = tensor_index_map(ext_out, loop_basis, joint)
-    u_pad = np.zeros((joint.size + 1, joint.size + 1), dtype=complex)
-    u_pad[:joint.size, :joint.size] = lifted.full()
 
     kraus = []
     for lam, psi in zip(evals, evecs.T):
         if lam < _EIG_CUTOFF:
             continue
-        # columns of L(U) applied to |psi> tensor each loop basis state
+        # columns of L(U) applied to |psi> tensor each loop basis state; row
+        # joint.size is the zero row that out-of-truncation indices point at
         w = np.zeros((joint.size + 1, loop_basis.size), dtype=complex)
         for alpha, c in enumerate(psi):
             if abs(c) < 1e-16:
                 continue
-            w += c * u_pad[:, jmap_in[alpha, :]]
+            # loop sector k meets |alpha> in joint sector n_alpha + k, whose
+            # lifted block holds the columns; the rest stay zero
+            cols = np.zeros_like(w)
+            n_alpha = sum(ext_basis.state(alpha))
+            for k in range(joint.n_max - n_alpha + 1):
+                n, js = n_alpha + k, loop_basis.sector_slice(k)
+                rows = joint.sector_slice(n)
+                cols[rows, js] = lifted.block(n)[:, jmap_in[alpha, js] - rows.start]
+            w += c * cols
         root = sqrt(lam)
         for m in range(ext_out.size):
             k = root * w[jmap_out[m, :], :]

@@ -113,13 +113,14 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, n_max={self.n_max})"
 
 
+@lru_cache(maxsize=None)
 def tensor_index_map(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> np.ndarray:
     """Index map for concatenating subsystem states, A's modes leading.
 
-    Returns an int array of shape (basis_a.size, basis_b.size) whose entry
-    [ia, ib] is the global joint index of the concatenated occupation, or -1
-    when the combined total exceeds joint.n_max.  The map is injective on its
-    valid domain.
+    Returns a read-only int array of shape (basis_a.size, basis_b.size)
+    whose entry [ia, ib] is the global joint index of the concatenated
+    occupation, or -1 when the combined total exceeds joint.n_max (cached
+    table).  The map is injective on its valid domain.
     """
     if joint.modes != basis_a.modes + basis_b.modes:
         raise ValueError(
@@ -132,4 +133,5 @@ def tensor_index_map(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -
         for ib, occ_b in enumerate(basis_b.states):
             if na + sum(occ_b) <= joint.n_max:
                 out[ia, ib] = joint.index_of(occ_a + occ_b)
+    out.flags.writeable = False
     return out

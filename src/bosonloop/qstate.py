@@ -44,12 +44,14 @@ class DensityMatrix:
         self.basis = basis
         self.mat = mat
 
-    def sector_weights(self) -> np.ndarray:
-        """Diagonal probability mass per photon-number sector."""
+    def sector_weights(self, above: int = -1) -> np.ndarray:
+        """Diagonal probability mass per photon-number sector, of the sectors
+        after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
+        term for term."""
         diag = np.real(np.diag(self.mat))
         return np.array([
             diag[self.basis.sector_slice(n)].sum()
-            for n in range(self.basis.n_max + 1)
+            for n in range(self.basis.n_max + 1)[above + 1:]
         ])
 
     def max_populated_sector(self) -> int:
@@ -115,7 +117,7 @@ def embed(rho: DensityMatrix, basis: FockBasis) -> DensityMatrix:
         return rho
     if rho.basis.modes != basis.modes:
         raise ValueError(f"cannot embed {rho.basis!r} into {basis!r}")
-    lost = rho.sector_weights()[basis.n_max + 1:].sum()
+    lost = rho.sector_weights(basis.n_max).sum()
     if lost > POPULATED_CUTOFF:
         raise TruncationError(f"cutting {rho.basis!r} to {basis!r} drops weight {lost:.3e}",
                               required_n_max=rho.max_populated_sector())

@@ -276,3 +276,45 @@ def coherent_dm(alphas, n_max: int) -> DensityMatrix:
                     for occ in basis.states], dtype=complex)
     psi /= np.linalg.norm(psi)
     return DensityMatrix(basis, np.outer(psi, psi.conj()))
+
+
+def superop_block_dense(channel, b: int) -> np.ndarray:
+    """Charge block `b` of G by two dense gathers per Kraus operator: the
+    block builder as the package ran it before it paired Kraus nonzeros."""
+    idx = channel.charge_blocks[b]
+    cols, rows = np.divmod(idx, channel.basis.size)
+    g = np.zeros((idx.size, idx.size), dtype=complex)
+    for k in channel.kraus:
+        g += (np.take(np.take(k, rows, 0), rows, 1)
+              * np.take(np.take(k.conj(), cols, 0), cols, 1))
+    return g
+
+
+def loop_kraus_from_full(lifted, rho_ext, prune: float = 1e-14) -> list:
+    """Kraus operators of `loop_channel` gathered from the dense lifted
+    matrix `lifted.full()`, zero-padded by one row and column, as the
+    package built them before it read the sector blocks."""
+    joint = lifted.basis
+    ext_basis = rho_ext.basis
+    loop_basis = FockBasis(joint.modes - ext_basis.modes, joint.n_max)
+    evals, evecs = np.linalg.eigh(rho_ext.mat)
+    ext_out = FockBasis(ext_basis.modes, joint.n_max)
+    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
+    jmap_out = tensor_index_map(ext_out, loop_basis, joint)
+    u_pad = np.zeros((joint.size + 1, joint.size + 1), dtype=complex)
+    u_pad[:joint.size, :joint.size] = lifted.full()
+    kraus = []
+    for lam, psi in zip(evals, evecs.T):
+        if lam < 1e-12:
+            continue
+        w = np.zeros((joint.size + 1, loop_basis.size), dtype=complex)
+        for alpha, c in enumerate(psi):
+            if abs(c) < 1e-16:
+                continue
+            w += c * u_pad[:, jmap_in[alpha, :]]
+        root = sqrt(lam)
+        for m in range(ext_out.size):
+            k = root * w[jmap_out[m, :], :]
+            if np.abs(k).max() > prune:
+                kraus.append(k)
+    return kraus

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bosonloop.channels
 from bosonloop.channels import (QuantumChannel, compose, fixed_point,
                                 identity_channel, loop_channel, loss_channel,
                                 stationary_state, to_superoperator)
@@ -9,14 +14,15 @@ from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
 from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
                               stabilization_samples)
 from bosonloop.fock import FockBasis, tensor_index_map
-from bosonloop.lift import lift
+from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
-from bosonloop.qstate import (DensityMatrix, fock_state_dm, partial_trace,
-                              random_density_matrix, tensor_product,
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, embed, fock_state_dm,
+                              partial_trace, random_density_matrix, tensor_product,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_loss_direct, fidelity_svd, kraus_pure_fock,
-                     stationary_dense, superoperator_kron)
+from oracles import (apply_loss_direct, coherent_dm, fidelity_svd, kraus_pure_fock,
+                     loop_kraus_from_full, stationary_dense, superop_block_dense,
+                     superoperator_kron)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -349,3 +355,141 @@ def test_stabilization_times_pinned():
     study = stabilization_samples(cfg, samples=24, seed=7)
     assert study.skipped == 0
     assert study.times == PINNED_TAUS
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+_SPECIAL_PARTS = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -2.0])
+
+
+def _sparse_kraus(rng, basis, shift, density):
+    """A Kraus operator with random entries on a random subset of the entries
+    that move the photon number by `shift` (of every entry when None).  The
+    real and imaginary parts are random or drawn from _SPECIAL_PARTS, so
+    signed zeros and all-zero entries occur."""
+    totals = basis.totals()
+    allowed = np.ones((basis.size, basis.size), dtype=bool) if shift is None \
+        else np.subtract.outer(totals, totals) == shift
+    mask = allowed & (rng.random(allowed.shape) < density)
+    parts = rng.standard_normal((2, int(mask.sum())))
+    special = rng.random(parts.shape) < 0.4
+    parts[special] = rng.choice(_SPECIAL_PARTS, int(special.sum()))
+    entries = np.empty(parts.shape[1], dtype=complex)
+    entries.real, entries.imag = parts
+    k = np.zeros(allowed.shape, dtype=complex)
+    k[mask] = entries
+    return k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(modes=st.integers(1, 2), n_max=st.integers(0, 4), n_ops=st.integers(1, 4),
+       mixed=st.booleans(), other_first=st.booleans(),
+       batch=st.sampled_from([1, 7, 1 << 16]), seed=st.integers(0, 2 ** 32 - 1))
+def test_superop_blocks_equal_the_dense_gather(modes, n_max, n_ops, mixed, other_first,
+                                               batch, seed):
+    # single-shift operators give 2 n_max + 1 blocks; one operator with
+    # nonzeros of several shifts sends the set down the one-block route
+    basis = FockBasis(modes, n_max)
+    rng = np.random.default_rng(seed)
+    shifts = [None if mixed and i == 0 else rng.integers(-n_max, n_max + 1) for i in range(n_ops)]
+    kraus = [_sparse_kraus(rng, basis, shift, rng.uniform(0.2, 1.0)) for shift in shifts]
+    totals = basis.totals()
+    mixes = any(len(set(totals[r] - totals[c])) > 1 for r, c in (np.nonzero(k) for k in kraus))
+    chan = QuantumChannel(basis, kraus, valid_max_photons=n_max)
+    assert len(chan.charge_blocks) == (1 if mixes else 2 * n_max + 1)
+    order = list(range(len(chan.charge_blocks)))
+    with mock.patch.object(bosonloop.channels, "_PAIR_BATCH", batch):
+        for b in order[::-1] if other_first else order:
+            chan.superop_block(b)
+    for b in order:
+        _assert_same_bits(chan.superop_block(b), superop_block_dense(chan, b))
+
+
+@pytest.mark.parametrize("modes, looped, n_max, haar_seed, occupation, losses", [
+    (2, 1, 10, 8, (1,), LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
+                                 loop_transmission=0.9)),
+    (3, 2, 6, 39, (1,), LossSpec(t_in=np.full(3, 0.95), t_out=np.full(3, 0.9),
+                                 loop_transmission=0.8)),
+    (3, 1, 5, 12, (1, 1), LossSpec(t_in=np.full(3, 0.9), t_out=np.full(3, 0.9),
+                                   loop_transmission=0.7)),
+])
+def test_loop_loss_and_composed_blocks_equal_the_dense_gather(modes, looped, n_max, haar_seed,
+                                                              occupation, losses):
+    setup = _LoopSetup(ExperimentConfig(
+        modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
+        input_occupation=occupation, n_max=n_max, losses=losses))
+    core = loop_channel(setup.lifted, setup.rho_ext_in)
+    channels = [core, setup.in_loop, setup.out_loop, setup.in_ext,
+                compose(core, setup.in_loop), setup.loop_update_channel()]
+    for chan in channels:
+        for b in range(len(chan.charge_blocks)):
+            _assert_same_bits(chan.superop_block(b), superop_block_dense(chan, b))
+
+
+@pytest.mark.parametrize("modes, looped, n_max, ext_state", [
+    (2, 1, 8, lambda ext: fock_state_dm(ext, (1,))),
+    (3, 1, 5, lambda ext: random_density_matrix(ext, 4)),
+    (3, 2, 5, lambda ext: coherent_dm([0.7 - 0.2j], ext.n_max)),
+])
+def test_loop_channel_reads_sector_blocks_not_the_full_matrix(monkeypatch, modes, looped,
+                                                              n_max, ext_state):
+    # a rank > 1 injected state makes w accumulate over several eigenvectors
+    lifted = lift(haar_random_unitary(modes, 17), FockBasis(modes, n_max))
+    rho_ext = ext_state(FockBasis(modes - looped, 2))
+    expected = loop_kraus_from_full(lifted, rho_ext)
+
+    def no_full(self):
+        raise AssertionError("loop_channel built the dense lifted matrix")
+
+    monkeypatch.setattr(LiftedUnitary, "full", no_full)
+    chan = loop_channel(lifted, rho_ext)
+    assert len(chan.kraus) == len(expected) > 1
+    for k, k_ref in zip(chan.kraus, expected):
+        _assert_same_bits(k, k_ref)
+
+
+def test_tensor_index_map_is_one_read_only_table():
+    a, b, joint = FockBasis(1, 6), FockBasis(2, 6), FockBasis(3, 6)
+    table = tensor_index_map(a, b, joint)
+    assert tensor_index_map(FockBasis(1, 6), FockBasis(2, 6), FockBasis(3, 6)) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(modes=st.integers(1, 3), n_max=st.integers(0, 12), above=st.integers(-3, 14),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_leak_sums_equal_the_tail_of_all_sector_weights(modes, n_max, above, seed):
+    # a diagonal over 15 decades, so that a change of summation order shows
+    basis = FockBasis(modes, n_max)
+    rng = np.random.default_rng(seed)
+    diag = rng.random(basis.size) * 10.0 ** rng.integers(-15, 1, basis.size)
+    rho = DensityMatrix(basis, np.diag(diag / diag.sum()), check=False)
+    # every sector's weight, then the tail past `above`: the sum apply and embed made before
+    diag = np.real(np.diag(rho.mat))
+    tail = np.array([diag[basis.sector_slice(n)].sum() for n in range(n_max + 1)])[above + 1:]
+    assert rho.sector_weights(above).tobytes() == tail.tobytes()
+    expected = float(tail.sum())
+    assert float(rho.sector_weights(above).sum()).hex() == expected.hex()
+
+    chan = QuantumChannel(basis, [np.eye(basis.size)], valid_max_photons=above)
+    if expected > POPULATED_CUTOFF:
+        with pytest.raises(TruncationError) as err:
+            chan.apply(rho)
+        assert str(err.value) == (
+            f"state populates sectors above the channel validity bound {above} "
+            f"with weight {expected:.3e}")
+    else:
+        assert chan.apply(rho).basis == basis
+    if 0 <= above < n_max:
+        cut = FockBasis(modes, above)
+        if expected > POPULATED_CUTOFF:
+            with pytest.raises(TruncationError) as err:
+                embed(rho, cut)
+            assert str(err.value) == f"cutting {basis!r} to {cut!r} drops weight {expected:.3e}"
+        else:
+            assert embed(rho, cut).basis == cut

@@ -254,6 +254,77 @@ def test_route_artifacts_pinned(tmp_path, route):
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_ROUTE_SHA256[route]
 
 
+_LOSSY_DISTRIBUTIONS = {
+    "distribution_iter_001.csv": "7071be5410c55b05d2101ee92db85f674339a3817db219123e3f25396b1377e2",
+    "distribution_iter_002.csv": "f5bfb19528fa1670ffb6e89049482cd6eaee8f93e4b15a4155f0928cd1c87285",
+    "distribution_iter_003.csv": "d7ec622a99f8634ae932f2959f06f80fc6de5b356e869eff8d1446949ddfbcde",
+}
+# sha256 of the outputs of lossy runs (composed loop and loss channels) and of
+# a stabilization study whose samples climb the truncation ladder, recorded
+# while charge blocks were still built by dense gathers
+PINNED_LOSSY_SHA256 = {
+    "evolve-pdm": {**_LOSSY_DISTRIBUTIONS,
+                   "rho_det.json": "1fa4599eb7a120d2db4a5fced2e8468bba5efd7a142d00251f41c4001bc129ac",
+                   "run_info.json": "7d43fef3a5062e353519de9ff2911290e2befb351ba3f2ac5d57bf3b70470b8b"},
+    "evolve-kraus": {**_LOSSY_DISTRIBUTIONS,
+                     "rho_det.json": "7f3c2983c32f71ae00cb0b90fa8ec586bea02b6e46dfbc3def5a99fcf202cf9b",
+                     "run_info.json": "f6d230b5601356dade1213794a530fccf6e66b2212a314d4aae8cf6bec87f353"},
+    "stationary-superop": {
+        "diagnostics.json": "90d5d13d929b1256e8a572b0a6ed988ba4e94a5ccbc713e1c17efe8777ec103c",
+        "rho_stat.json": "7a741b868fff64e4b4489c62f08934b1dd1f23fd059846d6fe8ffb8724a4015d",
+        "stationary_distribution.csv": "867da88efedd0bcfb7b06312c5f6f1e2965dc89fbe82d48ce8731787a6ed55a9",
+    },
+    "stabilization-ladder": {
+        "stabilization_histogram.csv": "d82356859407d78c4c9dc44cdbcb1bffeb237b53a30bac7086011719dbe0b632",
+        "summary.json": "e6c424fe49a546cd77e62283e360ac15c7e0efdc96a9367174ef48b036d5043f",
+    },
+}
+
+
+def _manifest_hashes(out) -> dict:
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {e["path"]: e["sha256"] for e in manifest["outputs"]}
+
+
+@pytest.mark.parametrize("method", ["pdm", "kraus"])
+def test_lossy_evolve_artifacts_pinned(tmp_path, method):
+    losses = {"t_in": [0.9] * 4, "t_out": [0.9] * 4, "loop_T": 0.7}
+    path = write_config(tmp_path, M=4, L=1, losses=losses,
+                        input={"type": "fock", "occupation": [1, 1, 0]},
+                        unitary={"type": "haar", "seed": 3})
+    out = tmp_path / method
+    assert main(["evolve", path, "--method", method, "--out", str(out)]) == 0
+    assert _manifest_hashes(out) == PINNED_LOSSY_SHA256[f"evolve-{method}"]
+
+
+def test_lossy_two_loop_stationary_artifacts_pinned(tmp_path):
+    # the 140-wide charge-0 eig moves by ulps with the BLAS thread count, so
+    # the run is pinned to one thread, in a fresh interpreter
+    losses = {"t_in": [0.95] * 3, "t_out": [0.9] * 3, "loop_T": 0.8}
+    path = write_config(tmp_path, M=3, L=2, losses=losses, unitary={"type": "haar", "seed": 39})
+    out = tmp_path / "stationary"
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-m", "bosonloop.cli", "stationary", path,
+                    "--method", "superop", "--out", str(out)],
+                   env=env, capture_output=True, timeout=120, check=True)
+    assert _manifest_hashes(out) == PINNED_LOSSY_SHA256["stationary-superop"]
+
+
+def test_ladder_stabilization_artifacts_pinned(tmp_path, monkeypatch):
+    path = write_config(tmp_path, n_max=10, iterations=1)
+    results = []
+    solve = bosonloop.evolve.fixed_point
+    monkeypatch.setattr(bosonloop.evolve, "fixed_point",
+                        lambda channel: results.append(solve(channel)) or results[-1])
+    out = tmp_path / "stabilization"
+    assert main(["stabilization", path, "--samples", "4", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert _manifest_hashes(out) == PINNED_LOSSY_SHA256["stabilization-ladder"]
+    # the samples climbed the truncation ladder and the bordered solve fell back
+    assert len(results) > 4 and any(r is None for r in results)
+
+
 def test_dm_input_on_a_larger_truncation(tmp_path):
     # |1><1| stored at n_max=5 runs as the Fock input (1,) at the config's n_max=2
     fock_state_dm(FockBasis(1, 5), (1,)).to_json(tmp_path / "in.json")
