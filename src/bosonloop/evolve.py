@@ -32,7 +32,7 @@ from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
 from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
-                     overflow_weight, partial_trace, tensor_product,
+                     overflow_weight, partial_trace, tensor_product_blocks,
                      trace_distance, uhlmann_fidelity)
 
 LEAK_TOLERANCE = 1e-9          # per-iteration truncation leak allowed past n_max
@@ -229,9 +229,8 @@ class _LoopSetup:
                 f"{self.config.iterations * self.n_env}",
                 required_n_max=self.config.iterations * self.n_env,
             )
-        rho_joint = tensor_product(self.rho_ext_in, rho_loop_in, self.joint, dropped=leaked)
-        rho_out = DensityMatrix(self.joint, self.lifted.conjugate(rho_joint.mat),
-                                check=False)
+        blocks = tensor_product_blocks(self.rho_ext_in, rho_loop_in, self.joint, leaked)
+        rho_out = DensityMatrix(self.joint, self.lifted.conjugate_blocks(blocks), check=False)
         rho_det = partial_trace(rho_out, (0, self.n_ext))
         if self.out_ext:
             rho_det = self.out_ext.apply(rho_det)

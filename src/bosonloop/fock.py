@@ -67,6 +67,8 @@ class FockBasis:
             self._sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
         self._offsets = np.concatenate([[0], np.cumsum([len(s) for s in self._sectors])])
         self.size = int(self._offsets[-1])
+        self._slices = tuple(slice(int(a), int(b))
+                             for a, b in zip(self._offsets[:-1], self._offsets[1:]))
         self.states = tuple(occ for sec in self._sectors for occ in sec)
         self._index = {occ: i for i, occ in enumerate(self.states)}
 
@@ -76,7 +78,7 @@ class FockBasis:
 
     def sector_slice(self, total: int) -> slice:
         """Global index range of the fixed-total sector."""
-        return slice(int(self._offsets[total]), int(self._offsets[total + 1]))
+        return self._slices[total]
 
     def index_of(self, occupation) -> int:
         """Global index of an occupation tuple; OutOfBasisError if absent."""
@@ -94,7 +96,7 @@ class FockBasis:
 
     def totals(self) -> np.ndarray:
         """Total photon number of every basis state, as an int array."""
-        return np.array([sum(occ) for occ in self.states], dtype=int)
+        return np.repeat(np.arange(self.n_max + 1), np.diff(self._offsets))
 
     def __len__(self):
         return self.size

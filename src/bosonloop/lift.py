@@ -127,19 +127,24 @@ class LiftedUnitary:
         return out
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array; the
-        sector-pair blocks of rho that are all zero stay zero."""
+        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.basis.size, self.basis.size):
             raise ValueError("density matrix shape does not match the basis")
-        out = np.zeros_like(rho)
-        blocks = [self.block(n) for n in range(self.basis.n_max + 1)]
-        adjoints = [b.conj().T for b in blocks]
         slices = [self.basis.sector_slice(n) for n in range(self.basis.n_max + 1)]
-        for ba, sa in zip(blocks, slices):
-            for bb, sb in zip(adjoints, slices):
-                if rho[sa, sb].any():
-                    out[sa, sb] = ba @ rho[sa, sb] @ bb
+        return self.conjugate_blocks({(n, m): rho[sn, sm] for n, sn in enumerate(slices)
+                                      for m, sm in enumerate(slices)})
+
+    def conjugate_blocks(self, blocks: dict) -> np.ndarray:
+        """L(U) rho L(U)^dag as a dense array, from the sector-pair blocks
+        (n, n') -> R of rho: each is block(n) @ R @ block(n')^dag.  An
+        all-zero R, and every pair not given, stays zero."""
+        size = self.basis.size
+        out = np.zeros((size, size), dtype=complex)
+        for (n, m), r in blocks.items():
+            if r.any():
+                out[self.basis.sector_slice(n), self.basis.sector_slice(m)] = (
+                    self.block(n) @ r @ self.block(m).conj().T)
         return out
 
 

@@ -140,27 +140,77 @@ def overflow_weight(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> f
 
 
 @lru_cache(maxsize=None)
-def _tensor_layout(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
-    """Gather grids of each joint state's A part and B part.  A part beyond
-    its factor's truncation points at the zero row padded onto that factor."""
+def _joint_parts(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
+    """Index of each joint state's A part and B part in its factor.  A part
+    beyond its factor's truncation points at the zero row padded onto that
+    factor."""
     idx = tensor_index_map(basis_a, basis_b, joint)
     pairs = np.nonzero(idx >= 0)
     parts = [np.full(joint.size, basis.size) for basis in (basis_a, basis_b)]
     for part, factor in zip(parts, pairs):
         part[idx[pairs]] = factor
-    return tuple(np.ix_(part, part) for part in parts)
+    return tuple(parts)
+
+
+def _populated_pairs(rho: DensityMatrix) -> np.ndarray:
+    """The sector pairs (n, n') that hold a nonzero entry of rho, as rows."""
+    rows, cols = np.nonzero(rho.mat)
+    totals = rho.basis.totals()
+    mask = np.zeros((rho.basis.n_max + 1,) * 2, dtype=bool)
+    mask[totals[rows], totals[cols]] = True
+    return np.argwhere(mask)
+
+
+def _padded(mat: np.ndarray) -> np.ndarray:
+    """mat with one zero row and column appended."""
+    out = np.zeros((mat.shape[0] + 1, mat.shape[1] + 1), dtype=complex)
+    out[:-1, :-1] = mat
+    return out
+
+
+def tensor_product_blocks(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
+                          dropped: float) -> dict:
+    """Sector-pair blocks (n, n') -> array of the tensor product with Fock
+    renumbering, A's modes leading, for the joint pairs within joint.n_max
+    that the factors' populated sector pairs reach; every other block is zero.
+
+    Each entry is the one product rho_a[i, i'] * rho_b[j, j'] that np.kron
+    makes, of two contiguous gathers (a strided multiply rounds without the
+    fused multiply-add).  When `dropped` > 0 the blocks are divided by the
+    kept trace, summed over the whole joint diagonal as np.trace sums it.
+    """
+    sums = (_populated_pairs(rho_a)[:, None] + _populated_pairs(rho_b)[None, :]).reshape(-1, 2)
+    reached = np.zeros((joint.n_max + 1,) * 2, dtype=bool)
+    reached[tuple(sums[(sums <= joint.n_max).all(axis=1)].T)] = True
+    part_a, part_b = _joint_parts(rho_a.basis, rho_b.basis, joint)
+    pad_a, pad_b = _padded(rho_a.mat), _padded(rho_b.mat)
+    blocks = {}
+    for n, m in np.argwhere(reached).tolist():
+        rows, cols = joint.sector_slice(n), joint.sector_slice(m)
+        blocks[n, m] = (pad_a[part_a[rows, None], part_a[None, cols]]
+                        * pad_b[part_b[rows, None], part_b[None, cols]])
+    if dropped > 0.0:
+        diag = np.zeros(joint.size, dtype=complex)
+        for (n, m), block in blocks.items():
+            if n == m:
+                diag[joint.sector_slice(n)] = np.diagonal(block)
+        tr = diag.sum().real
+        if tr <= 0:
+            raise TruncationError("tensor product lost all weight to truncation")
+        for block in blocks.values():
+            block /= tr
+    return blocks
 
 
 def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
                    dropped: float | None = None) -> DensityMatrix:
-    """Tensor product with Fock renumbering, A's modes leading.
+    """Tensor product with Fock renumbering, A's modes leading: the blocks of
+    `tensor_product_blocks` scattered into zeros.
 
-    Only the kept entries are built, each as the one product
-    rho_a[i, i'] * rho_b[j, j'] that np.kron makes.  The diagonal mass that
-    lands past joint.n_max is dropped and the trace renormalized.  A caller
-    that has weighed that mass against its own tolerance passes it as
-    `dropped`; otherwise it is computed, and above POPULATED_CUTOFF it is a
-    TruncationError.
+    The diagonal mass that lands past joint.n_max is dropped and the trace
+    renormalized.  A caller that has weighed that mass against its own
+    tolerance passes it as `dropped`; otherwise it is computed, and above
+    POPULATED_CUTOFF it is a TruncationError.
     """
     if joint.modes != rho_a.basis.modes + rho_b.basis.modes:
         raise ValueError("joint basis mode count does not match the factors")
@@ -170,13 +220,9 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
             raise TruncationError(
                 f"tensor product would push weight {dropped:.3e} past n_max={joint.n_max}",
             )
-    ia, ib = _tensor_layout(rho_a.basis, rho_b.basis, joint)
-    mat = np.pad(rho_a.mat, (0, 1))[ia] * np.pad(rho_b.mat, (0, 1))[ib]
-    if dropped > 0.0:
-        tr = np.trace(mat).real
-        if tr <= 0:
-            raise TruncationError("tensor product lost all weight to truncation")
-        mat /= tr
+    mat = np.zeros((joint.size, joint.size), dtype=complex)
+    for (n, m), block in tensor_product_blocks(rho_a, rho_b, joint, dropped).items():
+        mat[joint.sector_slice(n), joint.sector_slice(m)] = block
     return DensityMatrix(joint, mat, check=False)
 
 

@@ -10,6 +10,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
+from bosonloop.errors import TruncationError
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _raising_maps
 from bosonloop.qstate import DensityMatrix
@@ -318,3 +319,38 @@ def loop_kraus_from_full(lifted, rho_ext, prune: float = 1e-14) -> list:
             if np.abs(k).max() > prune:
                 kraus.append(k)
     return kraus
+
+
+def tensor_product_dense(rho_a, rho_b, joint, dropped: float) -> np.ndarray:
+    """The joint matrix by one gather of each factor over the whole joint
+    basis: `tensor_product` as the package ran it before it built only the
+    sector-pair blocks the factors populate."""
+    idx = tensor_index_map(rho_a.basis, rho_b.basis, joint)
+    pairs = np.nonzero(idx >= 0)
+    parts = [np.full(joint.size, basis.size) for basis in (rho_a.basis, rho_b.basis)]
+    for part, factor in zip(parts, pairs):
+        part[idx[pairs]] = factor
+    ia, ib = (np.ix_(part, part) for part in parts)
+    mat = np.pad(rho_a.mat, (0, 1))[ia] * np.pad(rho_b.mat, (0, 1))[ib]
+    if dropped > 0.0:
+        tr = np.trace(mat).real
+        if tr <= 0:
+            raise TruncationError("tensor product lost all weight to truncation")
+        mat /= tr
+    return mat
+
+
+def conjugate_dense(lifted, rho: np.ndarray) -> np.ndarray:
+    """Blockwise L(U) rho L(U)^dag over every sector pair of a dense rho,
+    skipping the all-zero ones: `LiftedUnitary.conjugate` as the package ran
+    it before it took sector-pair blocks."""
+    basis = lifted.basis
+    out = np.zeros_like(rho)
+    blocks = [lifted.block(n) for n in range(basis.n_max + 1)]
+    adjoints = [b.conj().T for b in blocks]
+    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    for ba, sa in zip(blocks, slices):
+        for bb, sb in zip(adjoints, slices):
+            if rho[sa, sb].any():
+                out[sa, sb] = ba @ rho[sa, sb] @ bb
+    return out

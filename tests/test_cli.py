@@ -49,6 +49,22 @@ def read_dist(path):
     return ProbabilityDistribution.from_csv(path, check=False)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_cli(argv, threads=None) -> int:
+    """Exit code of the CLI on `argv`.  With `threads` it runs in a fresh
+    interpreter with BLAS pinned to that many threads, for artifacts whose
+    bytes move with the thread count (a dense eig or solve wide enough for
+    OpenBLAS to split)."""
+    if threads is None:
+        return main(argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1]),
+           **{var: str(threads) for var in BLAS_THREAD_VARS}}
+    return subprocess.run([sys.executable, "-m", "bosonloop.cli", *argv], env=env,
+                          capture_output=True, timeout=120).returncode
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["evolve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -172,7 +188,10 @@ def test_tensor_artifacts_pinned(tmp_path, command):
         path = write_config(tmp_path, M=3, L=2, n_max=7, unitary={"type": "haar", "seed": 39})
         method = "analytic"
     out = tmp_path / command
-    assert main([command, path, "--method", method, "--rank-cap", "4", "--out", str(out)]) == 0
+    # the reconstruction was recorded with BLAS at 2 threads
+    threads = 2 if command == "reconstruct" else None
+    assert run_cli([command, path, "--method", method, "--rank-cap", "4", "--out", str(out)],
+                   threads) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_TENSOR_SHA256[command]
 
@@ -249,7 +268,9 @@ def test_route_artifacts_pinned(tmp_path, route):
         path = write_config(tmp_path, **overrides)
         argv = ["--target", choice, "--shots", "200", "--seed", "7"]
     out = tmp_path / route
-    assert main([command, path, *argv, "--out", str(out)]) == 0
+    # the reconstruction was recorded with BLAS at 2 threads
+    threads = 2 if command == "reconstruct" else None
+    assert run_cli([command, path, *argv, "--out", str(out)], threads) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == PINNED_ROUTE_SHA256[route]
 
@@ -303,11 +324,7 @@ def test_lossy_two_loop_stationary_artifacts_pinned(tmp_path):
     losses = {"t_in": [0.95] * 3, "t_out": [0.9] * 3, "loop_T": 0.8}
     path = write_config(tmp_path, M=3, L=2, losses=losses, unitary={"type": "haar", "seed": 39})
     out = tmp_path / "stationary"
-    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-m", "bosonloop.cli", "stationary", path,
-                    "--method", "superop", "--out", str(out)],
-                   env=env, capture_output=True, timeout=120, check=True)
+    assert run_cli(["stationary", path, "--method", "superop", "--out", str(out)], 1) == 0
     assert _manifest_hashes(out) == PINNED_LOSSY_SHA256["stationary-superop"]
 
 
@@ -323,6 +340,70 @@ def test_ladder_stabilization_artifacts_pinned(tmp_path, monkeypatch):
     assert _manifest_hashes(out) == PINNED_LOSSY_SHA256["stabilization-ladder"]
     # the samples climbed the truncation ladder and the bordered solve fell back
     assert len(results) > 4 and any(r is None for r in results)
+
+
+# sha256 of the joint pass's outputs on the branches the pins above leave out,
+# recorded while the pass still built the dense injected (x) loop product: an
+# injected state with coherences between photon-number sectors, a single pass
+# with no looped modes, and a detection pass that drops weight past n_max
+_COHERENT_DISTRIBUTIONS = {
+    "distribution_iter_001.csv": "d4b8bb7a94d1e7c93592609203b16513b8406de70af95809ccbe40098609dbc1",
+    "distribution_iter_002.csv": "3028e3ec4676fdd349b106ec49ae8d7405103d67179d2e5ed9df79b790d6b749",
+}
+PINNED_JOINT_PASS_SHA256 = {
+    "evolve-pdm": {**_COHERENT_DISTRIBUTIONS,
+                   "distribution_iter_003.csv": "77b8aca74b7507d816f437802f7d5dc7371c1511137f78681b4731f6d26b4f97",
+                   "rho_det.json": "e40ad5e80780cc76244b321a6a08a884559e4a1af332a5837a19c91a0df66e8d",
+                   "run_info.json": "01e17dd5ea38ae51e251fca8c6bd15c684265914ca85514367ceddf19b8b24d6"},
+    "evolve-kraus": {**_COHERENT_DISTRIBUTIONS,
+                     "distribution_iter_003.csv": "d98c02c5b7da79bbf950246289c8bad24f3bacbe5de1199d98a82052fe1130b2",
+                     "rho_det.json": "773f89dcff4d0ecb95cf4c32d027af416e12398a3f91c2a18d860526593c4214",
+                     "run_info.json": "7f536df9e1d2ef78542a76b78730a0e2c059c902e29a4f9f2a6976beb420e074"},
+    "evolve-single": {
+        "distribution_iter_001.csv": "7e77f54e56dfe7260d0994925331f649e7212a34a47098c63b05fe59d0992a95",
+        "distribution_iter_002.csv": "7e77f54e56dfe7260d0994925331f649e7212a34a47098c63b05fe59d0992a95",
+        "rho_det.json": "51d2712b4ef031a60f2651e12071c4ae893f8df161887f782c04ff4e1016bf73",
+        "run_info.json": "5315716a49e2ffe1923515ab429b807e255f9a151b0d60e82a83931b2a5dc8ee",
+    },
+    "stationary-drop": {
+        "diagnostics.json": "050c2d451f77c4f447dbe7b870909c11024d4d10852fe5a1b4e4cb48433e193f",
+        "rho_stat.json": "a0621c046c34011b24e857f9ccf94a9c1dbbef957496106b2f13c88521b3345d",
+        "stationary_distribution.csv": "d36c4b22328f16d7560accea7f0356627e813da4878b9657dea7e6f81e05a571",
+    },
+}
+
+
+@pytest.mark.parametrize("method", ["pdm", "kraus"])
+def test_coherent_input_evolve_artifacts_pinned(tmp_path, method):
+    coherent_dm([0.3 + 0.2j, -0.1 + 0.25j], 4).to_json(tmp_path / "in.json")
+    path = write_config(tmp_path, M=3, n_max=10, input={"type": "dm", "path": "in.json"},
+                        unitary={"type": "haar", "seed": 17})
+    out = tmp_path / method
+    assert main(["evolve", path, "--method", method, "--out", str(out)]) == 0
+    assert _manifest_hashes(out) == PINNED_JOINT_PASS_SHA256[f"evolve-{method}"]
+
+
+def test_single_pass_artifacts_pinned(tmp_path):
+    coherent_dm([0.4 + 0.2j, -0.3j, 0.5], 3).to_json(tmp_path / "in.json")
+    path = write_config(tmp_path, M=3, L=0, n_max=3, iterations=2,
+                        input={"type": "dm", "path": "in.json"},
+                        unitary={"type": "haar", "seed": 18})
+    out = tmp_path / "single"
+    assert main(["evolve", path, "--out", str(out)]) == 0
+    assert _manifest_hashes(out) == PINNED_JOINT_PASS_SHA256["evolve-single"]
+
+
+def test_dropping_detection_pass_artifacts_pinned(tmp_path, monkeypatch):
+    path = write_config(tmp_path, n_max=8, iterations=1, unitary={"type": "haar", "seed": 6})
+    leaks = []
+    weigh = bosonloop.evolve.overflow_weight
+    monkeypatch.setattr(bosonloop.evolve, "overflow_weight",
+                        lambda *args: leaks.append(weigh(*args)) or leaks[-1])
+    out = tmp_path / "stationary"
+    assert main(["stationary", path, "--method", "superop", "--out", str(out)]) == 0
+    assert _manifest_hashes(out) == PINNED_JOINT_PASS_SHA256["stationary-drop"]
+    # the one detection pass renormalized after dropping weight past n_max
+    assert len(leaks) == 1 and leaks[0] > 0
 
 
 def test_dm_input_on_a_larger_truncation(tmp_path):

@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from bosonloop.errors import TruncationError
 from bosonloop.fock import FockBasis
+from bosonloop.lift import lift
+from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               ProbabilityDistribution, classical_fidelity,
                               diagonal_distribution, embed, fock_state_dm,
                               overflow_weight, partial_trace,
                               random_density_matrix, tensor_product,
-                              trace_distance, uhlmann_fidelity)
+                              tensor_product_blocks, trace_distance,
+                              uhlmann_fidelity)
 
-from oracles import tensor_product_kron
+from oracles import conjugate_dense, tensor_product_dense, tensor_product_kron
 
 
 def test_fock_state_dm():
@@ -108,6 +111,63 @@ def test_tensor_product_matches_kron_oracle(modes, n_max, layouts, seed, renorma
     assert rho.mat.flags.c_contiguous
     np.testing.assert_array_equal(
         rho.mat, tensor_product_kron(ra.mat, rb.mat, basis_a, basis_b, joint, dropped > 0.0))
+
+
+
+def _factor(basis: FockBasis, kind: str, seed: int, zero: float) -> DensityMatrix:
+    """A Fock state, a state block-diagonal in photon number, one with
+    coherences between sectors, or one with a sector emptied; `zero` (+0 or
+    -0) fills the entries the last two leave out."""
+    rng = np.random.default_rng(seed)
+    if kind == "fock":
+        return fock_state_dm(basis, basis.state(int(rng.integers(basis.size))))
+    mat = random_density_matrix(basis, seed).mat
+    totals = basis.totals()
+    if kind == "block":
+        mat = np.where(totals[:, None] == totals[None, :], mat, zero)
+    elif kind == "holed":
+        empty = totals == rng.integers(basis.n_max + 1)
+        mat = np.where(empty[:, None] | empty[None, :], zero, mat)
+    return DensityMatrix(basis, mat, check=False)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(modes=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+       n_max=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 5)),
+       kinds=st.tuples(st.sampled_from(["fock", "block", "coherent", "holed"]),
+                       st.sampled_from(["fock", "block", "coherent", "holed"])),
+       seed=st.integers(0, 2 ** 16), drop=st.booleans(), zero=st.sampled_from([0.0, -0.0]),
+       contraction=st.booleans())
+def test_joint_pass_blocks_equal_the_dense_product_bit_for_bit(modes, n_max, kinds, seed,
+                                                               drop, zero, contraction):
+    # factors on smaller, equal or larger truncations than the joint basis;
+    # with `drop` the joint truncation cuts weight off and the trace is renormalized
+    basis_a, basis_b = FockBasis(modes[0], n_max[0]), FockBasis(modes[1], n_max[1])
+    joint = FockBasis(sum(modes), n_max[2] if drop else max(n_max[2], n_max[0] + n_max[1]))
+    ra, rb = (_factor(basis, kind, s, zero)
+              for basis, kind, s in zip((basis_a, basis_b), kinds, (seed, seed + 1)))
+    dropped = overflow_weight(ra, rb, joint.n_max)
+    try:
+        expected = tensor_product_dense(ra, rb, joint, dropped)
+    except TruncationError:
+        with pytest.raises(TruncationError, match="lost all weight"):
+            tensor_product_blocks(ra, rb, joint, dropped)
+        return
+    product = tensor_product(ra, rb, joint, dropped=dropped).mat
+    assert (product == expected).all()
+    nonzero = expected != 0
+    np.testing.assert_array_equal(_bits(product[nonzero]), _bits(expected[nonzero]))
+
+    u = haar_random_unitary(joint.modes, seed)
+    lifted = lift(0.9 * u if contraction else u, joint)
+    rho_out = lifted.conjugate_blocks(tensor_product_blocks(ra, rb, joint, dropped))
+    oracle = conjugate_dense(lifted, expected)
+    assert np.array_equal(_bits(rho_out), _bits(oracle))
+    assert np.array_equal(np.signbit(_bits(rho_out)), np.signbit(_bits(oracle)))
 
 
 def test_partial_trace_recovers_factor():
