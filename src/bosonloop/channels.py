@@ -83,8 +83,10 @@ class QuantumChannel:
         if np.any((owner[1:] == owner[:-1]) & (shifts[1:] != shifts[:-1])):
             return [np.arange(self.basis.size ** 2)]
         charge = vec(np.subtract.outer(totals, totals))
-        n = self.basis.n_max
-        return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]
+        # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
+        key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
+        ends = np.cumsum(np.bincount(key))[:-1]
+        return np.split(np.argsort(key, kind="stable"), ends)
 
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
@@ -149,12 +151,17 @@ class QuantumChannel:
             lo = hi
         return [part.reshape(m, m) for part, m in zip(np.split(flat, offsets[1:-1]), sizes)]
 
+    @cached_property
+    def _block0_entries(self) -> tuple:
+        """(rows, cols) of the matrix entries of charge block 0, in block order."""
+        cols, rows = np.divmod(self.charge_blocks[0], self.basis.size)
+        return rows, cols
+
     def unvec_block0(self, v: np.ndarray) -> np.ndarray:
         """The d x d matrix whose charge-0 block entries are `v`, zero elsewhere."""
         d = self.basis.size
-        cols, rows = np.divmod(self.charge_blocks[0], d)
         out = np.zeros((d, d), dtype=complex)
-        out[rows, cols] = v
+        out[self._block0_entries] = v
         return out
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
@@ -181,12 +188,12 @@ class QuantumChannel:
                 f"state populates sectors above the channel validity bound "
                 f"{self.valid_max_photons} with weight {excess:.3e}"
             )
-        v = vec(rho.mat)
-        block = self.charge_blocks[0]
-        if (len(self.charge_blocks) > 1 and block.size <= DENSE_DIM_CAP
-                and np.count_nonzero(v[block]) == np.count_nonzero(v)):
-            out = self.unvec_block0(self.superop_block(0) @ v[block])
-        else:
+        out = None
+        if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
+            x = rho.mat[self._block0_entries]
+            if np.count_nonzero(x) == np.count_nonzero(rho.mat):
+                out = self.unvec_block0(self.superop_block(0) @ x)
+        if out is None:
             out = self.apply_matrix(rho.mat)
         if excess > 0.0:
             tr = np.trace(out).real
@@ -248,11 +255,9 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
                 rows = joint.sector_slice(n)
                 cols[rows, js] = lifted.block(n)[:, jmap_in[alpha, js] - rows.start]
             w += c * cols
-        root = sqrt(lam)
-        for m in range(ext_out.size):
-            k = root * w[jmap_out[m, :], :]
-            if np.abs(k).max() > _PRUNE_NORM:
-                kraus.append(k)
+        # one operator per external output state m: rows jmap_out[m] of w
+        ops = sqrt(lam) * w[jmap_out]
+        kraus.extend(ops[np.abs(ops).max(axis=(1, 2)) > _PRUNE_NORM])
     return QuantumChannel(
         loop_basis, kraus,
         valid_max_photons=joint.n_max - n_env,
@@ -272,26 +277,32 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
     if np.any((t < 0) | (t > 1)):
         raise ValueError(f"transmissions must lie in [0, 1], got {t}")
     basis = FockBasis(modes, n_max)
+    occ = np.array(basis.states).reshape(basis.size, modes)
+    # factors[m][n, k] = binom(n, k) T_m^(n-k) (1-T_m)^k, as scalar products
+    # (numpy's vectorized pow may round differently)
+    factors = [np.array([[comb(n, k) * tm ** (n - k) * (1.0 - tm) ** k if k <= n else 0.0
+                          for k in range(n_max + 1)] for n in range(n_max + 1)])
+               for tm in t]
+    # down[m, i]: index of state i with one photon fewer in mode m; the index
+    # basis.size stands for "no such state" and maps to itself
+    down = np.full((modes, basis.size + 1), basis.size)
+    for i, n_occ in enumerate(basis.states):
+        for m, n in enumerate(n_occ):
+            if n:
+                down[m, i] = basis.index_of(n_occ[:m] + (n - 1,) + n_occ[m + 1:])
     kraus = []
     for lost in basis.states:  # every loss pattern with total <= n_max
         amp = np.ones(basis.size)
-        target = np.full(basis.size, -1, dtype=int)
-        for i, n_occ in enumerate(basis.states):
-            if any(n_occ[m] < lost[m] for m in range(modes)):
-                continue
-            a = 1.0
-            for m in range(modes):
-                n, k = n_occ[m], lost[m]
-                a *= comb(n, k) * t[m] ** (n - k) * (1.0 - t[m]) ** k
-            if a == 0.0:
-                continue
-            target[i] = basis.index_of(tuple(n - k for n, k in zip(n_occ, lost)))
-            amp[i] = sqrt(a)
-        cols = np.nonzero(target >= 0)[0]
+        target = np.arange(basis.size)
+        for m, k in enumerate(lost):
+            amp *= factors[m][occ[:, m], k]   # the modes' factors in mode order
+            for _ in range(k):
+                target = down[m, target]
+        cols = np.flatnonzero((target < basis.size) & (amp != 0.0))
         if cols.size == 0:
             continue
         k_mat = np.zeros((basis.size, basis.size), dtype=complex)
-        k_mat[target[cols], cols] = amp[cols]
+        k_mat[target[cols], cols] = np.sqrt(amp[cols])
         kraus.append(k_mat)
     return QuantumChannel(basis, kraus, valid_max_photons=n_max, max_photon_gain=0)
 

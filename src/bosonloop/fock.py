@@ -44,11 +44,27 @@ def enumerate_sector(modes: int, total: int) -> tuple:
                  for rest in enumerate_sector(modes - 1, total - head))
 
 
+@lru_cache(maxsize=None)
+def _basis_tables(modes: int, n_max: int) -> tuple:
+    """Sectors, read-only sector offsets, sector slices, states and the
+    state -> index dict of one basis (cached table, shared by every
+    FockBasis of these dimensions)."""
+    if modes == 0:
+        sectors = (((),),) + ((),) * n_max
+    else:
+        sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in sectors])])
+    offsets.flags.writeable = False
+    slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
+    states = tuple(occ for sec in sectors for occ in sec)
+    return sectors, offsets, slices, states, {occ: i for i, occ in enumerate(states)}
+
+
 class FockBasis:
     """Canonical enumeration of occupation states for `modes` modes, 0..n_max photons.
 
-    Immutable after construction; lookup tables are built on first use and
-    the object is safe to share across threads.
+    Immutable after construction; the lookup tables are built once per
+    (modes, n_max) and shared, and the object is safe to share across threads.
     A zero-mode basis (single vacuum state ``()``) is permitted as the trivial
     result of tracing out every mode.
     """
@@ -60,17 +76,9 @@ class FockBasis:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.modes = modes
         self.n_max = n_max
-        if modes == 0:
-            vacuum_only = ((),)
-            self._sectors = (vacuum_only,) + ((),) * n_max
-        else:
-            self._sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
-        self._offsets = np.concatenate([[0], np.cumsum([len(s) for s in self._sectors])])
-        self.size = int(self._offsets[-1])
-        self._slices = tuple(slice(int(a), int(b))
-                             for a, b in zip(self._offsets[:-1], self._offsets[1:]))
-        self.states = tuple(occ for sec in self._sectors for occ in sec)
-        self._index = {occ: i for i, occ in enumerate(self.states)}
+        self._sectors, self._offsets, self._slices, self.states, self._index = \
+            _basis_tables(modes, n_max)
+        self.size = len(self.states)
 
     def sector(self, total: int):
         """Ordered occupation tuples of the fixed-total sector."""

@@ -48,7 +48,7 @@ class DensityMatrix:
         """Diagonal probability mass per photon-number sector, of the sectors
         after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
         term for term."""
-        diag = np.real(np.diag(self.mat))
+        diag = self.mat.diagonal().real
         return np.array([
             diag[self.basis.sector_slice(n)].sum()
             for n in range(self.basis.n_max + 1)[above + 1:]
@@ -273,47 +273,64 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 @lru_cache(maxsize=None)
 def _sector_layout(basis: FockBasis) -> tuple:
-    """Gather indices that stack the photon-number diagonal blocks of a
-    matrix, zero-padded to the largest sector, with the padding mask and the
-    mask of the entries between sectors."""
+    """How the photon-number diagonal blocks of a matrix stack, zero-padded
+    to the largest sector: the flat (C-order) matrix index of every entry
+    inside a block, its flat position in the stack, and the stack's shape."""
     slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
-    idx = np.zeros((len(slices), max(sl.stop - sl.start for sl in slices)), dtype=int)
-    inside = np.zeros(idx.shape, dtype=bool)
+    width = max(sl.stop - sl.start for sl in slices)
+    flat, pos = [], []
     for n, sl in enumerate(slices):
-        idx[n, :sl.stop - sl.start] = np.arange(sl.start, sl.stop)
-        inside[n, :sl.stop - sl.start] = True
-    totals = basis.totals()
-    return (idx[:, :, None], idx[:, None, :], inside[:, :, None] & inside[:, None, :],
-            totals[:, None] != totals[None, :])
+        i, j = np.arange(sl.start, sl.stop), np.arange(sl.stop - sl.start)
+        flat.append((i[:, None] * basis.size + i[None, :]).ravel())
+        pos.append((n * width * width + j[:, None] * width + j[None, :]).ravel())
+    return np.concatenate(flat), np.concatenate(pos), (len(slices), width, width)
 
 
-def _sector_blocks(rho: DensityMatrix) -> np.ndarray | None:
-    """The stacked diagonal sector blocks of rho, or None when rho has
-    coherences between photon-number sectors."""
-    rows, cols, inside, between = _sector_layout(rho.basis)
-    if rho.mat[between].any():
-        return None
-    return np.where(inside, rho.mat[rows, cols], 0.0)
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1].
-
-    When both states are block-diagonal in photon number the trace splits
-    into a sum over the sector blocks, which are handled as one stack.
-    """
-    if rho.basis != sigma.basis:
-        raise ValueError("fidelity needs matching bases")
-    a, b = _sector_blocks(rho), _sector_blocks(sigma)
-    if a is None or b is None:
-        a, b = rho.mat, sigma.mat
+def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
+    """F(a[k], b) = (Tr sqrt(sqrt(a[k]) b sqrt(a[k])))^2, clipped into [0, 1],
+    for each k; the trace of a[k] runs over all its trailing blocks, which
+    meet the blocks of b one to one."""
     evals, evecs = np.linalg.eigh(a)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
     sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
     inner = sqrt_a @ b @ sqrt_a
     lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
-    f = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    roots = np.sqrt(np.clip(lam, 0.0, None)).reshape(len(a), -1)
+    return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
+
+
+def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
+    """Uhlmann fidelities F(rho, sigma) of each state rho against one sigma.
+
+    When a state and sigma are block-diagonal in photon number, the trace
+    splits into a sum over the sector blocks.  The blocks of all such states
+    go through the kernel as one C-contiguous stack, laid out as one state's
+    blocks are (numpy's complex loops may round strided operands without the
+    fused multiply-add); a state with coherences between sectors, or every
+    state when sigma has them, takes the dense route on its own.
+    """
+    if any(rho.basis != sigma.basis for rho in states):
+        raise ValueError("fidelity needs matching bases")
+    flat, pos, shape = _sector_layout(sigma.basis)
+    mats = [rho.mat for rho in states] + [sigma.mat]
+    entries = np.array([np.take(mat, flat) for mat in mats])
+    in_blocks = np.count_nonzero(entries, axis=1) == [np.count_nonzero(mat) for mat in mats]
+    blocked = in_blocks[:-1] & in_blocks[-1]
+    out = np.empty(len(states))
+    if blocked.any():
+        stack = np.zeros((len(mats), np.prod(shape)), dtype=complex)
+        stack[:, pos] = entries
+        stack = stack.reshape(-1, *shape)
+        out[blocked] = _fidelity_kernel(stack[:-1][blocked], stack[-1])
+    for k in np.flatnonzero(~blocked):
+        out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
+    return out
+
+
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into
+    [0, 1]: the one-state case of `fidelities`."""
+    return float(fidelities([rho], sigma)[0])
 
 
 def classical_fidelity(p, q) -> float:

@@ -6,11 +6,13 @@ algorithmic path with the package.
 """
 
 import itertools
-from math import factorial, prod, sqrt
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.errors import TruncationError
+from bosonloop.channels import fixed_point, stationary_state
+from bosonloop.errors import ConvergenceError, TruncationError
+from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _raising_maps
 from bosonloop.qstate import DensityMatrix
@@ -354,3 +356,108 @@ def conjugate_dense(lifted, rho: np.ndarray) -> np.ndarray:
             if rho[sa, sb].any():
                 out[sa, sb] = ba @ rho[sa, sb] @ bb
     return out
+
+
+def _sector_layout_where(basis: FockBasis) -> tuple:
+    """Gather indices that stack the photon-number diagonal blocks of a
+    matrix, zero-padded to the largest sector, with the padding mask and the
+    mask of the entries between sectors."""
+    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    idx = np.zeros((len(slices), max(sl.stop - sl.start for sl in slices)), dtype=int)
+    inside = np.zeros(idx.shape, dtype=bool)
+    for n, sl in enumerate(slices):
+        idx[n, :sl.stop - sl.start] = np.arange(sl.start, sl.stop)
+        inside[n, :sl.stop - sl.start] = True
+    totals = basis.totals()
+    return (idx[:, :, None], idx[:, None, :], inside[:, :, None] & inside[:, None, :],
+            totals[:, None] != totals[None, :])
+
+
+def _sector_blocks_where(rho: DensityMatrix) -> np.ndarray | None:
+    """The stacked diagonal sector blocks of rho, or None when rho has
+    coherences between photon-number sectors."""
+    rows, cols, inside, between = _sector_layout_where(rho.basis)
+    if rho.mat[between].any():
+        return None
+    return np.where(inside, rho.mat[rows, cols], 0.0)
+
+
+def uhlmann_fidelity_one(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1],
+    one pair at a time: `uhlmann_fidelity` as the package ran it before it
+    scored stacks of states.
+
+    When both states are block-diagonal in photon number the trace splits
+    into a sum over the sector blocks, which are handled as one stack.
+    """
+    if rho.basis != sigma.basis:
+        raise ValueError("fidelity needs matching bases")
+    a, b = _sector_blocks_where(rho), _sector_blocks_where(sigma)
+    if a is None or b is None:
+        a, b = rho.mat, sigma.mat
+    evals, evecs = np.linalg.eigh(a)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
+    inner = sqrt_a @ b @ sqrt_a
+    lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    f = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
+    return min(max(f, 0.0), 1.0)
+
+
+def stabilization_time_stepwise(config, tolerance: float = 1e-6,
+                                max_iterations: int = 100_000) -> int:
+    """`stabilization_time` as the package ran it before it scored the
+    trajectory in chunks: one channel step, then one fidelity, per iteration."""
+    setup = _LoopSetup(config)
+    channel = setup.loop_update_channel()
+    rho_stat = fixed_point(channel)
+    if rho_stat is None:
+        rho_stat = stationary_state(channel).rho
+    rho = setup.vacuum_line()
+    for i in range(max_iterations + 1):
+        if 1.0 - uhlmann_fidelity_one(rho, rho_stat) < tolerance:
+            return i
+        rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+    raise ConvergenceError(
+        f"loop state did not stabilize within {max_iterations} iterations"
+    )
+
+
+def loss_kraus_loop(transmission, modes: int, n_max: int) -> list:
+    """Kraus operators of `loss_channel` by a Python double loop over loss
+    patterns and basis states, as the package built them before it
+    gathered per-mode factor tables."""
+    t = np.broadcast_to(np.asarray(transmission, dtype=float), (modes,))
+    basis = FockBasis(modes, n_max)
+    kraus = []
+    for lost in basis.states:  # every loss pattern with total <= n_max
+        amp = np.ones(basis.size)
+        target = np.full(basis.size, -1, dtype=int)
+        for i, n_occ in enumerate(basis.states):
+            if any(n_occ[m] < lost[m] for m in range(modes)):
+                continue
+            a = 1.0
+            for m in range(modes):
+                n, k = n_occ[m], lost[m]
+                a *= comb(n, k) * t[m] ** (n - k) * (1.0 - t[m]) ** k
+            if a == 0.0:
+                continue
+            target[i] = basis.index_of(tuple(n - k for n, k in zip(n_occ, lost)))
+            amp[i] = sqrt(a)
+        cols = np.nonzero(target >= 0)[0]
+        if cols.size == 0:
+            continue
+        k_mat = np.zeros((basis.size, basis.size), dtype=complex)
+        k_mat[target[cols], cols] = amp[cols]
+        kraus.append(k_mat)
+    return kraus
+
+
+def charge_blocks_by_scans(basis: FockBasis) -> list:
+    """Column-stacked indices of the charge blocks, one scan per charge in
+    the order 0, -1, 1, -2, 2, ...: `charge_blocks` as the package built it
+    before it sorted once."""
+    totals = basis.totals()
+    charge = np.subtract.outer(totals, totals).flatten(order="F")
+    n = basis.n_max
+    return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]

@@ -11,7 +11,7 @@ from bosonloop.channels import (QuantumChannel, compose, fixed_point,
                                 stationary_state, to_superoperator)
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
                               SizeCapError, TruncationError)
-from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
+from bosonloop.evolve import (ExperimentConfig, LossSpec, _haar_samples, _LoopSetup,
                               stabilization_samples)
 from bosonloop.fock import FockBasis, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
@@ -20,8 +20,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, embed, fock_state
                               partial_trace, random_density_matrix, tensor_product,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_loss_direct, coherent_dm, fidelity_svd, kraus_pure_fock,
-                     loop_kraus_from_full, stationary_dense, superop_block_dense,
+from oracles import (apply_loss_direct, charge_blocks_by_scans, coherent_dm, fidelity_svd,
+                     kraus_pure_fock, loop_kraus_from_full, loss_kraus_loop,
+                     stabilization_time_stepwise, stationary_dense, superop_block_dense,
                      superoperator_kron)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -172,6 +173,22 @@ def test_loss_channel_matches_beam_splitter_oracle():
         rho = random_density_matrix(basis, seed)
         expected = apply_loss_direct(rho.mat, 0.37)
         np.testing.assert_allclose(chan.apply(rho).mat, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("transmission, modes, n_max", [
+    (0.37, 1, 14),
+    ((0.9, 0.3), 2, 6),
+    ((0.95, 0.5, 1.0), 3, 5),
+    ((0.0, 1.0), 2, 4),
+    (np.full(3, 0.9) ** 2, 3, 6),
+    ((0.2, 0.4, 0.6, 0.8), 4, 4),
+])
+def test_loss_channel_equals_the_double_loop(transmission, modes, n_max):
+    chan = loss_channel(transmission, modes, n_max)
+    expected = loss_kraus_loop(transmission, modes, n_max)
+    assert len(chan.kraus) == len(expected)
+    for k, k_ref in zip(chan.kraus, expected):
+        _assert_same_bits(k, k_ref)
 
 
 def test_loss_composition_law():
@@ -357,6 +374,24 @@ def test_stabilization_times_pinned():
     assert study.times == PINNED_TAUS
 
 
+def test_stabilization_times_equal_the_stepwise_oracle():
+    # 60 Haar samples, some of which climb the truncation ladder: every
+    # attempt is solved by the step-by-step loop as well
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
+                           input_occupation=(1,), n_max=14)
+    attempts = []
+
+    def stepwise(sample):
+        attempts.append(sample.n_max)
+        return stabilization_time_stepwise(sample)
+
+    expected = _haar_samples(cfg, 60, 11, stepwise)
+    study = stabilization_samples(cfg, samples=60, seed=11)
+    assert study.times == [t for t in expected if t is not None]
+    assert study.skipped == expected.count(None)
+    assert len(attempts) > 60 and max(attempts) > 14
+
+
 def _assert_same_bits(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
@@ -450,6 +485,31 @@ def test_loop_channel_reads_sector_blocks_not_the_full_matrix(monkeypatch, modes
     assert len(chan.kraus) == len(expected) > 1
     for k, k_ref in zip(chan.kraus, expected):
         _assert_same_bits(k, k_ref)
+
+
+def test_loop_channel_prunes_like_the_per_output_loop():
+    # mode 0 is decoupled and keeps its photon, so every output projection
+    # with another count there is an all-zero operator and is pruned
+    u = np.eye(3, dtype=complex)
+    u[1:, 1:] = haar_random_unitary(2, 5)
+    lifted = lift(u, FockBasis(3, 5))
+    rho_ext = fock_state_dm(FockBasis(2, 2), (1, 0))
+    expected = loop_kraus_from_full(lifted, rho_ext)
+    chan = loop_channel(lifted, rho_ext)
+    assert 1 < len(chan.kraus) == len(expected) < FockBasis(2, 5).size
+    for k, k_ref in zip(chan.kraus, expected):
+        _assert_same_bits(k, k_ref)
+
+
+@pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4)])
+def test_charge_blocks_equal_one_scan_per_charge(modes, n_max):
+    basis = FockBasis(modes, n_max)
+    chan = QuantumChannel(basis, [np.eye(basis.size)], valid_max_photons=n_max)
+    expected = charge_blocks_by_scans(basis)
+    assert len(chan.charge_blocks) == len(expected) == 2 * n_max + 1
+    for got, ref in zip(chan.charge_blocks, expected):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 def test_tensor_index_map_is_one_read_only_table():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonloop.channels import QuantumChannel
 from bosonloop.errors import (ConvergenceError, DegenerateFixedPointError,
                               TruncationError)
 from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
@@ -19,6 +20,8 @@ from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (fock_state_dm, trace_distance, uhlmann_fidelity)
+
+from oracles import stabilization_time_stepwise
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -282,7 +285,71 @@ def test_infidelity_eventually_monotone():
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
 
-def test_stabilization_samples_deterministic_and_parallel():
+def test_stabilization_vacuum_fixed_point_is_zero():
+    # SWAP injects the vacuum into the loop, which starts at its fixed point
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, unitary=SWAP,
+                           input_occupation=(0,), n_max=1)
+    assert stabilization_time(cfg) == 0
+
+
+_STEP = QuantumChannel.apply
+
+
+def _count_steps(monkeypatch, fail_at=None):
+    """Count QuantumChannel.apply calls; call number `fail_at` raises a
+    TruncationError instead of stepping."""
+    calls = []
+
+    def counted(self, rho, leak_tolerance=0.0):
+        calls.append(rho)
+        if len(calls) == fail_at:
+            raise TruncationError(f"injected at step {fail_at}")
+        return _STEP(self, rho, leak_tolerance)
+
+    monkeypatch.setattr(QuantumChannel, "apply", counted)
+    return calls
+
+
+def _outcome(solve, cfg, **kw):
+    try:
+        return solve(cfg, **kw)
+    except (TruncationError, ConvergenceError) as err:
+        return type(err).__name__
+
+
+def test_stabilization_truncation_past_tau_is_overshoot(monkeypatch):
+    # tau = 13 lies in the second chunk, so the trajectory steps past it;
+    # a failure at step tau + 1 is not the result's, one at or before step
+    # tau is raised as the step-by-step loop raises it
+    cfg = haar_config(2, 1, 1, 22, n_max=14)
+    tau = stabilization_time(cfg)
+    assert tau == 13
+    for fail_at in (tau - 1, tau, tau + 1, tau + 2):
+        _count_steps(monkeypatch, fail_at)
+        got = _outcome(stabilization_time, cfg)
+        _count_steps(monkeypatch, fail_at)
+        assert got == _outcome(stabilization_time_stepwise, cfg)
+        assert got == (tau if fail_at > tau else "TruncationError")
+
+
+@pytest.mark.parametrize("max_iterations", [0, 2, 9, 30])
+def test_stabilization_cap_takes_the_stepwise_final_step(monkeypatch, max_iterations):
+    # the cap raises after the same steps as the step-by-step loop, the
+    # last one included, and a failure of that last step is what surfaces;
+    # no infidelity lies below a zero tolerance
+    cfg = haar_config(2, 1, 1, 20, n_max=10)
+    runs = []
+    for solve in (stabilization_time, stabilization_time_stepwise):
+        calls = _count_steps(monkeypatch)
+        runs.append((_outcome(solve, cfg, tolerance=0.0, max_iterations=max_iterations),
+                     len(calls)))
+    assert runs[0] == runs[1] == ("ConvergenceError", max_iterations + 1)
+    _count_steps(monkeypatch, fail_at=max_iterations + 1)
+    assert _outcome(stabilization_time, cfg, tolerance=0.0,
+                    max_iterations=max_iterations) == "TruncationError"
+
+
+def test_stabilization_samples_deterministic():
     cfg = haar_config(2, 1, 1, 0, n_max=10)
     s1 = stabilization_samples(cfg, 8, seed=3)
     s2 = stabilization_samples(cfg, 8, seed=3)

@@ -133,3 +133,28 @@ def test_totals_and_occupations_arrays():
     occ = np.array(basis.states)
     np.testing.assert_array_equal(occ.sum(axis=1), basis.totals())
     assert occ.shape == (basis.size, 2)
+
+
+def test_cached_tables_equal_a_fresh_enumeration():
+    for modes in range(1, 5):
+        for n_max in range(8):
+            basis = FockBasis(modes, n_max)
+            sectors = [brute_sector(modes, n) for n in range(n_max + 1)]
+            states = [occ for sec in sectors for occ in sec]
+            assert list(basis.states) == states and basis.size == len(states)
+            start = 0
+            for n, sec in enumerate(sectors):
+                assert list(basis.sector(n)) == sec
+                assert basis.sector_slice(n) == slice(start, start + len(sec))
+                start += len(sec)
+            assert [basis.index_of(occ) for occ in states] == list(range(len(states)))
+            # a second basis of the same dimensions shares the tables
+            again = FockBasis(modes, n_max)
+            assert again.states is basis.states and again._offsets is basis._offsets
+
+
+def test_shared_offsets_are_read_only():
+    basis = FockBasis(2, 3)
+    with pytest.raises(ValueError):
+        basis._offsets[1] = 7
+    np.testing.assert_array_equal(basis.totals(), [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])

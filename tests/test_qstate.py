@@ -3,19 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonloop.channels import stationary_state
 from bosonloop.errors import TruncationError
+from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, _LoopSetup
 from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               ProbabilityDistribution, classical_fidelity,
-                              diagonal_distribution, embed, fock_state_dm,
-                              overflow_weight, partial_trace,
+                              diagonal_distribution, embed, fidelities,
+                              fock_state_dm, overflow_weight, partial_trace,
                               random_density_matrix, tensor_product,
                               tensor_product_blocks, trace_distance,
                               uhlmann_fidelity)
 
-from oracles import conjugate_dense, tensor_product_dense, tensor_product_kron
+from oracles import (coherent_dm, conjugate_dense, tensor_product_dense,
+                     tensor_product_kron, uhlmann_fidelity_one)
 
 
 def test_fock_state_dm():
@@ -233,6 +236,71 @@ def test_metrics_against_two_level_formulas():
     assert trace_distance(rho, sig) == pytest.approx(abs(p - q), abs=1e-12)
     f = (np.sqrt(p * q) + np.sqrt((1 - p) * (1 - q))) ** 2
     assert uhlmann_fidelity(rho, sig) == pytest.approx(f, abs=1e-12)
+
+
+def _trajectory(modes, looped, haar_seed, n_max, steps):
+    """Loop states from the vacuum, up to `steps` channel steps or the first
+    one that leaks past n_max, and the stationary state."""
+    setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1,
+                                        haar_seed=haar_seed, input_occupation=(1,),
+                                        n_max=n_max))
+    channel = setup.loop_update_channel()
+    states = [setup.vacuum_line()]
+    for _ in range(steps):
+        try:
+            states.append(channel.apply(states[-1], leak_tolerance=LEAK_TOLERANCE))
+        except TruncationError:
+            break
+    return states, stationary_state(channel).rho
+
+
+def _assert_same_floats(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("modes, looped, haar_seed, n_max, steps, length", [
+    (2, 1, 0, 14, 80, 81),
+    (2, 1, 22, 14, 80, 81),
+    (3, 2, 39, 7, 80, 8),   # the eighth step leaks past n_max
+])
+def test_stacked_fidelities_equal_the_pairwise_oracle(modes, looped, haar_seed, n_max,
+                                                      steps, length):
+    states, stat = _trajectory(modes, looped, haar_seed, n_max, steps)
+    assert len(states) == length
+    _assert_same_floats(fidelities(states, stat),
+                        [uhlmann_fidelity_one(rho, stat) for rho in states])
+    _assert_same_floats([uhlmann_fidelity(rho, stat) for rho in states],
+                        [uhlmann_fidelity_one(rho, stat) for rho in states])
+
+
+def test_stacked_fidelities_with_coherences_between_sectors():
+    # coherent states take the dense route one at a time, within a stack
+    # whose other states take the sector blocks; a coherent sigma sends
+    # every state down the dense route
+    basis = FockBasis(1, 6)
+    coherent = coherent_dm([0.6 + 0.3j], 6)
+    diagonal = DensityMatrix(basis, np.diag(np.arange(1.0, 8.0)) / 28)
+    states = [diagonal, coherent, random_density_matrix(basis, 3), diagonal, coherent]
+    for sigma in (diagonal, coherent):
+        _assert_same_floats(fidelities(states, sigma),
+                            [uhlmann_fidelity_one(rho, sigma) for rho in states])
+
+
+def test_sector_weights_equal_the_sums_of_the_copied_diagonal():
+    # sectors of 1 to 56 states: the pairwise sum unrolls from 8 terms on
+    for modes, n_max in [(1, 14), (3, 6), (4, 5)]:
+        basis = FockBasis(modes, n_max)
+        rho = random_density_matrix(basis, modes)
+        diag = np.real(np.diag(rho.mat))
+        _assert_same_floats(rho.sector_weights(),
+                            [diag[basis.sector_slice(n)].sum() for n in range(n_max + 1)])
+
+
+def test_fidelities_refuse_mismatched_bases():
+    rho = fock_state_dm(FockBasis(1, 2), (0,))
+    with pytest.raises(ValueError):
+        fidelities([rho, fock_state_dm(FockBasis(1, 3), (0,))], rho)
 
 
 def test_data_processing_contraction():
