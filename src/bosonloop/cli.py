@@ -6,14 +6,16 @@ atomically (temp file + rename) only on success, and finishes with a
 manifest carrying the config hash and per-file content hashes, so identical
 (config, seed) pairs are byte-reproducible.
 
-Exit codes: 0 ok, 2 config or request, 3 truncation, 4 degenerate fixed point,
-5 reconstruction failure, 6 size cap, 1 any other package error (such as a
-ConvergenceError from `stationary --method iterate`, or an OutputError when
-the files cannot be written; the files the run already wrote are removed).
+Exit codes: 0 ok, 2 config or request (a bad command line too), 3 truncation,
+4 degenerate fixed point, 5 reconstruction failure, 6 size cap, 1 any other
+package error (such as a ConvergenceError from `stationary --method iterate`,
+or an OutputError when the files cannot be written; the files the run already
+wrote are removed).
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -392,8 +394,20 @@ def cmd_sample(args, config, stager) -> None:
     })
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 2, a JSON error) instead of
+    exiting; subparsers inherit this, and `--help` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Built once per process, on the first `main` call.  It holds no
+    functions: `main` looks up `cmd_<command>` at call time, so rebinding a
+    `cmd_*` module attribute (a test, a tracer) takes effect."""
+    parser = _Parser(
         prog="bosonloop",
         description="Simulate boson sampling interferometers with optical feedback",
     )
@@ -405,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--method", choices=["unfold", "pdm", "kraus"], default="pdm")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evolve, needs_loop=False)
+    p.set_defaults(needs_loop=False)
 
     p = sub.add_parser("stationary", help="compute the stationary loop state")
     p.add_argument("config")
@@ -413,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="superop")
     p.add_argument("--rank-cap", type=int, default=6, dest="rank_cap")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stationary, needs_loop=True)
+    p.set_defaults(needs_loop=True)
 
     p = sub.add_parser("stabilization", help="histogram stabilization times over Haar samples")
     p.add_argument("config")
@@ -421,14 +435,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stabilization, needs_loop=True)
+    p.set_defaults(needs_loop=True)
 
     p = sub.add_parser("reconstruct", help="reconstruct the stationary state from tensors")
     p.add_argument("config")
     p.add_argument("--method", choices=["analytic", "convex"], default="analytic")
     p.add_argument("--rank-cap", type=int, default=4, dest="rank_cap")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct, needs_loop=True)
+    p.set_defaults(needs_loop=True)
 
     p = sub.add_parser("sample", help="draw counts from an output distribution")
     p.add_argument("config")
@@ -436,19 +450,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--target", choices=["stationary", "final"], default="stationary")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample, needs_loop=False)  # unless --target stationary
+    p.set_defaults(needs_loop=False)  # unless --target stationary
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a package error prints a JSON error object and
-    returns its exit code."""
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand; a usage error or package error prints a JSON error
+    object and returns its exit code.  Safe to call repeatedly in one process."""
     try:
+        args = _build_parser().parse_args(argv)
         config, raw = _load(args)
         started = time.monotonic()
         stager = _Stager(args.out)
-        args.func(args, config, stager)
+        globals()[f"cmd_{args.command}"](args, config, stager)
         _write_manifest(stager, raw, args.command, args.seed, started)
         return EXIT_OK
     except BosonLoopError as exc:

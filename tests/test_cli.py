@@ -684,6 +684,81 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_and_load_config_build_no_parser(tmp_path):
+    # setup_s times exactly these two steps; the parser is built on the first main call
+    code = ("import sys, bosonloop.cli as cli; cli.load_config(sys.argv[1]); "
+            "print(cli._build_parser.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, write_config(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(["evolve", "CONFIG", "--method", "bogus", "--out", "OUT"], "--method",
+                 id="unknown-method"),
+    pytest.param(["bogus", "CONFIG", "--out", "OUT"], "invalid choice: 'bogus'",
+                 id="unknown-subcommand"),
+    pytest.param(["evolve", "CONFIG"], "--out", id="missing-out"),
+    pytest.param(["stabilization", "CONFIG", "--samples", "abc", "--out", "OUT"],
+                 "--samples", id="samples-not-int"),
+    pytest.param(["evolve", "CONFIG", "--out", "OUT", "--extra"], "--extra",
+                 id="unrecognized-argument"),
+    pytest.param([], "command", id="no-subcommand"),
+])
+def test_bad_command_line_exits_2_with_json_error(tmp_path, capsys, argv, fragment):
+    config = write_config(tmp_path)
+    subs = {"CONFIG": config, "OUT": str(tmp_path / "o")}
+    assert main([subs.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (2, "ConfigError")
+    assert fragment in err["message"]
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["evolve", "--help"])
+    assert info.value.code == 0
+    assert "--method" in capsys.readouterr().out
+
+
+def _data_files(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def test_repeated_calls_in_one_process(tmp_path, capsys):
+    stab = write_config(tmp_path, "stab.json", n_max=14, iterations=1)
+    stab_argv = ["stabilization", stab, "--samples", "3", "--seed", "5"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    evolve = write_config(tmp_path)
+    assert main([*stab_argv, "--out", str(first)]) == 0
+    assert main(["evolve", evolve, "--method", "kraus", "--out", str(tmp_path / "ev")]) == 0
+    assert main(["evolve", evolve, "--method", "bogus", "--out", str(tmp_path / "bad")]) == 2
+    assert main([*stab_argv, "--out", str(second)]) == 0
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+    assert _data_files(first) == _data_files(second)
+    assert not (tmp_path / "bad").exists()
+    assert bosonloop.cli._build_parser.cache_info().misses == 1
+
+
+def test_rebinding_a_subcommand_after_the_parser_exists_takes_effect(tmp_path, monkeypatch):
+    bosonloop.cli._build_parser()
+    calls = []
+
+    def fake(args, config, stager):
+        calls.append(args.samples)
+        stager.add_text("fake.txt", "ok\n")
+    monkeypatch.setattr(bosonloop.cli, "cmd_stabilization", fake)
+    out = tmp_path / "o"
+    assert main(["stabilization", write_config(tmp_path), "--samples", "7",
+                 "--out", str(out)]) == 0
+    assert calls == [7]
+    assert (out / "fake.txt").read_text() == "ok\n"
+
+
 NON_UNITARY = {"rows": 2, "cols": 2, "re": [1, 1, 0, 1], "im": [0, 0, 0, 0]}
 NO_LOOP = {"M": 3, "L": 0, "input": {"type": "fock", "occupation": [1, 0, 0]}}
 
