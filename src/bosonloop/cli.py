@@ -146,21 +146,27 @@ def load_config(path) -> tuple:
 
 
 def json_text(payload) -> str:
-    """Exactly `json.dumps(payload, indent=1, sort_keys=True)`.
+    """Exactly `json.dumps(payload, indent=1, sort_keys=True)`, with any
+    numpy array in the payload read as its `tolist()`.
 
     `indent` makes the stdlib fall back to its pure-Python encoder, so the
     layout of dicts and lists is rebuilt here and every list that holds only
     floats goes to the C encoder in one call, its item separator carrying
     the newline and indent; both encoders print floats with `float.__repr__`
-    and the same NaN/Infinity spellings.  Anything else is encoded by the
-    stdlib itself, its newlines shifted to the current indent (JSON text
-    has no raw newline inside a string).
+    and the same NaN/Infinity spellings.  A finite 2-D float64 array is
+    written straight from its values (`_matrix_text`).  Anything else is
+    encoded by the stdlib itself, its newlines shifted to the current indent
+    (JSON text has no raw newline inside a string).
     """
     return _json_text(payload, "\n")
 
 
 def _json_text(o, newline: str) -> str:
     inner = newline + " "
+    if isinstance(o, np.ndarray):
+        if o.ndim == 2 and o.dtype == np.float64 and o.size and np.isfinite(o).all():
+            return _matrix_text(o, newline)
+        o = o.tolist()
     if isinstance(o, (list, tuple)) and o:
         if all(type(x) is float for x in o):
             body = json.dumps(o, separators=("," + inner, ": "))[1:-1]
@@ -172,6 +178,21 @@ def _json_text(o, newline: str) -> str:
                                   for k, v in sorted(o.items()))
         return "{" + inner + body + newline + "}"
     return json.dumps(o, indent=1, sort_keys=True).replace("\n", newline)
+
+
+def _matrix_text(a: np.ndarray, newline: str) -> str:
+    """The indented JSON text of a finite, nonempty 2-D float64 array's rows.
+    `float.__repr__` runs once per distinct magnitude; a negative value,
+    -0.0 included, is its magnitude's text after a minus sign."""
+    inner = newline + " "
+    mags, inv = np.unique(np.abs(a), return_inverse=True)
+    reprs = list(map(float.__repr__, mags.tolist()))
+    codes = inv.reshape(a.shape) + np.signbit(a) * len(reprs)
+    words = list(map((reprs + ["-" + r for r in reprs]).__getitem__, codes.ravel().tolist()))
+    sep, width = "," + inner + " ", a.shape[1]
+    rows = ("[" + inner + " " + sep.join(words[i:i + width]) + inner + "]"
+            for i in range(0, len(words), width))
+    return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
 def _write_atomic(out_dir, name: str, data: bytes) -> None:

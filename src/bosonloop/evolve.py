@@ -32,7 +32,7 @@ from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
 from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
-                     fidelities, overflow_weight, partial_trace,
+                     fidelities, overflow_weight, partial_traces,
                      tensor_product_blocks, trace_distance)
 
 LEAK_TOLERANCE = 1e-9          # per-iteration truncation leak allowed past n_max
@@ -232,11 +232,11 @@ class _LoopSetup:
                 required_n_max=self.config.iterations * self.n_env,
             )
         blocks = tensor_product_blocks(self.rho_ext_in, rho_loop_in, self.joint, leaked)
-        rho_out = DensityMatrix(self.joint, self.lifted.conjugate_blocks(blocks), check=False)
-        rho_det = partial_trace(rho_out, (0, self.n_ext))
+        rho_det, rho_line_next = partial_traces(
+            self.joint, self.lifted.conjugate_blocks(blocks),
+            [(0, self.n_ext), (self.n_ext, self.modes)])
         if self.out_ext:
             rho_det = self.out_ext.apply(rho_det)
-        rho_line_next = partial_trace(rho_out, (self.n_ext, self.modes))
         if self.out_loop:
             rho_line_next = self.out_loop.apply(rho_line_next)
         return rho_det, rho_line_next, leaked

@@ -127,25 +127,27 @@ class LiftedUnitary:
         return out
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array."""
+        """Blockwise L(U) rho L(U)^dag on a raw density-matrix array: the
+        blocks of `conjugate_blocks` scattered into zeros."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.basis.size, self.basis.size):
             raise ValueError("density matrix shape does not match the basis")
         slices = [self.basis.sector_slice(n) for n in range(self.basis.n_max + 1)]
-        return self.conjugate_blocks({(n, m): rho[sn, sm] for n, sn in enumerate(slices)
-                                      for m, sm in enumerate(slices)})
-
-    def conjugate_blocks(self, blocks: dict) -> np.ndarray:
-        """L(U) rho L(U)^dag as a dense array, from the sector-pair blocks
-        (n, n') -> R of rho: each is block(n) @ R @ block(n')^dag.  An
-        all-zero R, and every pair not given, stays zero."""
-        size = self.basis.size
-        out = np.zeros((size, size), dtype=complex)
-        for (n, m), r in blocks.items():
-            if r.any():
-                out[self.basis.sector_slice(n), self.basis.sector_slice(m)] = (
-                    self.block(n) @ r @ self.block(m).conj().T)
+        out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
+        for (n, m), block in self.conjugate_blocks({(n, m): rho[sn, sm]
+                                                    for n, sn in enumerate(slices)
+                                                    for m, sm in enumerate(slices)}):
+            out[slices[n], slices[m]] = block
         return out
+
+    def conjugate_blocks(self, blocks: dict):
+        """Yield ((n, n'), block(n) @ R @ block(n')^dag) for each sector-pair
+        block (n, n') -> R of rho that is not all zero, in sorted (n, n')
+        order: the nonzero blocks of L(U) rho L(U)^dag."""
+        for n, m in sorted(blocks):
+            r = blocks[n, m]
+            if r.any():
+                yield (n, m), self.block(n) @ r @ self.block(m).conj().T
 
 
 def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedUnitary:

@@ -70,13 +70,15 @@ class DensityMatrix:
         return {
             "modes": self.basis.modes,
             "n_max": self.basis.n_max,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
+            "re": self.mat.real,
+            "im": self.mat.imag,
         }
 
     def to_json(self, path) -> None:
+        payload = self.to_payload()
+        payload["re"], payload["im"] = payload["re"].tolist(), payload["im"].tolist()
         with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh)
+            json.dump(payload, fh)
 
     @classmethod
     def from_json(cls, path) -> "DensityMatrix":
@@ -227,20 +229,58 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
 
 
 @lru_cache(maxsize=None)
-def _trace_buckets(basis: FockBasis, start: int, stop: int) -> tuple:
-    """Gather grids (kept, joint) per state of the traced-out modes."""
+def _trace_parts(basis: FockBasis, start: int, stop: int) -> tuple:
+    """Per state of `basis`: the index of its modes start..stop in their own
+    basis, and an id of its other modes' occupation."""
     keep_basis = FockBasis(stop - start, basis.n_max)
-    buckets = {}
-    for i, occ in enumerate(basis.states):
-        kept = keep_basis.index_of(occ[start:stop])
-        buckets.setdefault(occ[:start] + occ[stop:], []).append((kept, i))
-    return tuple((np.ix_(kidx, kidx), np.ix_(jidx, jidx))
-                 for kidx, jidx in (zip(*pairs) for pairs in buckets.values()))
+    ids = {}
+    kept = [keep_basis.index_of(occ[start:stop]) for occ in basis.states]
+    traced = [ids.setdefault(occ[:start] + occ[stop:], len(ids)) for occ in basis.states]
+    return np.array(kept), np.array(traced)
+
+
+@lru_cache(maxsize=None)
+def _pair_trace_table(basis: FockBasis, start: int, stop: int, n: int, m: int) -> tuple:
+    """Gather table of sector pair (n, m) for the partial trace onto modes
+    start..stop: the flat index in the (n, m) block of each entry whose two
+    traced-out parts agree, and the flat index of its kept parts in the
+    reduced matrix.  The entries run row by row, and the rows of a sector
+    that share their kept part are in lexicographic order of their
+    traced-out part, so each reduced entry meets its terms in that order."""
+    kept, traced = _trace_parts(basis, start, stop)
+    rows, cols = basis.sector_slice(n), basis.sector_slice(m)
+    i, j = np.nonzero(traced[rows, None] == traced[None, cols])
+    size = FockBasis(stop - start, basis.n_max).size
+    return i * (cols.stop - cols.start) + j, kept[rows][i] * size + kept[cols][j]
+
+
+def partial_traces(basis: FockBasis, blocks, keeps) -> list:
+    """Reduced states on each mode range (start, stop) in `keeps`, each a
+    contiguous leading or trailing block of at least one mode, of the state
+    over `basis` whose nonzero sector-pair blocks `blocks` yields as
+    ((n, m), block) in sorted (n, m) order; every block is added into all
+    reduced states and then dropped.
+
+    A reduced entry sums its terms by ascending traced-out photon number
+    across sector pairs and, within a pair, by traced-out state, from +0.0;
+    such a sum never becomes -0.0, so leaving out an all-zero block changes
+    no bit.
+    """
+    outs = [np.zeros((FockBasis(stop - start, basis.n_max).size,) * 2, dtype=complex)
+            for start, stop in keeps]
+    for (n, m), block in blocks:
+        flat = block.reshape(-1)
+        for out, (start, stop) in zip(outs, keeps):
+            src, dst = _pair_trace_table(basis, start, stop, n, m)
+            np.add.at(out.reshape(-1), dst, flat[src])
+    return [DensityMatrix(FockBasis(stop - start, basis.n_max), out, check=False)
+            for out, (start, stop) in zip(outs, keeps)]
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all modes outside `keep` = (start, stop), a contiguous leading
-    or trailing block of modes.
+    or trailing block of modes: `partial_traces` over every sector-pair
+    block of rho.
 
     Trace, Hermiticity and positivity are preserved.  Keeping zero modes
     returns the trivial 1x1 state.
@@ -252,15 +292,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(
             "partial trace supports only contiguous leading or trailing mode blocks"
         )
-    keep_basis = FockBasis(stop - start, rho.basis.n_max)
-    out = np.zeros((keep_basis.size, keep_basis.size), dtype=complex)
     if stop == start:
-        out[0, 0] = np.trace(rho.mat)
-        return DensityMatrix(keep_basis, out, check=False)
-    # one vectorized add per state of the traced-out modes
-    for kept, joint in _trace_buckets(rho.basis, start, stop):
-        out[kept] += rho.mat[joint]
-    return DensityMatrix(keep_basis, out, check=False)
+        return DensityMatrix(FockBasis(0, rho.basis.n_max), [[np.trace(rho.mat)]], check=False)
+    slices = [rho.basis.sector_slice(n) for n in range(rho.basis.n_max + 1)]
+    blocks = (((n, m), rho.mat[sn, sm]) for n, sn in enumerate(slices)
+              for m, sm in enumerate(slices))
+    return partial_traces(rho.basis, blocks, [keep])[0]
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

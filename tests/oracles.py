@@ -6,6 +6,7 @@ algorithmic path with the package.
 """
 
 import itertools
+from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
@@ -15,7 +16,7 @@ from bosonloop.errors import ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _raising_maps
-from bosonloop.qstate import DensityMatrix
+from bosonloop.qstate import DensityMatrix, overflow_weight, tensor_product_blocks
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -356,6 +357,53 @@ def conjugate_dense(lifted, rho: np.ndarray) -> np.ndarray:
             if rho[sa, sb].any():
                 out[sa, sb] = ba @ rho[sa, sb] @ bb
     return out
+
+
+@lru_cache(maxsize=None)
+def _trace_buckets(basis: FockBasis, start: int, stop: int) -> tuple:
+    """Gather grids (kept, joint) per state of the traced-out modes."""
+    keep_basis = FockBasis(stop - start, basis.n_max)
+    buckets = {}
+    for i, occ in enumerate(basis.states):
+        kept = keep_basis.index_of(occ[start:stop])
+        buckets.setdefault(occ[:start] + occ[stop:], []).append((kept, i))
+    return tuple((np.ix_(kidx, kidx), np.ix_(jidx, jidx))
+                 for kidx, jidx in (zip(*pairs) for pairs in buckets.values()))
+
+
+def partial_trace_buckets(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state on the modes keep = (start, stop), at least one of them,
+    by one vectorized add per state of the traced-out modes over the dense
+    matrix: `partial_trace` as the package ran it before it traced
+    sector-pair blocks."""
+    start, stop = keep
+    keep_basis = FockBasis(stop - start, rho.basis.n_max)
+    out = np.zeros((keep_basis.size, keep_basis.size), dtype=complex)
+    for kept, joint in _trace_buckets(rho.basis, start, stop):
+        out[kept] += rho.mat[joint]
+    return DensityMatrix(keep_basis, out, check=False)
+
+
+def joint_pass_dense(setup, rho_line: DensityMatrix) -> tuple:
+    """(rho_det, next line state) of one iteration with the joint state built
+    densely: each nonzero conjugated sector-pair block written into a zero
+    joint matrix, then both reduced states gathered from it.  This is
+    `_LoopSetup.step` as the package ran it before it traced the conjugated
+    blocks directly."""
+    rho_loop_in = setup.in_loop.apply(rho_line) if setup.in_loop else rho_line
+    leaked = overflow_weight(setup.rho_ext_in, rho_loop_in, setup.n_max)
+    joint, lifted = setup.joint, setup.lifted
+    mat = np.zeros((joint.size, joint.size), dtype=complex)
+    for (n, m), r in tensor_product_blocks(setup.rho_ext_in, rho_loop_in, joint,
+                                           leaked).items():
+        if r.any():
+            mat[joint.sector_slice(n), joint.sector_slice(m)] = (
+                lifted.block(n) @ r @ lifted.block(m).conj().T)
+    rho_out = DensityMatrix(joint, mat, check=False)
+    rho_det = partial_trace_buckets(rho_out, (0, setup.n_ext))
+    rho_next = partial_trace_buckets(rho_out, (setup.n_ext, setup.modes))
+    return (setup.out_ext.apply(rho_det) if setup.out_ext else rho_det,
+            setup.out_loop.apply(rho_next) if setup.out_loop else rho_next)
 
 
 def _sector_layout_where(basis: FockBasis) -> tuple:

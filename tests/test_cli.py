@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bosonloop
 import bosonloop.cli
@@ -160,10 +161,23 @@ _FLOATS = st.one_of(
 _FLOAT_ITEMS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
 _KEYS = st.one_of(st.text(max_size=6),
                   st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "😀", "a b"]))
+# matrices: signed zeros, subnormals, huge and tiny magnitudes, and repeats
+# (few distinct values), mostly finite; some transposed (Fortran order)
+_MATRIX_ITEMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_MATRICES = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=_MATRIX_ITEMS),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=3),
+               elements=_FLOATS),
+    hnp.arrays(np.float64, (3, 2), elements=_MATRIX_ITEMS).map(np.transpose),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=1), elements=_MATRIX_ITEMS),
+    hnp.arrays(np.int64, (2, 2), elements=st.integers(-5, 5)))
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=6), _FLOATS,
     st.lists(_FLOAT_ITEMS, max_size=6),
-    st.lists(st.one_of(_FLOATS, st.integers(), st.booleans()), max_size=6))
+    st.lists(st.one_of(_FLOATS, st.integers(), st.booleans()), max_size=6), _MATRICES)
 _JSON_PAYLOADS = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -171,10 +185,36 @@ _JSON_PAYLOADS = st.recursive(
     max_leaves=24)
 
 
+def _as_lists(payload):
+    """The payload with every numpy array replaced by its `tolist()`."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {k: _as_lists(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_as_lists(x) for x in payload]
+    return payload
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(payload=_JSON_PAYLOADS)
 def test_json_text_is_the_stdlib_indented_text(payload):
-    assert json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+    assert json_text(payload) == json.dumps(_as_lists(payload), indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[5e-324, -5e-324, 2.5e-310], [1e300, -1e-300, 1e-300]]),
+    np.array([[0.1, -0.1, 0.1], [-0.1, 0.1, 0.30000000000000004]]),
+    np.array([[1.0, float("nan")], [float("inf"), -float("inf")]]),
+    np.array([[-0.0]]),
+    np.zeros((2, 0)),
+    np.zeros((0, 3)),
+    coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 3).mat.imag,
+])
+def test_json_text_writes_a_matrix_as_its_list(matrix):
+    for payload in (matrix, {"m": matrix, "k": [matrix]}):
+        assert json_text(payload) == json.dumps(_as_lists(payload), indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("command", ["stationary", "reconstruct"])

@@ -187,6 +187,22 @@ def test_joint_pass_memory_stays_near_the_state_size():
         assert _tv(a, b) < 1e-10
 
 
+def test_second_joint_pass_peak_stays_below_the_joint_matrix():
+    # M=6, L=2: a dense 924 x 924 joint matrix is 13.7 MB on its own; the pass
+    # holds the sector-pair blocks of the product (12.8 MB) and one conjugated
+    # block at a time, gathered straight into both reduced states
+    setup = _LoopSetup(haar_config(6, 2, 2, 7, occupation=(1, 1, 1, 0)))
+    setup.lifted.block(setup.n_max)
+    _, line, _ = setup.step(setup.vacuum_line())
+    tracemalloc.start()
+    try:
+        setup.step(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_full_loop_loss_resets_line():
     # a dead feedback line makes every iteration an independent single pass
     losses = LossSpec(loop_transmission=0.0)

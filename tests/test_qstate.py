@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bosonloop.channels import stationary_state
 from bosonloop.errors import TruncationError
-from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, _LoopSetup
+from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, LossSpec, _LoopSetup
 from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
@@ -13,12 +13,13 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               ProbabilityDistribution, classical_fidelity,
                               diagonal_distribution, embed, fidelities,
                               fock_state_dm, overflow_weight, partial_trace,
-                              random_density_matrix, tensor_product,
-                              tensor_product_blocks, trace_distance,
-                              uhlmann_fidelity)
+                              partial_traces, random_density_matrix,
+                              tensor_product, tensor_product_blocks,
+                              trace_distance, uhlmann_fidelity)
 
-from oracles import (coherent_dm, conjugate_dense, tensor_product_dense,
-                     tensor_product_kron, uhlmann_fidelity_one)
+from oracles import (coherent_dm, conjugate_dense, joint_pass_dense,
+                     partial_trace_buckets, tensor_product_dense, tensor_product_kron,
+                     uhlmann_fidelity_one)
 
 
 def test_fock_state_dm():
@@ -167,10 +168,84 @@ def test_joint_pass_blocks_equal_the_dense_product_bit_for_bit(modes, n_max, kin
 
     u = haar_random_unitary(joint.modes, seed)
     lifted = lift(0.9 * u if contraction else u, joint)
-    rho_out = lifted.conjugate_blocks(tensor_product_blocks(ra, rb, joint, dropped))
+    rho_out = np.zeros_like(expected)
+    for (n, m), block in lifted.conjugate_blocks(tensor_product_blocks(ra, rb, joint, dropped)):
+        rho_out[joint.sector_slice(n), joint.sector_slice(m)] = block
     oracle = conjugate_dense(lifted, expected)
     assert np.array_equal(_bits(rho_out), _bits(oracle))
     assert np.array_equal(np.signbit(_bits(rho_out)), np.signbit(_bits(oracle)))
+
+    # both reduced states straight from the conjugated blocks, against the
+    # bucket traces of the dense joint matrix
+    keeps = [(0, modes[0]), (modes[0], joint.modes)]
+    reduced = partial_traces(
+        joint, lifted.conjugate_blocks(tensor_product_blocks(ra, rb, joint, dropped)), keeps)
+    for rho, keep in zip(reduced, keeps):
+        _assert_same_bits(rho.mat, partial_trace_buckets(
+            DensityMatrix(joint, oracle, check=False), keep).mat)
+
+
+def _assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(expected).view(np.uint64))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(modes=st.integers(1, 4), n_max=st.integers(0, 4),
+       kind=st.sampled_from(["fock", "block", "coherent", "holed"]),
+       layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2 ** 16),
+       zero=st.sampled_from([0.0, -0.0]), split=st.integers(0, 4), leading=st.booleans())
+def test_partial_trace_equals_the_bucket_oracle_bit_for_bit(modes, n_max, kind, layout,
+                                                            seed, zero, split, leading):
+    # every sector pair of a dense state, coherences between sectors and
+    # signed zeros included, traced onto a leading or trailing mode block
+    basis = FockBasis(modes, n_max)
+    rho = _factor(basis, kind, seed, zero)
+    rho = DensityMatrix(basis, _laid_out(rho.mat, layout), check=False)
+    split = min(split, modes - 1)
+    keep = (0, modes - split) if leading else (split, modes)
+    _assert_same_bits(partial_trace(rho, keep).mat, partial_trace_buckets(rho, keep).mat)
+
+
+_LOSSES = LossSpec(t_in=np.array([0.9, 0.8, 0.95, 0.85, 0.7]),
+                   t_out=np.array([0.75, 1.0, 0.9, 0.8, 0.95]), loop_transmission=0.8)
+
+
+@pytest.mark.parametrize("modes, looped, occupation, lossy", [
+    (2, 1, (1,), False),
+    (3, 1, (1, 1), True),
+    (4, 2, (1, 1), False),
+    (4, 2, (2, 0), True),
+    (5, 2, (1, 0, 1), True),
+])
+@pytest.mark.parametrize("kind", ["fock", "block", "coherent", "holed"])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("leak", [False, True])
+def test_joint_pass_equals_the_dense_route_bit_for_bit(modes, looped, occupation, lossy,
+                                                       kind, zero, leak):
+    # `_LoopSetup.step` against the dense joint matrix traced twice, with
+    # input, feedback-line and output losses; with `leak` the line state holds
+    # 1e-12 in its top sector, so the pass drops weight and renormalizes
+    losses = LossSpec(_LOSSES.t_in[:modes], _LOSSES.t_out[:modes],
+                      _LOSSES.loop_transmission) if lossy else LossSpec()
+    setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=2,
+                                        haar_seed=10 * modes + looped,
+                                        input_occupation=occupation, losses=losses))
+    if lossy:
+        assert setup.in_loop and setup.out_ext and setup.out_loop
+    small = FockBasis(looped, setup.n_max - setup.n_env)
+    mat = np.full((setup.loop.size,) * 2, zero, dtype=complex)
+    mat[:small.size, :small.size] = _factor(small, kind, modes + looped, zero).mat
+    if leak:
+        top = setup.loop.sector_slice(setup.n_max).start
+        mat[top, top] = 1e-12
+    line = DensityMatrix(setup.loop, mat, check=False)
+    rho_det, rho_next, leaked = setup.step(line)
+    assert (leaked > 0.0) == leak
+    want_det, want_next = joint_pass_dense(setup, line)
+    _assert_same_bits(rho_det.mat, want_det.mat)
+    _assert_same_bits(rho_next.mat, want_next.mat)
 
 
 def test_partial_trace_recovers_factor():
