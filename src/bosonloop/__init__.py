@@ -10,9 +10,8 @@ density-matrix/distribution reconstruction from moments.
 
 __version__ = "0.1.0"
 
-from .channels import (QuantumChannel, StationaryResult, Superoperator, compose,
-                       identity_channel, loop_channel, loss_channel,
-                       stationary_state, to_superoperator)
+from .channels import (QuantumChannel, StationaryResult, compose, loop_channel,
+                       loss_channel, stationary_state)
 from .errors import (BosonLoopError, ConfigError, ConvergenceError,
                      DegenerateFixedPointError, OutOfBasisError, OutputError,
                      ReconstructionError, SizeCapError, SpectralRadiusError,
@@ -27,12 +26,10 @@ from .fock import (FockBasis, enumerate_sector, sector_size, tensor_index_map,
                    total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                        permanent, save_matrix_json, spectral_radius,
-                        submatrix_by_multiplicity, unvec, vec)
+                        permanent, spectral_radius, unvec, vec)
 from .qstate import (DensityMatrix, ProbabilityDistribution, classical_fidelity,
                      diagonal_distribution, fock_state_dm, partial_trace,
-                     random_density_matrix, tensor_product, trace_distance,
-                     uhlmann_fidelity)
+                     random_density_matrix, trace_distance, uhlmann_fidelity)
 from .reconstruct import (MomentSystem, PhotonStatisticsFit, build_moment_system,
                           coherent_pmf, fit_photon_statistics, project_psd,
                           project_simplex, reconstruct_analytic,

@@ -27,7 +27,7 @@ from .errors import (DENSE_DIM_CAP, DegenerateFixedPointError, SizeCapError,
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
 from .matrixkit import vec
-from .qstate import POPULATED_CUTOFF, DensityMatrix
+from .qstate import POPULATED_CUTOFF, DensityMatrix, charge0_layout
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
@@ -175,8 +175,11 @@ class QuantumChannel:
         """Apply the channel to a state within the valid subspace.
 
         A state inside the charge-0 block of a charge-conserving channel takes
-        one matrix-vector product with that block; any other state takes the
-        Kraus sum.  Population above `valid_max_photons` exceeding
+        one matrix-vector product with that block and comes out in the vector
+        form of `DensityMatrix.from_block0`.  A state already in that form is
+        read as its vector; any other is gathered and must have no entries
+        outside the block.  Every other state takes the Kraus sum.
+        Population above `valid_max_photons` exceeding
         max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError; smaller
         amounts are allowed to leak and the output trace is renormalized.
         """
@@ -188,18 +191,20 @@ class QuantumChannel:
                 f"state populates sectors above the channel validity bound "
                 f"{self.valid_max_photons} with weight {excess:.3e}"
             )
-        out = None
         if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
-            x = rho.mat[self._block0_entries]
-            if np.count_nonzero(x) == np.count_nonzero(rho.mat):
-                out = self.unvec_block0(self.superop_block(0) @ x)
-        if out is None:
-            out = self.apply_matrix(rho.mat)
+            x = rho.block0
+            if x is None:
+                x = rho.mat[self._block0_entries]
+                if np.count_nonzero(x) != np.count_nonzero(rho.mat):
+                    x = None
+            if x is not None:
+                out = self.superop_block(0) @ x
+                if excess > 0.0:
+                    out /= _kept_trace(out[charge0_layout(self.basis)[2]].sum())
+                return DensityMatrix.from_block0(self.basis, out)
+        out = self.apply_matrix(rho.mat)
         if excess > 0.0:
-            tr = np.trace(out).real
-            if tr <= 0:
-                raise TruncationError("channel output lost all weight to truncation")
-            out /= tr
+            out /= _kept_trace(np.trace(out))
         return DensityMatrix(self.basis, out, check=False)
 
     def __repr__(self):
@@ -207,6 +212,13 @@ class QuantumChannel:
             f"QuantumChannel(basis={self.basis!r}, n_kraus={len(self.kraus)}, "
             f"valid_max_photons={self.valid_max_photons})"
         )
+
+
+def _kept_trace(tr: complex) -> float:
+    """The real part of a channel output's trace, which must be positive."""
+    if tr.real <= 0:
+        raise TruncationError("channel output lost all weight to truncation")
+    return tr.real
 
 
 def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChannel:
@@ -307,11 +319,6 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
     return QuantumChannel(basis, kraus, valid_max_photons=n_max, max_photon_gain=0)
 
 
-def identity_channel(basis: FockBasis) -> QuantumChannel:
-    return QuantumChannel(basis, [np.eye(basis.size, dtype=complex)],
-                          valid_max_photons=basis.n_max, max_photon_gain=0)
-
-
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     """Channel applying `inner` first: Kraus set {K_out K_in}.
 
@@ -407,20 +414,9 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     return DensityMatrix(channel.basis, rho, check=False)
 
 
-def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> StationaryResult:
-    """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
-
-    The eigenvector comes from the charge-0 block, which holds the spectral
-    radius of a positive map and hence the eigenvalue closest to 1; the
-    diagnostics read the union of the block spectra, which is the spectrum
-    of G.  Raises DegenerateFixedPointError when the eigenvalue-1 eigenspace
-    has numerical dimension above one (more than one eigenvalue within
-    _DEGENERACY_GAP of 1), in which case the stationary state is not unique.
-    The principal eigenvalue must sit within `eigenvalue_tol` of 1: a larger
-    drift means the truncation leaks the stationary state itself.  Loosening
-    the tolerance computes the truncated model's own fixed point, which is
-    exact for the channel as built regardless of the leak.
-    """
+def _unit_eigenpair(channel: QuantumChannel, eigenvalue_tol: float) -> tuple:
+    """The spectrum and eigenvectors of the charge-0 block, and the index of
+    the eigenvalue closest to 1, which must lie within `eigenvalue_tol`."""
     evals, evecs = np.linalg.eig(channel.superop_block(0))
     i = int(np.argmin(np.abs(evals - 1.0)))
     lam = evals[i]
@@ -430,21 +426,29 @@ def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> S
             f"(closest {complex(lam):.12g}); the truncated channel leaks too much, "
             "increase n_max"
         )
-    spectrum = np.concatenate([evals] + [
-        np.linalg.eigvals(channel.superop_block(b))
-        for b in range(1, len(channel.charge_blocks))
-    ])
+    return evals, evecs, i
+
+
+def _unit_count(spectrum: np.ndarray, lam: complex) -> int:
+    """Eigenvalues within _DEGENERACY_GAP of the unit one, which must be it alone."""
     n_unit = int(np.count_nonzero(np.abs(spectrum - lam) < _DEGENERACY_GAP))
     if n_unit > 1:
         raise DegenerateFixedPointError(
             f"non-unique stationary state: {n_unit} eigenvalues within "
             f"{_DEGENERACY_GAP:.1e} of the unit eigenvalue"
         )
-    moduli = np.abs(spectrum)
-    moduli[i] = -np.inf
-    second = float(moduli.max())
+    return n_unit
 
-    rho = channel.unvec_block0(evecs[:, i])
+
+def _spectrum(channel: QuantumChannel, evals: np.ndarray) -> np.ndarray:
+    """The spectrum of G: `evals` of the charge-0 block, then the other blocks'."""
+    return np.concatenate([evals] + [np.linalg.eigvals(channel.superop_block(b))
+                                     for b in range(1, len(channel.charge_blocks))])
+
+
+def _eigenstate(channel: QuantumChannel, v: np.ndarray) -> DensityMatrix:
+    """The state of a charge-0 eigenvector, trace-normalized and made Hermitian."""
+    rho = channel.unvec_block0(v)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateFixedPointError(
@@ -452,9 +456,47 @@ def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> S
         )
     rho = rho / tr
     rho = (rho + rho.conj().T) / 2
+    return DensityMatrix(channel.basis, rho)
+
+
+def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> StationaryResult:
+    """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
+
+    The eigenvector comes from the charge-0 block, which holds the spectral
+    radius of a positive map and hence the eigenvalue closest to 1; the
+    diagnostics read the union of the block spectra, which is the spectrum
+    of G.  The checks run in this order: the principal eigenvalue must sit
+    within `eigenvalue_tol` of 1, since a larger drift means the truncation
+    leaks the stationary state itself (TruncationError); no other eigenvalue
+    of G may lie within _DEGENERACY_GAP of it; and the eigenvector must not
+    be traceless.  Either of the last two raises DegenerateFixedPointError:
+    the stationary state is not unique.  Loosening the tolerance computes
+    the truncated model's own fixed point, which is exact for the channel as
+    built regardless of the leak.  `unit_eigenstate` defers the q != 0
+    blocks for callers that may discard the state.
+    """
+    evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
+    spectrum = _spectrum(channel, evals)
+    n_unit = _unit_count(spectrum, evals[i])
+    moduli = np.abs(spectrum)
+    moduli[i] = -np.inf
     return StationaryResult(
-        rho=DensityMatrix(channel.basis, rho),
-        eigenvalue=complex(lam),
-        second_modulus=second,
+        rho=_eigenstate(channel, evecs[:, i]),
+        eigenvalue=complex(evals[i]),
+        second_modulus=float(moduli.max()),
         unit_eigenvalue_count=n_unit,
     )
+
+
+def unit_eigenstate(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> tuple:
+    """`stationary_state`'s state, with the q != 0 blocks left for later.
+
+    Runs the charge-0 checks now: the eigenvalue check, then degeneracy
+    within the charge-0 block, then the traceless check.  Returns (rho,
+    confirm); `confirm()` builds and diagonalizes the q != 0 blocks and runs
+    the degeneracy check over the whole spectrum, as `stationary_state` does.
+    """
+    evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
+    _unit_count(evals, evals[i])
+    return (_eigenstate(channel, evecs[:, i]),
+            lambda: _unit_count(_spectrum(channel, evals), evals[i]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
-                       loop_channel, stationary_state)
+                       loop_channel, stationary_state, unit_eigenstate)
 from .channels import loss_channel as _loss_channel
 from .errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                      DegenerateFixedPointError, SizeCapError, TruncationError)
@@ -450,21 +450,25 @@ def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
 def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
                        max_iterations: int = 100_000) -> int:
     """Iterations until the loop state's infidelity to the fixed point drops below
-    `tolerance`, starting from the vacuum."""
+    `tolerance`, starting from the vacuum.
+
+    The fixed point comes from the bordered solve or, when that gives up,
+    from `unit_eigenstate`: its charge-0 checks run before the first step
+    and its check over the q != 0 blocks only before tau is returned or
+    ConvergenceError raised, so a rung whose trajectory leaks never builds
+    those blocks.  The state steps as a charge-0 vector, and the iterates
+    are scored in chunks doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.
+    Steps past the first converged iterate are overshoot: a TruncationError
+    among them is dropped, while one at or before it, and the cap, surface
+    after the same steps as a step-by-step loop would take.
+    """
     if config.looped == 0:
         raise ValueError("stabilization time needs at least one looped mode")
     setup = _LoopSetup(config)
     channel = setup.loop_update_channel()
-    # bordered-solve fast path; fall back to the spectral route, which also
-    # diagnoses degenerate fixed points properly
-    rho_stat = fixed_point(channel)
+    rho_stat, confirm = fixed_point(channel), lambda: None
     if rho_stat is None:
-        rho_stat = stationary_state(channel).rho
-    # the iterates are scored against rho_stat a chunk at a time, in chunks
-    # doubling up to _TRAJECTORY_CHUNK.  Steps past the first converged
-    # iterate are overshoot: a TruncationError among them is dropped, while
-    # one at or before it, and the cap, surface after the same steps as a
-    # step-by-step loop would take
+        rho_stat, confirm = unit_eigenstate(channel)
     rho = setup.vacuum_line()
     start, size = 0, _FIRST_CHUNK
     while start <= max_iterations:
@@ -478,12 +482,14 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
             chunk.append(rho)
         converged = np.flatnonzero(1.0 - fidelities(chunk, rho_stat) < tolerance)
         if converged.size:
+            confirm()
             return start + int(converged[0])
         if failure is not None:
             raise failure
         rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
         start += len(chunk)
         size = min(2 * size, _TRAJECTORY_CHUNK)
+    confirm()
     raise ConvergenceError(
         f"loop state did not stabilize within {max_iterations} iterations"
     )

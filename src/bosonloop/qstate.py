@@ -23,6 +23,12 @@ class DensityMatrix:
     Immutable by convention: operations return new instances.  Validation can
     be skipped (check=False) by internal hot loops that construct states from
     already-validated arithmetic.
+
+    A state made by `from_block0` holds only its charge-0 entries, those in
+    the photon-number diagonal blocks, as the vector `block0` in the order of
+    `charge0_layout`.  `.mat` is built from it, zero elsewhere, the first
+    time something reads it; `block0` is None from then on, so what a caller
+    writes into `.mat` is never read back through a stale vector.
     """
 
     def __init__(self, basis: FockBasis, mat: np.ndarray, check: bool = True):
@@ -42,13 +48,34 @@ class DensityMatrix:
             if lo < PSD_EIG_FLOOR:
                 raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
         self.basis = basis
-        self.mat = mat
+        self._mat = mat
+        self.block0 = None
+
+    @classmethod
+    def from_block0(cls, basis: FockBasis, block0: np.ndarray) -> "DensityMatrix":
+        """The state whose charge-0 entries are `block0`, unchecked."""
+        rho = cls.__new__(cls)
+        rho.basis, rho._mat, rho.block0 = basis, None, block0
+        return rho
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, built from `block0` on first read."""
+        if self._mat is None:
+            rows, cols, _ = charge0_layout(self.basis)
+            self._mat = np.zeros((self.basis.size, self.basis.size), dtype=complex)
+            self._mat[rows, cols] = self.block0
+            self.block0 = None
+        return self._mat
 
     def sector_weights(self, above: int = -1) -> np.ndarray:
         """Diagonal probability mass per photon-number sector, of the sectors
         after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
         term for term."""
-        diag = self.mat.diagonal().real
+        if self.block0 is None:
+            diag = self.mat.diagonal().real
+        else:
+            diag = self.block0[charge0_layout(self.basis)[2]].real
         return np.array([
             diag[self.basis.sector_slice(n)].sum()
             for n in range(self.basis.n_max + 1)[above + 1:]
@@ -60,9 +87,6 @@ class DensityMatrix:
         populated = np.nonzero(weights > POPULATED_CUTOFF)[0]
         return int(populated[-1]) if populated.size else 0
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
     def diagonal_distribution(self) -> "ProbabilityDistribution":
         return diagonal_distribution(self)
 
@@ -73,12 +97,6 @@ class DensityMatrix:
             "re": self.mat.real,
             "im": self.mat.imag,
         }
-
-    def to_json(self, path) -> None:
-        payload = self.to_payload()
-        payload["re"], payload["im"] = payload["re"].tolist(), payload["im"].tolist()
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
 
     @classmethod
     def from_json(cls, path) -> "DensityMatrix":
@@ -309,18 +327,29 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 @lru_cache(maxsize=None)
+def charge0_layout(basis: FockBasis) -> tuple:
+    """The charge-0 entries (i, j) of a matrix over `basis`, those with
+    n_i = n_j, in column-stacked order, which is the order of a
+    charge-conserving channel's `charge_blocks[0]`: their rows, their
+    columns, and the position of each diagonal entry among them."""
+    totals = basis.totals()
+    cols, rows = np.nonzero(totals[:, None] == totals[None, :])
+    return rows, cols, np.flatnonzero(rows == cols)
+
+
+@lru_cache(maxsize=None)
 def _sector_layout(basis: FockBasis) -> tuple:
     """How the photon-number diagonal blocks of a matrix stack, zero-padded
-    to the largest sector: the flat (C-order) matrix index of every entry
-    inside a block, its flat position in the stack, and the stack's shape."""
+    to the largest sector: the flat (C-order) matrix index of each charge-0
+    entry, in the order of `charge0_layout`, its flat position in the
+    stack, and the stack's shape."""
+    rows, cols, _ = charge0_layout(basis)
     slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    starts = np.array([sl.start for sl in slices])
     width = max(sl.stop - sl.start for sl in slices)
-    flat, pos = [], []
-    for n, sl in enumerate(slices):
-        i, j = np.arange(sl.start, sl.stop), np.arange(sl.stop - sl.start)
-        flat.append((i[:, None] * basis.size + i[None, :]).ravel())
-        pos.append((n * width * width + j[:, None] * width + j[None, :]).ravel())
-    return np.concatenate(flat), np.concatenate(pos), (len(slices), width, width)
+    n = basis.totals()[rows]
+    pos = (n * width + rows - starts[n]) * width + cols - starts[n]
+    return rows * basis.size + cols, pos, (basis.n_max + 1, width, width)
 
 
 def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
@@ -336,6 +365,15 @@ def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
     return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
 
 
+def _in_blocks(rho: DensityMatrix, flat: np.ndarray) -> np.ndarray | None:
+    """rho's charge-0 entries in the order of `charge0_layout`, or None when
+    rho has coherences between photon-number sectors."""
+    if rho.block0 is not None:
+        return rho.block0
+    entries = np.take(rho.mat, flat)
+    return entries if np.count_nonzero(entries) == np.count_nonzero(rho.mat) else None
+
+
 def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     """Uhlmann fidelities F(rho, sigma) of each state rho against one sigma.
 
@@ -343,24 +381,26 @@ def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     splits into a sum over the sector blocks.  The blocks of all such states
     go through the kernel as one C-contiguous stack, laid out as one state's
     blocks are (numpy's complex loops may round strided operands without the
-    fused multiply-add); a state with coherences between sectors, or every
-    state when sigma has them, takes the dense route on its own.
+    fused multiply-add); a state in the vector form of `from_block0` is
+    scattered into the stack from its vector.  A state with coherences
+    between sectors, or every state when sigma has them, takes the dense
+    route on its own.
     """
     if any(rho.basis != sigma.basis for rho in states):
         raise ValueError("fidelity needs matching bases")
     flat, pos, shape = _sector_layout(sigma.basis)
-    mats = [rho.mat for rho in states] + [sigma.mat]
-    entries = np.array([np.take(mat, flat) for mat in mats])
-    in_blocks = np.count_nonzero(entries, axis=1) == [np.count_nonzero(mat) for mat in mats]
-    blocked = in_blocks[:-1] & in_blocks[-1]
+    target = _in_blocks(sigma, flat)
+    entries = [None if target is None else _in_blocks(rho, flat) for rho in states]
+    blocked = [k for k, v in enumerate(entries) if v is not None]
     out = np.empty(len(states))
-    if blocked.any():
-        stack = np.zeros((len(mats), np.prod(shape)), dtype=complex)
-        stack[:, pos] = entries
+    if blocked:
+        stack = np.zeros((len(blocked) + 1, np.prod(shape)), dtype=complex)
+        stack[:, pos] = [entries[k] for k in blocked] + [target]
         stack = stack.reshape(-1, *shape)
-        out[blocked] = _fidelity_kernel(stack[:-1][blocked], stack[-1])
-    for k in np.flatnonzero(~blocked):
-        out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
+        out[blocked] = _fidelity_kernel(stack[:-1], stack[-1])
+    for k, v in enumerate(entries):
+        if v is None:
+            out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
     return out
 
 
@@ -424,29 +464,6 @@ class ProbabilityDistribution:
             ",".join(str(x) for x in occ) + ";" + FLOAT_FMT % prob + "\n"
             for occ, prob in zip(self.basis.states, self.probabilities)
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv(cls, path, check: bool = True) -> "ProbabilityDistribution":
-        occs, probs = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                occ_str, prob_str = line.split(";")
-                occs.append(tuple(int(x) for x in occ_str.split(",")))
-                probs.append(float(prob_str))
-        modes = len(occs[0])
-        n_max = max(sum(o) for o in occs)
-        basis = FockBasis(modes, n_max)
-        v = np.zeros(basis.size)
-        for occ, prob in zip(occs, probs):
-            v[basis.index_of(occ)] = prob
-        return cls(basis, v, check=check)
 
 
 def diagonal_distribution(rho: DensityMatrix) -> ProbabilityDistribution:

@@ -6,17 +6,19 @@ algorithmic path with the package.
 """
 
 import itertools
+import json
 from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.channels import fixed_point, stationary_state
-from bosonloop.errors import ConvergenceError, TruncationError
+from bosonloop.channels import QuantumChannel, fixed_point, stationary_state
+from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _raising_maps
-from bosonloop.qstate import DensityMatrix, overflow_weight, tensor_product_blocks
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, ProbabilityDistribution,
+                             _fidelity_kernel, overflow_weight, tensor_product_blocks)
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -509,3 +511,139 @@ def charge_blocks_by_scans(basis: FockBasis) -> list:
     charge = np.subtract.outer(totals, totals).flatten(order="F")
     n = basis.n_max
     return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]
+
+
+def identity_channel(basis: FockBasis) -> QuantumChannel:
+    return QuantumChannel(basis, [np.eye(basis.size, dtype=complex)],
+                          valid_max_photons=basis.n_max, max_photon_gain=0)
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.mat @ rho.mat).real)
+
+
+def interferometer_blocks(itf) -> tuple:
+    """The external-external, external-loop, loop-external and loop-loop
+    blocks of an interferometer's matrix."""
+    e = itf.n_external
+    return itf.matrix[:e, :e], itf.matrix[:e, e:], itf.matrix[e:, :e], itf.u_ll
+
+
+def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> DensityMatrix:
+    """`QuantumChannel.apply` as the package ran it before states stepped as
+    charge-0 vectors: the charge-0 block gathered from the dense matrix,
+    checked against it by two nonzero counts, multiplied and scattered back
+    into a dense matrix."""
+    if rho.basis != channel.basis:
+        raise ValueError("state basis does not match the channel basis")
+    diag = rho.mat.diagonal().real
+    excess = float(np.array([diag[rho.basis.sector_slice(n)].sum()
+                             for n in range(channel.valid_max_photons + 1,
+                                            rho.basis.n_max + 1)]).sum())
+    if excess > max(leak_tolerance, POPULATED_CUTOFF):
+        raise TruncationError("state populates sectors above the channel validity bound")
+    out = None
+    if len(channel.charge_blocks) > 1 and channel.charge_blocks[0].size <= DENSE_DIM_CAP:
+        x = rho.mat[channel._block0_entries]
+        if np.count_nonzero(x) == np.count_nonzero(rho.mat):
+            out = channel.unvec_block0(channel.superop_block(0) @ x)
+    if out is None:
+        out = channel.apply_matrix(rho.mat)
+    if excess > 0.0:
+        tr = np.trace(out).real
+        if tr <= 0:
+            raise TruncationError("channel output lost all weight to truncation")
+        out /= tr
+    return DensityMatrix(channel.basis, out, check=False)
+
+
+def fidelities_gathered(states, sigma: DensityMatrix) -> np.ndarray:
+    """`qstate.fidelities` as the package ran it before states stepped as
+    charge-0 vectors: every state's sector blocks gathered from its dense
+    matrix, and checked against it by two nonzero counts."""
+    slices = [sigma.basis.sector_slice(n) for n in range(sigma.basis.n_max + 1)]
+    width = max(sl.stop - sl.start for sl in slices)
+    flat, pos = [], []
+    for n, sl in enumerate(slices):
+        i, j = np.arange(sl.start, sl.stop), np.arange(sl.stop - sl.start)
+        flat.append((i[:, None] * sigma.basis.size + i[None, :]).ravel())
+        pos.append((n * width * width + j[:, None] * width + j[None, :]).ravel())
+    flat, pos = np.concatenate(flat), np.concatenate(pos)
+    mats = [rho.mat for rho in states] + [sigma.mat]
+    entries = np.array([np.take(mat, flat) for mat in mats])
+    in_blocks = np.count_nonzero(entries, axis=1) == [np.count_nonzero(mat) for mat in mats]
+    blocked = in_blocks[:-1] & in_blocks[-1]
+    out = np.empty(len(states))
+    if blocked.any():
+        stack = np.zeros((len(mats), len(slices) * width * width), dtype=complex)
+        stack[:, pos] = entries
+        stack = stack.reshape(len(mats), len(slices), width, width)
+        out[blocked] = _fidelity_kernel(stack[:-1][blocked], stack[-1])
+    for k in np.flatnonzero(~blocked):
+        out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
+    return out
+
+
+def submatrix_by_multiplicity(a: np.ndarray, row_occ, col_occ) -> np.ndarray:
+    """Matrix with row k of `a` repeated row_occ[k] times and likewise for columns.
+
+    Row and column occupations must carry the same total so the result is square.
+    """
+    a = np.asarray(a)
+    row_occ = tuple(row_occ)
+    col_occ = tuple(col_occ)
+    if len(row_occ) != a.shape[0] or len(col_occ) != a.shape[1]:
+        raise ValueError("occupation lengths must match the matrix dimensions")
+    if sum(row_occ) != sum(col_occ):
+        raise ValueError(
+            f"row and column totals differ: {sum(row_occ)} vs {sum(col_occ)}"
+        )
+    rows = np.repeat(np.arange(a.shape[0]), row_occ)
+    cols = np.repeat(np.arange(a.shape[1]), col_occ)
+    return a[np.ix_(rows, cols)]
+
+
+def save_matrix_json(a: np.ndarray, path) -> None:
+    """Write a complex matrix as {rows, cols, re, im} with flat row-major lists."""
+    a = np.asarray(a, dtype=complex)
+    payload = {
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "re": a.real.flatten().tolist(),
+        "im": a.imag.flatten().tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def dm_to_json(rho: DensityMatrix, path) -> None:
+    """Write a state in the format `DensityMatrix.from_json` reads."""
+    payload = rho.to_payload()
+    payload["re"], payload["im"] = payload["re"].tolist(), payload["im"].tolist()
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def distribution_to_csv(dist: ProbabilityDistribution, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(dist.to_csv_text())
+
+
+def distribution_from_csv(path, check: bool = True) -> ProbabilityDistribution:
+    """Read an `occupation;probability` CSV artifact."""
+    occs, probs = [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            occ_str, prob_str = line.split(";")
+            occs.append(tuple(int(x) for x in occ_str.split(",")))
+            probs.append(float(prob_str))
+    modes = len(occs[0])
+    n_max = max(sum(o) for o in occs)
+    basis = FockBasis(modes, n_max)
+    v = np.zeros(basis.size)
+    for occ, prob in zip(occs, probs):
+        v[basis.index_of(occ)] = prob
+    return ProbabilityDistribution(basis, v, check=check)

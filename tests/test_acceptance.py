@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines; the whole suite stays within its stated runtime budgets on a desktop.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -137,6 +138,11 @@ def test_criterion_04_stabilization_histogram():
     assert 10.0 <= median <= 25.0
     assert mean > median  # long right tail
     assert elapsed < 300.0
+    # the 1000 tau themselves, so that a tau that moves fails here instead
+    # of passing the bounds above
+    assert (int(times.sum()), int(times.max()), study.skipped) == (52442, 6045, 0)
+    assert hashlib.sha256(",".join(map(str, study.times)).encode()).hexdigest() == (
+        "a0a5c1cec677d18f488e350c66f8f66ee34d6893a2c2f71dcbe66ffbc88726b2")
     _passed(4, f"1000 Haar samples: median {median}, mean {mean:.1f} "
                f"(> median), {elapsed:.0f}s (< 300s)")
 

@@ -6,24 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonloop.channels
-from bosonloop.channels import (QuantumChannel, compose, fixed_point,
-                                identity_channel, loop_channel, loss_channel,
-                                stationary_state, to_superoperator)
+from bosonloop.channels import (QuantumChannel, compose, fixed_point, loop_channel,
+                                loss_channel, stationary_state, to_superoperator)
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
                               SizeCapError, TruncationError)
-from bosonloop.evolve import (ExperimentConfig, LossSpec, _haar_samples, _LoopSetup,
-                              stabilization_samples)
+from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
+                              _LoopSetup, stabilization_samples)
 from bosonloop.fock import FockBasis, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, embed, fock_state_dm,
-                              partial_trace, random_density_matrix, tensor_product,
-                              trace_distance, uhlmann_fidelity)
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, embed,
+                              fock_state_dm, partial_trace, random_density_matrix,
+                              tensor_product, trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_loss_direct, charge_blocks_by_scans, coherent_dm, fidelity_svd,
-                     kraus_pure_fock, loop_kraus_from_full, loss_kraus_loop,
-                     stabilization_time_stepwise, stationary_dense, superop_block_dense,
-                     superoperator_kron)
+from oracles import (apply_dense, apply_loss_direct, charge_blocks_by_scans, coherent_dm,
+                     fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
+                     loss_kraus_loop, stabilization_time_stepwise, stationary_dense,
+                     superop_block_dense, superoperator_kron)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -510,6 +509,9 @@ def test_charge_blocks_equal_one_scan_per_charge(modes, n_max):
     for got, ref in zip(chan.charge_blocks, expected):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+    # block 0 is the order the vector form of a state keeps its entries in
+    rows, cols, _ = charge0_layout(basis)
+    assert np.array_equal(chan.charge_blocks[0], rows + basis.size * cols)
 
 
 def test_tensor_index_map_is_one_read_only_table():
@@ -553,3 +555,69 @@ def test_leak_sums_equal_the_tail_of_all_sector_weights(modes, n_max, above, see
             assert str(err.value) == f"cutting {basis!r} to {cut!r} drops weight {expected:.3e}"
         else:
             assert embed(rho, cut).basis == cut
+
+
+def _test_channel(kind: str, seed: int, n_max: int) -> QuantumChannel:
+    """A one-loop or two-loop loop channel, a lossy one-loop channel, a
+    photon-loss channel, or a unitary channel that mixes photon numbers."""
+    if kind in ("loss", "mixed"):
+        basis = FockBasis(1, n_max)
+        if kind == "loss":
+            return loss_channel(0.7, 1, n_max)
+        return QuantumChannel(basis, [haar_random_unitary(basis.size, seed)],
+                              valid_max_photons=n_max)
+    modes = 3 if kind == "two loops" else 2
+    losses = (LossSpec(np.array([0.9, 0.8]), np.array([0.95, 0.85]), 0.7)
+              if kind == "lossy" else LossSpec())
+    cfg = ExperimentConfig(modes=modes, looped=modes - 1, iterations=1, haar_seed=seed,
+                           input_occupation=(1,), losses=losses,
+                           n_max=min(n_max, 4) if modes == 3 else n_max)
+    return _LoopSetup(cfg).loop_update_channel()
+
+
+def _outcome_bits(chan, rho, leak_tolerance):
+    """The bits of the channel output, or the error it raises."""
+    try:
+        out = chan.apply(rho, leak_tolerance)
+    except TruncationError as err:
+        return str(err), None
+    if out.block0 is None:
+        return out.mat.tobytes(), out
+    # a copy reads the vector form's matrix without dropping its vector
+    return DensityMatrix.from_block0(out.basis, out.block0.copy()).mat.tobytes(), out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["loop", "two loops", "lossy", "loss", "mixed"]),
+       seed=st.integers(0, 2 ** 16), n_max=st.integers(1, 8),
+       zero=st.sampled_from([0.0, -0.0]), leak=st.booleans())
+def test_vector_apply_equals_the_dense_route_bit_for_bit(kind, seed, n_max, zero, leak):
+    # charge-0 vectors with signed zeros, stepped three times, against the
+    # dense gather-multiply-scatter; with `leak` the top sector holds about
+    # 1e-10, past the loop channels' validity bound, so the output is
+    # renormalized.  A dense input with signed zeros between sectors goes
+    # the same way.
+    chan = _test_channel(kind, seed, n_max)
+    basis = chan.basis
+    rows, cols, _ = charge0_layout(basis)
+    rng = np.random.default_rng(seed)
+    v = random_density_matrix(basis, seed).mat[rows, cols]
+    v[rng.random(v.size) < 0.2] = complex(zero, zero)
+    top = basis.totals()[rows] == basis.n_max
+    v[top] = v[top] * 1e-10 if leak else complex(zero, zero)
+    dense = np.full((basis.size, basis.size), complex(zero, zero))
+    dense[rows, cols] = v
+    routes = [DensityMatrix.from_block0(basis, v.copy()),
+              DensityMatrix(basis, dense.copy(), check=False)]
+    want = DensityMatrix(basis, dense.copy(), check=False)
+    for _ in range(3):
+        outcomes = [_outcome_bits(chan, rho, LEAK_TOLERANCE) for rho in routes]
+        try:
+            want = apply_dense(chan, want, LEAK_TOLERANCE)
+        except TruncationError:
+            assert all(out is None for _, out in outcomes)
+            break
+        for bits, out in outcomes:
+            assert bits == want.mat.tobytes()
+            assert (out.block0 is not None) == (len(chan.charge_blocks) > 1)
+        routes = [out for _, out in outcomes]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonloop import evolve
 from bosonloop.channels import QuantumChannel
 from bosonloop.errors import (ConvergenceError, DegenerateFixedPointError,
                               TruncationError)
@@ -265,12 +266,16 @@ def test_stabilization_swap_is_one():
     assert stabilization_time(cfg) == 1
 
 
-def test_stabilization_decoupled_raises():
+def test_stabilization_decoupled_raises(monkeypatch):
+    # the charge-0 block alone holds the extra unit eigenvalues, so the rung
+    # raises before its first step
     u = np.diag([1.0, np.exp(0.4j)])
     cfg = ExperimentConfig(modes=2, looped=1, iterations=1, unitary=u,
                            input_occupation=(1,), n_max=4)
+    calls = _count_steps(monkeypatch)
     with pytest.raises(DegenerateFixedPointError):
         stabilization_time(cfg)
+    assert calls == []
 
 
 def test_stabilization_iteration_cap():
@@ -363,6 +368,58 @@ def test_stabilization_cap_takes_the_stepwise_final_step(monkeypatch, max_iterat
     _count_steps(monkeypatch, fail_at=max_iterations + 1)
     assert _outcome(stabilization_time, cfg, tolerance=0.0,
                     max_iterations=max_iterations) == "TruncationError"
+
+
+def _rung_events(monkeypatch):
+    """Record, in order, the bordered solve's results ("solved" or None),
+    the channel steps ("step") and the charge blocks requested (their index)."""
+    events = []
+    solve, step, block = evolve.fixed_point, QuantumChannel.apply, QuantumChannel.superop_block
+
+    def solved(channel):
+        rho = solve(channel)
+        events.append(None if rho is None else "solved")
+        return rho
+
+    def stepped(self, rho, leak_tolerance=0.0):
+        events.append("step")
+        return step(self, rho, leak_tolerance)
+
+    def requested(self, b):
+        events.append(b)
+        return block(self, b)
+
+    monkeypatch.setattr(evolve, "fixed_point", solved)
+    monkeypatch.setattr(QuantumChannel, "apply", stepped)
+    monkeypatch.setattr(QuantumChannel, "superop_block", requested)
+    return events
+
+
+def test_leaking_fallback_rung_never_builds_the_other_charge_blocks(monkeypatch):
+    # a stab_mc stratum sample, |U_LL|^2 = 0.80 at n_max = 14: the bordered
+    # solve gives up and the charge-0 eigenvector passes its checks, but the
+    # trajectory leaks past the truncation, so the rung is thrown away
+    cfg = haar_config(2, 1, 1, 26, n_max=14)
+    assert abs(cfg.interferometer().u_ll[0, 0]) ** 2 == pytest.approx(0.804, abs=1e-3)
+    events = _rung_events(monkeypatch)
+    with pytest.raises(TruncationError):
+        stabilization_time(cfg)
+    assert None in events and "step" in events
+    assert {e for e in events if isinstance(e, int)} == {0}
+
+
+def test_fallback_rung_builds_the_other_charge_blocks_before_tau(monkeypatch):
+    # a sound rung sent down the fallback: the q != 0 blocks are built after
+    # the trajectory, before tau is returned, and tau does not move
+    cfg = haar_config(2, 1, 1, 22, n_max=14)
+    tau = stabilization_time(cfg)
+    events = _rung_events(monkeypatch)
+    monkeypatch.setattr(evolve, "fixed_point", lambda channel: events.append(None))
+    assert stabilization_time(cfg) == tau
+    others = [i for i, e in enumerate(events) if isinstance(e, int) and e >= 1]
+    steps = [i for i, e in enumerate(events) if e == "step"]
+    assert others and min(others) > max(steps)
+    assert sorted({events[i] for i in others}) == list(range(1, 2 * cfg.n_max + 1))
 
 
 def test_stabilization_samples_deterministic():

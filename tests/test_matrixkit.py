@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bosonloop.matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                                 load_matrix_json, permanent,
-                                 save_matrix_json, spectral_radius,
-                                 submatrix_by_multiplicity, unvec, vec)
+                                 load_matrix_json, permanent, spectral_radius, unvec,
+                                 vec)
 
-from oracles import permanent_naive
+from oracles import (interferometer_blocks, permanent_naive, save_matrix_json,
+                     submatrix_by_multiplicity)
 
 
 def random_complex(rng, n, m=None):
@@ -120,12 +120,13 @@ def test_interferometer_blocks():
     u = haar_random_unitary(5, 3)
     itf = Interferometer(u, n_looped=2)
     assert itf.n_external == 3
-    np.testing.assert_array_equal(itf.u_ee, u[:3, :3])
-    np.testing.assert_array_equal(itf.u_el, u[:3, 3:])
-    np.testing.assert_array_equal(itf.u_le, u[3:, :3])
-    np.testing.assert_array_equal(itf.u_ll, u[3:, 3:])
+    u_ee, u_el, u_le, u_ll = interferometer_blocks(itf)
+    np.testing.assert_array_equal(u_ee, u[:3, :3])
+    np.testing.assert_array_equal(u_el, u[:3, 3:])
+    np.testing.assert_array_equal(u_le, u[3:, :3])
+    np.testing.assert_array_equal(u_ll, u[3:, 3:])
     # exact reassembly
-    rebuilt = np.block([[itf.u_ee, itf.u_el], [itf.u_le, itf.u_ll]])
+    rebuilt = np.block([[u_ee, u_el], [u_le, u_ll]])
     np.testing.assert_array_equal(rebuilt, u)
 
 

@@ -10,16 +10,17 @@ from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
-                              ProbabilityDistribution, classical_fidelity,
+                              ProbabilityDistribution, charge0_layout, classical_fidelity,
                               diagonal_distribution, embed, fidelities,
                               fock_state_dm, overflow_weight, partial_trace,
                               partial_traces, random_density_matrix,
                               tensor_product, tensor_product_blocks,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (coherent_dm, conjugate_dense, joint_pass_dense,
-                     partial_trace_buckets, tensor_product_dense, tensor_product_kron,
-                     uhlmann_fidelity_one)
+from oracles import (apply_dense, coherent_dm, conjugate_dense, distribution_from_csv,
+                     distribution_to_csv, dm_to_json, fidelities_gathered,
+                     joint_pass_dense, partial_trace_buckets, purity, tensor_product_dense,
+                     tensor_product_kron, uhlmann_fidelity_one)
 
 
 def test_fock_state_dm():
@@ -28,7 +29,7 @@ def test_fock_state_dm():
     i = basis.index_of((1, 1))
     assert rho.mat[i, i] == 1.0
     assert np.trace(rho.mat) == pytest.approx(1.0)
-    assert rho.purity() == pytest.approx(1.0)
+    assert purity(rho) == pytest.approx(1.0)
     vac = fock_state_dm(basis, (0, 0))
     assert vac.mat[0, 0] == 1.0
 
@@ -372,6 +373,65 @@ def test_sector_weights_equal_the_sums_of_the_copied_diagonal():
                             [diag[basis.sector_slice(n)].sum() for n in range(n_max + 1)])
 
 
+def _charge0_states(basis: FockBasis, seeds, zero: float) -> tuple:
+    """Random states block-diagonal in photon number, a fifth of their
+    charge-0 entries replaced by `zero` (+0 or -0), in the vector form and
+    dense."""
+    rows, cols, _ = charge0_layout(basis)
+    vectors, dense = [], []
+    for seed in seeds:
+        v = random_density_matrix(basis, seed).mat[rows, cols]
+        v[np.random.default_rng(seed).random(v.size) < 0.2] = complex(zero, zero)
+        mat = np.zeros((basis.size, basis.size), dtype=complex)
+        mat[rows, cols] = v
+        vectors.append(DensityMatrix.from_block0(basis, v))
+        dense.append(DensityMatrix(basis, mat, check=False))
+    return vectors, dense
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(modes=st.integers(1, 3), n_max=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
+       zero=st.sampled_from([0.0, -0.0]),
+       sigma_kind=st.sampled_from(["vector", "dense", "coherent"]))
+def test_vector_form_reads_equal_the_dense_route_bit_for_bit(modes, n_max, seed, zero,
+                                                             sigma_kind):
+    # sector weights and stacked fidelities read from charge-0 vectors,
+    # against the dense gather; a state with coherences between sectors
+    # sits in the stack, and a coherent sigma sends every state down the
+    # dense route
+    basis = FockBasis(modes, n_max)
+    vectors, dense = _charge0_states(basis, range(seed, seed + 5), zero)
+    for above in range(-1, n_max + 1):
+        for rho, ref in zip(vectors, dense):
+            assert rho.sector_weights(above).tobytes() == ref.sector_weights(above).tobytes()
+    coherent = random_density_matrix(basis, seed + 5)
+    sigma_vec, sigma = _charge0_states(basis, [seed + 6], zero)
+    sigma_vec, sigma = {"vector": (sigma_vec[0], sigma[0]), "dense": (sigma[0], sigma[0]),
+                        "coherent": (coherent, coherent)}[sigma_kind]
+    got = fidelities(vectors[:3] + [coherent] + vectors[3:], sigma_vec)
+    if sigma_kind != "coherent":
+        assert all(rho.block0 is not None for rho in vectors)
+    _assert_same_floats(got, fidelities_gathered(dense[:3] + [coherent] + dense[3:], sigma))
+
+
+def test_a_state_whose_matrix_was_read_is_never_read_through_its_vector():
+    # an edit to .mat after the first read shows in every later read
+    setup = _LoopSetup(ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=22,
+                                        input_occupation=(1,), n_max=8))
+    channel = setup.loop_update_channel()
+    rho = channel.apply(channel.apply(setup.vacuum_line()))
+    sigma = channel.apply(rho)
+    assert rho.block0 is not None
+    mat = rho.mat
+    assert rho.block0 is None and rho.mat is mat
+    mat[1, 1] += 0.25
+    mat[2, 2] -= 0.25
+    edited = DensityMatrix(rho.basis, mat.copy(), check=False)
+    assert rho.sector_weights().tobytes() == edited.sector_weights().tobytes()
+    assert channel.apply(rho).mat.tobytes() == apply_dense(channel, edited).mat.tobytes()
+    _assert_same_floats(fidelities([rho], sigma), fidelities_gathered([edited], sigma))
+
+
 def test_fidelities_refuse_mismatched_bases():
     rho = fock_state_dm(FockBasis(1, 2), (0,))
     with pytest.raises(ValueError):
@@ -488,15 +548,15 @@ def test_distribution_csv_round_trip(tmp_path):
     basis = FockBasis(2, 1)
     dist = ProbabilityDistribution(basis, np.array([0.25, 0.25, 0.5]))
     path = tmp_path / "d.csv"
-    dist.to_csv(path)
-    back = ProbabilityDistribution.from_csv(path)
+    distribution_to_csv(dist, path)
+    back = distribution_from_csv(path)
     np.testing.assert_allclose(back.probabilities, dist.probabilities, atol=1e-12)
 
 
 def test_density_matrix_json_round_trip(tmp_path):
     rho = random_density_matrix(FockBasis(2, 2), 11)
     path = tmp_path / "rho.json"
-    rho.to_json(path)
+    dm_to_json(rho, path)
     back = DensityMatrix.from_json(path)
     assert back.basis == rho.basis
     np.testing.assert_allclose(back.mat, rho.mat, atol=0)
