@@ -26,7 +26,8 @@ from .fock import (FockBasis, enumerate_sector, sector_size, tensor_index_map,
                    total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                        permanent, spectral_radius, unvec, vec)
+                        permanent, save_matrix_json, spectral_radius,
+                        submatrix_by_multiplicity, unvec, vec)
 from .qstate import (DensityMatrix, ProbabilityDistribution, classical_fidelity,
                      diagonal_distribution, fock_state_dm, partial_trace,
                      random_density_matrix, trace_distance, uhlmann_fidelity)

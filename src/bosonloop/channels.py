@@ -26,13 +26,14 @@ from .errors import (DENSE_DIM_CAP, DegenerateFixedPointError, SizeCapError,
                      TruncationError)
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
-from .matrixkit import vec
+from .matrixkit import unvec, vec
 from .qstate import POPULATED_CUTOFF, DensityMatrix, charge0_layout
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
 _FIXED_POINT_RESIDUAL = 1e-10  # relative |G x - x| above which fixed_point gives up
 _DEGENERACY_GAP = 1e-8    # eigenvalues this close to the unit one count as degenerate
+_UNIT_TOL = 1e-6          # default distance of the principal eigenvalue from 1
 _PAIR_BATCH = 1 << 16     # Kraus nonzero pairs formed at once when building blocks
 
 
@@ -151,19 +152,6 @@ class QuantumChannel:
             lo = hi
         return [part.reshape(m, m) for part, m in zip(np.split(flat, offsets[1:-1]), sizes)]
 
-    @cached_property
-    def _block0_entries(self) -> tuple:
-        """(rows, cols) of the matrix entries of charge block 0, in block order."""
-        cols, rows = np.divmod(self.charge_blocks[0], self.basis.size)
-        return rows, cols
-
-    def unvec_block0(self, v: np.ndarray) -> np.ndarray:
-        """The d x d matrix whose charge-0 block entries are `v`, zero elsewhere."""
-        d = self.basis.size
-        out = np.zeros((d, d), dtype=complex)
-        out[self._block0_entries] = v
-        return out
-
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Raw Kraus sum on an array, deterministic summation order."""
         out = np.zeros_like(mat, dtype=complex)
@@ -194,7 +182,7 @@ class QuantumChannel:
         if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
             x = rho.block0
             if x is None:
-                x = rho.mat[self._block0_entries]
+                x = rho.mat[charge0_layout(self.basis)[:2]]
                 if np.count_nonzero(x) != np.count_nonzero(rho.mat):
                     x = None
             if x is not None:
@@ -372,6 +360,15 @@ class StationaryResult:
     unit_eigenvalue_count: int
 
 
+def _block0_matrix(channel: QuantumChannel, v: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose charge-block-0 entries are `v`, zero elsewhere:
+    the charge-0 entries, or every entry when G is one block."""
+    if len(channel.charge_blocks) > 1:
+        return DensityMatrix.from_block0(channel.basis, v).mat
+    d = channel.basis.size
+    return np.ascontiguousarray(unvec(v, d, d))
+
+
 def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     """Fast trace-normalized fixed point of G, without spectral diagnostics.
 
@@ -403,7 +400,7 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
         return None
     if np.linalg.norm(g @ x - x) > _FIXED_POINT_RESIDUAL * max(1.0, np.linalg.norm(x)):
         return None
-    rho = channel.unvec_block0(x)
+    rho = _block0_matrix(channel, x)
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
@@ -448,7 +445,7 @@ def _spectrum(channel: QuantumChannel, evals: np.ndarray) -> np.ndarray:
 
 def _eigenstate(channel: QuantumChannel, v: np.ndarray) -> DensityMatrix:
     """The state of a charge-0 eigenvector, trace-normalized and made Hermitian."""
-    rho = channel.unvec_block0(v)
+    rho = _block0_matrix(channel, v)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateFixedPointError(
@@ -459,7 +456,8 @@ def _eigenstate(channel: QuantumChannel, v: np.ndarray) -> DensityMatrix:
     return DensityMatrix(channel.basis, rho)
 
 
-def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> StationaryResult:
+def stationary_state(channel: QuantumChannel,
+                     eigenvalue_tol: float = _UNIT_TOL) -> StationaryResult:
     """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
 
     The eigenvector comes from the charge-0 block, which holds the spectral
@@ -488,15 +486,16 @@ def stationary_state(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> S
     )
 
 
-def unit_eigenstate(channel: QuantumChannel, eigenvalue_tol: float = 1e-6) -> tuple:
+def unit_eigenstate(channel: QuantumChannel) -> tuple:
     """`stationary_state`'s state, with the q != 0 blocks left for later.
 
-    Runs the charge-0 checks now: the eigenvalue check, then degeneracy
-    within the charge-0 block, then the traceless check.  Returns (rho,
-    confirm); `confirm()` builds and diagonalizes the q != 0 blocks and runs
-    the degeneracy check over the whole spectrum, as `stationary_state` does.
+    Runs the charge-0 checks now: the eigenvalue check at the default
+    tolerance, then degeneracy within the charge-0 block, then the
+    traceless check.  Returns (rho, confirm); `confirm()` builds and
+    diagonalizes the q != 0 blocks and runs the degeneracy check over the
+    whole spectrum, as `stationary_state` does.
     """
-    evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
+    evals, evecs, i = _unit_eigenpair(channel, _UNIT_TOL)
     _unit_count(evals, evals[i])
     return (_eigenstate(channel, evecs[:, i]),
             lambda: _unit_count(_spectrum(channel, evals), evals[i]))

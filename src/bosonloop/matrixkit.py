@@ -47,6 +47,25 @@ def permanent(a: np.ndarray) -> complex:
     return complex(total)
 
 
+def submatrix_by_multiplicity(a: np.ndarray, row_occ, col_occ) -> np.ndarray:
+    """Matrix with row k of `a` repeated row_occ[k] times and likewise for columns.
+
+    Row and column occupations must carry the same total so the result is square.
+    """
+    a = np.asarray(a)
+    row_occ = tuple(row_occ)
+    col_occ = tuple(col_occ)
+    if len(row_occ) != a.shape[0] or len(col_occ) != a.shape[1]:
+        raise ValueError("occupation lengths must match the matrix dimensions")
+    if sum(row_occ) != sum(col_occ):
+        raise ValueError(
+            f"row and column totals differ: {sum(row_occ)} vs {sum(col_occ)}"
+        )
+    rows = np.repeat(np.arange(a.shape[0]), row_occ)
+    cols = np.repeat(np.arange(a.shape[1]), col_occ)
+    return a[np.ix_(rows, cols)]
+
+
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
@@ -122,6 +141,19 @@ class Interferometer:
 
     def __repr__(self):
         return f"Interferometer(modes={self.modes}, n_looped={self.n_looped})"
+
+
+def save_matrix_json(a: np.ndarray, path) -> None:
+    """Write a complex matrix as {rows, cols, re, im} with flat row-major lists."""
+    a = np.asarray(a, dtype=complex)
+    payload = {
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "re": a.real.flatten().tolist(),
+        "im": a.imag.flatten().tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
 
 
 def load_matrix_json(path) -> np.ndarray:

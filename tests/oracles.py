@@ -6,7 +6,6 @@ algorithmic path with the package.
 """
 
 import itertools
-import json
 from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 
@@ -17,8 +16,8 @@ from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _raising_maps
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, ProbabilityDistribution,
-                             _fidelity_kernel, overflow_weight, tensor_product_blocks)
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel,
+                             overflow_weight, tensor_product_blocks)
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -544,9 +543,11 @@ def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> Den
         raise TruncationError("state populates sectors above the channel validity bound")
     out = None
     if len(channel.charge_blocks) > 1 and channel.charge_blocks[0].size <= DENSE_DIM_CAP:
-        x = rho.mat[channel._block0_entries]
+        cols, rows = np.divmod(channel.charge_blocks[0], channel.basis.size)
+        x = rho.mat[rows, cols]
         if np.count_nonzero(x) == np.count_nonzero(rho.mat):
-            out = channel.unvec_block0(channel.superop_block(0) @ x)
+            out = np.zeros_like(rho.mat, dtype=complex)
+            out[rows, cols] = channel.superop_block(0) @ x
     if out is None:
         out = channel.apply_matrix(rho.mat)
     if excess > 0.0:
@@ -583,67 +584,3 @@ def fidelities_gathered(states, sigma: DensityMatrix) -> np.ndarray:
         out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
     return out
 
-
-def submatrix_by_multiplicity(a: np.ndarray, row_occ, col_occ) -> np.ndarray:
-    """Matrix with row k of `a` repeated row_occ[k] times and likewise for columns.
-
-    Row and column occupations must carry the same total so the result is square.
-    """
-    a = np.asarray(a)
-    row_occ = tuple(row_occ)
-    col_occ = tuple(col_occ)
-    if len(row_occ) != a.shape[0] or len(col_occ) != a.shape[1]:
-        raise ValueError("occupation lengths must match the matrix dimensions")
-    if sum(row_occ) != sum(col_occ):
-        raise ValueError(
-            f"row and column totals differ: {sum(row_occ)} vs {sum(col_occ)}"
-        )
-    rows = np.repeat(np.arange(a.shape[0]), row_occ)
-    cols = np.repeat(np.arange(a.shape[1]), col_occ)
-    return a[np.ix_(rows, cols)]
-
-
-def save_matrix_json(a: np.ndarray, path) -> None:
-    """Write a complex matrix as {rows, cols, re, im} with flat row-major lists."""
-    a = np.asarray(a, dtype=complex)
-    payload = {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "re": a.real.flatten().tolist(),
-        "im": a.imag.flatten().tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def dm_to_json(rho: DensityMatrix, path) -> None:
-    """Write a state in the format `DensityMatrix.from_json` reads."""
-    payload = rho.to_payload()
-    payload["re"], payload["im"] = payload["re"].tolist(), payload["im"].tolist()
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def distribution_to_csv(dist: ProbabilityDistribution, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dist.to_csv_text())
-
-
-def distribution_from_csv(path, check: bool = True) -> ProbabilityDistribution:
-    """Read an `occupation;probability` CSV artifact."""
-    occs, probs = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            occ_str, prob_str = line.split(";")
-            occs.append(tuple(int(x) for x in occ_str.split(",")))
-            probs.append(float(prob_str))
-    modes = len(occs[0])
-    n_max = max(sum(o) for o in occs)
-    basis = FockBasis(modes, n_max)
-    v = np.zeros(basis.size)
-    for occ, prob in zip(occs, probs):
-        v[basis.index_of(occ)] = prob
-    return ProbabilityDistribution(basis, v, check=check)

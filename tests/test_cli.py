@@ -23,8 +23,9 @@ from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
 from bosonloop.fock import FockBasis
-from bosonloop.qstate import DensityMatrix, fock_state_dm
-from oracles import coherent_dm, distribution_from_csv, dm_to_json, save_matrix_json
+from bosonloop.matrixkit import save_matrix_json
+from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
+from oracles import coherent_dm
 
 BASE = {
     "schema": 1,
@@ -46,7 +47,7 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 
 def read_dist(path):
-    return distribution_from_csv(path, check=False)
+    return ProbabilityDistribution.from_csv(path, check=False)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -219,7 +220,7 @@ def test_json_text_writes_a_matrix_as_its_list(matrix):
 @pytest.mark.parametrize("command", ["stationary", "reconstruct"])
 def test_tensor_artifacts_pinned(tmp_path, command):
     if command == "stationary":
-        dm_to_json(coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 4), tmp_path / "in.json")
+        coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 4).to_json(tmp_path / "in.json")
         path = write_config(tmp_path, M=3, L=1, n_max=8, input={"type": "dm", "path": "in.json"},
                             unitary={"type": "haar", "seed": 11})
         method = "tensors"
@@ -414,7 +415,7 @@ PINNED_JOINT_PASS_SHA256 = {
 
 @pytest.mark.parametrize("method", ["pdm", "kraus"])
 def test_coherent_input_evolve_artifacts_pinned(tmp_path, method):
-    dm_to_json(coherent_dm([0.3 + 0.2j, -0.1 + 0.25j], 4), tmp_path / "in.json")
+    coherent_dm([0.3 + 0.2j, -0.1 + 0.25j], 4).to_json(tmp_path / "in.json")
     path = write_config(tmp_path, M=3, n_max=10, input={"type": "dm", "path": "in.json"},
                         unitary={"type": "haar", "seed": 17})
     out = tmp_path / method
@@ -423,7 +424,7 @@ def test_coherent_input_evolve_artifacts_pinned(tmp_path, method):
 
 
 def test_single_pass_artifacts_pinned(tmp_path):
-    dm_to_json(coherent_dm([0.4 + 0.2j, -0.3j, 0.5], 3), tmp_path / "in.json")
+    coherent_dm([0.4 + 0.2j, -0.3j, 0.5], 3).to_json(tmp_path / "in.json")
     path = write_config(tmp_path, M=3, L=0, n_max=3, iterations=2,
                         input={"type": "dm", "path": "in.json"},
                         unitary={"type": "haar", "seed": 18})
@@ -447,7 +448,7 @@ def test_dropping_detection_pass_artifacts_pinned(tmp_path, monkeypatch):
 
 def test_dm_input_on_a_larger_truncation(tmp_path):
     # |1><1| stored at n_max=5 runs as the Fock input (1,) at the config's n_max=2
-    dm_to_json(fock_state_dm(FockBasis(1, 5), (1,)), tmp_path / "in.json")
+    fock_state_dm(FockBasis(1, 5), (1,)).to_json(tmp_path / "in.json")
     path = write_config(tmp_path, n_max=2, iterations=2,
                         input={"type": "dm", "path": "in.json"})
     assert main(["evolve", path, "--out", str(tmp_path / "dm")]) == 0

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from bosonloop.fock import FockBasis, enumerate_sector
 from bosonloop.lift import lift, lift_apply_fock
-from bosonloop.matrixkit import haar_random_unitary, permanent
+from bosonloop.matrixkit import (haar_random_unitary, permanent,
+                                 submatrix_by_multiplicity)
 from bosonloop.qstate import random_density_matrix
 
 from oracles import (conjugate_all_blocks, lift_apply_fock_by_column,
-                     lift_block_polynomial, lift_blocks_by_column, submatrix_by_multiplicity)
+                     lift_block_polynomial, lift_blocks_by_column)
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bosonloop.matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                                 load_matrix_json, permanent, spectral_radius, unvec,
-                                 vec)
+                                 load_matrix_json, permanent,
+                                 save_matrix_json, spectral_radius,
+                                 submatrix_by_multiplicity, unvec, vec)
 
-from oracles import (interferometer_blocks, permanent_naive, save_matrix_json,
-                     submatrix_by_multiplicity)
+from oracles import interferometer_blocks, permanent_naive
 
 
 def random_complex(rng, n, m=None):

@@ -17,8 +17,7 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               tensor_product, tensor_product_blocks,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_dense, coherent_dm, conjugate_dense, distribution_from_csv,
-                     distribution_to_csv, dm_to_json, fidelities_gathered,
+from oracles import (apply_dense, coherent_dm, conjugate_dense, fidelities_gathered,
                      joint_pass_dense, partial_trace_buckets, purity, tensor_product_dense,
                      tensor_product_kron, uhlmann_fidelity_one)
 
@@ -548,15 +547,15 @@ def test_distribution_csv_round_trip(tmp_path):
     basis = FockBasis(2, 1)
     dist = ProbabilityDistribution(basis, np.array([0.25, 0.25, 0.5]))
     path = tmp_path / "d.csv"
-    distribution_to_csv(dist, path)
-    back = distribution_from_csv(path)
+    dist.to_csv(path)
+    back = ProbabilityDistribution.from_csv(path)
     np.testing.assert_allclose(back.probabilities, dist.probabilities, atol=1e-12)
 
 
 def test_density_matrix_json_round_trip(tmp_path):
     rho = random_density_matrix(FockBasis(2, 2), 11)
     path = tmp_path / "rho.json"
-    dm_to_json(rho, path)
+    rho.to_json(path)
     back = DensityMatrix.from_json(path)
     assert back.basis == rho.basis
     np.testing.assert_allclose(back.mat, rho.mat, atol=0)
