@@ -16,7 +16,8 @@ A Kraus set with coherences between sectors is the case of one block
 holding all of G.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, sqrt
 
@@ -91,9 +92,10 @@ class QuantumChannel:
 
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
-        its own; the first request for any other block builds them all."""
+        its own; the first request for a block of charge q > 0 (even b)
+        builds all of those, and likewise for q < 0 (odd b)."""
         if b not in self._superop_blocks:
-            which = [0] if b == 0 else range(1, len(self.charge_blocks))
+            which = [0] if b == 0 else range(2 - b % 2, len(self.charge_blocks), 2)
             self._superop_blocks.update(zip(which, self._build_blocks(which)))
         return self._superop_blocks[b]
 
@@ -352,12 +354,21 @@ def to_superoperator(channel: QuantumChannel) -> Superoperator:
 
 @dataclass
 class StationaryResult:
-    """Fixed point of a loop channel plus spectral diagnostics of G."""
+    """Fixed point of a loop channel plus spectral diagnostics of G.
+
+    `second_modulus`, the largest eigenvalue modulus of G after the unit
+    one, is computed on first read: it is the one diagnostic that needs the
+    q < 0 charge blocks, which are built and diagonalized then.
+    """
 
     rho: DensityMatrix
     eigenvalue: complex
-    second_modulus: float
     unit_eigenvalue_count: int
+    _second_modulus: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def second_modulus(self) -> float:
+        return self._second_modulus()
 
 
 def _block0_matrix(channel: QuantumChannel, v: np.ndarray) -> np.ndarray:
@@ -426,9 +437,27 @@ def _unit_eigenpair(channel: QuantumChannel, eigenvalue_tol: float) -> tuple:
     return evals, evecs, i
 
 
-def _unit_count(spectrum: np.ndarray, lam: complex) -> int:
-    """Eigenvalues within _DEGENERACY_GAP of the unit one, which must be it alone."""
-    n_unit = int(np.count_nonzero(np.abs(spectrum - lam) < _DEGENERACY_GAP))
+def _spectra(channel: QuantumChannel, first: int) -> dict:
+    """The eigenvalues of the charge blocks of G with q > 0 (`first` 2, even
+    block indices) or q < 0 (`first` 1, odd), by block index; none when G
+    is one block."""
+    return {b: np.linalg.eigvals(channel.superop_block(b))
+            for b in range(first, len(channel.charge_blocks), 2)}
+
+
+def _unit_count(evals: np.ndarray, lam: complex, positive: dict) -> int:
+    """Eigenvalues of G within _DEGENERACY_GAP of the unit one `lam`, which
+    must be it alone, read from the charge-0 spectrum `evals` and the q > 0
+    block spectra `positive`.  A Kraus map preserves Hermiticity, so G_-q is
+    the conjugate of G_q up to the relabelling (i, j) -> (j, i) and its
+    spectrum is the conjugate of G_q's: each q > 0 eigenvalue mu stands for
+    itself and for conj(mu), which lies within the gap of lam exactly when
+    mu lies within the gap of conj(lam).
+    """
+    n_unit = int(np.count_nonzero(np.abs(evals - lam) < _DEGENERACY_GAP))
+    for mu in positive.values():
+        n_unit += int(np.count_nonzero(np.abs(mu - lam) < _DEGENERACY_GAP))
+        n_unit += int(np.count_nonzero(np.abs(mu - np.conj(lam)) < _DEGENERACY_GAP))
     if n_unit > 1:
         raise DegenerateFixedPointError(
             f"non-unique stationary state: {n_unit} eigenvalues within "
@@ -437,10 +466,15 @@ def _unit_count(spectrum: np.ndarray, lam: complex) -> int:
     return n_unit
 
 
-def _spectrum(channel: QuantumChannel, evals: np.ndarray) -> np.ndarray:
-    """The spectrum of G: `evals` of the charge-0 block, then the other blocks'."""
-    return np.concatenate([evals] + [np.linalg.eigvals(channel.superop_block(b))
-                                     for b in range(1, len(channel.charge_blocks))])
+def _second_modulus(channel: QuantumChannel, evals: np.ndarray, i: int,
+                    positive: dict) -> float:
+    """The largest eigenvalue modulus of G but the unit one `evals[i]`: the
+    q < 0 spectra are taken now, and the moduli of the charge-0, then the
+    other blocks' spectra, in block order, are taken together."""
+    spectra = {**positive, **_spectra(channel, 1)}
+    moduli = np.abs(np.concatenate([evals] + [spectra[b] for b in sorted(spectra)]))
+    moduli[i] = -np.inf
+    return float(moduli.max())
 
 
 def _eigenstate(channel: QuantumChannel, v: np.ndarray) -> DensityMatrix:
@@ -461,41 +495,40 @@ def stationary_state(channel: QuantumChannel,
     """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
 
     The eigenvector comes from the charge-0 block, which holds the spectral
-    radius of a positive map and hence the eigenvalue closest to 1; the
-    diagnostics read the union of the block spectra, which is the spectrum
-    of G.  The checks run in this order: the principal eigenvalue must sit
-    within `eigenvalue_tol` of 1, since a larger drift means the truncation
-    leaks the stationary state itself (TruncationError); no other eigenvalue
-    of G may lie within _DEGENERACY_GAP of it; and the eigenvector must not
-    be traceless.  Either of the last two raises DegenerateFixedPointError:
-    the stationary state is not unique.  Loosening the tolerance computes
-    the truncated model's own fixed point, which is exact for the channel as
-    built regardless of the leak.  `unit_eigenstate` defers the q != 0
-    blocks for callers that may discard the state.
+    radius of a positive map and hence the eigenvalue closest to 1.  The
+    checks run in this order: the principal eigenvalue must sit within
+    `eigenvalue_tol` of 1, since a larger drift means the truncation leaks
+    the stationary state itself (TruncationError); no other eigenvalue of G
+    may lie within _DEGENERACY_GAP of it, which `_unit_count` reads from the
+    charge-0 and q > 0 block spectra; and the eigenvector must not be
+    traceless.  Either of the last two raises DegenerateFixedPointError: the
+    stationary state is not unique.  The q < 0 blocks are built and
+    diagonalized only if `second_modulus` is read.  Loosening the tolerance
+    computes the truncated model's own fixed point, which is exact for the
+    channel as built regardless of the leak.  `unit_eigenstate` defers the
+    q > 0 blocks for callers that may discard the state.
     """
     evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
-    spectrum = _spectrum(channel, evals)
-    n_unit = _unit_count(spectrum, evals[i])
-    moduli = np.abs(spectrum)
-    moduli[i] = -np.inf
+    positive = _spectra(channel, 2)
+    n_unit = _unit_count(evals, evals[i], positive)
     return StationaryResult(
         rho=_eigenstate(channel, evecs[:, i]),
         eigenvalue=complex(evals[i]),
-        second_modulus=float(moduli.max()),
         unit_eigenvalue_count=n_unit,
+        _second_modulus=lambda: _second_modulus(channel, evals, i, positive),
     )
 
 
 def unit_eigenstate(channel: QuantumChannel) -> tuple:
-    """`stationary_state`'s state, with the q != 0 blocks left for later.
+    """`stationary_state`'s state, with the q > 0 blocks left for later.
 
     Runs the charge-0 checks now: the eigenvalue check at the default
     tolerance, then degeneracy within the charge-0 block, then the
     traceless check.  Returns (rho, confirm); `confirm()` builds and
-    diagonalizes the q != 0 blocks and runs the degeneracy check over the
-    whole spectrum, as `stationary_state` does.
+    diagonalizes the q > 0 blocks and runs `stationary_state`'s degeneracy
+    check over them.
     """
     evals, evecs, i = _unit_eigenpair(channel, _UNIT_TOL)
-    _unit_count(evals, evals[i])
+    _unit_count(evals, evals[i], {})
     return (_eigenstate(channel, evecs[:, i]),
-            lambda: _unit_count(_spectrum(channel, evals), evals[i]))
+            lambda: _unit_count(evals, evals[i], _spectra(channel, 2)))

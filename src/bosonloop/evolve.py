@@ -454,7 +454,7 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
 
     The fixed point comes from the bordered solve or, when that gives up,
     from `unit_eigenstate`: its charge-0 checks run before the first step
-    and its check over the q != 0 blocks only before tau is returned or
+    and its check over the q > 0 blocks only before tau is returned or
     ConvergenceError raised, so a rung whose trajectory leaks never builds
     those blocks.  The state steps as a charge-0 vector, and the iterates
     are scored in chunks doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.

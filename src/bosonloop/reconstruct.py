@@ -20,6 +20,7 @@ is computed; the rest follows from Hermitian symmetry.
 
 from dataclasses import dataclass
 from math import factorial, prod, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -106,56 +107,46 @@ class ReconstructionInfo:
     iterations: int = 0
 
 
-def _iter_pairs_topdown(basis: FockBasis):
-    """Upper-triangle basis pairs by descending min photon total (seeds first)."""
-    pairs = [
-        (n_occ, m_occ)
-        for i, n_occ in enumerate(basis.states)
-        for j, m_occ in enumerate(basis.states)
-        if i <= j
-    ]
-    pairs.sort(key=lambda nm: (-min(sum(nm[0]), sum(nm[1])),
-                               basis.index_of(nm[0]), basis.index_of(nm[1])))
-    return pairs
-
-
 def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
     """Triangular-recursion reconstruction; returns (DensityMatrix, info).
 
     All moments C(m+q, n+q) reachable inside the target basis must be present;
-    a missing one raises ReconstructionError naming it.  If the recursion
-    yields eigenvalues below -1e-8 the result is projected onto the nearest
-    density matrix; otherwise only the trace is renormalized.
+    a missing one raises ReconstructionError naming it.  The upper-triangle
+    pairs (n, m) run by descending |n| (seeds first), then by basis index.
+    The per-mode factors sqrt((o_i+q_i)!/q_i!) of every occupation o and
+    shift q are tabulated once per call; each correction weight is their
+    product over the modes, accumulated over q in basis order.  If the
+    recursion yields eigenvalues below -1e-8 the result is projected onto
+    the nearest density matrix; otherwise only the trace is renormalized.
     """
     n_cap = system.basis.n_max if n_max is None else n_max
     basis = FockBasis(system.basis.modes, n_cap)
-    modes = basis.modes
+    states = basis.states
+    # the shifts q that keep o + q inside the basis: a prefix of the states
+    stops = [basis.sector_slice(n_cap - n).stop for n in basis.totals().tolist()]
+    root = [[sqrt(factorial(a + b) / factorial(b)) for b in range(n_cap + 1)]
+            for a in range(n_cap + 1)]
+    factors = [[tuple(root[a][b] for a, b in zip(o, q)) for q in states[:stop]]
+               for o, stop in zip(states, stops)]
+    raised = [[basis.index_of(tuple(a + b for a, b in zip(o, q))) for q in states[:stop]]
+              for o, stop in zip(states, stops)]
+    lead = [prod(factorial(x) for x in o) for o in states]
     done = {}
     rho = np.zeros((basis.size, basis.size), dtype=complex)
-    for n_occ, m_occ in _iter_pairs_topdown(basis):
-        corr = 0.0 + 0.0j
-        for q_occ in basis.states:
-            if sum(q_occ) == 0:
-                continue
-            n_up = tuple(a + b for a, b in zip(n_occ, q_occ))
-            m_up = tuple(a + b for a, b in zip(m_occ, q_occ))
-            if sum(n_up) > n_cap or sum(m_up) > n_cap:
-                continue
-            weight = prod(
-                sqrt(factorial(n_occ[i] + q_occ[i]) / factorial(q_occ[i]))
-                * sqrt(factorial(m_occ[i] + q_occ[i]) / factorial(q_occ[i]))
-                for i in range(modes)
-            )
-            assert (n_up, m_up) in done, "recursion read an element not yet computed"
-            corr += weight * done[(n_up, m_up)]
-        lead = sqrt(prod(factorial(x) for x in n_occ) * prod(factorial(x) for x in m_occ))
-        value = (system.get(m_occ, n_occ) - corr) / lead
-        done[(n_occ, m_occ)] = value
-        i, j = basis.index_of(n_occ), basis.index_of(m_occ)
-        rho[i, j] = value
-        if i != j:
-            rho[j, i] = np.conjugate(value)
-            done[(m_occ, n_occ)] = np.conjugate(value)
+    for i in sorted(range(basis.size), key=lambda i: (-sum(states[i]), i)):
+        for j in range(i, basis.size):
+            corr = 0.0 + 0.0j
+            for q in range(1, min(stops[i], stops[j])):
+                weight = prod(map(mul, factors[i][q], factors[j][q]))
+                up = (raised[i][q], raised[j][q])
+                assert up in done, "recursion read an element not yet computed"
+                corr += weight * done[up]
+            value = (system.get(states[j], states[i]) - corr) / sqrt(lead[i] * lead[j])
+            done[(i, j)] = value
+            rho[i, j] = value
+            if i != j:
+                rho[j, i] = np.conjugate(value)
+                done[(j, i)] = np.conjugate(value)
     evals = np.linalg.eigvalsh(rho)
     negativity = float(-evals[evals < 0].sum())
     projected = evals[0] < -1e-8

@@ -138,10 +138,11 @@ def moment(rho: DensityMatrix, s_vec, r_vec) -> complex:
     return _MomentCache(rho).value(cre, ann)
 
 
-def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
+def _kron_powers(a: np.ndarray, n: int) -> list:
+    """[a^(x 0), ..., a^(x n)], each the Kronecker product of the one before with a."""
+    out = [np.eye(1, dtype=complex)]
     for _ in range(n):
-        out = np.kron(out, a)
+        out.append(np.kron(out[-1], a))
     return out
 
 
@@ -152,8 +153,14 @@ def transform(tensor: CorrelationTensor, matrix: np.ndarray) -> CorrelationTenso
         raise ValueError(
             f"matrix shape {matrix.shape} does not match {tensor.modes} modes"
         )
-    v = matrix.conj()
-    out = _kron_power(v, tensor.k) @ tensor.as_matrix() @ _kron_power(v, tensor.l).conj().T
+    v = _kron_powers(matrix.conj(), max(tensor.k, tensor.l))
+    return _transformed(tensor, v[tensor.k], v[tensor.l])
+
+
+def _transformed(tensor: CorrelationTensor, v_k: np.ndarray,
+                 v_l: np.ndarray) -> CorrelationTensor:
+    """V^(x k) C (V^(x l))^dag from the two Kronecker powers of V."""
+    out = v_k @ tensor.as_matrix() @ v_l.conj().T
     return CorrelationTensor(tensor.k, tensor.l, tensor.modes,
                              out.reshape(tensor.values.shape))
 
@@ -196,18 +203,18 @@ def _split_indices(k: int, l: int, modes: int, m_ext: int):
     """Per row-major entry of a rank-(k, l) tensor over `modes` modes: its
     flat index into the E factor, its flat index into the L factor, and its
     group cre_e * (l + 1) + ann_e (the numbers of E creation and annihilation
-    indices), by Horner's rule over the k + l index positions."""
-    rank, n_looped = k + l, modes - m_ext
-    flat = np.arange(modes ** rank)
-    e_idx = np.zeros_like(flat)
-    l_idx = np.zeros_like(flat)
-    group = np.zeros(flat.size, dtype=np.int16)
-    for pos in range(rank):
-        digit = flat // modes ** (rank - 1 - pos) % modes
-        is_e = digit < m_ext
-        e_idx = np.where(is_e, e_idx * m_ext + digit, e_idx)
-        l_idx = np.where(is_e, l_idx, l_idx * n_looped + digit - m_ext)
-        group += is_e * np.int16(l + 1 if pos < k else 1)
+    indices), by Horner's rule over the k + l index positions.  The tables
+    grow one position at a time: the entries of the first p + 1 positions
+    are the (entry of the first p, digit) pairs in row-major order."""
+    digit = np.arange(modes)
+    is_e = digit < m_ext
+    e_idx = l_idx = np.zeros(1, dtype=digit.dtype)
+    group = np.zeros(1, dtype=np.int16)
+    for pos in range(k + l):
+        e_idx = np.where(is_e, e_idx[:, None] * m_ext + digit, e_idx[:, None]).ravel()
+        l_idx = np.where(is_e, l_idx[:, None],
+                         l_idx[:, None] * (modes - m_ext) + digit - m_ext).ravel()
+        group = (group[:, None] + is_e * np.int16(l + 1 if pos < k else 1)).ravel()
     return e_idx, l_idx, group
 
 
@@ -247,13 +254,32 @@ def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
     return out.reshape((modes,) * (k + l))
 
 
+class _SolveContext:
+    """What the orders of one stationary solve, up to rank `top`, share: the
+    moments of rho_ext and the Kronecker powers of V = conj(matrix) and of
+    its loop block V_LL, each built once; the spectral radius is checked
+    once, on creation."""
+
+    def __init__(self, matrix: np.ndarray, rho_ext: DensityMatrix, top: int):
+        m_ext = rho_ext.basis.modes
+        _check_spectral_radius(matrix, matrix.shape[0] - m_ext)
+        self.ext = _MomentCache(rho_ext)
+        v = matrix.conj()
+        self.v = _kron_powers(v, top)
+        self.v_ll = _kron_powers(v[m_ext:, m_ext:], top)
+
+
 def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
                      loop_set: TensorSet,
-                     ext_moments: _MomentCache | None = None) -> CorrelationTensor:
+                     context: _SolveContext | None = None) -> CorrelationTensor:
     """Solve the rank-(k, l) stationarity system given all lower orders.
 
     Assembles the source term S from the transformed known blocks and solves
-    (I - conj(V_LL)^(x l) kron V_LL^(x k)) vec(C) = vec(S) by dense LU.
+    (I - conj(V_LL)^(x l) kron V_LL^(x k)) vec(C) = vec(S) by dense LU.  The
+    system matrix is the Kronecker product, turned in place into 0 - K off
+    the diagonal and 1 - K on it, the bits of I - K.  `context` carries what
+    the orders of one solve share (see `recursive_stationary`); without it
+    the order makes its own.
     """
     matrix = np.asarray(matrix, dtype=complex)
     modes = matrix.shape[0]
@@ -271,19 +297,18 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
             f"entries, above the cap {ASSEMBLY_SIZE_CAP}",
             cap=ASSEMBLY_SIZE_CAP, required=modes ** (k + l),
         )
-    _check_spectral_radius(matrix, n_looped)
-    ext = ext_moments if ext_moments is not None else _MomentCache(rho_ext)
-    v = matrix.conj()
-    v_ll = v[m_ext:, m_ext:]
+    if context is None:
+        context = _SolveContext(matrix, rho_ext, max(k, l))
 
-    c_in = _input_tensor(k, l, modes, m_ext, ext, loop_set, include_loop=False)
-    full = transform(CorrelationTensor(k, l, modes, c_in), matrix).values
+    c_in = _input_tensor(k, l, modes, m_ext, context.ext, loop_set, include_loop=False)
+    full = _transformed(CorrelationTensor(k, l, modes, c_in),
+                        context.v[k], context.v[l]).values
     source = full[(slice(m_ext, modes),) * (k + l)]
 
-    dim = n_looped ** (k + l)
-    a = np.eye(dim, dtype=complex) - np.kron(
-        _kron_power(v_ll, l).conj(), _kron_power(v_ll, k)
-    )
+    a = np.kron(context.v_ll[l].conj(), context.v_ll[k])
+    ones = 1 - a.diagonal()
+    np.subtract(0, a, out=a)
+    np.fill_diagonal(a, ones)
     rhs = source.reshape(n_looped ** k, n_looped ** l).flatten(order="F")
     sol = np.linalg.solve(a, rhs)
     residual = np.linalg.norm(a @ sol - rhs)
@@ -302,7 +327,10 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
 
     Orders are processed so every mixed term only needs strictly lower total
     order (available directly or by conjugate symmetry).  The complementary
-    tensors (m, n) follow from conjugate symmetry via TensorSet.get.
+    tensors (m, n) follow from conjugate symmetry via TensorSet.get.  One
+    private context, handed to every `stationary_order`, checks the spectral
+    radius once and holds the external moments and the Kronecker powers of
+    V and V_LL for the whole solve; it is dropped when the solve returns.
     """
     if rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
@@ -310,12 +338,11 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     n_looped = matrix.shape[0] - rho_ext.basis.modes
     if n_looped < 1:
         raise ValueError("need at least one looped mode")
-    _check_spectral_radius(matrix, n_looped)
-    ext = _MomentCache(rho_ext)
+    context = _SolveContext(matrix, rho_ext, rank_cap)
     out = TensorSet(n_looped)
     for n in range(1, rank_cap + 1):
         for m in range(n + 1):
-            out.put(stationary_order(n, m, matrix, rho_ext, out, ext_moments=ext))
+            out.put(stationary_order(n, m, matrix, rho_ext, out, context))
     return out
 
 

@@ -18,6 +18,17 @@ from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_inde
 from bosonloop.lift import _raising_maps
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel,
                              overflow_weight, tensor_product_blocks)
+from bosonloop.reconstruct import ReconstructionInfo, project_psd
+from bosonloop.tensors import (CorrelationTensor, TensorSet, _check_spectral_radius,
+                               _input_tensor, _MomentCache)
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays with equal signs on every real and imaginary part, zeros too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -584,3 +595,112 @@ def fidelities_gathered(states, sigma: DensityMatrix) -> np.ndarray:
         out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
     return out
 
+
+def spectrum_all_blocks(channel, evals: np.ndarray) -> np.ndarray:
+    """The spectrum of G: `evals` of the charge-0 block, then the other
+    blocks' in block order, every q != 0 block diagonalized: the spectrum
+    `stationary_state` read before it took uniqueness from the q >= 0 blocks."""
+    return np.concatenate([evals] + [np.linalg.eigvals(channel.superop_block(b))
+                                     for b in range(1, len(channel.charge_blocks))])
+
+
+def spectral_diagnostics_all_blocks(channel) -> tuple:
+    """(second modulus, number of eigenvalues within 1e-8 of the unit one)
+    over the whole spectrum of G, as `stationary_state` computed them
+    before it deferred the q < 0 blocks."""
+    evals = np.linalg.eig(channel.superop_block(0))[0]
+    i = int(np.argmin(np.abs(evals - 1.0)))
+    spectrum = spectrum_all_blocks(channel, evals)
+    moduli = np.abs(spectrum)
+    moduli[i] = -np.inf
+    return float(moduli.max()), int(np.count_nonzero(np.abs(spectrum - evals[i]) < 1e-8))
+
+
+def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out
+
+
+def stationary_order_per_order(k: int, l: int, matrix: np.ndarray, rho_ext, loop_set, ext):
+    """`tensors.stationary_order` as the package ran it before one context
+    per solve: Kronecker powers built afresh for every order, the spectral
+    radius checked per order, and the system formed as eye - kron."""
+    matrix = np.asarray(matrix, dtype=complex)
+    modes = matrix.shape[0]
+    m_ext = rho_ext.basis.modes
+    n_looped = modes - m_ext
+    _check_spectral_radius(matrix, n_looped)
+    v = matrix.conj()
+    v_ll = v[m_ext:, m_ext:]
+    c_in = _input_tensor(k, l, modes, m_ext, ext, loop_set, include_loop=False)
+    full = _kron_power(v, k) @ c_in.reshape(modes ** k, modes ** l) @ _kron_power(v, l).conj().T
+    source = full.reshape(c_in.shape)[(slice(m_ext, modes),) * (k + l)]
+    a = np.eye(n_looped ** (k + l), dtype=complex) - np.kron(
+        _kron_power(v_ll, l).conj(), _kron_power(v_ll, k))
+    rhs = source.reshape(n_looped ** k, n_looped ** l).flatten(order="F")
+    sol = np.linalg.solve(a, rhs)
+    values = sol.reshape((n_looped ** k, n_looped ** l), order="F")
+    return CorrelationTensor(k, l, n_looped, values.reshape((n_looped,) * (k + l)))
+
+
+def recursive_stationary_per_order(matrix: np.ndarray, rho_ext, rank_cap: int) -> TensorSet:
+    """`tensors.recursive_stationary` over `stationary_order_per_order`."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n_looped = matrix.shape[0] - rho_ext.basis.modes
+    _check_spectral_radius(matrix, n_looped)
+    ext = _MomentCache(rho_ext)
+    out = TensorSet(n_looped)
+    for n in range(1, rank_cap + 1):
+        for m in range(n + 1):
+            out.put(stationary_order_per_order(n, m, matrix, rho_ext, out, ext))
+    return out
+
+
+def reconstruct_analytic_loop(system, n_max: int | None = None):
+    """`reconstruct.reconstruct_analytic` as the package ran it before it
+    tabulated the weights: every weight's factorials recomputed per (pair, q)."""
+    n_cap = system.basis.n_max if n_max is None else n_max
+    basis = FockBasis(system.basis.modes, n_cap)
+    modes = basis.modes
+    pairs = [(n_occ, m_occ) for i, n_occ in enumerate(basis.states)
+             for j, m_occ in enumerate(basis.states) if i <= j]
+    pairs.sort(key=lambda nm: (-min(sum(nm[0]), sum(nm[1])),
+                               basis.index_of(nm[0]), basis.index_of(nm[1])))
+    done = {}
+    rho = np.zeros((basis.size, basis.size), dtype=complex)
+    for n_occ, m_occ in pairs:
+        corr = 0.0 + 0.0j
+        for q_occ in basis.states:
+            if sum(q_occ) == 0:
+                continue
+            n_up = tuple(a + b for a, b in zip(n_occ, q_occ))
+            m_up = tuple(a + b for a, b in zip(m_occ, q_occ))
+            if sum(n_up) > n_cap or sum(m_up) > n_cap:
+                continue
+            weight = prod(
+                sqrt(factorial(n_occ[i] + q_occ[i]) / factorial(q_occ[i]))
+                * sqrt(factorial(m_occ[i] + q_occ[i]) / factorial(q_occ[i]))
+                for i in range(modes)
+            )
+            assert (n_up, m_up) in done, "recursion read an element not yet computed"
+            corr += weight * done[(n_up, m_up)]
+        lead = sqrt(prod(factorial(x) for x in n_occ) * prod(factorial(x) for x in m_occ))
+        value = (system.get(m_occ, n_occ) - corr) / lead
+        done[(n_occ, m_occ)] = value
+        i, j = basis.index_of(n_occ), basis.index_of(m_occ)
+        rho[i, j] = value
+        if i != j:
+            rho[j, i] = np.conjugate(value)
+            done[(m_occ, n_occ)] = np.conjugate(value)
+    evals = np.linalg.eigvalsh(rho)
+    negativity = float(-evals[evals < 0].sum())
+    projected = evals[0] < -1e-8
+    if projected:
+        out = project_psd(rho, basis)
+    else:
+        out = DensityMatrix(basis, rho / np.trace(rho).real, check=False)
+    return out, ReconstructionInfo(method="analytic",
+                                   negativity_before_projection=negativity,
+                                   projected=bool(projected))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import bosonloop.channels
 from bosonloop.channels import (QuantumChannel, compose, fixed_point, loop_channel,
-                                loss_channel, stationary_state, to_superoperator)
+                                loss_channel, stationary_state, to_superoperator,
+                                unit_eigenstate)
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
                               SizeCapError, TruncationError)
 from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
@@ -21,8 +22,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
 
 from oracles import (apply_dense, apply_loss_direct, charge_blocks_by_scans, coherent_dm,
                      fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
-                     loss_kraus_loop, stabilization_time_stepwise, stationary_dense,
-                     superop_block_dense, superoperator_kron)
+                     loss_kraus_loop, spectral_diagnostics_all_blocks,
+                     stabilization_time_stepwise, stationary_dense, superop_block_dense,
+                     superoperator_kron)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -331,6 +333,75 @@ def test_external_coherence_takes_the_one_block_route():
     assert abs(result.eigenvalue - lam) < 1e-12
     assert abs(result.second_modulus - second) < 1e-12
     assert result.unit_eigenvalue_count == n_unit
+
+
+def _requested_blocks(monkeypatch) -> list:
+    """Record every charge-block index `superop_block` is asked for."""
+    requested, block = [], QuantumChannel.superop_block
+
+    def recorded(self, b):
+        requested.append(b)
+        return block(self, b)
+
+    monkeypatch.setattr(QuantumChannel, "superop_block", recorded)
+    return requested
+
+
+@pytest.mark.parametrize("modes, looped, n_max, haar_seed, losses", [
+    (2, 1, 14, 3, LossSpec()),
+    (3, 2, 7, 39, LossSpec()),
+    (2, 1, 10, 8, LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
+                           loop_transmission=0.9)),
+])
+def test_negative_charge_blocks_wait_for_the_second_modulus(monkeypatch, modes, looped,
+                                                            n_max, haar_seed, losses):
+    # uniqueness is read from the q >= 0 blocks; the q < 0 ones (odd block
+    # indices) are built and diagonalized only to give second_modulus, which
+    # keeps the bits of the maximum over the whole spectrum
+    chan = _LoopSetup(ExperimentConfig(
+        modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
+        input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
+        losses=losses)).loop_update_channel()
+    requested = _requested_blocks(monkeypatch)
+    result = stationary_state(chan, eigenvalue_tol=0.05)
+    assert set(requested) == set(range(0, 2 * n_max + 1, 2))
+    second = result.second_modulus
+    assert set(requested) == set(range(2 * n_max + 1))
+    want_second, want_count = spectral_diagnostics_all_blocks(chan)
+    assert second.hex() == want_second.hex()
+    assert result.unit_eigenvalue_count == want_count == 1
+
+
+def _diagonal_channel(columns) -> QuantumChannel:
+    """A channel on FockBasis(1, n) of diagonal Kraus operators, one per
+    column of `columns` (row i: the amplitudes on |i>)."""
+    columns = np.asarray(columns, dtype=complex)
+    basis = FockBasis(1, columns.shape[0] - 1)
+    return QuantumChannel(basis, [np.diag(c) for c in columns.T],
+                          valid_max_photons=basis.n_max)
+
+
+@pytest.mark.parametrize("columns", [
+    # charge 0 has eigenvalues 1 and 1.5; the |1><0| block holds
+    # sum_j y_j conj(x_j) = 1
+    [[0.5 ** 0.5, 0.5 ** 0.5], [0.5 ** 0.5 + 0.5, 0.5 ** 0.5 - 0.5]],
+    # the same unit eigenvalue in the |2><0| block only
+    [[0.5 ** 0.5, 0.5 ** 0.5], [0.3, 0.1j], [0.5 ** 0.5 + 0.5, 0.5 ** 0.5 - 0.5]],
+])
+def test_a_unit_eigenvalue_off_charge_zero_is_degenerate(columns):
+    # the charge-0 block alone has a simple unit eigenvalue; its partner
+    # sits in a q > 0 block and, conjugated, in the q < 0 block
+    chan = _diagonal_channel(columns)
+    charge0 = np.linalg.eigvals(chan.superop_block(0))
+    assert np.count_nonzero(np.abs(charge0 - 1.0) < 1e-8) == 1
+    _, count = spectral_diagnostics_all_blocks(chan)
+    assert count == 3
+    with pytest.raises(DegenerateFixedPointError, match=f"{count} eigenvalues"):
+        stationary_state(chan)
+    rho, confirm = unit_eigenstate(_diagonal_channel(columns))
+    assert rho.mat[0, 0] == 1.0
+    with pytest.raises(DegenerateFixedPointError, match=f"{count} eigenvalues"):
+        confirm()
 
 
 def _pinched(rho):

@@ -409,8 +409,9 @@ def test_leaking_fallback_rung_never_builds_the_other_charge_blocks(monkeypatch)
 
 
 def test_fallback_rung_builds_the_other_charge_blocks_before_tau(monkeypatch):
-    # a sound rung sent down the fallback: the q != 0 blocks are built after
-    # the trajectory, before tau is returned, and tau does not move
+    # a sound rung sent down the fallback: the q > 0 blocks (even indices),
+    # which the uniqueness check reads, are built after the trajectory,
+    # before tau is returned, and tau does not move
     cfg = haar_config(2, 1, 1, 22, n_max=14)
     tau = stabilization_time(cfg)
     events = _rung_events(monkeypatch)
@@ -419,7 +420,7 @@ def test_fallback_rung_builds_the_other_charge_blocks_before_tau(monkeypatch):
     others = [i for i, e in enumerate(events) if isinstance(e, int) and e >= 1]
     steps = [i for i, e in enumerate(events) if e == "step"]
     assert others and min(others) > max(steps)
-    assert sorted({events[i] for i in others}) == list(range(1, 2 * cfg.n_max + 1))
+    assert sorted({events[i] for i in others}) == list(range(2, 2 * cfg.n_max + 1, 2))
 
 
 def test_stabilization_samples_deterministic():

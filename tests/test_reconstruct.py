@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonloop.errors import ReconstructionError
+from bosonloop.evolve import ExperimentConfig
 from bosonloop.fock import FockBasis
 from bosonloop.matrixkit import vec
 from bosonloop.qstate import (DensityMatrix, ProbabilityDistribution,
@@ -13,9 +16,9 @@ from bosonloop.reconstruct import (MomentSystem, b_coefficient,
                                    project_simplex, reconstruct_analytic,
                                    reconstruct_convex,
                                    reconstruct_distribution, thermal_pmf)
-from bosonloop.tensors import tensor_set_from_dm
+from bosonloop.tensors import recursive_stationary, tensor_set_from_dm
 
-from oracles import nearest_density_grid_2x2
+from oracles import nearest_density_grid_2x2, reconstruct_analytic_loop, same_bits
 
 
 def full_system(rho, rank_cap=None):
@@ -102,6 +105,47 @@ def test_analytic_missing_moment_is_reported():
     with pytest.raises(ReconstructionError) as err:
         reconstruct_analytic(system, n_max=2)
     assert err.value.missing_moment is not None
+
+
+def _same_analytic_outcome(system, n_max):
+    """reconstruct_analytic and its per-(pair, q) oracle agree bit for bit,
+    or raise the same missing moment."""
+    outcomes = []
+    for solve in (reconstruct_analytic, reconstruct_analytic_loop):
+        try:
+            outcomes.append(solve(system, n_max=n_max))
+        except ReconstructionError as err:
+            outcomes.append(err.missing_moment)
+    got, want = outcomes
+    if isinstance(want, tuple) and isinstance(want[0], DensityMatrix):
+        assert same_bits(got[0].mat, want[0].mat)
+        assert got[1] == want[1]
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(modes=st.integers(1, 3), n_max=st.integers(1, 4), drop=st.integers(0, 3),
+       partial=st.booleans(), seed=st.integers(0, 2 ** 31))
+def test_analytic_equals_the_per_pair_oracle(modes, n_max, drop, partial, seed):
+    # reconstructions at or below the state's truncation from a full system,
+    # and from a partial one (ranks below the target's top sector), which
+    # must name the same missing moment
+    rho = random_density_matrix(FockBasis(modes, min(n_max, 6 - modes)), seed)
+    cap = max(1, rho.basis.n_max - drop)
+    rank = cap - 1 if partial and cap > 1 else rho.basis.n_max
+    _same_analytic_outcome(full_system(rho, rank_cap=rank), cap)
+
+
+def test_analytic_on_stationary_moments_equals_the_per_pair_oracle():
+    # the stationary loop moments of M=3, L=2, the reconstruct workload's
+    # system, at every rank of its fidelity ladder
+    cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=39,
+                           input_occupation=(1,), n_max=7)
+    tensors = recursive_stationary(cfg.transfer_matrix(), fock_state_dm(FockBasis(1, 1), (1,)), 5)
+    system = build_moment_system(FockBasis(2, 5), tensors)
+    for rank in range(1, 6):
+        _same_analytic_outcome(system, rank)
 
 
 def test_analytic_partial_rank_truncates_basis():

@@ -3,7 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonloop.errors import SpectralRadiusError
@@ -21,7 +21,8 @@ from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                recursive_stationary, stationary_order,
                                stationary_output_tensor, tensor_set_from_dm,
                                transform)
-from oracles import coherent_dm, input_tensor_loop, moment_tensor_loop
+from oracles import (coherent_dm, input_tensor_loop, moment_tensor_loop,
+                     recursive_stationary_per_order, same_bits)
 
 
 def test_vacuum_moments_vanish():
@@ -302,12 +303,6 @@ def _external_states(draw, m_ext):
                        n_max)
 
 
-def _same_bits(a, b):
-    return (np.array_equal(a, b)
-            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
-
-
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data(), m_ext=st.integers(1, 3), looped=st.integers(1, 2),
        k=st.integers(0, 3), l=st.integers(0, 3), include_loop=st.booleans(),
@@ -318,7 +313,7 @@ def test_input_tensor_matches_loop_oracle(data, m_ext, looped, k, l, include_loo
     args = (k, l, m_ext + looped, m_ext)
     got = _input_tensor(*args, _MomentCache(rho), loop_set, include_loop)
     want = input_tensor_loop(*args, _MomentCache(rho), loop_set, include_loop)
-    assert _same_bits(got, want)
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -329,7 +324,7 @@ def test_moment_tensor_matches_loop_oracle(modes):
         for k in range(4):
             for l in range(4):
                 got = _MomentCache(rho).tensor(k, l)
-                assert _same_bits(got, moment_tensor_loop(_MomentCache(rho), k, l))
+                assert same_bits(got, moment_tensor_loop(_MomentCache(rho), k, l))
 
 
 def test_input_tensor_memory_at_the_assembly_cap():
@@ -345,3 +340,43 @@ def test_input_tensor_memory_at_the_assembly_cap():
         tracemalloc.stop()
     assert out.size == ASSEMBLY_SIZE_CAP
     assert peak < 100 * 2 ** 20
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), m_ext=st.integers(1, 3), looped=st.integers(1, 2),
+       rank=st.integers(1, 3), haar_seed=st.integers(0, 2 ** 31), lossy=st.booleans())
+def test_recursive_stationary_matches_the_per_order_oracle(data, m_ext, looped, rank,
+                                                           haar_seed, lossy):
+    # one context per solve: the Kronecker powers built once, the system
+    # assembled in place, the radius checked once; every bit as before
+    modes = m_ext + looped
+    assume(modes <= 4)
+    matrix = haar_random_unitary(modes, haar_seed)
+    if lossy:
+        amp = st.floats(0.3, 1.0)
+        losses = LossSpec(
+            t_in=np.array(data.draw(st.lists(amp, min_size=modes, max_size=modes))),
+            t_out=np.array(data.draw(st.lists(amp, min_size=modes, max_size=modes))),
+            loop_transmission=data.draw(amp))
+        matrix = effective_transfer_matrix(matrix, losses, looped)
+    rho = data.draw(_external_states(m_ext))
+    want = recursive_stationary_per_order(matrix, rho, rank)
+    got = recursive_stationary(matrix, rho, rank)
+    assert got.keys() == want.keys()
+    for key in want.keys():
+        assert same_bits(got.get(*key).values, want.get(*key).values), key
+
+
+def test_order_5_5_system_is_assembled_in_place():
+    # L = 2 at order (5, 5): the system is 1024 x 1024, 16 MB.  Forming it
+    # as eye - kron held the identity and the Kronecker product at once
+    # (34 MB traced); in place it is the one product
+    loop_set = _random_loop_set(2, 5, np.random.default_rng(3))
+    ext = fock_state_dm(FockBasis(1, 1), (1,))
+    tracemalloc.start()
+    try:
+        stationary_order(5, 5, haar_random_unitary(3, 39), ext, loop_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1024 ** 2 * 16
