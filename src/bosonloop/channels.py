@@ -90,12 +90,19 @@ class QuantumChannel:
         ends = np.cumsum(np.bincount(key))[:-1]
         return np.split(np.argsort(key, kind="stable"), ends)
 
+    def _blocks_of_sign(self, sign: int) -> range:
+        """The indices of the charge blocks with q > 0 (sign 1) or q < 0
+        (sign -1): by the keys of `charge_blocks`, the even ones from 2 or
+        the odd ones from 1; empty when G is one block."""
+        return range(2 if sign > 0 else 1, len(self.charge_blocks), 2)
+
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
-        its own; the first request for a block of charge q > 0 (even b)
-        builds all of those, and likewise for q < 0 (odd b)."""
+        its own; the first request for a block of charge q > 0 builds all of
+        those, and likewise for q < 0."""
         if b not in self._superop_blocks:
-            which = [0] if b == 0 else range(2 - b % 2, len(self.charge_blocks), 2)
+            positive = self._blocks_of_sign(1)
+            which = [0] if b == 0 else positive if b in positive else self._blocks_of_sign(-1)
             self._superop_blocks.update(zip(which, self._build_blocks(which)))
         return self._superop_blocks[b]
 
@@ -437,12 +444,11 @@ def _unit_eigenpair(channel: QuantumChannel, eigenvalue_tol: float) -> tuple:
     return evals, evecs, i
 
 
-def _spectra(channel: QuantumChannel, first: int) -> dict:
-    """The eigenvalues of the charge blocks of G with q > 0 (`first` 2, even
-    block indices) or q < 0 (`first` 1, odd), by block index; none when G
-    is one block."""
+def _spectra(channel: QuantumChannel, sign: int) -> dict:
+    """The eigenvalues of the charge blocks of G with q > 0 (sign 1) or
+    q < 0 (sign -1), by block index; none when G is one block."""
     return {b: np.linalg.eigvals(channel.superop_block(b))
-            for b in range(first, len(channel.charge_blocks), 2)}
+            for b in channel._blocks_of_sign(sign)}
 
 
 def _unit_count(evals: np.ndarray, lam: complex, positive: dict) -> int:
@@ -471,7 +477,7 @@ def _second_modulus(channel: QuantumChannel, evals: np.ndarray, i: int,
     """The largest eigenvalue modulus of G but the unit one `evals[i]`: the
     q < 0 spectra are taken now, and the moduli of the charge-0, then the
     other blocks' spectra, in block order, are taken together."""
-    spectra = {**positive, **_spectra(channel, 1)}
+    spectra = {**positive, **_spectra(channel, -1)}
     moduli = np.abs(np.concatenate([evals] + [spectra[b] for b in sorted(spectra)]))
     moduli[i] = -np.inf
     return float(moduli.max())
@@ -509,7 +515,7 @@ def stationary_state(channel: QuantumChannel,
     q > 0 blocks for callers that may discard the state.
     """
     evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
-    positive = _spectra(channel, 2)
+    positive = _spectra(channel, 1)
     n_unit = _unit_count(evals, evals[i], positive)
     return StationaryResult(
         rho=_eigenstate(channel, evecs[:, i]),
@@ -531,4 +537,4 @@ def unit_eigenstate(channel: QuantumChannel) -> tuple:
     evals, evecs, i = _unit_eigenpair(channel, _UNIT_TOL)
     _unit_count(evals, evals[i], {})
     return (_eigenstate(channel, evecs[:, i]),
-            lambda: _unit_count(evals, evals[i], _spectra(channel, 2)))
+            lambda: _unit_count(evals, evals[i], _spectra(channel, 1)))

@@ -124,7 +124,8 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
     states = basis.states
     # the shifts q that keep o + q inside the basis: a prefix of the states
     stops = [basis.sector_slice(n_cap - n).stop for n in basis.totals().tolist()]
-    root = [[sqrt(factorial(a + b) / factorial(b)) for b in range(n_cap + 1)]
+    # root[a][b] = sqrt((a+b)!/b!) for a + b <= n_cap, every pair o_i, q_i read
+    root = [[sqrt(factorial(a + b) / factorial(b)) for b in range(n_cap + 1 - a)]
             for a in range(n_cap + 1)]
     factors = [[tuple(root[a][b] for a, b in zip(o, q)) for q in states[:stop]]
                for o, stop in zip(states, stops)]

@@ -138,10 +138,11 @@ def moment(rho: DensityMatrix, s_vec, r_vec) -> complex:
     return _MomentCache(rho).value(cre, ann)
 
 
-def _kron_powers(a: np.ndarray, n: int) -> list:
-    """[a^(x 0), ..., a^(x n)], each the Kronecker product of the one before with a."""
-    out = [np.eye(1, dtype=complex)]
-    for _ in range(n):
+def _kron_powers(a: np.ndarray, n: int, out: list | None = None) -> list:
+    """[a^(x 0), ..., a^(x n)], each the Kronecker product of the one before
+    with a; `out`, a shorter list of the same powers, is extended in place."""
+    out = [np.eye(1, dtype=complex)] if out is None else out
+    while len(out) <= n:
         out.append(np.kron(out[-1], a))
     return out
 
@@ -255,18 +256,22 @@ def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
 
 
 class _SolveContext:
-    """What the orders of one stationary solve, up to rank `top`, share: the
-    moments of rho_ext and the Kronecker powers of V = conj(matrix) and of
-    its loop block V_LL, each built once; the spectral radius is checked
-    once, on creation."""
+    """What the orders of one stationary solve share: the moments of rho_ext
+    and the Kronecker powers of V = conj(matrix) and of its loop block V_LL,
+    each built once, when the first order that reads it has passed its size
+    caps; the spectral radius is checked once, on creation."""
 
-    def __init__(self, matrix: np.ndarray, rho_ext: DensityMatrix, top: int):
+    def __init__(self, matrix: np.ndarray, rho_ext: DensityMatrix):
         m_ext = rho_ext.basis.modes
         _check_spectral_radius(matrix, matrix.shape[0] - m_ext)
         self.ext = _MomentCache(rho_ext)
-        v = matrix.conj()
-        self.v = _kron_powers(v, top)
-        self.v_ll = _kron_powers(v[m_ext:, m_ext:], top)
+        self._v = matrix.conj()
+        self._v_ll = self._v[m_ext:, m_ext:]
+        self.v, self.v_ll = _kron_powers(self._v, 0), _kron_powers(self._v_ll, 0)
+
+    def powers(self, n: int) -> tuple:
+        """[V^(x 0), ..., V^(x n')] and the same of V_LL, n' >= n."""
+        return _kron_powers(self._v, n, self.v), _kron_powers(self._v_ll, n, self.v_ll)
 
 
 def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
@@ -298,14 +303,14 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
             cap=ASSEMBLY_SIZE_CAP, required=modes ** (k + l),
         )
     if context is None:
-        context = _SolveContext(matrix, rho_ext, max(k, l))
+        context = _SolveContext(matrix, rho_ext)
+    v, v_ll = context.powers(max(k, l))
 
     c_in = _input_tensor(k, l, modes, m_ext, context.ext, loop_set, include_loop=False)
-    full = _transformed(CorrelationTensor(k, l, modes, c_in),
-                        context.v[k], context.v[l]).values
+    full = _transformed(CorrelationTensor(k, l, modes, c_in), v[k], v[l]).values
     source = full[(slice(m_ext, modes),) * (k + l)]
 
-    a = np.kron(context.v_ll[l].conj(), context.v_ll[k])
+    a = np.kron(v_ll[l].conj(), v_ll[k])
     ones = 1 - a.diagonal()
     np.subtract(0, a, out=a)
     np.fill_diagonal(a, ones)
@@ -330,7 +335,10 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     tensors (m, n) follow from conjugate symmetry via TensorSet.get.  One
     private context, handed to every `stationary_order`, checks the spectral
     radius once and holds the external moments and the Kronecker powers of
-    V and V_LL for the whole solve; it is dropped when the solve returns.
+    V and V_LL for the whole solve, each power built by the first order that
+    reads it once that order has passed its size caps, so an order above a
+    cap raises SizeCapError before anything of its size is allocated; the
+    context is dropped when the solve returns.
     """
     if rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
@@ -338,7 +346,7 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     n_looped = matrix.shape[0] - rho_ext.basis.modes
     if n_looped < 1:
         raise ValueError("need at least one looped mode")
-    context = _SolveContext(matrix, rho_ext, rank_cap)
+    context = _SolveContext(matrix, rho_ext)
     out = TensorSet(n_looped)
     for n in range(1, rank_cap + 1):
         for m in range(n + 1):

@@ -523,6 +523,12 @@ def charge_blocks_by_scans(basis: FockBasis) -> list:
     return [np.flatnonzero(charge == q) for q in sorted(range(-n, n + 1), key=abs)]
 
 
+def block_charges(basis: FockBasis, blocks) -> list:
+    """The charge n_i - n_j of each block of column-stacked indices i + d j."""
+    totals, d = basis.totals(), basis.size
+    return [int(totals[idx[0] % d] - totals[idx[0] // d]) for idx in blocks]
+
+
 def identity_channel(basis: FockBasis) -> QuantumChannel:
     return QuantumChannel(basis, [np.eye(basis.size, dtype=complex)],
                           valid_max_photons=basis.n_max, max_photon_gain=0)

@@ -20,8 +20,8 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
                               fock_state_dm, partial_trace, random_density_matrix,
                               tensor_product, trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_dense, apply_loss_direct, charge_blocks_by_scans, coherent_dm,
-                     fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
+from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
+                     coherent_dm, fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
                      loss_kraus_loop, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
                      superoperator_kron)
@@ -355,18 +355,19 @@ def _requested_blocks(monkeypatch) -> list:
 ])
 def test_negative_charge_blocks_wait_for_the_second_modulus(monkeypatch, modes, looped,
                                                             n_max, haar_seed, losses):
-    # uniqueness is read from the q >= 0 blocks; the q < 0 ones (odd block
-    # indices) are built and diagonalized only to give second_modulus, which
-    # keeps the bits of the maximum over the whole spectrum
+    # uniqueness is read from the q >= 0 blocks; the q < 0 ones are built
+    # and diagonalized only to give second_modulus, which keeps the bits of
+    # the maximum over the whole spectrum
     chan = _LoopSetup(ExperimentConfig(
         modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
         input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
         losses=losses)).loop_update_channel()
     requested = _requested_blocks(monkeypatch)
     result = stationary_state(chan, eigenvalue_tol=0.05)
-    assert set(requested) == set(range(0, 2 * n_max + 1, 2))
+    charges = block_charges(chan.basis, chan.charge_blocks)
+    assert set(requested) == {b for b, q in enumerate(charges) if q >= 0}
     second = result.second_modulus
-    assert set(requested) == set(range(2 * n_max + 1))
+    assert set(requested) == set(range(len(charges)))
     want_second, want_count = spectral_diagnostics_all_blocks(chan)
     assert second.hex() == want_second.hex()
     assert result.unit_eigenvalue_count == want_count == 1

@@ -22,7 +22,7 @@ from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (fock_state_dm, trace_distance, uhlmann_fidelity)
 
-from oracles import stabilization_time_stepwise
+from oracles import block_charges, charge_blocks_by_scans, stabilization_time_stepwise
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -409,9 +409,9 @@ def test_leaking_fallback_rung_never_builds_the_other_charge_blocks(monkeypatch)
 
 
 def test_fallback_rung_builds_the_other_charge_blocks_before_tau(monkeypatch):
-    # a sound rung sent down the fallback: the q > 0 blocks (even indices),
-    # which the uniqueness check reads, are built after the trajectory,
-    # before tau is returned, and tau does not move
+    # a sound rung sent down the fallback: the q > 0 blocks, which the
+    # uniqueness check reads, are built after the trajectory, before tau is
+    # returned, and tau does not move
     cfg = haar_config(2, 1, 1, 22, n_max=14)
     tau = stabilization_time(cfg)
     events = _rung_events(monkeypatch)
@@ -420,7 +420,9 @@ def test_fallback_rung_builds_the_other_charge_blocks_before_tau(monkeypatch):
     others = [i for i, e in enumerate(events) if isinstance(e, int) and e >= 1]
     steps = [i for i, e in enumerate(events) if e == "step"]
     assert others and min(others) > max(steps)
-    assert sorted({events[i] for i in others}) == list(range(2, 2 * cfg.n_max + 1, 2))
+    basis = FockBasis(cfg.looped, cfg.n_max)
+    charges = block_charges(basis, charge_blocks_by_scans(basis))
+    assert {events[i] for i in others} == {b for b, q in enumerate(charges) if q > 0}
 
 
 def test_stabilization_samples_deterministic():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonloop.errors import SpectralRadiusError
+from bosonloop import tensors
+from bosonloop.errors import SizeCapError, SpectralRadiusError
 from bosonloop.evolve import (ExperimentConfig, LossSpec,
                               effective_transfer_matrix,
                               stationary_loop_state)
@@ -380,3 +381,20 @@ def test_order_5_5_system_is_assembled_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 1024 ** 2 * 16
+
+
+def test_an_order_over_the_assembly_cap_raises_before_its_powers_are_built(monkeypatch):
+    # the solve's Kronecker powers grow with the orders that pass the caps:
+    # with the cap lowered to 3^4, order (3, 2) of an M=3 solve is the first
+    # over it, and it raises holding V^(x 3) (27 x 27), not V^(x 7) (76 MB)
+    monkeypatch.setattr(tensors, "ASSEMBLY_SIZE_CAP", 3 ** 4)
+    ext = fock_state_dm(FockBasis(1, 1), (1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"order \(3,2\)") as err:
+            recursive_stationary(haar_random_unitary(3, 39), ext, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required == 3 ** 5
+    assert peak < 2 ** 20
