@@ -90,19 +90,11 @@ class QuantumChannel:
         ends = np.cumsum(np.bincount(key))[:-1]
         return np.split(np.argsort(key, kind="stable"), ends)
 
-    def _blocks_of_sign(self, sign: int) -> range:
-        """The indices of the charge blocks with q > 0 (sign 1) or q < 0
-        (sign -1): by the keys of `charge_blocks`, the even ones from 2 or
-        the odd ones from 1; empty when G is one block."""
-        return range(2 if sign > 0 else 1, len(self.charge_blocks), 2)
-
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
-        its own; the first request for a block of charge q > 0 builds all of
-        those, and likewise for q < 0."""
+        its own; the first request for any other block builds all of those."""
         if b not in self._superop_blocks:
-            positive = self._blocks_of_sign(1)
-            which = [0] if b == 0 else positive if b in positive else self._blocks_of_sign(-1)
+            which = [0] if b == 0 else range(1, len(self.charge_blocks))
             self._superop_blocks.update(zip(which, self._build_blocks(which)))
         return self._superop_blocks[b]
 
@@ -365,12 +357,11 @@ class StationaryResult:
 
     `second_modulus`, the largest eigenvalue modulus of G after the unit
     one, is computed on first read: it is the one diagnostic that needs the
-    q < 0 charge blocks, which are built and diagonalized then.
+    q != 0 charge blocks, which are built and diagonalized then.
     """
 
     rho: DensityMatrix
     eigenvalue: complex
-    unit_eigenvalue_count: int
     _second_modulus: Callable[[], float] = field(repr=False, compare=False)
 
     @cached_property
@@ -395,7 +386,7 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     The system is nonsingular exactly when the unit eigenvalue of G_0 is
     simple; returns None on any sign of trouble (singular system, large
     residual, non-state output, a leaking truncation) so callers can fall
-    back to `stationary_state`, which also inspects the other blocks.
+    back to `stationary_state`, which tells a leak from a degenerate block.
     """
     g = channel.superop_block(0)
     m = g.shape[0]
@@ -429,71 +420,15 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     return DensityMatrix(channel.basis, rho, check=False)
 
 
-def _unit_eigenpair(channel: QuantumChannel, eigenvalue_tol: float) -> tuple:
-    """The spectrum and eigenvectors of the charge-0 block, and the index of
-    the eigenvalue closest to 1, which must lie within `eigenvalue_tol`."""
-    evals, evecs = np.linalg.eig(channel.superop_block(0))
-    i = int(np.argmin(np.abs(evals - 1.0)))
-    lam = evals[i]
-    if abs(lam - 1.0) > eigenvalue_tol:
-        raise TruncationError(
-            f"no superoperator eigenvalue within {eigenvalue_tol:.1e} of 1 "
-            f"(closest {complex(lam):.12g}); the truncated channel leaks too much, "
-            "increase n_max"
-        )
-    return evals, evecs, i
-
-
-def _spectra(channel: QuantumChannel, sign: int) -> dict:
-    """The eigenvalues of the charge blocks of G with q > 0 (sign 1) or
-    q < 0 (sign -1), by block index; none when G is one block."""
-    return {b: np.linalg.eigvals(channel.superop_block(b))
-            for b in channel._blocks_of_sign(sign)}
-
-
-def _unit_count(evals: np.ndarray, lam: complex, positive: dict) -> int:
-    """Eigenvalues of G within _DEGENERACY_GAP of the unit one `lam`, which
-    must be it alone, read from the charge-0 spectrum `evals` and the q > 0
-    block spectra `positive`.  A Kraus map preserves Hermiticity, so G_-q is
-    the conjugate of G_q up to the relabelling (i, j) -> (j, i) and its
-    spectrum is the conjugate of G_q's: each q > 0 eigenvalue mu stands for
-    itself and for conj(mu), which lies within the gap of lam exactly when
-    mu lies within the gap of conj(lam).
-    """
-    n_unit = int(np.count_nonzero(np.abs(evals - lam) < _DEGENERACY_GAP))
-    for mu in positive.values():
-        n_unit += int(np.count_nonzero(np.abs(mu - lam) < _DEGENERACY_GAP))
-        n_unit += int(np.count_nonzero(np.abs(mu - np.conj(lam)) < _DEGENERACY_GAP))
-    if n_unit > 1:
-        raise DegenerateFixedPointError(
-            f"non-unique stationary state: {n_unit} eigenvalues within "
-            f"{_DEGENERACY_GAP:.1e} of the unit eigenvalue"
-        )
-    return n_unit
-
-
-def _second_modulus(channel: QuantumChannel, evals: np.ndarray, i: int,
-                    positive: dict) -> float:
+def _second_modulus(channel: QuantumChannel, evals: np.ndarray, i: int) -> float:
     """The largest eigenvalue modulus of G but the unit one `evals[i]`: the
-    q < 0 spectra are taken now, and the moduli of the charge-0, then the
+    q != 0 spectra are taken now, and the moduli of the charge-0, then the
     other blocks' spectra, in block order, are taken together."""
-    spectra = {**positive, **_spectra(channel, -1)}
-    moduli = np.abs(np.concatenate([evals] + [spectra[b] for b in sorted(spectra)]))
+    spectra = [np.linalg.eigvals(channel.superop_block(b))
+               for b in range(1, len(channel.charge_blocks))]
+    moduli = np.abs(np.concatenate([evals] + spectra))
     moduli[i] = -np.inf
     return float(moduli.max())
-
-
-def _eigenstate(channel: QuantumChannel, v: np.ndarray) -> DensityMatrix:
-    """The state of a charge-0 eigenvector, trace-normalized and made Hermitian."""
-    rho = _block0_matrix(channel, v)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise DegenerateFixedPointError(
-            "stationary eigenvector is traceless; fixed point not unique"
-        )
-    rho = rho / tr
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(channel.basis, rho)
 
 
 def stationary_state(channel: QuantumChannel,
@@ -504,37 +439,45 @@ def stationary_state(channel: QuantumChannel,
     radius of a positive map and hence the eigenvalue closest to 1.  The
     checks run in this order: the principal eigenvalue must sit within
     `eigenvalue_tol` of 1, since a larger drift means the truncation leaks
-    the stationary state itself (TruncationError); no other eigenvalue of G
-    may lie within _DEGENERACY_GAP of it, which `_unit_count` reads from the
-    charge-0 and q > 0 block spectra; and the eigenvector must not be
-    traceless.  Either of the last two raises DegenerateFixedPointError: the
-    stationary state is not unique.  The q < 0 blocks are built and
-    diagonalized only if `second_modulus` is read.  Loosening the tolerance
-    computes the truncated model's own fixed point, which is exact for the
-    channel as built regardless of the leak.  `unit_eigenstate` defers the
-    q > 0 blocks for callers that may discard the state.
+    the stationary state itself (TruncationError); no other charge-0
+    eigenvalue may lie within _DEGENERACY_GAP of it; and the eigenvector
+    must not be traceless.  Either of the last two raises
+    DegenerateFixedPointError: the stationary state is not unique.
+
+    Uniqueness is checked on charge 0 only, which is all a loop channel
+    needs: each eigenvalue of its charge-q block is a product
+    a_i1..a_ik conj(a_j1..a_jl), k - l = q, of eigenvalues a of the lossy
+    loop block M_eff,LL, so a unit eigenvalue off charge 0 forces some
+    |a| = 1, which puts |a|^2 = 1 in charge 0 too.  The q != 0 blocks are
+    built and diagonalized only if `second_modulus` is read.  Loosening the
+    tolerance computes the truncated model's own fixed point, which is exact
+    for the channel as built regardless of the leak.
     """
-    evals, evecs, i = _unit_eigenpair(channel, eigenvalue_tol)
-    positive = _spectra(channel, 1)
-    n_unit = _unit_count(evals, evals[i], positive)
+    evals, evecs = np.linalg.eig(channel.superop_block(0))
+    i = int(np.argmin(np.abs(evals - 1.0)))
+    lam = evals[i]
+    if abs(lam - 1.0) > eigenvalue_tol:
+        raise TruncationError(
+            f"no superoperator eigenvalue within {eigenvalue_tol:.1e} of 1 "
+            f"(closest {complex(lam):.12g}); the truncated channel leaks too much, "
+            "increase n_max"
+        )
+    n_unit = int(np.count_nonzero(np.abs(evals - lam) < _DEGENERACY_GAP))
+    if n_unit > 1:
+        raise DegenerateFixedPointError(
+            f"non-unique stationary state: {n_unit} charge-0 eigenvalues within "
+            f"{_DEGENERACY_GAP:.1e} of the unit eigenvalue"
+        )
+    rho = _block0_matrix(channel, evecs[:, i])
+    tr = np.trace(rho)
+    if abs(tr) < 1e-12:
+        raise DegenerateFixedPointError(
+            "stationary eigenvector is traceless; fixed point not unique"
+        )
+    rho = rho / tr
+    rho = (rho + rho.conj().T) / 2
     return StationaryResult(
-        rho=_eigenstate(channel, evecs[:, i]),
-        eigenvalue=complex(evals[i]),
-        unit_eigenvalue_count=n_unit,
-        _second_modulus=lambda: _second_modulus(channel, evals, i, positive),
+        rho=DensityMatrix(channel.basis, rho),
+        eigenvalue=complex(lam),
+        _second_modulus=lambda: _second_modulus(channel, evals, i),
     )
-
-
-def unit_eigenstate(channel: QuantumChannel) -> tuple:
-    """`stationary_state`'s state, with the q > 0 blocks left for later.
-
-    Runs the charge-0 checks now: the eigenvalue check at the default
-    tolerance, then degeneracy within the charge-0 block, then the
-    traceless check.  Returns (rho, confirm); `confirm()` builds and
-    diagonalizes the q > 0 blocks and runs `stationary_state`'s degeneracy
-    check over them.
-    """
-    evals, evecs, i = _unit_eigenpair(channel, _UNIT_TOL)
-    _unit_count(evals, evals[i], {})
-    return (_eigenstate(channel, evecs[:, i]),
-            lambda: _unit_count(evals, evals[i], _spectra(channel, 1)))

@@ -24,8 +24,9 @@ class DegenerateFixedPointError(BosonLoopError):
 
 
 class SpectralRadiusError(DegenerateFixedPointError):
-    """The loop-to-loop block has spectral radius >= 1, so the stationary
-    tensor systems are singular and no unique stationary state is guaranteed."""
+    """The lossy loop-to-loop block has spectral radius >= 1, so the loop
+    channel has no unique stationary state and the stationary tensor
+    systems are singular."""
 
 
 class ReconstructionError(BosonLoopError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
-                       loop_channel, stationary_state, unit_eigenstate)
+                       loop_channel, stationary_state)
 from .channels import loss_channel as _loss_channel
 from .errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                      DegenerateFixedPointError, SizeCapError, TruncationError)
@@ -34,6 +34,7 @@ from .matrixkit import Interferometer, haar_random_unitary
 from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
                      fidelities, overflow_weight, partial_traces,
                      tensor_product_blocks, trace_distance)
+from .tensors import _check_spectral_radius
 
 LEAK_TOLERANCE = 1e-9          # per-iteration truncation leak allowed past n_max
 UNFOLD_SECTOR_CAP = 100_000
@@ -241,6 +242,15 @@ class _LoopSetup:
             rho_line_next = self.out_loop.apply(rho_line_next)
         return rho_det, rho_line_next, leaked
 
+    def check_unique_stationary(self) -> None:
+        """Raise SpectralRadiusError unless the lossy loop block M_eff,LL has
+        spectral radius below 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
+        eigenvalues are products of M_eff,LL's and their conjugates (see
+        `stationary_state`), so the stationary state is unique exactly when
+        that radius is below 1.  Both stationary routes check it first."""
+        _check_spectral_radius(
+            effective_transfer_matrix(self.u, self.losses, self.looped), self.looped)
+
     def loop_update_channel(self) -> QuantumChannel:
         """The line-to-line channel of one iteration, losses included."""
         core = loop_channel(self.lifted, self.rho_ext_in)
@@ -417,6 +427,7 @@ def stationary_loop_state(config: ExperimentConfig) -> StationaryResult:
     if config.looped == 0:
         raise ValueError("a stationary loop state needs at least one looped mode")
     setup = _LoopSetup(config)
+    setup.check_unique_stationary()
     return stationary_state(setup.loop_update_channel())
 
 
@@ -452,12 +463,11 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     """Iterations until the loop state's infidelity to the fixed point drops below
     `tolerance`, starting from the vacuum.
 
-    The fixed point comes from the bordered solve or, when that gives up,
-    from `unit_eigenstate`: its charge-0 checks run before the first step
-    and its check over the q > 0 blocks only before tau is returned or
-    ConvergenceError raised, so a rung whose trajectory leaks never builds
-    those blocks.  The state steps as a charge-0 vector, and the iterates
-    are scored in chunks doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.
+    Uniqueness is checked on M_eff,LL first.  The fixed point comes from the
+    bordered solve or, when that gives up, from `stationary_state`, whose
+    checks all read the charge-0 block and run before the first step.  The
+    state steps as a charge-0 vector, and the iterates are scored in chunks
+    doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.
     Steps past the first converged iterate are overshoot: a TruncationError
     among them is dropped, while one at or before it, and the cap, surface
     after the same steps as a step-by-step loop would take.
@@ -465,10 +475,11 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     if config.looped == 0:
         raise ValueError("stabilization time needs at least one looped mode")
     setup = _LoopSetup(config)
+    setup.check_unique_stationary()
     channel = setup.loop_update_channel()
-    rho_stat, confirm = fixed_point(channel), lambda: None
+    rho_stat = fixed_point(channel)
     if rho_stat is None:
-        rho_stat, confirm = unit_eigenstate(channel)
+        rho_stat = stationary_state(channel).rho
     rho = setup.vacuum_line()
     start, size = 0, _FIRST_CHUNK
     while start <= max_iterations:
@@ -482,14 +493,12 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
             chunk.append(rho)
         converged = np.flatnonzero(1.0 - fidelities(chunk, rho_stat) < tolerance)
         if converged.size:
-            confirm()
             return start + int(converged[0])
         if failure is not None:
             raise failure
         rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
         start += len(chunk)
         size = min(2 * size, _TRAJECTORY_CHUNK)
-    confirm()
     raise ConvergenceError(
         f"loop state did not stabilize within {max_iterations} iterations"
     )

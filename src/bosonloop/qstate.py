@@ -15,6 +15,7 @@ TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
 # below this diagonal mass a photon-number sector counts as unpopulated
 POPULATED_CUTOFF = 1e-12
+_SAMPLE_CHUNK = 1 << 16    # shots drawn at once by ProbabilityDistribution.sample
 
 
 class DensityMatrix:
@@ -451,14 +452,20 @@ class ProbabilityDistribution:
         return float(self.probabilities[self.basis.index_of(occupation)])
 
     def sample(self, shots: int, seed: int) -> dict:
-        """Inverse-CDF sampling; returns occupation -> count, deterministic per seed."""
+        """Inverse-CDF sampling; returns occupation -> count, deterministic per
+        seed.  Shots are drawn _SAMPLE_CHUNK at a time, so memory does not
+        grow with `shots`."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         rng = np.random.default_rng(seed)
         cdf = np.cumsum(self.probabilities)
         cdf[-1] = 1.0
-        draws = np.searchsorted(cdf, rng.random(shots), side="right")
-        counts = np.bincount(draws, minlength=self.basis.size)
+        counts = np.zeros(self.basis.size, dtype=np.int64)
+        # chunked draws continue one stream, so counts do not depend on the chunk
+        for start in range(0, shots, _SAMPLE_CHUNK):
+            draws = rng.random(min(_SAMPLE_CHUNK, shots - start))
+            counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
+                                  minlength=self.basis.size)
         return {
             self.basis.state(i): int(c)
             for i, c in enumerate(counts)

@@ -29,7 +29,8 @@ from .qstate import DensityMatrix
 
 _SOLVE_RESIDUAL = 1e-9
 SPECTRAL_RADIUS_MARGIN = 1e-10
-# the Kronecker system has dimension L^(k+l), capped at DENSE_DIM_CAP, and its
+# the Kronecker system has dimension L^(k+l) and the power V^(x max(k, l))
+# dimension M^max(k, l), both capped at DENSE_DIM_CAP, and the system's
 # assembly walks all M^(k+l) entries of the full-mode input tensor
 ASSEMBLY_SIZE_CAP = 1 << 20
 
@@ -195,7 +196,7 @@ def _check_spectral_radius(matrix: np.ndarray, n_looped: int) -> float:
     if radius >= 1.0 - SPECTRAL_RADIUS_MARGIN:
         raise SpectralRadiusError(
             f"spectral radius of the loop block is {radius:.12f} >= 1 - 1e-10; "
-            "the stationary tensor systems are not solvable"
+            "the loop has no unique stationary state"
         )
     return radius
 
@@ -301,6 +302,12 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
             f"order ({k},{l}) needs a full-mode tensor with {modes ** (k + l)} "
             f"entries, above the cap {ASSEMBLY_SIZE_CAP}",
             cap=ASSEMBLY_SIZE_CAP, required=modes ** (k + l),
+        )
+    if modes ** max(k, l) > DENSE_DIM_CAP:
+        raise SizeCapError(
+            f"order ({k},{l}) needs the Kronecker power V^(x {max(k, l)}) of "
+            f"dimension {modes ** max(k, l)}, above the cap {DENSE_DIM_CAP}",
+            cap=DENSE_DIM_CAP, required=modes ** max(k, l),
         )
     if context is None:
         context = _SolveContext(matrix, rho_ext)

@@ -622,6 +622,34 @@ def spectral_diagnostics_all_blocks(channel) -> tuple:
     return float(moduli.max()), int(np.count_nonzero(np.abs(spectrum - evals[i]) < 1e-8))
 
 
+def unique_by_q_nonnegative_blocks(channel) -> bool:
+    """Whether the eigenvalue of G closest to 1 is simple, read from the
+    charge-0 and q > 0 block spectra with the gap 1e-8: G_-q is the
+    conjugate of G_q up to relabelling, so each q > 0 eigenvalue mu also
+    stands for conj(mu).  The uniqueness rule `stationary_state` applied
+    before it read charge 0 alone and left the rest to rho(M_eff,LL)."""
+    evals = np.linalg.eigvals(channel.superop_block(0))
+    lam = evals[np.argmin(np.abs(evals - 1.0))]
+    n_unit = np.count_nonzero(np.abs(evals - lam) < 1e-8)
+    for b, q in enumerate(block_charges(channel.basis, channel.charge_blocks)):
+        if q > 0:
+            mu = np.linalg.eigvals(channel.superop_block(b))
+            n_unit += np.count_nonzero(np.abs(mu - lam) < 1e-8)
+            n_unit += np.count_nonzero(np.abs(mu - np.conj(lam)) < 1e-8)
+    return n_unit == 1
+
+
+def sample_one_draw(dist, shots: int, seed: int) -> dict:
+    """`ProbabilityDistribution.sample` as the package ran it before it drew
+    in chunks: every shot from one `Generator.random` call."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(dist.probabilities)
+    cdf[-1] = 1.0
+    counts = np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"),
+                         minlength=dist.basis.size)
+    return {dist.basis.state(i): int(c) for i, c in enumerate(counts) if c > 0}
+
+
 def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for _ in range(n):

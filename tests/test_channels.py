@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import bosonloop.channels
 from bosonloop.channels import (QuantumChannel, compose, fixed_point, loop_channel,
-                                loss_channel, stationary_state, to_superoperator,
-                                unit_eigenstate)
+                                loss_channel, stationary_state, to_superoperator)
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
-                              SizeCapError, TruncationError)
+                              SizeCapError, SpectralRadiusError, TruncationError)
 from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
-                              _LoopSetup, stabilization_samples)
+                              _LoopSetup, effective_transfer_matrix, stabilization_samples,
+                              stationary_loop_state)
 from bosonloop.fock import FockBasis, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
@@ -24,7 +24,7 @@ from oracles import (apply_dense, apply_loss_direct, block_charges, charge_block
                      coherent_dm, fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
                      loss_kraus_loop, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
-                     superoperator_kron)
+                     superoperator_kron, unique_by_q_nonnegative_blocks)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -252,7 +252,6 @@ def test_stationary_state_is_fixed_point():
     again = chan.apply(result.rho, leak_tolerance=1.0)
     assert trace_distance(again, result.rho) < 1e-9
     assert result.second_modulus < 1.0
-    assert result.unit_eigenvalue_count == 1
 
 
 def test_stationary_state_degenerate_for_decoupled_matrix():
@@ -304,7 +303,7 @@ def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
     np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
     assert abs(result.eigenvalue - lam) < 1e-12
     assert abs(result.second_modulus - second) < 1e-12
-    assert result.unit_eigenvalue_count == n_unit
+    assert n_unit == 1
     # the bordered solve declines when the truncation leaks past its residual bound
     fast = fixed_point(chan)
     assert (fast is None) == (abs(lam - 1.0) > 1e-10)
@@ -332,7 +331,7 @@ def test_external_coherence_takes_the_one_block_route():
     np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
     assert abs(result.eigenvalue - lam) < 1e-12
     assert abs(result.second_modulus - second) < 1e-12
-    assert result.unit_eigenvalue_count == n_unit
+    assert n_unit == 1
 
 
 def _requested_blocks(monkeypatch) -> list:
@@ -353,24 +352,108 @@ def _requested_blocks(monkeypatch) -> list:
     (2, 1, 10, 8, LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
                            loop_transmission=0.9)),
 ])
-def test_negative_charge_blocks_wait_for_the_second_modulus(monkeypatch, modes, looped,
-                                                            n_max, haar_seed, losses):
-    # uniqueness is read from the q >= 0 blocks; the q < 0 ones are built
-    # and diagonalized only to give second_modulus, which keeps the bits of
-    # the maximum over the whole spectrum
-    chan = _LoopSetup(ExperimentConfig(
+def test_charge_blocks_off_zero_wait_for_the_second_modulus(monkeypatch, modes, looped,
+                                                             n_max, haar_seed, losses):
+    # uniqueness is read from M_eff,LL and the charge-0 block; every q != 0
+    # block is built and diagonalized only to give second_modulus, which
+    # keeps the bits of the maximum over the whole spectrum
+    cfg = ExperimentConfig(
         modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
         input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
-        losses=losses)).loop_update_channel()
+        losses=losses)
     requested = _requested_blocks(monkeypatch)
-    result = stationary_state(chan, eigenvalue_tol=0.05)
-    charges = block_charges(chan.basis, chan.charge_blocks)
-    assert set(requested) == {b for b, q in enumerate(charges) if q >= 0}
+    result = stationary_loop_state(cfg)
+    assert set(requested) == {0}
     second = result.second_modulus
-    assert set(requested) == set(range(len(charges)))
+    chan = _LoopSetup(cfg).loop_update_channel()
+    assert set(requested) == set(range(len(chan.charge_blocks)))
     want_second, want_count = spectral_diagnostics_all_blocks(chan)
     assert second.hex() == want_second.hex()
-    assert result.unit_eigenvalue_count == want_count == 1
+    assert want_count == 1
+
+
+@pytest.mark.parametrize("modes, n_max, haar_seed, losses", [
+    (2, 14, 3, LossSpec()),
+    (2, 10, 20, LossSpec()),
+    (2, 12, 8, LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
+                        loop_transmission=0.9)),
+    (3, 12, 2, LossSpec()),
+])
+def test_one_loop_mode_charge_q_block_leads_with_a_to_the_q(modes, n_max, haar_seed, losses):
+    # each eigenvalue of the charge-q block is a^k conj(a)^l with k - l = q,
+    # a = M_eff,LL, so the block leads with a^q for q > 0 and conj(a)^|q|
+    # for q < 0, up to the truncation's error
+    setup = _LoopSetup(ExperimentConfig(
+        modes=modes, looped=1, iterations=1, haar_seed=haar_seed,
+        input_occupation=(1,) + (0,) * (modes - 2), n_max=n_max, losses=losses))
+    chan = setup.loop_update_channel()
+    a = effective_transfer_matrix(setup.u, losses, 1)[-1, -1]
+    for b, q in enumerate(block_charges(chan.basis, chan.charge_blocks)):
+        if 0 < abs(q) <= 3:
+            evals = np.linalg.eigvals(chan.superop_block(b))
+            lead = evals[np.argmax(np.abs(evals))]
+            assert abs(lead - (a ** q if q > 0 else np.conj(a) ** -q)) < 1e-8, q
+
+
+@pytest.mark.parametrize("n_max, losses", [
+    (7, LossSpec()),
+    (6, LossSpec(t_in=np.full(3, 0.95), t_out=np.full(3, 0.9), loop_transmission=0.8)),
+])
+def test_two_loop_modes_charge_one_blocks_lead_with_an_eigenvalue_of_m_eff(n_max, losses):
+    # the q = +1 block holds the eigenvalues of M_eff,LL itself and q = -1
+    # their conjugates, so the second modulus is rho(M_eff,LL)
+    cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=39,
+                           input_occupation=(1,), n_max=n_max, losses=losses)
+    setup = _LoopSetup(cfg)
+    chan = setup.loop_update_channel()
+    a = np.linalg.eigvals(effective_transfer_matrix(setup.u, losses, 2)[1:, 1:])
+    for b, q in enumerate(block_charges(chan.basis, chan.charge_blocks)):
+        if abs(q) == 1:
+            evals = np.linalg.eigvals(chan.superop_block(b))
+            lead = evals[np.argmax(np.abs(evals))]
+            assert np.abs(lead - (a if q > 0 else a.conj())).min() < 1e-5, q
+    assert abs(stationary_state(chan).second_modulus - np.abs(a).max()) < 1e-5
+
+
+def test_uniqueness_from_m_eff_agrees_with_the_q_nonnegative_scan():
+    # the rule that scanned the q > 0 blocks refuses exactly the loop
+    # channels that rho(M_eff,LL) >= 1 - SPECTRAL_RADIUS_MARGIN or a
+    # degenerate charge-0 block refuses; one in five matrices is decoupled
+    # (its loop keeps its photons unless it is lossy), one in two lossy
+    rng = np.random.default_rng(16)
+    refused = 0
+    for trial in range(120):
+        modes = int(rng.integers(2, 5))
+        looped = int(rng.integers(1, min(2, modes - 1) + 1))
+        m_ext = modes - looped
+        if trial % 5 == 0:
+            u = np.zeros((modes, modes), dtype=complex)
+            u[:m_ext, :m_ext] = haar_random_unitary(m_ext, int(rng.integers(2 ** 31)))
+            u[m_ext:, m_ext:] = haar_random_unitary(looped, int(rng.integers(2 ** 31)))
+        else:
+            u = haar_random_unitary(modes, int(rng.integers(2 ** 31)))
+        losses = LossSpec()
+        if trial % 2:
+            losses = LossSpec(t_in=rng.uniform(0.8, 1.0, modes), t_out=rng.uniform(0.8, 1.0, modes),
+                              loop_transmission=float(rng.uniform(0.7, 1.0)))
+        setup = _LoopSetup(ExperimentConfig(
+            modes=modes, looped=looped, iterations=1, unitary=u,
+            input_occupation=(1,) + (0,) * (m_ext - 1), n_max=6 if looped == 1 else 3,
+            losses=losses))
+        chan = setup.loop_update_channel()
+        try:
+            setup.check_unique_stationary()
+            radius_refuses = False
+        except SpectralRadiusError:
+            radius_refuses = True
+        evals = np.linalg.eigvals(chan.superop_block(0))
+        lam = evals[np.argmin(np.abs(evals - 1.0))]
+        charge0_degenerate = np.count_nonzero(np.abs(evals - lam) < 1e-8) > 1
+        assert (not unique_by_q_nonnegative_blocks(chan)) == (
+            radius_refuses or charge0_degenerate), trial
+        refused += radius_refuses
+    # the lossless decoupled ones, and only those
+    assert refused == 12
 
 
 def _diagonal_channel(columns) -> QuantumChannel:
@@ -391,18 +474,15 @@ def _diagonal_channel(columns) -> QuantumChannel:
 ])
 def test_a_unit_eigenvalue_off_charge_zero_is_degenerate(columns):
     # the charge-0 block alone has a simple unit eigenvalue; its partner
-    # sits in a q > 0 block and, conjugated, in the q < 0 block
+    # sits in a q > 0 block and, conjugated, in the q < 0 block.  These are
+    # not loop channels: in a loop channel a unit eigenvalue off charge 0
+    # puts a second one in charge 0, which `stationary_state` reads
     chan = _diagonal_channel(columns)
     charge0 = np.linalg.eigvals(chan.superop_block(0))
     assert np.count_nonzero(np.abs(charge0 - 1.0) < 1e-8) == 1
     _, count = spectral_diagnostics_all_blocks(chan)
     assert count == 3
-    with pytest.raises(DegenerateFixedPointError, match=f"{count} eigenvalues"):
-        stationary_state(chan)
-    rho, confirm = unit_eigenstate(_diagonal_channel(columns))
-    assert rho.mat[0, 0] == 1.0
-    with pytest.raises(DegenerateFixedPointError, match=f"{count} eigenvalues"):
-        confirm()
+    assert not unique_by_q_nonnegative_blocks(chan)
 
 
 def _pinched(rho):

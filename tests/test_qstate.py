@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bosonloop.qstate
 from bosonloop.channels import stationary_state
 from bosonloop.errors import TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, LossSpec, _LoopSetup
@@ -18,8 +21,8 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               trace_distance, uhlmann_fidelity)
 
 from oracles import (apply_dense, coherent_dm, conjugate_dense, fidelities_gathered,
-                     joint_pass_dense, partial_trace_buckets, purity, tensor_product_dense,
-                     tensor_product_kron, uhlmann_fidelity_one)
+                     joint_pass_dense, partial_trace_buckets, purity, sample_one_draw,
+                     tensor_product_dense, tensor_product_kron, uhlmann_fidelity_one)
 
 
 def test_fock_state_dm():
@@ -541,6 +544,30 @@ def test_sampling_frequencies_within_binomial_bounds():
     for occ, prob in zip(basis.states, p):
         sigma = np.sqrt(prob * (1 - prob) * shots)
         assert abs(counts.get(occ, 0) - prob * shots) < 4 * sigma
+
+
+@pytest.mark.parametrize("shots, chunk", [(1, 7), (7, 7), (8, 7), (1000, 7),
+                                          (200_003, 1 << 16)])
+def test_chunked_sampling_equals_one_draw(monkeypatch, shots, chunk):
+    # chunked draws continue one Generator stream, so the counts are those
+    # of a single draw of every shot
+    dist = ProbabilityDistribution(FockBasis(2, 2),
+                                   np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.2]))
+    monkeypatch.setattr(bosonloop.qstate, "_SAMPLE_CHUNK", chunk)
+    assert dist.sample(shots, seed=3) == sample_one_draw(dist, shots, seed=3)
+
+
+def test_sampling_memory_does_not_grow_with_shots():
+    # one draw of 10^7 shots would hold two 80 MB arrays
+    dist = ProbabilityDistribution(FockBasis(1, 2), np.array([0.2, 0.5, 0.3]))
+    tracemalloc.start()
+    try:
+        counts = dist.sample(10 ** 7, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10 ** 7
+    assert peak < 4 * 2 ** 20
 
 
 def test_distribution_csv_round_trip(tmp_path):

@@ -7,15 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonloop import tensors
-from bosonloop.errors import SizeCapError, SpectralRadiusError
+from bosonloop.errors import DENSE_DIM_CAP, SizeCapError, SpectralRadiusError
 from bosonloop.evolve import (ExperimentConfig, LossSpec,
-                              effective_transfer_matrix,
+                              effective_transfer_matrix, stabilization_time,
                               stationary_loop_state)
 from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (DensityMatrix, fock_state_dm,
-                              random_density_matrix)
+                              random_density_matrix, trace_distance)
 from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                TensorSet, _input_tensor, _MomentCache,
                                estimate_n_max, expectations_from_dm, moment,
@@ -205,10 +205,36 @@ def test_stationary_tensors_are_update_fixed_points():
 
 
 def test_spectral_radius_refusal():
+    # one check refuses the decoupled loop on both stationary routes
     u = np.diag([1.0, np.exp(0.5j)])
     ext = fock_state_dm(FockBasis(1, 1), (1,))
     with pytest.raises(SpectralRadiusError):
         recursive_stationary(u, ext, rank_cap=2)
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, unitary=u,
+                           input_occupation=(1,), n_max=4)
+    with pytest.raises(SpectralRadiusError, match="no unique stationary state"):
+        stationary_loop_state(cfg)
+
+
+@pytest.mark.parametrize("loop_block", [np.array([[np.exp(0.5j)]]),
+                                        haar_random_unitary(2, 5)])
+def test_lossy_decoupled_loop_settles_in_the_vacuum(loop_block):
+    # no photon reaches the loop and the feedback line loses what it holds,
+    # so rho(M_eff,LL) < 1: both routes find the vacuum, which the loop
+    # starts in
+    looped = loop_block.shape[0]
+    u = np.eye(1 + looped, dtype=complex)
+    u[1:, 1:] = loop_block
+    losses = LossSpec(loop_transmission=0.8)
+    cfg = ExperimentConfig(modes=1 + looped, looped=looped, iterations=1, unitary=u,
+                           input_occupation=(1,), n_max=4, losses=losses)
+    stat = stationary_loop_state(cfg)
+    assert trace_distance(stat.rho, fock_state_dm(stat.rho.basis, (0,) * looped)) < 1e-12
+    ts = recursive_stationary(effective_transfer_matrix(u, losses, looped),
+                              fock_state_dm(FockBasis(1, 1), (1,)), rank_cap=2)
+    for k, l in ts.keys():
+        assert np.abs(ts.get(k, l).values).max() < 1e-15
+    assert stabilization_time(cfg) == 0
 
 
 def test_loss_consistency_with_channel_route():
@@ -397,4 +423,20 @@ def test_an_order_over_the_assembly_cap_raises_before_its_powers_are_built(monke
     finally:
         tracemalloc.stop()
     assert err.value.required == 3 ** 5
+    assert peak < 2 ** 20
+
+
+def test_an_order_over_the_power_cap_raises_before_its_power_is_built():
+    # at M=32, L=1, order (3, 0) passes the system cap (1) and the assembly
+    # cap (32^3 entries), but V^(x 3) is a 32768-square array, 16 GiB
+    u = haar_random_unitary(32, 5)
+    ext = fock_state_dm(FockBasis(31, 1), (1,) + (0,) * 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"order \(3,0\)") as err:
+            stationary_order(3, 0, u, ext, TensorSet(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, 32 ** 3)
     assert peak < 2 ** 20
