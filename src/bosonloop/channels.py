@@ -18,7 +18,7 @@ holding all of G.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (DENSE_DIM_CAP, DegenerateFixedPointError, SizeCapError,
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
 from .matrixkit import unvec, vec
-from .qstate import POPULATED_CUTOFF, DensityMatrix, charge0_layout
+from .qstate import POPULATED_CUTOFF, DensityMatrix, _joint_parts, charge0_layout
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
@@ -39,7 +39,13 @@ _PAIR_BATCH = 1 << 16     # Kraus nonzero pairs formed at once when building blo
 
 
 class QuantumChannel:
-    """A finite Kraus set acting on a truncated Fock space of the looped modes."""
+    """A finite Kraus set acting on a truncated Fock space of the looped modes.
+
+    The operators are held as dense arrays or, for a channel made by
+    `from_nonzeros`, as their nonzero entries; the dense `kraus` list is
+    then built, by scattering the entries into zeros, the first time
+    something reads it.
+    """
 
     def __init__(self, basis: FockBasis, kraus, valid_max_photons: int,
                  max_photon_gain: int = 0):
@@ -56,6 +62,28 @@ class QuantumChannel:
         self.max_photon_gain = int(max_photon_gain)
         self._superop_blocks = {}
 
+    @classmethod
+    def from_nonzeros(cls, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
+                      max_photon_gain: int = 0) -> "QuantumChannel":
+        """The channel whose operators have the nonzero entries
+        (rows, cols, values, owner), listed as `_nonzeros` lists them; the
+        owners run 0, 1, ... with every operator owning an entry."""
+        chan = cls.__new__(cls)
+        chan.basis, chan._nonzeros = basis, nonzeros
+        chan.valid_max_photons = int(valid_max_photons)
+        chan.max_photon_gain = int(max_photon_gain)
+        chan._superop_blocks = {}
+        return chan
+
+    @cached_property
+    def kraus(self) -> list:
+        """The dense operators of a channel made by `from_nonzeros`."""
+        rows, cols, values, owner = self._nonzeros
+        d = self.basis.size
+        stack = np.zeros((owner[-1] + 1, d, d), dtype=complex)
+        stack[owner, rows, cols] = values
+        return list(stack)
+
     def completeness_operator(self) -> np.ndarray:
         """sum K^dag K, identity on the valid subspace."""
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
@@ -66,8 +94,8 @@ class QuantumChannel:
     @cached_property
     def _nonzeros(self) -> tuple:
         """The nonzero entries of the Kraus operators, operator after
-        operator, as (rows, cols, values, owner): owner is the index of the
-        operator each entry comes from."""
+        operator and each row by row, as (rows, cols, values, owner): owner
+        is the index of the operator each entry comes from."""
         found = [np.nonzero(k) for k in self.kraus]
         return (np.concatenate([r for r, _ in found]),
                 np.concatenate([c for _, c in found]),
@@ -75,7 +103,7 @@ class QuantumChannel:
                 np.repeat(np.arange(len(found)), [r.size for r, _ in found]))
 
     @cached_property
-    def charge_blocks(self) -> list:
+    def charge_blocks(self) -> tuple:
         """Column-stacked indices (i + d j) of the blocks of G, grouped by the
         charge n_i - n_j with charge 0 first; a single block of every index
         when some Kraus operator mixes photon-number shifts."""
@@ -83,12 +111,8 @@ class QuantumChannel:
         rows, cols, _, owner = self._nonzeros
         shifts = totals[rows] - totals[cols]
         if np.any((owner[1:] == owner[:-1]) & (shifts[1:] != shifts[:-1])):
-            return [np.arange(self.basis.size ** 2)]
-        charge = vec(np.subtract.outer(totals, totals))
-        # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
-        key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
-        ends = np.cumsum(np.bincount(key))[:-1]
-        return np.split(np.argsort(key, kind="stable"), ends)
+            return (np.arange(self.basis.size ** 2),)
+        return _charge_split(self.basis)
 
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
@@ -210,6 +234,40 @@ def _kept_trace(tr: complex) -> float:
     return tr.real
 
 
+@lru_cache(maxsize=None)
+def _charge_split(basis: FockBasis) -> tuple:
+    """The column-stacked indices of a d x d matrix over `basis`, grouped by
+    the charge n_i - n_j in the order 0, -1, 1, -2, 2, ... (read-only)."""
+    totals = basis.totals()
+    charge = vec(np.subtract.outer(totals, totals))
+    # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
+    key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
+    order = np.argsort(key, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
+
+
+@lru_cache(maxsize=None)
+def _lifted_columns(ext_basis: FockBasis, loop_basis: FockBasis, joint: FockBasis,
+                    alpha: int) -> tuple:
+    """Where the columns L(U) (|alpha> tensor |j>) of the loop basis states j
+    lie, sector block by sector block: (n, src, dst) for each joint sector
+    n >= n_alpha, with src the flat positions in block n and dst the flat
+    positions J * d + j of the same entries in a (joint.size, d) array.
+    Loop sector k meets |alpha> in joint sector n_alpha + k."""
+    d = loop_basis.size
+    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
+    n_alpha = sum(ext_basis.state(alpha))
+    out = []
+    for k in range(joint.n_max - n_alpha + 1):
+        n, loop_k = n_alpha + k, loop_basis.sector_slice(k)
+        js = np.arange(loop_k.start, loop_k.stop)
+        rows = np.arange(joint.sector_slice(n).start, joint.sector_slice(n).stop)
+        src = np.arange(rows.size)[:, None] * rows.size + (jmap_in[alpha, js] - rows[0])
+        out.append((n, src.ravel(), (rows[:, None] * d + js).ravel()))
+    return tuple(out)
+
+
 def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChannel:
     """One-iteration channel on the looped modes: inject rho_ext, evolve, trace out.
 
@@ -218,7 +276,8 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     below 1e-12 dropped) and emits K = sqrt(lambda_j) <m| L(U) |psi_j> for
     every external output basis state m, pruning Kraus operators that vanish
     by photon-number bookkeeping.  The columns of L(U) are read from its
-    sector blocks; the dense lifted matrix is never built.
+    sector blocks; the dense lifted matrix is never built, nor are the dense
+    operators: the channel is made from their nonzero entries.
     """
     joint = lifted.basis
     ext_basis = rho_ext.basis
@@ -231,36 +290,42 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
         raise TruncationError("rho_ext populates sectors beyond the joint truncation")
 
     evals, evecs = np.linalg.eigh(rho_ext.mat)
+    d = loop_basis.size
     # the injected state may live on a smaller truncation than the joint
-    # space, but the output projectors <m| span the full external basis
-    ext_out = FockBasis(ext_basis.modes, joint.n_max)
-    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
-    jmap_out = tensor_index_map(ext_out, loop_basis, joint)
+    # space, but the output projectors <m| span the full external basis:
+    # joint state J is |m> tensor |i> for out_of[J] = m, row_of[J] = i
+    out_of, row_of = _joint_parts(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)
 
-    kraus = []
+    parts, n_ops = [], 0
     for lam, psi in zip(evals, evecs.T):
         if lam < _EIG_CUTOFF:
             continue
-        # columns of L(U) applied to |psi> tensor each loop basis state; row
-        # joint.size is the zero row that out-of-truncation indices point at
-        w = np.zeros((joint.size + 1, loop_basis.size), dtype=complex)
+        # columns of L(U) applied to |psi> tensor each loop basis state,
+        # flattened; the entries no sector block reaches stay zero
+        w = np.zeros(joint.size * d, dtype=complex)
         for alpha, c in enumerate(psi):
-            if abs(c) < 1e-16:
-                continue
-            # loop sector k meets |alpha> in joint sector n_alpha + k, whose
-            # lifted block holds the columns; the rest stay zero
-            cols = np.zeros_like(w)
-            n_alpha = sum(ext_basis.state(alpha))
-            for k in range(joint.n_max - n_alpha + 1):
-                n, js = n_alpha + k, loop_basis.sector_slice(k)
-                rows = joint.sector_slice(n)
-                cols[rows, js] = lifted.block(n)[:, jmap_in[alpha, js] - rows.start]
-            w += c * cols
-        # one operator per external output state m: rows jmap_out[m] of w
-        ops = sqrt(lam) * w[jmap_out]
-        kraus.extend(ops[np.abs(ops).max(axis=(1, 2)) > _PRUNE_NORM])
-    return QuantumChannel(
-        loop_basis, kraus,
+            if abs(c) >= 1e-16:
+                for n, src, dst in _lifted_columns(ext_basis, loop_basis, joint, alpha):
+                    w[dst] += c * lifted.block(n).take(src)
+        # operator m is rows out_of == m of w: its entries in (m, i, j) order
+        at, cols = np.divmod(np.flatnonzero(w), d)
+        order = np.argsort((out_of[at] * d + row_of[at]) * d + cols)
+        at, cols = at[order], cols[order]
+        values = sqrt(lam) * w[at * d + cols]
+        nonzero = values != 0
+        at, cols, values = at[nonzero], cols[nonzero], values[nonzero]
+        if not values.size:
+            continue
+        # prune operators whose largest |entry| is at most _PRUNE_NORM
+        starts = np.flatnonzero(np.diff(out_of[at], prepend=-1))
+        sizes = np.diff(starts, append=at.size)
+        kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
+        keep = np.repeat(kept, sizes)
+        owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
+        parts.append((row_of[at[keep]], cols[keep], values[keep], owner))
+        n_ops += int(np.count_nonzero(kept))
+    return QuantumChannel.from_nonzeros(
+        loop_basis, tuple(np.concatenate(p) for p in zip(*parts)),
         valid_max_photons=joint.n_max - n_env,
         max_photon_gain=n_env,
     )
@@ -378,6 +443,16 @@ def _block0_matrix(channel: QuantumChannel, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(unvec(v, d, d))
 
 
+@lru_cache(maxsize=None)
+def _probe(m: int) -> np.ndarray:
+    """The generic right-hand side of size m that `fixed_point` solves
+    alongside its own, drawn once per size (read-only)."""
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    z.flags.writeable = False
+    return z
+
+
 def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     """Fast trace-normalized fixed point of G, without spectral diagnostics.
 
@@ -397,8 +472,7 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     # a degenerate fixed space makes the bordered matrix singular; any
     # trace-1 fixed point still solves A x = t exactly, so solve a generic
     # right-hand side alongside to expose rank loss
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    z = _probe(m)
     try:
         x, probe = np.linalg.solve(a, np.column_stack([t, z])).T
     except np.linalg.LinAlgError:

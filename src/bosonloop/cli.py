@@ -343,13 +343,16 @@ def cmd_stabilization(args, config, stager) -> None:
         f"{tau};{int((times == tau).sum())}\n" for tau in np.unique(times)
     )
     stager.add_text("stabilization_histogram.csv", hist)
+    # quartiles in one call; the 50th percentile of integer times is their
+    # median, float for float
+    q25, median, q75 = ([float(q) for q in np.percentile(times, [25, 50, 75])]
+                        if times.size else [None] * 3)
     stager.add_json("summary.json", {
         "samples": args.samples,
         "skipped_degenerate": study.skipped,
-        "median": float(np.median(times)) if times.size else None,
+        "median": median,
         "mean": float(times.mean()) if times.size else None,
-        "iqr": [float(np.percentile(times, 25)),
-                float(np.percentile(times, 75))] if times.size else None,
+        "iqr": [q25, q75] if times.size else None,
         "tolerance": args.tolerance,
     })
 

@@ -173,9 +173,11 @@ class EvolutionTrace:
 
 
 class _LoopSetup:
-    """Bases, lifted matrix, input state and loss channels resolved from a config."""
+    """Bases, lifted matrix, input state and loss channels resolved from a
+    config; the lifted matrix memoizes its sector blocks in `lifted_blocks`
+    when given (see `LiftedUnitary`)."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, lifted_blocks: dict | None = None):
         self.config = config
         self.modes = config.modes
         self.looped = config.looped
@@ -199,7 +201,7 @@ class _LoopSetup:
         self.loop = FockBasis(self.looped, self.n_max) if self.looped else None
         self.u = config.transfer_matrix()
         Interferometer(self.u, self.looped)  # validates unitarity and the split
-        self.lifted = lift(self.u, self.joint)
+        self.lifted = lift(self.u, self.joint, lifted_blocks)
 
         spec = config.losses.resolve(self.modes)
         self.losses = spec
@@ -247,7 +249,8 @@ class _LoopSetup:
         spectral radius below 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
         eigenvalues are products of M_eff,LL's and their conjugates (see
         `stationary_state`), so the stationary state is unique exactly when
-        that radius is below 1.  Both stationary routes check it first."""
+        that radius is below 1.  The superoperator and iteration routes and
+        `stabilization_time` check it first."""
         _check_spectral_radius(
             effective_transfer_matrix(self.u, self.losses, self.looped), self.looped)
 
@@ -422,19 +425,24 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     )
 
 
-def stationary_loop_state(config: ExperimentConfig) -> StationaryResult:
-    """Fixed point of the one-iteration loop channel via the superoperator."""
+def stationary_loop_state(config: ExperimentConfig,
+                          lifted_blocks: dict | None = None) -> StationaryResult:
+    """Fixed point of the one-iteration loop channel via the superoperator.
+    `lifted_blocks` is the memo of the lifted sector blocks that calls on one
+    transfer matrix may share (see `LiftedUnitary`)."""
     if config.looped == 0:
         raise ValueError("a stationary loop state needs at least one looped mode")
-    setup = _LoopSetup(config)
+    setup = _LoopSetup(config, lifted_blocks)
     setup.check_unique_stationary()
     return stationary_state(setup.loop_update_channel())
 
 
 def stationary_loop_iterate(config: ExperimentConfig, tol: float = 1e-12,
                             max_iterations: int = 1_000_000) -> DensityMatrix:
-    """Fixed point by literal channel iteration from the vacuum."""
+    """Fixed point by literal channel iteration from the vacuum, after the
+    uniqueness check of the other stationary routes."""
     setup = _LoopSetup(config)
+    setup.check_unique_stationary()
     channel = setup.loop_update_channel()
     rho = setup.vacuum_line()
     for _ in range(max_iterations):
@@ -459,7 +467,8 @@ def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
 
 
 def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
-                       max_iterations: int = 100_000) -> int:
+                       max_iterations: int = 100_000,
+                       lifted_blocks: dict | None = None) -> int:
     """Iterations until the loop state's infidelity to the fixed point drops below
     `tolerance`, starting from the vacuum.
 
@@ -471,10 +480,12 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     Steps past the first converged iterate are overshoot: a TruncationError
     among them is dropped, while one at or before it, and the cap, surface
     after the same steps as a step-by-step loop would take.
+    `lifted_blocks` is the memo of the lifted sector blocks that calls on one
+    transfer matrix may share (see `LiftedUnitary`).
     """
     if config.looped == 0:
         raise ValueError("stabilization time needs at least one looped mode")
-    setup = _LoopSetup(config)
+    setup = _LoopSetup(config, lifted_blocks)
     setup.check_unique_stationary()
     channel = setup.loop_update_channel()
     rho_stat = fixed_point(channel)
@@ -505,21 +516,26 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
 
 
 def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> list:
-    """`solve(sample_config)` on Haar-random transfer matrices, one result per sample.
+    """`solve(sample_config, lifted_blocks)` on Haar-random transfer matrices,
+    one result per sample.
 
     Per-sample seeds are spawned from the master seed.  A sample with a
     degenerate fixed point, or that fails to converge, gives None.  A sample
     whose loop state is too heavy-tailed for the configured n_max is retried
     at a 1.5x larger truncation up to TRUNCATION_RETRIES times: the required
     bound is state-dependent, and near-decoupled matrices produce nearly
-    thermal loop states far wider than the typical Haar draw.
+    thermal loop states far wider than the typical Haar draw.  The rungs of
+    a sample share one memo of its lifted sector blocks, so a retry lifts
+    only the sectors its larger truncation adds; the memo goes with the
+    sample.
     """
     def one(child):
         u = haar_random_unitary(config.modes, child)
         n_max = config.resolve_n_max()
+        blocks = {}
         for attempt in range(TRUNCATION_RETRIES + 1):
             try:
-                return solve(replace(config, unitary=u, haar_seed=None, n_max=n_max))
+                return solve(replace(config, unitary=u, haar_seed=None, n_max=n_max), blocks)
             except TruncationError:
                 n_max = _grow_n_max(n_max, config.looped)
                 if attempt == TRUNCATION_RETRIES or n_max is None:
@@ -546,7 +562,8 @@ def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
     `_haar_samples`.
     """
     results = _haar_samples(config, samples, seed,
-                            lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
+                            lambda cfg, blocks: stabilization_time(cfg, tolerance,
+                                                                   max_iterations, blocks))
     times = [t for t in results if t is not None]
     return StabilizationStudy(times=times, skipped=len(results) - len(times))
 
@@ -572,7 +589,7 @@ def average_stationary(config: ExperimentConfig, samples: int,
     if config.looped > 1:
         raise ValueError("raw averaging over matrices is only meaningful for one looped mode")
     results = _haar_samples(config, samples, seed,
-                            lambda cfg: stationary_loop_state(cfg).rho)
+                            lambda cfg, blocks: stationary_loop_state(cfg, blocks).rho)
     states = [r for r in results if r is not None]
     skipped = len(results) - len(states)
     if not states:

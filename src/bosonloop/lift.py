@@ -79,9 +79,16 @@ def _add_photon(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
 
 
 class LiftedUnitary:
-    """Per-sector Fock-space blocks of a transfer matrix, computed lazily."""
+    """Per-sector Fock-space blocks of a transfer matrix, computed lazily.
 
-    def __init__(self, matrix: np.ndarray, basis: FockBasis):
+    A block depends on the matrix and the photon number, not on the
+    truncation, so liftings of one matrix onto several truncations of its
+    modes may share one memo: `blocks`, a dict of the blocks lifted so far,
+    keyed by photon number and filled by whichever lifting needs a block
+    first.
+    """
+
+    def __init__(self, matrix: np.ndarray, basis: FockBasis, blocks: dict | None = None):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (basis.modes, basis.modes):
             raise ValueError(
@@ -89,7 +96,8 @@ class LiftedUnitary:
             )
         self.matrix = matrix
         self.basis = basis
-        self._blocks = {0: np.ones((1, 1), dtype=complex)}
+        self._blocks = {} if blocks is None else blocks
+        self._blocks.setdefault(0, np.ones((1, 1), dtype=complex))
 
     def block(self, total: int) -> np.ndarray:
         """Sector block for a fixed total photon number (memoized)."""
@@ -150,9 +158,10 @@ class LiftedUnitary:
                 yield (n, m), self.block(n) @ r @ self.block(m).conj().T
 
 
-def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedUnitary:
-    """Lift a transfer matrix onto the truncated Fock basis."""
-    return LiftedUnitary(matrix, basis)
+def lift(matrix: np.ndarray, basis: FockBasis, blocks: dict | None = None) -> LiftedUnitary:
+    """Lift a transfer matrix onto the truncated Fock basis, memoizing its
+    sector blocks in `blocks` when given (see `LiftedUnitary`)."""
+    return LiftedUnitary(matrix, basis, blocks)
 
 
 def lift_apply_fock(matrix: np.ndarray, occupation) -> np.ndarray:

@@ -73,14 +73,12 @@ class DensityMatrix:
         """Diagonal probability mass per photon-number sector, of the sectors
         after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
         term for term."""
-        if self.block0 is None:
-            diag = self.mat.diagonal().real
-        else:
-            diag = self.block0[charge0_layout(self.basis)[2]].real
-        return np.array([
-            diag[self.basis.sector_slice(n)].sum()
-            for n in range(self.basis.n_max + 1)[above + 1:]
-        ])
+        first, at, slices = _sectors_after(self.basis, above)
+        diag = (self.mat.diagonal()[first:] if self.block0 is None else self.block0[at]).real
+        if slices is None:
+            # one state per sector: each sum is 0.0 + its entry, as numpy sums
+            return diag + 0.0
+        return np.array([diag[sl].sum() for sl in slices])
 
     def max_populated_sector(self) -> int:
         """Largest photon number whose sector carries mass above POPULATED_CUTOFF."""
@@ -345,6 +343,20 @@ def charge0_layout(basis: FockBasis) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _sectors_after(basis: FockBasis, above: int) -> tuple:
+    """The diagonal entries of the sectors that `sector_weights(above)` sums,
+    a tail of the basis: the index of its first state, the positions of its
+    entries in a charge-0 vector (`charge0_layout`), and each sector's slice
+    of the tail, or None when every sector holds one state."""
+    sectors = [basis.sector_slice(n) for n in range(basis.n_max + 1)[above + 1:]]
+    first = sectors[0].start if sectors else basis.size
+    slices = tuple(slice(sl.start - first, sl.stop - first) for sl in sectors)
+    if sectors and all(sl.stop - sl.start == 1 for sl in sectors):
+        slices = None
+    return first, charge0_layout(basis)[2][first:], slices
+
+
+@lru_cache(maxsize=None)
 def _sector_layout(basis: FockBasis) -> tuple:
     """How the photon-number diagonal blocks of a matrix stack, zero-padded
     to the largest sector: the flat (C-order) matrix index of each charge-0
@@ -362,12 +374,21 @@ def _sector_layout(basis: FockBasis) -> tuple:
 def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
     """F(a[k], b) = (Tr sqrt(sqrt(a[k]) b sqrt(a[k])))^2, clipped into [0, 1],
     for each k; the trace of a[k] runs over all its trailing blocks, which
-    meet the blocks of b one to one."""
-    evals, evecs = np.linalg.eigh(a)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
-    sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
-    inner = sqrt_a @ b @ sqrt_a
-    lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    meet the blocks of b one to one.
+
+    Blocks of width 1 take the closed form of the same arithmetic: LAPACK
+    returns a 1 x 1 block's real diagonal as its eigenvalue, with
+    eigenvector 1, so sqrt(a) is s = sqrt(max(Re a, 0)) and the inner
+    eigenvalue is (s Re b) s."""
+    if a.shape[-1] == 1:
+        s = np.sqrt(np.clip(a.real, 0.0, None))
+        lam = (s * b.real) * s
+    else:
+        evals, evecs = np.linalg.eigh(a)
+        root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+        sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
+        inner = sqrt_a @ b @ sqrt_a
+        lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
     roots = np.sqrt(np.clip(lam, 0.0, None)).reshape(len(a), -1)
     return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
 

@@ -31,6 +31,7 @@ from .qstate import DensityMatrix, ProbabilityDistribution
 from .tensors import TensorSet, moments_from_tensor_set
 
 _CONVEX_TOL = 1e-9  # change of the residual at which the convex iteration stops
+_FLOAT_FACTORIAL_MAX = 170  # the largest n whose n! a float holds
 
 
 class MomentSystem:
@@ -118,8 +119,15 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
     product over the modes, accumulated over q in basis order.  If the
     recursion yields eigenvalues below -1e-8 the result is projected onto
     the nearest density matrix; otherwise only the trace is renormalized.
+    The leading factor sqrt(n! m!) is the root of the exact integer product
+    while a float holds that product, and sqrt(n!) sqrt(m!) past it; a
+    basis with an occupation whose factorial leaves float range is refused.
     """
     n_cap = system.basis.n_max if n_max is None else n_max
+    if n_cap > _FLOAT_FACTORIAL_MAX:
+        raise ReconstructionError(
+            f"n_max {n_cap} holds occupations above {_FLOAT_FACTORIAL_MAX}, whose "
+            "factorials leave float range")
     basis = FockBasis(system.basis.modes, n_cap)
     states = basis.states
     # the shifts q that keep o + q inside the basis: a prefix of the states
@@ -142,7 +150,11 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
                 up = (raised[i][q], raised[j][q])
                 assert up in done, "recursion read an element not yet computed"
                 corr += weight * done[up]
-            value = (system.get(states[j], states[i]) - corr) / sqrt(lead[i] * lead[j])
+            try:
+                root_lead = sqrt(lead[i] * lead[j])
+            except OverflowError:
+                root_lead = sqrt(lead[i]) * sqrt(lead[j])
+            value = (system.get(states[j], states[i]) - corr) / root_lead
             done[(i, j)] = value
             rho[i, j] = value
             if i != j:

@@ -336,6 +336,47 @@ def loop_kraus_from_full(lifted, rho_ext, prune: float = 1e-14) -> list:
     return kraus
 
 
+def loop_kraus_dense(lifted, rho_ext, prune: float = 1e-14) -> list:
+    """Kraus operators of `loop_channel` as one dense (outputs, d, d) stack
+    per eigenvector of rho_ext, pruned by their largest |entry|: the package's
+    construction before it emitted the operators' nonzero entries."""
+    joint = lifted.basis
+    ext_basis = rho_ext.basis
+    loop_basis = FockBasis(joint.modes - ext_basis.modes, joint.n_max)
+    evals, evecs = np.linalg.eigh(rho_ext.mat)
+    ext_out = FockBasis(ext_basis.modes, joint.n_max)
+    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
+    jmap_out = tensor_index_map(ext_out, loop_basis, joint)
+    kraus = []
+    for lam, psi in zip(evals, evecs.T):
+        if lam < 1e-12:
+            continue
+        w = np.zeros((joint.size + 1, loop_basis.size), dtype=complex)
+        for alpha, c in enumerate(psi):
+            if abs(c) < 1e-16:
+                continue
+            cols = np.zeros_like(w)
+            n_alpha = sum(ext_basis.state(alpha))
+            for k in range(joint.n_max - n_alpha + 1):
+                n, js = n_alpha + k, loop_basis.sector_slice(k)
+                rows = joint.sector_slice(n)
+                cols[rows, js] = lifted.block(n)[:, jmap_in[alpha, js] - rows.start]
+            w += c * cols
+        ops = sqrt(lam) * w[jmap_out]
+        kraus.extend(ops[np.abs(ops).max(axis=(1, 2)) > prune])
+    return kraus
+
+
+def nonzeros_by_scan(kraus) -> tuple:
+    """(rows, cols, values, owner) of dense Kraus operators by one np.nonzero
+    scan per operator: `QuantumChannel._nonzeros` of a dense channel."""
+    found = [np.nonzero(k) for k in kraus]
+    return (np.concatenate([r for r, _ in found]),
+            np.concatenate([c for _, c in found]),
+            np.concatenate([k[rc] for k, rc in zip(kraus, found)]),
+            np.repeat(np.arange(len(found)), [r.size for r, _ in found]))
+
+
 def tensor_product_dense(rho_a, rho_b, joint, dropped: float) -> np.ndarray:
     """The joint matrix by one gather of each factor over the whole joint
     basis: `tensor_product` as the package ran it before it built only the
@@ -462,6 +503,27 @@ def uhlmann_fidelity_one(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
     f = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
     return min(max(f, 0.0), 1.0)
+
+
+def fidelity_kernel_eigh(a: np.ndarray, b: np.ndarray) -> list:
+    """`qstate._fidelity_kernel` by eigh and eigvalsh on blocks of every
+    width: the kernel as the package ran it before width-1 blocks took the
+    closed form."""
+    evals, evecs = np.linalg.eigh(a)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
+    inner = sqrt_a @ b @ sqrt_a
+    lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    roots = np.sqrt(np.clip(lam, 0.0, None)).reshape(len(a), -1)
+    return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
+
+
+def sector_weights_by_slices(rho: DensityMatrix, above: int = -1) -> np.ndarray:
+    """`DensityMatrix.sector_weights` as one sum per sector slice of the
+    dense diagonal, whatever the sector widths."""
+    diag = rho.mat.diagonal().real
+    return np.array([diag[rho.basis.sector_slice(n)].sum()
+                     for n in range(rho.basis.n_max + 1)[above + 1:]])
 
 
 def stabilization_time_stepwise(config, tolerance: float = 1e-6,

@@ -1,3 +1,4 @@
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
                               SizeCapError, SpectralRadiusError, TruncationError)
 from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
                               _LoopSetup, effective_transfer_matrix, stabilization_samples,
-                              stationary_loop_state)
+                              stabilization_time, stationary_loop_state)
 from bosonloop.fock import FockBasis, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
@@ -21,8 +22,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
                               tensor_product, trace_distance, uhlmann_fidelity)
 
 from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
-                     coherent_dm, fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_from_full,
-                     loss_kraus_loop, spectral_diagnostics_all_blocks,
+                     coherent_dm, fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_dense,
+                     loop_kraus_from_full, loss_kraus_loop, nonzeros_by_scan,
+                     spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
                      superoperator_kron, unique_by_q_nonnegative_blocks)
 
@@ -532,7 +534,7 @@ def test_stabilization_times_equal_the_stepwise_oracle():
                            input_occupation=(1,), n_max=14)
     attempts = []
 
-    def stepwise(sample):
+    def stepwise(sample, blocks):
         attempts.append(sample.n_max)
         return stabilization_time_stepwise(sample)
 
@@ -650,6 +652,96 @@ def test_loop_channel_prunes_like_the_per_output_loop():
     assert 1 < len(chan.kraus) == len(expected) < FockBasis(2, 5).size
     for k, k_ref in zip(chan.kraus, expected):
         _assert_same_bits(k, k_ref)
+
+
+def _mixed_dm(ext: FockBasis) -> DensityMatrix:
+    """A rank-3 state diagonal in the Fock basis, over three sectors."""
+    mat = np.zeros((ext.size, ext.size), dtype=complex)
+    mat[0, 0], mat[1, 1], mat[-1, -1] = 0.5, 0.3, 0.2
+    return DensityMatrix(ext, mat)
+
+
+_INPUTS = {
+    "fock": lambda ext: fock_state_dm(ext, (1,) * ext.modes),
+    "mixed": _mixed_dm,
+    "random": lambda ext: random_density_matrix(ext, ext.modes),
+    "coherent": lambda ext: coherent_dm([0.4 - 0.3j] + [0.2j] * (ext.modes - 1), ext.n_max),
+}
+
+
+@pytest.mark.parametrize("modes, looped, n_max", [(2, 1, 9), (3, 1, 5), (3, 2, 5),
+                                                  (4, 2, 4)])
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
+@pytest.mark.parametrize("lossy", [False, True])
+def test_loop_channel_nonzeros_equal_the_dense_stack_scan(modes, looped, n_max, kind, lossy):
+    # the nonzeros loop_channel emits are those one np.nonzero scan per
+    # operator finds in the dense (outputs, d, d) stack, and the scattered
+    # operators are that stack, byte for byte; the lossy inputs reach the
+    # loop through the input loss channel
+    losses = LossSpec(t_in=np.full(modes, 0.9), t_out=np.full(modes, 0.95),
+                      loop_transmission=0.8) if lossy else LossSpec()
+    ext_in = _INPUTS[kind](FockBasis(modes - looped, 2))
+    setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1,
+                                        haar_seed=modes + 7, input_state=ext_in,
+                                        n_max=n_max, losses=losses))
+    chan = loop_channel(setup.lifted, setup.rho_ext_in)
+    dense = loop_kraus_dense(setup.lifted, setup.rho_ext_in)
+    for got, ref in zip(chan._nonzeros, nonzeros_by_scan(dense)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert len(chan.kraus) == len(dense) >= 1
+    assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
+
+
+def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():
+    # entries of 1e-320 in a lifted block stay nonzero times sqrt(1 - 1e-10)
+    # and underflow to zero times sqrt(1e-10); the scan of the dense stack
+    # finds only the first, and so must the nonzeros
+    lifted = lift(haar_random_unitary(2, 3), FockBasis(2, 4))
+    for n in (2, 3):
+        block = lifted.block(n).copy()
+        block[0, :2] = [1e-320, 1e-320j]
+        lifted._blocks[n] = block
+    rho_ext = DensityMatrix(FockBasis(1, 1), np.diag([1 - 1e-10, 1e-10]))
+    chan = loop_channel(lifted, rho_ext)
+    dense = loop_kraus_dense(lifted, rho_ext)
+    assert np.count_nonzero(np.abs(np.concatenate(dense)) == 1e-320) > 0
+    for got, ref in zip(chan._nonzeros, nonzeros_by_scan(dense)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def _count_kraus_builds(monkeypatch) -> list:
+    """Record every channel whose dense `kraus` list gets built from its
+    nonzeros."""
+    built = []
+    scatter = QuantumChannel.kraus.func
+
+    def counted(self):
+        built.append(self)
+        return scatter(self)
+
+    patched = cached_property(counted)
+    patched.__set_name__(QuantumChannel, "kraus")
+    monkeypatch.setattr(QuantumChannel, "kraus", patched)
+    return built
+
+
+@pytest.mark.parametrize("modes, looped, haar_seed, n_max, occ", [
+    (2, 1, 0, 14, (1,)),
+    (2, 1, 22, 14, (1,)),     # the bordered solve gives up: stationary_state runs
+    (3, 1, 4, 8, (1, 0)),
+    (3, 2, 39, 7, (1,)),
+])
+def test_stabilization_never_builds_the_dense_kraus_list(monkeypatch, modes, looped,
+                                                         haar_seed, n_max, occ):
+    cfg = ExperimentConfig(modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
+                           input_occupation=occ, n_max=n_max)
+    built = _count_kraus_builds(monkeypatch)
+    tau = stabilization_time(cfg)
+    assert built == []
+    assert tau == stabilization_time_stepwise(cfg)
+    # the count sees a read
+    chan = _LoopSetup(cfg).loop_update_channel()
+    assert len(chan.kraus) > 1 and built == [chan]
 
 
 @pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4)])

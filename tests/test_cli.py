@@ -513,7 +513,7 @@ def test_stationary_decoupled_exits_4(tmp_path, capsys):
     save_matrix_json(u, tmp_path / "u.json")
     path = write_config(tmp_path, unitary={"type": "file", "path": "u.json"},
                         n_max=4, iterations=1)
-    for method in ("superop", "tensors"):
+    for method in ("superop", "tensors", "iterate"):
         out = tmp_path / f"dec_{method}"
         code = main(["stationary", path, "--method", method, "--out", str(out)])
         assert code == 4

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
                               stationary_loop_state, unfold,
                               unfolded_distribution)
 from bosonloop.fock import FockBasis
-from bosonloop.lift import lift
+from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (fock_state_dm, trace_distance, uhlmann_fidelity)
 
@@ -428,6 +430,56 @@ def test_stabilization_samples_deterministic():
     s2 = stabilization_samples(cfg, 8, seed=3)
     assert s1.times == s2.times
     assert s1.skipped == s2.skipped == 0
+
+
+def _record_lifts(monkeypatch) -> list:
+    """Record (matrix, n, block) for every sector block the recurrence lifts."""
+    lifts = []
+    recurrence = LiftedUnitary._block_recurrence
+
+    def recorded(self, n):
+        block = recurrence(self, n)
+        lifts.append((self.matrix, n, block))
+        return block
+
+    monkeypatch.setattr(LiftedUnitary, "_block_recurrence", recorded)
+    return lifts
+
+
+def test_a_sample_lifts_each_sector_block_once_up_the_ladder(monkeypatch):
+    # the one sample of seed 14 (|U_LL|^2 = 0.90) fails at n_max 14 and 21
+    # and settles at 32; its rungs share the blocks lifted so far, which are
+    # the blocks a fresh lifting at 32 makes, bit for bit
+    cfg = haar_config(2, 1, 1, 0, n_max=14)
+    rungs = []
+    solve = evolve.stabilization_time
+
+    def recorded(config, *args):
+        rungs.append(config.n_max)
+        return solve(config, *args)
+
+    monkeypatch.setattr(evolve, "stabilization_time", recorded)
+    lifts = _record_lifts(monkeypatch)
+    study = stabilization_samples(cfg, 1, seed=14)
+    assert rungs == [14, 21, 32] and study.times == [56]
+    assert [n for _, n, _ in lifts] == list(range(1, 33))
+    monkeypatch.undo()
+    fresh = lift(lifts[0][0], FockBasis(2, 32))
+    for _, n, block in lifts:
+        assert block.tobytes() == fresh.block(n).tobytes()
+
+
+def test_no_lifted_block_outlives_its_sample(monkeypatch):
+    # once stabilization_samples and average_stationary return, nothing
+    # holds a block their samples lifted, ladder climbs included
+    lifts = _record_lifts(monkeypatch)
+    cfg = haar_config(2, 1, 1, 0, n_max=14)
+    assert stabilization_samples(cfg, 3, seed=14).skipped == 0
+    average_stationary(haar_config(2, 1, 1, 0, n_max=10), samples=2, seed=4)
+    refs = [weakref.ref(block) for _, _, block in lifts]
+    del lifts[:]
+    gc.collect()
+    assert len(refs) > 32 and all(ref() is None for ref in refs)
 
 
 def test_average_stationary_single_sample_and_structure():

@@ -21,8 +21,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               trace_distance, uhlmann_fidelity)
 
 from oracles import (apply_dense, coherent_dm, conjugate_dense, fidelities_gathered,
-                     joint_pass_dense, partial_trace_buckets, purity, sample_one_draw,
-                     tensor_product_dense, tensor_product_kron, uhlmann_fidelity_one)
+                     fidelity_kernel_eigh, joint_pass_dense, partial_trace_buckets, purity,
+                     sample_one_draw, sector_weights_by_slices, tensor_product_dense,
+                     tensor_product_kron, uhlmann_fidelity_one)
 
 
 def test_fock_state_dm():
@@ -373,6 +374,52 @@ def test_sector_weights_equal_the_sums_of_the_copied_diagonal():
         diag = np.real(np.diag(rho.mat))
         _assert_same_floats(rho.sector_weights(),
                             [diag[basis.sector_slice(n)].sum() for n in range(n_max + 1)])
+
+
+@pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 9), (2, 4), (3, 3)])
+def test_sector_weights_of_signed_zero_diagonals_equal_the_slice_sums(modes, n_max):
+    # one-state sectors (every sector at one mode, sector 0 elsewhere) are
+    # read without a sum per sector: a sum of one entry is 0.0 + entry,
+    # which turns -0.0 into +0.0
+    basis = FockBasis(modes, n_max)
+    rng = np.random.default_rng(modes * 10 + n_max)
+    rows, cols, diagonal = charge0_layout(basis)
+    for trial in range(20):
+        v = random_density_matrix(basis, trial).mat[rows, cols]
+        parts = rng.choice([0.0, -0.0, 1e-300, -2.5, 0.3], size=(diagonal.size, 2))
+        v[diagonal] = parts[:, 0] + 1j * parts[:, 1]
+        for above in range(-3, n_max + 2):
+            for rho in (DensityMatrix.from_block0(basis, v.copy()),
+                        DensityMatrix(basis, DensityMatrix.from_block0(basis, v).mat,
+                                      check=False)):
+                ref = DensityMatrix.from_block0(basis, v.copy())
+                assert (rho.sector_weights(above).tobytes()
+                        == sector_weights_by_slices(ref, above).tobytes())
+
+
+def _width1_stacks(rng, count: int) -> tuple:
+    """Random (K, n, 1, 1) stacks of 1 x 1 blocks and their (n, 1, 1) sigma,
+    with tiny, negative, zero and complex diagonals among them."""
+    k, n = int(rng.integers(1, 9)), int(rng.integers(1, 34))
+    size = (count, k + 1, n)
+    mag = 10.0 ** rng.uniform(-18, 0, size)
+    real = rng.choice([1.0, 1.0, 1.0, -1.0, 0.0, -0.0], size) * mag
+    imag = rng.choice([0.0, 0.0, -0.0, 1e-17, -3e-12, 0.2], size) * rng.random(size)
+    blocks = (real + 1j * imag).reshape(count, k + 1, n, 1, 1)
+    return [(b[:-1], b[-1]) for b in blocks]
+
+
+def test_width1_fidelity_blocks_take_the_closed_form_of_the_eigh_route():
+    # 2400 stacks of 1 x 1 blocks, the L = 1 sector layout: every fidelity
+    # equals the eigh/eigvalsh route's to the last bit
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(40):
+        for a, b in _width1_stacks(rng, 60):
+            got = bosonloop.qstate._fidelity_kernel(a, b)
+            assert [x.hex() for x in got] == [x.hex() for x in fidelity_kernel_eigh(a, b)]
+            checked += 1
+    assert checked == 2400
 
 
 def _charge0_states(basis: FockBasis, seeds, zero: float) -> tuple:

@@ -80,6 +80,32 @@ def test_analytic_vacuum_and_pure_fock():
         assert not info.projected
 
 
+def _vacuum_system(n_max: int) -> MomentSystem:
+    """Every moment of the one-mode vacuum over FockBasis(1, n_max)."""
+    return MomentSystem(FockBasis(1, n_max), {
+        ((s,), (r,)): 1.0 if s == r == 0 else 0.0
+        for s in range(n_max + 1) for r in range(s, n_max + 1)})
+
+
+def test_analytic_past_the_float_range_of_the_factorial_products():
+    # at n_max 99 the leading factor's integer 99!^2 leaves float range and
+    # takes sqrt(99!) sqrt(99!); below that the integer product is kept
+    for n_max in (98, 99):
+        rec, info = reconstruct_analytic(_vacuum_system(n_max))
+        assert rec.mat[0, 0] == 1.0 and np.count_nonzero(rec.mat) == 1
+        assert not info.projected
+
+
+def test_analytic_refuses_occupations_whose_factorial_leaves_float_range():
+    # 171! overflows a float: refused before the recursion reads a moment
+    system = _vacuum_system(171)
+    system.get = None
+    with pytest.raises(ReconstructionError, match="float range"):
+        reconstruct_analytic(system)
+    rec, _ = reconstruct_analytic(_vacuum_system(171), n_max=3)
+    assert rec.mat[0, 0] == 1.0
+
+
 def test_analytic_top_sector_seed():
     basis = FockBasis(1, 1)
     rho = DensityMatrix(basis, np.diag([0.2, 0.8]))

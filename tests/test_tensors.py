@@ -10,7 +10,7 @@ from bosonloop import tensors
 from bosonloop.errors import DENSE_DIM_CAP, SizeCapError, SpectralRadiusError
 from bosonloop.evolve import (ExperimentConfig, LossSpec,
                               effective_transfer_matrix, stabilization_time,
-                              stationary_loop_state)
+                              stationary_loop_iterate, stationary_loop_state)
 from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
@@ -220,7 +220,7 @@ def test_spectral_radius_refusal():
                                         haar_random_unitary(2, 5)])
 def test_lossy_decoupled_loop_settles_in_the_vacuum(loop_block):
     # no photon reaches the loop and the feedback line loses what it holds,
-    # so rho(M_eff,LL) < 1: both routes find the vacuum, which the loop
+    # so rho(M_eff,LL) < 1: every route finds the vacuum, which the loop
     # starts in
     looped = loop_block.shape[0]
     u = np.eye(1 + looped, dtype=complex)
@@ -229,7 +229,9 @@ def test_lossy_decoupled_loop_settles_in_the_vacuum(loop_block):
     cfg = ExperimentConfig(modes=1 + looped, looped=looped, iterations=1, unitary=u,
                            input_occupation=(1,), n_max=4, losses=losses)
     stat = stationary_loop_state(cfg)
-    assert trace_distance(stat.rho, fock_state_dm(stat.rho.basis, (0,) * looped)) < 1e-12
+    vacuum = fock_state_dm(stat.rho.basis, (0,) * looped)
+    assert trace_distance(stat.rho, vacuum) < 1e-12
+    assert trace_distance(stationary_loop_iterate(cfg), vacuum) < 1e-12
     ts = recursive_stationary(effective_transfer_matrix(u, losses, looped),
                               fock_state_dm(FockBasis(1, 1), (1,)), rank_cap=2)
     for k, l in ts.keys():
