@@ -23,12 +23,12 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import (DENSE_DIM_CAP, DegenerateFixedPointError, SizeCapError,
-                     TruncationError)
+from .errors import DENSE_DIM_CAP, DegenerateFixedPointError, TruncationError, check_size
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
 from .matrixkit import unvec, vec
-from .qstate import POPULATED_CUTOFF, DensityMatrix, _joint_parts, charge0_layout
+from .qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, charge_split,
+                     joint_parts)
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
@@ -41,14 +41,28 @@ _PAIR_BATCH = 1 << 16     # Kraus nonzero pairs formed at once when building blo
 class QuantumChannel:
     """A finite Kraus set acting on a truncated Fock space of the looped modes.
 
-    The operators are held as dense arrays or, for a channel made by
-    `from_nonzeros`, as their nonzero entries; the dense `kraus` list is
-    then built, by scattering the entries into zeros, the first time
-    something reads it.
+    The operators are stored as their nonzero entries (rows, cols, values,
+    owner): operator after operator, each row by row as np.nonzero lists
+    them, with owner the index of the operator each entry comes from.  A
+    channel made by `from_kraus` keeps its dense list as `kraus`; any other
+    builds that list, by scattering the entries into zeros, the first time
+    something reads it, and then its owners run 0, 1, ... with every
+    operator owning an entry.
     """
 
-    def __init__(self, basis: FockBasis, kraus, valid_max_photons: int,
+    def __init__(self, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
                  max_photon_gain: int = 0):
+        self.basis = basis
+        self.nonzeros = nonzeros
+        self.valid_max_photons = int(valid_max_photons)
+        self.max_photon_gain = int(max_photon_gain)
+        self._superop_blocks = {}
+
+    @classmethod
+    def from_kraus(cls, basis: FockBasis, kraus, valid_max_photons: int,
+                   max_photon_gain: int = 0) -> "QuantumChannel":
+        """The channel of the dense operators `kraus`, scanned once for
+        their nonzeros."""
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         d = basis.size
         for k in kraus:
@@ -56,29 +70,19 @@ class QuantumChannel:
                 raise ValueError(f"Kraus operator shape {k.shape} does not match basis size {d}")
         if not kraus:
             raise ValueError("channel needs at least one Kraus operator")
-        self.basis = basis
-        self.kraus = kraus
-        self.valid_max_photons = int(valid_max_photons)
-        self.max_photon_gain = int(max_photon_gain)
-        self._superop_blocks = {}
-
-    @classmethod
-    def from_nonzeros(cls, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
-                      max_photon_gain: int = 0) -> "QuantumChannel":
-        """The channel whose operators have the nonzero entries
-        (rows, cols, values, owner), listed as `_nonzeros` lists them; the
-        owners run 0, 1, ... with every operator owning an entry."""
-        chan = cls.__new__(cls)
-        chan.basis, chan._nonzeros = basis, nonzeros
-        chan.valid_max_photons = int(valid_max_photons)
-        chan.max_photon_gain = int(max_photon_gain)
-        chan._superop_blocks = {}
+        found = [np.nonzero(k) for k in kraus]
+        chan = cls(basis, (np.concatenate([r for r, _ in found]),
+                           np.concatenate([c for _, c in found]),
+                           np.concatenate([k[rc] for k, rc in zip(kraus, found)]),
+                           np.repeat(np.arange(len(found)), [r.size for r, _ in found])),
+                   valid_max_photons, max_photon_gain)
+        chan.kraus = kraus
         return chan
 
     @cached_property
     def kraus(self) -> list:
-        """The dense operators of a channel made by `from_nonzeros`."""
-        rows, cols, values, owner = self._nonzeros
+        """The dense operators, scattered from the nonzeros."""
+        rows, cols, values, owner = self.nonzeros
         d = self.basis.size
         stack = np.zeros((owner[-1] + 1, d, d), dtype=complex)
         stack[owner, rows, cols] = values
@@ -92,27 +96,16 @@ class QuantumChannel:
         return out
 
     @cached_property
-    def _nonzeros(self) -> tuple:
-        """The nonzero entries of the Kraus operators, operator after
-        operator and each row by row, as (rows, cols, values, owner): owner
-        is the index of the operator each entry comes from."""
-        found = [np.nonzero(k) for k in self.kraus]
-        return (np.concatenate([r for r, _ in found]),
-                np.concatenate([c for _, c in found]),
-                np.concatenate([k[rc] for k, rc in zip(self.kraus, found)]),
-                np.repeat(np.arange(len(found)), [r.size for r, _ in found]))
-
-    @cached_property
     def charge_blocks(self) -> tuple:
         """Column-stacked indices (i + d j) of the blocks of G, grouped by the
         charge n_i - n_j with charge 0 first; a single block of every index
         when some Kraus operator mixes photon-number shifts."""
         totals = self.basis.totals()
-        rows, cols, _, owner = self._nonzeros
+        rows, cols, _, owner = self.nonzeros
         shifts = totals[rows] - totals[cols]
         if np.any((owner[1:] == owner[:-1]) & (shifts[1:] != shifts[:-1])):
             return (np.arange(self.basis.size ** 2),)
-        return _charge_split(self.basis)
+        return charge_split(self.basis)
 
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
@@ -139,10 +132,7 @@ class QuantumChannel:
         d = self.basis.size
         sizes = [self.charge_blocks[b].size for b in which]
         for m in sizes:
-            if m > DENSE_DIM_CAP:
-                raise SizeCapError(
-                    f"superoperator block dimension {m} exceeds the cap "
-                    f"{DENSE_DIM_CAP}", cap=DENSE_DIM_CAP, required=m)
+            check_size("the superoperator block dimension", m)
         # where each vec index's row, and its column, falls in the stacked blocks
         row_at = np.full(d * d, -1)
         col_at = np.zeros(d * d, dtype=int)
@@ -152,7 +142,7 @@ class QuantumChannel:
             col_at[self.charge_blocks[b]] = np.arange(m)
         flat = np.zeros(offsets[-1], dtype=complex)
 
-        rows, cols, values, group = self._nonzeros
+        rows, cols, values, group = self.nonzeros
         if 0 in which and len(self.charge_blocks) > 1:
             group = group * (self.basis.n_max + 1) + self.basis.totals()[rows]
         # sizes of the runs of nonzeros that share a group
@@ -188,10 +178,9 @@ class QuantumChannel:
         """Apply the channel to a state within the valid subspace.
 
         A state inside the charge-0 block of a charge-conserving channel takes
-        one matrix-vector product with that block and comes out in the vector
-        form of `DensityMatrix.from_block0`.  A state already in that form is
-        read as its vector; any other is gathered and must have no entries
-        outside the block.  Every other state takes the Kraus sum.
+        one matrix-vector product with that block, its `charge0()` entries,
+        and comes out in the vector form of `DensityMatrix.from_block0`.
+        Every other state takes the Kraus sum.
         Population above `valid_max_photons` exceeding
         max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError; smaller
         amounts are allowed to leak and the output trace is renormalized.
@@ -205,11 +194,7 @@ class QuantumChannel:
                 f"{self.valid_max_photons} with weight {excess:.3e}"
             )
         if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
-            x = rho.block0
-            if x is None:
-                x = rho.mat[charge0_layout(self.basis)[:2]]
-                if np.count_nonzero(x) != np.count_nonzero(rho.mat):
-                    x = None
+            x = rho.charge0()
             if x is not None:
                 out = self.superop_block(0) @ x
                 if excess > 0.0:
@@ -222,7 +207,7 @@ class QuantumChannel:
 
     def __repr__(self):
         return (
-            f"QuantumChannel(basis={self.basis!r}, n_kraus={len(self.kraus)}, "
+            f"QuantumChannel(basis={self.basis!r}, n_kraus={self.nonzeros[3][-1] + 1}, "
             f"valid_max_photons={self.valid_max_photons})"
         )
 
@@ -232,19 +217,6 @@ def _kept_trace(tr: complex) -> float:
     if tr.real <= 0:
         raise TruncationError("channel output lost all weight to truncation")
     return tr.real
-
-
-@lru_cache(maxsize=None)
-def _charge_split(basis: FockBasis) -> tuple:
-    """The column-stacked indices of a d x d matrix over `basis`, grouped by
-    the charge n_i - n_j in the order 0, -1, 1, -2, 2, ... (read-only)."""
-    totals = basis.totals()
-    charge = vec(np.subtract.outer(totals, totals))
-    # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
-    key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
-    order = np.argsort(key, kind="stable")
-    order.flags.writeable = False
-    return tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +266,7 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     # the injected state may live on a smaller truncation than the joint
     # space, but the output projectors <m| span the full external basis:
     # joint state J is |m> tensor |i> for out_of[J] = m, row_of[J] = i
-    out_of, row_of = _joint_parts(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)
+    out_of, row_of = joint_parts(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)
 
     parts, n_ops = [], 0
     for lam, psi in zip(evals, evecs.T):
@@ -324,7 +296,7 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
         owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
         parts.append((row_of[at[keep]], cols[keep], values[keep], owner))
         n_ops += int(np.count_nonzero(kept))
-    return QuantumChannel.from_nonzeros(
+    return QuantumChannel(
         loop_basis, tuple(np.concatenate(p) for p in zip(*parts)),
         valid_max_photons=joint.n_max - n_env,
         max_photon_gain=n_env,
@@ -337,7 +309,8 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
     Single-mode Kraus operators indexed by the number of photons lost,
     K_k = sum_n sqrt(binom(n,k) T^(n-k) (1-T)^k) |n-k><n|, extended to
     several modes by the tensor product with Fock renumbering.  Complete on
-    the whole truncated space: losing photons never leaves the basis.
+    the whole truncated space: losing photons never leaves the basis.  The
+    channel is made from the operators' nonzero entries, one per column.
     """
     t = np.broadcast_to(np.asarray(transmission, dtype=float), (modes,))
     if np.any((t < 0) | (t > 1)):
@@ -356,7 +329,7 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
         for m, n in enumerate(n_occ):
             if n:
                 down[m, i] = basis.index_of(n_occ[:m] + (n - 1,) + n_occ[m + 1:])
-    kraus = []
+    parts = []
     for lost in basis.states:  # every loss pattern with total <= n_max
         amp = np.ones(basis.size)
         target = np.arange(basis.size)
@@ -367,10 +340,12 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
         cols = np.flatnonzero((target < basis.size) & (amp != 0.0))
         if cols.size == 0:
             continue
-        k_mat = np.zeros((basis.size, basis.size), dtype=complex)
-        k_mat[target[cols], cols] = np.sqrt(amp[cols])
-        kraus.append(k_mat)
-    return QuantumChannel(basis, kraus, valid_max_photons=n_max, max_photon_gain=0)
+        # one entry per row, so sorted by row is the order np.nonzero scans
+        cols = cols[np.argsort(target[cols])]
+        parts.append((target[cols], cols, np.sqrt(amp[cols]).astype(complex),
+                      np.full(cols.size, len(parts))))
+    return QuantumChannel(basis, tuple(np.concatenate(p) for p in zip(*parts)),
+                          valid_max_photons=n_max, max_photon_gain=0)
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -387,7 +362,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
             k = ko @ ki
             if np.abs(k).max() > _PRUNE_NORM:
                 kraus.append(k)
-    return QuantumChannel(
+    return QuantumChannel.from_kraus(
         outer.basis, kraus,
         valid_max_photons=min(inner.valid_max_photons,
                               outer.valid_max_photons - inner.max_photon_gain),
@@ -406,10 +381,7 @@ class Superoperator:
 def to_superoperator(channel: QuantumChannel) -> Superoperator:
     """The whole of G = sum conj(K) kron K, assembled from its charge blocks."""
     d = channel.basis.size
-    if d * d > DENSE_DIM_CAP:
-        raise SizeCapError(
-            f"superoperator dimension {d * d} exceeds the cap {DENSE_DIM_CAP}",
-            cap=DENSE_DIM_CAP, required=d * d)
+    check_size("the superoperator dimension", d * d)
     g = np.zeros((d * d, d * d), dtype=complex)
     for b, idx in enumerate(channel.charge_blocks):
         g[np.ix_(idx, idx)] = channel.superop_block(b)

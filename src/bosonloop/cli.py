@@ -7,10 +7,10 @@ manifest carrying the config hash and per-file content hashes, so identical
 (config, seed) pairs are byte-reproducible.
 
 Exit codes: 0 ok, 2 config or request (a bad command line too), 3 truncation,
-4 degenerate fixed point, 5 reconstruction failure, 6 size cap, 1 any other
-package error (such as a ConvergenceError from `stationary --method iterate`,
-or an OutputError when the files cannot be written; the files the run already
-wrote are removed).
+4 degenerate fixed point, 5 reconstruction failure, 6 size cap or a
+MemoryError, 1 any other package error (such as a ConvergenceError from
+`stationary --method iterate`, or an OutputError when the files cannot be
+written; the files the run already wrote are removed).
 """
 
 import argparse
@@ -28,12 +28,12 @@ import numpy as np
 from . import __version__
 from .errors import (BosonLoopError, ConfigError, DegenerateFixedPointError,
                      OutputError, ReconstructionError, SizeCapError,
-                     TruncationError)
+                     TruncationError, check_size)
 from .evolve import (ExperimentConfig, LossSpec, detection_pass,
                      effective_transfer_matrix, evolve_kraus, evolve_pdm,
                      stabilization_samples, stationary_loop_iterate,
                      stationary_loop_state, unfolded_distribution)
-from .fock import FockBasis
+from .fock import FockBasis, total_size
 from .matrixkit import Interferometer, load_matrix, spectral_radius
 from .qstate import (FLOAT_FMT, DensityMatrix, embed, fock_state_dm,
                      uhlmann_fidelity)
@@ -49,10 +49,13 @@ EXIT_TRUNCATION = 3
 EXIT_DEGENERATE = 4
 EXIT_RECONSTRUCTION = 5
 EXIT_SIZE_CAP = 6
-# the exit code of each package error type; any other package error exits 1
+# the exit code of each package error type, and of a MemoryError (an
+# allocation the caps let through but the machine refused); any other
+# package error exits 1
 _EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TruncationError, EXIT_TRUNCATION),
                (DegenerateFixedPointError, EXIT_DEGENERATE),
-               (ReconstructionError, EXIT_RECONSTRUCTION), (SizeCapError, EXIT_SIZE_CAP))
+               (ReconstructionError, EXIT_RECONSTRUCTION), (SizeCapError, EXIT_SIZE_CAP),
+               (MemoryError, EXIT_SIZE_CAP))
 
 _TOP_KEYS = {"schema", "M", "L", "n_max", "iterations", "input", "unitary",
              "losses", "seed"}
@@ -390,7 +393,9 @@ def _stationary_moments(config: ExperimentConfig, rank_cap: int) -> MomentSystem
     m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
                                       config.looped)
     if config.input_occupation is not None:
-        basis = FockBasis(config.n_external, max(config.n_env, 1))
+        n_env = max(config.n_env, 1)
+        check_size("the injected state's basis size", total_size(config.n_external, n_env))
+        basis = FockBasis(config.n_external, n_env)
         rho_ext = fock_state_dm(basis, config.input_occupation)
     else:
         rho_ext = config.input_state
@@ -479,8 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a usage error or package error prints a JSON error
-    object and returns its exit code.  Safe to call repeatedly in one process."""
+    """Run one subcommand; a usage error, package error or MemoryError prints
+    a JSON error object and returns its exit code.  Safe to call repeatedly
+    in one process."""
     try:
         args = _build_parser().parse_args(argv)
         config, raw = _load(args)
@@ -489,7 +495,7 @@ def main(argv=None) -> int:
         globals()[f"cmd_{args.command}"](args, config, stager)
         _write_manifest(stager, raw, args.command, args.seed, started)
         return EXIT_OK
-    except BosonLoopError as exc:
+    except (BosonLoopError, MemoryError) as exc:
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 1)
         error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SizeCapError):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the dense-size cap."""
+"""Exception types shared across the package, and the dense-size cap and its check."""
 
 DENSE_DIM_CAP = 4096   # largest square dimension of a dense array the package builds
 
@@ -40,10 +40,6 @@ class ReconstructionError(BosonLoopError):
 class ConvergenceError(BosonLoopError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class OutputError(BosonLoopError):
     """The output files could not be written."""
@@ -60,3 +56,11 @@ class SizeCapError(BosonLoopError, ValueError):
         super().__init__(message)
         self.cap = cap
         self.required = required
+
+
+def check_size(what: str, required: int, cap: int = DENSE_DIM_CAP) -> None:
+    """Raise SizeCapError "<what> is <required>, above the cap <cap>" when
+    `required` exceeds `cap`; callers check before they allocate."""
+    if required > cap:
+        raise SizeCapError(f"{what} is {required}, above the cap {cap}",
+                           cap=cap, required=required)

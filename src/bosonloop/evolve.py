@@ -26,8 +26,8 @@ import numpy as np
 from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
                        loop_channel, stationary_state)
 from .channels import loss_channel as _loss_channel
-from .errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
-                     DegenerateFixedPointError, SizeCapError, TruncationError)
+from .errors import (ConfigError, ConvergenceError, DegenerateFixedPointError,
+                     TruncationError, check_size)
 from .fock import FockBasis, enumerate_sector, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
@@ -191,11 +191,7 @@ class _LoopSetup:
                 f"{config.iterations * self.n_env}",
                 required_n_max=config.iterations * self.n_env,
             )
-        required = total_size(self.modes, self.n_max)
-        if required > DENSE_DIM_CAP:
-            raise SizeCapError(
-                f"joint Fock space has {required} states, above the cap {DENSE_DIM_CAP}",
-                cap=DENSE_DIM_CAP, required=required)
+        check_size("the joint Fock space size", total_size(self.modes, self.n_max))
         self.joint = FockBasis(self.modes, self.n_max)
         self.ext = FockBasis(self.n_ext, self.n_max)
         self.loop = FockBasis(self.looped, self.n_max) if self.looped else None
@@ -228,12 +224,17 @@ class _LoopSetup:
         rho_loop_in = self.in_loop.apply(rho_line) if self.in_loop else rho_line
         leaked = overflow_weight(self.rho_ext_in, rho_loop_in, self.n_max)
         if leaked > LEAK_TOLERANCE:
+            required = self.config.iterations * self.n_env
+            reason = f"required n_max is iterations * N_env = {required}"
+            if required <= self.n_max:
+                # the injected and line states' top populated sectors meet
+                a, b = (rho.max_populated_sector() for rho in (self.rho_ext_in, rho_loop_in))
+                required = max(a + b, self.n_max + 1)
+                reason = (f"the injected and line states populate sectors up to {a} "
+                          f"and {b}; required n_max is at least {required}")
             raise TruncationError(
-                f"iteration would leak weight {leaked:.3e} past n_max={self.n_max}; "
-                f"required n_max is iterations * N_env = "
-                f"{self.config.iterations * self.n_env}",
-                required_n_max=self.config.iterations * self.n_env,
-            )
+                f"iteration would leak weight {leaked:.3e} past n_max={self.n_max}; {reason}",
+                required_n_max=required)
         blocks = tensor_product_blocks(self.rho_ext_in, rho_loop_in, self.joint, leaked)
         rho_det, rho_line_next = partial_traces(
             self.joint, self.lifted.conjugate_blocks(blocks),
@@ -374,20 +375,16 @@ def _check_unfoldable(config: ExperimentConfig) -> None:
 def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     """Exact joint distribution over all detectable spatiotemporal modes.
 
-    The size of the unfolded photon-number sector is checked before the
-    k-step transfer matrix is built.
+    The dimension of the k-step transfer matrix, and the size of the
+    unfolded photon-number sector, are checked before that matrix is built.
     """
     _check_unfoldable(config)
     k = config.iterations
     m_ext = config.n_external
     m_tot = m_ext * k + config.looped
     n_tot = k * config.n_env
-    required = sector_size(m_tot, n_tot)
-    if required > UNFOLD_SECTOR_CAP:
-        raise SizeCapError(
-            f"unfolded sector has {required} states, above the cap {UNFOLD_SECTOR_CAP}",
-            cap=UNFOLD_SECTOR_CAP, required=required,
-        )
+    check_size("the unfolded transfer matrix dimension", m_tot)
+    check_size("the unfolded sector size", sector_size(m_tot, n_tot), UNFOLD_SECTOR_CAP)
     u_total, input_occ = unfold(config)
     amps = lift_apply_fock(u_total, input_occ)
     probs = np.abs(amps) ** 2
@@ -527,8 +524,11 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
     thermal loop states far wider than the typical Haar draw.  The rungs of
     a sample share one memo of its lifted sector blocks, so a retry lifts
     only the sectors its larger truncation adds; the memo goes with the
-    sample.
+    sample.  The joint space of the first rung is checked against its cap
+    before any sample is drawn.
     """
+    check_size("the joint Fock space size", total_size(config.modes, config.resolve_n_max()))
+
     def one(child):
         u = haar_random_unitary(config.modes, child)
         n_max = config.resolve_n_max()

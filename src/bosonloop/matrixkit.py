@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 
+from .errors import check_size
+
 PERMANENT_SIZE_CAP = 30
 
 
@@ -70,10 +72,12 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
     The R diagonal's phases are normalized out (Mezzadri construction), which
-    makes the QR output Haar-uniform; deterministic for a fixed seed.
+    makes the QR output Haar-uniform; deterministic for a fixed seed.  A
+    dimension above DENSE_DIM_CAP is refused before the draw.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    check_size("the Haar unitary dimension", dim)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -63,7 +63,7 @@ class DensityMatrix:
     def mat(self) -> np.ndarray:
         """The dense matrix, built from `block0` on first read."""
         if self._mat is None:
-            rows, cols, _ = charge0_layout(self.basis)
+            rows, cols = charge0_layout(self.basis)[:2]
             self._mat = np.zeros((self.basis.size, self.basis.size), dtype=complex)
             self._mat[rows, cols] = self.block0
             self.block0 = None
@@ -73,12 +73,24 @@ class DensityMatrix:
         """Diagonal probability mass per photon-number sector, of the sectors
         after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
         term for term."""
-        first, at, slices = _sectors_after(self.basis, above)
-        diag = (self.mat.diagonal()[first:] if self.block0 is None else self.block0[at]).real
+        first, slices = _sectors_after(self.basis, above)
+        diag = (self.mat.diagonal()[first:] if self.block0 is None
+                else self.block0[charge0_layout(self.basis)[2][first:]]).real
         if slices is None:
             # one state per sector: each sum is 0.0 + its entry, as numpy sums
             return diag + 0.0
         return np.array([diag[sl].sum() for sl in slices])
+
+    def charge0(self) -> np.ndarray | None:
+        """The charge-0 entries in the order of `charge0_layout`: `block0`
+        for a state in the vector form, else gathered from `.mat`, or None
+        when `.mat` has entries between photon-number sectors.  This is the
+        one test of whether a state is block-diagonal in photon number."""
+        if self.block0 is not None:
+            return self.block0
+        rows, cols = charge0_layout(self.basis)[:2]
+        entries = self._mat[rows, cols]
+        return entries if np.count_nonzero(entries) == np.count_nonzero(self._mat) else None
 
     def max_populated_sector(self) -> int:
         """Largest photon number whose sector carries mass above POPULATED_CUTOFF."""
@@ -165,7 +177,7 @@ def overflow_weight(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> f
 
 
 @lru_cache(maxsize=None)
-def _joint_parts(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
+def joint_parts(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
     """Index of each joint state's A part and B part in its factor.  A part
     beyond its factor's truncation points at the zero row padded onto that
     factor."""
@@ -207,7 +219,7 @@ def tensor_product_blocks(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: Foc
     sums = (_populated_pairs(rho_a)[:, None] + _populated_pairs(rho_b)[None, :]).reshape(-1, 2)
     reached = np.zeros((joint.n_max + 1,) * 2, dtype=bool)
     reached[tuple(sums[(sums <= joint.n_max).all(axis=1)].T)] = True
-    part_a, part_b = _joint_parts(rho_a.basis, rho_b.basis, joint)
+    part_a, part_b = joint_parts(rho_a.basis, rho_b.basis, joint)
     pad_a, pad_b = _padded(rho_a.mat), _padded(rho_b.mat)
     blocks = {}
     for n, m in np.argwhere(reached).tolist():
@@ -332,43 +344,46 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 @lru_cache(maxsize=None)
-def charge0_layout(basis: FockBasis) -> tuple:
-    """The charge-0 entries (i, j) of a matrix over `basis`, those with
-    n_i = n_j, in column-stacked order, which is the order of a
-    charge-conserving channel's `charge_blocks[0]`: their rows, their
-    columns, and the position of each diagonal entry among them."""
+def charge_split(basis: FockBasis) -> tuple:
+    """The column-stacked indices i + d j of a d x d matrix over `basis`,
+    grouped by the charge n_i - n_j in the order 0, -1, 1, -2, 2, ...,
+    ascending within each group (read-only)."""
     totals = basis.totals()
-    cols, rows = np.nonzero(totals[:, None] == totals[None, :])
-    return rows, cols, np.flatnonzero(rows == cols)
+    charge = np.subtract.outer(totals, totals).ravel(order="F")
+    # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
+    key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
+    order = np.argsort(key, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
 
 
 @lru_cache(maxsize=None)
-def _sectors_after(basis: FockBasis, above: int) -> tuple:
-    """The diagonal entries of the sectors that `sector_weights(above)` sums,
-    a tail of the basis: the index of its first state, the positions of its
-    entries in a charge-0 vector (`charge0_layout`), and each sector's slice
-    of the tail, or None when every sector holds one state."""
-    sectors = [basis.sector_slice(n) for n in range(basis.n_max + 1)[above + 1:]]
-    first = sectors[0].start if sectors else basis.size
-    slices = tuple(slice(sl.start - first, sl.stop - first) for sl in sectors)
-    if sectors and all(sl.stop - sl.start == 1 for sl in sectors):
-        slices = None
-    return first, charge0_layout(basis)[2][first:], slices
-
-
-@lru_cache(maxsize=None)
-def _sector_layout(basis: FockBasis) -> tuple:
-    """How the photon-number diagonal blocks of a matrix stack, zero-padded
-    to the largest sector: the flat (C-order) matrix index of each charge-0
-    entry, in the order of `charge0_layout`, its flat position in the
-    stack, and the stack's shape."""
-    rows, cols, _ = charge0_layout(basis)
+def charge0_layout(basis: FockBasis) -> tuple:
+    """Where the charge-0 entries (i, j) of a matrix over `basis`, those with
+    n_i = n_j, lie, in the order of `charge_split(basis)[0]`: their rows,
+    their columns, the position of each diagonal entry among them, and their
+    flat (C-order) positions in the stack of the photon-number diagonal
+    blocks zero-padded to the widest sector, with that stack's shape."""
+    cols, rows = np.divmod(charge_split(basis)[0], basis.size)
     slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
     starts = np.array([sl.start for sl in slices])
     width = max(sl.stop - sl.start for sl in slices)
     n = basis.totals()[rows]
     pos = (n * width + rows - starts[n]) * width + cols - starts[n]
-    return rows * basis.size + cols, pos, (basis.n_max + 1, width, width)
+    return rows, cols, np.flatnonzero(rows == cols), pos, (basis.n_max + 1, width, width)
+
+
+@lru_cache(maxsize=None)
+def _sectors_after(basis: FockBasis, above: int) -> tuple:
+    """The diagonal entries of the sectors that `sector_weights(above)` sums,
+    a tail of the basis: the index of its first state, and each sector's
+    slice of the tail, or None when every sector holds one state."""
+    sectors = [basis.sector_slice(n) for n in range(basis.n_max + 1)[above + 1:]]
+    first = sectors[0].start if sectors else basis.size
+    slices = tuple(slice(sl.start - first, sl.stop - first) for sl in sectors)
+    if sectors and all(sl.stop - sl.start == 1 for sl in sectors):
+        slices = None
+    return first, slices
 
 
 def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
@@ -393,15 +408,6 @@ def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
     return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
 
 
-def _in_blocks(rho: DensityMatrix, flat: np.ndarray) -> np.ndarray | None:
-    """rho's charge-0 entries in the order of `charge0_layout`, or None when
-    rho has coherences between photon-number sectors."""
-    if rho.block0 is not None:
-        return rho.block0
-    entries = np.take(rho.mat, flat)
-    return entries if np.count_nonzero(entries) == np.count_nonzero(rho.mat) else None
-
-
 def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     """Uhlmann fidelities F(rho, sigma) of each state rho against one sigma.
 
@@ -416,9 +422,9 @@ def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     """
     if any(rho.basis != sigma.basis for rho in states):
         raise ValueError("fidelity needs matching bases")
-    flat, pos, shape = _sector_layout(sigma.basis)
-    target = _in_blocks(sigma, flat)
-    entries = [None if target is None else _in_blocks(rho, flat) for rho in states]
+    _, _, _, pos, shape = charge0_layout(sigma.basis)
+    target = sigma.charge0()
+    entries = [None if target is None else rho.charge0() for rho in states]
     blocked = [k for k, v in enumerate(entries) if v is not None]
     out = np.empty(len(states))
     if blocked:

@@ -22,7 +22,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import DENSE_DIM_CAP, BosonLoopError, SizeCapError, SpectralRadiusError
+from .errors import BosonLoopError, SpectralRadiusError, check_size
 from .fock import FockBasis
 from .matrixkit import spectral_radius
 from .qstate import DensityMatrix
@@ -275,6 +275,16 @@ class _SolveContext:
         return _kron_powers(self._v, n, self.v), _kron_powers(self._v_ll, n, self.v_ll)
 
 
+def _check_order_size(k: int, l: int, modes: int, n_looped: int) -> None:
+    """The size caps of order (k, l): its Kronecker system, its full-mode
+    input tensor and the power V^(x max(k, l))."""
+    check_size(f"the stationary system dimension of order ({k},{l})", n_looped ** (k + l))
+    check_size(f"the full-mode tensor size of order ({k},{l})", modes ** (k + l),
+               ASSEMBLY_SIZE_CAP)
+    check_size(f"the dimension of order ({k},{l})'s Kronecker power V^(x {max(k, l)})",
+               modes ** max(k, l))
+
+
 def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
                      loop_set: TensorSet,
                      context: _SolveContext | None = None) -> CorrelationTensor:
@@ -291,24 +301,7 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
     modes = matrix.shape[0]
     m_ext = rho_ext.basis.modes
     n_looped = modes - m_ext
-    if n_looped ** (k + l) > DENSE_DIM_CAP:
-        raise SizeCapError(
-            f"stationary system for order ({k},{l}) has dimension "
-            f"{n_looped ** (k + l)}, above the cap {DENSE_DIM_CAP}",
-            cap=DENSE_DIM_CAP, required=n_looped ** (k + l),
-        )
-    if modes ** (k + l) > ASSEMBLY_SIZE_CAP:
-        raise SizeCapError(
-            f"order ({k},{l}) needs a full-mode tensor with {modes ** (k + l)} "
-            f"entries, above the cap {ASSEMBLY_SIZE_CAP}",
-            cap=ASSEMBLY_SIZE_CAP, required=modes ** (k + l),
-        )
-    if modes ** max(k, l) > DENSE_DIM_CAP:
-        raise SizeCapError(
-            f"order ({k},{l}) needs the Kronecker power V^(x {max(k, l)}) of "
-            f"dimension {modes ** max(k, l)}, above the cap {DENSE_DIM_CAP}",
-            cap=DENSE_DIM_CAP, required=modes ** max(k, l),
-        )
+    _check_order_size(k, l, modes, n_looped)
     if context is None:
         context = _SolveContext(matrix, rho_ext)
     v, v_ll = context.powers(max(k, l))
@@ -343,9 +336,11 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     private context, handed to every `stationary_order`, checks the spectral
     radius once and holds the external moments and the Kronecker powers of
     V and V_LL for the whole solve, each power built by the first order that
-    reads it once that order has passed its size caps, so an order above a
-    cap raises SizeCapError before anything of its size is allocated; the
-    context is dropped when the solve returns.
+    reads it.  Every order's size caps are checked before the first order
+    is solved, so a rank cap that reaches an order above a cap raises
+    SizeCapError before any work; the sizes grow with the order, so that
+    scan stops at the first refusal.  The context is dropped when the solve
+    returns.
     """
     if rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
@@ -353,6 +348,9 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     n_looped = matrix.shape[0] - rho_ext.basis.modes
     if n_looped < 1:
         raise ValueError("need at least one looped mode")
+    for n in range(1, rank_cap + 1):
+        for m in range(n + 1):
+            _check_order_size(n, m, matrix.shape[0], n_looped)
     context = _SolveContext(matrix, rho_ext)
     out = TensorSet(n_looped)
     for n in range(1, rank_cap + 1):

@@ -369,7 +369,7 @@ def loop_kraus_dense(lifted, rho_ext, prune: float = 1e-14) -> list:
 
 def nonzeros_by_scan(kraus) -> tuple:
     """(rows, cols, values, owner) of dense Kraus operators by one np.nonzero
-    scan per operator: `QuantumChannel._nonzeros` of a dense channel."""
+    scan per operator, as `QuantumChannel.from_kraus` scans them."""
     found = [np.nonzero(k) for k in kraus]
     return (np.concatenate([r for r, _ in found]),
             np.concatenate([c for _, c in found]),
@@ -472,6 +472,33 @@ def _sector_layout_where(basis: FockBasis) -> tuple:
     totals = basis.totals()
     return (idx[:, :, None], idx[:, None, :], inside[:, :, None] & inside[:, None, :],
             totals[:, None] != totals[None, :])
+
+
+def charge0_layout_by_nonzero(basis: FockBasis) -> tuple:
+    """The charge-0 entries' rows, columns, diagonal positions, flat C-order
+    matrix indices, positions in the zero-padded stack of sector blocks and
+    that stack's shape, read off one np.nonzero of the sector-equality mask:
+    `charge0_layout` and `_sector_layout` as the package built them before
+    both were derived from `charge_split`."""
+    totals = basis.totals()
+    cols, rows = np.nonzero(totals[:, None] == totals[None, :])
+    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
+    starts = np.array([sl.start for sl in slices])
+    width = max(sl.stop - sl.start for sl in slices)
+    n = totals[rows]
+    pos = (n * width + rows - starts[n]) * width + cols - starts[n]
+    return (rows, cols, np.flatnonzero(rows == cols), rows * basis.size + cols, pos,
+            (basis.n_max + 1, width, width))
+
+
+def charge0_by_take(rho: DensityMatrix) -> np.ndarray | None:
+    """rho's charge-0 entries by np.take of their flat indices, or None when
+    rho has coherences between photon-number sectors: `_in_blocks` as the
+    package ran it before `DensityMatrix.charge0`."""
+    if rho.block0 is not None:
+        return rho.block0
+    entries = np.take(rho.mat, charge0_layout_by_nonzero(rho.basis)[3])
+    return entries if np.count_nonzero(entries) == np.count_nonzero(rho.mat) else None
 
 
 def _sector_blocks_where(rho: DensityMatrix) -> np.ndarray | None:
@@ -592,8 +619,8 @@ def block_charges(basis: FockBasis, blocks) -> list:
 
 
 def identity_channel(basis: FockBasis) -> QuantumChannel:
-    return QuantumChannel(basis, [np.eye(basis.size, dtype=complex)],
-                          valid_max_photons=basis.n_max, max_photon_gain=0)
+    return QuantumChannel.from_kraus(basis, [np.eye(basis.size, dtype=complex)],
+                                     valid_max_photons=basis.n_max, max_photon_gain=0)
 
 
 def purity(rho: DensityMatrix) -> float:

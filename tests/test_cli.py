@@ -1,8 +1,10 @@
+import builtins
 import contextlib
 import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 import bosonloop
 import bosonloop.cli
-from bosonloop.cli import EXIT_SIZE_CAP, json_text, main
+from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, json_text, main
 from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
@@ -653,6 +655,117 @@ def test_each_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
     else:
         assert "cap" not in err and "required" not in err
     assert not out.exists()
+
+
+def test_a_memory_error_exits_6_with_a_json_error(tmp_path, capsys, monkeypatch):
+    def fail(args, config, stager):
+        raise MemoryError("Unable to allocate 14.4 GiB")
+    monkeypatch.setattr(bosonloop.cli, "cmd_stationary", fail)
+    out = tmp_path / "o"
+    assert main(["stationary", write_config(tmp_path), "--out", str(out)]) == EXIT_SIZE_CAP
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": EXIT_SIZE_CAP, "type": "MemoryError",
+                   "message": "Unable to allocate 14.4 GiB"}
+    assert not out.exists()
+
+
+# values far past every cap, for the fields whose caps refuse before any work
+_OVERSIZED = {"M": 30000, "n_max": 10 ** 6, "iterations": 10 ** 9, "occupation": 10 ** 6,
+              "rank_cap": 10 ** 6}
+_SWEEP_CHOICES = [("evolve", "--method", "unfold"), ("evolve", "--method", "pdm"),
+                  ("evolve", "--method", "kraus"), ("stationary", "--method", "superop"),
+                  ("stationary", "--method", "iterate"), ("stationary", "--method", "tensors"),
+                  ("stabilization", "--samples", "2"), ("reconstruct", "--method", "analytic"),
+                  ("reconstruct", "--method", "convex"), ("sample", "--target", "stationary"),
+                  ("sample", "--target", "final")]
+# runs each command line through one `main` and prints its exit code, the
+# name of anything that escaped `main`, and its last stdout line
+_SWEEP_CHILD = r"""
+import contextlib, io, json, resource, sys
+limit = 5 << 29
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from bosonloop.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code, escaped = main(argv), None
+    except Exception as exc:
+        code, escaped = None, type(exc).__name__
+    lines = out.getvalue().splitlines() or [""]
+    print(json.dumps({"code": code, "escaped": escaped, "last": lines[-1]}), flush=True)
+"""
+
+
+def _sweep_config(rng, oversized) -> dict:
+    """A small random config with at most one field set far past its cap."""
+    modes = _OVERSIZED["M"] if oversized == "M" else rng.randint(2, 3)
+    looped = rng.randint(0 if rng.random() < 0.2 else 1, min(modes - 1, 2))
+    occupation = [rng.randint(0, 1) for _ in range(min(modes - looped, 3))]
+    occupation += [0] * (modes - looped - len(occupation))
+    if oversized in ("M", "iterations"):  # one photon, so n_max = iterations * N_env
+        occupation[0] = 1
+    if oversized == "occupation":
+        occupation[0] = _OVERSIZED["occupation"]
+    cfg = {"schema": 1, "M": modes, "L": looped, "input": {"type": "fock", "occupation": occupation},
+           "iterations": _OVERSIZED["iterations"] if oversized == "iterations" else rng.randint(1, 3),
+           "unitary": {"type": "haar", "seed": rng.randint(0, 999)}, "seed": rng.randint(0, 99)}
+    if oversized == "n_max" or (oversized != "iterations" and rng.random() < 0.7):
+        cfg["n_max"] = _OVERSIZED["n_max"] if oversized == "n_max" else rng.randint(1, 8)
+    if rng.random() < 0.3:
+        cfg["losses"] = {"t_in": [0.9] * modes, "t_out": [0.8] * modes, "loop_T": 0.7}
+    return cfg
+
+
+def _sweep_command_lines(tmp_path, seed: int, per_choice: int) -> list:
+    """`per_choice` generated command lines for every subcommand and choice,
+    then the three large-M ones, whose M x M draw or unfolded matrix must be
+    refused before it is built."""
+    rng = random.Random(seed)
+    plans = [(choice, rng.choice([None, None, *_OVERSIZED])) for choice in _SWEEP_CHOICES
+             for _ in range(per_choice)]
+    argvs = []
+    for (command, flag, value), oversized in plans:
+        path = tmp_path / f"c{len(argvs)}.json"
+        path.write_text(json.dumps(_sweep_config(rng, oversized)))
+        argv = [command, str(path), flag, value, "--out", str(tmp_path / f"o{len(argvs)}")]
+        if command == "sample":
+            argv += ["--shots", "10"]
+        if value in ("tensors", "analytic", "convex"):
+            rank = _OVERSIZED["rank_cap"] if oversized == "rank_cap" else rng.randint(1, 3)
+            argv += ["--rank-cap", str(rank)]
+        argvs.append(argv)
+    large = write_config(tmp_path, "large.json", M=30000, L=1, n_max=2,
+                         input={"type": "fock", "occupation": [1] + [0] * 29998})
+    for extra in (["stabilization", "--samples", "2"], ["evolve", "--method", "unfold"],
+                  ["stationary", "--method", "tensors"]):
+        argvs.append([extra[0], large, *extra[1:], "--out", str(tmp_path / f"o{len(argvs)}")])
+    return argvs
+
+
+def test_fuzzed_command_lines_exit_cleanly_under_a_memory_limit(tmp_path):
+    # one child under a 2.5 GB address-space limit runs every command line:
+    # each exits 0 or prints a JSON error whose code is its type's, and
+    # nothing escapes as a traceback
+    argvs = _sweep_command_lines(tmp_path, seed=15, per_choice=8)
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1]),
+           **{var: "1" for var in BLAS_THREAD_VARS}}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(argvs),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, result in zip(argvs, results):
+        assert result["escaped"] is None, (argv, result)
+        if result["code"] != 0:
+            error = json.loads(result["last"])["error"]
+            kind = getattr(bosonloop.errors, error["type"], None) or getattr(builtins, error["type"])
+            expected = next((c for k, c in _EXIT_CODES if issubclass(kind, k)), 1)
+            assert result["code"] == error["code"] == expected, (argv, error)
+    for result in results[-3:]:
+        error = json.loads(result["last"])["error"]
+        assert (result["code"], error["type"]) == (EXIT_SIZE_CAP, "SizeCapError")
+        assert error["cap"] == DENSE_DIM_CAP
 
 
 def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):

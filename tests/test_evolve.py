@@ -239,6 +239,17 @@ def test_truncation_guard_reports_required_bound():
     assert err.value.required_n_max == 6
 
 
+def test_a_leaking_stationary_pass_names_a_bound_above_its_n_max():
+    # iterations * N_env = 1 is below n_max = 8, so the bound named is the
+    # sum of the injected and line states' top populated sectors, 1 + 8
+    cfg = ExperimentConfig(modes=4, looped=2, iterations=1, haar_seed=3,
+                           input_occupation=(1, 0), n_max=8)
+    rho_stat = stationary_loop_state(cfg).rho
+    with pytest.raises(TruncationError, match="required n_max is at least 9") as err:
+        detection_pass(cfg, rho_stat)
+    assert err.value.required_n_max == 9
+
+
 def test_n_max_default_is_iterations_times_input():
     cfg = haar_config(2, 1, 5, 15)
     assert cfg.resolve_n_max() == 5

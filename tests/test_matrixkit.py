@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bosonloop.errors import DENSE_DIM_CAP, SizeCapError
 from bosonloop.matrixkit import (Interferometer, haar_random_unitary, load_matrix,
                                  load_matrix_json, permanent,
                                  save_matrix_json, spectral_radius,
@@ -75,6 +76,12 @@ def test_haar_determinism_and_unitarity():
     np.testing.assert_array_equal(u1, u2)
     assert np.abs(u1.conj().T @ u1 - np.eye(4)).max() < 1e-12
     assert not np.allclose(u1, haar_random_unitary(4, 8))
+
+
+def test_an_oversized_haar_draw_is_refused_before_it_is_drawn():
+    with pytest.raises(SizeCapError) as err:
+        haar_random_unitary(30000, 1)   # 14.4 GB of Ginibre entries
+    assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, 30000)
 
 
 def test_haar_moments():

@@ -13,14 +13,17 @@ from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
-                              ProbabilityDistribution, charge0_layout, classical_fidelity,
+                              ProbabilityDistribution, charge0_layout, charge_split,
+                              classical_fidelity,
                               diagonal_distribution, embed, fidelities,
                               fock_state_dm, overflow_weight, partial_trace,
                               partial_traces, random_density_matrix,
                               tensor_product, tensor_product_blocks,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (apply_dense, coherent_dm, conjugate_dense, fidelities_gathered,
+from oracles import (_sector_layout_where, apply_dense, charge0_by_take,
+                     charge0_layout_by_nonzero, charge_blocks_by_scans, coherent_dm,
+                     conjugate_dense, fidelities_gathered,
                      fidelity_kernel_eigh, joint_pass_dense, partial_trace_buckets, purity,
                      sample_one_draw, sector_weights_by_slices, tensor_product_dense,
                      tensor_product_kron, uhlmann_fidelity_one)
@@ -383,7 +386,7 @@ def test_sector_weights_of_signed_zero_diagonals_equal_the_slice_sums(modes, n_m
     # which turns -0.0 into +0.0
     basis = FockBasis(modes, n_max)
     rng = np.random.default_rng(modes * 10 + n_max)
-    rows, cols, diagonal = charge0_layout(basis)
+    rows, cols, diagonal = charge0_layout(basis)[:3]
     for trial in range(20):
         v = random_density_matrix(basis, trial).mat[rows, cols]
         parts = rng.choice([0.0, -0.0, 1e-300, -2.5, 0.3], size=(diagonal.size, 2))
@@ -426,7 +429,7 @@ def _charge0_states(basis: FockBasis, seeds, zero: float) -> tuple:
     """Random states block-diagonal in photon number, a fifth of their
     charge-0 entries replaced by `zero` (+0 or -0), in the vector form and
     dense."""
-    rows, cols, _ = charge0_layout(basis)
+    rows, cols = charge0_layout(basis)[:2]
     vectors, dense = [], []
     for seed in seeds:
         v = random_density_matrix(basis, seed).mat[rows, cols]
@@ -479,6 +482,49 @@ def test_a_state_whose_matrix_was_read_is_never_read_through_its_vector():
     assert rho.sector_weights().tobytes() == edited.sector_weights().tobytes()
     assert channel.apply(rho).mat.tobytes() == apply_dense(channel, edited).mat.tobytes()
     _assert_same_floats(fidelities([rho], sigma), fidelities_gathered([edited], sigma))
+
+
+@pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4), (4, 3)])
+def test_charge_split_and_layout_equal_the_scans(modes, n_max):
+    # the one charge order, and the charge-0 layout read from its block 0,
+    # against one scan per charge and the np.nonzero layout they replace
+    basis = FockBasis(modes, n_max)
+    split, expected = charge_split(basis), charge_blocks_by_scans(basis)
+    assert len(split) == len(expected) == 2 * n_max + 1
+    for got, ref in zip(split, expected):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    rows, cols, diagonal, pos, shape = charge0_layout(basis)
+    ref = charge0_layout_by_nonzero(basis)
+    for got, want in zip((rows, cols, diagonal, pos), ref[:3] + ref[4:5]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert shape == ref[5]
+    # the stack positions put each sector block where the masked gather does
+    mat = random_density_matrix(basis, modes + n_max).mat
+    stack = np.zeros(int(np.prod(shape)), dtype=complex)
+    stack[pos] = mat[rows, cols]
+    where_rows, where_cols, inside, _ = _sector_layout_where(basis)
+    assert (stack.reshape(shape).tobytes()
+            == np.where(inside, mat[where_rows, where_cols], 0.0).tobytes())
+
+
+@pytest.mark.parametrize("modes, n_max", [(1, 6), (2, 4), (3, 3)])
+def test_charge0_equals_the_flat_gather(modes, n_max):
+    # vector-form, dense block-diagonal (signed zeros among the entries),
+    # coherent and vector-form-after-a-read states against the np.take
+    # gather and its two nonzero counts
+    basis = FockBasis(modes, n_max)
+    vectors, dense = _charge0_states(basis, range(4), -0.0)
+    read = DensityMatrix.from_block0(basis, vectors[0].block0.copy())
+    assert read.mat is not None and read.block0 is None
+    coherent = coherent_dm([0.6 + 0.4j, -0.3 + 0.5j, 0.2][:modes], n_max)
+    for rho in vectors + dense + [read, coherent, random_density_matrix(basis, 5)]:
+        got, want = rho.charge0(), charge0_by_take(rho)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+    assert vectors[0].charge0() is vectors[0].block0
+    assert read.charge0().tobytes() == vectors[0].block0.tobytes()
+    assert coherent.charge0() is None
 
 
 def test_fidelities_refuse_mismatched_bases():
