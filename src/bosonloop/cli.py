@@ -57,6 +57,12 @@ _EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TruncationError, EXIT_TRUNCATION),
                (ReconstructionError, EXIT_RECONSTRUCTION), (SizeCapError, EXIT_SIZE_CAP),
                (MemoryError, EXIT_SIZE_CAP))
 
+# the most iterations a config and the most shots `sample` may ask for:
+# every iteration is one joint pass and one output file, and shots are
+# drawn one after another, so time grows with both
+MAX_ITERATIONS = 10 ** 5
+MAX_SHOTS = 10 ** 9
+
 _TOP_KEYS = {"schema", "M", "L", "n_max", "iterations", "input", "unitary",
              "losses", "seed"}
 _INPUT_KEYS = {"fock": {"type", "occupation"}, "dm": {"type", "path"}}
@@ -103,6 +109,8 @@ def load_config(path) -> tuple:
         modes = _number(raw["M"], "M")
         looped = _number(raw["L"], "L")
         iterations = _number(raw.get("iterations", 1), "iterations")
+        if iterations > MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
         n_max = raw.get("n_max")
         n_max = None if n_max is None else _number(n_max, "n_max")
 
@@ -185,17 +193,22 @@ def _json_text(o, newline: str) -> str:
 
 def _matrix_text(a: np.ndarray, newline: str) -> str:
     """The indented JSON text of a finite, nonempty 2-D float64 array's rows.
-    `float.__repr__` runs once per distinct magnitude; a negative value,
-    -0.0 included, is its magnitude's text after a minus sign."""
+    `float.__repr__` runs once per distinct nonzero magnitude; a zero is
+    "0.0" or "-0.0" by its sign bit, and a negative value is its
+    magnitude's text after a minus sign."""
     inner = newline + " "
-    mags, inv = np.unique(np.abs(a), return_inverse=True)
+    flat = a.ravel()
+    nonzero = flat != 0
+    negative = np.signbit(flat)
+    mags, inv = np.unique(np.abs(flat[nonzero]), return_inverse=True)
     reprs = list(map(float.__repr__, mags.tolist()))
-    codes = inv.reshape(a.shape) + np.signbit(a) * len(reprs)
-    words = list(map((reprs + ["-" + r for r in reprs]).__getitem__, codes.ravel().tolist()))
-    sep, width = "," + inner + " ", a.shape[1]
-    rows = ("[" + inner + " " + sep.join(words[i:i + width]) + inner + "]"
-            for i in range(0, len(words), width))
-    return "[" + inner + ("," + inner).join(rows) + newline + "]"
+    codes = negative.astype(np.intp)
+    codes[nonzero] = 2 + inv + negative[nonzero] * len(reprs)
+    word = (["0.0", "-0.0"] + reprs + ["-" + r for r in reprs]).__getitem__
+    sep = "," + inner + " "
+    body = (inner + "]," + inner + "[" + inner + " ").join(
+        sep.join(map(word, row)) for row in codes.reshape(a.shape).tolist())
+    return "[" + inner + "[" + inner + " " + body + inner + "]" + newline + "]"
 
 
 def _write_atomic(out_dir, name: str, data: bytes) -> None:
@@ -276,6 +289,8 @@ def _load(args) -> tuple:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    if getattr(args, "shots", None) is not None and args.shots > MAX_SHOTS:
+        raise ConfigError(f"--shots must be <= {MAX_SHOTS}, got {args.shots}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not 0 < tolerance < 1:
         raise ConfigError(f"--tolerance must lie strictly between 0 and 1, got {tolerance}")

@@ -213,19 +213,28 @@ def tensor_product_blocks(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: Foc
 
     Each entry is the one product rho_a[i, i'] * rho_b[j, j'] that np.kron
     makes, of two contiguous gathers (a strided multiply rounds without the
-    fused multiply-add).  When `dropped` > 0 the blocks are divided by the
-    kept trace, summed over the whole joint diagonal as np.trace sums it.
+    fused multiply-add).  Only the rows whose A and B parts both hold a
+    nonzero entry in their factor, and the columns alike, are multiplied;
+    every other entry has an exactly zero factor and is left +0, so it can
+    differ from np.kron only in the sign of a zero.  When `dropped` > 0 the
+    blocks are divided by the kept trace, summed over the whole joint
+    diagonal as np.trace sums it.
     """
     sums = (_populated_pairs(rho_a)[:, None] + _populated_pairs(rho_b)[None, :]).reshape(-1, 2)
     reached = np.zeros((joint.n_max + 1,) * 2, dtype=bool)
     reached[tuple(sums[(sums <= joint.n_max).all(axis=1)].T)] = True
     part_a, part_b = joint_parts(rho_a.basis, rho_b.basis, joint)
     pad_a, pad_b = _padded(rho_a.mat), _padded(rho_b.mat)
+    kept_rows = pad_a.any(axis=1)[part_a] & pad_b.any(axis=1)[part_b]
+    kept_cols = pad_a.any(axis=0)[part_a] & pad_b.any(axis=0)[part_b]
     blocks = {}
     for n, m in np.argwhere(reached).tolist():
         rows, cols = joint.sector_slice(n), joint.sector_slice(m)
-        blocks[n, m] = (pad_a[part_a[rows, None], part_a[None, cols]]
-                        * pad_b[part_b[rows, None], part_b[None, cols]])
+        i, j = np.flatnonzero(kept_rows[rows]), np.flatnonzero(kept_cols[cols])
+        ri, cj = i[:, None] + rows.start, j[None, :] + cols.start
+        block = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+        block[np.ix_(i, j)] = pad_a[part_a[ri], part_a[cj]] * pad_b[part_b[ri], part_b[cj]]
+        blocks[n, m] = block
     if dropped > 0.0:
         diag = np.zeros(joint.size, dtype=complex)
         for (n, m), block in blocks.items():

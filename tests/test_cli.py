@@ -204,8 +204,26 @@ def test_json_text_is_the_stdlib_indented_text(payload):
     assert json_text(payload) == json.dumps(_as_lists(payload), indent=1, sort_keys=True)
 
 
+def _signed_zero_blocks(sizes=(1, 2, 3, 4), seed=5) -> np.ndarray:
+    """A matrix block-diagonal in sectors of `sizes`, the shape of a detected
+    density matrix, with +0 and -0 between the blocks and repeated
+    magnitudes (and zeros of both signs) inside them."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    mat = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    for start, size in zip(np.cumsum((0,) + sizes), sizes):
+        block = slice(start, start + size)
+        mat[block, block] = rng.standard_normal((size, size)).round(1)
+    return mat
+
+
 @pytest.mark.parametrize("matrix", [
     np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[0.5, -1.5, 2.0], [3.25, -0.5, 1e-9]]),
+    np.array([[0.0, -0.0, 0.0], [0.25, -0.0, -3.0], [-0.0, 0.0, -0.0]]),
+    np.array([[0.0, 1.5, -2.5, -0.0, 1.5]]),
+    np.array([[1.5], [-0.0], [0.0], [-2.5], [1.5]]),
+    _signed_zero_blocks(),
     np.array([[5e-324, -5e-324, 2.5e-310], [1e300, -1e-300, 1e-300]]),
     np.array([[0.1, -0.1, 0.1], [-0.1, 0.1, 0.30000000000000004]]),
     np.array([[1.0, float("nan")], [float("inf"), -float("inf")]]),
@@ -932,6 +950,10 @@ NO_LOOP = {"M": 3, "L": 0, "input": {"type": "fock", "occupation": [1, 0, 0]}}
     pytest.param(NO_LOOP, ["reconstruct"], id="L0-reconstruct"),
     pytest.param(NO_LOOP, ["sample"], id="L0-sample"),
     pytest.param({}, ["sample", "--shots", "0"], id="shots-0"),
+    pytest.param({}, ["sample", "--shots", str(10 ** 9 + 1)], id="shots-over-cap"),
+    pytest.param({"n_max": None, "iterations": 10 ** 9,
+                  "input": {"type": "fock", "occupation": [0]}},
+                 ["evolve", "--method", "kraus"], id="vacuum-iterations-over-cap"),
     pytest.param({}, ["sample", "--seed", "-1"], id="cli-seed-negative"),
     pytest.param({}, ["reconstruct", "--rank-cap", "0"], id="rank-cap-0"),
     pytest.param({}, ["stationary", "--method", "tensors", "--rank-cap", "0"],

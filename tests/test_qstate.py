@@ -255,6 +255,23 @@ def test_joint_pass_equals_the_dense_route_bit_for_bit(modes, looped, occupation
     _assert_same_bits(rho_next.mat, want_next.mat)
 
 
+def test_joint_pass_at_the_evolve_benchmark_shape_equals_the_dense_oracles():
+    # M=6, L=2, input (1,1,1,0), both iterations: `_LoopSetup.step` against
+    # the dense product, the dense conjugation and the bucket traces in turn
+    setup = _LoopSetup(ExperimentConfig(modes=6, looped=2, iterations=2, haar_seed=2301,
+                                        input_occupation=(1, 1, 1, 0)))
+    line = setup.vacuum_line()
+    for _ in range(setup.config.iterations):
+        rho_det, rho_next, leaked = setup.step(line)
+        product = tensor_product_dense(setup.rho_ext_in, line, setup.joint, leaked)
+        rho_out = DensityMatrix(setup.joint, conjugate_dense(setup.lifted, product),
+                                check=False)
+        _assert_same_bits(rho_det.mat, partial_trace_buckets(rho_out, (0, setup.n_ext)).mat)
+        _assert_same_bits(rho_next.mat,
+                          partial_trace_buckets(rho_out, (setup.n_ext, setup.modes)).mat)
+        line = rho_next
+
+
 def test_partial_trace_recovers_factor():
     a, b = FockBasis(1, 2), FockBasis(2, 2)
     joint = FockBasis(3, 4)
