@@ -124,10 +124,10 @@ class QuantumChannel:
         groups: the operators, or their row sectors.  np.add.at adds them one
         after another in operator order into blocks that start at +0, the
         order of the Kraus sum; the products skipped are exact zeros, which
-        change no sum and no sign.  Both factors are contiguous 1-D gathers:
-        a broadcast outer product takes numpy's strided complex multiply,
-        which rounds without the fused multiply-add of the contiguous loop.
-        At most _PAIR_BATCH pairs, or one group's, are formed at a time.
+        change no sum and no sign.  Both factors are contiguous 1-D gathers
+        (on numpy 2.4.6 a broadcast outer product gave the same bits; see
+        `lift._add_photon` for the one layout that did not).  At most
+        _PAIR_BATCH pairs, or one group's, are formed at a time.
         """
         d = self.basis.size
         sizes = [self.charge_blocks[b].size for b in which]

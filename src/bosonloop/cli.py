@@ -28,15 +28,13 @@ import numpy as np
 from . import __version__
 from .errors import (BosonLoopError, ConfigError, DegenerateFixedPointError,
                      OutputError, ReconstructionError, SizeCapError,
-                     TruncationError, check_size)
-from .evolve import (ExperimentConfig, LossSpec, detection_pass,
-                     effective_transfer_matrix, evolve_kraus, evolve_pdm,
-                     stabilization_samples, stationary_loop_iterate,
+                     TruncationError)
+from .evolve import (ExperimentConfig, LossSpec, detection_pass, evolve_kraus,
+                     evolve_pdm, stabilization_samples, stationary_loop_iterate,
                      stationary_loop_state, unfolded_distribution)
-from .fock import FockBasis, total_size
-from .matrixkit import Interferometer, load_matrix, spectral_radius
-from .qstate import (FLOAT_FMT, DensityMatrix, embed, fock_state_dm,
-                     uhlmann_fidelity)
+from .fock import FockBasis
+from .matrixkit import load_matrix, spectral_radius
+from .qstate import FLOAT_FMT, DensityMatrix, embed, uhlmann_fidelity
 from .reconstruct import (MomentSystem, build_moment_system,
                           reconstruct_analytic, reconstruct_convex)
 from .tensors import recursive_stationary
@@ -127,22 +125,17 @@ def load_config(path) -> tuple:
         unitary = haar_seed = None
         if uni.get("type") == "file":
             unitary = load_matrix(os.path.join(base, uni["path"]))
-            if Interferometer(unitary, looped).modes != modes:  # checks unitarity
+            if unitary.shape != (modes, modes):
                 raise ConfigError(f"unitary file holds a {unitary.shape} matrix for M={modes}")
         elif uni.get("type") == "haar":
             haar_seed = _number(uni["seed"], "unitary.seed")
         else:
             raise ConfigError(f"unitary.type must be 'file' or 'haar', got {uni.get('type')!r}")
 
-        losses = LossSpec()
-        if "losses" in raw:
-            sec = _section(raw["losses"], _LOSS_KEYS, "losses")
-            t_in, t_out = (np.array([_number(x, f"losses.{key}", float)
-                                     for x in sec.get(key, [1.0] * modes)])
-                           for key in ("t_in", "t_out"))
-            losses = LossSpec(t_in, t_out,
-                              _number(sec.get("loop_T", 1.0), "losses.loop_T", float))
-            losses.resolve(modes)  # checks the lengths and the [0, 1] ranges
+        sec = _section(raw.get("losses", {}), _LOSS_KEYS, "losses")
+        t_in, t_out = (np.array([_number(x, f"losses.{key}", float) for x in sec[key]])
+                       if key in sec else None for key in ("t_in", "t_out"))
+        losses = LossSpec(t_in, t_out, _number(sec.get("loop_T", 1.0), "losses.loop_T", float))
         config = ExperimentConfig(
             modes=modes, looped=looped, iterations=iterations,
             unitary=unitary, haar_seed=haar_seed,
@@ -344,9 +337,8 @@ def cmd_stationary(args, config, stager) -> None:
         diagnostics["stationary_eigenvalue"] = [result.eigenvalue.real,
                                                 result.eigenvalue.imag]
         diagnostics["second_largest_eigenvalue_modulus"] = result.second_modulus
-    diagnostics["spectral_radius_u_ll"] = spectral_radius(
-        config.interferometer().u_ll
-    )
+    ext = config.n_external
+    diagnostics["spectral_radius_u_ll"] = spectral_radius(config.transfer_matrix()[ext:, ext:])
     rho_det, _ = detection_pass(config, rho_stat)
     stager.add_json("rho_stat.json", rho_stat.to_payload())
     stager.add_text("stationary_distribution.csv",
@@ -402,19 +394,9 @@ def cmd_reconstruct(args, config, stager) -> None:
 
 
 def _stationary_moments(config: ExperimentConfig, rank_cap: int) -> MomentSystem:
-    """The stationary loop moments up to `rank_cap` on the looped modes' basis
-    truncated at `rank_cap`.  The tensors come from the injected state on its
-    minimal basis, before losses, since the losses sit in M_eff."""
-    m_eff = effective_transfer_matrix(config.transfer_matrix(), config.losses,
-                                      config.looped)
-    if config.input_occupation is not None:
-        n_env = max(config.n_env, 1)
-        check_size("the injected state's basis size", total_size(config.n_external, n_env))
-        basis = FockBasis(config.n_external, n_env)
-        rho_ext = fock_state_dm(basis, config.input_occupation)
-    else:
-        rho_ext = config.input_state
-    tensor_set = recursive_stationary(m_eff, rho_ext, rank_cap)
+    """The stationary loop moments up to `rank_cap` on FockBasis(L, rank_cap), from the
+    tensors of M_eff and the injected state before losses (they sit in M_eff)."""
+    tensor_set = recursive_stationary(config.m_eff, config.injected_state, rank_cap)
     return build_moment_system(FockBasis(config.looped, rank_cap), tensor_set)
 
 

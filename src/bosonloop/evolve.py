@@ -20,6 +20,7 @@ pass with the k-th loop update.
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class LossSpec:
         t_out = np.ones(modes) if self.t_out is None else np.asarray(self.t_out, dtype=float)
         if t_in.shape != (modes,) or t_out.shape != (modes,):
             raise ValueError(f"loss arrays must have one amplitude per mode ({modes})")
-        if not np.all((t_in >= 0) & (t_in <= 1) & (t_out >= 0) & (t_out <= 1)):
+        both = np.concatenate((t_in, t_out))
+        if not ((both >= 0) & (both <= 1)).all():
             raise ValueError("amplitude transmissions must lie in [0, 1]")
         if not 0.0 <= self.loop_transmission <= 1.0:
             raise ValueError("loop transmission must lie in [0, 1]")
@@ -73,16 +75,14 @@ class LossSpec:
 
     @property
     def trivial(self) -> bool:
-        return (
-            (self.t_in is None or np.all(np.asarray(self.t_in) == 1.0))
-            and (self.t_out is None or np.all(np.asarray(self.t_out) == 1.0))
-            and self.loop_transmission == 1.0
-        )
+        return bool((self.t_in == 1.0).all() and (self.t_out == 1.0).all()
+                    and self.loop_transmission == 1.0)
 
 
 @dataclass
 class ExperimentConfig:
-    """A feedback-loop experiment: geometry, transfer matrix, input, truncation."""
+    """A feedback-loop experiment, checked and resolved when made; every route reads
+    its `transfer_matrix()`, `injected_state` and `m_eff`, each made on first use."""
 
     modes: int
     looped: int
@@ -113,6 +113,17 @@ class ExperimentConfig:
             self.input_occupation = occ
         elif self.input_state.basis.modes != self.n_external:
             raise ValueError("input density matrix must live on the external modes")
+        self.losses = self.losses.resolve(self.modes)
+        if self.unitary is not None:
+            self.unitary = self._checked(self.unitary)
+
+    def _checked(self, u) -> np.ndarray:
+        """A read-only copy of `u`, refused unless an M x M unitary (`Interferometer`)."""
+        u = Interferometer(np.array(u, dtype=complex), self.looped).matrix
+        if u.shape != (self.modes, self.modes):
+            raise ValueError(f"transfer matrix has shape {u.shape}, expected M = {self.modes}")
+        u.flags.writeable = False
+        return u
 
     @property
     def n_external(self) -> int:
@@ -126,18 +137,34 @@ class ExperimentConfig:
         return self.input_state.max_populated_sector()
 
     def resolve_n_max(self) -> int:
-        """Configured truncation, defaulting to the sound bound k * N_env."""
+        """Configured truncation, else the sound max(k * N_env, 1), with k = 1 without a loop."""
         if self.n_max is not None:
             return self.n_max
-        return max(self.iterations * self.n_env, 1)
+        return max((self.iterations if self.looped else 1) * self.n_env, 1)
 
     def transfer_matrix(self) -> np.ndarray:
-        if self.unitary is not None:
-            return np.asarray(self.unitary, dtype=complex)
-        return haar_random_unitary(self.modes, self.haar_seed)
+        """U, checked and read-only: the given matrix, or the Haar draw made on first call."""
+        return self.unitary if self.unitary is not None else self._haar_draw
 
-    def interferometer(self) -> Interferometer:
-        return Interferometer(self.transfer_matrix(), self.looped)
+    @cached_property
+    def _haar_draw(self) -> np.ndarray:
+        return self._checked(haar_random_unitary(self.modes, self.haar_seed))
+
+    @cached_property
+    def injected_state(self) -> DensityMatrix:
+        """The input before losses; a Fock input on FockBasis(M - L, max(N_env, 1))."""
+        if self.input_state is not None:
+            return self.input_state
+        n_env = max(self.n_env, 1)
+        check_size("the injected state's basis size", total_size(self.n_external, n_env))
+        return fock_state_dm(FockBasis(self.n_external, n_env), self.input_occupation)
+
+    @cached_property
+    def m_eff(self) -> np.ndarray:
+        """The lossy transfer matrix T_out U T_in (`effective_transfer_matrix`)."""
+        m_eff = effective_transfer_matrix(self.transfer_matrix(), self.losses, self.looped)
+        m_eff.flags.writeable = False
+        return m_eff
 
     def with_unitary(self, u: np.ndarray) -> "ExperimentConfig":
         return replace(self, unitary=u, haar_seed=None)
@@ -153,9 +180,8 @@ def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) ->
     u = np.asarray(u, dtype=complex)
     modes = u.shape[0]
     spec = losses.resolve(modes)
-    t_in = spec.t_in.astype(complex).copy()
-    if n_looped:
-        t_in[modes - n_looped:] *= np.sqrt(spec.loop_transmission)
+    t_in = spec.t_in.astype(complex)
+    t_in[modes - n_looped:] *= np.sqrt(spec.loop_transmission)  # empty when n_looped = 0
     return (spec.t_out[:, None] * u) * t_in[None, :]
 
 
@@ -196,24 +222,16 @@ class _LoopSetup:
         self.ext = FockBasis(self.n_ext, self.n_max)
         self.loop = FockBasis(self.looped, self.n_max) if self.looped else None
         self.u = config.transfer_matrix()
-        Interferometer(self.u, self.looped)  # validates unitarity and the split
         self.lifted = lift(self.u, self.joint, lifted_blocks)
 
-        spec = config.losses.resolve(self.modes)
-        self.losses = spec
-        rho_ext = (
-            fock_state_dm(self.ext, config.input_occupation)
-            if config.input_occupation is not None
-            else embed(config.input_state, self.ext)
-        )
+        spec = config.losses
+        rho_ext = embed(config.injected_state, self.ext)
         self.in_ext = _maybe_loss(spec.t_in[: self.n_ext] ** 2, self.ext)
         self.rho_ext_in = self.in_ext.apply(rho_ext) if self.in_ext else rho_ext
-        if self.looped:
-            t_line = spec.t_in[self.n_ext:] ** 2 * spec.loop_transmission
-            self.in_loop = _maybe_loss(t_line, self.loop)
-            self.out_loop = _maybe_loss(spec.t_out[self.n_ext:] ** 2, self.loop)
-        else:
-            self.in_loop = self.out_loop = None
+        # without looped modes both slices are empty, so no loop channel is made
+        t_line = spec.t_in[self.n_ext:] ** 2 * spec.loop_transmission
+        self.in_loop = _maybe_loss(t_line, self.loop)
+        self.out_loop = _maybe_loss(spec.t_out[self.n_ext:] ** 2, self.loop)
         self.out_ext = _maybe_loss(spec.t_out[: self.n_ext] ** 2, self.ext)
 
     def vacuum_line(self) -> DensityMatrix:
@@ -252,8 +270,7 @@ class _LoopSetup:
         `stationary_state`), so the stationary state is unique exactly when
         that radius is below 1.  The superoperator and iteration routes and
         `stabilization_time` check it first."""
-        _check_spectral_radius(
-            effective_transfer_matrix(self.u, self.losses, self.looped), self.looped)
+        _check_spectral_radius(self.config.m_eff, self.looped)
 
     def loop_update_channel(self) -> QuantumChannel:
         """The line-to-line channel of one iteration, losses included."""
@@ -267,15 +284,13 @@ class _LoopSetup:
 
 
 def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
-    if np.all(power_transmissions == 1.0):
+    if (power_transmissions == 1.0).all():
         return None
     return _loss_channel(power_transmissions, basis.modes, basis.n_max)
 
 
 def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     """L = 0: every iteration is an independent single-pass run."""
-    if config.n_max is None:
-        config = replace(config, n_max=max(config.n_env, 1))
     setup = _LoopSetup(config)
     rho_out = DensityMatrix(setup.joint, setup.lifted.conjugate(setup.rho_ext_in.mat),
                             check=False)

@@ -67,9 +67,9 @@ def _add_photon(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
     """sum_b coef[b, j] a_dag[b] applied to column j of the amplitudes on
     sector total-1, for every column j at once; returns the amplitudes on
     sector `total`, one column per input column.  The coefficients enter as
-    (1, k) rows: a 1-D row times a 1 x 1 array takes numpy's strided complex
-    multiply, which rounds without the fused multiply-add of its contiguous
-    loops, so single-column results would drift by an ulp."""
+    (1, k) rows: on numpy 2.4.6 (AVX-512) a (1,) row times a 1 x 1 array
+    rounds like the plain-Python product, without the fused multiply-add of
+    the other layouts, so single-column results would drift by an ulp."""
     modes = len(coef)
     target, weight = _raising_maps(modes, total)
     out = np.zeros((sector_size(modes, total), amps.shape[1]), dtype=complex)

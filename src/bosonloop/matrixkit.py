@@ -119,7 +119,7 @@ class Interferometer:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transfer matrix must be square, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise ValueError("transfer matrix contains non-finite entries")
         m = matrix.shape[0]
         if not 0 <= n_looped < m:

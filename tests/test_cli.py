@@ -24,8 +24,9 @@ from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, json_text, main
 from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
+from bosonloop.evolve import effective_transfer_matrix
 from bosonloop.fock import FockBasis
-from bosonloop.matrixkit import save_matrix_json
+from bosonloop.matrixkit import haar_random_unitary, save_matrix_json
 from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
 from oracles import coherent_dm
 
@@ -975,6 +976,74 @@ def test_invalid_request_exits_2_with_json_error(tmp_path, capsys, overrides, ar
     assert (err["code"], err["type"]) == (2, "ConfigError")
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+def _write_matrix_csv(matrix, path) -> None:
+    path.write_text("".join(",".join(repr(complex(x)) for x in row) + "\n" for row in matrix))
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("wrong_shape.json", haar_random_unitary(3, 1)),
+    ("non_unitary.csv", np.diag([0.5, 1.0])),
+    ("non_square.csv", np.eye(2, 3)),
+])
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, matrix):
+    path = tmp_path / name
+    save_matrix_json(matrix, path) if name.endswith(".json") else _write_matrix_csv(matrix, path)
+    config = write_config(tmp_path, unitary={"type": "file", "path": name})
+    for method in ("unfold", "pdm"):
+        out = tmp_path / method
+        assert main(["evolve", config, "--method", method, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["code"], err["type"]) == (2, "ConfigError")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["pdm", "kraus", "unfold"])
+def test_csv_matrix_gives_the_json_matrix_artifacts(tmp_path, method):
+    u = haar_random_unitary(3, 39)
+    save_matrix_json(u, tmp_path / "u.json")
+    _write_matrix_csv(u, tmp_path / "u.csv")
+    outputs = []
+    for kind in ("json", "csv"):
+        config = write_config(tmp_path, f"{kind}.json", M=3, L=2, n_max=7, iterations=2,
+                              unitary={"type": "file", "path": f"u.{kind}"})
+        out = tmp_path / kind
+        assert main(["evolve", config, "--method", method, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert outputs[0] == outputs[1] and "rho_det.json" in outputs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--method", "superop"], ["stationary", "--method", "iterate"],
+    ["stationary", "--method", "tensors"], ["sample", "--target", "stationary"],
+    ["sample", "--target", "final"], ["reconstruct", "--rank-cap", "3"],
+])
+def test_each_request_draws_its_haar_matrix_once(tmp_path, monkeypatch, argv):
+    draws = []
+
+    def counted(dim, seed):
+        draws.append(seed)
+        return haar_random_unitary(dim, seed)
+    monkeypatch.setattr(bosonloop.evolve, "haar_random_unitary", counted)
+    config = write_config(tmp_path, M=3, L=2, n_max=9, unitary={"type": "haar", "seed": 39})
+    assert main([argv[0], config, *argv[1:], "--out", str(tmp_path / "o")]) == 0
+    assert draws == [39]
+
+
+def test_reconstruct_builds_m_eff_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(u, losses, n_looped):
+        calls.append(n_looped)
+        return effective_transfer_matrix(u, losses, n_looped)
+    # the CLI computes no M_eff of its own
+    for module in (bosonloop.evolve, bosonloop.cli):
+        monkeypatch.setattr(module, "effective_transfer_matrix", counted, raising=False)
+    config = write_config(tmp_path, M=3, L=2, n_max=7, unitary={"type": "haar", "seed": 39},
+                          losses={"loop_T": 0.9})
+    assert main(["reconstruct", config, "--rank-cap", "2", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [2]
 
 
 # Each mutation makes the BASE config invalid: a wrong-typed or out-of-range

@@ -52,6 +52,69 @@ def test_config_validation():
                          input_occupation=(1,))  # no unitary source
 
 
+@pytest.mark.parametrize("matrix", [
+    np.diag([0.5, 1.0]),                 # unfolding it once gave distributions summing to 1/16
+    haar_random_unitary(3, 0),           # unitary, but not M x M
+    np.array([[1.0, 0.0], [np.nan, 1.0]]),
+])
+def test_a_given_matrix_is_refused_when_the_config_is_made(matrix):
+    with pytest.raises(ValueError):
+        ExperimentConfig(modes=2, looped=1, iterations=2, unitary=matrix,
+                         input_occupation=(1,))
+
+
+def test_config_resolves_losses_and_keeps_read_only_matrices():
+    u = haar_random_unitary(2, 19)
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, unitary=u, input_occupation=(1,),
+                           losses=LossSpec(loop_transmission=0.5))
+    np.testing.assert_array_equal(cfg.losses.t_in, np.ones(2))
+    np.testing.assert_array_equal(cfg.losses.t_out, np.ones(2))
+    assert not cfg.losses.trivial and haar_config(2, 1, 1, 0).losses.trivial
+    # the config holds a checked copy: writing the source changes nothing
+    u[0, 0] = 5.0
+    assert cfg.transfer_matrix()[0, 0] != 5.0
+    for matrix in (cfg.transfer_matrix(), cfg.m_eff, haar_config(2, 1, 1, 4).transfer_matrix()):
+        assert not matrix.flags.writeable
+    np.testing.assert_array_equal(
+        cfg.m_eff, effective_transfer_matrix(cfg.transfer_matrix(), cfg.losses, 1))
+
+
+def test_config_draws_its_haar_matrix_once(monkeypatch):
+    draws = []
+
+    def counted(dim, seed):
+        draws.append(seed)
+        return haar_random_unitary(dim, seed)
+    monkeypatch.setattr(evolve, "haar_random_unitary", counted)
+    cfg = haar_config(2, 1, 2, 20, n_max=10)
+    assert draws == []  # drawn on first use
+    stationary_loop_state(cfg)
+    evolve_pdm(cfg)
+    unfolded_distribution(cfg)
+    assert draws == [20]
+
+
+def test_injected_state_is_the_input_on_its_smallest_basis():
+    cfg = ExperimentConfig(modes=4, looped=1, iterations=3, haar_seed=0,
+                           input_occupation=(1, 0, 1), n_max=9)
+    assert cfg.injected_state.basis == FockBasis(3, 2)
+    np.testing.assert_array_equal(cfg.injected_state.mat,
+                                  fock_state_dm(FockBasis(3, 2), (1, 0, 1)).mat)
+    assert haar_config(2, 1, 1, 0, occupation=(0,)).injected_state.basis == FockBasis(1, 1)
+    rho = fock_state_dm(FockBasis(1, 3), (2,))
+    assert ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
+                            input_state=rho).injected_state is rho
+
+
+def test_n_max_default_without_a_loop_is_one_pass():
+    cfg = ExperimentConfig(modes=3, looped=0, iterations=4, haar_seed=5,
+                           input_occupation=(1, 1, 0))
+    assert cfg.resolve_n_max() == 2
+    assert evolve_pdm(cfg).n_max == 2
+    vacuum = replace(cfg, input_occupation=(0, 0, 0))
+    assert vacuum.resolve_n_max() == 1
+
+
 def test_three_way_engine_agreement():
     for modes, looped, seed in [(2, 1, 3), (3, 1, 4), (3, 2, 5)]:
         cfg = haar_config(modes, looped, 3, seed)
@@ -413,7 +476,7 @@ def test_leaking_fallback_rung_never_builds_the_other_charge_blocks(monkeypatch)
     # solve gives up and the charge-0 eigenvector passes its checks, but the
     # trajectory leaks past the truncation, so the rung is thrown away
     cfg = haar_config(2, 1, 1, 26, n_max=14)
-    assert abs(cfg.interferometer().u_ll[0, 0]) ** 2 == pytest.approx(0.804, abs=1e-3)
+    assert abs(cfg.transfer_matrix()[1, 1]) ** 2 == pytest.approx(0.804, abs=1e-3)
     events = _rung_events(monkeypatch)
     with pytest.raises(TruncationError):
         stabilization_time(cfg)
