@@ -188,19 +188,31 @@ def _matrix_text(a: np.ndarray, newline: str) -> str:
     """The indented JSON text of a finite, nonempty 2-D float64 array's rows.
     `float.__repr__` runs once per distinct nonzero magnitude; a zero is
     "0.0" or "-0.0" by its sign bit, and a negative value is its
-    magnitude's text after a minus sign."""
+    magnitude's text after a minus sign.  A row's leading and trailing runs
+    of "0.0" are slices of one all-"0.0" row text; words are looked up and
+    joined only between them (an all-"0.0" row keeps its first word)."""
     inner = newline + " "
-    flat = a.ravel()
-    nonzero = flat != 0
-    negative = np.signbit(flat)
-    mags, inv = np.unique(np.abs(flat[nonzero]), return_inverse=True)
+    cols = a.shape[1]
+    nonzero = a != 0
+    negative = np.signbit(a)
+    mags, inv = np.unique(np.abs(a[nonzero]), return_inverse=True)
     reprs = list(map(float.__repr__, mags.tolist()))
     codes = negative.astype(np.intp)
     codes[nonzero] = 2 + inv + negative[nonzero] * len(reprs)
-    word = (["0.0", "-0.0"] + reprs + ["-" + r for r in reprs]).__getitem__
+    written = codes != 0
+    lo = written.argmax(axis=1)
+    hi = np.where(written.any(axis=1), cols - written[:, ::-1].argmax(axis=1), 1)
+    col = np.arange(cols)
+    words = list(map((["0.0", "-0.0"] + reprs + ["-" + r for r in reprs]).__getitem__,
+                     codes[(col >= lo[:, None]) & (col < hi[:, None])].tolist()))
     sep = "," + inner + " "
-    body = (inner + "]," + inner + "[" + inner + " ").join(
-        sep.join(map(word, row)) for row in codes.reshape(a.shape).tolist())
+    zeros = sep.join(["0.0"] * cols)
+    unit = len(sep) + len("0.0")
+    ends = np.cumsum(hi - lo).tolist()
+    texts = [zeros[:lo_r * unit] + sep.join(words[end - (hi_r - lo_r):end])
+             + zeros[len(zeros) - (cols - hi_r) * unit:]
+             for lo_r, hi_r, end in zip(lo.tolist(), hi.tolist(), ends)]
+    body = (inner + "]," + inner + "[" + inner + " ").join(texts)
     return "[" + inner + "[" + inner + " " + body + inner + "]" + newline + "]"
 
 

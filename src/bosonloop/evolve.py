@@ -211,11 +211,13 @@ class _LoopSetup:
         self.n_env = config.n_env
         self.n_max = config.resolve_n_max()
         if self.n_max < self.n_env:
+            # without a loop every iteration is one pass of the input alone
+            bound, name = ((config.iterations * self.n_env, "iterations * N_env")
+                           if self.looped else (self.n_env, "N_env"))
             raise TruncationError(
                 f"n_max={self.n_max} cannot hold the {self.n_env}-photon input; "
-                f"the sound bound is iterations * N_env = "
-                f"{config.iterations * self.n_env}",
-                required_n_max=config.iterations * self.n_env,
+                f"the sound bound is {name} = {bound}",
+                required_n_max=bound,
             )
         check_size("the joint Fock space size", total_size(self.modes, self.n_max))
         self.joint = FockBasis(self.modes, self.n_max)
@@ -365,10 +367,9 @@ def unfold(config: ExperimentConfig):
     looped modes thread through all iterations and sit last.  Supports pure
     Fock inputs without losses only (this engine is the exact ground truth).
     """
-    _check_unfoldable(config)
+    m_tot = _check_unfoldable(config)
     u = config.transfer_matrix()
     m_ext, loop, k = config.n_external, config.looped, config.iterations
-    m_tot = m_ext * k + loop
     u_total = np.eye(m_tot, dtype=complex)
     loop_idx = list(range(m_ext * k, m_tot))
     for t in range(k):
@@ -380,11 +381,16 @@ def unfold(config: ExperimentConfig):
     return u_total, input_occ
 
 
-def _check_unfoldable(config: ExperimentConfig) -> None:
+def _check_unfoldable(config: ExperimentConfig) -> int:
+    """Refuse a config the unfolding cannot take; returns the unfolded mode
+    count, checked against the dense cap."""
     if config.input_occupation is None:
         raise ConfigError("unfolding supports pure Fock inputs only")
     if not config.losses.trivial:
         raise ConfigError("unfolding does not model losses")
+    m_tot = config.n_external * config.iterations + config.looped
+    check_size("the unfolded transfer matrix dimension", m_tot)
+    return m_tot
 
 
 def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
@@ -393,12 +399,10 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     The dimension of the k-step transfer matrix, and the size of the
     unfolded photon-number sector, are checked before that matrix is built.
     """
-    _check_unfoldable(config)
+    m_tot = _check_unfoldable(config)
     k = config.iterations
     m_ext = config.n_external
-    m_tot = m_ext * k + config.looped
     n_tot = k * config.n_env
-    check_size("the unfolded transfer matrix dimension", m_tot)
     check_size("the unfolded sector size", sector_size(m_tot, n_tot), UNFOLD_SECTOR_CAP)
     u_total, input_occ = unfold(config)
     amps = lift_apply_fock(u_total, input_occ)

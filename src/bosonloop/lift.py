@@ -30,13 +30,20 @@ import numpy as np
 from .fock import FockBasis, enumerate_sector, sector_size
 
 
+_PANEL = 1 << 14   # complex entries per row panel of `_add_photon`
+_ONE_COLUMN = np.zeros(1, dtype=int)
+
+
 @lru_cache(maxsize=None)
 def _raising_maps(modes: int, total: int):
     """Index/weight tables for adding one photon: sector total-1 -> sector total.
 
     For each mode b, target[b][r] is the rank in sector `total` of the state
     obtained by adding a photon in mode b to the r-th state of sector
-    total-1, and weight[b][r] = sqrt(occ_b + 1).
+    total-1, and weight[b][r] = sqrt(occ_b + 1).  Each map is increasing;
+    start[b] is target[b][0] where the map is a contiguous range (always
+    for mode 0, whose images are the tail of the sector, and for both modes
+    when there are two), else None.
     """
     lower = enumerate_sector(modes, total - 1)
     rank = {occ: i for i, occ in enumerate(enumerate_sector(modes, total))}
@@ -47,34 +54,53 @@ def _raising_maps(modes: int, total: int):
             raised = occ[:b] + (occ[b] + 1,) + occ[b + 1:]
             target[b, r] = rank[raised]
             weight[b, r] = sqrt(occ[b] + 1)
-    return target, weight
+    start = [int(t[0]) if t[-1] - t[0] == len(t) - 1 else None for t in target]
+    return target, weight, start
 
 
 @lru_cache(maxsize=None)
 def _parent_columns(modes: int, total: int):
     """For each state of sector `total`: its first occupied mode a, the rank
     of its parent (one photon fewer in mode a) in sector total-1, and
-    sqrt(occ_a)."""
+    1 / sqrt(occ_a) twice over, once for the real and once for the
+    imaginary part of its column."""
     sec = enumerate_sector(modes, total)
     rank = {occ: i for i, occ in enumerate(enumerate_sector(modes, total - 1))}
     first = [next(i for i, x in enumerate(occ) if x > 0) for occ in sec]
     parent = [rank[occ[:a] + (occ[a] - 1,) + occ[a + 1:]] for a, occ in zip(first, sec)]
-    norm = [sqrt(occ[a]) for a, occ in zip(first, sec)]
-    return np.array(first, dtype=int), np.array(parent, dtype=int), np.array(norm)
+    norm = np.array([sqrt(occ[a]) for a, occ in zip(first, sec)])
+    return np.array(first, dtype=int), np.array(parent, dtype=int), np.repeat(1.0 / norm, 2)
 
 
-def _add_photon(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
-    """sum_b coef[b, j] a_dag[b] applied to column j of the amplitudes on
-    sector total-1, for every column j at once; returns the amplitudes on
-    sector `total`, one column per input column.  The coefficients enter as
-    (1, k) rows: on numpy 2.4.6 (AVX-512) a (1,) row times a 1 x 1 array
-    rounds like the plain-Python product, without the fused multiply-add of
-    the other layouts, so single-column results would drift by an ulp."""
+def _add_photon(coef: np.ndarray, prev: np.ndarray, parent: np.ndarray,
+                total: int) -> np.ndarray:
+    """sum_b coef[b, j] a_dag[b] applied to column parent[j] of the
+    amplitudes `prev` on sector total-1, for every j at once; returns the
+    amplitudes on sector `total`, one column per j.
+
+    The rows of `prev` go through in panels of about _PANEL entries,
+    gathered in C order; a raising map that is a contiguous range adds
+    through a slice instead of a gather and a scatter.  Each output row
+    gets its terms in ascending b, as one column at a time would: its
+    parents r - e_b rise with b in lexicographic order, so the panels meet
+    them in that order.  The weight multiplies the float64 view, which
+    rounds as real x complex does on entries that are never -0.0 (sums
+    from +0.0 are not).  The
+    coefficients enter as (1, k) rows: on numpy 2.4.6 (AVX-512) a (1,) row
+    times a 1 x 1 array rounds like the plain-Python product, without the
+    fused multiply-add of the other layouts, so single-column results would
+    drift by an ulp."""
     modes = len(coef)
-    target, weight = _raising_maps(modes, total)
-    out = np.zeros((sector_size(modes, total), amps.shape[1]), dtype=complex)
-    for b in range(modes):
-        out[target[b]] += coef[b:b + 1] * (weight[b][:, None] * amps)
+    target, weight, start = _raising_maps(modes, total)
+    out = np.zeros((sector_size(modes, total), len(parent)), dtype=complex)
+    rows = max(1, _PANEL // len(parent))
+    for p0 in range(0, len(prev), rows):
+        p1 = min(p0 + rows, len(prev))
+        amps = prev[p0:p1].take(parent, axis=1).view(np.float64)
+        for b in range(modes):
+            t = (weight[b, p0:p1, None] * amps).view(complex)
+            to = target[b, p0:p1] if start[b] is None else slice(start[b] + p0, start[b] + p1)
+            out[to] += coef[b:b + 1] * t
     return out
 
 
@@ -109,9 +135,14 @@ class LiftedUnitary:
 
     def _block_recurrence(self, n: int) -> np.ndarray:
         """Column j is L(U)|occ_j>: one photon in the first occupied mode a
-        of occ_j added to the parent column, divided by sqrt(occ_j[a])."""
-        first, parent, norm = _parent_columns(self.basis.modes, n)
-        return _add_photon(self.matrix[:, first], self._blocks[n - 1][:, parent], n) / norm
+        of occ_j added to the parent column, divided by sqrt(occ_j[a]).  The
+        division multiplies the float64 view by the reciprocal in place, as
+        numpy's complex / real does."""
+        first, parent, scale = _parent_columns(self.basis.modes, n)
+        out = _add_photon(self.matrix[:, first], self._blocks[n - 1], parent, n)
+        parts = out.view(np.float64)
+        parts *= scale
+        return out
 
     def full(self) -> np.ndarray:
         """Dense block-diagonal matrix over the whole truncated basis."""
@@ -181,6 +212,6 @@ def lift_apply_fock(matrix: np.ndarray, occupation) -> np.ndarray:
     for mode, count in enumerate(occupation):
         for _ in range(count):
             n += 1
-            amps = _add_photon(matrix[:, mode:mode + 1], amps, n)
+            amps = _add_photon(matrix[:, mode:mode + 1], amps, _ONE_COLUMN, n)
     norm = sqrt(prod(factorial(x) for x in occupation))
     return amps[:, 0] / norm

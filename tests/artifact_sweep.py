@@ -1,13 +1,21 @@
-"""Fingerprint the CLI's artifacts over a fixed list of calls.
+"""Fingerprint the CLI's artifacts over a fixed list of calls, and compare
+two fingerprinted trees.
 
 Runs every subcommand, and each of its `--method`/`--target` choices, on a
-fixed set of configs through `bosonloop.cli.main`, and writes
-`{call: {"exit": code, "files": {name: sha256}}}` as JSON to the given path.
-`manifest.json` is hashed without its `wall_time_s`.  Two trees compare by
-the JSON they write: any differing call is a change of exit code or of
-artifact bytes.
+fixed set of configs through `bosonloop.cli.main`.  Each call's output files
+are kept under `OUT_DIR/calls/<index>/`, and `OUT_DIR/sweep.json` maps every
+call to `{"exit": code, "dir": "calls/<index>", "files": {name: sha256}}`.
+`manifest.json` is hashed without its `wall_time_s`.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/artifact_sweep.py OUT.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/artifact_sweep.py OUT_DIR
+    PYTHONPATH=src python tests/artifact_sweep.py --compare OUT_A OUT_B
+
+The compare mode prints, per call, both exit codes and whether each file's
+bytes are equal.  For a JSON or CSV file whose bytes differ it also prints
+whether the two have the same shape and keys, the largest absolute and the
+largest relative difference of their numbers and where each occurs, and
+every non-numeric value that differs, as it is.  It exits 0 when every exit
+code and every file is equal, else 1.
 
 Every call exits 0 except the refusals listed as such (unfolding a lossy or
 density-matrix config, the stationary routes without a loop).  pytest does
@@ -15,6 +23,7 @@ not collect this file.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -81,36 +90,166 @@ def _write_inputs(work: Path) -> None:
         (work / f"{name}.json").write_text(json.dumps(cfg))
 
 
+def _manifest_bytes(data: bytes) -> bytes:
+    """manifest.json as it is hashed: without its wall time."""
+    manifest = json.loads(data)
+    manifest.pop("wall_time_s")
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
 def _fingerprint(out: Path) -> dict:
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else []:
         data = path.read_bytes()
         if path.name == "manifest.json":
-            manifest = json.loads(data)
-            manifest.pop("wall_time_s")
-            data = json.dumps(manifest, sort_keys=True).encode()
+            data = _manifest_bytes(data)
         files[path.name] = hashlib.sha256(data).hexdigest()
     return files
 
 
-def sweep() -> dict:
+def sweep(out_dir: Path) -> dict:
+    (out_dir / "calls").mkdir(parents=True)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_inputs(work)
         for i, (name, argv) in enumerate(CALLS):
-            out = work / f"out{i}"
+            out = out_dir / "calls" / f"{i:02d}"
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([argv[0], str(work / f"{name}.json"), *argv[1:],
                              "--out", str(out)])
             results[" ".join([argv[0], name, *argv[1:]])] = {
-                "exit": code, "files": _fingerprint(out)}
+                "exit": code, "dir": f"calls/{i:02d}", "files": _fingerprint(out)}
     return results
 
 
+def _leaves(path: Path) -> dict:
+    """{location: value} for every scalar of a JSON or CSV file: a JSON
+    location is its key/index path, a CSV one its (row, column); CSV cells
+    that parse as floats are numbers."""
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines()
+        delimiter = ";" if lines and ";" in lines[0] else ","
+        leaves = {}
+        for r, row in enumerate(csv.reader(lines, delimiter=delimiter)):
+            for c, cell in enumerate(row):
+                try:
+                    leaves[(r, c)] = float(cell)
+                except ValueError:
+                    leaves[(r, c)] = cell
+        return leaves
+    data = path.read_bytes()
+    doc = json.loads(_manifest_bytes(data) if path.name == "manifest.json" else data)
+    leaves = {}
+
+    def walk(node, at):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, at + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, at + (i,))
+        else:
+            leaves[at] = node
+    walk(doc, ())
+    return leaves
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def diff_file(a: Path, b: Path) -> dict:
+    """How two JSON or CSV files with different bytes differ: whether they
+    have the same locations (shape and keys), the largest absolute and
+    relative difference of the numbers at a shared location with where each
+    occurs, and the non-numeric values that differ."""
+    la, lb = _leaves(a), _leaves(b)
+    report = {"same_shape": la.keys() == lb.keys(), "max_abs": (0.0, None),
+              "max_rel": (0.0, None), "other": []}
+    for at in la.keys() & lb.keys():
+        x, y = la[at], lb[at]
+        if _is_number(x) and _is_number(y):
+            gap = abs(x - y)
+            scale = max(abs(x), abs(y))
+            if gap > report["max_abs"][0]:
+                report["max_abs"] = (gap, at)
+            if scale and gap / scale > report["max_rel"][0]:
+                report["max_rel"] = (gap / scale, at)
+        elif x != y:
+            report["other"].append((at, x, y))
+    report["other"].sort(key=repr)
+    return report
+
+
+def compare(dir_a: Path, dir_b: Path) -> dict:
+    """{call: {"exit": (a, b), "files": {name: entry}}} over the calls of
+    either sweep.  A file present on one side only has entry None; one with
+    equal bytes has {"equal": True}; any other has {"equal": False} and,
+    for JSON and CSV, `diff_file`'s report."""
+    sa = json.loads((dir_a / "sweep.json").read_text())
+    sb = json.loads((dir_b / "sweep.json").read_text())
+    out = {}
+    for call in sorted(sa.keys() | sb.keys()):
+        ra, rb = sa.get(call, {}), sb.get(call, {})
+        fa, fb = ra.get("files", {}), rb.get("files", {})
+        files = {}
+        for name in sorted(fa.keys() | fb.keys()):
+            if name not in fa or name not in fb:
+                files[name] = None
+            elif fa[name] == fb[name]:
+                files[name] = {"equal": True}
+            else:
+                files[name] = {"equal": False}
+                if name.endswith((".json", ".csv")):
+                    files[name].update(diff_file(dir_a / ra["dir"] / name,
+                                                 dir_b / rb["dir"] / name))
+        out[call] = {"exit": (ra.get("exit"), rb.get("exit")), "files": files}
+    return out
+
+
+def report_lines(result: dict) -> list:
+    """The compare result as text: one line per call, one per differing
+    file, and a closing count."""
+    lines = []
+    equal = total = 0
+    for call, r in result.items():
+        ea, eb = r["exit"]
+        lines.append(f"{call}: exit {ea} / {eb}")
+        for name, entry in r["files"].items():
+            total += 1
+            if entry is None:
+                lines.append(f"  {name}: on one side only")
+            elif entry["equal"]:
+                equal += 1
+            else:
+                lines.append(f"  {name}: bytes differ")
+                if "same_shape" in entry:
+                    (abs_gap, abs_at), (rel_gap, rel_at) = entry["max_abs"], entry["max_rel"]
+                    lines.append(f"    same shape and keys: {entry['same_shape']}; "
+                                 f"max abs {abs_gap:.3e} at {abs_at}; "
+                                 f"max rel {rel_gap:.3e} at {rel_at}")
+                    lines.extend(f"    {at}: {x!r} / {y!r}" for at, x, y in entry["other"])
+    same_exit = sum(r["exit"][0] == r["exit"][1] for r in result.values())
+    lines.append(f"{len(result)} calls, {same_exit} with equal exit codes; "
+                 f"{equal} of {total} files byte-equal")
+    return lines
+
+
+def _all_equal(result: dict) -> bool:
+    return all(r["exit"][0] == r["exit"][1]
+               and all(e is not None and e["equal"] for e in r["files"].values())
+               for r in result.values())
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        result = compare(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(report_lines(result)))
+        sys.exit(0 if _all_equal(result) else 1)
     if len(sys.argv) != 2:
-        sys.exit("usage: artifact_sweep.py OUT.json")
-    results = sweep()
-    Path(sys.argv[1]).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+        sys.exit("usage: artifact_sweep.py OUT_DIR | --compare OUT_A OUT_B")
+    out_dir = Path(sys.argv[1])
+    results = sweep(out_dir)
+    (out_dir / "sweep.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"{len(results)} calls, {sum(len(r['files']) for r in results.values())} files")

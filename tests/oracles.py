@@ -15,7 +15,7 @@ from bosonloop.channels import QuantumChannel, fixed_point, stationary_state
 from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
-from bosonloop.lift import _raising_maps
+from bosonloop.lift import _parent_columns, _raising_maps
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel,
                              overflow_weight, tensor_product_blocks)
 from bosonloop.reconstruct import ReconstructionInfo, project_psd
@@ -77,7 +77,7 @@ def _add_photon_column(column: np.ndarray, amps: np.ndarray, total: int) -> np.n
     """sum_b column[b] a_dag[b] applied to amplitudes on sector total-1;
     returns the amplitudes on sector `total`."""
     modes = len(column)
-    target, weight = _raising_maps(modes, total)
+    target, weight, _ = _raising_maps(modes, total)
     out = np.zeros(sector_size(modes, total), dtype=complex)
     for b in range(modes):
         out[target[b]] += column[b] * (weight[b] * amps)
@@ -114,6 +114,61 @@ def lift_apply_fock_by_column(matrix: np.ndarray, occupation) -> np.ndarray:
             amps = _add_photon_column(matrix[:, mode], amps, n)
     norm = sqrt(prod(factorial(x) for x in occupation))
     return amps / norm
+
+
+def _add_photon_whole(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
+    """sum_b coef[b, j] a_dag[b] applied to every column j of `amps` on
+    sector total-1 at once, each mode's terms gathered and scattered over
+    the whole sector through its index map."""
+    modes = len(coef)
+    target, weight, _ = _raising_maps(modes, total)
+    out = np.zeros((sector_size(modes, total), amps.shape[1]), dtype=complex)
+    for b in range(modes):
+        out[target[b]] += coef[b:b + 1] * (weight[b][:, None] * amps)
+    return out
+
+
+def lift_blocks_whole(matrix: np.ndarray, n_max: int) -> list:
+    """Sector blocks 0..n_max of the lift, each sector's columns added a
+    photon at once over whole-sector gathers, and divided by their norms:
+    the block recurrence as the package ran it before it went by row
+    panels."""
+    m = matrix.shape[0]
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, n_max + 1):
+        first, parent, _ = _parent_columns(m, n)
+        norm = np.array([sqrt(occ[a]) for a, occ in zip(first, enumerate_sector(m, n))])
+        blocks.append(_add_photon_whole(matrix[:, first], blocks[n - 1][:, parent], n) / norm)
+    return blocks
+
+
+def lift_apply_fock_whole(matrix: np.ndarray, occupation) -> np.ndarray:
+    """`lift_apply_fock` on whole-sector gathers."""
+    amps = np.ones((1, 1), dtype=complex)
+    n = 0
+    for mode, count in enumerate(occupation):
+        for _ in range(count):
+            n += 1
+            amps = _add_photon_whole(matrix[:, mode:mode + 1], amps, n)
+    norm = sqrt(prod(factorial(x) for x in occupation))
+    return amps[:, 0] / norm
+
+
+def matrix_text_by_entry(a: np.ndarray, newline: str) -> str:
+    """`cli._matrix_text` with every entry's word looked up and joined."""
+    inner = newline + " "
+    flat = a.ravel()
+    nonzero = flat != 0
+    negative = np.signbit(flat)
+    mags, inv = np.unique(np.abs(flat[nonzero]), return_inverse=True)
+    reprs = list(map(float.__repr__, mags.tolist()))
+    codes = negative.astype(np.intp)
+    codes[nonzero] = 2 + inv + negative[nonzero] * len(reprs)
+    word = (["0.0", "-0.0"] + reprs + ["-" + r for r in reprs]).__getitem__
+    sep = "," + inner + " "
+    body = (inner + "]," + inner + "[" + inner + " ").join(
+        sep.join(map(word, row)) for row in codes.reshape(a.shape).tolist())
+    return "[" + inner + "[" + inner + " " + body + inner + "]" + newline + "]"
 
 
 def kraus_pure_fock(u_full: np.ndarray, jmap: np.ndarray, ext_index: int):

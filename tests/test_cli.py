@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 import bosonloop
 import bosonloop.cli
-from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, json_text, main
+from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, _matrix_text, json_text, main
 from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
@@ -28,7 +28,7 @@ from bosonloop.evolve import effective_transfer_matrix
 from bosonloop.fock import FockBasis
 from bosonloop.matrixkit import haar_random_unitary, save_matrix_json
 from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
-from oracles import coherent_dm
+from oracles import coherent_dm, matrix_text_by_entry
 
 BASE = {
     "schema": 1,
@@ -236,6 +236,38 @@ def _signed_zero_blocks(sizes=(1, 2, 3, 4), seed=5) -> np.ndarray:
 def test_json_text_writes_a_matrix_as_its_list(matrix):
     for payload in (matrix, {"m": matrix, "k": [matrix]}):
         assert json_text(payload) == json.dumps(_as_lists(payload), indent=1, sort_keys=True)
+
+
+def _zero_runs() -> np.ndarray:
+    """Rows with leading, trailing and both runs of +0, all-zero rows of
+    either sign, and a -0 at each edge of a run."""
+    mat = np.zeros((9, 6))
+    mat[0, 2:] = [1.5, -2.5, 0.25, 1.5]
+    mat[1, :4] = [0.5, -0.5, 3.0, 0.1]
+    mat[2, 2:4] = [-1e-17, 2.0]
+    mat[4] = -0.0
+    mat[5, 0], mat[5, 3] = -0.0, 0.75
+    mat[6, 2], mat[6, 5] = 0.75, -0.0
+    mat[7, 1:5] = [-0.0, 0.0, 0.0, -0.0]
+    mat[8, 0], mat[8, 5] = 1.0, -1.0
+    return mat
+
+
+@pytest.mark.parametrize("matrix", [
+    _zero_runs(),
+    _zero_runs()[:, ::-1],
+    _signed_zero_blocks(sizes=(3, 1, 4, 2)),
+    np.array([[0.0, 0.0, 1.5, 0.0, -0.0, 0.0, 0.0]]),
+    np.array([[0.0], [0.0], [-2.5], [0.0], [-0.0], [0.0]]),
+    np.zeros((1, 5)),
+    np.zeros((4, 1)),
+    np.zeros((3, 3)),
+    np.random.default_rng(3).standard_normal((6, 7)),
+])
+def test_matrix_text_writes_zero_runs_as_the_per_entry_writer(matrix):
+    for newline in ("\n", "\n   "):
+        assert _matrix_text(matrix, newline) == matrix_text_by_entry(matrix, newline)
+    assert json_text(matrix) == json.dumps(matrix.tolist(), indent=1)
 
 
 @pytest.mark.parametrize("command", ["stationary", "reconstruct"])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from bosonloop import evolve
 from bosonloop.channels import QuantumChannel
-from bosonloop.errors import (ConvergenceError, DegenerateFixedPointError,
+from bosonloop.errors import (DENSE_DIM_CAP, ConvergenceError,
+                              DegenerateFixedPointError, SizeCapError,
                               TruncationError)
 from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
                               average_stationary, detection_pass,
@@ -188,6 +189,17 @@ def test_unfold_rejects_losses_and_mixed_input():
         unfold(cfg2)
 
 
+def test_unfold_refuses_an_oversized_matrix_before_building_it(monkeypatch):
+    # M=3, L=1 over 10^4 iterations unfolds to 20001 modes
+    def eye(*args, **kwargs):
+        raise AssertionError("the unfolded transfer matrix was built before the size check")
+    monkeypatch.setattr(evolve.np, "eye", eye)
+    cfg = haar_config(3, 1, 10_000, 8)
+    with pytest.raises(SizeCapError) as err:
+        unfold(cfg)
+    assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, 20_001)
+
+
 def test_lossy_engines_agree():
     losses = LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.95]),
                       loop_transmission=0.85)
@@ -300,6 +312,17 @@ def test_truncation_guard_reports_required_bound():
     with pytest.raises(TruncationError) as err:
         evolve_pdm(cfg)
     assert err.value.required_n_max == 6
+
+
+def test_truncation_guard_without_a_loop_names_the_input_size():
+    # without a loop every iteration is one pass of the two-photon input
+    cfg = ExperimentConfig(modes=3, looped=0, iterations=3, haar_seed=5,
+                           input_occupation=(1, 1, 0), n_max=1)
+    with pytest.raises(TruncationError, match="the sound bound is N_env = 2") as err:
+        evolve_pdm(cfg)
+    assert err.value.required_n_max == 2
+    trace = evolve_pdm(replace(cfg, n_max=2))
+    assert len(trace.iteration_distributions) == 3
 
 
 def test_a_leaking_stationary_pass_names_a_bound_above_its_n_max():

@@ -1,3 +1,4 @@
+import importlib
 from math import factorial, prod, sqrt
 
 import numpy as np
@@ -12,7 +13,8 @@ from bosonloop.matrixkit import (haar_random_unitary, permanent,
 from bosonloop.qstate import random_density_matrix
 
 from oracles import (conjugate_all_blocks, lift_apply_fock_by_column,
-                     lift_block_polynomial, lift_blocks_by_column)
+                     lift_apply_fock_whole, lift_block_polynomial,
+                     lift_blocks_by_column, lift_blocks_whole)
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -195,3 +197,47 @@ def test_block_lift_is_bit_identical_to_column_recurrence(modes, n_max, seed, co
                           .filter(lambda o: sum(o) <= n_max)))
     np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
                                   _bits(lift_apply_fock_by_column(u, occ)))
+
+
+def _pinned_matrices(modes: int) -> dict:
+    """Haar, a contraction, and matrices with exact zeros, ones and signs."""
+    haar = haar_random_unitary(modes, 90 + modes)
+    mats = {"haar": haar, "0.9 haar": 0.9 * haar, "identity": np.eye(modes),
+            "reversal": np.eye(modes)[::-1],
+            "phases": np.diag(np.exp(0.7j * np.arange(1, modes + 1)))}
+    if modes >= 2:
+        bs = np.eye(modes)
+        bs[:2, :2] = BS
+        mats["beam splitter"] = bs
+    return mats
+
+
+_PINNED_N_MAX = {1: 8, 2: 10, 3: 7, 4: 6, 5: 5, 6: 5}
+
+
+@pytest.mark.parametrize("panel", [None, 5])
+@pytest.mark.parametrize("modes", sorted(_PINNED_N_MAX))
+def test_panel_lift_is_bit_identical_to_whole_sector_lift(modes, panel, monkeypatch):
+    # panel 5 puts every row of a sector with 5 or more columns in its own panel
+    if panel is not None:
+        monkeypatch.setattr(importlib.import_module("bosonloop.lift"), "_PANEL", panel)
+    n_max = _PINNED_N_MAX[modes]
+    rng = np.random.default_rng(modes)
+    for name, u in _pinned_matrices(modes).items():
+        lifted = lift(u, FockBasis(modes, n_max))
+        for n, expected in enumerate(lift_blocks_whole(np.asarray(u, dtype=complex), n_max)):
+            np.testing.assert_array_equal(_bits(lifted.block(n)), _bits(expected),
+                                          err_msg=f"{name}, sector {n}")
+        for _ in range(4):
+            occ = tuple(rng.multinomial(n_max, np.full(modes, 1 / modes)))
+            np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
+                                          _bits(lift_apply_fock_whole(u, occ)),
+                                          err_msg=f"{name}, {occ}")
+
+
+def test_lift_apply_fock_over_several_panels_is_bit_identical():
+    # 5 photons in 20 modes: a 42504-state sector, three panels of one column
+    u = haar_random_unitary(20, 7)
+    occ = (1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+    np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
+                                  _bits(lift_apply_fock_whole(u, occ)))
