@@ -55,11 +55,13 @@ _EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TruncationError, EXIT_TRUNCATION),
                (ReconstructionError, EXIT_RECONSTRUCTION), (SizeCapError, EXIT_SIZE_CAP),
                (MemoryError, EXIT_SIZE_CAP))
 
-# the most iterations a config and the most shots `sample` may ask for:
-# every iteration is one joint pass and one output file, and shots are
-# drawn one after another, so time grows with both
+# the most iterations a config, the most shots `sample` and the most
+# samples `stabilization` may ask for: every iteration is one joint pass and
+# one output file, shots are drawn one after another, and every sample's
+# seed is spawned before the first draw, so time or memory grows with each
 MAX_ITERATIONS = 10 ** 5
 MAX_SHOTS = 10 ** 9
+MAX_SAMPLES = 10 ** 5
 
 _TOP_KEYS = {"schema", "M", "L", "n_max", "iterations", "input", "unitary",
              "losses", "seed"}
@@ -294,8 +296,10 @@ def _load(args) -> tuple:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
-    if getattr(args, "shots", None) is not None and args.shots > MAX_SHOTS:
-        raise ConfigError(f"--shots must be <= {MAX_SHOTS}, got {args.shots}")
+    for name, cap in (("samples", MAX_SAMPLES), ("shots", MAX_SHOTS)):
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            raise ConfigError(f"--{name} must be <= {cap}, got {value}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not 0 < tolerance < 1:
         raise ConfigError(f"--tolerance must lie strictly between 0 and 1, got {tolerance}")
@@ -424,7 +428,7 @@ def cmd_sample(args, config, stager) -> None:
         rho_det, _ = detection_pass(config, rho_stat)
         dist = rho_det.diagonal_distribution()
     else:
-        dist = evolve_pdm(config).distribution
+        dist = evolve_pdm(config).iteration_distributions[-1]
     counts = dist.sample(args.shots, args.seed)
     stager.add_text("counts.csv", _counts_csv(counts))
     stager.add_json("sample_info.json", {
@@ -494,8 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; a usage error, package error or MemoryError prints
-    a JSON error object and returns its exit code.  Safe to call repeatedly
-    in one process."""
+    a JSON error object and returns its exit code.  The object carries `cap`
+    and `required` for a SizeCapError, and `required_n_max` for a
+    TruncationError that knows it.  Safe to call repeatedly in one
+    process."""
     try:
         args = _build_parser().parse_args(argv)
         config, raw = _load(args)
@@ -509,6 +515,8 @@ def main(argv=None) -> int:
         error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SizeCapError):
             error.update(cap=exc.cap, required=exc.required)
+        elif isinstance(exc, TruncationError) and exc.required_n_max is not None:
+            error["required_n_max"] = exc.required_n_max
         print(json.dumps({"error": error}))
         return code
 

@@ -187,10 +187,10 @@ def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) ->
 
 @dataclass
 class EvolutionTrace:
-    """Outputs of one evolution run."""
+    """Outputs of one evolution run; the last iteration's detected
+    distribution is `iteration_distributions[-1]`."""
 
     rho_det: DensityMatrix
-    distribution: ProbabilityDistribution
     iteration_distributions: list
     final_loop_state: DensityMatrix | None
     loop_states: list | None
@@ -298,10 +298,9 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
                             check=False)
     if setup.out_ext:
         rho_out = setup.out_ext.apply(rho_out)
-    dist = rho_out.diagonal_distribution()
-    dists = [dist] * config.iterations
     return EvolutionTrace(
-        rho_det=rho_out, distribution=dist, iteration_distributions=dists,
+        rho_det=rho_out,
+        iteration_distributions=[rho_out.diagonal_distribution()] * config.iterations,
         final_loop_state=None, loop_states=None, max_leaked_weight=0.0,
         n_max=setup.n_max,
     )
@@ -327,7 +326,7 @@ def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> Evolut
         if record_loop:
             loop_states.append(rho_line)
     return EvolutionTrace(
-        rho_det=rho_det, distribution=dists[-1], iteration_distributions=dists,
+        rho_det=rho_det, iteration_distributions=dists,
         final_loop_state=rho_line, loop_states=loop_states,
         max_leaked_weight=max_leak, n_max=setup.n_max,
     )
@@ -352,9 +351,7 @@ def evolve_kraus(config: ExperimentConfig, record_loop: bool = False) -> Evoluti
 class UnfoldResult:
     """Spatiotemporal unrolling of the loop into one big interferometer."""
 
-    u_total: np.ndarray
     input_occupation: tuple
-    detect_modes: int
     joint_distribution: ProbabilityDistribution
     iteration_distributions: list
     rho_det: DensityMatrix
@@ -430,9 +427,7 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
         a = np.array([e[1] for e in entries])
         rho[np.ix_(idx, idx)] += np.outer(a, a.conj())
     return UnfoldResult(
-        u_total=u_total,
         input_occupation=input_occ,
-        detect_modes=n_detect_modes,
         joint_distribution=ProbabilityDistribution(detect_basis, joint, check=False),
         iteration_distributions=[
             ProbabilityDistribution(block_bases, b, check=False) for b in blocks

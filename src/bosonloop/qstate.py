@@ -39,6 +39,8 @@ class DensityMatrix:
                 f"matrix shape {mat.shape} does not match basis size {basis.size}"
             )
         if check:
+            if not np.isfinite(mat).all():
+                raise ValueError("matrix has a non-finite entry")
             herm = np.abs(mat - mat.conj().T).max()
             if herm > HERMITICITY_ATOL:
                 raise ValueError(f"matrix is not Hermitian (defect {herm:.3e})")
@@ -275,25 +277,19 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
 
 
 @lru_cache(maxsize=None)
-def _trace_parts(basis: FockBasis, start: int, stop: int) -> tuple:
-    """Per state of `basis`: the index of its modes start..stop in their own
-    basis, and an id of its other modes' occupation."""
-    keep_basis = FockBasis(stop - start, basis.n_max)
-    ids = {}
-    kept = [keep_basis.index_of(occ[start:stop]) for occ in basis.states]
-    traced = [ids.setdefault(occ[:start] + occ[stop:], len(ids)) for occ in basis.states]
-    return np.array(kept), np.array(traced)
-
-
-@lru_cache(maxsize=None)
 def _pair_trace_table(basis: FockBasis, start: int, stop: int, n: int, m: int) -> tuple:
     """Gather table of sector pair (n, m) for the partial trace onto modes
     start..stop: the flat index in the (n, m) block of each entry whose two
     traced-out parts agree, and the flat index of its kept parts in the
-    reduced matrix.  The entries run row by row, and the rows of a sector
-    that share their kept part are in lexicographic order of their
-    traced-out part, so each reduced entry meets its terms in that order."""
-    kept, traced = _trace_parts(basis, start, stop)
+    reduced matrix.  The parts are the `joint_parts` of the split at `stop`
+    for a leading keep, at `start` for a trailing one.  The entries run row
+    by row, and the rows of a sector that share their kept part are in
+    lexicographic order of their traced-out part, so each reduced entry
+    meets its terms in that order."""
+    split = stop if start == 0 else start
+    parts = joint_parts(FockBasis(split, basis.n_max),
+                        FockBasis(basis.modes - split, basis.n_max), basis)
+    kept, traced = parts if start == 0 else parts[::-1]
     rows, cols = basis.sector_slice(n), basis.sector_slice(m)
     i, j = np.nonzero(traced[rows, None] == traced[None, cols])
     size = FockBasis(stop - start, basis.n_max).size
@@ -478,6 +474,8 @@ class ProbabilityDistribution:
         if probabilities.shape != (basis.size,):
             raise ValueError("probability vector length does not match the basis")
         if check:
+            if not np.isfinite(probabilities).all():
+                raise ValueError("probability vector has a non-finite entry")
             if probabilities.min() < 0:
                 raise ValueError(f"negative probability {probabilities.min():.3e}")
             s = probabilities.sum()

@@ -139,11 +139,11 @@ def moment(rho: DensityMatrix, s_vec, r_vec) -> complex:
     return _MomentCache(rho).value(cre, ann)
 
 
-def _kron_powers(a: np.ndarray, n: int, out: list | None = None) -> list:
+def _kron_powers(a: np.ndarray, n: int) -> list:
     """[a^(x 0), ..., a^(x n)], each the Kronecker product of the one before
-    with a; `out`, a shorter list of the same powers, is extended in place."""
-    out = [np.eye(1, dtype=complex)] if out is None else out
-    while len(out) <= n:
+    with a."""
+    out = [np.eye(1, dtype=complex)]
+    for _ in range(n):
         out.append(np.kron(out[-1], a))
     return out
 
@@ -257,22 +257,17 @@ def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
 
 
 class _SolveContext:
-    """What the orders of one stationary solve share: the moments of rho_ext
-    and the Kronecker powers of V = conj(matrix) and of its loop block V_LL,
-    each built once, when the first order that reads it has passed its size
-    caps; the spectral radius is checked once, on creation."""
+    """What the orders of one stationary solve share: the spectral radius,
+    checked once, on creation; the moments of rho_ext; and the Kronecker
+    powers V^(x 0..top) of V = conj(matrix) and of its loop block V_LL.  It
+    is made once the size caps of every order up to `top` have passed."""
 
-    def __init__(self, matrix: np.ndarray, rho_ext: DensityMatrix):
+    def __init__(self, matrix: np.ndarray, rho_ext: DensityMatrix, top: int):
         m_ext = rho_ext.basis.modes
         _check_spectral_radius(matrix, matrix.shape[0] - m_ext)
         self.ext = _MomentCache(rho_ext)
-        self._v = matrix.conj()
-        self._v_ll = self._v[m_ext:, m_ext:]
-        self.v, self.v_ll = _kron_powers(self._v, 0), _kron_powers(self._v_ll, 0)
-
-    def powers(self, n: int) -> tuple:
-        """[V^(x 0), ..., V^(x n')] and the same of V_LL, n' >= n."""
-        return _kron_powers(self._v, n, self.v), _kron_powers(self._v_ll, n, self.v_ll)
+        v = matrix.conj()
+        self.v, self.v_ll = _kron_powers(v, top), _kron_powers(v[m_ext:, m_ext:], top)
 
 
 def _check_order_size(k: int, l: int, modes: int, n_looped: int) -> None:
@@ -303,8 +298,8 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
     n_looped = modes - m_ext
     _check_order_size(k, l, modes, n_looped)
     if context is None:
-        context = _SolveContext(matrix, rho_ext)
-    v, v_ll = context.powers(max(k, l))
+        context = _SolveContext(matrix, rho_ext, max(k, l))
+    v, v_ll = context.v, context.v_ll
 
     c_in = _input_tensor(k, l, modes, m_ext, context.ext, loop_set, include_loop=False)
     full = _transformed(CorrelationTensor(k, l, modes, c_in), v[k], v[l]).values
@@ -332,15 +327,14 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
 
     Orders are processed so every mixed term only needs strictly lower total
     order (available directly or by conjugate symmetry).  The complementary
-    tensors (m, n) follow from conjugate symmetry via TensorSet.get.  One
-    private context, handed to every `stationary_order`, checks the spectral
-    radius once and holds the external moments and the Kronecker powers of
-    V and V_LL for the whole solve, each power built by the first order that
-    reads it.  Every order's size caps are checked before the first order
-    is solved, so a rank cap that reaches an order above a cap raises
-    SizeCapError before any work; the sizes grow with the order, so that
-    scan stops at the first refusal.  The context is dropped when the solve
-    returns.
+    tensors (m, n) follow from conjugate symmetry via TensorSet.get.  Every
+    order's size caps are checked first, so a rank cap that reaches an order
+    above a cap raises SizeCapError before any work; the sizes grow with the
+    order, so that scan stops at the first refusal.  Then one private
+    context, handed to every `stationary_order`, checks the spectral radius
+    once and builds the external moments and the Kronecker powers of V and
+    V_LL up to `rank_cap` for the whole solve.  The context is dropped when
+    the solve returns.
     """
     if rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
@@ -351,7 +345,7 @@ def recursive_stationary(matrix: np.ndarray, rho_ext: DensityMatrix,
     for n in range(1, rank_cap + 1):
         for m in range(n + 1):
             _check_order_size(n, m, matrix.shape[0], n_looped)
-    context = _SolveContext(matrix, rho_ext)
+    context = _SolveContext(matrix, rho_ext, rank_cap)
     out = TensorSet(n_looped)
     for n in range(1, rank_cap + 1):
         for m in range(n + 1):

@@ -42,6 +42,10 @@ _FOCK = {"schema": 1, "M": 2, "L": 1, "n_max": 10, "iterations": 3,
 _LOSSES = {"t_in": [0.9, 0.8], "t_out": [0.95, 0.85], "loop_T": 0.7}
 _L2 = {"schema": 1, "M": 3, "L": 2, "n_max": 9, "iterations": 2,
        "input": {"type": "fock", "occupation": [1]}, "seed": 5}
+_LOSSY_L2 = {"schema": 1, "M": 3, "L": 2, "n_max": 6, "iterations": 3,
+             "input": {"type": "fock", "occupation": [1]},
+             "unitary": {"type": "haar", "seed": 3},
+             "losses": {"t_in": [0.9] * 3, "t_out": [0.9] * 3, "loop_T": 0.7}, "seed": 5}
 _L0 = {"schema": 1, "M": 3, "L": 0, "iterations": 2,
        "input": {"type": "fock", "occupation": [1, 1, 0]},
        "unitary": {"type": "haar", "seed": 5}, "seed": 2}
@@ -51,6 +55,10 @@ CONFIGS = {
     "lossy": {**_FOCK, "losses": _LOSSES, "unitary": {"type": "haar", "seed": 21}},
     "l2_json": {**_L2, "unitary": {"type": "file", "path": "u39.json"}},
     "l2_csv": {**_L2, "unitary": {"type": "file", "path": "u39.csv"}},
+    "lossy_l2": _LOSSY_L2,
+    # a truncation that leaks: the stationary state holds 2.0e-10 in sector 10
+    "m4_leaking": {**_L2, "M": 4, "n_max": 10, "input": {"type": "fock", "occupation": [1, 0]},
+                   "unitary": {"type": "haar", "seed": 1}},
     "dm": {**_FOCK, "n_max": 12, "iterations": 2, "input": {"type": "dm", "path": "rho.json"}},
     "l0": {**_L0, "n_max": 3},
     "l0_default_n_max": _L0,
@@ -73,6 +81,8 @@ CALLS = (
     + [("lossy", ["stabilization", "--samples", "4", "--seed", "12"])]
     + [("l2_json", argv) for argv in _LOOPED]
     + [("l2_csv", argv) for argv in _EVOLVE + _STATIONARY[:1]]
+    + [("lossy_l2", argv) for argv in _EVOLVE[1:] + _STATIONARY[:1]]
+    + [("m4_leaking", _STATIONARY[0])]
     + [("dm", argv) for argv in _EVOLVE + _STATIONARY + _SAMPLE]
     + [("l0", argv) for argv in _EVOLVE + _SAMPLE[1:] + _STATIONARY[:1]]
     + [("l0_default_n_max", argv) for argv in _EVOLVE]

@@ -708,6 +708,63 @@ def test_each_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, required", [
+    ({"iterations": 4, "n_max": 2, "unitary": {"type": "haar", "seed": 3}}, 4),
+    ({"M": 3, "iterations": 2, "n_max": 1, "input": {"type": "fock", "occupation": [1, 1]}},
+     4),
+], ids=["leak", "below-input"])
+def test_a_truncation_error_reports_its_required_n_max(tmp_path, capsys, overrides, required):
+    out = tmp_path / "o"
+    assert main(["evolve", write_config(tmp_path, **overrides), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (3, "TruncationError")
+    assert err["required_n_max"] == required
+    assert "cap" not in err and "required" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("argv", [["evolve", "--method", "pdm"],
+                                  ["evolve", "--method", "kraus"], ["stationary"]],
+                         ids=["pdm", "kraus", "stationary"])
+def test_a_non_finite_density_matrix_input_exits_2(tmp_path, capsys, value, argv):
+    # json.dumps writes NaN and Infinity, and json.load reads them back
+    (tmp_path / "rho.json").write_text(json.dumps(
+        {"modes": 1, "n_max": 1, "re": [[value, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]] * 2}))
+    path = write_config(tmp_path, iterations=2, n_max=3,
+                        input={"type": "dm", "path": "rho.json"},
+                        unitary={"type": "haar", "seed": 3})
+    out = tmp_path / "o"
+    assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (2, "ConfigError")
+    assert "non-finite" in err["message"]
+    assert not out.exists()
+
+
+def test_samples_above_the_cap_exit_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fake(args, config, stager):
+        calls.append(args.samples)
+        stager.add_text("fake.txt", "ok\n")
+    monkeypatch.setattr(bosonloop.cli, "cmd_stabilization", fake)
+    path = write_config(tmp_path)
+    cap = bosonloop.cli.MAX_SAMPLES
+    assert cap == 10 ** 5
+    assert main(["stabilization", path, "--samples", str(cap),
+                 "--out", str(tmp_path / "at")]) == 0
+    assert calls == [cap]
+    out = tmp_path / "above"
+    assert main(["stabilization", path, "--samples", str(cap + 1), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (2, "ConfigError")
+    assert err["message"] == f"--samples must be <= {cap}, got {cap + 1}"
+    assert calls == [cap]
+    assert not out.exists()
+
+
 def test_a_memory_error_exits_6_with_a_json_error(tmp_path, capsys, monkeypatch):
     def fail(args, config, stager):
         raise MemoryError("Unable to allocate 14.4 GiB")

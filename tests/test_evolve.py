@@ -152,7 +152,7 @@ def test_single_pass_when_not_looped():
     expected = lift(u, basis).conjugate(rho_in.mat)
     np.testing.assert_allclose(trace.rho_det.mat, expected, atol=1e-12)
     for dist in trace.iteration_distributions:
-        assert _tv(dist, trace.distribution) == 0.0
+        assert _tv(dist, trace.iteration_distributions[-1]) == 0.0
     # the kraus engine shares the L=0 path
     np.testing.assert_allclose(evolve_kraus(cfg).rho_det.mat, expected, atol=1e-12)
 
@@ -165,7 +165,7 @@ def test_unfold_matrix_shape_and_input():
     assert np.abs(u_total.conj().T @ u_total - np.eye(9)).max() < 1e-12
     result = unfolded_distribution(cfg)
     assert result.joint_distribution.probabilities.sum() == pytest.approx(1.0)
-    assert result.detect_modes == 8
+    assert result.joint_distribution.basis.modes == 8
 
 
 def test_unfold_single_iteration_is_single_pass():

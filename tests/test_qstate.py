@@ -50,6 +50,19 @@ def test_density_matrix_validation():
         DensityMatrix(basis, np.diag([1.5, -0.5]))  # not PSD
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entries_are_refused(value):
+    # every other check is a comparison, which a NaN fails silently
+    basis = FockBasis(1, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(basis, np.array([[value, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(basis, np.array([[0.0, 1j * value], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        ProbabilityDistribution(basis, np.array([value, 1.0]))
+    DensityMatrix(basis, np.array([[value, 0.0], [0.0, 1.0]]), check=False)
+
+
 def test_sum_errors_print_plain_numbers():
     basis = FockBasis(1, 2)
     weights = np.array([0.5, 0.3, 0.1])

@@ -412,9 +412,9 @@ def test_order_5_5_system_is_assembled_in_place():
 
 
 def test_an_order_over_the_assembly_cap_raises_before_its_powers_are_built(monkeypatch):
-    # the solve's Kronecker powers grow with the orders that pass the caps:
-    # with the cap lowered to 3^4, order (3, 2) of an M=3 solve is the first
-    # over it, and it raises holding V^(x 3) (27 x 27), not V^(x 7) (76 MB)
+    # every order's caps are checked before the solve builds anything: with
+    # the cap lowered to 3^4, order (3, 2) of an M=3 solve is the first over
+    # it, and it raises before any Kronecker power exists (V^(x 7) is 76 MB)
     monkeypatch.setattr(tensors, "ASSEMBLY_SIZE_CAP", 3 ** 4)
     ext = fock_state_dm(FockBasis(1, 1), (1,))
     tracemalloc.start()
