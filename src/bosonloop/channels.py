@@ -27,8 +27,8 @@ from .errors import DENSE_DIM_CAP, DegenerateFixedPointError, TruncationError, c
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
 from .matrixkit import unvec, vec
-from .qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, charge_split,
-                     joint_parts)
+from .qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, charge0_transpose,
+                     charge_split, joint_parts)
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
@@ -133,23 +133,17 @@ class QuantumChannel:
         sizes = [self.charge_blocks[b].size for b in which]
         for m in sizes:
             check_size("the superoperator block dimension", m)
-        # where each vec index's row, and its column, falls in the stacked blocks
-        row_at = np.full(d * d, -1)
-        col_at = np.zeros(d * d, dtype=int)
-        offsets = np.cumsum([0] + [m * m for m in sizes])
-        for b, m, offset in zip(which, sizes, offsets):
-            row_at[self.charge_blocks[b]] = offset + m * np.arange(m)
-            col_at[self.charge_blocks[b]] = np.arange(m)
+        row_at, col_at, offsets = _block_positions(self.basis, tuple(which),
+                                                   len(self.charge_blocks) == 1)
         flat = np.zeros(offsets[-1], dtype=complex)
 
         rows, cols, values, group = self.nonzeros
         if 0 in which and len(self.charge_blocks) > 1:
             group = group * (self.basis.n_max + 1) + self.basis.totals()[rows]
-        # sizes of the runs of nonzeros that share a group
-        counts = np.diff(np.flatnonzero(group[1:] != group[:-1]) + 1,
-                         prepend=0, append=rows.size)
+        # the runs of nonzeros that share a group: where each starts, and its size
+        edges = np.concatenate(([0], np.flatnonzero(group[1:] != group[:-1]) + 1, [rows.size]))
+        first, counts = edges[:-1], edges[1:] - edges[:-1]
         conj = values.conj()
-        first = np.cumsum(counts) - counts       # first nonzero of each group
         pair_end = np.cumsum(counts ** 2)
         pair_start = pair_end - counts ** 2
         lo = 0
@@ -165,7 +159,7 @@ class QuantumChannel:
             p, q = p[keep], q[keep]
             np.add.at(flat, at[keep] + col_at[cols[p] + d * cols[q]], values[p] * conj[q])
             lo = hi
-        return [part.reshape(m, m) for part, m in zip(np.split(flat, offsets[1:-1]), sizes)]
+        return [flat[o:o + m * m].reshape(m, m) for o, m in zip(offsets.tolist(), sizes)]
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Raw Kraus sum on an array, deterministic summation order."""
@@ -178,38 +172,65 @@ class QuantumChannel:
         """Apply the channel to a state within the valid subspace.
 
         A state inside the charge-0 block of a charge-conserving channel takes
-        one matrix-vector product with that block, its `charge0()` entries,
-        and comes out in the vector form of `DensityMatrix.from_block0`.
-        Every other state takes the Kraus sum.
+        one matrix-vector product with that block (`_step_block`), its
+        `charge0()` entries, and comes out in the vector form of
+        `DensityMatrix.from_block0`.  Every other state takes the Kraus sum.
         Population above `valid_max_photons` exceeding
         max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError; smaller
         amounts are allowed to leak and the output trace is renormalized.
         """
         if rho.basis != self.basis:
             raise ValueError("state basis does not match the channel basis")
-        excess = float(rho.sector_weights(self.valid_max_photons).sum())
+        excess = float(np.add.reduce(rho.sector_weights(self.valid_max_photons)))
         if excess > max(leak_tolerance, POPULATED_CUTOFF):
             raise TruncationError(
                 f"state populates sectors above the channel validity bound "
                 f"{self.valid_max_photons} with weight {excess:.3e}"
             )
-        if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
-            x = rho.charge0()
-            if x is not None:
-                out = self.superop_block(0) @ x
-                if excess > 0.0:
-                    out /= _kept_trace(out[charge0_layout(self.basis)[2]].sum())
-                return DensityMatrix.from_block0(self.basis, out)
+        x = None if self._step_block is None else rho.charge0()
+        if x is not None:
+            out = self._step_block @ x
+            if excess > 0.0:
+                out /= _kept_trace(np.add.reduce(out[charge0_layout(self.basis)[2]]))
+            return DensityMatrix.from_block0(self.basis, out)
         out = self.apply_matrix(rho.mat)
         if excess > 0.0:
             out /= _kept_trace(np.trace(out))
         return DensityMatrix(self.basis, out, check=False)
+
+    @cached_property
+    def _step_block(self) -> np.ndarray | None:
+        """G_0, through which `apply` steps a state inside the charge-0 block;
+        None when G is one block or G_0 is over the dense cap."""
+        if len(self.charge_blocks) > 1 and self.charge_blocks[0].size <= DENSE_DIM_CAP:
+            return self.superop_block(0)
+        return None
 
     def __repr__(self):
         return (
             f"QuantumChannel(basis={self.basis!r}, n_kraus={self.nonzeros[3][-1] + 1}, "
             f"valid_max_photons={self.valid_max_photons})"
         )
+
+
+@lru_cache(maxsize=None)
+def _block_positions(basis: FockBasis, which: tuple, one_block: bool) -> tuple:
+    """Where each column-stacked index's row, and its column, falls in the
+    charge blocks `which` of G stacked flat, -1 for a row outside them, and
+    each block's offset in that stack (read-only): the blocks of
+    `charge_split(basis)`, or the one block of every index."""
+    d = basis.size
+    blocks = (np.arange(d * d),) if one_block else charge_split(basis)
+    sizes = [blocks[b].size for b in which]
+    row_at = np.full(d * d, -1)
+    col_at = np.zeros(d * d, dtype=int)
+    offsets = np.cumsum([0] + [m * m for m in sizes])
+    for b, m, offset in zip(which, sizes, offsets):
+        row_at[blocks[b]] = offset + m * np.arange(m)
+        col_at[blocks[b]] = np.arange(m)
+    for table in (row_at, col_at, offsets):
+        table.flags.writeable = False
+    return row_at, col_at, offsets
 
 
 def _kept_trace(tr: complex) -> float:
@@ -220,24 +241,42 @@ def _kept_trace(tr: complex) -> float:
 
 
 @lru_cache(maxsize=None)
+def _output_order(ext_basis: FockBasis, loop_basis: FockBasis, joint: FockBasis) -> tuple:
+    """The joint states J = |m> tensor |i> of `ext_basis` and `loop_basis`
+    in (m, i) order: the place of each J in that order, and the m and the i
+    at each place (read-only)."""
+    out_of, row_of = joint_parts(ext_basis, loop_basis, joint)
+    order = np.argsort(out_of * loop_basis.size + row_of)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    tables = place, out_of[order], row_of[order]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
 def _lifted_columns(ext_basis: FockBasis, loop_basis: FockBasis, joint: FockBasis,
                     alpha: int) -> tuple:
     """Where the columns L(U) (|alpha> tensor |j>) of the loop basis states j
-    lie, sector block by sector block: (n, src, dst) for each joint sector
-    n >= n_alpha, with src the flat positions in block n and dst the flat
-    positions J * d + j of the same entries in a (joint.size, d) array.
-    Loop sector k meets |alpha> in joint sector n_alpha + k."""
+    lie: (n, src) for each joint sector n >= n_alpha, with src the flat
+    positions in block n, and dst, the flat positions P * d + j of the same
+    entries, sector after sector, in a (joint.size, d) array whose rows are
+    the joint states in the (m, i) order of `_output_order` over the whole
+    external basis.  Loop sector k meets |alpha> in joint sector n_alpha + k."""
     d = loop_basis.size
     jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
+    place = _output_order(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)[0]
     n_alpha = sum(ext_basis.state(alpha))
-    out = []
+    sectors, dst = [], []
     for k in range(joint.n_max - n_alpha + 1):
         n, loop_k = n_alpha + k, loop_basis.sector_slice(k)
         js = np.arange(loop_k.start, loop_k.stop)
         rows = np.arange(joint.sector_slice(n).start, joint.sector_slice(n).stop)
         src = np.arange(rows.size)[:, None] * rows.size + (jmap_in[alpha, js] - rows[0])
-        out.append((n, src.ravel(), (rows[:, None] * d + js).ravel()))
-    return tuple(out)
+        sectors.append((n, src.ravel()))
+        dst.append((place[rows][:, None] * d + js).ravel())
+    return tuple(sectors), np.concatenate(dst)
 
 
 def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChannel:
@@ -248,8 +287,9 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     below 1e-12 dropped) and emits K = sqrt(lambda_j) <m| L(U) |psi_j> for
     every external output basis state m, pruning Kraus operators that vanish
     by photon-number bookkeeping.  The columns of L(U) are read from its
-    sector blocks; the dense lifted matrix is never built, nor are the dense
-    operators: the channel is made from their nonzero entries.
+    sector blocks, gathered once per nonzero amplitude of psi_j; the dense
+    lifted matrix is never built, nor are the dense operators: the channel
+    is made from their nonzero entries.
     """
     joint = lifted.basis
     ext_basis = rho_ext.basis
@@ -265,32 +305,33 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     d = loop_basis.size
     # the injected state may live on a smaller truncation than the joint
     # space, but the output projectors <m| span the full external basis:
-    # joint state J is |m> tensor |i> for out_of[J] = m, row_of[J] = i
-    out_of, row_of = joint_parts(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)
+    # place P holds joint state |m> tensor |i> for out_of[P] = m, row_of[P] = i
+    _, out_of, row_of = _output_order(FockBasis(ext_basis.modes, joint.n_max), loop_basis,
+                                      joint)
 
     parts, n_ops = [], 0
     for lam, psi in zip(evals, evecs.T):
         if lam < _EIG_CUTOFF:
             continue
-        # columns of L(U) applied to |psi> tensor each loop basis state,
-        # flattened; the entries no sector block reaches stay zero
+        # columns of L(U) applied to |psi> tensor each loop basis state, in
+        # (m, i, j) order; the entries no sector block reaches stay zero
         w = np.zeros(joint.size * d, dtype=complex)
-        for alpha, c in enumerate(psi):
+        for alpha, c in enumerate(psi.tolist()):
             if abs(c) >= 1e-16:
-                for n, src, dst in _lifted_columns(ext_basis, loop_basis, joint, alpha):
-                    w[dst] += c * lifted.block(n).take(src)
-        # operator m is rows out_of == m of w: its entries in (m, i, j) order
-        at, cols = np.divmod(np.flatnonzero(w), d)
-        order = np.argsort((out_of[at] * d + row_of[at]) * d + cols)
-        at, cols = at[order], cols[order]
-        values = sqrt(lam) * w[at * d + cols]
+                sectors, dst = _lifted_columns(ext_basis, loop_basis, joint, alpha)
+                w[dst] += c * np.concatenate([lifted.block(n).take(src) for n, src in sectors])
+        at = np.flatnonzero(w)
+        values = sqrt(lam) * w[at]
         nonzero = values != 0
-        at, cols, values = at[nonzero], cols[nonzero], values[nonzero]
+        at, cols = np.divmod(at[nonzero], d)
+        values = values[nonzero]
         if not values.size:
             continue
-        # prune operators whose largest |entry| is at most _PRUNE_NORM
-        starts = np.flatnonzero(np.diff(out_of[at], prepend=-1))
-        sizes = np.diff(starts, append=at.size)
+        # operator m is a run of entries; prune those whose largest |entry|
+        # is at most _PRUNE_NORM
+        m = out_of[at]
+        starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+        sizes = np.concatenate((starts[1:], [at.size])) - starts
         kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
         keep = np.repeat(kept, sizes)
         owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
@@ -415,6 +456,16 @@ def _block0_matrix(channel: QuantumChannel, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(unvec(v, d, d))
 
 
+def _block0_layout(channel: QuantumChannel) -> tuple:
+    """Where the transpose of each entry of charge block 0, and where the
+    diagonal entries, lie in that block's order: the charge-0 order of
+    `charge0_layout`, or column stacking when G is one block."""
+    if len(channel.charge_blocks) > 1:
+        return charge0_transpose(channel.basis), charge0_layout(channel.basis)[2]
+    d = channel.basis.size
+    return np.arange(d * d).reshape(d, d).ravel(order="F"), np.arange(0, d * d, d + 1)
+
+
 @lru_cache(maxsize=None)
 def _probe(m: int) -> np.ndarray:
     """The generic right-hand side of size m that `fixed_point` solves
@@ -434,6 +485,8 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     simple; returns None on any sign of trouble (singular system, large
     residual, non-state output, a leaking truncation) so callers can fall
     back to `stationary_state`, which tells a leak from a degenerate block.
+    A charge-conserving channel's fixed point is in the vector form of
+    `DensityMatrix.from_block0`.
     """
     g = channel.superop_block(0)
     m = g.shape[0]
@@ -455,14 +508,18 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
         return None
     if np.linalg.norm(g @ x - x) > _FIXED_POINT_RESIDUAL * max(1.0, np.linalg.norm(x)):
         return None
-    rho = _block0_matrix(channel, x)
-    rho = (rho + rho.conj().T) / 2
-    tr = np.trace(rho).real
+    # the Hermitian part, normalized, entry for entry as on the d x d matrix
+    swap, diag = _block0_layout(channel)
+    x = (x + x[swap].conj()) / 2
+    tr = np.add.reduce(x[diag]).real
     if abs(tr - 1.0) > 1e-8:
         return None
-    rho /= tr
+    x /= tr
+    rho = _block0_matrix(channel, x)
     if np.linalg.eigvalsh(rho)[0] < -1e-8:
         return None
+    if len(channel.charge_blocks) > 1:
+        return DensityMatrix.from_block0(channel.basis, x)
     return DensityMatrix(channel.basis, rho, check=False)
 
 

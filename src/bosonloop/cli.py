@@ -14,6 +14,7 @@ written; the files the run already wrote are removed).
 """
 
 import argparse
+import collections
 import contextlib
 import functools
 import hashlib
@@ -160,9 +161,10 @@ def json_text(payload) -> str:
     floats goes to the C encoder in one call, its item separator carrying
     the newline and indent; both encoders print floats with `float.__repr__`
     and the same NaN/Infinity spellings.  A finite 2-D float64 array is
-    written straight from its values (`_matrix_text`).  Anything else is
-    encoded by the stdlib itself, its newlines shifted to the current indent
-    (JSON text has no raw newline inside a string).
+    written straight from its values (`_matrix_text`).  A scalar takes the
+    C encoder as well.  Anything else is encoded by the stdlib itself, its
+    newlines shifted to the current indent (JSON text has no raw newline
+    inside a string).
     """
     return _json_text(payload, "\n")
 
@@ -183,6 +185,9 @@ def _json_text(o, newline: str) -> str:
         body = ("," + inner).join(json.dumps(k) + ": " + _json_text(v, inner)
                                   for k, v in sorted(o.items()))
         return "{" + inner + body + newline + "}"
+    if o is None or isinstance(o, (str, int, float)):
+        # a scalar's text does not depend on the indent: the C encoder's
+        return json.dumps(o)
     return json.dumps(o, indent=1, sort_keys=True).replace("\n", newline)
 
 
@@ -364,23 +369,30 @@ def cmd_stationary(args, config, stager) -> None:
 
 def cmd_stabilization(args, config, stager) -> None:
     study = stabilization_samples(config, args.samples, args.seed, tolerance=args.tolerance)
-    times = np.array(sorted(study.times))
-    hist = "".join(
-        f"{tau};{int((times == tau).sum())}\n" for tau in np.unique(times)
-    )
-    stager.add_text("stabilization_histogram.csv", hist)
-    # quartiles in one call; the 50th percentile of integer times is their
-    # median, float for float
-    q25, median, q75 = ([float(q) for q in np.percentile(times, [25, 50, 75])]
-                        if times.size else [None] * 3)
+    times = sorted(study.times)
+    stager.add_text("stabilization_histogram.csv",
+                    "".join(f"{tau};{n}\n" for tau, n in collections.Counter(times).items()))
+    # the quartiles and the mean in exact arithmetic on the integer times:
+    # numpy's linear percentiles and mean, float for float
+    q25, median, q75 = ([_quartile(times, k) for k in (1, 2, 3)] if times else [None] * 3)
     stager.add_json("summary.json", {
         "samples": args.samples,
         "skipped_degenerate": study.skipped,
         "median": median,
-        "mean": float(times.mean()) if times.size else None,
-        "iqr": [q25, q75] if times.size else None,
+        "mean": sum(times) / len(times) if times else None,
+        "iqr": [q25, q75] if times else None,
         "tolerance": args.tolerance,
     })
+
+
+def _quartile(times: list, k: int) -> float:
+    """Quartile k of sorted integers by np.percentile's linear rule: the
+    value at position k (n - 1) / 4, interpolated.  Integers and quarters
+    are exact in binary, so numpy's float is this exact value."""
+    lo, rem = divmod(k * (len(times) - 1), 4)
+    if not rem:
+        return float(times[lo])
+    return (4 * times[lo] + rem * (times[lo + 1] - times[lo])) / 4
 
 
 def cmd_reconstruct(args, config, stager) -> None:

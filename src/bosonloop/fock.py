@@ -44,41 +44,58 @@ def enumerate_sector(modes: int, total: int) -> tuple:
                  for rest in enumerate_sector(modes - 1, total - head))
 
 
-@lru_cache(maxsize=None)
-def _basis_tables(modes: int, n_max: int) -> tuple:
-    """Sectors, read-only sector offsets, sector slices, states and the
-    state -> index dict of one basis (cached table, shared by every
-    FockBasis of these dimensions)."""
+# (modes, n_max) -> the one FockBasis of those dimensions
+_BASES = {}
+
+
+def _new_basis(modes: int, n_max: int) -> "FockBasis":
+    """A FockBasis of these dimensions with its tables: sectors, read-only
+    sector offsets, sector slices, states, the state -> index dict and the
+    read-only total photon number of every state."""
+    if modes < 0:
+        raise ValueError(f"mode count must be >= 0, got {modes}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if modes == 0:
         sectors = (((),),) + ((),) * n_max
     else:
         sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
-    offsets = np.concatenate([[0], np.cumsum([len(s) for s in sectors])])
-    offsets.flags.writeable = False
-    slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
-    states = tuple(occ for sec in sectors for occ in sec)
-    return sectors, offsets, slices, states, {occ: i for i, occ in enumerate(states)}
+    basis = object.__new__(FockBasis)
+    basis.modes, basis.n_max, basis._sectors = modes, n_max, sectors
+    basis._offsets = np.concatenate([[0], np.cumsum([len(s) for s in sectors])])
+    basis._slices = tuple(slice(int(a), int(b))
+                          for a, b in zip(basis._offsets[:-1], basis._offsets[1:]))
+    basis.states = tuple(occ for sec in sectors for occ in sec)
+    basis._index = {occ: i for i, occ in enumerate(basis.states)}
+    basis.size = len(basis.states)
+    basis._totals = np.repeat(np.arange(n_max + 1), np.diff(basis._offsets))
+    basis._offsets.flags.writeable = basis._totals.flags.writeable = False
+    return basis
 
 
 class FockBasis:
     """Canonical enumeration of occupation states for `modes` modes, 0..n_max photons.
 
-    Immutable after construction; the lookup tables are built once per
-    (modes, n_max) and shared, and the object is safe to share across threads.
-    A zero-mode basis (single vacuum state ``()``) is permitted as the trivial
-    result of tracing out every mode.
+    There is one instance per (modes, n_max): the constructor returns it,
+    with its lookup tables built the first time, so bases compare and hash
+    by identity, and the object is immutable and safe to share across
+    threads.  A zero-mode basis (single vacuum state ``()``) is permitted as
+    the trivial result of tracing out every mode.
     """
 
+    def __new__(cls, modes: int, n_max: int):
+        basis = _BASES.get((modes, n_max))
+        if basis is None:
+            # should two threads both build one, setdefault keeps the first
+            basis = _BASES.setdefault((modes, n_max), _new_basis(modes, n_max))
+        return basis
+
     def __init__(self, modes: int, n_max: int):
-        if modes < 0:
-            raise ValueError(f"mode count must be >= 0, got {modes}")
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        self.modes = modes
-        self.n_max = n_max
-        self._sectors, self._offsets, self._slices, self.states, self._index = \
-            _basis_tables(modes, n_max)
-        self.size = len(self.states)
+        """Nothing left to set: `__new__` returned the finished instance.
+        Kept as the constructor's hook, which `perfbench/tracer.py` wraps."""
+
+    def __reduce__(self):
+        return FockBasis, (self.modes, self.n_max)
 
     def sector(self, total: int):
         """Ordered occupation tuples of the fixed-total sector."""
@@ -103,21 +120,11 @@ class FockBasis:
         return self.states[index]
 
     def totals(self) -> np.ndarray:
-        """Total photon number of every basis state, as an int array."""
-        return np.repeat(np.arange(self.n_max + 1), np.diff(self._offsets))
+        """Total photon number of every basis state, as a read-only int array."""
+        return self._totals
 
     def __len__(self):
         return self.size
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FockBasis)
-            and self.modes == other.modes
-            and self.n_max == other.n_max
-        )
-
-    def __hash__(self):
-        return hash((self.modes, self.n_max))
 
     def __repr__(self):
         return f"FockBasis(modes={self.modes}, n_max={self.n_max})"

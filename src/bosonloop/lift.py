@@ -72,35 +72,49 @@ def _parent_columns(modes: int, total: int):
     return np.array(first, dtype=int), np.array(parent, dtype=int), np.repeat(1.0 / norm, 2)
 
 
+@lru_cache(maxsize=None)
+def _photon_panels(modes: int, total: int, width: int, panel: int) -> tuple:
+    """The plan of `_add_photon` for `width` columns into sector `total`:
+    that sector's size, and its row panels of sector total-1 of about
+    `panel` entries, each (p0, p1, weights, targets): the panel's weights
+    for each mode as a (p1 - p0, 1) column, and its target rows for each
+    mode, a slice where the raising map is a contiguous range."""
+    target, weight, start = _raising_maps(modes, total)
+    lower = target.shape[1]
+    rows = max(1, panel // width)
+    panels = []
+    for p0 in range(0, lower, rows):
+        p1 = min(p0 + rows, lower)
+        panels.append((p0, p1, weight[:, p0:p1, None], tuple(
+            target[b, p0:p1] if start[b] is None else slice(start[b] + p0, start[b] + p1)
+            for b in range(modes))))
+    return sector_size(modes, total), tuple(panels)
+
+
 def _add_photon(coef: np.ndarray, prev: np.ndarray, parent: np.ndarray,
                 total: int) -> np.ndarray:
     """sum_b coef[b, j] a_dag[b] applied to column parent[j] of the
     amplitudes `prev` on sector total-1, for every j at once; returns the
     amplitudes on sector `total`, one column per j.
 
-    The rows of `prev` go through in panels of about _PANEL entries,
+    The rows of `prev` go through in the panels of `_photon_panels`,
     gathered in C order; a raising map that is a contiguous range adds
     through a slice instead of a gather and a scatter.  Each output row
     gets its terms in ascending b, as one column at a time would: its
     parents r - e_b rise with b in lexicographic order, so the panels meet
     them in that order.  The weight multiplies the float64 view, which
     rounds as real x complex does on entries that are never -0.0 (sums
-    from +0.0 are not).  The
-    coefficients enter as (1, k) rows: on numpy 2.4.6 (AVX-512) a (1,) row
-    times a 1 x 1 array rounds like the plain-Python product, without the
-    fused multiply-add of the other layouts, so single-column results would
-    drift by an ulp."""
-    modes = len(coef)
-    target, weight, start = _raising_maps(modes, total)
-    out = np.zeros((sector_size(modes, total), len(parent)), dtype=complex)
-    rows = max(1, _PANEL // len(parent))
-    for p0 in range(0, len(prev), rows):
-        p1 = min(p0 + rows, len(prev))
+    from +0.0 are not).  The coefficients enter as (1, k) rows: on numpy
+    2.4.6 (AVX-512) a (1,) row times a 1 x 1 array rounds like the
+    plain-Python product, without the fused multiply-add of the other
+    layouts, so single-column results would drift by an ulp."""
+    size, panels = _photon_panels(len(coef), total, len(parent), _PANEL)
+    out = np.zeros((size, len(parent)), dtype=complex)
+    coef_rows = [coef[b:b + 1] for b in range(len(coef))]
+    for p0, p1, weights, targets in panels:
         amps = prev[p0:p1].take(parent, axis=1).view(np.float64)
-        for b in range(modes):
-            t = (weight[b, p0:p1, None] * amps).view(complex)
-            to = target[b, p0:p1] if start[b] is None else slice(start[b] + p0, start[b] + p1)
-            out[to] += coef[b:b + 1] * t
+        for row, weight, to in zip(coef_rows, weights, targets):
+            out[to] += row * (weight * amps).view(complex)
     return out
 
 
@@ -139,7 +153,7 @@ class LiftedUnitary:
         division multiplies the float64 view by the reciprocal in place, as
         numpy's complex / real does."""
         first, parent, scale = _parent_columns(self.basis.modes, n)
-        out = _add_photon(self.matrix[:, first], self._blocks[n - 1], parent, n)
+        out = _add_photon(self.matrix.take(first, axis=1), self._blocks[n - 1], parent, n)
         parts = out.view(np.float64)
         parts *= scale
         return out

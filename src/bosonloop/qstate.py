@@ -2,11 +2,12 @@
 
 import json
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .errors import TruncationError
-from .fock import FockBasis, tensor_index_map
+from .fock import FockBasis, tensor_index_map, total_size
 
 # printf format of every probability and fidelity written to a CSV artifact
 FLOAT_FMT = "%.12e"
@@ -75,13 +76,13 @@ class DensityMatrix:
         """Diagonal probability mass per photon-number sector, of the sectors
         after `above` only: `sector_weights(n)` is `sector_weights()[n + 1:]`,
         term for term."""
-        first, slices = _sectors_after(self.basis, above)
+        first, slices, tail = _sectors_after(self.basis, above)
         diag = (self.mat.diagonal()[first:] if self.block0 is None
-                else self.block0[charge0_layout(self.basis)[2][first:]]).real
+                else self.block0[tail]).real
         if slices is None:
             # one state per sector: each sum is 0.0 + its entry, as numpy sums
             return diag + 0.0
-        return np.array([diag[sl].sum() for sl in slices])
+        return np.array([np.add.reduce(diag[sl]) for sl in slices])
 
     def charge0(self) -> np.ndarray | None:
         """The charge-0 entries in the order of `charge0_layout`: `block0`
@@ -119,11 +120,21 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, path) -> "DensityMatrix":
+        """The state a JSON file holds.  Its header must name the basis its
+        matrix spans, checked before the basis is built: a basis holds at
+        least n_max + 1 states, and with n_max >= 1 at least modes + 1 (the
+        vacuum and one photon in each mode), so a header past the matrix's
+        width is refused before its states are counted."""
         with open(path) as fh:
             payload = json.load(fh)
-        basis = FockBasis(int(payload["modes"]), int(payload["n_max"]))
+        modes, n_max = int(payload["modes"]), int(payload["n_max"])
         mat = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
-        return cls(basis, mat)
+        width = len(mat)
+        if (n_max >= width or (n_max and modes >= width)
+                or mat.shape != (total_size(modes, n_max),) * 2):
+            raise ValueError(f"matrix shape {mat.shape} does not match the basis of "
+                             f"modes={modes}, n_max={n_max}")
+        return cls(FockBasis(modes, n_max), mat)
 
     def __repr__(self):
         return f"DensityMatrix(basis={self.basis!r})"
@@ -381,16 +392,27 @@ def charge0_layout(basis: FockBasis) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def charge0_transpose(basis: FockBasis) -> np.ndarray:
+    """Where the transpose (j, i) of each charge-0 entry (i, j) lies in the
+    order of `charge0_layout` (read-only)."""
+    rows, cols = charge0_layout(basis)[:2]
+    out = np.searchsorted(charge_split(basis)[0], cols + basis.size * rows)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _sectors_after(basis: FockBasis, above: int) -> tuple:
     """The diagonal entries of the sectors that `sector_weights(above)` sums,
-    a tail of the basis: the index of its first state, and each sector's
-    slice of the tail, or None when every sector holds one state."""
+    a tail of the basis: the index of its first state, each sector's slice
+    of the tail, or None when every sector holds one state, and the tail's
+    positions in the vector form of `charge0_layout`."""
     sectors = [basis.sector_slice(n) for n in range(basis.n_max + 1)[above + 1:]]
     first = sectors[0].start if sectors else basis.size
     slices = tuple(slice(sl.start - first, sl.stop - first) for sl in sectors)
     if sectors and all(sl.stop - sl.start == 1 for sl in sectors):
         slices = None
-    return first, slices
+    return first, slices, charge0_layout(basis)[2][first:]
 
 
 def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
@@ -412,7 +434,9 @@ def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
         inner = sqrt_a @ b @ sqrt_a
         lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
     roots = np.sqrt(np.clip(lam, 0.0, None)).reshape(len(a), -1)
-    return [min(max(float(r.sum() ** 2), 0.0), 1.0) for r in roots]
+    # each row's sum is the one a 1-D sum of that row gives; a float's ** 2 is
+    # libm pow, as a numpy scalar's is
+    return [min(max(r ** 2, 0.0), 1.0) for r in np.add.reduce(roots, axis=1).tolist()]
 
 
 def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
@@ -435,8 +459,9 @@ def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     blocked = [k for k, v in enumerate(entries) if v is not None]
     out = np.empty(len(states))
     if blocked:
-        stack = np.zeros((len(blocked) + 1, np.prod(shape)), dtype=complex)
-        stack[:, pos] = [entries[k] for k in blocked] + [target]
+        stack = np.zeros((len(blocked) + 1, prod(shape)), dtype=complex)
+        stack[:, pos] = np.concatenate([entries[k] for k in blocked] + [target]).reshape(
+            len(blocked) + 1, -1)
         stack = stack.reshape(-1, *shape)
         out[blocked] = _fidelity_kernel(stack[:-1], stack[-1])
     for k, v in enumerate(entries):

@@ -63,6 +63,11 @@ CONFIGS = {
     "l0": {**_L0, "n_max": 3},
     "l0_default_n_max": _L0,
     "default_n_max": {k: v for k, v in _FOCK.items() if k != "n_max"},
+    # the pinned stabilization study: 9 of its 33 rungs fail and climb the
+    # truncation ladder, one of them to tau = 441
+    "stab_ladder": {"schema": 1, "M": 2, "L": 1, "n_max": 14, "iterations": 1,
+                    "input": {"type": "fock", "occupation": [1]},
+                    "unitary": {"type": "haar", "seed": 0}},
 }
 
 _EVOLVE = [["evolve", "--method", m] for m in ("unfold", "pdm", "kraus")]
@@ -87,6 +92,7 @@ CALLS = (
     + [("l0", argv) for argv in _EVOLVE + _SAMPLE[1:] + _STATIONARY[:1]]
     + [("l0_default_n_max", argv) for argv in _EVOLVE]
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]
+    + [("stab_ladder", ["stabilization", "--samples", "24", "--seed", "7"])]
 )
 
 

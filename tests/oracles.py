@@ -11,12 +11,12 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.channels import QuantumChannel, fixed_point, stationary_state
+from bosonloop.channels import QuantumChannel, _probe, fixed_point, stationary_state
 from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _parent_columns, _raising_maps
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel,
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel, joint_parts,
                              overflow_weight, tensor_product_blocks)
 from bosonloop.reconstruct import ReconstructionInfo, project_psd
 from bosonloop.tensors import (CorrelationTensor, TensorSet, _check_spectral_radius,
@@ -420,6 +420,99 @@ def loop_kraus_dense(lifted, rho_ext, prune: float = 1e-14) -> list:
         ops = sqrt(lam) * w[jmap_out]
         kraus.extend(ops[np.abs(ops).max(axis=(1, 2)) > prune])
     return kraus
+
+
+def _lifted_columns_by_sector(ext_basis, loop_basis, joint, alpha: int) -> list:
+    """(n, src, dst) for each joint sector n >= n_alpha: the flat positions
+    src in block n of the columns L(U) (|alpha> tensor |j>), and their flat
+    positions J * d + j in a (joint.size, d) array in joint order."""
+    d = loop_basis.size
+    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
+    n_alpha = sum(ext_basis.state(alpha))
+    out = []
+    for k in range(joint.n_max - n_alpha + 1):
+        n, loop_k = n_alpha + k, loop_basis.sector_slice(k)
+        js = np.arange(loop_k.start, loop_k.stop)
+        rows = np.arange(joint.sector_slice(n).start, joint.sector_slice(n).stop)
+        src = np.arange(rows.size)[:, None] * rows.size + (jmap_in[alpha, js] - rows[0])
+        out.append((n, src.ravel(), (rows[:, None] * d + js).ravel()))
+    return out
+
+
+def loop_channel_per_sector(lifted, rho_ext) -> QuantumChannel:
+    """`loop_channel` as the package built it before it gathered each
+    amplitude's lifted columns at once: a take, a multiply and a fancy add
+    per sector block, in joint order, then one argsort of the nonzeros
+    into (m, i, j) order."""
+    joint = lifted.basis
+    ext_basis = rho_ext.basis
+    loop_basis = FockBasis(joint.modes - ext_basis.modes, joint.n_max)
+    n_env = rho_ext.max_populated_sector()
+    evals, evecs = np.linalg.eigh(rho_ext.mat)
+    d = loop_basis.size
+    out_of, row_of = joint_parts(FockBasis(ext_basis.modes, joint.n_max), loop_basis, joint)
+    parts, n_ops = [], 0
+    for lam, psi in zip(evals, evecs.T):
+        if lam < 1e-12:
+            continue
+        w = np.zeros(joint.size * d, dtype=complex)
+        for alpha, c in enumerate(psi):
+            if abs(c) >= 1e-16:
+                for n, src, dst in _lifted_columns_by_sector(ext_basis, loop_basis, joint,
+                                                             alpha):
+                    w[dst] += c * lifted.block(n).take(src)
+        at, cols = np.divmod(np.flatnonzero(w), d)
+        order = np.argsort((out_of[at] * d + row_of[at]) * d + cols)
+        at, cols = at[order], cols[order]
+        values = sqrt(lam) * w[at * d + cols]
+        nonzero = values != 0
+        at, cols, values = at[nonzero], cols[nonzero], values[nonzero]
+        if not values.size:
+            continue
+        starts = np.flatnonzero(np.diff(out_of[at], prepend=-1))
+        sizes = np.diff(starts, append=at.size)
+        kept = np.maximum.reduceat(np.abs(values), starts) > 1e-14
+        keep = np.repeat(kept, sizes)
+        owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
+        parts.append((row_of[at[keep]], cols[keep], values[keep], owner))
+        n_ops += int(np.count_nonzero(kept))
+    return QuantumChannel(loop_basis, tuple(np.concatenate(p) for p in zip(*parts)),
+                          valid_max_photons=joint.n_max - n_env, max_photon_gain=n_env)
+
+
+def fixed_point_dense(channel) -> DensityMatrix | None:
+    """`fixed_point` as the package ran it before the fixed point stayed in
+    vector form: the bordered system built afresh, and the solution
+    scattered into a d x d matrix, Hermitized, normalized and checked there."""
+    g = channel.superop_block(0)
+    m = g.shape[0]
+    d = channel.basis.size
+    tr_vec = np.eye(d, dtype=complex).flatten(order="F")[channel.charge_blocks[0]]
+    t = tr_vec / d
+    a = np.eye(m, dtype=complex) - g + np.outer(t, tr_vec.conj())
+    z = _probe(m)
+    try:
+        x, probe = np.linalg.solve(a, np.column_stack([t, z])).T
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(probe))):
+        return None
+    if np.linalg.norm(a @ probe - z) > 1e-8 * np.linalg.norm(z):
+        return None
+    if np.linalg.norm(g @ x - x) > 1e-10 * max(1.0, np.linalg.norm(x)):
+        return None
+    if len(channel.charge_blocks) > 1:
+        rho = DensityMatrix.from_block0(channel.basis, x).mat
+    else:
+        rho = np.ascontiguousarray(x.reshape((d, d), order="F"))
+    rho = (rho + rho.conj().T) / 2
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > 1e-8:
+        return None
+    rho /= tr
+    if np.linalg.eigvalsh(rho)[0] < -1e-8:
+        return None
+    return DensityMatrix(channel.basis, rho, check=False)
 
 
 def nonzeros_by_scan(kraus) -> tuple:

@@ -22,7 +22,8 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
                               tensor_product, trace_distance, uhlmann_fidelity)
 
 from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
-                     coherent_dm, fidelity_svd, identity_channel, kraus_pure_fock, loop_kraus_dense,
+                     coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
+                     kraus_pure_fock, loop_channel_per_sector, loop_kraus_dense,
                      loop_kraus_from_full, loss_kraus_loop, nonzeros_by_scan,
                      spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
@@ -683,19 +684,21 @@ def test_loop_channel_nonzeros_equal_the_dense_stack_scan(modes, looped, n_max, 
     # the nonzeros loop_channel emits are those one np.nonzero scan per
     # operator finds in the dense (outputs, d, d) stack, and the scattered
     # operators are that stack, byte for byte; the lossy inputs reach the
-    # loop through the input loss channel
+    # loop through the input loss channel.  The per-sector gather it
+    # replaced emits them too.
     losses = LossSpec(t_in=np.full(modes, 0.9), t_out=np.full(modes, 0.95),
                       loop_transmission=0.8) if lossy else LossSpec()
     ext_in = _INPUTS[kind](FockBasis(modes - looped, 2))
     setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1,
                                         haar_seed=modes + 7, input_state=ext_in,
                                         n_max=n_max, losses=losses))
-    chan = loop_channel(setup.lifted, setup.rho_ext_in)
     dense = loop_kraus_dense(setup.lifted, setup.rho_ext_in)
-    for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert len(chan.kraus) == len(dense) >= 1
-    assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
+    for build in (loop_channel, loop_channel_per_sector):
+        chan = build(setup.lifted, setup.rho_ext_in)
+        for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert len(chan.kraus) == len(dense) >= 1
+        assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
 
 
 def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():
@@ -858,10 +861,17 @@ def test_vector_apply_equals_the_dense_route_bit_for_bit(kind, seed, n_max, zero
     dense = np.full((basis.size, basis.size), complex(zero, zero))
     dense[rows, cols] = v
     routes = [DensityMatrix.from_block0(basis, v.copy()),
-              DensityMatrix(basis, dense.copy(), check=False)]
+              DensityMatrix(basis, dense.copy(), check=False),
+              DensityMatrix.from_block0(basis, v.copy())]
     want = DensityMatrix(basis, dense.copy(), check=False)
     for _ in range(3):
-        outcomes = [_outcome_bits(chan, rho, LEAK_TOLERANCE) for rho in routes]
+        # the third route steps a fresh copy of the channel each time, so
+        # `apply` builds its step tables for it, while the first two reuse
+        # the tables cached on `chan`
+        fresh = QuantumChannel(basis, chan.nonzeros, chan.valid_max_photons,
+                               chan.max_photon_gain)
+        outcomes = [_outcome_bits(c, rho, LEAK_TOLERANCE)
+                    for c, rho in zip((chan, chan, fresh), routes)]
         try:
             want = apply_dense(chan, want, LEAK_TOLERANCE)
         except TruncationError:
@@ -871,3 +881,45 @@ def test_vector_apply_equals_the_dense_route_bit_for_bit(kind, seed, n_max, zero
             assert bits == want.mat.tobytes()
             assert (out.block0 is not None) == (len(chan.charge_blocks) > 1)
         routes = [out for _, out in outcomes]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["loop", "two loops", "lossy", "loss", "mixed"]),
+       seed=st.integers(0, 2 ** 16), n_max=st.integers(1, 8))
+def test_vector_fixed_point_equals_the_dense_one_bit_for_bit(kind, seed, n_max):
+    # the fixed point Hermitized and normalized on its charge-0 vector is the
+    # one scattered into a d x d matrix first, to the last bit, and gives up
+    # on the same channels; a channel mixing photon numbers solves on every
+    # entry and stays dense
+    chan = _test_channel(kind, seed, n_max)
+    got, want = fixed_point(chan), fixed_point_dense(chan)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.block0 is not None) == (len(chan.charge_blocks) > 1)
+        assert got.mat.tobytes() == want.mat.tobytes()
+
+
+def test_stabilization_rungs_build_the_oracles_channels_and_fixed_points():
+    # every rung of 100 Haar samples of the stab_mc config, the truncation
+    # ladder's included: the channel's nonzeros and the fixed point match the
+    # per-sector gather and the dense fixed point bit for bit
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
+                           input_occupation=(1,), n_max=14)
+    rungs = []
+
+    def checked(sample, blocks):
+        setup = _LoopSetup(sample, blocks)
+        chan = loop_channel(setup.lifted, setup.rho_ext_in)
+        ref = loop_channel_per_sector(setup.lifted, setup.rho_ext_in)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chan.nonzeros, ref.nonzeros))
+        got, want = fixed_point(chan), fixed_point_dense(ref)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.mat.tobytes() == want.mat.tobytes()
+        rungs.append((sample.n_max, got is None))
+        return stabilization_time(sample, lifted_blocks=blocks)
+
+    _haar_samples(cfg, 100, 7, checked)
+    assert len(rungs) >= 120
+    assert {n for n, _ in rungs} >= {14, 21, 32} and any(failed for _, failed in rungs)
+

@@ -614,6 +614,18 @@ def test_stabilization_outputs(tmp_path):
     assert summary["median"] is not None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(times=st.lists(st.integers(0, 10 ** 5), min_size=1, max_size=300))
+def test_summary_quartiles_and_mean_are_numpys(times):
+    # exact arithmetic on the sorted integers gives np.percentile's linear
+    # quartiles and np.mean's mean, float for float
+    ordered = sorted(times)
+    got = [bosonloop.cli._quartile(ordered, k) for k in (1, 2, 3)] + [sum(times) / len(times)]
+    want = [float(q) for q in np.percentile(np.array(ordered), [25, 50, 75])]
+    want.append(float(np.array(ordered).mean()))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_reconstruct_report(tmp_path):
     losses = {"t_in": [0.5, 0.5], "t_out": [1.0, 1.0], "loop_T": 0.5}
     path = write_config(tmp_path, n_max=8, iterations=1, losses=losses)
@@ -874,6 +886,30 @@ def test_fuzzed_command_lines_exit_cleanly_under_a_memory_limit(tmp_path):
         error = json.loads(result["last"])["error"]
         assert (result["code"], error["type"]) == (EXIT_SIZE_CAP, "SizeCapError")
         assert error["cap"] == DENSE_DIM_CAP
+
+
+def test_an_oversized_density_matrix_header_exits_2_before_its_basis_is_built(tmp_path):
+    # a 1 x 1 matrix under headers whose bases hold 32.8 million states and
+    # far more: each file is refused from its header and matrix width, under
+    # the sweep's 2.5 GB address-space limit, without enumerating the basis
+    argvs = []
+    for modes, n_max in ((5, 80), (30000, 10 ** 6)):
+        rho = tmp_path / f"rho_{modes}.json"
+        rho.write_text(json.dumps({"modes": modes, "n_max": n_max, "re": [[1.0]], "im": [[0.0]]}))
+        path = write_config(tmp_path, f"dm_{modes}.json", M=6, L=1, n_max=3,
+                            input={"type": "dm", "path": rho.name})
+        argvs.append(["evolve", path, "--out", str(tmp_path / f"o{modes}")])
+    env = {**os.environ, "PYTHONPATH": str(Path(bosonloop.__file__).parents[1]),
+           **{var: "1" for var in BLAS_THREAD_VARS}}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(argvs),
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    for (modes, n_max), line in zip(((5, 80), (30000, 10 ** 6)), proc.stdout.splitlines()):
+        result = json.loads(line)
+        assert (result["code"], result["escaped"]) == (2, None)
+        error = json.loads(result["last"])["error"]
+        assert error["type"] == "ConfigError"
+        assert f"modes={modes}, n_max={n_max}" in error["message"]
 
 
 def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -151,6 +153,17 @@ def test_cached_tables_equal_a_fresh_enumeration():
             # a second basis of the same dimensions shares the tables
             again = FockBasis(modes, n_max)
             assert again.states is basis.states and again._offsets is basis._offsets
+
+
+def test_a_basis_is_one_instance_per_dimensions():
+    # equal dimensions give the one instance, which copies and pickling keep
+    basis = FockBasis(2, 3)
+    assert FockBasis(2, 3) is basis and FockBasis(modes=2, n_max=3) is basis
+    assert copy.deepcopy(basis) is basis and pickle.loads(pickle.dumps(basis)) is basis
+    assert basis != FockBasis(2, 4) and basis != FockBasis(3, 3)
+    assert len({basis, FockBasis(2, 3), FockBasis(2, 4)}) == 2
+    with pytest.raises(ValueError):
+        FockBasis(2, -1)
 
 
 def test_shared_offsets_are_read_only():
