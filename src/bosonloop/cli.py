@@ -2,9 +2,14 @@
 
 `main` runs every subcommand the same way: it checks the request, loads the
 config, lets the subcommand stage its output files in memory, writes them
-atomically (temp file + rename) only on success, and finishes with a
-manifest carrying the config hash and per-file content hashes, so identical
-(config, seed) pairs are byte-reproducible.
+only on success, and finishes with a manifest carrying the config hash and
+per-file content hashes, so identical (config, seed) pairs are
+byte-reproducible.  The old manifest goes first, so a failed run leaves
+none.  Each file is written whole to a temp file, the old file of its name
+is removed, and the temp file is renamed in: readers never see a torn file,
+and no rename replaces a file, which on ext4 (`auto_da_alloc`) would start
+the new file's writeback.  Nothing is fsynced, so no file is promised to
+survive a power loss; the manifest hashes are the check after a crash.
 
 Exit codes: 0 ok, 2 config or request (a bad command line too), 3 truncation,
 4 degenerate fixed point, 5 reconstruction failure, 6 size cap or a
@@ -224,13 +229,21 @@ def _matrix_text(a: np.ndarray, newline: str) -> str:
 
 
 def _write_atomic(out_dir, name: str, data: bytes) -> None:
-    """Write `out_dir/name` through a temp file and a rename; a failed write
-    removes the temp file."""
+    """Write `out_dir/name` whole to a temp file, remove the old file, then
+    rename the temp file in; a failed write removes the temp file.  A rename
+    onto an existing name would start the new file's writeback on ext4
+    (`auto_da_alloc`), a flush worth nothing without an fsync: no file is
+    promised to survive a power loss, the manifest hashes are the check.
+    `_Stager.flush` removes the old manifest first, so a failed run leaves
+    none."""
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, os.path.join(out_dir, name))
+        path = os.path.join(out_dir, name)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -253,6 +266,8 @@ class _Stager:
 
     def flush(self) -> list:
         os.makedirs(self.out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):  # it names the old files
+            os.unlink(os.path.join(self.out_dir, "manifest.json"))
         entries = []
         for name in sorted(self.files):
             data = self.files[name].encode()

@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -956,6 +957,58 @@ def test_out_naming_a_file_exits_1_with_json_error(tmp_path, capsys):
     assert str(out) in err["message"]
     assert captured.err == ""
     assert out.read_text() == "keep"
+
+
+def test_a_failed_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys):
+    config, out = write_config(tmp_path), tmp_path / "o"
+    assert main(["evolve", config, "--out", str(out)]) == 0
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "rho_det.json":
+            raise PermissionError("read-only")
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["evolve", config, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "OutputError"
+    # the distribution files the rerun put in place are removed again, and so
+    # is the first run's manifest, which named them; the first run's
+    # run_info.json, after rho_det.json in write order, was never touched
+    assert [p.name for p in out.iterdir()] == ["run_info.json"]
+
+
+def test_rewriting_an_output_directory_renames_onto_no_existing_name(tmp_path, monkeypatch):
+    config, out, fresh = write_config(tmp_path), tmp_path / "o", tmp_path / "fresh"
+    argv = ["evolve", config, "--method", "kraus"]
+    assert main([*argv, "--out", str(fresh)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("keep")
+    replace = os.replace
+
+    def checked_replace(src, dst):
+        # a rename onto an existing file starts its writeback on ext4
+        assert not os.path.lexists(dst), dst
+        replace(src, dst)
+    monkeypatch.setattr(os, "replace", checked_replace)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "keep"
+    assert _data_files(out) == {**_data_files(fresh), "notes.txt": b"keep"}
+    assert _manifest_hashes(out) == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir() if p.name not in ("manifest.json", "notes.txt")}
+    assert not list(out.glob(".*"))
+
+
+@pytest.mark.parametrize("name", ["rho_det.json", "manifest.json"])
+def test_an_output_name_held_by_a_directory_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (err["code"], err["type"]) == (1, "OutputError")
+    assert captured.err == ""
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_stationary_superop_two_looped_modes_n_max_10(tmp_path):
