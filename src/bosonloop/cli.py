@@ -4,18 +4,20 @@
 config, lets the subcommand stage its output files in memory, writes them
 only on success, and finishes with a manifest carrying the config hash and
 per-file content hashes, so identical (config, seed) pairs are
-byte-reproducible.  The old manifest goes first, so a failed run leaves
-none.  Each file is written whole to a temp file, the old file of its name
-is removed, and the temp file is renamed in: readers never see a torn file,
-and no rename replaces a file, which on ext4 (`auto_da_alloc`) would start
-the new file's writeback.  Nothing is fsynced, so no file is promised to
-survive a power loss; the manifest hashes are the check after a crash.
+byte-reproducible.  The old manifest goes first, and a failed run removes
+every file of its output names, so --out holds a whole run or none of it.
+Each file is written whole to a temp file, the old file of its name is
+removed, and the temp file is renamed in: readers never see a torn file,
+though for a moment a name may be missing, and no rename replaces a file,
+which on ext4 (`auto_da_alloc`) would start its writeback.  Nothing is
+fsynced, so no file is promised to survive a power loss; the manifest
+hashes are the check after a crash.
 
 Exit codes: 0 ok, 2 config or request (a bad command line too), 3 truncation,
 4 degenerate fixed point, 5 reconstruction failure, 6 size cap or a
 MemoryError, 1 any other package error (such as a ConvergenceError from
 `stationary --method iterate`, or an OutputError when the files cannot be
-written; the files the run already wrote are removed).
+written; then no file of the run's output names is left).
 """
 
 import argparse
@@ -234,8 +236,7 @@ def _write_atomic(out_dir, name: str, data: bytes) -> None:
     onto an existing name would start the new file's writeback on ext4
     (`auto_da_alloc`), a flush worth nothing without an fsync: no file is
     promised to survive a power loss, the manifest hashes are the check.
-    `_Stager.flush` removes the old manifest first, so a failed run leaves
-    none."""
+    A failed run leaves no manifest: `_write_manifest` removes every name."""
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -256,7 +257,6 @@ class _Stager:
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.files = {}
-        self.written = []
 
     def add_text(self, name: str, text: str) -> None:
         self.files[name] = text
@@ -272,7 +272,6 @@ class _Stager:
         for name in sorted(self.files):
             data = self.files[name].encode()
             _write_atomic(self.out_dir, name, data)
-            self.written.append(os.path.join(self.out_dir, name))
             entries.append({"path": name,
                             "sha256": hashlib.sha256(data).hexdigest()})
         return entries
@@ -281,7 +280,8 @@ class _Stager:
 def _write_manifest(stager: _Stager, raw_config: dict, subcommand: str,
                     seed, started: float) -> None:
     """Flush the staged files and write the manifest; an OSError on the way
-    removes the files already in place and becomes an OutputError."""
+    removes every file of the output names, old or new, and becomes an
+    OutputError."""
     canon = json.dumps(raw_config, sort_keys=True, separators=(",", ":")).encode()
     try:
         outputs = stager.flush()
@@ -296,9 +296,9 @@ def _write_manifest(stager: _Stager, raw_config: dict, subcommand: str,
         _write_atomic(stager.out_dir, "manifest.json",
                       (json_text(manifest) + "\n").encode())
     except OSError as exc:
-        for path in stager.written:
+        for name in [*stager.files, "manifest.json"]:
             with contextlib.suppress(OSError):
-                os.unlink(path)
+                os.unlink(os.path.join(stager.out_dir, name))
         raise OutputError(f"cannot write outputs to {stager.out_dir}: {exc}") from exc
 
 

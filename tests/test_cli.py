@@ -969,12 +969,13 @@ def test_a_failed_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys
             raise PermissionError("read-only")
         replace(src, dst)
     monkeypatch.setattr(os, "replace", failing_replace)
+    (out / "notes.txt").write_text("keep")
     assert main(["evolve", config, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "OutputError"
     # the distribution files the rerun put in place are removed again, and so
-    # is the first run's manifest, which named them; the first run's
-    # run_info.json, after rho_det.json in write order, was never touched
-    assert [p.name for p in out.iterdir()] == ["run_info.json"]
+    # are the first run's manifest, which named them, and its run_info.json,
+    # after rho_det.json in write order: no output of the command is left
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 def test_rewriting_an_output_directory_renames_onto_no_existing_name(tmp_path, monkeypatch):
