@@ -284,7 +284,8 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
 
     rho_ext lives on the external modes (the leading M-L ones); the looped
     modes are the trailing L.  Spectrally decomposes rho_ext (eigenvalues
-    below 1e-12 dropped) and emits K = sqrt(lambda_j) <m| L(U) |psi_j> for
+    below 1e-12 dropped; a pure number state's one pair is read off, see
+    `_eigenpairs`) and emits K = sqrt(lambda_j) <m| L(U) |psi_j> for
     every external output basis state m, pruning Kraus operators that vanish
     by photon-number bookkeeping.  The columns of L(U) are read from its
     sector blocks, gathered once per nonzero amplitude of psi_j; the dense
@@ -301,7 +302,7 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     if n_env > joint.n_max:
         raise TruncationError("rho_ext populates sectors beyond the joint truncation")
 
-    evals, evecs = np.linalg.eigh(rho_ext.mat)
+    evals, evecs = _eigenpairs(rho_ext.mat)
     d = loop_basis.size
     # the injected state may live on a smaller truncation than the joint
     # space, but the output projectors <m| span the full external basis:
@@ -342,6 +343,21 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
         valid_max_photons=joint.n_max - n_env,
         max_photon_gain=n_env,
     )
+
+
+def _eigenpairs(mat: np.ndarray) -> tuple:
+    """`np.linalg.eigh(mat)`, or for a pure number state |j><j| (one nonzero
+    entry, 1.0 at (j, j)) its one eigenpair (1.0, e_j) without the solve:
+    every Fock input is one.  On numpy 2.4.6 with OpenBLAS, eigh returns
+    exactly that pair for such a state (its other eigenvalues are zeros,
+    dropped by _EIG_CUTOFF), so the Kraus operators keep their bits."""
+    d = mat.shape[0]
+    at = np.flatnonzero(mat)
+    if at.size == 1 and at[0] % (d + 1) == 0 and mat.flat[at[0]] == 1.0:
+        evec = np.zeros((d, 1), dtype=complex)
+        evec[at[0] // (d + 1)] = 1.0
+        return np.ones(1), evec
+    return np.linalg.eigh(mat)
 
 
 def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:

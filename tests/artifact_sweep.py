@@ -68,6 +68,12 @@ CONFIGS = {
     "stab_ladder": {"schema": 1, "M": 2, "L": 1, "n_max": 14, "iterations": 1,
                     "input": {"type": "fock", "occupation": [1]},
                     "unitary": {"type": "haar", "seed": 0}},
+    # a pure two-photon Fock injection on three external modes; the lossy
+    # line keeps the stationary state inside n_max
+    "m5_pure": {"schema": 1, "M": 5, "L": 2, "n_max": 6, "iterations": 3,
+                "input": {"type": "fock", "occupation": [1, 1, 0]},
+                "unitary": {"type": "haar", "seed": 9}, "losses": {"loop_T": 0.2},
+                "seed": 4},
 }
 
 _EVOLVE = [["evolve", "--method", m] for m in ("unfold", "pdm", "kraus")]
@@ -93,6 +99,7 @@ CALLS = (
     + [("l0_default_n_max", argv) for argv in _EVOLVE]
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]
     + [("stab_ladder", ["stabilization", "--samples", "24", "--seed", "7"])]
+    + [("m5_pure", argv) for argv in (_EVOLVE[2], _STATIONARY[0])]
 )
 
 

@@ -23,7 +23,8 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
 
 from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
                      coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
-                     kraus_pure_fock, loop_channel_per_sector, loop_kraus_dense,
+                     kraus_pure_fock, loop_channel_eigh, loop_channel_per_sector,
+                     loop_kraus_dense,
                      loop_kraus_from_full, loss_kraus_loop, nonzeros_by_scan,
                      spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
@@ -699,6 +700,84 @@ def test_loop_channel_nonzeros_equal_the_dense_stack_scan(modes, looped, n_max, 
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert len(chan.kraus) == len(dense) >= 1
         assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
+
+
+def _interferometer(kind: str, modes: int) -> np.ndarray:
+    if kind == "haar":
+        return haar_random_unitary(modes, 50 + modes)
+    u = np.eye(modes, dtype=complex)
+    if kind == "permutation":
+        return np.roll(u, 1, axis=0)
+    if kind == "beam_splitter":  # 50:50 between the first and the last mode
+        u[np.ix_([0, -1], [0, -1])] = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    return u
+
+
+def _counted_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+# M = 1 has no room for an external and a looped mode
+@pytest.mark.parametrize("modes, looped", [(m, l) for m in range(2, 7) for l in (1, 2) if l < m])
+@pytest.mark.parametrize("kind", ["haar", "identity", "permutation", "beam_splitter"])
+def test_loop_channel_reads_a_pure_number_state_like_eigh(monkeypatch, modes, looped, kind):
+    # a Fock injection takes its one eigenpair (1.0, e_j) without eigh, and
+    # the nonzeros are those of the eigh route, bit for bit
+    m_ext = modes - looped
+    occupations = {(0,) * m_ext, (1,) + (0,) * (m_ext - 1), (0,) * (m_ext - 1) + (2,),
+                   (1,) * min(m_ext, 3) + (0,) * (m_ext - min(m_ext, 3))}
+    calls = _counted_eigh(monkeypatch)
+    for occ in sorted(occupations):
+        n_max = sum(occ) + 1
+        lifted = lift(_interferometer(kind, modes), FockBasis(modes, n_max))
+        rho_ext = fock_state_dm(FockBasis(m_ext, n_max), occ)
+        chan = loop_channel(lifted, rho_ext)
+        assert not calls, occ
+        ref = loop_channel_eigh(lifted, rho_ext)
+        calls.clear()
+        for got, want in zip(chan.nonzeros, ref.nonzeros, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), occ
+        assert (chan.valid_max_photons, chan.max_photon_gain) == \
+            (ref.valid_max_photons, ref.max_photon_gain)
+
+
+@pytest.mark.parametrize("m_ext, n_max", [(m, n) for m in range(1, 5) for n in range(6)])
+def test_eigh_of_a_number_state_is_its_one_unit_pair(m_ext, n_max):
+    # what the pure-state route relies on: eigh of |j><j| keeps one eigenvalue
+    # above the cutoff, exactly 1.0, with the eigenvector e_j, signs included
+    basis = FockBasis(m_ext, n_max)
+    for j in range(basis.size):
+        mat = fock_state_dm(basis, basis.state(j)).mat
+        evals, evecs = np.linalg.eigh(mat)
+        kept = evals >= 1e-12
+        pure_evals, pure_evecs = bosonloop.channels._eigenpairs(mat)
+        assert evals[kept].tobytes() == pure_evals.tobytes()
+        _assert_same_bits(evecs[:, kept], pure_evecs)
+
+
+@pytest.mark.parametrize("kind", ["lossy", "random", "coherent", "mixed"])
+def test_loop_channel_takes_eigh_for_a_mixed_or_coherent_injection(monkeypatch, kind):
+    # a lossy Fock injection is mixed, and a density-matrix input with more
+    # than one nonzero entry is not a number state: both keep eigh
+    losses = LossSpec(t_in=np.full(4, 0.9)) if kind == "lossy" else LossSpec()
+    ext = FockBasis(2, 2)
+    inputs = {"lossy": fock_state_dm(ext, (1, 1)), "random": random_density_matrix(ext, 6),
+              "coherent": coherent_dm([0.4 - 0.3j, 0.2j], 2), "mixed": _mixed_dm(ext)}
+    setup = _LoopSetup(ExperimentConfig(modes=4, looped=2, iterations=1, haar_seed=11,
+                                        input_state=inputs[kind], n_max=4, losses=losses))
+    calls = _counted_eigh(monkeypatch)
+    chan = loop_channel(setup.lifted, setup.rho_ext_in)
+    assert calls == [(setup.ext.size, setup.ext.size)]
+    ref = loop_channel_eigh(setup.lifted, setup.rho_ext_in)
+    for got, want in zip(chan.nonzeros, ref.nonzeros, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():

@@ -3,9 +3,11 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -998,6 +1000,90 @@ def test_rewriting_an_output_directory_renames_onto_no_existing_name(tmp_path, m
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in out.iterdir() if p.name not in ("manifest.json", "notes.txt")}
     assert not list(out.glob(".*"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_outputs_take_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    out = tmp_path / "o"
+    old = os.umask(umask)
+    try:
+        assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 0
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert len(modes) == 6
+    assert set(modes.values()) == {0o666 & ~umask} == \
+        {stat.S_IMODE((tmp_path / "plain").stat().st_mode)}
+
+
+def test_leftover_temp_names_are_passed_over(tmp_path, monkeypatch):
+    # temp files of this pid left by a crashed run: a file, a directory and
+    # a symlink to a missing target hold the first counter values of every
+    # output name; the run takes the next values and touches none of them
+    config, fresh, out = write_config(tmp_path), tmp_path / "fresh", tmp_path / "o"
+    assert main(["evolve", config, "--out", str(fresh)]) == 0
+    out.mkdir()
+    monkeypatch.setattr(bosonloop.cli, "_temp_count", itertools.count())
+    target = tmp_path / "not_here"
+    leftovers = []
+    for name in [p.name for p in fresh.iterdir()]:
+        for n in range(8):
+            leftover = out / f".{name}.{os.getpid()}.{n}"
+            if n % 3 == 0:
+                leftover.write_text("old")
+            elif n % 3 == 1:
+                leftover.mkdir()
+            else:
+                leftover.symlink_to(target)
+            leftovers.append(leftover)
+    assert main(["evolve", config, "--out", str(out)]) == 0
+    assert set(out.glob(".*")) == set(leftovers)
+    assert {p.name: p.read_bytes() for p in out.glob("[!.]*") if p.name != "manifest.json"} \
+        == _data_files(fresh)
+    assert _manifest_hashes(out) == _manifest_hashes(fresh)
+    assert not target.exists()
+    assert all(p.read_text() == "old" for p in leftovers if p.is_file() and not p.is_symlink())
+
+
+def test_short_writes_are_resumed(tmp_path, monkeypatch):
+    config, fresh, out = write_config(tmp_path), tmp_path / "fresh", tmp_path / "o"
+    assert main(["evolve", config, "--method", "kraus", "--out", str(fresh)]) == 0
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, bytes(data[:7]))
+    monkeypatch.setattr(os, "write", short_write)
+    assert main(["evolve", config, "--method", "kraus", "--out", str(out)]) == 0
+    assert _data_files(out) == _data_files(fresh)
+    assert _manifest_hashes(out) == _manifest_hashes(fresh)
+    assert len(sizes) > 100 and 7 in sizes
+
+
+def test_a_failed_write_closes_and_removes_its_temp_file(tmp_path, monkeypatch, capsys):
+    write, close = os.write, os.close
+    written, closed = [], []
+
+    def failing_write(fd, data):
+        written.append(fd)
+        if len(written) == 3:
+            write(fd, bytes(data[:5]))
+            raise OSError(28, "No space left on device")
+        return write(fd, data)
+
+    def recorded_close(fd):
+        closed.append(fd)
+        close(fd)
+    monkeypatch.setattr(os, "write", failing_write)
+    monkeypatch.setattr(os, "close", recorded_close)
+    out = tmp_path / "o"
+    assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (1, "OutputError")
+    assert "No space left" in err["message"]
+    assert len(written) == 3 and closed == written
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("name", ["rho_det.json", "manifest.json"])
