@@ -348,9 +348,11 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
 def _eigenpairs(mat: np.ndarray) -> tuple:
     """`np.linalg.eigh(mat)`, or for a pure number state |j><j| (one nonzero
     entry, 1.0 at (j, j)) its one eigenpair (1.0, e_j) without the solve:
-    every Fock input is one.  On numpy 2.4.6 with OpenBLAS, eigh returns
-    exactly that pair for such a state (its other eigenvalues are zeros,
-    dropped by _EIG_CUTOFF), so the Kraus operators keep their bits."""
+    every Fock input is one.  The pair is exact whatever LAPACK does: e_j is
+    the state's eigenvector with eigenvalue 1 and the rest of the spectrum
+    is 0, below _EIG_CUTOFF.  That eigh returns the same pair bit for bit
+    (so the Kraus operators keep the bytes they had) is an extra property,
+    checked in the tests on the build they run on, not what makes it right."""
     d = mat.shape[0]
     at = np.flatnonzero(mat)
     if at.size == 1 and at[0] % (d + 1) == 0 and mat.flat[at[0]] == 1.0:

@@ -230,39 +230,32 @@ def _matrix_text(a: np.ndarray, newline: str) -> str:
     return "[" + inner + "[" + inner + " " + body + inner + "]" + newline + "]"
 
 
-# how `_write_atomic` creates a temp file: exclusively (never opening one
-# that exists) and closed across an exec; and the per-process counter its
-# name carries after the pid
-_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+# the per-process counter a temp file's name carries after the pid
 _temp_count = itertools.count()
 
 
 def _write_atomic(out_dir, name: str, data: bytes) -> None:
     """Write `out_dir/name` whole to a temp file, remove the old file, then
-    rename the temp file in; a failed write or rename closes and removes the
-    temp file.  The temp file is `.<name>.<pid>.<n>`, `n` counting this
-    process's temp files; one of that name left by a crashed run (a reused
-    pid) is passed over for the next `n`.  It is created with mode 0o666
-    less the umask, as `open()` would, where `tempfile.mkstemp` would give
-    0600 and cost a random name and a file object per output.  A rename
-    onto an existing name would start the new file's writeback on ext4
-    (`auto_da_alloc`), a flush worth nothing without an fsync: no file is
-    promised to survive a power loss, the manifest hashes are the check.
+    rename the temp file in; a failed write or rename removes the temp file.
+    The temp file is `.<name>.<pid>.<n>`, `n` counting this process's temp
+    files, opened with `open(tmp, "xb")`: a name that exists (left by a
+    crashed run under a reused pid) is passed over for the next `n`, and
+    the file gets mode 0o666 less the umask like any `open()`, where
+    `tempfile.mkstemp` gave every output 0600.  A rename onto an existing
+    name would start the new file's writeback on ext4 (`auto_da_alloc`), a
+    flush worth nothing without an fsync: no file is promised to survive a
+    power loss, the manifest hashes are the check.
     A failed run leaves no manifest: `_write_manifest` removes every name."""
     for n in _temp_count:
         tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.{n}")
         try:
-            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
-            break
+            fh = open(tmp, "xb")
         except FileExistsError:
-            pass
+            continue
+        break
     try:
-        try:
-            view = memoryview(data)
-            while view:  # a short write leaves the rest for the next call
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
+        with fh:
+            fh.write(data)
         path = os.path.join(out_dir, name)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
@@ -287,8 +280,7 @@ class _Stager:
         self.files[name] = json_text(payload) + "\n"
 
     def flush(self) -> list:
-        if not os.path.isdir(self.out_dir):
-            os.makedirs(self.out_dir, exist_ok=True)
+        os.makedirs(self.out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):  # it names the old files
             os.unlink(os.path.join(self.out_dir, "manifest.json"))
         entries = []

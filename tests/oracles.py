@@ -11,8 +11,7 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from bosonloop.channels import (_EIG_CUTOFF, _PRUNE_NORM, QuantumChannel, _lifted_columns,
-                                _output_order, _probe, fixed_point, stationary_state)
+from bosonloop.channels import QuantumChannel, _probe, fixed_point, stationary_state
 from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
@@ -473,46 +472,6 @@ def loop_channel_per_sector(lifted, rho_ext) -> QuantumChannel:
         starts = np.flatnonzero(np.diff(out_of[at], prepend=-1))
         sizes = np.diff(starts, append=at.size)
         kept = np.maximum.reduceat(np.abs(values), starts) > 1e-14
-        keep = np.repeat(kept, sizes)
-        owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
-        parts.append((row_of[at[keep]], cols[keep], values[keep], owner))
-        n_ops += int(np.count_nonzero(kept))
-    return QuantumChannel(loop_basis, tuple(np.concatenate(p) for p in zip(*parts)),
-                          valid_max_photons=joint.n_max - n_env, max_photon_gain=n_env)
-
-
-def loop_channel_eigh(lifted, rho_ext) -> QuantumChannel:
-    """`loop_channel` as the package built it before it read a pure number
-    state's eigenpair off the matrix: `np.linalg.eigh` of every injected
-    state, each eigenvector's amplitudes gathered as the package does."""
-    joint = lifted.basis
-    ext_basis = rho_ext.basis
-    loop_basis = FockBasis(joint.modes - ext_basis.modes, joint.n_max)
-    n_env = rho_ext.max_populated_sector()
-    evals, evecs = np.linalg.eigh(rho_ext.mat)
-    d = loop_basis.size
-    _, out_of, row_of = _output_order(FockBasis(ext_basis.modes, joint.n_max), loop_basis,
-                                      joint)
-    parts, n_ops = [], 0
-    for lam, psi in zip(evals, evecs.T):
-        if lam < _EIG_CUTOFF:
-            continue
-        w = np.zeros(joint.size * d, dtype=complex)
-        for alpha, c in enumerate(psi.tolist()):
-            if abs(c) >= 1e-16:
-                sectors, dst = _lifted_columns(ext_basis, loop_basis, joint, alpha)
-                w[dst] += c * np.concatenate([lifted.block(n).take(src) for n, src in sectors])
-        at = np.flatnonzero(w)
-        values = sqrt(lam) * w[at]
-        nonzero = values != 0
-        at, cols = np.divmod(at[nonzero], d)
-        values = values[nonzero]
-        if not values.size:
-            continue
-        m = out_of[at]
-        starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
-        sizes = np.concatenate((starts[1:], [at.size])) - starts
-        kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
         keep = np.repeat(kept, sizes)
         owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
         parts.append((row_of[at[keep]], cols[keep], values[keep], owner))

@@ -23,8 +23,7 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, e
 
 from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
                      coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
-                     kraus_pure_fock, loop_channel_eigh, loop_channel_per_sector,
-                     loop_kraus_dense,
+                     kraus_pure_fock, loop_channel_per_sector, loop_kraus_dense,
                      loop_kraus_from_full, loss_kraus_loop, nonzeros_by_scan,
                      spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
@@ -670,41 +669,17 @@ def _mixed_dm(ext: FockBasis) -> DensityMatrix:
 
 
 _INPUTS = {
-    "fock": lambda ext: fock_state_dm(ext, (1,) * ext.modes),
+    "vacuum": lambda ext: fock_state_dm(ext, (0,) * ext.modes),
+    "fock": lambda ext: fock_state_dm(ext, (1,) * min(ext.modes, 2)
+                                      + (0,) * (ext.modes - min(ext.modes, 2))),
+    "two_photons": lambda ext: fock_state_dm(ext, (0,) * (ext.modes - 1) + (2,)),
     "mixed": _mixed_dm,
     "random": lambda ext: random_density_matrix(ext, ext.modes),
     "coherent": lambda ext: coherent_dm([0.4 - 0.3j] + [0.2j] * (ext.modes - 1), ext.n_max),
 }
 
 
-@pytest.mark.parametrize("modes, looped, n_max", [(2, 1, 9), (3, 1, 5), (3, 2, 5),
-                                                  (4, 2, 4)])
-@pytest.mark.parametrize("kind", sorted(_INPUTS))
-@pytest.mark.parametrize("lossy", [False, True])
-def test_loop_channel_nonzeros_equal_the_dense_stack_scan(modes, looped, n_max, kind, lossy):
-    # the nonzeros loop_channel emits are those one np.nonzero scan per
-    # operator finds in the dense (outputs, d, d) stack, and the scattered
-    # operators are that stack, byte for byte; the lossy inputs reach the
-    # loop through the input loss channel.  The per-sector gather it
-    # replaced emits them too.
-    losses = LossSpec(t_in=np.full(modes, 0.9), t_out=np.full(modes, 0.95),
-                      loop_transmission=0.8) if lossy else LossSpec()
-    ext_in = _INPUTS[kind](FockBasis(modes - looped, 2))
-    setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1,
-                                        haar_seed=modes + 7, input_state=ext_in,
-                                        n_max=n_max, losses=losses))
-    dense = loop_kraus_dense(setup.lifted, setup.rho_ext_in)
-    for build in (loop_channel, loop_channel_per_sector):
-        chan = build(setup.lifted, setup.rho_ext_in)
-        for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        assert len(chan.kraus) == len(dense) >= 1
-        assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
-
-
 def _interferometer(kind: str, modes: int) -> np.ndarray:
-    if kind == "haar":
-        return haar_random_unitary(modes, 50 + modes)
     u = np.eye(modes, dtype=complex)
     if kind == "permutation":
         return np.roll(u, 1, axis=0)
@@ -713,71 +688,48 @@ def _interferometer(kind: str, modes: int) -> np.ndarray:
     return u
 
 
-def _counted_eigh(monkeypatch) -> list:
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+_SHAPES = [(2, 1, 9, "haar"), (3, 1, 5, "haar"), (3, 2, 5, "haar"), (4, 2, 4, "haar"),
+           (5, 2, 3, "identity"), (5, 3, 3, "permutation"), (6, 2, 3, "beam_splitter"),
+           (6, 2, 3, "haar")]
 
 
-# M = 1 has no room for an external and a looped mode
-@pytest.mark.parametrize("modes, looped", [(m, l) for m in range(2, 7) for l in (1, 2) if l < m])
-@pytest.mark.parametrize("kind", ["haar", "identity", "permutation", "beam_splitter"])
-def test_loop_channel_reads_a_pure_number_state_like_eigh(monkeypatch, modes, looped, kind):
-    # a Fock injection takes its one eigenpair (1.0, e_j) without eigh, and
-    # the nonzeros are those of the eigh route, bit for bit
-    m_ext = modes - looped
-    occupations = {(0,) * m_ext, (1,) + (0,) * (m_ext - 1), (0,) * (m_ext - 1) + (2,),
-                   (1,) * min(m_ext, 3) + (0,) * (m_ext - min(m_ext, 3))}
-    calls = _counted_eigh(monkeypatch)
-    for occ in sorted(occupations):
-        n_max = sum(occ) + 1
-        lifted = lift(_interferometer(kind, modes), FockBasis(modes, n_max))
-        rho_ext = fock_state_dm(FockBasis(m_ext, n_max), occ)
-        chan = loop_channel(lifted, rho_ext)
-        assert not calls, occ
-        ref = loop_channel_eigh(lifted, rho_ext)
-        calls.clear()
-        for got, want in zip(chan.nonzeros, ref.nonzeros, strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), occ
-        assert (chan.valid_max_photons, chan.max_photon_gain) == \
-            (ref.valid_max_photons, ref.max_photon_gain)
+@pytest.mark.parametrize("modes, looped, n_max, matrix", _SHAPES,
+                         ids=["-".join(map(str, s[:3] if s[3] == "haar" else s))
+                              for s in _SHAPES])
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
+@pytest.mark.parametrize("lossy", [False, True])
+def test_loop_channel_nonzeros_equal_the_dense_stack_scan(monkeypatch, modes, looped, n_max,
+                                                          matrix, kind, lossy):
+    # the nonzeros loop_channel emits are those one np.nonzero scan per
+    # operator finds in the dense (outputs, d, d) stack, and the scattered
+    # operators are that stack, byte for byte; the lossy inputs reach the
+    # loop through the input loss channel.  The per-sector gather it
+    # replaced emits them too.  A number state (the vacuum stays one through
+    # loss) gives its eigenpair without eigh, every other state calls eigh
+    # once, and both emit what the eigh-route references emit.
+    losses = LossSpec(t_in=np.full(modes, 0.9), t_out=np.full(modes, 0.95),
+                      loop_transmission=0.8) if lossy else LossSpec()
+    ext_in = _INPUTS[kind](FockBasis(modes - looped, 2))
+    u = {"haar_seed": modes + 7} if matrix == "haar" else \
+        {"unitary": _interferometer(matrix, modes)}
+    setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1, **u,
+                                        input_state=ext_in, n_max=n_max, losses=losses))
+    dense = loop_kraus_dense(setup.lifted, setup.rho_ext_in)
+    eigh, eigh_calls = np.linalg.eigh, []
 
-
-@pytest.mark.parametrize("m_ext, n_max", [(m, n) for m in range(1, 5) for n in range(6)])
-def test_eigh_of_a_number_state_is_its_one_unit_pair(m_ext, n_max):
-    # what the pure-state route relies on: eigh of |j><j| keeps one eigenvalue
-    # above the cutoff, exactly 1.0, with the eigenvector e_j, signs included
-    basis = FockBasis(m_ext, n_max)
-    for j in range(basis.size):
-        mat = fock_state_dm(basis, basis.state(j)).mat
-        evals, evecs = np.linalg.eigh(mat)
-        kept = evals >= 1e-12
-        pure_evals, pure_evecs = bosonloop.channels._eigenpairs(mat)
-        assert evals[kept].tobytes() == pure_evals.tobytes()
-        _assert_same_bits(evecs[:, kept], pure_evecs)
-
-
-@pytest.mark.parametrize("kind", ["lossy", "random", "coherent", "mixed"])
-def test_loop_channel_takes_eigh_for_a_mixed_or_coherent_injection(monkeypatch, kind):
-    # a lossy Fock injection is mixed, and a density-matrix input with more
-    # than one nonzero entry is not a number state: both keep eigh
-    losses = LossSpec(t_in=np.full(4, 0.9)) if kind == "lossy" else LossSpec()
-    ext = FockBasis(2, 2)
-    inputs = {"lossy": fock_state_dm(ext, (1, 1)), "random": random_density_matrix(ext, 6),
-              "coherent": coherent_dm([0.4 - 0.3j, 0.2j], 2), "mixed": _mixed_dm(ext)}
-    setup = _LoopSetup(ExperimentConfig(modes=4, looped=2, iterations=1, haar_seed=11,
-                                        input_state=inputs[kind], n_max=4, losses=losses))
-    calls = _counted_eigh(monkeypatch)
-    chan = loop_channel(setup.lifted, setup.rho_ext_in)
-    assert calls == [(setup.ext.size, setup.ext.size)]
-    ref = loop_channel_eigh(setup.lifted, setup.rho_ext_in)
-    for got, want in zip(chan.nonzeros, ref.nonzeros, strict=True):
-        assert got.tobytes() == want.tobytes()
+    def counted_eigh(a):
+        eigh_calls.append(a.shape)
+        return eigh(a)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted_eigh)
+        built = loop_channel(setup.lifted, setup.rho_ext_in)
+    number_state = kind == "vacuum" or (kind in ("fock", "two_photons") and not lossy)
+    assert eigh_calls == ([] if number_state else [setup.rho_ext_in.mat.shape])
+    for chan in (built, loop_channel_per_sector(setup.lifted, setup.rho_ext_in)):
+        for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert len(chan.kraus) == len(dense) >= 1
+        assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
 
 
 def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():

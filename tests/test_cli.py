@@ -1046,43 +1046,32 @@ def test_leftover_temp_names_are_passed_over(tmp_path, monkeypatch):
     assert all(p.read_text() == "old" for p in leftovers if p.is_file() and not p.is_symlink())
 
 
-def test_short_writes_are_resumed(tmp_path, monkeypatch):
-    config, fresh, out = write_config(tmp_path), tmp_path / "fresh", tmp_path / "o"
-    assert main(["evolve", config, "--method", "kraus", "--out", str(fresh)]) == 0
-    write, sizes = os.write, []
+class _FailingFile(io.BufferedWriter):
+    """A temp file whose bytes never reach the disk: writing them out on
+    close fails as a full disk would."""
 
-    def short_write(fd, data):
-        sizes.append(len(data))
-        return write(fd, bytes(data[:7]))
-    monkeypatch.setattr(os, "write", short_write)
-    assert main(["evolve", config, "--method", "kraus", "--out", str(out)]) == 0
-    assert _data_files(out) == _data_files(fresh)
-    assert _manifest_hashes(out) == _manifest_hashes(fresh)
-    assert len(sizes) > 100 and 7 in sizes
+    def flush(self):
+        raise OSError(28, "No space left on device")
 
 
 def test_a_failed_write_closes_and_removes_its_temp_file(tmp_path, monkeypatch, capsys):
-    write, close = os.write, os.close
-    written, closed = [], []
+    # the third output's bytes fail to reach the disk
+    opened = []
 
-    def failing_write(fd, data):
-        written.append(fd)
-        if len(written) == 3:
-            write(fd, bytes(data[:5]))
-            raise OSError(28, "No space left on device")
-        return write(fd, data)
-
-    def recorded_close(fd):
-        closed.append(fd)
-        close(fd)
-    monkeypatch.setattr(os, "write", failing_write)
-    monkeypatch.setattr(os, "close", recorded_close)
+    def recorded_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if mode == "xb":
+            if len(opened) == 2:
+                fh = _FailingFile(fh.detach())
+            opened.append(fh)
+        return fh
+    monkeypatch.setattr(bosonloop.cli, "open", recorded_open, raising=False)
     out = tmp_path / "o"
     assert main(["evolve", write_config(tmp_path), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["code"], err["type"]) == (1, "OutputError")
     assert "No space left" in err["message"]
-    assert len(written) == 3 and closed == written
+    assert len(opened) == 3 and all(fh.closed for fh in opened)
     assert not list(out.iterdir())
 
 
