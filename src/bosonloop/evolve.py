@@ -21,6 +21,7 @@ pass with the k-th loop update.
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -265,15 +266,6 @@ class _LoopSetup:
             rho_line_next = self.out_loop.apply(rho_line_next)
         return rho_det, rho_line_next, leaked
 
-    def check_unique_stationary(self) -> None:
-        """Raise SpectralRadiusError unless the lossy loop block M_eff,LL has
-        spectral radius below 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
-        eigenvalues are products of M_eff,LL's and their conjugates (see
-        `stationary_state`), so the stationary state is unique exactly when
-        that radius is below 1.  The superoperator and iteration routes and
-        `stabilization_time` check it first."""
-        _check_spectral_radius(self.config.m_eff, self.looped)
-
     def loop_update_channel(self) -> QuantumChannel:
         """The line-to-line channel of one iteration, losses included."""
         core = loop_channel(self.lifted, self.rho_ext_in)
@@ -283,6 +275,27 @@ class _LoopSetup:
         if self.out_loop:
             chan = compose(self.out_loop, chan)
         return chan
+
+    def iterates(self, channel: QuantumChannel):
+        """The vacuum line, then one `channel.apply` per further item; a
+        step's TruncationError surfaces from the `next()` that asks for it."""
+        rho = self.vacuum_line()
+        while True:
+            yield rho
+            rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+
+
+def _stationary_setup(config: ExperimentConfig, lifted_blocks: dict | None, what: str):
+    """(setup, loop-update channel) of the stationary routes; `what` names the
+    route that refuses a config without a loop.  Raises SpectralRadiusError
+    unless rho(M_eff,LL) < 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
+    eigenvalues are products of M_eff,LL's and their conjugates (see
+    `stationary_state`), so the stationary state is unique exactly then."""
+    if config.looped == 0:
+        raise ValueError(f"{what} needs at least one looped mode")
+    setup = _LoopSetup(config, lifted_blocks)
+    _check_spectral_radius(config.m_eff, config.looped)
+    return setup, setup.loop_update_channel()
 
 
 def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
@@ -308,19 +321,18 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
 
 def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> EvolutionTrace:
     """k joint passes from the vacuum line; the line state advances by the
-    joint pass's own output, or by the one-iteration Kraus channel when `kraus`."""
+    joint pass's own output, or along the loop channel's `iterates` when `kraus`."""
     if config.looped == 0:
         return _singlepass_trace(config)
     setup = _LoopSetup(config)
-    channel = setup.loop_update_channel() if kraus else None
-    rho_line = setup.vacuum_line()
+    lines = setup.iterates(setup.loop_update_channel()) if kraus else None
+    rho_line = next(lines) if kraus else setup.vacuum_line()
     loop_states = [rho_line] if record_loop else None
     dists = []
     max_leak = 0.0
     for _ in range(config.iterations):
         rho_det, rho_next, leaked = setup.step(rho_line)
-        rho_line = (channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
-                    if kraus else rho_next)
+        rho_line = next(lines) if kraus else rho_next
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
         if record_loop:
@@ -441,26 +453,18 @@ def stationary_loop_state(config: ExperimentConfig,
     """Fixed point of the one-iteration loop channel via the superoperator.
     `lifted_blocks` is the memo of the lifted sector blocks that calls on one
     transfer matrix may share (see `LiftedUnitary`)."""
-    if config.looped == 0:
-        raise ValueError("a stationary loop state needs at least one looped mode")
-    setup = _LoopSetup(config, lifted_blocks)
-    setup.check_unique_stationary()
-    return stationary_state(setup.loop_update_channel())
+    _, channel = _stationary_setup(config, lifted_blocks, "a stationary loop state")
+    return stationary_state(channel)
 
 
 def stationary_loop_iterate(config: ExperimentConfig, tol: float = 1e-12,
                             max_iterations: int = 1_000_000) -> DensityMatrix:
-    """Fixed point by literal channel iteration from the vacuum, after the
-    uniqueness check of the other stationary routes."""
-    setup = _LoopSetup(config)
-    setup.check_unique_stationary()
-    channel = setup.loop_update_channel()
-    rho = setup.vacuum_line()
-    for _ in range(max_iterations):
-        nxt = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+    """Fixed point by channel iteration from the vacuum: the first iterate within
+    trace distance `tol` of the one before, within `max_iterations` steps."""
+    setup, channel = _stationary_setup(config, None, "a stationary loop state")
+    for rho, nxt in islice(pairwise(setup.iterates(channel)), max_iterations):
         if trace_distance(nxt, rho) < tol:
             return nxt
-        rho = nxt
     raise ConvergenceError(
         f"channel iteration did not settle below {tol:.1e} in {max_iterations} steps"
     )
@@ -486,41 +490,36 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     Uniqueness is checked on M_eff,LL first.  The fixed point comes from the
     bordered solve or, when that gives up, from `stationary_state`, whose
     checks all read the charge-0 block and run before the first step.  The
-    state steps as a charge-0 vector, and the iterates are scored in chunks
-    doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.
+    state steps as a charge-0 vector along `_LoopSetup.iterates`, scored in
+    chunks doubling from _FIRST_CHUNK to _TRAJECTORY_CHUNK.
     Steps past the first converged iterate are overshoot: a TruncationError
     among them is dropped, while one at or before it, and the cap, surface
     after the same steps as a step-by-step loop would take.
     `lifted_blocks` is the memo of the lifted sector blocks that calls on one
     transfer matrix may share (see `LiftedUnitary`).
     """
-    if config.looped == 0:
-        raise ValueError("stabilization time needs at least one looped mode")
-    setup = _LoopSetup(config, lifted_blocks)
-    setup.check_unique_stationary()
-    channel = setup.loop_update_channel()
+    setup, channel = _stationary_setup(config, lifted_blocks, "stabilization time")
     rho_stat = fixed_point(channel)
     if rho_stat is None:
         rho_stat = stationary_state(channel).rho
-    rho = setup.vacuum_line()
+    iterates = setup.iterates(channel)
     start, size = 0, _FIRST_CHUNK
     while start <= max_iterations:
-        chunk, failure = [rho], None
+        chunk, failure = [next(iterates)], None
         while len(chunk) < min(size, max_iterations + 1 - start):
             try:
-                rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+                chunk.append(next(iterates))
             except TruncationError as err:
                 failure = err
                 break
-            chunk.append(rho)
         converged = np.flatnonzero(1.0 - fidelities(chunk, rho_stat) < tolerance)
         if converged.size:
             return start + int(converged[0])
         if failure is not None:
             raise failure
-        rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
         start += len(chunk)
         size = min(2 * size, _TRAJECTORY_CHUNK)
+    next(iterates)  # the last step of a step-by-step loop, which may fail
     raise ConvergenceError(
         f"loop state did not stabilize within {max_iterations} iterations"
     )

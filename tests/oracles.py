@@ -1,8 +1,30 @@
-"""Independent reference implementations used only to check the production code.
+"""Reference implementations used only to check the production code.
 
-Everything here is deliberately written by the most naive route available
-(permutation sums, polynomial expansion, brute-force grids) so it shares no
-algorithmic path with the package.
+Two kinds of reference live here.  A textbook reference computes a result
+by the most naive route available (permutation sums, polynomial expansion,
+a dense Kronecker product, a dense Kraus sum, one scan per charge,
+brute-force grids).  A bit-for-bit oracle is the route the package
+ran before its current one, kept so that a rewrite can be shown to write
+the same bytes; to lay its data out as the package does, it may call
+package pieces that are checked on their own, such as the lift's index maps
+(`_raising_maps`, `_parent_columns`), `tensor_product_blocks`, the fixed
+point's `_probe`, `_check_spectral_radius`, the moment route's
+`_input_tensor` and `_MomentCache`, and `_LoopSetup`.
+
+Each layer keeps one reference of each kind, and an older generation is
+removed only where a kept one is checked on the same inputs for the same
+property:
+  lift           `lift_block_polynomial` (with `permanent_naive`);
+                 `lift_blocks_whole` and `lift_apply_fock_whole`
+  loop channel   `loop_kraus_from_full`; `loop_channel_per_sector`
+  joint pass     `tensor_product_kron`; `joint_pass_dense`, whose stages
+                 `conjugate_dense` and `partial_trace_buckets` are also
+                 checked one by one
+  fidelity       `fidelity_svd`; `fidelities_gathered`, with its kernel
+                 `fidelity_kernel_eigh`
+  charge layout  `charge_blocks_by_scans`; `charge0_layout_by_nonzero`,
+                 with its reader `charge0_by_take`
+Every other routine here is the one reference of what it checks.
 """
 
 import itertools
@@ -16,8 +38,8 @@ from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _parent_columns, _raising_maps
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, _fidelity_kernel, joint_parts,
-                             overflow_weight, tensor_product_blocks)
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, joint_parts, overflow_weight,
+                             tensor_product_blocks)
 from bosonloop.reconstruct import ReconstructionInfo, project_psd
 from bosonloop.tensors import (CorrelationTensor, TensorSet, _check_spectral_radius,
                                _input_tensor, _MomentCache)
@@ -71,49 +93,6 @@ def lift_block_polynomial(u: np.ndarray, n: int) -> np.ndarray:
         for occ, coeff in poly.items():
             block[rank[occ], j] = coeff * sqrt(prod(factorial(x) for x in occ)) / norm_j
     return block
-
-
-def _add_photon_column(column: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
-    """sum_b column[b] a_dag[b] applied to amplitudes on sector total-1;
-    returns the amplitudes on sector `total`."""
-    modes = len(column)
-    target, weight, _ = _raising_maps(modes, total)
-    out = np.zeros(sector_size(modes, total), dtype=complex)
-    for b in range(modes):
-        out[target[b]] += column[b] * (weight[b] * amps)
-    return out
-
-
-def lift_blocks_by_column(matrix: np.ndarray, n_max: int) -> list:
-    """Sector blocks 0..n_max of the lift, built one column at a time: the
-    creation-operator recurrence as the package ran it before it lifted
-    whole blocks at once."""
-    m = matrix.shape[0]
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for n in range(1, n_max + 1):
-        sec = enumerate_sector(m, n)
-        prev_rank = {occ: i for i, occ in enumerate(enumerate_sector(m, n - 1))}
-        prev = blocks[n - 1]
-        blk = np.zeros((len(sec), len(sec)), dtype=complex)
-        for j, occ in enumerate(sec):
-            a = next(i for i, x in enumerate(occ) if x > 0)
-            parent = occ[:a] + (occ[a] - 1,) + occ[a + 1:]
-            pcol = prev[:, prev_rank[parent]]
-            blk[:, j] = _add_photon_column(matrix[:, a], pcol, n) / sqrt(occ[a])
-        blocks.append(blk)
-    return blocks
-
-
-def lift_apply_fock_by_column(matrix: np.ndarray, occupation) -> np.ndarray:
-    """`lift_apply_fock` as it ran on a single amplitude vector."""
-    amps = np.ones(1, dtype=complex)
-    n = 0
-    for mode, count in enumerate(occupation):
-        for _ in range(count):
-            n += 1
-            amps = _add_photon_column(matrix[:, mode], amps, n)
-    norm = sqrt(prod(factorial(x) for x in occupation))
-    return amps / norm
 
 
 def _add_photon_whole(coef: np.ndarray, amps: np.ndarray, total: int) -> np.ndarray:
@@ -265,7 +244,8 @@ def tensor_product_kron(a: np.ndarray, b: np.ndarray, basis_a, basis_b, joint,
     """Joint matrix by the full np.kron, scattered into the joint basis.
 
     Keeps the kron entries whose A and B parts combine to at most
-    joint.n_max photons; with `renormalize` the kept trace is scaled to 1.
+    joint.n_max photons; with `renormalize` the kept trace is scaled to 1,
+    and a kept trace of 0 is a TruncationError.
     """
     idx = tensor_index_map(basis_a, basis_b, joint)
     kron = np.kron(a, b)
@@ -274,20 +254,11 @@ def tensor_product_kron(a: np.ndarray, b: np.ndarray, basis_a, basis_b, joint,
     mat = np.zeros((joint.size, joint.size), dtype=complex)
     mat[np.ix_(flat[keep], flat[keep])] = kron[np.ix_(keep, keep)]
     if renormalize:
-        mat /= np.trace(mat).real
+        tr = np.trace(mat).real
+        if tr <= 0:
+            raise TruncationError("tensor product lost all weight to truncation")
+        mat /= tr
     return mat
-
-
-def conjugate_all_blocks(lifted, rho: np.ndarray) -> np.ndarray:
-    """L(U) rho L(U)^dag as one product per sector-pair block, zero blocks included."""
-    basis = lifted.basis
-    out = np.empty_like(rho)
-    blocks = [lifted.block(n) for n in range(basis.n_max + 1)]
-    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
-    for na, ba in enumerate(blocks):
-        for nb, bb in enumerate(blocks):
-            out[slices[na], slices[nb]] = ba @ rho[slices[na], slices[nb]] @ bb.conj().T
-    return out
 
 
 def input_tensor_loop(k: int, l: int, modes: int, m_ext: int, ext, loop_set,
@@ -391,37 +362,6 @@ def loop_kraus_from_full(lifted, rho_ext, prune: float = 1e-14) -> list:
     return kraus
 
 
-def loop_kraus_dense(lifted, rho_ext, prune: float = 1e-14) -> list:
-    """Kraus operators of `loop_channel` as one dense (outputs, d, d) stack
-    per eigenvector of rho_ext, pruned by their largest |entry|: the package's
-    construction before it emitted the operators' nonzero entries."""
-    joint = lifted.basis
-    ext_basis = rho_ext.basis
-    loop_basis = FockBasis(joint.modes - ext_basis.modes, joint.n_max)
-    evals, evecs = np.linalg.eigh(rho_ext.mat)
-    ext_out = FockBasis(ext_basis.modes, joint.n_max)
-    jmap_in = tensor_index_map(ext_basis, loop_basis, joint)
-    jmap_out = tensor_index_map(ext_out, loop_basis, joint)
-    kraus = []
-    for lam, psi in zip(evals, evecs.T):
-        if lam < 1e-12:
-            continue
-        w = np.zeros((joint.size + 1, loop_basis.size), dtype=complex)
-        for alpha, c in enumerate(psi):
-            if abs(c) < 1e-16:
-                continue
-            cols = np.zeros_like(w)
-            n_alpha = sum(ext_basis.state(alpha))
-            for k in range(joint.n_max - n_alpha + 1):
-                n, js = n_alpha + k, loop_basis.sector_slice(k)
-                rows = joint.sector_slice(n)
-                cols[rows, js] = lifted.block(n)[:, jmap_in[alpha, js] - rows.start]
-            w += c * cols
-        ops = sqrt(lam) * w[jmap_out]
-        kraus.extend(ops[np.abs(ops).max(axis=(1, 2)) > prune])
-    return kraus
-
-
 def _lifted_columns_by_sector(ext_basis, loop_basis, joint, alpha: int) -> list:
     """(n, src, dst) for each joint sector n >= n_alpha: the flat positions
     src in block n of the columns L(U) (|alpha> tensor |j>), and their flat
@@ -515,39 +455,11 @@ def fixed_point_dense(channel) -> DensityMatrix | None:
     return DensityMatrix(channel.basis, rho, check=False)
 
 
-def nonzeros_by_scan(kraus) -> tuple:
-    """(rows, cols, values, owner) of dense Kraus operators by one np.nonzero
-    scan per operator, as `QuantumChannel.from_kraus` scans them."""
-    found = [np.nonzero(k) for k in kraus]
-    return (np.concatenate([r for r, _ in found]),
-            np.concatenate([c for _, c in found]),
-            np.concatenate([k[rc] for k, rc in zip(kraus, found)]),
-            np.repeat(np.arange(len(found)), [r.size for r, _ in found]))
-
-
-def tensor_product_dense(rho_a, rho_b, joint, dropped: float) -> np.ndarray:
-    """The joint matrix by one gather of each factor over the whole joint
-    basis: `tensor_product` as the package ran it before it built only the
-    sector-pair blocks the factors populate."""
-    idx = tensor_index_map(rho_a.basis, rho_b.basis, joint)
-    pairs = np.nonzero(idx >= 0)
-    parts = [np.full(joint.size, basis.size) for basis in (rho_a.basis, rho_b.basis)]
-    for part, factor in zip(parts, pairs):
-        part[idx[pairs]] = factor
-    ia, ib = (np.ix_(part, part) for part in parts)
-    mat = np.pad(rho_a.mat, (0, 1))[ia] * np.pad(rho_b.mat, (0, 1))[ib]
-    if dropped > 0.0:
-        tr = np.trace(mat).real
-        if tr <= 0:
-            raise TruncationError("tensor product lost all weight to truncation")
-        mat /= tr
-    return mat
-
-
 def conjugate_dense(lifted, rho: np.ndarray) -> np.ndarray:
     """Blockwise L(U) rho L(U)^dag over every sector pair of a dense rho,
     skipping the all-zero ones: `LiftedUnitary.conjugate` as the package ran
-    it before it took sector-pair blocks."""
+    it before it took sector-pair blocks, and the conjugation stage of
+    `joint_pass_dense`."""
     basis = lifted.basis
     out = np.zeros_like(rho)
     blocks = [lifted.block(n) for n in range(basis.n_max + 1)]
@@ -576,7 +488,7 @@ def partial_trace_buckets(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the modes keep = (start, stop), at least one of them,
     by one vectorized add per state of the traced-out modes over the dense
     matrix: `partial_trace` as the package ran it before it traced
-    sector-pair blocks."""
+    sector-pair blocks, and the trace stage of `joint_pass_dense`."""
     start, stop = keep
     keep_basis = FockBasis(stop - start, rho.basis.n_max)
     out = np.zeros((keep_basis.size, keep_basis.size), dtype=complex)
@@ -587,39 +499,22 @@ def partial_trace_buckets(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def joint_pass_dense(setup, rho_line: DensityMatrix) -> tuple:
     """(rho_det, next line state) of one iteration with the joint state built
-    densely: each nonzero conjugated sector-pair block written into a zero
-    joint matrix, then both reduced states gathered from it.  This is
-    `_LoopSetup.step` as the package ran it before it traced the conjugated
-    blocks directly."""
+    densely: the product's sector-pair blocks written into a zero joint
+    matrix, conjugated by `conjugate_dense`, then both reduced states
+    gathered by `partial_trace_buckets`.  This is `_LoopSetup.step` as the
+    package ran it before it traced the conjugated blocks directly."""
     rho_loop_in = setup.in_loop.apply(rho_line) if setup.in_loop else rho_line
     leaked = overflow_weight(setup.rho_ext_in, rho_loop_in, setup.n_max)
-    joint, lifted = setup.joint, setup.lifted
+    joint = setup.joint
     mat = np.zeros((joint.size, joint.size), dtype=complex)
     for (n, m), r in tensor_product_blocks(setup.rho_ext_in, rho_loop_in, joint,
                                            leaked).items():
-        if r.any():
-            mat[joint.sector_slice(n), joint.sector_slice(m)] = (
-                lifted.block(n) @ r @ lifted.block(m).conj().T)
-    rho_out = DensityMatrix(joint, mat, check=False)
+        mat[joint.sector_slice(n), joint.sector_slice(m)] = r
+    rho_out = DensityMatrix(joint, conjugate_dense(setup.lifted, mat), check=False)
     rho_det = partial_trace_buckets(rho_out, (0, setup.n_ext))
     rho_next = partial_trace_buckets(rho_out, (setup.n_ext, setup.modes))
     return (setup.out_ext.apply(rho_det) if setup.out_ext else rho_det,
             setup.out_loop.apply(rho_next) if setup.out_loop else rho_next)
-
-
-def _sector_layout_where(basis: FockBasis) -> tuple:
-    """Gather indices that stack the photon-number diagonal blocks of a
-    matrix, zero-padded to the largest sector, with the padding mask and the
-    mask of the entries between sectors."""
-    slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
-    idx = np.zeros((len(slices), max(sl.stop - sl.start for sl in slices)), dtype=int)
-    inside = np.zeros(idx.shape, dtype=bool)
-    for n, sl in enumerate(slices):
-        idx[n, :sl.stop - sl.start] = np.arange(sl.start, sl.stop)
-        inside[n, :sl.stop - sl.start] = True
-    totals = basis.totals()
-    return (idx[:, :, None], idx[:, None, :], inside[:, :, None] & inside[:, None, :],
-            totals[:, None] != totals[None, :])
 
 
 def charge0_layout_by_nonzero(basis: FockBasis) -> tuple:
@@ -649,41 +544,10 @@ def charge0_by_take(rho: DensityMatrix) -> np.ndarray | None:
     return entries if np.count_nonzero(entries) == np.count_nonzero(rho.mat) else None
 
 
-def _sector_blocks_where(rho: DensityMatrix) -> np.ndarray | None:
-    """The stacked diagonal sector blocks of rho, or None when rho has
-    coherences between photon-number sectors."""
-    rows, cols, inside, between = _sector_layout_where(rho.basis)
-    if rho.mat[between].any():
-        return None
-    return np.where(inside, rho.mat[rows, cols], 0.0)
-
-
-def uhlmann_fidelity_one(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1],
-    one pair at a time: `uhlmann_fidelity` as the package ran it before it
-    scored stacks of states.
-
-    When both states are block-diagonal in photon number the trace splits
-    into a sum over the sector blocks, which are handled as one stack.
-    """
-    if rho.basis != sigma.basis:
-        raise ValueError("fidelity needs matching bases")
-    a, b = _sector_blocks_where(rho), _sector_blocks_where(sigma)
-    if a is None or b is None:
-        a, b = rho.mat, sigma.mat
-    evals, evecs = np.linalg.eigh(a)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
-    sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
-    inner = sqrt_a @ b @ sqrt_a
-    lam = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
-    f = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
 def fidelity_kernel_eigh(a: np.ndarray, b: np.ndarray) -> list:
     """`qstate._fidelity_kernel` by eigh and eigvalsh on blocks of every
     width: the kernel as the package ran it before width-1 blocks took the
-    closed form."""
+    closed form, and the kernel of `fidelities_gathered`."""
     evals, evecs = np.linalg.eigh(a)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
     sqrt_a = root @ evecs.conj().swapaxes(-1, -2)
@@ -712,7 +576,7 @@ def stabilization_time_stepwise(config, tolerance: float = 1e-6,
         rho_stat = stationary_state(channel).rho
     rho = setup.vacuum_line()
     for i in range(max_iterations + 1):
-        if 1.0 - uhlmann_fidelity_one(rho, rho_stat) < tolerance:
+        if 1.0 - fidelities_gathered([rho], rho_stat)[0] < tolerance:
             return i
         rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
     raise ConvergenceError(
@@ -814,8 +678,9 @@ def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> Den
 
 def fidelities_gathered(states, sigma: DensityMatrix) -> np.ndarray:
     """`qstate.fidelities` as the package ran it before states stepped as
-    charge-0 vectors: every state's sector blocks gathered from its dense
-    matrix, and checked against it by two nonzero counts."""
+    charge-0 vectors and width-1 blocks took the closed form: every state's
+    sector blocks gathered from its dense matrix, checked against it by two
+    nonzero counts, and scored by `fidelity_kernel_eigh`."""
     slices = [sigma.basis.sector_slice(n) for n in range(sigma.basis.n_max + 1)]
     width = max(sl.stop - sl.start for sl in slices)
     flat, pos = [], []
@@ -833,9 +698,9 @@ def fidelities_gathered(states, sigma: DensityMatrix) -> np.ndarray:
         stack = np.zeros((len(mats), len(slices) * width * width), dtype=complex)
         stack[:, pos] = entries
         stack = stack.reshape(len(mats), len(slices), width, width)
-        out[blocked] = _fidelity_kernel(stack[:-1][blocked], stack[-1])
+        out[blocked] = fidelity_kernel_eigh(stack[:-1][blocked], stack[-1])
     for k in np.flatnonzero(~blocked):
-        out[k] = _fidelity_kernel(states[k].mat[None], sigma.mat)[0]
+        out[k] = fidelity_kernel_eigh(states[k].mat[None], sigma.mat)[0]
     return out
 
 

@@ -20,12 +20,12 @@ from bosonloop.matrixkit import haar_random_unitary, unvec, vec
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, embed,
                               fock_state_dm, partial_trace, random_density_matrix,
                               tensor_product, trace_distance, uhlmann_fidelity)
+from bosonloop.tensors import _check_spectral_radius
 
 from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
                      coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
-                     kraus_pure_fock, loop_channel_per_sector, loop_kraus_dense,
-                     loop_kraus_from_full, loss_kraus_loop, nonzeros_by_scan,
-                     spectral_diagnostics_all_blocks,
+                     kraus_pure_fock, loop_channel_per_sector, loop_kraus_from_full,
+                     loss_kraus_loop, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, superop_block_dense,
                      superoperator_kron, unique_by_q_nonnegative_blocks)
 
@@ -188,11 +188,13 @@ def test_loss_channel_matches_beam_splitter_oracle():
     ((0.2, 0.4, 0.6, 0.8), 4, 4),
 ])
 def test_loss_channel_equals_the_double_loop(transmission, modes, n_max):
-    # the nonzeros are emitted directly, in the order of a per-operator
-    # scan; a state stepped through the charge-0 block never scatters them
+    # the nonzeros are emitted directly, in the order of the per-operator
+    # np.nonzero scan `from_kraus` makes; a state stepped through the
+    # charge-0 block never scatters them
     chan = loss_channel(transmission, modes, n_max)
     expected = loss_kraus_loop(transmission, modes, n_max)
-    for got, ref in zip(chan.nonzeros, nonzeros_by_scan(expected)):
+    scanned = QuantumChannel.from_kraus(chan.basis, expected, valid_max_photons=n_max)
+    for got, ref in zip(chan.nonzeros, scanned.nonzeros):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     rho = fock_state_dm(chan.basis, (n_max,) + (0,) * (modes - 1))
     assert chan.apply(rho).block0 is not None
@@ -451,7 +453,7 @@ def test_uniqueness_from_m_eff_agrees_with_the_q_nonnegative_scan():
             losses=losses))
         chan = setup.loop_update_channel()
         try:
-            setup.check_unique_stationary()
+            _check_spectral_radius(setup.config.m_eff, setup.looped)
             radius_refuses = False
         except SpectralRadiusError:
             radius_refuses = True
@@ -700,13 +702,13 @@ _SHAPES = [(2, 1, 9, "haar"), (3, 1, 5, "haar"), (3, 2, 5, "haar"), (4, 2, 4, "h
 @pytest.mark.parametrize("lossy", [False, True])
 def test_loop_channel_nonzeros_equal_the_dense_stack_scan(monkeypatch, modes, looped, n_max,
                                                           matrix, kind, lossy):
-    # the nonzeros loop_channel emits are those one np.nonzero scan per
-    # operator finds in the dense (outputs, d, d) stack, and the scattered
-    # operators are that stack, byte for byte; the lossy inputs reach the
-    # loop through the input loss channel.  The per-sector gather it
-    # replaced emits them too.  A number state (the vacuum stays one through
-    # loss) gives its eigenpair without eigh, every other state calls eigh
-    # once, and both emit what the eigh-route references emit.
+    # the nonzeros loop_channel emits are those of the per-sector gather it
+    # replaced, and the scattered operators of both are the dense operators
+    # gathered from the full lifted matrix, byte for byte; the lossy inputs
+    # reach the loop through the input loss channel.  A number state (the
+    # vacuum stays one through loss) gives its eigenpair without eigh, every
+    # other state calls eigh once, and both emit what the eigh-route
+    # references emit.
     losses = LossSpec(t_in=np.full(modes, 0.9), t_out=np.full(modes, 0.95),
                       loop_transmission=0.8) if lossy else LossSpec()
     ext_in = _INPUTS[kind](FockBasis(modes - looped, 2))
@@ -714,7 +716,7 @@ def test_loop_channel_nonzeros_equal_the_dense_stack_scan(monkeypatch, modes, lo
         {"unitary": _interferometer(matrix, modes)}
     setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1, **u,
                                         input_state=ext_in, n_max=n_max, losses=losses))
-    dense = loop_kraus_dense(setup.lifted, setup.rho_ext_in)
+    dense = loop_kraus_from_full(setup.lifted, setup.rho_ext_in)
     eigh, eigh_calls = np.linalg.eigh, []
 
     def counted_eigh(a):
@@ -725,17 +727,18 @@ def test_loop_channel_nonzeros_equal_the_dense_stack_scan(monkeypatch, modes, lo
         built = loop_channel(setup.lifted, setup.rho_ext_in)
     number_state = kind == "vacuum" or (kind in ("fock", "two_photons") and not lossy)
     assert eigh_calls == ([] if number_state else [setup.rho_ext_in.mat.shape])
-    for chan in (built, loop_channel_per_sector(setup.lifted, setup.rho_ext_in)):
-        for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    ref = loop_channel_per_sector(setup.lifted, setup.rho_ext_in)
+    for got, want in zip(built.nonzeros, ref.nonzeros):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for chan in (built, ref):
         assert len(chan.kraus) == len(dense) >= 1
         assert all(k.tobytes() == k_ref.tobytes() for k, k_ref in zip(chan.kraus, dense))
 
 
 def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():
     # entries of 1e-320 in a lifted block stay nonzero times sqrt(1 - 1e-10)
-    # and underflow to zero times sqrt(1e-10); the scan of the dense stack
-    # finds only the first, and so must the nonzeros
+    # and underflow to zero times sqrt(1e-10); the per-sector gather keeps
+    # only the first, and so must the nonzeros
     lifted = lift(haar_random_unitary(2, 3), FockBasis(2, 4))
     for n in (2, 3):
         block = lifted.block(n).copy()
@@ -743,9 +746,9 @@ def test_loop_channel_drops_entries_that_underflow_like_the_dense_scan():
         lifted._blocks[n] = block
     rho_ext = DensityMatrix(FockBasis(1, 1), np.diag([1 - 1e-10, 1e-10]))
     chan = loop_channel(lifted, rho_ext)
-    dense = loop_kraus_dense(lifted, rho_ext)
+    dense = loop_kraus_from_full(lifted, rho_ext)
     assert np.count_nonzero(np.abs(np.concatenate(dense)) == 1e-320) > 0
-    for got, ref in zip(chan.nonzeros, nonzeros_by_scan(dense)):
+    for got, ref in zip(chan.nonzeros, loop_channel_per_sector(lifted, rho_ext).nonzeros):
         assert got.tobytes() == ref.tobytes()
 
 

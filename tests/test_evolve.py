@@ -469,6 +469,45 @@ def test_stabilization_cap_takes_the_stepwise_final_step(monkeypatch, max_iterat
                     max_iterations=max_iterations) == "TruncationError"
 
 
+@pytest.mark.parametrize("max_iterations", [0, 1, 7])
+def test_iterate_cap_raises_after_exactly_max_iterations_steps(monkeypatch, max_iterations):
+    # no trace distance lies below a zero tolerance
+    cfg = haar_config(2, 1, 1, 20, n_max=10)
+    calls = _count_steps(monkeypatch)
+    assert _outcome(stationary_loop_iterate, cfg, tol=0.0,
+                    max_iterations=max_iterations) == "ConvergenceError"
+    assert len(calls) == max_iterations
+
+
+def test_iterate_surfaces_a_truncation_error_at_its_step(monkeypatch):
+    # a failure at or before the settling step surfaces after exactly that
+    # many steps; one past it is never reached
+    cfg = haar_config(2, 1, 1, 20, n_max=10)
+    calls = _count_steps(monkeypatch)
+    settled = stationary_loop_iterate(cfg)
+    steps = len(calls)
+    for fail_at in (1, 2, steps):
+        calls = _count_steps(monkeypatch, fail_at)
+        assert _outcome(stationary_loop_iterate, cfg) == "TruncationError"
+        assert len(calls) == fail_at
+    _count_steps(monkeypatch, steps + 1)
+    assert stationary_loop_iterate(cfg).mat.tobytes() == settled.mat.tobytes()
+
+
+@pytest.mark.parametrize("solve", [stationary_loop_state, stationary_loop_iterate,
+                                   stabilization_time])
+def test_stationary_entry_points_refuse_a_config_without_a_loop(monkeypatch, solve):
+    # refused before the joint space is resolved or lifted
+    def no_setup(*args):
+        raise AssertionError("the joint space was built")
+
+    monkeypatch.setattr(evolve, "_LoopSetup", no_setup)
+    cfg = ExperimentConfig(modes=3, looped=0, iterations=1, haar_seed=3,
+                           input_occupation=(1, 1, 0))
+    with pytest.raises(ValueError, match="needs at least one looped mode"):
+        solve(cfg)
+
+
 def _rung_events(monkeypatch):
     """Record, in order, the bordered solve's results ("solved" or None),
     the channel steps ("step") and the charge blocks requested (their index)."""

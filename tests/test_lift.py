@@ -12,9 +12,8 @@ from bosonloop.matrixkit import (haar_random_unitary, permanent,
                                  submatrix_by_multiplicity)
 from bosonloop.qstate import random_density_matrix
 
-from oracles import (conjugate_all_blocks, lift_apply_fock_by_column,
-                     lift_apply_fock_whole, lift_block_polynomial,
-                     lift_blocks_by_column, lift_blocks_whole)
+from oracles import (conjugate_dense, lift_apply_fock_whole, lift_block_polynomial,
+                     lift_blocks_whole)
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -153,8 +152,7 @@ def test_conjugate_matches_all_blocks_loop(modes, n_max, transmission):
     one_empty[basis.sector_slice(1)] = 0.0
     one_empty[:, basis.sector_slice(1)] = 0.0
     for rho in (coherent, block_diagonal, one_empty, np.asfortranarray(block_diagonal)):
-        np.testing.assert_array_equal(lifted.conjugate(rho),
-                                      conjugate_all_blocks(lifted, rho))
+        np.testing.assert_array_equal(lifted.conjugate(rho), conjugate_dense(lifted, rho))
 
 
 def test_lift_apply_fock_matches_block_column():
@@ -190,13 +188,15 @@ def test_block_lift_is_bit_identical_to_column_recurrence(modes, n_max, seed, co
         u = g * (data.draw(st.floats(0.05, 1.0)) / np.linalg.norm(g, 2))
     else:
         u = haar_random_unitary(modes, seed)
+    # each column is its parent column raised by one photon, every column
+    # of a sector at once (the whole-sector recurrence the row panels replaced)
     lifted = lift(u, FockBasis(modes, n_max))
-    for n, expected in enumerate(lift_blocks_by_column(u, n_max)):
+    for n, expected in enumerate(lift_blocks_whole(np.asarray(u, dtype=complex), n_max)):
         np.testing.assert_array_equal(_bits(lifted.block(n)), _bits(expected))
     occ = tuple(data.draw(st.lists(st.integers(0, 6), min_size=modes, max_size=modes)
                           .filter(lambda o: sum(o) <= n_max)))
     np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
-                                  _bits(lift_apply_fock_by_column(u, occ)))
+                                  _bits(lift_apply_fock_whole(u, occ)))
 
 
 def _pinned_matrices(modes: int) -> dict:

@@ -21,12 +21,11 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               tensor_product, tensor_product_blocks,
                               trace_distance, uhlmann_fidelity)
 
-from oracles import (_sector_layout_where, apply_dense, charge0_by_take,
-                     charge0_layout_by_nonzero, charge_blocks_by_scans, coherent_dm,
-                     conjugate_dense, fidelities_gathered,
-                     fidelity_kernel_eigh, joint_pass_dense, partial_trace_buckets, purity,
-                     sample_one_draw, sector_weights_by_slices, tensor_product_dense,
-                     tensor_product_kron, uhlmann_fidelity_one)
+from oracles import (apply_dense, charge0_by_take, charge0_layout_by_nonzero,
+                     charge_blocks_by_scans, coherent_dm, conjugate_dense,
+                     fidelities_gathered, fidelity_kernel_eigh, joint_pass_dense,
+                     partial_trace_buckets, purity, sample_one_draw,
+                     sector_weights_by_slices, tensor_product_kron)
 
 
 def test_fock_state_dm():
@@ -176,7 +175,7 @@ def test_joint_pass_blocks_equal_the_dense_product_bit_for_bit(modes, n_max, kin
               for basis, kind, s in zip((basis_a, basis_b), kinds, (seed, seed + 1)))
     dropped = overflow_weight(ra, rb, joint.n_max)
     try:
-        expected = tensor_product_dense(ra, rb, joint, dropped)
+        expected = tensor_product_kron(ra.mat, rb.mat, basis_a, basis_b, joint, dropped > 0.0)
     except TruncationError:
         with pytest.raises(TruncationError, match="lost all weight"):
             tensor_product_blocks(ra, rb, joint, dropped)
@@ -270,18 +269,15 @@ def test_joint_pass_equals_the_dense_route_bit_for_bit(modes, looped, occupation
 
 def test_joint_pass_at_the_evolve_benchmark_shape_equals_the_dense_oracles():
     # M=6, L=2, input (1,1,1,0), both iterations: `_LoopSetup.step` against
-    # the dense product, the dense conjugation and the bucket traces in turn
+    # the dense joint matrix, its dense conjugation and the bucket traces
     setup = _LoopSetup(ExperimentConfig(modes=6, looped=2, iterations=2, haar_seed=2301,
                                         input_occupation=(1, 1, 1, 0)))
     line = setup.vacuum_line()
     for _ in range(setup.config.iterations):
-        rho_det, rho_next, leaked = setup.step(line)
-        product = tensor_product_dense(setup.rho_ext_in, line, setup.joint, leaked)
-        rho_out = DensityMatrix(setup.joint, conjugate_dense(setup.lifted, product),
-                                check=False)
-        _assert_same_bits(rho_det.mat, partial_trace_buckets(rho_out, (0, setup.n_ext)).mat)
-        _assert_same_bits(rho_next.mat,
-                          partial_trace_buckets(rho_out, (setup.n_ext, setup.modes)).mat)
+        rho_det, rho_next, _ = setup.step(line)
+        want_det, want_next = joint_pass_dense(setup, line)
+        _assert_same_bits(rho_det.mat, want_det.mat)
+        _assert_same_bits(rho_next.mat, want_next.mat)
         line = rho_next
 
 
@@ -380,10 +376,9 @@ def test_stacked_fidelities_equal_the_pairwise_oracle(modes, looped, haar_seed, 
                                                       steps, length):
     states, stat = _trajectory(modes, looped, haar_seed, n_max, steps)
     assert len(states) == length
-    _assert_same_floats(fidelities(states, stat),
-                        [uhlmann_fidelity_one(rho, stat) for rho in states])
-    _assert_same_floats([uhlmann_fidelity(rho, stat) for rho in states],
-                        [uhlmann_fidelity_one(rho, stat) for rho in states])
+    got = fidelities(states, stat)
+    _assert_same_floats(got, fidelities_gathered(states, stat))
+    _assert_same_floats([uhlmann_fidelity(rho, stat) for rho in states], got)
 
 
 def test_stacked_fidelities_with_coherences_between_sectors():
@@ -395,8 +390,7 @@ def test_stacked_fidelities_with_coherences_between_sectors():
     diagonal = DensityMatrix(basis, np.diag(np.arange(1.0, 8.0)) / 28)
     states = [diagonal, coherent, random_density_matrix(basis, 3), diagonal, coherent]
     for sigma in (diagonal, coherent):
-        _assert_same_floats(fidelities(states, sigma),
-                            [uhlmann_fidelity_one(rho, sigma) for rho in states])
+        _assert_same_floats(fidelities(states, sigma), fidelities_gathered(states, sigma))
 
 
 def test_sector_weights_equal_the_sums_of_the_copied_diagonal():
@@ -528,13 +522,16 @@ def test_charge_split_and_layout_equal_the_scans(modes, n_max):
     for got, want in zip((rows, cols, diagonal, pos), ref[:3] + ref[4:5]):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert shape == ref[5]
-    # the stack positions put each sector block where the masked gather does
+    # the stack positions put each sector block at the top left of its
+    # zero-padded slot
     mat = random_density_matrix(basis, modes + n_max).mat
     stack = np.zeros(int(np.prod(shape)), dtype=complex)
     stack[pos] = mat[rows, cols]
-    where_rows, where_cols, inside, _ = _sector_layout_where(basis)
-    assert (stack.reshape(shape).tobytes()
-            == np.where(inside, mat[where_rows, where_cols], 0.0).tobytes())
+    want = np.zeros(shape, dtype=complex)
+    for n in range(n_max + 1):
+        sl = basis.sector_slice(n)
+        want[n, :sl.stop - sl.start, :sl.stop - sl.start] = mat[sl, sl]
+    assert stack.reshape(shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("modes, n_max", [(1, 6), (2, 4), (3, 3)])
