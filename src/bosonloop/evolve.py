@@ -285,14 +285,13 @@ class _LoopSetup:
             rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
 
 
-def _stationary_setup(config: ExperimentConfig, lifted_blocks: dict | None, what: str):
-    """(setup, loop-update channel) of the stationary routes; `what` names the
-    route that refuses a config without a loop.  Raises SpectralRadiusError
-    unless rho(M_eff,LL) < 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
+def _stationary_setup(config: ExperimentConfig, lifted_blocks: dict | None):
+    """(setup, loop-update channel) of the stationary routes, which refuse a
+    config without a loop.  Raises SpectralRadiusError unless rho(M_eff,LL) < 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
     eigenvalues are products of M_eff,LL's and their conjugates (see
     `stationary_state`), so the stationary state is unique exactly then."""
     if config.looped == 0:
-        raise ValueError(f"{what} needs at least one looped mode")
+        raise ValueError("a stationary loop state needs at least one looped mode")
     setup = _LoopSetup(config, lifted_blocks)
     _check_spectral_radius(config.m_eff, config.looped)
     return setup, setup.loop_update_channel()
@@ -321,18 +320,19 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
 
 def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> EvolutionTrace:
     """k joint passes from the vacuum line; the line state advances by the
-    joint pass's own output, or along the loop channel's `iterates` when `kraus`."""
+    joint pass's own output, or by the one-iteration Kraus channel when `kraus`."""
     if config.looped == 0:
         return _singlepass_trace(config)
     setup = _LoopSetup(config)
-    lines = setup.iterates(setup.loop_update_channel()) if kraus else None
-    rho_line = next(lines) if kraus else setup.vacuum_line()
+    channel = setup.loop_update_channel() if kraus else None
+    rho_line = setup.vacuum_line()
     loop_states = [rho_line] if record_loop else None
     dists = []
     max_leak = 0.0
     for _ in range(config.iterations):
         rho_det, rho_next, leaked = setup.step(rho_line)
-        rho_line = next(lines) if kraus else rho_next
+        rho_line = (channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
+                    if kraus else rho_next)
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
         if record_loop:
@@ -453,7 +453,7 @@ def stationary_loop_state(config: ExperimentConfig,
     """Fixed point of the one-iteration loop channel via the superoperator.
     `lifted_blocks` is the memo of the lifted sector blocks that calls on one
     transfer matrix may share (see `LiftedUnitary`)."""
-    _, channel = _stationary_setup(config, lifted_blocks, "a stationary loop state")
+    _, channel = _stationary_setup(config, lifted_blocks)
     return stationary_state(channel)
 
 
@@ -461,7 +461,7 @@ def stationary_loop_iterate(config: ExperimentConfig, tol: float = 1e-12,
                             max_iterations: int = 1_000_000) -> DensityMatrix:
     """Fixed point by channel iteration from the vacuum: the first iterate within
     trace distance `tol` of the one before, within `max_iterations` steps."""
-    setup, channel = _stationary_setup(config, None, "a stationary loop state")
+    setup, channel = _stationary_setup(config, None)
     for rho, nxt in islice(pairwise(setup.iterates(channel)), max_iterations):
         if trace_distance(nxt, rho) < tol:
             return nxt
@@ -498,7 +498,7 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     `lifted_blocks` is the memo of the lifted sector blocks that calls on one
     transfer matrix may share (see `LiftedUnitary`).
     """
-    setup, channel = _stationary_setup(config, lifted_blocks, "stabilization time")
+    setup, channel = _stationary_setup(config, lifted_blocks)
     rho_stat = fixed_point(channel)
     if rho_stat is None:
         rho_stat = stationary_state(channel).rho

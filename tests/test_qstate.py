@@ -269,12 +269,20 @@ def test_joint_pass_equals_the_dense_route_bit_for_bit(modes, looped, occupation
 
 def test_joint_pass_at_the_evolve_benchmark_shape_equals_the_dense_oracles():
     # M=6, L=2, input (1,1,1,0), both iterations: `_LoopSetup.step` against
-    # the dense joint matrix, its dense conjugation and the bucket traces
+    # the kron product, the dense conjugation and the bucket traces in turn,
+    # and against `joint_pass_dense`
     setup = _LoopSetup(ExperimentConfig(modes=6, looped=2, iterations=2, haar_seed=2301,
                                         input_occupation=(1, 1, 1, 0)))
     line = setup.vacuum_line()
     for _ in range(setup.config.iterations):
-        rho_det, rho_next, _ = setup.step(line)
+        rho_det, rho_next, leaked = setup.step(line)
+        product = tensor_product_kron(setup.rho_ext_in.mat, line.mat, setup.ext, setup.loop,
+                                      setup.joint, leaked > 0.0)
+        rho_out = DensityMatrix(setup.joint, conjugate_dense(setup.lifted, product),
+                                check=False)
+        _assert_same_bits(rho_det.mat, partial_trace_buckets(rho_out, (0, setup.n_ext)).mat)
+        _assert_same_bits(rho_next.mat,
+                          partial_trace_buckets(rho_out, (setup.n_ext, setup.modes)).mat)
         want_det, want_next = joint_pass_dense(setup, line)
         _assert_same_bits(rho_det.mat, want_det.mat)
         _assert_same_bits(rho_next.mat, want_next.mat)
@@ -391,6 +399,8 @@ def test_stacked_fidelities_with_coherences_between_sectors():
     states = [diagonal, coherent, random_density_matrix(basis, 3), diagonal, coherent]
     for sigma in (diagonal, coherent):
         _assert_same_floats(fidelities(states, sigma), fidelities_gathered(states, sigma))
+        _assert_same_floats([uhlmann_fidelity(rho, sigma) for rho in states],
+                            fidelities(states, sigma))
 
 
 def test_sector_weights_equal_the_sums_of_the_copied_diagonal():
