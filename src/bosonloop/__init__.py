@@ -10,6 +10,8 @@ density-matrix/distribution reconstruction from moments.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .channels import (QuantumChannel, StationaryResult, compose, loop_channel,
                        loss_channel, stationary_state)
 from .errors import (BosonLoopError, ConfigError, ConvergenceError,
@@ -26,8 +28,7 @@ from .fock import (FockBasis, enumerate_sector, sector_size, tensor_index_map,
                    total_size)
 from .lift import LiftedUnitary, lift, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                        permanent, save_matrix_json, spectral_radius,
-                        submatrix_by_multiplicity, unvec, vec)
+                        permanent, spectral_radius, unvec, vec)
 from .qstate import (DensityMatrix, ProbabilityDistribution, classical_fidelity,
                      diagonal_distribution, fock_state_dm, partial_trace,
                      random_density_matrix, trace_distance, uhlmann_fidelity)
@@ -37,8 +38,10 @@ from .reconstruct import (MomentSystem, PhotonStatisticsFit, build_moment_system
                           reconstruct_convex, reconstruct_distribution,
                           thermal_pmf)
 from .tensors import (CorrelationTensor, TensorSet, estimate_n_max,
-                      expectations_from_dm, moment, moments_from_tensor_set,
+                      expectations_from_dm, moments_from_tensor_set,
                       recursive_stationary, stationary_order,
                       stationary_output_tensor, tensor_set_from_dm, transform)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the relative imports above also bind each submodule, which is not exported
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -398,6 +398,10 @@ def cmd_stationary(args, config, stager) -> None:
 
 
 def cmd_stabilization(args, config, stager) -> None:
+    """The stabilization-time histogram and its summary.  `skipped_degenerate`
+    counts the samples with a degenerate fixed point plus the samples that
+    did not stabilize within `stabilization_time`'s 100 000-iteration cap;
+    the key keeps its name so that summary.json's bytes do not move."""
     study = stabilization_samples(config, args.samples, args.seed, tolerance=args.tolerance)
     times = sorted(study.times)
     stager.add_text("stabilization_histogram.csv",

@@ -120,7 +120,7 @@ class ExperimentConfig:
 
     def _checked(self, u) -> np.ndarray:
         """A read-only copy of `u`, refused unless an M x M unitary (`Interferometer`)."""
-        u = Interferometer(np.array(u, dtype=complex), self.looped).matrix
+        u = Interferometer(np.array(u, dtype=complex)).matrix
         if u.shape != (self.modes, self.modes):
             raise ValueError(f"transfer matrix has shape {u.shape}, expected M = {self.modes}")
         u.flags.writeable = False
@@ -167,9 +167,6 @@ class ExperimentConfig:
         m_eff.flags.writeable = False
         return m_eff
 
-    def with_unitary(self, u: np.ndarray) -> "ExperimentConfig":
-        return replace(self, unitary=u, haar_seed=None)
-
 
 def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) -> np.ndarray:
     """Lossy single-photon transfer matrix T_out U T_in.
@@ -193,7 +190,6 @@ class EvolutionTrace:
 
     rho_det: DensityMatrix
     iteration_distributions: list
-    final_loop_state: DensityMatrix | None
     loop_states: list | None
     max_leaked_weight: float
     n_max: int
@@ -313,8 +309,7 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     return EvolutionTrace(
         rho_det=rho_out,
         iteration_distributions=[rho_out.diagonal_distribution()] * config.iterations,
-        final_loop_state=None, loop_states=None, max_leaked_weight=0.0,
-        n_max=setup.n_max,
+        loop_states=None, max_leaked_weight=0.0, n_max=setup.n_max,
     )
 
 
@@ -338,8 +333,7 @@ def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> Evolut
         if record_loop:
             loop_states.append(rho_line)
     return EvolutionTrace(
-        rho_det=rho_det, iteration_distributions=dists,
-        final_loop_state=rho_line, loop_states=loop_states,
+        rho_det=rho_det, iteration_distributions=dists, loop_states=loop_states,
         max_leaked_weight=max_leak, n_max=setup.n_max,
     )
 

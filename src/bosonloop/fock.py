@@ -49,8 +49,8 @@ _BASES = {}
 
 
 def _new_basis(modes: int, n_max: int) -> "FockBasis":
-    """A FockBasis of these dimensions with its tables: sectors, read-only
-    sector offsets, sector slices, states, the state -> index dict and the
+    """A FockBasis of these dimensions with its tables: read-only sector
+    offsets, sector slices, states, the state -> index dict and the
     read-only total photon number of every state."""
     if modes < 0:
         raise ValueError(f"mode count must be >= 0, got {modes}")
@@ -61,7 +61,7 @@ def _new_basis(modes: int, n_max: int) -> "FockBasis":
     else:
         sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
     basis = object.__new__(FockBasis)
-    basis.modes, basis.n_max, basis._sectors = modes, n_max, sectors
+    basis.modes, basis.n_max = modes, n_max
     basis._offsets = np.concatenate([[0], np.cumsum([len(s) for s in sectors])])
     basis._slices = tuple(slice(int(a), int(b))
                           for a, b in zip(basis._offsets[:-1], basis._offsets[1:]))
@@ -97,10 +97,6 @@ class FockBasis:
     def __reduce__(self):
         return FockBasis, (self.modes, self.n_max)
 
-    def sector(self, total: int):
-        """Ordered occupation tuples of the fixed-total sector."""
-        return self._sectors[total]
-
     def sector_slice(self, total: int) -> slice:
         """Global index range of the fixed-total sector."""
         return self._slices[total]
@@ -122,9 +118,6 @@ class FockBasis:
     def totals(self) -> np.ndarray:
         """Total photon number of every basis state, as a read-only int array."""
         return self._totals
-
-    def __len__(self):
-        return self.size
 
     def __repr__(self):
         return f"FockBasis(modes={self.modes}, n_max={self.n_max})"

@@ -49,25 +49,6 @@ def permanent(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def submatrix_by_multiplicity(a: np.ndarray, row_occ, col_occ) -> np.ndarray:
-    """Matrix with row k of `a` repeated row_occ[k] times and likewise for columns.
-
-    Row and column occupations must carry the same total so the result is square.
-    """
-    a = np.asarray(a)
-    row_occ = tuple(row_occ)
-    col_occ = tuple(col_occ)
-    if len(row_occ) != a.shape[0] or len(col_occ) != a.shape[1]:
-        raise ValueError("occupation lengths must match the matrix dimensions")
-    if sum(row_occ) != sum(col_occ):
-        raise ValueError(
-            f"row and column totals differ: {sum(row_occ)} vs {sum(col_occ)}"
-        )
-    rows = np.repeat(np.arange(a.shape[0]), row_occ)
-    cols = np.repeat(np.arange(a.shape[1]), col_occ)
-    return a[np.ix_(rows, cols)]
-
-
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
@@ -109,55 +90,21 @@ def spectral_radius(a: np.ndarray) -> float:
 
 
 class Interferometer:
-    """An M-mode transfer matrix with the external/looped block partition.
+    """An M-mode transfer matrix, checked square, finite and unitary.
 
-    The last `n_looped` modes feed back into themselves between iterations.
-    The matrix must be unitary; losses are modelled separately (`LossSpec`).
+    Losses are modelled separately (`LossSpec`).
     """
 
-    def __init__(self, matrix: np.ndarray, n_looped: int = 0):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transfer matrix must be square, got {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise ValueError("transfer matrix contains non-finite entries")
-        m = matrix.shape[0]
-        if not 0 <= n_looped < m:
-            raise ValueError(f"need 0 <= n_looped < modes, got L={n_looped}, M={m}")
-        defect = np.abs(matrix.conj().T @ matrix - np.eye(m)).max()
+        defect = np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
         if defect > 1e-12:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         self.matrix = matrix
-        self.n_looped = n_looped
-
-    @property
-    def modes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_external(self) -> int:
-        return self.modes - self.n_looped
-
-    @property
-    def u_ll(self) -> np.ndarray:
-        e = self.n_external
-        return self.matrix[e:, e:]
-
-    def __repr__(self):
-        return f"Interferometer(modes={self.modes}, n_looped={self.n_looped})"
-
-
-def save_matrix_json(a: np.ndarray, path) -> None:
-    """Write a complex matrix as {rows, cols, re, im} with flat row-major lists."""
-    a = np.asarray(a, dtype=complex)
-    payload = {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "re": a.real.flatten().tolist(),
-        "im": a.imag.flatten().tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
 
 
 def load_matrix_json(path) -> np.ndarray:

@@ -112,12 +112,6 @@ class DensityMatrix:
             "im": self.mat.imag,
         }
 
-    def to_json(self, path) -> None:
-        payload = self.to_payload()
-        payload["re"], payload["im"] = payload["re"].tolist(), payload["im"].tolist()
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
     @classmethod
     def from_json(cls, path) -> "DensityMatrix":
         """The state a JSON file holds.  Its header must name the basis its
@@ -509,9 +503,6 @@ class ProbabilityDistribution:
         self.basis = basis
         self.probabilities = probabilities
 
-    def probability_of(self, occupation) -> float:
-        return float(self.probabilities[self.basis.index_of(occupation)])
-
     def sample(self, shots: int, seed: int) -> dict:
         """Inverse-CDF sampling; returns occupation -> count, deterministic per
         seed.  Shots are drawn _SAMPLE_CHUNK at a time, so memory does not
@@ -538,29 +529,6 @@ class ProbabilityDistribution:
             ",".join(str(x) for x in occ) + ";" + FLOAT_FMT % prob + "\n"
             for occ, prob in zip(self.basis.states, self.probabilities)
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv(cls, path, check: bool = True) -> "ProbabilityDistribution":
-        occs, probs = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                occ_str, prob_str = line.split(";")
-                occs.append(tuple(int(x) for x in occ_str.split(",")))
-                probs.append(float(prob_str))
-        modes = len(occs[0])
-        n_max = max(sum(o) for o in occs)
-        basis = FockBasis(modes, n_max)
-        v = np.zeros(basis.size)
-        for occ, prob in zip(occs, probs):
-            v[basis.index_of(occ)] = prob
-        return cls(basis, v, check=check)
 
 
 def diagonal_distribution(rho: DensityMatrix) -> ProbabilityDistribution:

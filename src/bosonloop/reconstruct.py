@@ -100,7 +100,6 @@ def build_moment_system(basis: FockBasis, tensor_set: TensorSet) -> MomentSystem
 
 @dataclass
 class ReconstructionInfo:
-    method: str
     negativity_before_projection: float
     projected: bool
     residual: float | None = None
@@ -167,8 +166,7 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
         out = project_psd(rho, basis)
     else:
         out = DensityMatrix(basis, rho / np.trace(rho).real, check=False)
-    info = ReconstructionInfo(method="analytic",
-                              negativity_before_projection=negativity,
+    info = ReconstructionInfo(negativity_before_projection=negativity,
                               projected=bool(projected))
     return out, info
 
@@ -209,7 +207,7 @@ def reconstruct_convex(system: MomentSystem, n_max: int | None = None,
             break
         prev_obj = obj
     rho = _project_density(unvec(best_x, d, d))
-    info = ReconstructionInfo(method="convex", negativity_before_projection=0.0,
+    info = ReconstructionInfo(negativity_before_projection=0.0,
                               projected=False, residual=best_obj,
                               converged=converged, iterations=iterations)
     return DensityMatrix(basis, rho, check=False), info
@@ -258,8 +256,7 @@ def reconstruct_distribution(system, n_max: int | None = None):
     else:
         probs = np.clip(raw, 0.0, None)
         probs /= probs.sum()
-    info = ReconstructionInfo(method="distribution",
-                              negativity_before_projection=negativity,
+    info = ReconstructionInfo(negativity_before_projection=negativity,
                               projected=bool(projected))
     return ProbabilityDistribution(basis, probs, check=False), info
 

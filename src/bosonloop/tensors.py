@@ -132,13 +132,6 @@ def expectations_from_dm(rho: DensityMatrix, k: int, l: int) -> CorrelationTenso
     return CorrelationTensor(k, l, rho.basis.modes, _MomentCache(rho).tensor(k, l))
 
 
-def moment(rho: DensityMatrix, s_vec, r_vec) -> complex:
-    """Single moment in per-mode rank form: s_vec creation / r_vec annihilation counts."""
-    cre = tuple(i for i, s in enumerate(s_vec) for _ in range(s))
-    ann = tuple(i for i, r in enumerate(r_vec) for _ in range(r))
-    return _MomentCache(rho).value(cre, ann)
-
-
 def _kron_powers(a: np.ndarray, n: int) -> list:
     """[a^(x 0), ..., a^(x n)], each the Kronecker product of the one before
     with a."""

@@ -33,8 +33,9 @@ from pathlib import Path
 
 from bosonloop.cli import main
 from bosonloop.fock import FockBasis
-from bosonloop.matrixkit import haar_random_unitary, save_matrix_json
+from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import random_density_matrix
+from fileio import write_dm_json, write_matrix_csv, write_matrix_json
 
 _FOCK = {"schema": 1, "M": 2, "L": 1, "n_max": 10, "iterations": 3,
          "input": {"type": "fock", "occupation": [1]},
@@ -105,10 +106,9 @@ CALLS = (
 
 def _write_inputs(work: Path) -> None:
     u = haar_random_unitary(3, 39)
-    save_matrix_json(u, work / "u39.json")
-    (work / "u39.csv").write_text(
-        "".join(",".join(repr(complex(x)) for x in row) + "\n" for row in u))
-    random_density_matrix(FockBasis(1, 2), 4).to_json(work / "rho.json")
+    write_matrix_json(u, work / "u39.json")
+    write_matrix_csv(u, work / "u39.csv")
+    write_dm_json(random_density_matrix(FockBasis(1, 2), 4), work / "rho.json")
     for name, cfg in CONFIGS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
 

@@ -14,7 +14,8 @@ point's `_probe`, `_check_spectral_radius`, the moment route's
 Each layer keeps one reference of each kind, and an older generation is
 removed only where a kept one is checked on the same inputs for the same
 property:
-  lift           `lift_block_polynomial` (with `permanent_naive`);
+  lift           `lift_block_polynomial` (with `permanent_naive` and
+                 `submatrix_by_multiplicity`);
                  `lift_blocks_whole` and `lift_apply_fock_whole`
   loop channel   `loop_kraus_from_full`; `loop_channel_per_sector`
   joint pass     `tensor_product_kron`; `joint_pass_dense`, whose stages
@@ -66,6 +67,27 @@ def permanent_naive(a: np.ndarray) -> complex:
             term *= a[i, j]
         total += term
     return total
+
+
+def submatrix_by_multiplicity(a: np.ndarray, row_occ, col_occ) -> np.ndarray:
+    """Matrix with row k of `a` repeated row_occ[k] times and likewise for
+    columns: the permanent of the result over the square roots of the
+    occupation factorials is the lifted entry <row_occ| U |col_occ>.
+
+    Row and column occupations must carry the same total so the result is square.
+    """
+    a = np.asarray(a)
+    row_occ = tuple(row_occ)
+    col_occ = tuple(col_occ)
+    if len(row_occ) != a.shape[0] or len(col_occ) != a.shape[1]:
+        raise ValueError("occupation lengths must match the matrix dimensions")
+    if sum(row_occ) != sum(col_occ):
+        raise ValueError(
+            f"row and column totals differ: {sum(row_occ)} vs {sum(col_occ)}"
+        )
+    rows = np.repeat(np.arange(a.shape[0]), row_occ)
+    cols = np.repeat(np.arange(a.shape[1]), col_occ)
+    return a[np.ix_(rows, cols)]
 
 
 def lift_block_polynomial(u: np.ndarray, n: int) -> np.ndarray:
@@ -639,13 +661,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.mat @ rho.mat).real)
 
 
-def interferometer_blocks(itf) -> tuple:
-    """The external-external, external-loop, loop-external and loop-loop
-    blocks of an interferometer's matrix."""
-    e = itf.n_external
-    return itf.matrix[:e, :e], itf.matrix[:e, e:], itf.matrix[e:, :e], itf.u_ll
-
-
 def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> DensityMatrix:
     """`QuantumChannel.apply` as the package ran it before states stepped as
     charge-0 vectors: the charge-0 block gathered from the dense matrix,
@@ -837,6 +852,5 @@ def reconstruct_analytic_loop(system, n_max: int | None = None):
         out = project_psd(rho, basis)
     else:
         out = DensityMatrix(basis, rho / np.trace(rho).real, check=False)
-    return out, ReconstructionInfo(method="analytic",
-                                   negativity_before_projection=negativity,
+    return out, ReconstructionInfo(negativity_before_projection=negativity,
                                    projected=bool(projected))

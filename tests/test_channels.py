@@ -14,7 +14,7 @@ from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
 from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
                               _LoopSetup, effective_transfer_matrix, stabilization_samples,
                               stabilization_time, stationary_loop_state)
-from bosonloop.fock import FockBasis, tensor_index_map
+from bosonloop.fock import FockBasis, enumerate_sector, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, embed,
@@ -131,7 +131,7 @@ def test_loop_channel_completeness_on_valid_subspace():
     chan = loop_channel(lifted, rho_ext)
     assert chan.valid_max_photons == n_max - 1
     comp = chan.completeness_operator()
-    d_ok = sum(len(chan.basis.sector(n)) for n in range(n_max))
+    d_ok = sum(len(enumerate_sector(chan.basis.modes, n)) for n in range(n_max))
     np.testing.assert_allclose(comp[:d_ok, :d_ok], np.eye(d_ok), atol=1e-9)
     # the top sector is not covered: transitions out of it were truncated
     assert np.abs(np.diag(comp)[d_ok:] - 1.0).max() > 0.5
@@ -534,6 +534,17 @@ def test_stabilization_times_pinned():
     study = stabilization_samples(cfg, samples=24, seed=7)
     assert study.skipped == 0
     assert study.times == PINNED_TAUS
+
+
+def test_samples_that_hit_the_iteration_cap_count_as_skipped():
+    # the pinned study capped at 5 iterations: the samples whose tau exceeds
+    # the cap raise ConvergenceError and join `skipped`, which the CLI
+    # writes as summary.json's `skipped_degenerate`
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
+                           input_occupation=(1,), n_max=14)
+    study = stabilization_samples(cfg, samples=24, seed=7, max_iterations=5)
+    assert study.times == [tau for tau in PINNED_TAUS if tau <= 5]
+    assert study.skipped == sum(tau > 5 for tau in PINNED_TAUS)
 
 
 def test_stabilization_times_equal_the_stepwise_oracle():

@@ -23,14 +23,15 @@ from hypothesis.extra import numpy as hnp
 
 import bosonloop
 import bosonloop.cli
-from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, _matrix_text, json_text, main
+from bosonloop.cli import _EXIT_CODES, EXIT_SIZE_CAP, _matrix_text, json_text, load_config, main
 from bosonloop.errors import (DENSE_DIM_CAP, ConfigError, ConvergenceError,
                               DegenerateFixedPointError, ReconstructionError,
                               SizeCapError, SpectralRadiusError, TruncationError)
-from bosonloop.evolve import effective_transfer_matrix
+from bosonloop.evolve import effective_transfer_matrix, stationary_loop_state
 from bosonloop.fock import FockBasis
-from bosonloop.matrixkit import haar_random_unitary, save_matrix_json
-from bosonloop.qstate import DensityMatrix, ProbabilityDistribution, fock_state_dm
+from bosonloop.matrixkit import haar_random_unitary
+from bosonloop.qstate import DensityMatrix, fock_state_dm
+from fileio import read_distribution_csv, write_dm_json, write_matrix_csv, write_matrix_json
 from oracles import coherent_dm, matrix_text_by_entry
 
 BASE = {
@@ -50,10 +51,6 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-def read_dist(path):
-    return ProbabilityDistribution.from_csv(path, check=False)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -276,7 +273,7 @@ def test_matrix_text_writes_zero_runs_as_the_per_entry_writer(matrix):
 @pytest.mark.parametrize("command", ["stationary", "reconstruct"])
 def test_tensor_artifacts_pinned(tmp_path, command):
     if command == "stationary":
-        coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 4).to_json(tmp_path / "in.json")
+        write_dm_json(coherent_dm([0.6 + 0.4j, -0.3 + 0.5j], 4), tmp_path / "in.json")
         path = write_config(tmp_path, M=3, L=1, n_max=8, input={"type": "dm", "path": "in.json"},
                             unitary={"type": "haar", "seed": 11})
         method = "tensors"
@@ -471,7 +468,7 @@ PINNED_JOINT_PASS_SHA256 = {
 
 @pytest.mark.parametrize("method", ["pdm", "kraus"])
 def test_coherent_input_evolve_artifacts_pinned(tmp_path, method):
-    coherent_dm([0.3 + 0.2j, -0.1 + 0.25j], 4).to_json(tmp_path / "in.json")
+    write_dm_json(coherent_dm([0.3 + 0.2j, -0.1 + 0.25j], 4), tmp_path / "in.json")
     path = write_config(tmp_path, M=3, n_max=10, input={"type": "dm", "path": "in.json"},
                         unitary={"type": "haar", "seed": 17})
     out = tmp_path / method
@@ -480,7 +477,7 @@ def test_coherent_input_evolve_artifacts_pinned(tmp_path, method):
 
 
 def test_single_pass_artifacts_pinned(tmp_path):
-    coherent_dm([0.4 + 0.2j, -0.3j, 0.5], 3).to_json(tmp_path / "in.json")
+    write_dm_json(coherent_dm([0.4 + 0.2j, -0.3j, 0.5], 3), tmp_path / "in.json")
     path = write_config(tmp_path, M=3, L=0, n_max=3, iterations=2,
                         input={"type": "dm", "path": "in.json"},
                         unitary={"type": "haar", "seed": 18})
@@ -504,7 +501,7 @@ def test_dropping_detection_pass_artifacts_pinned(tmp_path, monkeypatch):
 
 def test_dm_input_on_a_larger_truncation(tmp_path):
     # |1><1| stored at n_max=5 runs as the Fock input (1,) at the config's n_max=2
-    fock_state_dm(FockBasis(1, 5), (1,)).to_json(tmp_path / "in.json")
+    write_dm_json(fock_state_dm(FockBasis(1, 5), (1,)), tmp_path / "in.json")
     path = write_config(tmp_path, n_max=2, iterations=2,
                         input={"type": "dm", "path": "in.json"})
     assert main(["evolve", path, "--out", str(tmp_path / "dm")]) == 0
@@ -514,6 +511,21 @@ def test_dm_input_on_a_larger_truncation(tmp_path):
         assert (tmp_path / "dm" / name).read_bytes() == (tmp_path / "fock" / name).read_bytes()
 
 
+def test_a_stationary_artifact_is_a_density_matrix_input(tmp_path):
+    # every rho_*.json is to_payload() as json_text writes it, the package's
+    # one writer of the `input.type = dm` format that DensityMatrix.from_json reads
+    path = write_config(tmp_path)
+    assert main(["stationary", path, "--out", str(tmp_path / "stat")]) == 0
+    back = DensityMatrix.from_json(tmp_path / "stat" / "rho_stat.json")
+    rho = stationary_loop_state(load_config(path)[0]).rho
+    assert back.basis == rho.basis
+    assert back.mat.tobytes() == rho.mat.tobytes()
+    # the state holds weight up to 5 photons, so 3 iterations need n_max 15
+    fed = write_config(tmp_path, "fed.json", n_max=15,
+                       input={"type": "dm", "path": "stat/rho_stat.json"})
+    assert main(["evolve", fed, "--out", str(tmp_path / "evolve")]) == 0
+
+
 def test_evolve_unfold_agrees(tmp_path):
     path = write_config(tmp_path, n_max=3)
     out_u, out_p = tmp_path / "unf", tmp_path / "pdm"
@@ -521,8 +533,8 @@ def test_evolve_unfold_agrees(tmp_path):
     assert main(["evolve", path, "--method", "pdm", "--out", str(out_p)]) == 0
     for i in (1, 2, 3):
         name = f"distribution_iter_{i:03d}.csv"
-        a = read_dist(out_u / name)
-        b = read_dist(out_p / name)
+        a = read_distribution_csv(out_u / name, check=False)
+        b = read_distribution_csv(out_p / name, check=False)
         assert 0.5 * np.abs(a.probabilities - b.probabilities).sum() < 1e-10
 
 
@@ -531,14 +543,15 @@ def test_evolve_without_loop_matches_single_pass(tmp_path):
                         input={"type": "fock", "occupation": [1, 0]})
     out = tmp_path / "o"
     assert main(["evolve", path, "--out", str(out)]) == 0
-    a = read_dist(out / "distribution_iter_001.csv")
-    b = read_dist(out / "distribution_iter_002.csv")
+    a = read_distribution_csv(out / "distribution_iter_001.csv", check=False)
+    b = read_distribution_csv(out / "distribution_iter_002.csv", check=False)
     np.testing.assert_array_equal(a.probabilities, b.probabilities)
     # single-pass reference: |U[0,0]|^2 on (1,0), |U[1,0]|^2 on (0,1)
     from bosonloop.matrixkit import haar_random_unitary
     u = haar_random_unitary(2, 20)
-    assert a.probability_of((1, 0)) == pytest.approx(abs(u[0, 0]) ** 2, abs=1e-12)
-    assert a.probability_of((0, 1)) == pytest.approx(abs(u[1, 0]) ** 2, abs=1e-12)
+    prob = dict(zip(a.basis.states, a.probabilities))
+    assert prob[(1, 0)] == pytest.approx(abs(u[0, 0]) ** 2, abs=1e-12)
+    assert prob[(0, 1)] == pytest.approx(abs(u[1, 0]) ** 2, abs=1e-12)
 
 
 def test_stationary_methods_agree(tmp_path):
@@ -566,7 +579,7 @@ def test_stationary_methods_agree(tmp_path):
 
 def test_stationary_decoupled_exits_4(tmp_path, capsys):
     u = np.diag([1.0, np.exp(0.4j)])
-    save_matrix_json(u, tmp_path / "u.json")
+    write_matrix_json(u, tmp_path / "u.json")
     path = write_config(tmp_path, unitary={"type": "file", "path": "u.json"},
                         n_max=4, iterations=1)
     for method in ("superop", "tensors", "iterate"):
@@ -1232,10 +1245,6 @@ def test_invalid_request_exits_2_with_json_error(tmp_path, capsys, overrides, ar
     assert not out.exists()
 
 
-def _write_matrix_csv(matrix, path) -> None:
-    path.write_text("".join(",".join(repr(complex(x)) for x in row) + "\n" for row in matrix))
-
-
 @pytest.mark.parametrize("name, matrix", [
     ("wrong_shape.json", haar_random_unitary(3, 1)),
     ("non_unitary.csv", np.diag([0.5, 1.0])),
@@ -1243,7 +1252,7 @@ def _write_matrix_csv(matrix, path) -> None:
 ])
 def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, matrix):
     path = tmp_path / name
-    save_matrix_json(matrix, path) if name.endswith(".json") else _write_matrix_csv(matrix, path)
+    write_matrix_json(matrix, path) if name.endswith(".json") else write_matrix_csv(matrix, path)
     config = write_config(tmp_path, unitary={"type": "file", "path": name})
     for method in ("unfold", "pdm"):
         out = tmp_path / method
@@ -1256,8 +1265,8 @@ def test_malformed_matrix_file_exits_2(tmp_path, capsys, name, matrix):
 @pytest.mark.parametrize("method", ["pdm", "kraus", "unfold"])
 def test_csv_matrix_gives_the_json_matrix_artifacts(tmp_path, method):
     u = haar_random_unitary(3, 39)
-    save_matrix_json(u, tmp_path / "u.json")
-    _write_matrix_csv(u, tmp_path / "u.csv")
+    write_matrix_json(u, tmp_path / "u.json")
+    write_matrix_csv(u, tmp_path / "u.csv")
     outputs = []
     for kind in ("json", "csv"):
         config = write_config(tmp_path, f"{kind}.json", M=3, L=2, n_max=7, iterations=2,

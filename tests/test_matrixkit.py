@@ -3,11 +3,10 @@ import pytest
 
 from bosonloop.errors import DENSE_DIM_CAP, SizeCapError
 from bosonloop.matrixkit import (Interferometer, haar_random_unitary, load_matrix,
-                                 load_matrix_json, permanent,
-                                 save_matrix_json, spectral_radius,
-                                 submatrix_by_multiplicity, unvec, vec)
+                                 load_matrix_json, permanent, spectral_radius, unvec, vec)
 
-from oracles import interferometer_blocks, permanent_naive
+from fileio import write_matrix_json
+from oracles import permanent_naive, submatrix_by_multiplicity
 
 
 def random_complex(rng, n, m=None):
@@ -123,32 +122,16 @@ def test_spectral_radius():
     assert spectral_radius(a) == pytest.approx(np.abs(np.linalg.eigvals(a)).max())
 
 
-def test_interferometer_blocks():
-    u = haar_random_unitary(5, 3)
-    itf = Interferometer(u, n_looped=2)
-    assert itf.n_external == 3
-    u_ee, u_el, u_le, u_ll = interferometer_blocks(itf)
-    np.testing.assert_array_equal(u_ee, u[:3, :3])
-    np.testing.assert_array_equal(u_el, u[:3, 3:])
-    np.testing.assert_array_equal(u_le, u[3:, :3])
-    np.testing.assert_array_equal(u_ll, u[3:, 3:])
-    # exact reassembly
-    rebuilt = np.block([[u_ee, u_el], [u_le, u_ll]])
-    np.testing.assert_array_equal(rebuilt, u)
-
-
 def test_interferometer_validation():
     with pytest.raises(ValueError):
-        Interferometer(np.eye(3) * 1.5, 1)
-    with pytest.raises(ValueError):
-        Interferometer(haar_random_unitary(3, 0), 3)
+        Interferometer(np.eye(3) * 1.5)
 
 
 def test_matrix_json_round_trip(tmp_path):
     rng = np.random.default_rng(19)
     a = random_complex(rng, 3, 4)
     path = tmp_path / "m.json"
-    save_matrix_json(a, path)
+    write_matrix_json(a, path)
     np.testing.assert_allclose(load_matrix_json(path), a, atol=0)
     np.testing.assert_allclose(load_matrix(str(path)), a, atol=0)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bosonloop.qstate
 from bosonloop.channels import stationary_state
+from bosonloop.cli import json_text
 from bosonloop.errors import TruncationError
 from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, LossSpec, _LoopSetup
 from bosonloop.fock import FockBasis
@@ -21,6 +22,7 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               tensor_product, tensor_product_blocks,
                               trace_distance, uhlmann_fidelity)
 
+from fileio import read_distribution_csv
 from oracles import (apply_dense, charge0_by_take, charge0_layout_by_nonzero,
                      charge_blocks_by_scans, coherent_dm, conjugate_dense,
                      fidelities_gathered, fidelity_kernel_eigh, joint_pass_dense,
@@ -590,7 +592,7 @@ def test_classical_fidelity():
     small, big = FockBasis(2, 1), FockBasis(2, 2)
     r = ProbabilityDistribution(small, np.array([0.5, 0.25, 0.25]))
     t = ProbabilityDistribution(big, np.full(big.size, 1 / big.size))
-    expected = sum(np.sqrt(prob * t.probability_of(occ))
+    expected = sum(np.sqrt(prob * t.probabilities[t.basis.index_of(occ)])
                    for occ, prob in zip(small.states, r.probabilities))
     assert classical_fidelity(r, t) == pytest.approx(expected, abs=1e-15)
     assert classical_fidelity(t, r) == pytest.approx(expected, abs=1e-15)
@@ -643,7 +645,7 @@ def test_diagonal_distribution():
     dist = diagonal_distribution(rho)
     np.testing.assert_allclose(dist.probabilities, [0.5, 0.5])
     one_hot = diagonal_distribution(fock_state_dm(FockBasis(2, 1), (0, 1)))
-    assert one_hot.probability_of((0, 1)) == pytest.approx(1.0)
+    assert one_hot.probabilities[one_hot.basis.index_of((0, 1))] == pytest.approx(1.0)
     assert one_hot.probabilities.sum() == pytest.approx(1.0)
 
 
@@ -704,15 +706,15 @@ def test_distribution_csv_round_trip(tmp_path):
     basis = FockBasis(2, 1)
     dist = ProbabilityDistribution(basis, np.array([0.25, 0.25, 0.5]))
     path = tmp_path / "d.csv"
-    dist.to_csv(path)
-    back = ProbabilityDistribution.from_csv(path)
+    path.write_text(dist.to_csv_text())
+    back = read_distribution_csv(path)
     np.testing.assert_allclose(back.probabilities, dist.probabilities, atol=1e-12)
 
 
 def test_density_matrix_json_round_trip(tmp_path):
     rho = random_density_matrix(FockBasis(2, 2), 11)
     path = tmp_path / "rho.json"
-    rho.to_json(path)
+    path.write_text(json_text(rho.to_payload()))   # as the CLI writes rho_*.json
     back = DensityMatrix.from_json(path)
     assert back.basis == rho.basis
     np.testing.assert_allclose(back.mat, rho.mat, atol=0)

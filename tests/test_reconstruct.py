@@ -195,7 +195,7 @@ def test_distribution_vacuum_is_one_hot():
     basis = FockBasis(2, 2)
     rho = fock_state_dm(basis, (0, 0))
     dist, _ = reconstruct_distribution(full_system(rho))
-    assert dist.probability_of((0, 0)) == pytest.approx(1.0)
+    assert dist.probabilities[dist.basis.index_of((0, 0))] == pytest.approx(1.0)
 
 
 def test_distribution_partial_rank_projects_to_simplex():

@@ -18,7 +18,7 @@ from bosonloop.qstate import (DensityMatrix, fock_state_dm,
                               random_density_matrix, trace_distance)
 from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                TensorSet, _input_tensor, _MomentCache,
-                               estimate_n_max, expectations_from_dm, moment,
+                               estimate_n_max, expectations_from_dm,
                                recursive_stationary, stationary_order,
                                stationary_output_tensor, tensor_set_from_dm,
                                transform)
@@ -52,13 +52,6 @@ def test_diagonal_state_factorial_moments():
         )
         got = expectations_from_dm(rho, n, n).values[(0,) * (2 * n)]
         assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_moment_rank_vector_form():
-    basis = FockBasis(2, 2)
-    rho = random_density_matrix(basis, 3)
-    t = expectations_from_dm(rho, 1, 1)
-    assert moment(rho, (0, 1), (1, 0)) == pytest.approx(t.values[1, 0], abs=1e-12)
 
 
 def test_group_permutation_symmetry():
