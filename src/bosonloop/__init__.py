@@ -26,7 +26,7 @@ from .evolve import (AverageStationaryResult, EvolutionTrace, ExperimentConfig,
                      unfolded_distribution)
 from .fock import (FockBasis, enumerate_sector, sector_size, tensor_index_map,
                    total_size)
-from .lift import LiftedUnitary, lift, lift_apply_fock
+from .lift import LiftedUnitary, lift_apply_fock
 from .matrixkit import (Interferometer, haar_random_unitary, load_matrix,
                         permanent, spectral_radius, unvec, vec)
 from .qstate import (DensityMatrix, ProbabilityDistribution, classical_fidelity,

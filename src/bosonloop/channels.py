@@ -26,9 +26,7 @@ import numpy as np
 from .errors import DENSE_DIM_CAP, DegenerateFixedPointError, TruncationError, check_size
 from .fock import FockBasis, tensor_index_map
 from .lift import LiftedUnitary
-from .matrixkit import unvec, vec
-from .qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, charge0_transpose,
-                     charge_split, joint_parts)
+from .qstate import POPULATED_CUTOFF, DensityMatrix, block0_layout, charge_split, joint_parts
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
@@ -103,9 +101,13 @@ class QuantumChannel:
         totals = self.basis.totals()
         rows, cols, _, owner = self.nonzeros
         shifts = totals[rows] - totals[cols]
-        if np.any((owner[1:] == owner[:-1]) & (shifts[1:] != shifts[:-1])):
-            return (np.arange(self.basis.size ** 2),)
-        return charge_split(self.basis)
+        return charge_split(self.basis, bool(np.any((owner[1:] == owner[:-1])
+                                                    & (shifts[1:] != shifts[:-1]))))
+
+    @property
+    def _layout(self) -> tuple:
+        """`block0_layout` of charge block 0: the whole layout when G is one block."""
+        return block0_layout(self.basis, len(self.charge_blocks) == 1)
 
     def superop_block(self, b: int) -> np.ndarray:
         """G restricted to charge block `b`, memoized.  Block 0 is built on
@@ -176,22 +178,29 @@ class QuantumChannel:
         `charge0()` entries, and comes out in the vector form of
         `DensityMatrix.from_block0`.  Every other state takes the Kraus sum.
         Population above `valid_max_photons` exceeding
-        max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError; smaller
-        amounts are allowed to leak and the output trace is renormalized.
+        max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError, whose
+        `required_n_max` is the state's top populated sector plus the slack
+        n_max - valid_max_photons (N_env for a loop channel); smaller amounts
+        are allowed to leak and the output trace is renormalized.
         """
         if rho.basis != self.basis:
             raise ValueError("state basis does not match the channel basis")
-        excess = float(np.add.reduce(rho.sector_weights(self.valid_max_photons)))
+        above = rho.sector_weights(self.valid_max_photons)
+        excess = float(np.add.reduce(above))
         if excess > max(leak_tolerance, POPULATED_CUTOFF):
+            # rho.max_populated_sector(), without a second pass when it lies past the bound
+            populated = np.flatnonzero(above > POPULATED_CUTOFF)
+            top = (self.valid_max_photons + 1 + int(populated[-1]) if populated.size
+                   else rho.max_populated_sector())
             raise TruncationError(
                 f"state populates sectors above the channel validity bound "
-                f"{self.valid_max_photons} with weight {excess:.3e}"
-            )
+                f"{self.valid_max_photons} with weight {excess:.3e}",
+                required_n_max=top + self.basis.n_max - self.valid_max_photons)
         x = None if self._step_block is None else rho.charge0()
         if x is not None:
             out = self._step_block @ x
             if excess > 0.0:
-                out /= _kept_trace(np.add.reduce(out[charge0_layout(self.basis)[2]]))
+                out /= _kept_trace(np.add.reduce(out[self._layout[3]]))
             return DensityMatrix.from_block0(self.basis, out)
         out = self.apply_matrix(rho.mat)
         if excess > 0.0:
@@ -214,13 +223,13 @@ class QuantumChannel:
 
 
 @lru_cache(maxsize=None)
-def _block_positions(basis: FockBasis, which: tuple, one_block: bool) -> tuple:
+def _block_positions(basis: FockBasis, which: tuple, whole: bool) -> tuple:
     """Where each column-stacked index's row, and its column, falls in the
     charge blocks `which` of G stacked flat, -1 for a row outside them, and
     each block's offset in that stack (read-only): the blocks of
-    `charge_split(basis)`, or the one block of every index."""
+    `charge_split(basis, whole)`."""
     d = basis.size
-    blocks = (np.arange(d * d),) if one_block else charge_split(basis)
+    blocks = charge_split(basis, whole)
     sizes = [blocks[b].size for b in which]
     row_at = np.full(d * d, -1)
     col_at = np.zeros(d * d, dtype=int)
@@ -465,25 +474,6 @@ class StationaryResult:
         return self._second_modulus()
 
 
-def _block0_matrix(channel: QuantumChannel, v: np.ndarray) -> np.ndarray:
-    """The d x d matrix whose charge-block-0 entries are `v`, zero elsewhere:
-    the charge-0 entries, or every entry when G is one block."""
-    if len(channel.charge_blocks) > 1:
-        return DensityMatrix.from_block0(channel.basis, v).mat
-    d = channel.basis.size
-    return np.ascontiguousarray(unvec(v, d, d))
-
-
-def _block0_layout(channel: QuantumChannel) -> tuple:
-    """Where the transpose of each entry of charge block 0, and where the
-    diagonal entries, lie in that block's order: the charge-0 order of
-    `charge0_layout`, or column stacking when G is one block."""
-    if len(channel.charge_blocks) > 1:
-        return charge0_transpose(channel.basis), charge0_layout(channel.basis)[2]
-    d = channel.basis.size
-    return np.arange(d * d).reshape(d, d).ravel(order="F"), np.arange(0, d * d, d + 1)
-
-
 @lru_cache(maxsize=None)
 def _probe(m: int) -> np.ndarray:
     """The generic right-hand side of size m that `fixed_point` solves
@@ -509,7 +499,9 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     g = channel.superop_block(0)
     m = g.shape[0]
     d = channel.basis.size
-    tr_vec = vec(np.eye(d, dtype=complex))[channel.charge_blocks[0]]
+    rows, cols, swap, diag = channel._layout
+    tr_vec = np.zeros(m, dtype=complex)
+    tr_vec[diag] = 1.0
     t = tr_vec / d
     a = np.eye(m, dtype=complex) - g + np.outer(t, tr_vec.conj())
     # a degenerate fixed space makes the bordered matrix singular; any
@@ -527,13 +519,13 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:
     if np.linalg.norm(g @ x - x) > _FIXED_POINT_RESIDUAL * max(1.0, np.linalg.norm(x)):
         return None
     # the Hermitian part, normalized, entry for entry as on the d x d matrix
-    swap, diag = _block0_layout(channel)
     x = (x + x[swap].conj()) / 2
     tr = np.add.reduce(x[diag]).real
     if abs(tr - 1.0) > 1e-8:
         return None
     x /= tr
-    rho = _block0_matrix(channel, x)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[rows, cols] = x
     if np.linalg.eigvalsh(rho)[0] < -1e-8:
         return None
     if len(channel.charge_blocks) > 1:
@@ -589,7 +581,9 @@ def stationary_state(channel: QuantumChannel,
             f"non-unique stationary state: {n_unit} charge-0 eigenvalues within "
             f"{_DEGENERACY_GAP:.1e} of the unit eigenvalue"
         )
-    rho = _block0_matrix(channel, evecs[:, i])
+    rows, cols = channel._layout[:2]
+    rho = np.zeros((channel.basis.size,) * 2, dtype=complex)
+    rho[rows, cols] = evecs[:, i]
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateFixedPointError(

@@ -135,8 +135,6 @@ def load_config(path) -> tuple:
         unitary = haar_seed = None
         if uni.get("type") == "file":
             unitary = load_matrix(os.path.join(base, uni["path"]))
-            if unitary.shape != (modes, modes):
-                raise ConfigError(f"unitary file holds a {unitary.shape} matrix for M={modes}")
         elif uni.get("type") == "haar":
             haar_seed = _number(uni["seed"], "unitary.seed")
         else:

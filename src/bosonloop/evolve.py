@@ -119,10 +119,12 @@ class ExperimentConfig:
             self.unitary = self._checked(self.unitary)
 
     def _checked(self, u) -> np.ndarray:
-        """A read-only copy of `u`, refused unless an M x M unitary (`Interferometer`)."""
-        u = Interferometer(np.array(u, dtype=complex)).matrix
+        """A read-only copy of `u`, refused unless M x M, and then unless a
+        unitary (`Interferometer`)."""
+        u = np.array(u, dtype=complex)
         if u.shape != (self.modes, self.modes):
             raise ValueError(f"transfer matrix has shape {u.shape}, expected M = {self.modes}")
+        u = Interferometer(u).matrix
         u.flags.writeable = False
         return u
 

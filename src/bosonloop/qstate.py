@@ -28,7 +28,7 @@ class DensityMatrix:
 
     A state made by `from_block0` holds only its charge-0 entries, those in
     the photon-number diagonal blocks, as the vector `block0` in the order of
-    `charge0_layout`.  `.mat` is built from it, zero elsewhere, the first
+    `block0_layout`.  `.mat` is built from it, zero elsewhere, the first
     time something reads it; `block0` is None from then on, so what a caller
     writes into `.mat` is never read back through a stale vector.
     """
@@ -66,7 +66,7 @@ class DensityMatrix:
     def mat(self) -> np.ndarray:
         """The dense matrix, built from `block0` on first read."""
         if self._mat is None:
-            rows, cols = charge0_layout(self.basis)[:2]
+            rows, cols = block0_layout(self.basis)[:2]
             self._mat = np.zeros((self.basis.size, self.basis.size), dtype=complex)
             self._mat[rows, cols] = self.block0
             self.block0 = None
@@ -85,13 +85,13 @@ class DensityMatrix:
         return np.array([np.add.reduce(diag[sl]) for sl in slices])
 
     def charge0(self) -> np.ndarray | None:
-        """The charge-0 entries in the order of `charge0_layout`: `block0`
+        """The charge-0 entries in the order of `block0_layout`: `block0`
         for a state in the vector form, else gathered from `.mat`, or None
         when `.mat` has entries between photon-number sectors.  This is the
         one test of whether a state is block-diagonal in photon number."""
         if self.block0 is not None:
             return self.block0
-        rows, cols = charge0_layout(self.basis)[:2]
+        rows, cols = block0_layout(self.basis)[:2]
         entries = self._mat[rows, cols]
         return entries if np.count_nonzero(entries) == np.count_nonzero(self._mat) else None
 
@@ -356,43 +356,50 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 @lru_cache(maxsize=None)
-def charge_split(basis: FockBasis) -> tuple:
+def charge_split(basis: FockBasis, whole: bool = False) -> tuple:
     """The column-stacked indices i + d j of a d x d matrix over `basis`,
     grouped by the charge n_i - n_j in the order 0, -1, 1, -2, 2, ...,
-    ascending within each group (read-only)."""
+    ascending within each group (read-only); with `whole`, one group of
+    every index, the one block of a channel that mixes photon-number shifts."""
     totals = basis.totals()
     charge = np.subtract.outer(totals, totals).ravel(order="F")
     # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
     key = np.where(charge < 0, -2 * charge - 1, 2 * charge)
+    if whole:
+        key[:] = 0
     order = np.argsort(key, kind="stable")
     order.flags.writeable = False
     return tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
 
 
 @lru_cache(maxsize=None)
-def charge0_layout(basis: FockBasis) -> tuple:
-    """Where the charge-0 entries (i, j) of a matrix over `basis`, those with
-    n_i = n_j, lie, in the order of `charge_split(basis)[0]`: their rows,
-    their columns, the position of each diagonal entry among them, and their
-    flat (C-order) positions in the stack of the photon-number diagonal
-    blocks zero-padded to the widest sector, with that stack's shape."""
-    cols, rows = np.divmod(charge_split(basis)[0], basis.size)
+def block0_layout(basis: FockBasis, whole: bool = False) -> tuple:
+    """Where the entries (i, j) of block 0 of `charge_split(basis, whole)`
+    lie, in that block's order: their rows, their columns, the position of
+    each one's transpose (j, i), and the positions of the diagonal entries
+    (read-only).  Without `whole` these are the charge-0 entries, those with
+    n_i = n_j, and their order is that of a state's vector form."""
+    idx = charge_split(basis, whole)[0]
+    d = basis.size
+    cols, rows = np.divmod(idx, d)
+    tables = rows, cols, np.searchsorted(idx, cols + d * rows), np.flatnonzero(rows == cols)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _sector_stack(basis: FockBasis) -> tuple:
+    """The flat (C-order) positions of the charge-0 entries of `block0_layout`
+    in the stack of the photon-number diagonal blocks zero-padded to the
+    widest sector, and that stack's shape."""
+    rows, cols = block0_layout(basis)[:2]
     slices = [basis.sector_slice(n) for n in range(basis.n_max + 1)]
     starts = np.array([sl.start for sl in slices])
     width = max(sl.stop - sl.start for sl in slices)
     n = basis.totals()[rows]
     pos = (n * width + rows - starts[n]) * width + cols - starts[n]
-    return rows, cols, np.flatnonzero(rows == cols), pos, (basis.n_max + 1, width, width)
-
-
-@lru_cache(maxsize=None)
-def charge0_transpose(basis: FockBasis) -> np.ndarray:
-    """Where the transpose (j, i) of each charge-0 entry (i, j) lies in the
-    order of `charge0_layout` (read-only)."""
-    rows, cols = charge0_layout(basis)[:2]
-    out = np.searchsorted(charge_split(basis)[0], cols + basis.size * rows)
-    out.flags.writeable = False
-    return out
+    return pos, (basis.n_max + 1, width, width)
 
 
 @lru_cache(maxsize=None)
@@ -400,13 +407,13 @@ def _sectors_after(basis: FockBasis, above: int) -> tuple:
     """The diagonal entries of the sectors that `sector_weights(above)` sums,
     a tail of the basis: the index of its first state, each sector's slice
     of the tail, or None when every sector holds one state, and the tail's
-    positions in the vector form of `charge0_layout`."""
+    positions in the vector form of `block0_layout`."""
     sectors = [basis.sector_slice(n) for n in range(basis.n_max + 1)[above + 1:]]
     first = sectors[0].start if sectors else basis.size
     slices = tuple(slice(sl.start - first, sl.stop - first) for sl in sectors)
     if sectors and all(sl.stop - sl.start == 1 for sl in sectors):
         slices = None
-    return first, slices, charge0_layout(basis)[2][first:]
+    return first, slices, block0_layout(basis)[3][first:]
 
 
 def _fidelity_kernel(a: np.ndarray, b: np.ndarray) -> list:
@@ -447,7 +454,7 @@ def fidelities(states, sigma: DensityMatrix) -> np.ndarray:
     """
     if any(rho.basis != sigma.basis for rho in states):
         raise ValueError("fidelity needs matching bases")
-    _, _, _, pos, shape = charge0_layout(sigma.basis)
+    pos, shape = _sector_stack(sigma.basis)
     target = sigma.charge0()
     entries = [None if target is None else rho.charge0() for rho in states]
     blocked = [k for k, v in enumerate(entries) if v is not None]

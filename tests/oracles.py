@@ -24,7 +24,7 @@ property:
   fidelity       `fidelity_svd`; `fidelities_gathered`, with its kernel
                  `fidelity_kernel_eigh`
   charge layout  `charge_blocks_by_scans`; `charge0_layout_by_nonzero`,
-                 with its reader `charge0_by_take`
+                 with its reader `charge0_by_take`, and `block0_layout_before`
 Every other routine here is the one reference of what it checks.
 """
 
@@ -554,6 +554,37 @@ def charge0_layout_by_nonzero(basis: FockBasis) -> tuple:
     pos = (n * width + rows - starts[n]) * width + cols - starts[n]
     return (rows, cols, np.flatnonzero(rows == cols), rows * basis.size + cols, pos,
             (basis.n_max + 1, width, width))
+
+
+def block0_layout_before(basis: FockBasis, whole: bool) -> tuple:
+    """Block 0's column-stacked indices, where each of its entries'
+    transpose lies in that block's order, and where its diagonal entries
+    lie, as `qstate` and `channels` each built them before one layout served
+    both: for one block of every index, column stacking's tables from
+    `channels._block0_layout`; else `charge0_transpose`'s search over the
+    scanned charge-0 indices, with the diagonal of
+    `charge0_layout_by_nonzero`."""
+    d = basis.size
+    if whole:
+        return (np.arange(d * d), np.arange(d * d).reshape(d, d).ravel(order="F"),
+                np.arange(0, d * d, d + 1))
+    idx = charge_blocks_by_scans(basis)[0]
+    rows, cols, diag = charge0_layout_by_nonzero(basis)[:3]
+    return idx, np.searchsorted(idx, cols + d * rows), diag
+
+
+def stationary_rho_by_unvec(channel) -> np.ndarray:
+    """`stationary_state`'s matrix as the package built it before one layout
+    served states and channels: the eigenvector of G_0 closest to 1 placed
+    at its column-stacked indices and reshaped column by column into a d x d
+    matrix, divided by its trace and Hermitized."""
+    evals, evecs = np.linalg.eig(channel.superop_block(0))
+    d = channel.basis.size
+    flat = np.zeros(d * d, dtype=complex)
+    flat[channel.charge_blocks[0]] = evecs[:, int(np.argmin(np.abs(evals - 1.0)))]
+    rho = np.ascontiguousarray(flat.reshape((d, d), order="F"))
+    rho = rho / np.trace(rho)
+    return (rho + rho.conj().T) / 2
 
 
 def charge0_by_take(rho: DensityMatrix) -> np.ndarray | None:

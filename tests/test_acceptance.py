@@ -277,7 +277,7 @@ def test_criterion_09_channel_algebra():
     # loop-channel completeness on its declared valid subspace
     for seed in (301, 302):
         joint = bl.FockBasis(2, 5)
-        lifted = bl.lift(bl.haar_random_unitary(2, seed), joint)
+        lifted = bl.LiftedUnitary(bl.haar_random_unitary(2, seed), joint)
         rho_ext = bl.fock_state_dm(bl.FockBasis(1, 5), (1,))
         chan = bl.loop_channel(lifted, rho_ext)
         comp_op = chan.completeness_operator()
@@ -295,7 +295,7 @@ def test_criterion_10_lift_correctness():
         basis = bl.FockBasis(modes, 3)
         u = bl.haar_random_unitary(modes, 400 + modes)
         w = bl.haar_random_unitary(modes, 410 + modes)
-        lu, lw, luw = (bl.lift(x, basis) for x in (u, w, u @ w))
+        lu, lw, luw = (bl.LiftedUnitary(x, basis) for x in (u, w, u @ w))
         for n in range(4):
             blk = lu.block(n)
             dev = np.abs(blk.conj().T @ blk - np.eye(blk.shape[0])).max()

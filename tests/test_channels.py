@@ -17,7 +17,7 @@ from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_
 from bosonloop.fock import FockBasis, enumerate_sector, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, charge0_layout, embed,
+from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, block0_layout, embed,
                               fock_state_dm, partial_trace, random_density_matrix,
                               tensor_product, trace_distance, uhlmann_fidelity)
 from bosonloop.tensors import _check_spectral_radius
@@ -26,8 +26,8 @@ from oracles import (apply_dense, apply_loss_direct, block_charges, charge_block
                      coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
                      kraus_pure_fock, loop_channel_per_sector, loop_kraus_from_full,
                      loss_kraus_loop, spectral_diagnostics_all_blocks,
-                     stabilization_time_stepwise, stationary_dense, superop_block_dense,
-                     superoperator_kron, unique_by_q_nonnegative_blocks)
+                     stabilization_time_stepwise, stationary_dense, stationary_rho_by_unvec,
+                     superop_block_dense, superoperator_kron, unique_by_q_nonnegative_blocks)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -330,19 +330,28 @@ def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
 
 
 def test_external_coherence_takes_the_one_block_route():
-    # injected (|0> + |1>)/sqrt(2): Kraus operators mix photon-number shifts
+    # injected (|0> + |1>)/sqrt(2): Kraus operators mix photon-number shifts;
+    # at n_max 6 the truncation leaks past the bordered solve's bound, at 10
+    # it does not
     ext = FockBasis(1, 1)
     rho_ext = DensityMatrix(ext, np.full((2, 2), 0.5))
-    lifted = lift(haar_random_unitary(2, 9), FockBasis(2, 6))
-    chan = loop_channel(lifted, rho_ext)
-    assert len(chan.charge_blocks) == 1
-    rho, lam, second, n_unit = stationary_dense(superoperator_kron(chan.kraus))
-    result = stationary_state(chan, eigenvalue_tol=0.05)
-    assert np.abs(result.rho.mat - np.diag(np.diag(result.rho.mat))).max() > 1e-3
-    np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
-    assert abs(result.eigenvalue - lam) < 1e-12
-    assert abs(result.second_modulus - second) < 1e-12
-    assert n_unit == 1
+    for n_max in (6, 10):
+        lifted = lift(haar_random_unitary(2, 9), FockBasis(2, n_max))
+        chan = loop_channel(lifted, rho_ext)
+        assert len(chan.charge_blocks) == 1
+        rho, lam, second, n_unit = stationary_dense(superoperator_kron(chan.kraus))
+        result = stationary_state(chan, eigenvalue_tol=0.05)
+        assert np.abs(result.rho.mat - np.diag(np.diag(result.rho.mat))).max() > 1e-3
+        np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
+        assert abs(result.eigenvalue - lam) < 1e-12
+        assert abs(result.second_modulus - second) < 1e-12
+        assert n_unit == 1
+        # both solves lay the one block out by column stacking, to the last bit
+        assert result.rho.mat.tobytes() == stationary_rho_by_unvec(chan).tobytes()
+        got, want = fixed_point(chan), fixed_point_dense(chan)
+        assert (got is None) == (want is None) == (n_max == 6)
+        if got is not None:
+            assert got.block0 is None and got.mat.tobytes() == want.mat.tobytes()
 
 
 def _requested_blocks(monkeypatch) -> list:
@@ -808,7 +817,7 @@ def test_charge_blocks_equal_one_scan_per_charge(modes, n_max):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
     # block 0 is the order the vector form of a state keeps its entries in
-    rows, cols = charge0_layout(basis)[:2]
+    rows, cols = block0_layout(basis)[:2]
     assert np.array_equal(chan.charge_blocks[0], rows + basis.size * cols)
 
 
@@ -897,7 +906,7 @@ def test_vector_apply_equals_the_dense_route_bit_for_bit(kind, seed, n_max, zero
     # the same way.
     chan = _test_channel(kind, seed, n_max)
     basis = chan.basis
-    rows, cols = charge0_layout(basis)[:2]
+    rows, cols = block0_layout(basis)[:2]
     rng = np.random.default_rng(seed)
     v = random_density_matrix(basis, seed).mat[rows, cols]
     v[rng.random(v.size) < 0.2] = complex(zero, zero)

@@ -736,14 +736,22 @@ def test_each_package_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides, required", [
-    ({"iterations": 4, "n_max": 2, "unitary": {"type": "haar", "seed": 3}}, 4),
-    ({"M": 3, "iterations": 2, "n_max": 1, "input": {"type": "fock", "occupation": [1, 1]}},
-     4),
-], ids=["leak", "below-input"])
-def test_a_truncation_error_reports_its_required_n_max(tmp_path, capsys, overrides, required):
+@pytest.mark.parametrize("argv, overrides, required", [
+    (["evolve"], {"iterations": 4, "n_max": 2, "unitary": {"type": "haar", "seed": 3}}, 4),
+    (["evolve"],
+     {"M": 3, "iterations": 2, "n_max": 1, "input": {"type": "fock", "occupation": [1, 1]}}, 4),
+    # a channel step past the validity bound n_max - N_env = 5: the state
+    # populates sector 6, so n_max must hold 6 + N_env
+    (["stationary", "--method", "iterate"],
+     {"M": 3, "L": 2, "input": {"type": "fock", "occupation": [1]},
+      "unitary": {"type": "haar", "seed": 3}, "seed": 5,
+      "losses": {"t_in": [0.9] * 3, "t_out": [0.9] * 3, "loop_T": 0.7}}, 7),
+], ids=["leak", "below-input", "channel-step"])
+def test_a_truncation_error_reports_its_required_n_max(tmp_path, capsys, argv, overrides,
+                                                       required):
     out = tmp_path / "o"
-    assert main(["evolve", write_config(tmp_path, **overrides), "--out", str(out)]) == 3
+    path = write_config(tmp_path, **overrides)
+    assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["code"], err["type"]) == (3, "TruncationError")
     assert err["required_n_max"] == required

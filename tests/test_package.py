@@ -22,7 +22,7 @@ EXPORTED = {
     # fock
     "FockBasis", "enumerate_sector", "sector_size", "tensor_index_map", "total_size",
     # lift
-    "LiftedUnitary", "lift", "lift_apply_fock",
+    "LiftedUnitary", "lift_apply_fock",
     # matrixkit
     "Interferometer", "haar_random_unitary", "load_matrix", "permanent",
     "spectral_radius", "unvec", "vec",
@@ -47,6 +47,11 @@ def test_star_import_binds_the_public_names_and_no_module():
     namespace = {}
     exec("from bosonloop import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+def test_a_submodule_is_reachable_by_its_name():
+    import bosonloop.lift
+    assert bosonloop.lift.LiftedUnitary is bosonloop.LiftedUnitary
 
 
 def test_readme_library_example_runs(capsys):

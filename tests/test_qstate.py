@@ -14,7 +14,8 @@ from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
 from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
-                              ProbabilityDistribution, charge0_layout, charge_split,
+                              ProbabilityDistribution, _sector_stack, block0_layout,
+                              charge_split,
                               classical_fidelity,
                               diagonal_distribution, embed, fidelities,
                               fock_state_dm, overflow_weight, partial_trace,
@@ -23,9 +24,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix,
                               trace_distance, uhlmann_fidelity)
 
 from fileio import read_distribution_csv
-from oracles import (apply_dense, charge0_by_take, charge0_layout_by_nonzero,
-                     charge_blocks_by_scans, coherent_dm, conjugate_dense,
-                     fidelities_gathered, fidelity_kernel_eigh, joint_pass_dense,
+from oracles import (apply_dense, block0_layout_before, charge0_by_take,
+                     charge0_layout_by_nonzero, charge_blocks_by_scans, coherent_dm,
+                     conjugate_dense, fidelities_gathered, fidelity_kernel_eigh, joint_pass_dense,
                      partial_trace_buckets, purity, sample_one_draw,
                      sector_weights_by_slices, tensor_product_kron)
 
@@ -422,7 +423,7 @@ def test_sector_weights_of_signed_zero_diagonals_equal_the_slice_sums(modes, n_m
     # which turns -0.0 into +0.0
     basis = FockBasis(modes, n_max)
     rng = np.random.default_rng(modes * 10 + n_max)
-    rows, cols, diagonal = charge0_layout(basis)[:3]
+    rows, cols, _, diagonal = block0_layout(basis)
     for trial in range(20):
         v = random_density_matrix(basis, trial).mat[rows, cols]
         parts = rng.choice([0.0, -0.0, 1e-300, -2.5, 0.3], size=(diagonal.size, 2))
@@ -465,7 +466,7 @@ def _charge0_states(basis: FockBasis, seeds, zero: float) -> tuple:
     """Random states block-diagonal in photon number, a fifth of their
     charge-0 entries replaced by `zero` (+0 or -0), in the vector form and
     dense."""
-    rows, cols = charge0_layout(basis)[:2]
+    rows, cols = block0_layout(basis)[:2]
     vectors, dense = [], []
     for seed in seeds:
         v = random_density_matrix(basis, seed).mat[rows, cols]
@@ -529,7 +530,8 @@ def test_charge_split_and_layout_equal_the_scans(modes, n_max):
     assert len(split) == len(expected) == 2 * n_max + 1
     for got, ref in zip(split, expected):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    rows, cols, diagonal, pos, shape = charge0_layout(basis)
+    rows, cols, _, diagonal = block0_layout(basis)
+    pos, shape = _sector_stack(basis)
     ref = charge0_layout_by_nonzero(basis)
     for got, want in zip((rows, cols, diagonal, pos), ref[:3] + ref[4:5]):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -544,6 +546,15 @@ def test_charge_split_and_layout_equal_the_scans(modes, n_max):
         sl = basis.sector_slice(n)
         want[n, :sl.stop - sl.start, :sl.stop - sl.start] = mat[sl, sl]
     assert stack.reshape(shape).tobytes() == want.tobytes()
+    # block 0 of either split, charge 0 or the one block of every index, and
+    # its layout, against the tables the states and the channels each built
+    assert len(charge_split(basis, True)) == 1
+    for whole in (False, True):
+        r, c, swap, diag = block0_layout(basis, whole)
+        got = (charge_split(basis, whole)[0], r + basis.size * c, swap, diag)
+        idx, *want = block0_layout_before(basis, whole)
+        for a, b in zip(got, (idx, idx, *want)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("modes, n_max", [(1, 6), (2, 4), (3, 3)])
