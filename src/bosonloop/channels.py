@@ -41,11 +41,9 @@ class QuantumChannel:
 
     The operators are stored as their nonzero entries (rows, cols, values,
     owner): operator after operator, each row by row as np.nonzero lists
-    them, with owner the index of the operator each entry comes from.  A
-    channel made by `from_kraus` keeps its dense list as `kraus`; any other
-    builds that list, by scattering the entries into zeros, the first time
-    something reads it, and then its owners run 0, 1, ... with every
-    operator owning an entry.
+    them, with owner the index of the operator each entry comes from; the
+    owners run 0, 1, ... with every operator owning an entry.  The dense
+    list `kraus` is scattered from them the first time something reads it.
     """
 
     def __init__(self, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
@@ -55,27 +53,6 @@ class QuantumChannel:
         self.valid_max_photons = int(valid_max_photons)
         self.max_photon_gain = int(max_photon_gain)
         self._superop_blocks = {}
-
-    @classmethod
-    def from_kraus(cls, basis: FockBasis, kraus, valid_max_photons: int,
-                   max_photon_gain: int = 0) -> "QuantumChannel":
-        """The channel of the dense operators `kraus`, scanned once for
-        their nonzeros."""
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        d = basis.size
-        for k in kraus:
-            if k.shape != (d, d):
-                raise ValueError(f"Kraus operator shape {k.shape} does not match basis size {d}")
-        if not kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        found = [np.nonzero(k) for k in kraus]
-        chan = cls(basis, (np.concatenate([r for r, _ in found]),
-                           np.concatenate([c for _, c in found]),
-                           np.concatenate([k[rc] for k, rc in zip(kraus, found)]),
-                           np.repeat(np.arange(len(found)), [r.size for r, _ in found])),
-                   valid_max_photons, max_photon_gain)
-        chan.kraus = kraus
-        return chan
 
     @cached_property
     def kraus(self) -> list:
@@ -319,8 +296,8 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     _, out_of, row_of = _output_order(FockBasis(ext_basis.modes, joint.n_max), loop_basis,
                                       joint)
 
-    parts, n_ops = [], 0
-    for lam, psi in zip(evals, evecs.T):
+    parts = []
+    for j, (lam, psi) in enumerate(zip(evals, evecs.T)):
         if lam < _EIG_CUTOFF:
             continue
         # columns of L(U) applied to |psi> tensor each loop basis state, in
@@ -334,24 +311,25 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
         values = sqrt(lam) * w[at]
         nonzero = values != 0
         at, cols = np.divmod(at[nonzero], d)
-        values = values[nonzero]
-        if not values.size:
-            continue
-        # operator m is a run of entries; prune those whose largest |entry|
-        # is at most _PRUNE_NORM
-        m = out_of[at]
-        starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
-        sizes = np.concatenate((starts[1:], [at.size])) - starts
-        kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
-        keep = np.repeat(kept, sizes)
-        owner = n_ops + np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
-        parts.append((row_of[at[keep]], cols[keep], values[keep], owner))
-        n_ops += int(np.count_nonzero(kept))
+        # operator (j, m) is the run of entries of output state m
+        parts.append((row_of[at], cols, values[nonzero], j * joint.size + out_of[at]))
     return QuantumChannel(
-        loop_basis, tuple(np.concatenate(p) for p in zip(*parts)),
+        loop_basis, _pruned(*(np.concatenate(p) for p in zip(*parts))),
         valid_max_photons=joint.n_max - n_env,
         max_photon_gain=n_env,
     )
+
+
+def _pruned(rows, cols, values, group) -> tuple:
+    """The nonzeros of the operators that are runs of equal `group`, all but
+    those whose largest |entry| is at most _PRUNE_NORM, with the kept
+    operators numbered 0, 1, ... in run order."""
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    sizes = np.diff(np.append(starts, group.size))
+    kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
+    keep = np.repeat(kept, sizes)
+    owner = np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
+    return rows[keep], cols[keep], values[keep], owner
 
 
 def _eigenpairs(mat: np.ndarray) -> tuple:
@@ -381,7 +359,7 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
     channel is made from the operators' nonzero entries, one per column.
     """
     t = np.broadcast_to(np.asarray(transmission, dtype=float), (modes,))
-    if np.any((t < 0) | (t > 1)):
+    if not np.all((t >= 0) & (t <= 1)):
         raise ValueError(f"transmissions must lie in [0, 1], got {t}")
     basis = FockBasis(modes, n_max)
     occ = np.array(basis.states).reshape(basis.size, modes)
@@ -417,21 +395,40 @@ def loss_channel(transmission, modes: int, n_max: int) -> QuantumChannel:
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
-    """Channel applying `inner` first: Kraus set {K_out K_in}.
+    """Channel applying `inner` first: Kraus set {K_out K_in}, formed on the
+    nonzeros.
 
-    The validity bound accounts for the photon-number growth of the inner
-    channel: valid = min(inner.valid, outer.valid - inner.gain).
+    Each outer entry (r, k) meets the inner entries (k, c), and the products
+    of one entry (r, c) of one operator pair add up from +0 in ascending k.
+    Exact zeros are dropped and the operators, in (outer, inner) order, are
+    pruned by `_pruned`.  Where one side has one nonzero per row and per
+    column, as a loss channel has, each entry is the one product a dense
+    matrix product forms.  The validity bound accounts for the photon-number
+    growth of the inner channel: valid = min(inner.valid, outer.valid - inner.gain).
     """
     if outer.basis != inner.basis:
         raise ValueError("channel bases do not match")
-    kraus = []
-    for ko in outer.kraus:
-        for ki in inner.kraus:
-            k = ko @ ki
-            if np.abs(k).max() > _PRUNE_NORM:
-                kraus.append(k)
-    return QuantumChannel.from_kraus(
-        outer.basis, kraus,
+    d = outer.basis.size
+    rows_o, ks, values_o, owner_o = outer.nonzeros
+    ks_i, cols_i, values_i, owner_i = inner.nonzeros
+    # pair p joins outer entry e[p] with inner entry f[p], the pairs of one
+    # outer entry in a run over the inner entries of row k, in operator order
+    counts = np.bincount(ks_i, minlength=d)
+    meets = counts[ks]
+    e = np.repeat(np.arange(ks.size), meets)
+    skip = np.repeat((np.cumsum(counts) - counts)[ks] - (np.cumsum(meets) - meets), meets)
+    f = np.argsort(ks_i, kind="stable")[np.arange(e.size) + skip]
+    # the pairs of one key come in ascending k, the order np.add.at sums them in
+    key, pair_key = np.unique(
+        ((owner_o[e] * (owner_i[-1] + 1) + owner_i[f]) * d + rows_o[e]) * d + cols_i[f],
+        return_inverse=True)
+    values = np.zeros(key.size, dtype=complex)
+    np.add.at(values, pair_key, values_o[e] * values_i[f])
+    nonzero = values != 0
+    pair, at = np.divmod(key[nonzero], d * d)
+    rows, cols = np.divmod(at, d)
+    return QuantumChannel(
+        outer.basis, _pruned(rows, cols, values[nonzero], pair),
         valid_max_photons=min(inner.valid_max_photons,
                               outer.valid_max_photons - inner.max_photon_gain),
         max_photon_gain=inner.max_photon_gain + outer.max_photon_gain,

@@ -326,10 +326,12 @@ def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> Evolut
     loop_states = [rho_line] if record_loop else None
     dists = []
     max_leak = 0.0
-    for _ in range(config.iterations):
+    for i in range(config.iterations):
         rho_det, rho_next, leaked = setup.step(rho_line)
-        rho_line = (channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
-                    if kraus else rho_next)
+        # the Kraus route steps the line only where a later iteration or the record reads it
+        if kraus and (record_loop or i + 1 < config.iterations):
+            rho_next = channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
+        rho_line = rho_next
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
         if record_loop:

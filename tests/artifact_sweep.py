@@ -47,6 +47,7 @@ _LOSSY_L2 = {"schema": 1, "M": 3, "L": 2, "n_max": 6, "iterations": 3,
              "input": {"type": "fock", "occupation": [1]},
              "unitary": {"type": "haar", "seed": 3},
              "losses": {"t_in": [0.9] * 3, "t_out": [0.9] * 3, "loop_T": 0.7}, "seed": 5}
+_DM = {**_FOCK, "n_max": 12, "iterations": 2, "input": {"type": "dm", "path": "rho.json"}}
 _L0 = {"schema": 1, "M": 3, "L": 0, "iterations": 2,
        "input": {"type": "fock", "occupation": [1, 1, 0]},
        "unitary": {"type": "haar", "seed": 5}, "seed": 2}
@@ -60,7 +61,9 @@ CONFIGS = {
     # a truncation that leaks: the stationary state holds 2.0e-10 in sector 10
     "m4_leaking": {**_L2, "M": 4, "n_max": 10, "input": {"type": "fock", "occupation": [1, 0]},
                    "unitary": {"type": "haar", "seed": 1}},
-    "dm": {**_FOCK, "n_max": 12, "iterations": 2, "input": {"type": "dm", "path": "rho.json"}},
+    "dm": _DM,
+    # the lossy loop-update channel of a mixed input: its core mixes photon-number shifts
+    "lossy_dm": {**_DM, "losses": _LOSSES},
     "l0": {**_L0, "n_max": 3},
     "l0_default_n_max": _L0,
     "default_n_max": {k: v for k, v in _FOCK.items() if k != "n_max"},
@@ -96,6 +99,7 @@ CALLS = (
     + [("lossy_l2", argv) for argv in _EVOLVE[1:] + _STATIONARY[:1]]
     + [("m4_leaking", _STATIONARY[0])]
     + [("dm", argv) for argv in _EVOLVE + _STATIONARY + _SAMPLE]
+    + [("lossy_dm", argv) for argv in _EVOLVE[1:] + _STATIONARY + _SAMPLE]
     + [("l0", argv) for argv in _EVOLVE + _SAMPLE[1:] + _STATIONARY[:1]]
     + [("l0_default_n_max", argv) for argv in _EVOLVE]
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]

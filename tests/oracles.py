@@ -25,6 +25,7 @@ property:
                  `fidelity_kernel_eigh`
   charge layout  `charge_blocks_by_scans`; `charge0_layout_by_nonzero`,
                  with its reader `charge0_by_take`, and `block0_layout_before`
+  composition    `compose_dense`, with `channel_from_kraus`
 Every other routine here is the one reference of what it checks.
 """
 
@@ -683,9 +684,50 @@ def block_charges(basis: FockBasis, blocks) -> list:
     return [int(totals[idx[0] % d] - totals[idx[0] // d]) for idx in blocks]
 
 
+def channel_from_kraus(basis: FockBasis, kraus, valid_max_photons: int,
+                       max_photon_gain: int = 0) -> QuantumChannel:
+    """The channel of the dense operators `kraus`, scanned once for their
+    nonzeros, and keeping the dense list as `kraus`: the constructor the
+    package had before every channel was built from its nonzeros."""
+    kraus = [np.asarray(k, dtype=complex) for k in kraus]
+    d = basis.size
+    for k in kraus:
+        if k.shape != (d, d):
+            raise ValueError(f"Kraus operator shape {k.shape} does not match basis size {d}")
+    if not kraus:
+        raise ValueError("channel needs at least one Kraus operator")
+    found = [np.nonzero(k) for k in kraus]
+    chan = QuantumChannel(basis, (np.concatenate([r for r, _ in found]),
+                                  np.concatenate([c for _, c in found]),
+                                  np.concatenate([k[rc] for k, rc in zip(kraus, found)]),
+                                  np.repeat(np.arange(len(found)), [r.size for r, _ in found])),
+                          valid_max_photons, max_photon_gain)
+    chan.kraus = kraus
+    return chan
+
+
+def compose_dense(outer, inner) -> QuantumChannel:
+    """`compose` as the package ran it before it joined the nonzeros: every
+    dense product K_out K_in, pruned at max |entry| <= 1e-14 and scanned."""
+    if outer.basis != inner.basis:
+        raise ValueError("channel bases do not match")
+    kraus = []
+    for ko in outer.kraus:
+        for ki in inner.kraus:
+            k = ko @ ki
+            if np.abs(k).max() > 1e-14:
+                kraus.append(k)
+    return channel_from_kraus(
+        outer.basis, kraus,
+        valid_max_photons=min(inner.valid_max_photons,
+                              outer.valid_max_photons - inner.max_photon_gain),
+        max_photon_gain=inner.max_photon_gain + outer.max_photon_gain,
+    )
+
+
 def identity_channel(basis: FockBasis) -> QuantumChannel:
-    return QuantumChannel.from_kraus(basis, [np.eye(basis.size, dtype=complex)],
-                                     valid_max_photons=basis.n_max, max_photon_gain=0)
+    return channel_from_kraus(basis, [np.eye(basis.size, dtype=complex)],
+                              valid_max_photons=basis.n_max, max_photon_gain=0)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -22,8 +22,9 @@ from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, block0_layout, em
                               tensor_product, trace_distance, uhlmann_fidelity)
 from bosonloop.tensors import _check_spectral_radius
 
-from oracles import (apply_dense, apply_loss_direct, block_charges, charge_blocks_by_scans,
-                     coherent_dm, fidelity_svd, fixed_point_dense, identity_channel,
+from oracles import (apply_dense, apply_loss_direct, block_charges, channel_from_kraus,
+                     charge_blocks_by_scans, coherent_dm, compose_dense, fidelity_svd,
+                     fixed_point_dense, identity_channel,
                      kraus_pure_fock, loop_channel_per_sector, loop_kraus_from_full,
                      loss_kraus_loop, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, stationary_rho_by_unvec,
@@ -189,11 +190,11 @@ def test_loss_channel_matches_beam_splitter_oracle():
 ])
 def test_loss_channel_equals_the_double_loop(transmission, modes, n_max):
     # the nonzeros are emitted directly, in the order of the per-operator
-    # np.nonzero scan `from_kraus` makes; a state stepped through the
-    # charge-0 block never scatters them
+    # np.nonzero scan `channel_from_kraus` makes; a state stepped through
+    # the charge-0 block never scatters them
     chan = loss_channel(transmission, modes, n_max)
     expected = loss_kraus_loop(transmission, modes, n_max)
-    scanned = QuantumChannel.from_kraus(chan.basis, expected, valid_max_photons=n_max)
+    scanned = channel_from_kraus(chan.basis, expected, valid_max_photons=n_max)
     for got, ref in zip(chan.nonzeros, scanned.nonzeros):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     rho = fock_state_dm(chan.basis, (n_max,) + (0,) * (modes - 1))
@@ -201,6 +202,12 @@ def test_loss_channel_equals_the_double_loop(transmission, modes, n_max):
     assert "kraus" not in vars(chan)
     assert chan.superop_block(0).tobytes() == superop_block_dense(chan, 0).tobytes()
     assert [k.tobytes() for k in chan.kraus] == [k.tobytes() for k in expected]
+
+
+@pytest.mark.parametrize("transmission", [-0.1, 1.5, np.nan])
+def test_loss_channel_refuses_a_transmission_outside_the_unit_interval(transmission):
+    with pytest.raises(ValueError, match="must lie in"):
+        loss_channel((0.5, transmission), 2, 3)
 
 
 def test_loss_composition_law():
@@ -481,8 +488,8 @@ def _diagonal_channel(columns) -> QuantumChannel:
     column of `columns` (row i: the amplitudes on |i>)."""
     columns = np.asarray(columns, dtype=complex)
     basis = FockBasis(1, columns.shape[0] - 1)
-    return QuantumChannel.from_kraus(basis, [np.diag(c) for c in columns.T],
-                                     valid_max_photons=basis.n_max)
+    return channel_from_kraus(basis, [np.diag(c) for c in columns.T],
+                              valid_max_photons=basis.n_max)
 
 
 @pytest.mark.parametrize("columns", [
@@ -525,7 +532,7 @@ def test_blockwise_fidelity_matches_dense_uhlmann(basis):
 def test_superoperator_block_over_the_cap_is_a_size_cap_error():
     basis = FockBasis(1, 64)
     mixing = np.full((basis.size, basis.size), 1.0 / basis.size)
-    chan = QuantumChannel.from_kraus(basis, [mixing], valid_max_photons=64)
+    chan = channel_from_kraus(basis, [mixing], valid_max_photons=64)
     with pytest.raises(SizeCapError) as err:
         fixed_point(chan)
     assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, basis.size ** 2)
@@ -616,7 +623,7 @@ def test_superop_blocks_equal_the_dense_gather(modes, n_max, n_ops, mixed, other
     kraus = [_sparse_kraus(rng, basis, shift, rng.uniform(0.2, 1.0)) for shift in shifts]
     totals = basis.totals()
     mixes = any(len(set(totals[r] - totals[c])) > 1 for r, c in (np.nonzero(k) for k in kraus))
-    chan = QuantumChannel.from_kraus(basis, kraus, valid_max_photons=n_max)
+    chan = channel_from_kraus(basis, kraus, valid_max_photons=n_max)
     assert len(chan.charge_blocks) == (1 if mixes else 2 * n_max + 1)
     order = list(range(len(chan.charge_blocks)))
     with mock.patch.object(bosonloop.channels, "_PAIR_BATCH", batch):
@@ -626,6 +633,10 @@ def test_superop_blocks_equal_the_dense_gather(modes, n_max, n_ops, mixed, other
         _assert_same_bits(chan.superop_block(b), superop_block_dense(chan, b))
 
 
+_SWEEP_LOSSES = LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([0.95, 0.85]),
+                        loop_transmission=0.7)
+
+
 @pytest.mark.parametrize("modes, looped, n_max, haar_seed, occupation, losses", [
     (2, 1, 10, 8, (1,), LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
                                  loop_transmission=0.9)),
@@ -633,16 +644,54 @@ def test_superop_blocks_equal_the_dense_gather(modes, n_max, n_ops, mixed, other
                                  loop_transmission=0.8)),
     (3, 1, 5, 12, (1, 1), LossSpec(t_in=np.full(3, 0.9), t_out=np.full(3, 0.9),
                                    loop_transmission=0.7)),
+    # the artifact sweep's lossy, lossy_l2, m5_pure and lossy_dm configs; the
+    # last injects a density matrix, and its core mixes photon-number shifts
+    (2, 1, 10, 21, (1,), _SWEEP_LOSSES),
+    (3, 2, 6, 3, (1,), LossSpec(t_in=np.full(3, 0.9), t_out=np.full(3, 0.9),
+                                loop_transmission=0.7)),
+    (5, 2, 6, 9, (1, 1, 0), LossSpec(loop_transmission=0.2)),
+    (2, 1, 12, 20, random_density_matrix(FockBasis(1, 2), 4), _SWEEP_LOSSES),
 ])
-def test_loop_loss_and_composed_blocks_equal_the_dense_gather(modes, looped, n_max, haar_seed,
-                                                              occupation, losses):
+def test_loop_loss_and_composed_blocks_equal_the_dense_gather(monkeypatch, modes, looped, n_max,
+                                                              haar_seed, occupation, losses):
+    injected = ({"input_state": occupation} if isinstance(occupation, DensityMatrix)
+                else {"input_occupation": occupation})
     setup = _LoopSetup(ExperimentConfig(
-        modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
-        input_occupation=occupation, n_max=n_max, losses=losses))
+        modes=modes, looped=looped, iterations=1, haar_seed=haar_seed, n_max=n_max,
+        losses=losses, **injected))
     core = loop_channel(setup.lifted, setup.rho_ext_in)
-    channels = [core, setup.in_loop, setup.out_loop, setup.in_ext,
-                compose(core, setup.in_loop), setup.loop_update_channel()]
-    for chan in channels:
+
+    def no_kraus(self):
+        raise AssertionError("compose read the dense Kraus list")
+
+    # every composition loop_update_channel makes, and loss after loss
+    pairs = [(outer, inner) for outer, inner in [(core, setup.in_loop),
+                                                 (setup.out_loop, setup.in_loop)]
+             if outer and inner]
+    with monkeypatch.context() as patch:
+        patch.setattr(QuantumChannel, "kraus", property(no_kraus))
+        composed = [compose(outer, inner) for outer, inner in pairs]
+        update = setup.loop_update_channel()
+    for (outer, inner), chan in zip(pairs, composed):
+        for got, want in zip(chan.nonzeros, compose_dense(outer, inner).nonzeros):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    expected = core
+    if setup.in_loop:
+        expected = compose_dense(expected, setup.in_loop)
+    if setup.out_loop:
+        expected = compose_dense(setup.out_loop, expected)
+    for got, want in zip(update.nonzeros, expected.nonzeros):
+        assert got.tobytes() == want.tobytes()
+    # with no side of one nonzero per row and column the sums of products
+    # may round apart: the Kraus sum and the charge-0 step agree within 1e-12
+    twice, twice_dense = compose(core, core), compose_dense(core, core)
+    rho = embed(random_density_matrix(FockBasis(looped, min(twice.valid_max_photons, 2)), 3),
+                core.basis)
+    for state in (rho, setup.vacuum_line()):
+        np.testing.assert_allclose(twice.apply(state).mat, twice_dense.apply(state).mat,
+                                   rtol=0, atol=1e-12)
+    channels = [core, setup.in_loop, setup.out_loop, setup.in_ext, *composed, update]
+    for chan in filter(None, channels):
         for b in range(len(chan.charge_blocks)):
             _assert_same_bits(chan.superop_block(b), superop_block_dense(chan, b))
 
@@ -810,7 +859,7 @@ def test_stabilization_never_builds_the_dense_kraus_list(monkeypatch, modes, loo
 @pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4)])
 def test_charge_blocks_equal_one_scan_per_charge(modes, n_max):
     basis = FockBasis(modes, n_max)
-    chan = QuantumChannel.from_kraus(basis, [np.eye(basis.size)], valid_max_photons=n_max)
+    chan = channel_from_kraus(basis, [np.eye(basis.size)], valid_max_photons=n_max)
     expected = charge_blocks_by_scans(basis)
     assert len(chan.charge_blocks) == len(expected) == 2 * n_max + 1
     for got, ref in zip(chan.charge_blocks, expected):
@@ -845,7 +894,7 @@ def test_leak_sums_equal_the_tail_of_all_sector_weights(modes, n_max, above, see
     expected = float(tail.sum())
     assert float(rho.sector_weights(above).sum()).hex() == expected.hex()
 
-    chan = QuantumChannel.from_kraus(basis, [np.eye(basis.size)], valid_max_photons=above)
+    chan = channel_from_kraus(basis, [np.eye(basis.size)], valid_max_photons=above)
     if expected > POPULATED_CUTOFF:
         with pytest.raises(TruncationError) as err:
             chan.apply(rho)
@@ -871,8 +920,8 @@ def _test_channel(kind: str, seed: int, n_max: int) -> QuantumChannel:
         basis = FockBasis(1, n_max)
         if kind == "loss":
             return loss_channel(0.7, 1, n_max)
-        return QuantumChannel.from_kraus(basis, [haar_random_unitary(basis.size, seed)],
-                                         valid_max_photons=n_max)
+        return channel_from_kraus(basis, [haar_random_unitary(basis.size, seed)],
+                                  valid_max_photons=n_max)
     modes = 3 if kind == "two loops" else 2
     losses = (LossSpec(np.array([0.9, 0.8]), np.array([0.95, 0.85]), 0.7)
               if kind == "lossy" else LossSpec())

@@ -212,6 +212,29 @@ def test_lossy_engines_agree():
         assert _tv(a, b) < 1e-10
 
 
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("record_loop", [False, True])
+def test_the_kraus_route_steps_the_line_only_where_it_is_read(monkeypatch, iterations,
+                                                              record_loop):
+    # lossless, so the loop-update channel is the one channel applied; the
+    # line after the last detection is read only by the record
+    cfg = haar_config(2, 1, iterations, 11, n_max=4)
+    applied, apply = [], QuantumChannel.apply
+
+    def counted(self, rho, *args, **kwargs):
+        applied.append(self)
+        return apply(self, rho, *args, **kwargs)
+
+    monkeypatch.setattr(QuantumChannel, "apply", counted)
+    trace = evolve_kraus(cfg, record_loop=record_loop)
+    assert len(applied) == iterations - 1 + record_loop
+    assert len(set(map(id, applied))) <= 1
+    assert (trace.loop_states is None) != record_loop
+    reference = evolve_pdm(cfg, record_loop=record_loop)
+    for a, b in zip(reference.iteration_distributions, trace.iteration_distributions):
+        assert _tv(a, b) < 1e-10
+
+
 @st.composite
 def _small_lossy_configs(draw, max_photons=4):
     """M <= 4, L in {1, 2}, k <= 3, random losses, and a Fock input with at
