@@ -44,6 +44,8 @@ _RETRY_DIM_CAP = 64            # loop-space dimension beyond which retries stop
 TRUNCATION_RETRIES = 3         # _grow_n_max rungs a Haar sample may climb
 _FIRST_CHUNK = 8               # iterates scored by stabilization_time's first fidelity call
 _TRAJECTORY_CHUNK = 64         # most iterates scored by one fidelity call
+ITERATE_TOLERANCE = 1e-12      # trace distance between iterates that ends stationary_loop_iterate
+ITERATE_CAP = 1_000_000        # most channel steps stationary_loop_iterate takes
 
 
 def _grow_n_max(n_max: int, looped: int) -> int:
@@ -82,8 +84,8 @@ class LossSpec:
 
 @dataclass
 class ExperimentConfig:
-    """A feedback-loop experiment, checked and resolved when made; every route reads
-    its `transfer_matrix()`, `injected_state` and `m_eff`, each made on first use."""
+    """A feedback-loop experiment, checked and resolved when made; every route reads its
+    `transfer_matrix()`, `injected_state`, `m_eff` and `_loop_setup`, each made on first use."""
 
     modes: int
     looped: int
@@ -117,6 +119,7 @@ class ExperimentConfig:
         self.losses = self.losses.resolve(self.modes)
         if self.unitary is not None:
             self.unitary = self._checked(self.unitary)
+        self._lifted_blocks = {}   # the sector blocks of U lifted so far (see `LiftedUnitary`)
 
     def _checked(self, u) -> np.ndarray:
         """A read-only copy of `u`, refused unless M x M, and then unless a
@@ -169,6 +172,11 @@ class ExperimentConfig:
         m_eff.flags.writeable = False
         return m_eff
 
+    @cached_property
+    def _loop_setup(self) -> "_LoopSetup":
+        """The one lift, set of loss channels and loop channel of this experiment."""
+        return _LoopSetup(self)
+
 
 def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) -> np.ndarray:
     """Lossy single-photon transfer matrix T_out U T_in.
@@ -198,12 +206,12 @@ class EvolutionTrace:
 
 
 class _LoopSetup:
-    """Bases, lifted matrix, input state and loss channels resolved from a
-    config; the lifted matrix memoizes its sector blocks in `lifted_blocks`
-    when given (see `LiftedUnitary`)."""
+    """Bases, lifted matrix, input state, loss and loop channels of a config, whose
+    lift memo it fills.  It holds no reference to the config: a config <-> setup
+    cycle would leave every array of a call to the cyclic garbage collector."""
 
-    def __init__(self, config: ExperimentConfig, lifted_blocks: dict | None = None):
-        self.config = config
+    def __init__(self, config: ExperimentConfig):
+        self.iterations = config.iterations
         self.modes = config.modes
         self.looped = config.looped
         self.n_ext = config.n_external
@@ -211,7 +219,7 @@ class _LoopSetup:
         self.n_max = config.resolve_n_max()
         if self.n_max < self.n_env:
             # without a loop every iteration is one pass of the input alone
-            bound, name = ((config.iterations * self.n_env, "iterations * N_env")
+            bound, name = ((self.iterations * self.n_env, "iterations * N_env")
                            if self.looped else (self.n_env, "N_env"))
             raise TruncationError(
                 f"n_max={self.n_max} cannot hold the {self.n_env}-photon input; "
@@ -223,7 +231,7 @@ class _LoopSetup:
         self.ext = FockBasis(self.n_ext, self.n_max)
         self.loop = FockBasis(self.looped, self.n_max) if self.looped else None
         self.u = config.transfer_matrix()
-        self.lifted = lift(self.u, self.joint, lifted_blocks)
+        self.lifted = lift(self.u, self.joint, config._lifted_blocks)
 
         spec = config.losses
         rho_ext = embed(config.injected_state, self.ext)
@@ -243,7 +251,7 @@ class _LoopSetup:
         rho_loop_in = self.in_loop.apply(rho_line) if self.in_loop else rho_line
         leaked = overflow_weight(self.rho_ext_in, rho_loop_in, self.n_max)
         if leaked > LEAK_TOLERANCE:
-            required = self.config.iterations * self.n_env
+            required = self.iterations * self.n_env
             reason = f"required n_max is iterations * N_env = {required}"
             if required <= self.n_max:
                 # the injected and line states' top populated sectors meet
@@ -264,35 +272,35 @@ class _LoopSetup:
             rho_line_next = self.out_loop.apply(rho_line_next)
         return rho_det, rho_line_next, leaked
 
-    def loop_update_channel(self) -> QuantumChannel:
+    @cached_property
+    def channel(self) -> QuantumChannel:
         """The line-to-line channel of one iteration, losses included."""
-        core = loop_channel(self.lifted, self.rho_ext_in)
-        chan = core
+        chan = loop_channel(self.lifted, self.rho_ext_in)
         if self.in_loop:
             chan = compose(chan, self.in_loop)
         if self.out_loop:
             chan = compose(self.out_loop, chan)
         return chan
 
-    def iterates(self, channel: QuantumChannel):
+    def iterates(self):
         """The vacuum line, then one `channel.apply` per further item; a
         step's TruncationError surfaces from the `next()` that asks for it."""
-        rho = self.vacuum_line()
+        channel, rho = self.channel, self.vacuum_line()
         while True:
             yield rho
             rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
 
 
-def _stationary_setup(config: ExperimentConfig, lifted_blocks: dict | None):
-    """(setup, loop-update channel) of the stationary routes, which refuse a
-    config without a loop.  Raises SpectralRadiusError unless rho(M_eff,LL) < 1 - SPECTRAL_RADIUS_MARGIN: the loop channel's
-    eigenvalues are products of M_eff,LL's and their conjugates (see
-    `stationary_state`), so the stationary state is unique exactly then."""
+def _stationary_setup(config: ExperimentConfig) -> _LoopSetup:
+    """The config's setup, for the stationary routes, which refuse a config without
+    a loop.  Raises SpectralRadiusError unless rho(M_eff,LL) < 1 - SPECTRAL_RADIUS_MARGIN:
+    the loop channel's eigenvalues are products of M_eff,LL's and their conjugates
+    (see `stationary_state`), so the stationary state is unique exactly then."""
     if config.looped == 0:
         raise ValueError("a stationary loop state needs at least one looped mode")
-    setup = _LoopSetup(config, lifted_blocks)
+    setup = config._loop_setup
     _check_spectral_radius(config.m_eff, config.looped)
-    return setup, setup.loop_update_channel()
+    return setup
 
 
 def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
@@ -303,7 +311,7 @@ def _maybe_loss(power_transmissions, basis) -> QuantumChannel | None:
 
 def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     """L = 0: every iteration is an independent single-pass run."""
-    setup = _LoopSetup(config)
+    setup = config._loop_setup
     rho_out = DensityMatrix(setup.joint, setup.lifted.conjugate(setup.rho_ext_in.mat),
                             check=False)
     if setup.out_ext:
@@ -320,8 +328,7 @@ def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> Evolut
     joint pass's own output, or by the one-iteration Kraus channel when `kraus`."""
     if config.looped == 0:
         return _singlepass_trace(config)
-    setup = _LoopSetup(config)
-    channel = setup.loop_update_channel() if kraus else None
+    setup = config._loop_setup
     rho_line = setup.vacuum_line()
     loop_states = [rho_line] if record_loop else None
     dists = []
@@ -330,7 +337,7 @@ def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> Evolut
         rho_det, rho_next, leaked = setup.step(rho_line)
         # the Kraus route steps the line only where a later iteration or the record reads it
         if kraus and (record_loop or i + 1 < config.iterations):
-            rho_next = channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
+            rho_next = setup.channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
         rho_line = rho_next
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
@@ -446,26 +453,20 @@ def unfolded_distribution(config: ExperimentConfig) -> UnfoldResult:
     )
 
 
-def stationary_loop_state(config: ExperimentConfig,
-                          lifted_blocks: dict | None = None) -> StationaryResult:
-    """Fixed point of the one-iteration loop channel via the superoperator.
-    `lifted_blocks` is the memo of the lifted sector blocks that calls on one
-    transfer matrix may share (see `LiftedUnitary`)."""
-    _, channel = _stationary_setup(config, lifted_blocks)
-    return stationary_state(channel)
+def stationary_loop_state(config: ExperimentConfig) -> StationaryResult:
+    """Fixed point of the one-iteration loop channel via the superoperator."""
+    return stationary_state(_stationary_setup(config).channel)
 
 
-def stationary_loop_iterate(config: ExperimentConfig, tol: float = 1e-12,
-                            max_iterations: int = 1_000_000) -> DensityMatrix:
+def stationary_loop_iterate(config: ExperimentConfig) -> DensityMatrix:
     """Fixed point by channel iteration from the vacuum: the first iterate within
-    trace distance `tol` of the one before, within `max_iterations` steps."""
-    setup, channel = _stationary_setup(config, None)
-    for rho, nxt in islice(pairwise(setup.iterates(channel)), max_iterations):
-        if trace_distance(nxt, rho) < tol:
+    trace distance ITERATE_TOLERANCE of the one before, within ITERATE_CAP steps."""
+    iterates = _stationary_setup(config).iterates()
+    for rho, nxt in islice(pairwise(iterates), ITERATE_CAP):
+        if trace_distance(nxt, rho) < ITERATE_TOLERANCE:
             return nxt
-    raise ConvergenceError(
-        f"channel iteration did not settle below {tol:.1e} in {max_iterations} steps"
-    )
+    raise ConvergenceError(f"channel iteration did not settle below "
+                           f"{ITERATE_TOLERANCE:.1e} in {ITERATE_CAP} steps")
 
 
 def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
@@ -473,15 +474,14 @@ def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
 
     Returns (rho_det, next line state).
     """
-    setup = _LoopSetup(config)
+    setup = config._loop_setup
     line = embed(rho_line, setup.loop)
     rho_det, rho_next, _ = setup.step(line)
     return rho_det, rho_next
 
 
 def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
-                       max_iterations: int = 100_000,
-                       lifted_blocks: dict | None = None) -> int:
+                       max_iterations: int = 100_000) -> int:
     """Iterations until the loop state's infidelity to the fixed point drops below
     `tolerance`, starting from the vacuum.
 
@@ -493,14 +493,12 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
     Steps past the first converged iterate are overshoot: a TruncationError
     among them is dropped, while one at or before it, and the cap, surface
     after the same steps as a step-by-step loop would take.
-    `lifted_blocks` is the memo of the lifted sector blocks that calls on one
-    transfer matrix may share (see `LiftedUnitary`).
     """
-    setup, channel = _stationary_setup(config, lifted_blocks)
-    rho_stat = fixed_point(channel)
+    setup = _stationary_setup(config)
+    rho_stat = fixed_point(setup.channel)
     if rho_stat is None:
-        rho_stat = stationary_state(channel).rho
-    iterates = setup.iterates(channel)
+        rho_stat = stationary_state(setup.channel).rho
+    iterates = setup.iterates()
     start, size = 0, _FIRST_CHUNK
     while start <= max_iterations:
         chunk, failure = [next(iterates)], None
@@ -524,8 +522,8 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
 
 
 def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> list:
-    """`solve(sample_config, lifted_blocks)` on Haar-random transfer matrices,
-    one result per sample.
+    """`solve(sample_config)` on Haar-random transfer matrices, one result per
+    sample.
 
     Per-sample seeds are spawned from the master seed.  A sample with a
     degenerate fixed point, or that fails to converge, gives None.  A sample
@@ -533,10 +531,10 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
     at a 1.5x larger truncation up to TRUNCATION_RETRIES times: the required
     bound is state-dependent, and near-decoupled matrices produce nearly
     thermal loop states far wider than the typical Haar draw.  The rungs of
-    a sample share one memo of its lifted sector blocks, so a retry lifts
-    only the sectors its larger truncation adds; the memo goes with the
-    sample.  The joint space of the first rung is checked against its cap
-    before any sample is drawn.
+    a sample share one memo of its lifted sector blocks (their configs'
+    `_lifted_blocks`), so a retry lifts only the sectors its larger
+    truncation adds; the memo goes with the sample.  The joint space of the
+    first rung is checked against its cap before any sample is drawn.
     """
     check_size("the joint Fock space size", total_size(config.modes, config.resolve_n_max()))
 
@@ -545,8 +543,10 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
         n_max = config.resolve_n_max()
         blocks = {}
         for attempt in range(TRUNCATION_RETRIES + 1):
+            rung = replace(config, unitary=u, haar_seed=None, n_max=n_max)
+            rung._lifted_blocks = blocks
             try:
-                return solve(replace(config, unitary=u, haar_seed=None, n_max=n_max), blocks)
+                return solve(rung)
             except TruncationError:
                 n_max = _grow_n_max(n_max, config.looped)
                 if attempt == TRUNCATION_RETRIES or n_max is None:
@@ -573,8 +573,7 @@ def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
     `_haar_samples`.
     """
     results = _haar_samples(config, samples, seed,
-                            lambda cfg, blocks: stabilization_time(cfg, tolerance,
-                                                                   max_iterations, blocks))
+                            lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
     times = [t for t in results if t is not None]
     return StabilizationStudy(times=times, skipped=len(results) - len(times))
 
@@ -600,7 +599,7 @@ def average_stationary(config: ExperimentConfig, samples: int,
     if config.looped > 1:
         raise ValueError("raw averaging over matrices is only meaningful for one looped mode")
     results = _haar_samples(config, samples, seed,
-                            lambda cfg, blocks: stationary_loop_state(cfg, blocks).rho)
+                            lambda cfg: stationary_loop_state(cfg).rho)
     states = [r for r in results if r is not None]
     skipped = len(results) - len(states)
     if not states:

@@ -624,7 +624,7 @@ def stabilization_time_stepwise(config, tolerance: float = 1e-6,
     """`stabilization_time` as the package ran it before it scored the
     trajectory in chunks: one channel step, then one fidelity, per iteration."""
     setup = _LoopSetup(config)
-    channel = setup.loop_update_channel()
+    channel = setup.channel
     rho_stat = fixed_point(channel)
     if rho_stat is None:
         rho_stat = stationary_state(channel).rho

@@ -85,7 +85,7 @@ def test_criterion_02_stationary_fixed_point():
                                   haar_seed=seed, input_occupation=occ,
                                   n_max=n_max)
         setup = _LoopSetup(cfg)
-        channel = setup.loop_update_channel()
+        channel = setup.channel
         result = bl.stationary_state(channel, eigenvalue_tol=0.05)
         applied = channel.apply(result.rho, leak_tolerance=1.0)
         td = bl.trace_distance(applied, result.rho)
@@ -105,7 +105,7 @@ def test_criterion_03_theorem_negative_control():
                               input_occupation=(1,), n_max=4)
     setup = _LoopSetup(cfg)
     with pytest.raises(DegenerateFixedPointError):
-        bl.stationary_state(setup.loop_update_channel())
+        bl.stationary_state(setup.channel)
     ext = bl.fock_state_dm(bl.FockBasis(1, 1), (1,))
     with pytest.raises(SpectralRadiusError):
         bl.recursive_stationary(u, ext, rank_cap=2)
@@ -117,7 +117,7 @@ def test_criterion_03_theorem_negative_control():
                                input_occupation=(1,), n_max=3)
     setup3 = _LoopSetup(cfg3)
     with pytest.raises(DegenerateFixedPointError):
-        bl.stationary_state(setup3.loop_update_channel())
+        bl.stationary_state(setup3.channel)
     with pytest.raises(SpectralRadiusError):
         bl.recursive_stationary(u3, ext, rank_cap=2)
     _passed(3, "decoupled matrices: degenerate unit eigenspace detected and "

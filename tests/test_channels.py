@@ -311,7 +311,7 @@ def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
         modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
         input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
         losses=losses))
-    chan = setup.loop_update_channel()
+    chan = setup.channel
     assert len(chan.charge_blocks) == 2 * n_max + 1
     g = superoperator_kron(chan.kraus)
     np.testing.assert_allclose(to_superoperator(chan).matrix, g, atol=1e-14)
@@ -392,7 +392,7 @@ def test_charge_blocks_off_zero_wait_for_the_second_modulus(monkeypatch, modes, 
     result = stationary_loop_state(cfg)
     assert set(requested) == {0}
     second = result.second_modulus
-    chan = _LoopSetup(cfg).loop_update_channel()
+    chan = _LoopSetup(cfg).channel
     assert set(requested) == set(range(len(chan.charge_blocks)))
     want_second, want_count = spectral_diagnostics_all_blocks(chan)
     assert second.hex() == want_second.hex()
@@ -413,7 +413,7 @@ def test_one_loop_mode_charge_q_block_leads_with_a_to_the_q(modes, n_max, haar_s
     setup = _LoopSetup(ExperimentConfig(
         modes=modes, looped=1, iterations=1, haar_seed=haar_seed,
         input_occupation=(1,) + (0,) * (modes - 2), n_max=n_max, losses=losses))
-    chan = setup.loop_update_channel()
+    chan = setup.channel
     a = effective_transfer_matrix(setup.u, losses, 1)[-1, -1]
     for b, q in enumerate(block_charges(chan.basis, chan.charge_blocks)):
         if 0 < abs(q) <= 3:
@@ -432,7 +432,7 @@ def test_two_loop_modes_charge_one_blocks_lead_with_an_eigenvalue_of_m_eff(n_max
     cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=39,
                            input_occupation=(1,), n_max=n_max, losses=losses)
     setup = _LoopSetup(cfg)
-    chan = setup.loop_update_channel()
+    chan = setup.channel
     a = np.linalg.eigvals(effective_transfer_matrix(setup.u, losses, 2)[1:, 1:])
     for b, q in enumerate(block_charges(chan.basis, chan.charge_blocks)):
         if abs(q) == 1:
@@ -463,13 +463,13 @@ def test_uniqueness_from_m_eff_agrees_with_the_q_nonnegative_scan():
         if trial % 2:
             losses = LossSpec(t_in=rng.uniform(0.8, 1.0, modes), t_out=rng.uniform(0.8, 1.0, modes),
                               loop_transmission=float(rng.uniform(0.7, 1.0)))
-        setup = _LoopSetup(ExperimentConfig(
+        cfg = ExperimentConfig(
             modes=modes, looped=looped, iterations=1, unitary=u,
             input_occupation=(1,) + (0,) * (m_ext - 1), n_max=6 if looped == 1 else 3,
-            losses=losses))
-        chan = setup.loop_update_channel()
+            losses=losses)
+        chan = _LoopSetup(cfg).channel
         try:
-            _check_spectral_radius(setup.config.m_eff, setup.looped)
+            _check_spectral_radius(cfg.m_eff, looped)
             radius_refuses = False
         except SpectralRadiusError:
             radius_refuses = True
@@ -570,7 +570,7 @@ def test_stabilization_times_equal_the_stepwise_oracle():
                            input_occupation=(1,), n_max=14)
     attempts = []
 
-    def stepwise(sample, blocks):
+    def stepwise(sample):
         attempts.append(sample.n_max)
         return stabilization_time_stepwise(sample)
 
@@ -664,14 +664,14 @@ def test_loop_loss_and_composed_blocks_equal_the_dense_gather(monkeypatch, modes
     def no_kraus(self):
         raise AssertionError("compose read the dense Kraus list")
 
-    # every composition loop_update_channel makes, and loss after loss
+    # every composition `_LoopSetup.channel` makes, and loss after loss
     pairs = [(outer, inner) for outer, inner in [(core, setup.in_loop),
                                                  (setup.out_loop, setup.in_loop)]
              if outer and inner]
     with monkeypatch.context() as patch:
         patch.setattr(QuantumChannel, "kraus", property(no_kraus))
         composed = [compose(outer, inner) for outer, inner in pairs]
-        update = setup.loop_update_channel()
+        update = setup.channel
     for (outer, inner), chan in zip(pairs, composed):
         for got, want in zip(chan.nonzeros, compose_dense(outer, inner).nonzeros):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -852,7 +852,7 @@ def test_stabilization_never_builds_the_dense_kraus_list(monkeypatch, modes, loo
     assert built == []
     assert tau == stabilization_time_stepwise(cfg)
     # the count sees a read
-    chan = _LoopSetup(cfg).loop_update_channel()
+    chan = _LoopSetup(cfg).channel
     assert len(chan.kraus) > 1 and built == [chan]
 
 
@@ -928,7 +928,7 @@ def _test_channel(kind: str, seed: int, n_max: int) -> QuantumChannel:
     cfg = ExperimentConfig(modes=modes, looped=modes - 1, iterations=1, haar_seed=seed,
                            input_occupation=(1,), losses=losses,
                            n_max=min(n_max, 4) if modes == 3 else n_max)
-    return _LoopSetup(cfg).loop_update_channel()
+    return _LoopSetup(cfg).channel
 
 
 def _outcome_bits(chan, rho, leak_tolerance):
@@ -1010,8 +1010,8 @@ def test_stabilization_rungs_build_the_oracles_channels_and_fixed_points():
                            input_occupation=(1,), n_max=14)
     rungs = []
 
-    def checked(sample, blocks):
-        setup = _LoopSetup(sample, blocks)
+    def checked(sample):
+        setup = sample._loop_setup
         chan = loop_channel(setup.lifted, setup.rho_ext_in)
         ref = loop_channel_per_sector(setup.lifted, setup.rho_ext_in)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(chan.nonzeros, ref.nonzeros))
@@ -1020,7 +1020,7 @@ def test_stabilization_rungs_build_the_oracles_channels_and_fixed_points():
         if got is not None:
             assert got.mat.tobytes() == want.mat.tobytes()
         rungs.append((sample.n_max, got is None))
-        return stabilization_time(sample, lifted_blocks=blocks)
+        return stabilization_time(sample)
 
     _haar_samples(cfg, 100, 7, checked)
     assert len(rungs) >= 120

@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bosonloop import evolve
 from bosonloop.channels import QuantumChannel
+from bosonloop.cli import main
 from bosonloop.errors import (DENSE_DIM_CAP, ConvergenceError,
                               DegenerateFixedPointError, SizeCapError,
                               TruncationError)
@@ -212,12 +214,25 @@ def test_lossy_engines_agree():
         assert _tv(a, b) < 1e-10
 
 
+def _count_loop_channels(monkeypatch) -> list:
+    """Record the lifted unitary of every `loop_channel` that `evolve` builds."""
+    built, build = [], evolve.loop_channel
+
+    def counted(lifted, rho_ext):
+        built.append(lifted)
+        return build(lifted, rho_ext)
+
+    monkeypatch.setattr(evolve, "loop_channel", counted)
+    return built
+
+
 @pytest.mark.parametrize("iterations", [1, 3])
 @pytest.mark.parametrize("record_loop", [False, True])
 def test_the_kraus_route_steps_the_line_only_where_it_is_read(monkeypatch, iterations,
                                                               record_loop):
     # lossless, so the loop-update channel is the one channel applied; the
-    # line after the last detection is read only by the record
+    # line after the last detection is read only by the record, and the
+    # channel is built only when some step reads it
     cfg = haar_config(2, 1, iterations, 11, n_max=4)
     applied, apply = [], QuantumChannel.apply
 
@@ -226,9 +241,11 @@ def test_the_kraus_route_steps_the_line_only_where_it_is_read(monkeypatch, itera
         return apply(self, rho, *args, **kwargs)
 
     monkeypatch.setattr(QuantumChannel, "apply", counted)
+    built = _count_loop_channels(monkeypatch)
     trace = evolve_kraus(cfg, record_loop=record_loop)
     assert len(applied) == iterations - 1 + record_loop
     assert len(set(map(id, applied))) <= 1
+    assert len(built) == (0 if iterations == 1 and not record_loop else 1)
     assert (trace.loop_states is None) != record_loop
     reference = evolve_pdm(cfg, record_loop=record_loop)
     for a, b in zip(reference.iteration_distributions, trace.iteration_distributions):
@@ -266,7 +283,7 @@ def test_pdm_and_kraus_agree_on_random_small_configs(cfg):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(cfg=_small_lossy_configs())
 def test_loop_update_channel_is_complete_on_its_valid_sectors(cfg):
-    chan = _LoopSetup(cfg).loop_update_channel()
+    chan = _LoopSetup(cfg).channel
     d_ok = sum(len(enumerate_sector(chan.basis.modes, n))
                for n in range(chan.valid_max_photons + 1))
     comp = chan.completeness_operator()[:d_ok, :d_ok]
@@ -418,7 +435,7 @@ def test_infidelity_eventually_monotone():
         setup_tau = stabilization_time(cfg)
         from bosonloop.evolve import _LoopSetup
         setup = _LoopSetup(cfg)
-        chan = setup.loop_update_channel()
+        chan = setup.channel
         stat = stationary_loop_state(cfg).rho
         rho = setup.vacuum_line()
         infids = []
@@ -497,10 +514,34 @@ def test_stabilization_cap_takes_the_stepwise_final_step(monkeypatch, max_iterat
 def test_iterate_cap_raises_after_exactly_max_iterations_steps(monkeypatch, max_iterations):
     # no trace distance lies below a zero tolerance
     cfg = haar_config(2, 1, 1, 20, n_max=10)
+    monkeypatch.setattr(evolve, "ITERATE_TOLERANCE", 0.0)
+    monkeypatch.setattr(evolve, "ITERATE_CAP", max_iterations)
     calls = _count_steps(monkeypatch)
-    assert _outcome(stationary_loop_iterate, cfg, tol=0.0,
-                    max_iterations=max_iterations) == "ConvergenceError"
+    assert _outcome(stationary_loop_iterate, cfg) == "ConvergenceError"
     assert len(calls) == max_iterations
+
+
+def _write_cli_config(tmp_path, **overrides) -> str:
+    """A CLI config file: M=2, L=1, one photon injected, Haar seed 20."""
+    raw = {"schema": 1, "M": 2, "L": 1, "n_max": 6, "iterations": 1,
+           "input": {"type": "fock", "occupation": [1]},
+           "unitary": {"type": "haar", "seed": 20}, "seed": 3, **overrides}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_iterate_that_does_not_settle_within_its_cap_exits_1(monkeypatch, tmp_path, capsys):
+    # the default tolerance, but too few steps to reach it: the function
+    # raises, and the CLI reports the ConvergenceError with exit code 1
+    cfg = haar_config(2, 1, 1, 20, n_max=10)
+    monkeypatch.setattr(evolve, "ITERATE_CAP", 3)
+    with pytest.raises(ConvergenceError, match="in 3 steps"):
+        stationary_loop_iterate(cfg)
+    path = _write_cli_config(tmp_path, n_max=10)
+    assert main(["stationary", path, "--method", "iterate", "--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConvergenceError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_iterate_surfaces_a_truncation_error_at_its_step(monkeypatch):
@@ -640,6 +681,39 @@ def test_no_lifted_block_outlives_its_sample(monkeypatch):
     del lifts[:]
     gc.collect()
     assert len(refs) > 32 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("argv", [["stationary", "--method", "superop"],
+                                  ["stationary", "--method", "iterate"],
+                                  ["stationary", "--method", "tensors"],
+                                  ["sample", "--target", "stationary", "--shots", "10"]])
+def test_one_cli_call_builds_one_loop_channel_and_lifts_each_block_once(monkeypatch, tmp_path,
+                                                                         argv):
+    # the stationary state, its diagnostics and the detection pass all read
+    # the config's one setup
+    path = _write_cli_config(tmp_path)
+    built = _count_loop_channels(monkeypatch)
+    lifts = _record_lifts(monkeypatch)
+    command, *options = argv
+    assert main([command, path, *options, "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1
+    sectors = [n for _, n, _ in lifts]
+    assert sectors and len(sectors) == len(set(sectors))
+
+
+def test_a_config_is_freed_by_reference_counting_alone():
+    # its setup holds no reference back to it, so no cycle leaves the config
+    # and the arrays of every route it ran to the cyclic collector
+    cfg = haar_config(2, 1, 2, 20, n_max=8, losses=LossSpec(loop_transmission=0.8))
+    config = weakref.ref(cfg)
+    gc.disable()
+    try:
+        evolve_kraus(cfg, record_loop=True)
+        detection_pass(cfg, stationary_loop_state(cfg).rho)
+        del cfg
+        assert config() is None
+    finally:
+        gc.enable()
 
 
 def test_average_stationary_single_sample_and_structure():

@@ -277,7 +277,7 @@ def test_joint_pass_at_the_evolve_benchmark_shape_equals_the_dense_oracles():
     setup = _LoopSetup(ExperimentConfig(modes=6, looped=2, iterations=2, haar_seed=2301,
                                         input_occupation=(1, 1, 1, 0)))
     line = setup.vacuum_line()
-    for _ in range(setup.config.iterations):
+    for _ in range(setup.iterations):
         rho_det, rho_next, leaked = setup.step(line)
         product = tensor_product_kron(setup.rho_ext_in.mat, line.mat, setup.ext, setup.loop,
                                       setup.joint, leaked > 0.0)
@@ -363,7 +363,7 @@ def _trajectory(modes, looped, haar_seed, n_max, steps):
     setup = _LoopSetup(ExperimentConfig(modes=modes, looped=looped, iterations=1,
                                         haar_seed=haar_seed, input_occupation=(1,),
                                         n_max=n_max))
-    channel = setup.loop_update_channel()
+    channel = setup.channel
     states = [setup.vacuum_line()]
     for _ in range(steps):
         try:
@@ -507,7 +507,7 @@ def test_a_state_whose_matrix_was_read_is_never_read_through_its_vector():
     # an edit to .mat after the first read shows in every later read
     setup = _LoopSetup(ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=22,
                                         input_occupation=(1,), n_max=8))
-    channel = setup.loop_update_channel()
+    channel = setup.channel
     rho = channel.apply(channel.apply(setup.vacuum_line()))
     sigma = channel.apply(rho)
     assert rho.block0 is not None
