@@ -18,7 +18,9 @@ the next line state.  Detection at iteration k therefore shares its joint
 pass with the k-th loop update.
 """
 
+import operator
 import warnings
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice, pairwise
@@ -56,7 +58,7 @@ def _grow_n_max(n_max: int, looped: int) -> int:
     return nxt
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossSpec:
     """Amplitude transmissions per mode plus the feedback-line power transmission."""
 
@@ -65,8 +67,9 @@ class LossSpec:
     loop_transmission: float = 1.0
 
     def resolve(self, modes: int) -> "LossSpec":
-        t_in = np.ones(modes) if self.t_in is None else np.asarray(self.t_in, dtype=float)
-        t_out = np.ones(modes) if self.t_out is None else np.asarray(self.t_out, dtype=float)
+        t_in = np.ones(modes) if self.t_in is None else np.array(self.t_in, dtype=float)
+        t_out = np.ones(modes) if self.t_out is None else np.array(self.t_out, dtype=float)
+        t_in.flags.writeable = t_out.flags.writeable = False
         if t_in.shape != (modes,) or t_out.shape != (modes,):
             raise ValueError(f"loss arrays must have one amplitude per mode ({modes})")
         both = np.concatenate((t_in, t_out))
@@ -82,10 +85,10 @@ class LossSpec:
                     and self.loop_transmission == 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A feedback-loop experiment, checked and resolved when made; every route reads its
-    `transfer_matrix()`, `injected_state`, `m_eff` and `_loop_setup`, each made on first use."""
+    """A frozen feedback-loop experiment, checked and resolved when made; every route reads
+    its `transfer_matrix()`, `injected_state`, `m_eff` and `_loop_setup`, made on first use."""
 
     modes: int
     looped: int
@@ -101,8 +104,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 <= self.looped < self.modes:
             raise ValueError(f"need 0 <= L < M, got L={self.looped}, M={self.modes}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        object.__setattr__(self, "iterations", operator.index(self.iterations))  # not int(2.5)
+        if self.n_max is not None:
+            object.__setattr__(self, "n_max", operator.index(self.n_max))
+        if self.iterations < 1 or (self.n_max or 0) < 0:
+            raise ValueError(f"need iterations >= 1, n_max >= 0: {self.iterations}, {self.n_max}")
         if (self.unitary is None) == (self.haar_seed is None):
             raise ValueError("provide exactly one of `unitary` or `haar_seed`")
         if (self.input_occupation is None) == (self.input_state is None):
@@ -113,13 +119,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f"input occupation must be {self.n_external} non-negative counts"
                 )
-            self.input_occupation = occ
+            object.__setattr__(self, "input_occupation", occ)
         elif self.input_state.basis.modes != self.n_external:
             raise ValueError("input density matrix must live on the external modes")
-        self.losses = self.losses.resolve(self.modes)
+        object.__setattr__(self, "losses", self.losses.resolve(self.modes))
         if self.unitary is not None:
-            self.unitary = self._checked(self.unitary)
-        self._lifted_blocks = {}   # the sector blocks of U lifted so far (see `LiftedUnitary`)
+            object.__setattr__(self, "unitary", self._checked(self.unitary))
+        object.__setattr__(self, "_lifted_blocks", {})  # U's sector blocks lifted so far
 
     def _checked(self, u) -> np.ndarray:
         """A read-only copy of `u`, refused unless M x M, and then unless a
@@ -176,6 +182,14 @@ class ExperimentConfig:
     def _loop_setup(self) -> "_LoopSetup":
         """The one lift, set of loss channels and loop channel of this experiment."""
         return _LoopSetup(self)
+
+    def at_n_max(self, n_max: int) -> "ExperimentConfig":
+        """This experiment at `n_max`, checked no further, sharing all but `_loop_setup`."""
+        self.m_eff, self.injected_state  # made before the copy, so that every rung shares them
+        rung = copy(self)
+        object.__setattr__(rung, "n_max", operator.index(n_max))
+        rung.__dict__.pop("_loop_setup", None)
+        return rung
 
 
 def effective_transfer_matrix(u: np.ndarray, losses: LossSpec, n_looped: int) -> np.ndarray:
@@ -530,23 +544,19 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
     whose loop state is too heavy-tailed for the configured n_max is retried
     at a 1.5x larger truncation up to TRUNCATION_RETRIES times: the required
     bound is state-dependent, and near-decoupled matrices produce nearly
-    thermal loop states far wider than the typical Haar draw.  The rungs of
-    a sample share one memo of its lifted sector blocks (their configs'
-    `_lifted_blocks`), so a retry lifts only the sectors its larger
-    truncation adds; the memo goes with the sample.  The joint space of the
-    first rung is checked against its cap before any sample is drawn.
+    thermal loop states far wider than the typical Haar draw.  The rungs are
+    the sample's `at_n_max` configs, so a retry lifts only the sectors its
+    larger truncation adds.  The joint space of the first rung is checked
+    against its cap before any sample is drawn.
     """
     check_size("the joint Fock space size", total_size(config.modes, config.resolve_n_max()))
 
     def one(child):
-        u = haar_random_unitary(config.modes, child)
+        sample = replace(config, unitary=haar_random_unitary(config.modes, child), haar_seed=None)
         n_max = config.resolve_n_max()
-        blocks = {}
         for attempt in range(TRUNCATION_RETRIES + 1):
-            rung = replace(config, unitary=u, haar_seed=None, n_max=n_max)
-            rung._lifted_blocks = blocks
             try:
-                return solve(rung)
+                return solve(sample.at_n_max(n_max))
             except TruncationError:
                 n_max = _grow_n_max(n_max, config.looped)
                 if attempt == TRUNCATION_RETRIES or n_max is None:

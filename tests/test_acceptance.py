@@ -6,7 +6,6 @@ lines; the whole suite stays within its stated runtime budgets on a desktop.
 
 import hashlib
 import time
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -41,7 +40,7 @@ def _stationary_adaptive(config, n_max0):
     n_max = n_max0
     for _ in range(4):
         try:
-            return bl.stationary_loop_state(replace(config, n_max=n_max)), n_max
+            return bl.stationary_loop_state(config.at_n_max(n_max)), n_max
         except TruncationError:
             n_max = int(np.ceil(n_max * 1.5))
     raise AssertionError("stationary truncation ladder exhausted")
@@ -209,7 +208,7 @@ def test_criterion_07_distribution_reconstruction_under_loss():
                                   haar_seed=seed, input_occupation=occ,
                                   losses=losses, n_max=6)
         stat, n_max = _stationary_adaptive(cfg, 6)
-        rho_det, _ = detection_pass(replace(cfg, n_max=n_max), stat.rho)
+        rho_det, _ = detection_pass(cfg.at_n_max(n_max), stat.rho)
         truth = rho_det.diagonal_distribution()
         m_eff = bl.effective_transfer_matrix(cfg.transfer_matrix(), losses, 1)
         rho_ext = bl.fock_state_dm(bl.FockBasis(m_det, m_det), occ)

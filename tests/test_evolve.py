@@ -2,7 +2,7 @@ import gc
 import json
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -53,6 +53,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(modes=2, looped=1, iterations=1,
                          input_occupation=(1,))  # no unitary source
+    # counts are refused when the config is made, not when a route runs
+    with pytest.raises(ValueError, match="n_max >= 0: 1, -1"):
+        haar_config(2, 1, 1, 0, occupation=(0,), n_max=-1)
+    for iterations, n_max in ((1, 2.5), (2.5, None), (None, 4)):
+        with pytest.raises(TypeError):
+            haar_config(2, 1, iterations, 0, n_max=n_max)
+    cfg = haar_config(2, 1, np.int64(2), 0, n_max=np.int64(4))
+    assert (cfg.iterations, cfg.n_max) == (2, 4) and type(cfg.n_max) is int
 
 
 @pytest.mark.parametrize("matrix", [
@@ -80,6 +88,15 @@ def test_config_resolves_losses_and_keeps_read_only_matrices():
         assert not matrix.flags.writeable
     np.testing.assert_array_equal(
         cfg.m_eff, effective_transfer_matrix(cfg.transfer_matrix(), cfg.losses, 1))
+    # and a copy of each loss array, which writing the source leaves alone
+    t = np.array([0.9, 0.8])
+    lossy = haar_config(2, 1, 1, 0, losses=LossSpec(t_in=t))
+    m_eff = lossy.m_eff.copy()
+    t[:] = 0.5
+    np.testing.assert_array_equal(lossy.losses.t_in, [0.9, 0.8])
+    assert lossy.m_eff.tobytes() == m_eff.tobytes()
+    for array in (lossy.losses.t_in, lossy.losses.t_out, cfg.losses.t_in):
+        assert not array.flags.writeable
 
 
 def test_config_draws_its_haar_matrix_once(monkeypatch):
@@ -362,7 +379,7 @@ def test_truncation_guard_without_a_loop_names_the_input_size():
     with pytest.raises(TruncationError, match="the sound bound is N_env = 2") as err:
         evolve_pdm(cfg)
     assert err.value.required_n_max == 2
-    trace = evolve_pdm(replace(cfg, n_max=2))
+    trace = evolve_pdm(cfg.at_n_max(2))
     assert len(trace.iteration_distributions) == 3
 
 
@@ -716,6 +733,48 @@ def test_a_config_is_freed_by_reference_counting_alone():
         gc.enable()
 
 
+def test_a_config_and_its_losses_are_frozen():
+    # a field assigned after a route ran would be half seen by its cached values
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=2, haar_seed=20,
+                           input_occupation=(1,), n_max=4)
+    evolve_pdm(cfg)
+    with pytest.raises(FrozenInstanceError):
+        cfg.n_max = 9
+    with pytest.raises(FrozenInstanceError):
+        cfg.losses.loop_transmission = 0.5
+
+
+def test_a_rung_shares_every_value_that_does_not_depend_on_n_max():
+    cfg = haar_config(2, 1, 2, 20, n_max=4, losses=LossSpec(loop_transmission=0.8))
+    evolve_pdm(cfg)
+    rung = cfg.at_n_max(9)
+    assert rung.transfer_matrix() is cfg.transfer_matrix()
+    for name in ("losses", "m_eff", "injected_state", "_lifted_blocks"):
+        assert getattr(rung, name) is getattr(cfg, name)
+    assert rung._loop_setup.n_max == 9 and cfg._loop_setup.n_max == 4
+    # and runs as the same experiment made afresh at that truncation
+    fresh = evolve_pdm(replace(cfg, n_max=9))
+    assert evolve_pdm(rung).rho_det.mat.tobytes() == fresh.rho_det.mat.tobytes()
+
+
+def test_a_sample_checks_its_matrix_and_builds_m_eff_once_up_the_ladder(monkeypatch):
+    # the one sample of seed 14 climbs the rungs 14, 21 and 32
+    checks, builds = [], []
+    interferometer, effective = evolve.Interferometer, evolve.effective_transfer_matrix
+
+    def checked(u):
+        checks.append(u)
+        return interferometer(u)
+
+    def built(*args):
+        builds.append(args)
+        return effective(*args)
+    monkeypatch.setattr(evolve, "Interferometer", checked)
+    monkeypatch.setattr(evolve, "effective_transfer_matrix", built)
+    study = stabilization_samples(haar_config(2, 1, 1, 0, n_max=14), 1, seed=14)
+    assert study.times == [56] and len(checks) == 1 and len(builds) == 1
+
+
 def test_average_stationary_single_sample_and_structure():
     cfg = haar_config(2, 1, 1, 0, n_max=10)
     avg1 = average_stationary(cfg, samples=1, seed=4)
@@ -759,8 +818,7 @@ def test_average_stationary_refuses_multimode():
 def test_detection_pass_matches_final_iteration():
     cfg = haar_config(2, 1, 3, 18)
     trace = evolve_pdm(cfg, record_loop=True)
-    rho_det, rho_next = detection_pass(replace(cfg, n_max=trace.n_max),
-                                       trace.loop_states[2])
+    rho_det, rho_next = detection_pass(cfg.at_n_max(trace.n_max), trace.loop_states[2])
     assert trace_distance(rho_det, trace.rho_det) < 1e-12
     assert trace_distance(rho_next, trace.loop_states[3]) < 1e-12
 
