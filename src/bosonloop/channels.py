@@ -18,13 +18,13 @@ holding all of G.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
 
 from .errors import DENSE_DIM_CAP, DegenerateFixedPointError, TruncationError, check_size
-from .fock import FockBasis, tensor_index_map
+from .fock import FockBasis, frozen_cache, read_only, tensor_index_map
 from .lift import LiftedUnitary
 from .qstate import POPULATED_CUTOFF, DensityMatrix, block0_layout, charge_split, joint_parts
 
@@ -40,16 +40,17 @@ class QuantumChannel:
     """A finite Kraus set acting on a truncated Fock space of the looped modes.
 
     The operators are stored as their nonzero entries (rows, cols, values,
-    owner): operator after operator, each row by row as np.nonzero lists
-    them, with owner the index of the operator each entry comes from; the
-    owners run 0, 1, ... with every operator owning an entry.  The dense
-    list `kraus` is scattered from them the first time something reads it.
+    owner), made read-only: operator after operator, each row by row as
+    np.nonzero lists them, with owner the index of the operator each entry
+    comes from; the owners run 0, 1, ... with every operator owning an
+    entry.  The dense list `kraus` is scattered from them the first time
+    something reads it, and each charge block of G is read-only once built.
     """
 
     def __init__(self, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
                  max_photon_gain: int = 0):
         self.basis = basis
-        self.nonzeros = nonzeros
+        self.nonzeros = read_only(nonzeros)
         self.valid_max_photons = int(valid_max_photons)
         self.max_photon_gain = int(max_photon_gain)
         self._superop_blocks = {}
@@ -61,7 +62,7 @@ class QuantumChannel:
         d = self.basis.size
         stack = np.zeros((owner[-1] + 1, d, d), dtype=complex)
         stack[owner, rows, cols] = values
-        return list(stack)
+        return list(read_only(stack))
 
     def completeness_operator(self) -> np.ndarray:
         """sum K^dag K, identity on the valid subspace."""
@@ -91,7 +92,7 @@ class QuantumChannel:
         its own; the first request for any other block builds all of those."""
         if b not in self._superop_blocks:
             which = [0] if b == 0 else range(1, len(self.charge_blocks))
-            self._superop_blocks.update(zip(which, self._build_blocks(which)))
+            self._superop_blocks.update(zip(which, map(read_only, self._build_blocks(which))))
         return self._superop_blocks[b]
 
     def _build_blocks(self, which) -> list:
@@ -199,12 +200,11 @@ class QuantumChannel:
         )
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _block_positions(basis: FockBasis, which: tuple, whole: bool) -> tuple:
     """Where each column-stacked index's row, and its column, falls in the
     charge blocks `which` of G stacked flat, -1 for a row outside them, and
-    each block's offset in that stack (read-only): the blocks of
-    `charge_split(basis, whole)`."""
+    each block's offset in that stack: the blocks of `charge_split(basis, whole)`."""
     d = basis.size
     blocks = charge_split(basis, whole)
     sizes = [blocks[b].size for b in which]
@@ -214,8 +214,6 @@ def _block_positions(basis: FockBasis, which: tuple, whole: bool) -> tuple:
     for b, m, offset in zip(which, sizes, offsets):
         row_at[blocks[b]] = offset + m * np.arange(m)
         col_at[blocks[b]] = np.arange(m)
-    for table in (row_at, col_at, offsets):
-        table.flags.writeable = False
     return row_at, col_at, offsets
 
 
@@ -226,22 +224,19 @@ def _kept_trace(tr: complex) -> float:
     return tr.real
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _output_order(ext_basis: FockBasis, loop_basis: FockBasis, joint: FockBasis) -> tuple:
     """The joint states J = |m> tensor |i> of `ext_basis` and `loop_basis`
     in (m, i) order: the place of each J in that order, and the m and the i
-    at each place (read-only)."""
+    at each place."""
     out_of, row_of = joint_parts(ext_basis, loop_basis, joint)
     order = np.argsort(out_of * loop_basis.size + row_of)
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
-    tables = place, out_of[order], row_of[order]
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return place, out_of[order], row_of[order]
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _lifted_columns(ext_basis: FockBasis, loop_basis: FockBasis, joint: FockBasis,
                     alpha: int) -> tuple:
     """Where the columns L(U) (|alpha> tensor |j>) of the loop basis states j
@@ -471,14 +466,12 @@ class StationaryResult:
         return self._second_modulus()
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _probe(m: int) -> np.ndarray:
     """The generic right-hand side of size m that `fixed_point` solves
-    alongside its own, drawn once per size (read-only)."""
+    alongside its own, drawn once per size."""
     rng = np.random.default_rng(0)
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    z.flags.writeable = False
-    return z
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
 def fixed_point(channel: QuantumChannel) -> DensityMatrix | None:

@@ -23,7 +23,6 @@ written; then no file of the run's output names is left).
 import argparse
 import collections
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
@@ -40,7 +39,7 @@ from .errors import (BosonLoopError, ConfigError, DegenerateFixedPointError,
 from .evolve import (ExperimentConfig, LossSpec, detection_pass, evolve_kraus,
                      evolve_pdm, stabilization_samples, stationary_loop_iterate,
                      stationary_loop_state, unfolded_distribution)
-from .fock import FockBasis
+from .fock import FockBasis, frozen_cache
 from .matrixkit import load_matrix, spectral_radius
 from .qstate import FLOAT_FMT, DensityMatrix, embed, uhlmann_fidelity
 from .reconstruct import (MomentSystem, build_moment_system,
@@ -144,11 +143,12 @@ def load_config(path) -> tuple:
         t_in, t_out = (np.array([_number(x, f"losses.{key}", float) for x in sec[key]])
                        if key in sec else None for key in ("t_in", "t_out"))
         losses = LossSpec(t_in, t_out, _number(sec.get("loop_T", 1.0), "losses.loop_T", float))
+        _number(raw.get("seed", 0), "seed")  # checked here, read by `_load` as --seed's default
         config = ExperimentConfig(
             modes=modes, looped=looped, iterations=iterations,
             unitary=unitary, haar_seed=haar_seed,
             input_occupation=occupation, input_state=input_state,
-            n_max=n_max, losses=losses, seed=_number(raw.get("seed", 0), "seed"),
+            n_max=n_max, losses=losses,
         )
     except ConfigError:
         raise
@@ -324,7 +324,7 @@ def _counts_csv(counts: dict) -> str:
 
 def _load(args) -> tuple:
     """`load_config` plus the subcommand's preconditions on its counts and
-    config; a missing --seed becomes the config's seed."""
+    config; a missing --seed becomes the config file's seed."""
     for name, low in (("samples", 1), ("shots", 1), ("rank_cap", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
@@ -341,7 +341,7 @@ def _load(args) -> tuple:
     if needs_loop and config.looped == 0:
         raise ConfigError(f"{args.command} needs at least one looped mode (L >= 1)")
     if getattr(args, "seed", None) is None:
-        args.seed = config.seed
+        args.seed = raw.get("seed", 0)
     return config, raw
 
 
@@ -398,8 +398,8 @@ def cmd_stationary(args, config, stager) -> None:
 def cmd_stabilization(args, config, stager) -> None:
     """The stabilization-time histogram and its summary.  `skipped_degenerate`
     counts the samples with a degenerate fixed point plus the samples that
-    did not stabilize within `stabilization_time`'s 100 000-iteration cap;
-    the key keeps its name so that summary.json's bytes do not move."""
+    did not stabilize within `STABILIZATION_CAP` iterations; the key keeps
+    its name so that summary.json's bytes do not move."""
     study = stabilization_samples(config, args.samples, args.seed, tolerance=args.tolerance)
     times = sorted(study.times)
     stager.add_text("stabilization_histogram.csv",
@@ -488,7 +488,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-@functools.cache
+@frozen_cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process, on the first `main` call.  It holds no
     functions: `main` looks up `cmd_<command>` at call time, so rebinding a

@@ -32,7 +32,7 @@ from .channels import (QuantumChannel, StationaryResult, compose, fixed_point,
 from .channels import loss_channel as _loss_channel
 from .errors import (ConfigError, ConvergenceError, DegenerateFixedPointError,
                      TruncationError, check_size)
-from .fock import FockBasis, enumerate_sector, sector_size, total_size
+from .fock import FockBasis, enumerate_sector, read_only, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
 from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
@@ -48,6 +48,7 @@ _FIRST_CHUNK = 8               # iterates scored by stabilization_time's first f
 _TRAJECTORY_CHUNK = 64         # most iterates scored by one fidelity call
 ITERATE_TOLERANCE = 1e-12      # trace distance between iterates that ends stationary_loop_iterate
 ITERATE_CAP = 1_000_000        # most channel steps stationary_loop_iterate takes
+STABILIZATION_CAP = 100_000    # most iterations stabilization_time follows the loop state
 
 
 def _grow_n_max(n_max: int, looped: int) -> int:
@@ -67,9 +68,8 @@ class LossSpec:
     loop_transmission: float = 1.0
 
     def resolve(self, modes: int) -> "LossSpec":
-        t_in = np.ones(modes) if self.t_in is None else np.array(self.t_in, dtype=float)
-        t_out = np.ones(modes) if self.t_out is None else np.array(self.t_out, dtype=float)
-        t_in.flags.writeable = t_out.flags.writeable = False
+        t_in, t_out = (read_only(np.ones(modes) if t is None else np.array(t, dtype=float))
+                       for t in (self.t_in, self.t_out))
         if t_in.shape != (modes,) or t_out.shape != (modes,):
             raise ValueError(f"loss arrays must have one amplitude per mode ({modes})")
         both = np.concatenate((t_in, t_out))
@@ -99,7 +99,6 @@ class ExperimentConfig:
     input_state: DensityMatrix | None = None
     n_max: int | None = None
     losses: LossSpec = field(default_factory=LossSpec)
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.looped < self.modes:
@@ -133,9 +132,7 @@ class ExperimentConfig:
         u = np.array(u, dtype=complex)
         if u.shape != (self.modes, self.modes):
             raise ValueError(f"transfer matrix has shape {u.shape}, expected M = {self.modes}")
-        u = Interferometer(u).matrix
-        u.flags.writeable = False
-        return u
+        return read_only(Interferometer(u).matrix)
 
     @property
     def n_external(self) -> int:
@@ -174,9 +171,8 @@ class ExperimentConfig:
     @cached_property
     def m_eff(self) -> np.ndarray:
         """The lossy transfer matrix T_out U T_in (`effective_transfer_matrix`)."""
-        m_eff = effective_transfer_matrix(self.transfer_matrix(), self.losses, self.looped)
-        m_eff.flags.writeable = False
-        return m_eff
+        return read_only(effective_transfer_matrix(self.transfer_matrix(), self.losses,
+                                                   self.looped))
 
     @cached_property
     def _loop_setup(self) -> "_LoopSetup":
@@ -214,7 +210,6 @@ class EvolutionTrace:
 
     rho_det: DensityMatrix
     iteration_distributions: list
-    loop_states: list | None
     max_leaked_weight: float
     n_max: int
 
@@ -333,49 +328,46 @@ def _singlepass_trace(config: ExperimentConfig) -> EvolutionTrace:
     return EvolutionTrace(
         rho_det=rho_out,
         iteration_distributions=[rho_out.diagonal_distribution()] * config.iterations,
-        loop_states=None, max_leaked_weight=0.0, n_max=setup.n_max,
+        max_leaked_weight=0.0, n_max=setup.n_max,
     )
 
 
-def _iterate(config: ExperimentConfig, record_loop: bool, kraus: bool) -> EvolutionTrace:
+def _iterate(config: ExperimentConfig, kraus: bool) -> EvolutionTrace:
     """k joint passes from the vacuum line; the line state advances by the
     joint pass's own output, or by the one-iteration Kraus channel when `kraus`."""
     if config.looped == 0:
         return _singlepass_trace(config)
     setup = config._loop_setup
     rho_line = setup.vacuum_line()
-    loop_states = [rho_line] if record_loop else None
     dists = []
     max_leak = 0.0
     for i in range(config.iterations):
         rho_det, rho_next, leaked = setup.step(rho_line)
-        # the Kraus route steps the line only where a later iteration or the record reads it
-        if kraus and (record_loop or i + 1 < config.iterations):
+        # the Kraus route steps the line only where a later iteration reads it
+        if kraus and i + 1 < config.iterations:
             rho_next = setup.channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
         rho_line = rho_next
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
-        if record_loop:
-            loop_states.append(rho_line)
     return EvolutionTrace(
-        rho_det=rho_det, iteration_distributions=dists, loop_states=loop_states,
+        rho_det=rho_det, iteration_distributions=dists,
         max_leaked_weight=max_leak, n_max=setup.n_max,
     )
 
 
-def evolve_pdm(config: ExperimentConfig, record_loop: bool = False) -> EvolutionTrace:
+def evolve_pdm(config: ExperimentConfig) -> EvolutionTrace:
     """Partial-density-matrix evolution: k joint passes with per-iteration traces."""
-    return _iterate(config, record_loop, kraus=False)
+    return _iterate(config, kraus=False)
 
 
-def evolve_kraus(config: ExperimentConfig, record_loop: bool = False) -> EvolutionTrace:
+def evolve_kraus(config: ExperimentConfig) -> EvolutionTrace:
     """Channel-iteration evolution with the same contract as `evolve_pdm`.
 
     The line state advances through the one-iteration Kraus channel; the
     detection at iteration i reuses the joint pass on the channel's input
     state, so iteration counts line up with the PDM route exactly.
     """
-    return _iterate(config, record_loop, kraus=True)
+    return _iterate(config, kraus=True)
 
 
 @dataclass
@@ -494,10 +486,9 @@ def detection_pass(config: ExperimentConfig, rho_line: DensityMatrix):
     return rho_det, rho_next
 
 
-def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
-                       max_iterations: int = 100_000) -> int:
+def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6) -> int:
     """Iterations until the loop state's infidelity to the fixed point drops below
-    `tolerance`, starting from the vacuum.
+    `tolerance`, starting from the vacuum, within STABILIZATION_CAP.
 
     Uniqueness is checked on M_eff,LL first.  The fixed point comes from the
     bordered solve or, when that gives up, from `stationary_state`, whose
@@ -514,9 +505,9 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
         rho_stat = stationary_state(setup.channel).rho
     iterates = setup.iterates()
     start, size = 0, _FIRST_CHUNK
-    while start <= max_iterations:
+    while start <= STABILIZATION_CAP:
         chunk, failure = [next(iterates)], None
-        while len(chunk) < min(size, max_iterations + 1 - start):
+        while len(chunk) < min(size, STABILIZATION_CAP + 1 - start):
             try:
                 chunk.append(next(iterates))
             except TruncationError as err:
@@ -531,7 +522,7 @@ def stabilization_time(config: ExperimentConfig, tolerance: float = 1e-6,
         size = min(2 * size, _TRAJECTORY_CHUNK)
     next(iterates)  # the last step of a step-by-step loop, which may fail
     raise ConvergenceError(
-        f"loop state did not stabilize within {max_iterations} iterations"
+        f"loop state did not stabilize within {STABILIZATION_CAP} iterations"
     )
 
 
@@ -574,8 +565,7 @@ class StabilizationStudy:
 
 
 def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
-                          tolerance: float = 1e-6,
-                          max_iterations: int = 100_000) -> StabilizationStudy:
+                          tolerance: float = 1e-6) -> StabilizationStudy:
     """Stabilization times over Haar-random transfer matrices.
 
     Samples with a degenerate fixed point (or that fail to converge) are
@@ -583,7 +573,7 @@ def stabilization_samples(config: ExperimentConfig, samples: int, seed: int,
     `_haar_samples`.
     """
     results = _haar_samples(config, samples, seed,
-                            lambda cfg: stabilization_time(cfg, tolerance, max_iterations))
+                            lambda cfg: stabilization_time(cfg, tolerance))
     times = [t for t in results if t is not None]
     return StabilizationStudy(times=times, skipped=len(results) - len(times))
 

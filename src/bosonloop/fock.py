@@ -6,7 +6,7 @@ ordered by increasing total, and within a sector states are sorted in
 ascending lexicographic order.  All indices are 0-based.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 import numpy as np
@@ -33,7 +33,30 @@ def _check_args(modes, total):
         raise ValueError(f"photon number must be >= 0, got {total}")
 
 
-@lru_cache(maxsize=None)
+def read_only(value):
+    """`value`, with every array in it, through nested tuples, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        try:
+            hash(value)  # holds no array, which is unhashable: nothing to walk
+        except TypeError:
+            for item in value:
+                read_only(item)
+    return value
+
+
+def frozen_cache(func):
+    """`lru_cache(maxsize=None)` of `func`, whose result is `read_only`: every
+    caller is handed the one cached result, so none may write into it."""
+    @lru_cache(maxsize=None)
+    @wraps(func)
+    def cached(*args, **kwargs):
+        return read_only(func(*args, **kwargs))
+    return cached
+
+
+@frozen_cache
 def enumerate_sector(modes: int, total: int) -> tuple:
     """All occupation tuples of length `modes` summing to `total`, in ascending
     lexicographic order (cached table)."""
@@ -62,14 +85,13 @@ def _new_basis(modes: int, n_max: int) -> "FockBasis":
         sectors = tuple(enumerate_sector(modes, n) for n in range(n_max + 1))
     basis = object.__new__(FockBasis)
     basis.modes, basis.n_max = modes, n_max
-    basis._offsets = np.concatenate([[0], np.cumsum([len(s) for s in sectors])])
+    basis._offsets = read_only(np.concatenate([[0], np.cumsum([len(s) for s in sectors])]))
     basis._slices = tuple(slice(int(a), int(b))
                           for a, b in zip(basis._offsets[:-1], basis._offsets[1:]))
     basis.states = tuple(occ for sec in sectors for occ in sec)
     basis._index = {occ: i for i, occ in enumerate(basis.states)}
     basis.size = len(basis.states)
-    basis._totals = np.repeat(np.arange(n_max + 1), np.diff(basis._offsets))
-    basis._offsets.flags.writeable = basis._totals.flags.writeable = False
+    basis._totals = read_only(np.repeat(np.arange(n_max + 1), np.diff(basis._offsets)))
     return basis
 
 
@@ -123,7 +145,7 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, n_max={self.n_max})"
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def tensor_index_map(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> np.ndarray:
     """Index map for concatenating subsystem states, A's modes leading.
 
@@ -143,5 +165,4 @@ def tensor_index_map(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -
         for ib, occ_b in enumerate(basis_b.states):
             if na + sum(occ_b) <= joint.n_max:
                 out[ia, ib] = joint.index_of(occ_a + occ_b)
-    out.flags.writeable = False
     return out

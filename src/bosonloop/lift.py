@@ -22,19 +22,18 @@ at a time from the block below; the permanent formula above is what the
 tests check its entries against.
 """
 
-from functools import lru_cache
 from math import factorial, prod, sqrt
 
 import numpy as np
 
-from .fock import FockBasis, enumerate_sector, sector_size
+from .fock import FockBasis, enumerate_sector, frozen_cache, read_only, sector_size
 
 
 _PANEL = 1 << 14   # complex entries per row panel of `_add_photon`
-_ONE_COLUMN = np.zeros(1, dtype=int)
+_ONE_COLUMN = read_only(np.zeros(1, dtype=int))
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _raising_maps(modes: int, total: int):
     """Index/weight tables for adding one photon: sector total-1 -> sector total.
 
@@ -54,11 +53,11 @@ def _raising_maps(modes: int, total: int):
             raised = occ[:b] + (occ[b] + 1,) + occ[b + 1:]
             target[b, r] = rank[raised]
             weight[b, r] = sqrt(occ[b] + 1)
-    start = [int(t[0]) if t[-1] - t[0] == len(t) - 1 else None for t in target]
+    start = tuple(int(t[0]) if t[-1] - t[0] == len(t) - 1 else None for t in target)
     return target, weight, start
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _parent_columns(modes: int, total: int):
     """For each state of sector `total`: its first occupied mode a, the rank
     of its parent (one photon fewer in mode a) in sector total-1, and
@@ -72,7 +71,7 @@ def _parent_columns(modes: int, total: int):
     return np.array(first, dtype=int), np.array(parent, dtype=int), np.repeat(1.0 / norm, 2)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _photon_panels(modes: int, total: int, width: int, panel: int) -> tuple:
     """The plan of `_add_photon` for `width` columns into sector `total`:
     that sector's size, and its row panels of sector total-1 of about
@@ -125,7 +124,7 @@ class LiftedUnitary:
     truncation, so liftings of one matrix onto several truncations of its
     modes may share one memo: `blocks`, a dict of the blocks lifted so far,
     keyed by photon number and filled by whichever lifting needs a block
-    first.
+    first.  A block is read-only from when it enters the memo.
     """
 
     def __init__(self, matrix: np.ndarray, basis: FockBasis, blocks: dict | None = None):
@@ -137,14 +136,14 @@ class LiftedUnitary:
         self.matrix = matrix
         self.basis = basis
         self._blocks = {} if blocks is None else blocks
-        self._blocks.setdefault(0, np.ones((1, 1), dtype=complex))
+        self._blocks.setdefault(0, read_only(np.ones((1, 1), dtype=complex)))
 
     def block(self, total: int) -> np.ndarray:
         """Sector block for a fixed total photon number (memoized)."""
         if not 0 <= total <= self.basis.n_max:
             raise ValueError(f"sector {total} outside 0..{self.basis.n_max}")
         for n in range(len(self._blocks), total + 1):
-            self._blocks[n] = self._block_recurrence(n)
+            self._blocks[n] = read_only(self._block_recurrence(n))
         return self._blocks[total]
 
     def _block_recurrence(self, n: int) -> np.ndarray:

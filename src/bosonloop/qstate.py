@@ -1,13 +1,12 @@
 """Density matrices and probability distributions over truncated Fock bases."""
 
 import json
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .errors import TruncationError
-from .fock import FockBasis, tensor_index_map, total_size
+from .fock import FockBasis, frozen_cache, tensor_index_map, total_size
 
 # printf format of every probability and fidelity written to a CSV artifact
 FLOAT_FMT = "%.12e"
@@ -22,19 +21,20 @@ _SAMPLE_CHUNK = 1 << 16    # shots drawn at once by ProbabilityDistribution.samp
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over a truncated Fock basis.
 
-    Immutable by convention: operations return new instances.  Validation can
-    be skipped (check=False) by internal hot loops that construct states from
+    Immutable: the state keeps a read-only copy of the matrix it is given,
+    and operations return new instances.  Validation can be skipped
+    (check=False) by internal hot loops that construct states from
     already-validated arithmetic.
 
     A state made by `from_block0` holds only its charge-0 entries, those in
-    the photon-number diagonal blocks, as the vector `block0` in the order of
-    `block0_layout`.  `.mat` is built from it, zero elsewhere, the first
-    time something reads it; `block0` is None from then on, so what a caller
-    writes into `.mat` is never read back through a stale vector.
+    the photon-number diagonal blocks, as the read-only vector `block0` in
+    the order of `block0_layout`.  `.mat` is built from it, zero elsewhere
+    and read-only, the first time something reads it; the state keeps both.
     """
 
     def __init__(self, basis: FockBasis, mat: np.ndarray, check: bool = True):
-        mat = np.asarray(mat, dtype=complex)
+        mat = np.array(mat, dtype=complex)
+        mat.flags.writeable = False
         if mat.shape != (basis.size, basis.size):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match basis size {basis.size}"
@@ -57,7 +57,8 @@ class DensityMatrix:
 
     @classmethod
     def from_block0(cls, basis: FockBasis, block0: np.ndarray) -> "DensityMatrix":
-        """The state whose charge-0 entries are `block0`, unchecked."""
+        """The state whose charge-0 entries are `block0` (made read-only), unchecked."""
+        block0.flags.writeable = False
         rho = cls.__new__(cls)
         rho.basis, rho._mat, rho.block0 = basis, None, block0
         return rho
@@ -69,7 +70,7 @@ class DensityMatrix:
             rows, cols = block0_layout(self.basis)[:2]
             self._mat = np.zeros((self.basis.size, self.basis.size), dtype=complex)
             self._mat[rows, cols] = self.block0
-            self.block0 = None
+            self._mat.flags.writeable = False
         return self._mat
 
     def sector_weights(self, above: int = -1) -> np.ndarray:
@@ -184,7 +185,7 @@ def overflow_weight(rho_a: DensityMatrix, rho_b: DensityMatrix, n_max: int) -> f
     ))
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def joint_parts(basis_a: FockBasis, basis_b: FockBasis, joint: FockBasis) -> tuple:
     """Index of each joint state's A part and B part in its factor.  A part
     beyond its factor's truncation points at the zero row padded onto that
@@ -281,7 +282,7 @@ def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix, joint: FockBasis,
     return DensityMatrix(joint, mat, check=False)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _pair_trace_table(basis: FockBasis, start: int, stop: int, n: int, m: int) -> tuple:
     """Gather table of sector pair (n, m) for the partial trace onto modes
     start..stop: the flat index in the (n, m) block of each entry whose two
@@ -355,12 +356,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def charge_split(basis: FockBasis, whole: bool = False) -> tuple:
     """The column-stacked indices i + d j of a d x d matrix over `basis`,
     grouped by the charge n_i - n_j in the order 0, -1, 1, -2, 2, ...,
-    ascending within each group (read-only); with `whole`, one group of
-    every index, the one block of a channel that mixes photon-number shifts."""
+    ascending within each group; with `whole`, one group of every index,
+    the one block of a channel that mixes photon-number shifts."""
     totals = basis.totals()
     charge = np.subtract.outer(totals, totals).ravel(order="F")
     # charges 0, -1, 1, -2, 2, ... as keys 0, 1, 2, 3, 4, ...
@@ -368,27 +369,23 @@ def charge_split(basis: FockBasis, whole: bool = False) -> tuple:
     if whole:
         key[:] = 0
     order = np.argsort(key, kind="stable")
-    order.flags.writeable = False
     return tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def block0_layout(basis: FockBasis, whole: bool = False) -> tuple:
     """Where the entries (i, j) of block 0 of `charge_split(basis, whole)`
     lie, in that block's order: their rows, their columns, the position of
-    each one's transpose (j, i), and the positions of the diagonal entries
-    (read-only).  Without `whole` these are the charge-0 entries, those with
-    n_i = n_j, and their order is that of a state's vector form."""
+    each one's transpose (j, i), and the positions of the diagonal entries.
+    Without `whole` these are the charge-0 entries, those with n_i = n_j,
+    and their order is that of a state's vector form."""
     idx = charge_split(basis, whole)[0]
     d = basis.size
     cols, rows = np.divmod(idx, d)
-    tables = rows, cols, np.searchsorted(idx, cols + d * rows), np.flatnonzero(rows == cols)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return rows, cols, np.searchsorted(idx, cols + d * rows), np.flatnonzero(rows == cols)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _sector_stack(basis: FockBasis) -> tuple:
     """The flat (C-order) positions of the charge-0 entries of `block0_layout`
     in the stack of the photon-number diagonal blocks zero-padded to the
@@ -402,7 +399,7 @@ def _sector_stack(basis: FockBasis) -> tuple:
     return pos, (basis.n_max + 1, width, width)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _sectors_after(basis: FockBasis, above: int) -> tuple:
     """The diagonal entries of the sectors that `sector_weights(above)` sums,
     a tail of the basis: the index of its first state, each sector's slice

@@ -31,6 +31,7 @@ from .qstate import DensityMatrix, ProbabilityDistribution
 from .tensors import TensorSet, moments_from_tensor_set
 
 _CONVEX_TOL = 1e-9  # change of the residual at which the convex iteration stops
+_CONVEX_CAP = 5000  # most steps the convex iteration takes
 _FLOAT_FACTORIAL_MAX = 170  # the largest n whose n! a float holds
 
 
@@ -171,16 +172,15 @@ def reconstruct_analytic(system: MomentSystem, n_max: int | None = None):
     return out, info
 
 
-def reconstruct_convex(system: MomentSystem, n_max: int | None = None,
-                       max_iterations: int = 5000):
+def reconstruct_convex(system: MomentSystem, n_max: int | None = None):
     """Constrained least squares over the density-matrix set.
 
     Alternates an exact projection onto the least-squares affine manifold
     (a pseudo-inverse-preconditioned gradient step) with the exact projection
     onto the Hermitian PSD trace-1 set, keeping the best iterate by residual,
-    until the residual moves by less than 1e-9.  Tolerates partial moment
-    sets.  Returns (DensityMatrix, info); a hit iteration cap is reported via
-    info.converged = False.
+    until the residual moves by less than _CONVEX_TOL.  Tolerates partial
+    moment sets.  Returns (DensityMatrix, info); reaching _CONVEX_CAP steps
+    first is reported via info.converged = False.
     """
     n_cap = system.basis.n_max if n_max is None else n_max
     basis = FockBasis(system.basis.modes, n_cap)
@@ -196,7 +196,7 @@ def reconstruct_convex(system: MomentSystem, n_max: int | None = None,
     prev_obj = best_obj
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _CONVEX_CAP + 1):
         y = x - b_pinv @ (b @ x - c)
         x = vec(_project_density(unvec(y, d, d)))
         obj = float(np.linalg.norm(b @ x - c))
@@ -261,7 +261,7 @@ def reconstruct_distribution(system, n_max: int | None = None):
     return ProbabilityDistribution(basis, probs, check=False), info
 
 
-def project_psd(h: np.ndarray, basis: FockBasis | None = None):
+def project_psd(h: np.ndarray, basis: FockBasis) -> DensityMatrix:
     """Nearest-density-matrix projection: hermitize, clip eigenvalues, renormalize."""
     h = np.asarray(h, dtype=complex)
     h = (h + h.conj().T) / 2
@@ -271,8 +271,6 @@ def project_psd(h: np.ndarray, basis: FockBasis | None = None):
     if total <= 0:
         raise ReconstructionError("projection input has no positive part")
     rho = (evecs * (lam / total)) @ evecs.conj().T
-    if basis is None:
-        return rho
     return DensityMatrix(basis, rho, check=False)
 
 

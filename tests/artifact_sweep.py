@@ -66,6 +66,8 @@ CONFIGS = {
     "lossy_dm": {**_DM, "losses": _LOSSES},
     "l0": {**_L0, "n_max": 3},
     "l0_default_n_max": _L0,
+    # the single pass with output losses: pdm and kraus evolve it, unfold refuses it
+    "lossy_l0": {**_L0, "losses": {"t_out": [0.9, 0.8, 0.7]}},
     "default_n_max": {k: v for k, v in _FOCK.items() if k != "n_max"},
     # the pinned stabilization study: 9 of its 33 rungs fail and climb the
     # truncation ladder, one of them to tau = 441
@@ -88,7 +90,7 @@ _RECONSTRUCT = [["reconstruct", "--method", m, "--rank-cap", "3"]
 _LOOPED = _EVOLVE + _STATIONARY + _SAMPLE + _RECONSTRUCT
 
 # (config, argv after the config path); the refusals on purpose are the
-# unfold calls on "lossy" and "dm" and the stationary route on "l0"
+# unfold calls on "lossy", "dm" and "lossy_l0" and the stationary route on "l0"
 CALLS = (
     [("fock", argv) for argv in _LOOPED]
     + [("fock", ["stabilization", "--samples", "6", "--seed", "11"])]
@@ -102,6 +104,7 @@ CALLS = (
     + [("lossy_dm", argv) for argv in _EVOLVE[1:] + _STATIONARY + _SAMPLE]
     + [("l0", argv) for argv in _EVOLVE + _SAMPLE[1:] + _STATIONARY[:1]]
     + [("l0_default_n_max", argv) for argv in _EVOLVE]
+    + [("lossy_l0", argv) for argv in _EVOLVE]
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]
     + [("stab_ladder", ["stabilization", "--samples", "24", "--seed", "7"])]
     + [("m5_pure", argv) for argv in (_EVOLVE[2], _STATIONARY[0])]

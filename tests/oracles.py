@@ -37,6 +37,7 @@ import numpy as np
 
 from bosonloop.channels import QuantumChannel, _probe, fixed_point, stationary_state
 from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
+from bosonloop import evolve
 from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _parent_columns, _raising_maps
@@ -619,10 +620,11 @@ def sector_weights_by_slices(rho: DensityMatrix, above: int = -1) -> np.ndarray:
                      for n in range(rho.basis.n_max + 1)[above + 1:]])
 
 
-def stabilization_time_stepwise(config, tolerance: float = 1e-6,
-                                max_iterations: int = 100_000) -> int:
+def stabilization_time_stepwise(config, tolerance: float = 1e-6) -> int:
     """`stabilization_time` as the package ran it before it scored the
-    trajectory in chunks: one channel step, then one fidelity, per iteration."""
+    trajectory in chunks: one channel step, then one fidelity, per iteration,
+    within the cap `evolve.STABILIZATION_CAP` holds when called."""
+    max_iterations = evolve.STABILIZATION_CAP
     setup = _LoopSetup(config)
     channel = setup.channel
     rho_stat = fixed_point(channel)

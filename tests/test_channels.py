@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonloop.channels
+from bosonloop import evolve
 from bosonloop.channels import (QuantumChannel, compose, fixed_point, loop_channel,
                                 loss_channel, stationary_state, to_superoperator)
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
@@ -361,6 +362,19 @@ def test_external_coherence_takes_the_one_block_route():
             assert got.block0 is None and got.mat.tobytes() == want.mat.tobytes()
 
 
+def test_a_superoperator_block_cannot_be_edited_in_place():
+    # G_0 is the array every step multiplies with, shared by every reader
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=20,
+                           input_occupation=(1,), n_max=10)
+    before = stationary_loop_state(cfg).rho.mat.tobytes()
+    chan = cfg._loop_setup.channel
+    g = chan.superop_block(0)
+    assert g is chan._step_block
+    with pytest.raises(ValueError, match="read-only"):
+        g -= np.eye(len(g))
+    assert stationary_loop_state(cfg).rho.mat.tobytes() == before
+
+
 def _requested_blocks(monkeypatch) -> list:
     """Record every charge-block index `superop_block` is asked for."""
     requested, block = [], QuantumChannel.superop_block
@@ -552,13 +566,14 @@ def test_stabilization_times_pinned():
     assert study.times == PINNED_TAUS
 
 
-def test_samples_that_hit_the_iteration_cap_count_as_skipped():
+def test_samples_that_hit_the_iteration_cap_count_as_skipped(monkeypatch):
     # the pinned study capped at 5 iterations: the samples whose tau exceeds
     # the cap raise ConvergenceError and join `skipped`, which the CLI
     # writes as summary.json's `skipped_degenerate`
     cfg = ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=0,
                            input_occupation=(1,), n_max=14)
-    study = stabilization_samples(cfg, samples=24, seed=7, max_iterations=5)
+    monkeypatch.setattr(evolve, "STABILIZATION_CAP", 5)
+    study = stabilization_samples(cfg, samples=24, seed=7)
     assert study.times == [tau for tau in PINNED_TAUS if tau <= 5]
     assert study.skipped == sum(tau > 5 for tau in PINNED_TAUS)
 
@@ -937,10 +952,7 @@ def _outcome_bits(chan, rho, leak_tolerance):
         out = chan.apply(rho, leak_tolerance)
     except TruncationError as err:
         return str(err), None
-    if out.block0 is None:
-        return out.mat.tobytes(), out
-    # a copy reads the vector form's matrix without dropping its vector
-    return DensityMatrix.from_block0(out.basis, out.block0.copy()).mat.tobytes(), out
+    return out.mat.tobytes(), out
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -759,6 +759,18 @@ def test_a_truncation_error_reports_its_required_n_max(tmp_path, capsys, argv, o
     assert not out.exists()
 
 
+def test_a_sample_past_the_last_truncation_rung_exits_3(tmp_path, capsys):
+    # rungs 3, 5 and 8 leak; rung 12's loop space is past the retry cap
+    path = write_config(tmp_path, M=3, L=2, n_max=3, iterations=1,
+                        unitary={"type": "haar", "seed": 0})
+    out = tmp_path / "o"
+    argv = ["stabilization", path, "--samples", "1", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["code"], err["type"]) == (3, "TruncationError")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                          ids=["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("argv", [["evolve", "--method", "pdm"],

@@ -3,12 +3,15 @@ import json
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from itertools import islice, product
+from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bosonloop
 from bosonloop import evolve
 from bosonloop.channels import QuantumChannel
 from bosonloop.cli import main
@@ -22,10 +25,10 @@ from bosonloop.evolve import (ExperimentConfig, LossSpec, _LoopSetup,
                               stabilization_time, stationary_loop_iterate,
                               stationary_loop_state, unfold,
                               unfolded_distribution)
-from bosonloop.fock import FockBasis, enumerate_sector
+from bosonloop.fock import FockBasis, enumerate_sector, sector_size
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary
-from bosonloop.qstate import (fock_state_dm, trace_distance, uhlmann_fidelity)
+from bosonloop.qstate import DensityMatrix, fock_state_dm, trace_distance, uhlmann_fidelity
 
 from oracles import stabilization_time_stepwise
 
@@ -40,6 +43,18 @@ def haar_config(modes, looped, iterations, seed, occupation=None, **kw):
     occupation = occupation or (1,) + (0,) * (modes - looped - 1)
     return ExperimentConfig(modes=modes, looped=looped, iterations=iterations,
                             haar_seed=seed, input_occupation=occupation, **kw)
+
+
+def line_states(cfg, kraus=False) -> list:
+    """The line states after 0..k iterations, by the calls `evolve_pdm` and
+    `evolve_kraus` step them with: the joint pass, or the loop channel."""
+    setup = cfg._loop_setup
+    if kraus:
+        return list(islice(setup.iterates(), cfg.iterations + 1))
+    states = [setup.vacuum_line()]
+    for _ in range(cfg.iterations):
+        states.append(setup.step(states[-1])[1])
+    return states
 
 
 def test_config_validation():
@@ -153,9 +168,10 @@ def test_three_way_engine_agreement():
 def test_swap_matrix_dynamics():
     cfg = ExperimentConfig(modes=2, looped=1, iterations=3, unitary=SWAP,
                            input_occupation=(1,))
-    trace = evolve_pdm(cfg, record_loop=True)
-    one = fock_state_dm(trace.loop_states[1].basis, (1,))
-    for rho in trace.loop_states[1:]:
+    trace = evolve_pdm(cfg)
+    states = line_states(cfg)
+    one = fock_state_dm(states[1].basis, (1,))
+    for rho in states[1:]:
         assert trace_distance(rho, one) < 1e-12
     det_one = fock_state_dm(trace.rho_det.basis, (1,))
     assert trace_distance(trace.rho_det, det_one) < 1e-12
@@ -174,6 +190,24 @@ def test_single_pass_when_not_looped():
         assert _tv(dist, trace.iteration_distributions[-1]) == 0.0
     # the kraus engine shares the L=0 path
     np.testing.assert_allclose(evolve_kraus(cfg).rho_det.mat, expected, atol=1e-12)
+
+
+def test_lossy_single_pass_thins_the_lossless_distribution():
+    # output losses thin each mode's count binomially with power t_out**2
+    t_out = np.array([0.9, 0.8, 0.7])
+    power = t_out ** 2
+    lossless = evolve_pdm(haar_config(3, 0, 2, 5, occupation=(1, 1, 0)))
+    basis = lossless.rho_det.basis
+    want = np.zeros(basis.size)
+    for occ, p in zip(basis.states, lossless.iteration_distributions[-1].probabilities):
+        for kept in product(*(range(n + 1) for n in occ)):
+            want[basis.index_of(kept)] += p * prod(comb(n, k) * t ** k * (1 - t) ** (n - k)
+                                                   for n, k, t in zip(occ, kept, power))
+    cfg = haar_config(3, 0, 2, 5, occupation=(1, 1, 0),
+                      losses=LossSpec(t_out=t_out))
+    for engine in (evolve_pdm, evolve_kraus):
+        for dist in engine(cfg).iteration_distributions:
+            np.testing.assert_allclose(dist.probabilities, want, rtol=0, atol=1e-15)
 
 
 def test_unfold_matrix_shape_and_input():
@@ -223,9 +257,9 @@ def test_lossy_engines_agree():
     losses = LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.95]),
                       loop_transmission=0.85)
     cfg = haar_config(2, 1, 4, 11, losses=losses, n_max=4)
-    t_pdm = evolve_pdm(cfg, record_loop=True)
-    t_kraus = evolve_kraus(cfg, record_loop=True)
-    for a, b in zip(t_pdm.loop_states, t_kraus.loop_states):
+    t_pdm = evolve_pdm(cfg)
+    t_kraus = evolve_kraus(cfg)
+    for a, b in zip(line_states(cfg), line_states(cfg, kraus=True)):
         assert trace_distance(a, b) < 1e-10
     for a, b in zip(t_pdm.iteration_distributions, t_kraus.iteration_distributions):
         assert _tv(a, b) < 1e-10
@@ -244,12 +278,13 @@ def _count_loop_channels(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("iterations", [1, 3])
-@pytest.mark.parametrize("record_loop", [False, True])
+@pytest.mark.parametrize("read_line", [False, True])
 def test_the_kraus_route_steps_the_line_only_where_it_is_read(monkeypatch, iterations,
-                                                              record_loop):
+                                                              read_line):
     # lossless, so the loop-update channel is the one channel applied; the
-    # line after the last detection is read only by the record, and the
-    # channel is built only when some step reads it
+    # line after the last detection is not stepped, and the channel is built
+    # only when some step reads it.  Reading the line through the config's
+    # setup afterwards steps the channel the route built, not a second one.
     cfg = haar_config(2, 1, iterations, 11, n_max=4)
     applied, apply = [], QuantumChannel.apply
 
@@ -259,12 +294,13 @@ def test_the_kraus_route_steps_the_line_only_where_it_is_read(monkeypatch, itera
 
     monkeypatch.setattr(QuantumChannel, "apply", counted)
     built = _count_loop_channels(monkeypatch)
-    trace = evolve_kraus(cfg, record_loop=record_loop)
-    assert len(applied) == iterations - 1 + record_loop
+    trace = evolve_kraus(cfg)
+    if read_line:
+        line_states(cfg, kraus=True)
+    assert len(applied) == iterations - 1 + read_line * iterations
     assert len(set(map(id, applied))) <= 1
-    assert len(built) == (0 if iterations == 1 and not record_loop else 1)
-    assert (trace.loop_states is None) != record_loop
-    reference = evolve_pdm(cfg, record_loop=record_loop)
+    assert len(built) == (0 if iterations == 1 and not read_line else 1)
+    reference = evolve_pdm(cfg)
     for a, b in zip(reference.iteration_distributions, trace.iteration_distributions):
         assert _tv(a, b) < 1e-10
 
@@ -289,11 +325,11 @@ def _small_lossy_configs(draw, max_photons=4):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(cfg=_small_lossy_configs())
 def test_pdm_and_kraus_agree_on_random_small_configs(cfg):
-    t_pdm = evolve_pdm(cfg, record_loop=True)
-    t_kraus = evolve_kraus(cfg, record_loop=True)
+    t_pdm = evolve_pdm(cfg)
+    t_kraus = evolve_kraus(cfg)
     for a, b in zip(t_pdm.iteration_distributions, t_kraus.iteration_distributions):
         assert _tv(a, b) < 1e-10
-    for state in t_pdm.loop_states + t_kraus.loop_states:
+    for state in line_states(cfg) + line_states(cfg, kraus=True):
         assert abs(np.trace(state.mat).real - 1.0) < 1e-10
 
 
@@ -352,16 +388,15 @@ def test_full_loop_loss_resets_line():
 def test_vacuum_input_identity_loop():
     cfg = ExperimentConfig(modes=2, looped=1, iterations=3, unitary=np.eye(2),
                            input_occupation=(0,), n_max=1)
-    trace = evolve_pdm(cfg, record_loop=True)
-    vac = fock_state_dm(trace.loop_states[0].basis, (0,))
-    for rho in trace.loop_states:
+    states = line_states(cfg)
+    vac = fock_state_dm(states[0].basis, (0,))
+    for rho in states:
         assert trace_distance(rho, vac) < 1e-14
 
 
 def test_photon_number_ceiling():
     cfg = haar_config(2, 1, 4, 13)
-    trace = evolve_pdm(cfg, record_loop=True)
-    for i, rho in enumerate(trace.loop_states):
+    for i, rho in enumerate(line_states(cfg)):
         assert rho.max_populated_sector() <= i
 
 
@@ -435,10 +470,11 @@ def test_stabilization_decoupled_raises(monkeypatch):
     assert calls == []
 
 
-def test_stabilization_iteration_cap():
+def test_stabilization_iteration_cap(monkeypatch):
     cfg = haar_config(2, 1, 1, 20, n_max=10)
+    monkeypatch.setattr(evolve, "STABILIZATION_CAP", 2)
     with pytest.raises(ConvergenceError):
-        stabilization_time(cfg, tolerance=1e-12, max_iterations=2)
+        stabilization_time(cfg, tolerance=1e-12)
 
 
 def test_infidelity_eventually_monotone():
@@ -516,15 +552,14 @@ def test_stabilization_cap_takes_the_stepwise_final_step(monkeypatch, max_iterat
     # last one included, and a failure of that last step is what surfaces;
     # no infidelity lies below a zero tolerance
     cfg = haar_config(2, 1, 1, 20, n_max=10)
+    monkeypatch.setattr(evolve, "STABILIZATION_CAP", max_iterations)
     runs = []
     for solve in (stabilization_time, stabilization_time_stepwise):
         calls = _count_steps(monkeypatch)
-        runs.append((_outcome(solve, cfg, tolerance=0.0, max_iterations=max_iterations),
-                     len(calls)))
+        runs.append((_outcome(solve, cfg, tolerance=0.0), len(calls)))
     assert runs[0] == runs[1] == ("ConvergenceError", max_iterations + 1)
     _count_steps(monkeypatch, fail_at=max_iterations + 1)
-    assert _outcome(stabilization_time, cfg, tolerance=0.0,
-                    max_iterations=max_iterations) == "TruncationError"
+    assert _outcome(stabilization_time, cfg, tolerance=0.0) == "TruncationError"
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 7])
@@ -725,7 +760,7 @@ def test_a_config_is_freed_by_reference_counting_alone():
     config = weakref.ref(cfg)
     gc.disable()
     try:
-        evolve_kraus(cfg, record_loop=True)
+        evolve_kraus(cfg)
         detection_pass(cfg, stationary_loop_state(cfg).rho)
         del cfg
         assert config() is None
@@ -755,6 +790,79 @@ def test_a_rung_shares_every_value_that_does_not_depend_on_n_max():
     # and runs as the same experiment made afresh at that truncation
     fresh = evolve_pdm(replace(cfg, n_max=9))
     assert evolve_pdm(rung).rho_det.mat.tobytes() == fresh.rho_det.mat.tobytes()
+
+
+def test_an_edit_to_the_input_matrix_does_not_reach_the_config():
+    # the input state keeps its own copy, so the loop channel the Kraus route
+    # built from |1><1| and the PDM route's joint pass read the same input
+    m = np.zeros((5, 5), dtype=complex)
+    m[1, 1] = 1.0
+    cfg = ExperimentConfig(modes=2, looped=1, iterations=2, haar_seed=20,
+                           input_state=DensityMatrix(FockBasis(1, 4), m), n_max=4)
+    evolve_kraus(cfg)
+    m[1, 1], m[0, 0] = 0.0, 1.0
+    assert cfg.n_env == 1
+    pdm, kraus = (engine(cfg).iteration_distributions[-1].probabilities
+                  for engine in (evolve_pdm, evolve_kraus))
+    np.testing.assert_allclose(kraus, pdm, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pdm, [0.246698, 0.59455, 0.158752, 0, 0], atol=1e-6)
+
+
+def _arrays(value):
+    """Every array in `value`, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_every_array_a_lossy_config_shares_is_read_only():
+    losses = LossSpec(t_in=np.array([0.9, 0.8, 0.95]), t_out=np.array([0.85, 1.0, 0.9]),
+                      loop_transmission=0.9)
+    cfg = haar_config(3, 1, 2, 5, occupation=(1, 1), n_max=4, losses=losses)
+    evolve_kraus(cfg)
+    setup = cfg._loop_setup
+    chan = setup.channel
+    step = chan.apply(setup.vacuum_line())
+    vector = step.block0
+    shared = [cfg.injected_state.mat, vector, step.mat, *chan.nonzeros, cfg.m_eff,
+              cfg.transfer_matrix(), cfg.losses.t_in, cfg.losses.t_out]
+    assert step.block0 is vector
+    shared += [setup.lifted.block(n) for n in range(cfg.n_max + 1)]
+    shared += [chan.superop_block(b) for b in range(len(chan.charge_blocks))]
+    # the calls each cache of the package, but the CLI's parser, serves this config
+    ext, loop, joint = setup.ext, setup.loop, setup.joint
+    modes, n_ext, sectors = cfg.modes, cfg.n_external, range(cfg.n_max + 1)
+    fock, qstate, channels, lift_ = (bosonloop.fock, bosonloop.qstate, bosonloop.channels,
+                                     bosonloop.lift)
+    calls = {
+        fock.enumerate_sector: [(modes, n) for n in sectors],
+        fock.tensor_index_map: [(ext, loop, joint)],
+        qstate.joint_parts: [(ext, loop, joint)],
+        qstate._pair_trace_table: [(joint, *keep, n, m) for keep in ((0, n_ext), (n_ext, modes))
+                                   for n in sectors for m in sectors],
+        qstate.charge_split: [(loop, whole) for whole in (False, True)],
+        qstate.block0_layout: [(loop, whole) for whole in (False, True)],
+        qstate._sector_stack: [(loop,)],
+        qstate._sectors_after: [(loop, above) for above in range(-1, cfg.n_max + 1)],
+        channels._block_positions: [(loop, (0,), False),
+                                    (loop, tuple(range(1, len(chan.charge_blocks))), False)],
+        channels._output_order: [(ext, loop, joint)],
+        channels._lifted_columns: [(ext, loop, joint, alpha) for alpha in range(ext.size)],
+        channels._probe: [(chan.charge_blocks[0].size,)],
+        lift_._raising_maps: [(modes, n) for n in sectors[1:]],
+        lift_._parent_columns: [(modes, n) for n in sectors[1:]],
+        lift_._photon_panels: [(modes, n, sector_size(modes, n), lift_._PANEL)
+                               for n in sectors[1:]],
+    }
+    caches = {value for module in (fock, qstate, channels, lift_, evolve, bosonloop.tensors,
+                                   bosonloop.reconstruct, bosonloop.matrixkit)
+              for value in vars(module).values() if hasattr(value, "cache_info")}
+    assert caches == set(calls) and len(calls) == 15
+    for func, args in calls.items():
+        shared += [array for a in args for array in _arrays(func(*a))]
+    assert [a for a in shared if a.flags.writeable] == []
 
 
 def test_a_sample_checks_its_matrix_and_builds_m_eff_once_up_the_ladder(monkeypatch):
@@ -808,6 +916,44 @@ def test_average_stationary_climbs_the_truncation_ladder():
     np.testing.assert_allclose(np.diag(avg.rho.mat), pinned, rtol=0, atol=1e-12)
 
 
+def test_the_ladder_runs_out_past_the_retry_cap(monkeypatch):
+    # rungs 3, 5 and 8 leak, and rung 12's loop space of 91 states is past
+    # _RETRY_DIM_CAP, so the last rung's TruncationError surfaces
+    cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=0,
+                           input_occupation=(1,), n_max=3)
+    rungs, solve = [], evolve.stabilization_time
+
+    def counted(rung, *args):
+        rungs.append(rung.n_max)
+        return solve(rung, *args)
+
+    monkeypatch.setattr(evolve, "stabilization_time", counted)
+    with pytest.raises(TruncationError):
+        stabilization_samples(cfg, 1, seed=0)
+    assert rungs == [3, 5, 8]
+
+
+def test_average_stationary_skips_degenerate_samples(monkeypatch):
+    # the identity decouples the loop, so its sample is skipped with a
+    # warning; with every draw the identity no sample is left to average
+    cfg = haar_config(2, 1, 1, 0, n_max=10)
+    draws = []
+
+    def first_identity(dim, seed):
+        draws.append(seed)
+        return np.eye(dim) if len(draws) == 1 else haar_random_unitary(dim, seed)
+
+    monkeypatch.setattr(evolve, "haar_random_unitary", first_identity)
+    with pytest.warns(UserWarning, match="skipped 1 samples with degenerate fixed points"):
+        avg = average_stationary(cfg, samples=2, seed=4)
+    assert (avg.samples_used, avg.skipped) == (1, 1)
+    kept = replace(cfg, unitary=haar_random_unitary(2, draws[1]), haar_seed=None)
+    assert avg.rho.mat.tobytes() == stationary_loop_state(kept).rho.mat.tobytes()
+    monkeypatch.setattr(evolve, "haar_random_unitary", lambda dim, seed: np.eye(dim))
+    with pytest.raises(DegenerateFixedPointError, match="every sample"):
+        average_stationary(cfg, samples=2, seed=4)
+
+
 def test_average_stationary_refuses_multimode():
     cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=0,
                            input_occupation=(1,), n_max=6)
@@ -817,10 +963,11 @@ def test_average_stationary_refuses_multimode():
 
 def test_detection_pass_matches_final_iteration():
     cfg = haar_config(2, 1, 3, 18)
-    trace = evolve_pdm(cfg, record_loop=True)
-    rho_det, rho_next = detection_pass(cfg.at_n_max(trace.n_max), trace.loop_states[2])
+    trace = evolve_pdm(cfg)
+    states = line_states(cfg)
+    rho_det, rho_next = detection_pass(cfg.at_n_max(trace.n_max), states[2])
     assert trace_distance(rho_det, trace.rho_det) < 1e-12
-    assert trace_distance(rho_next, trace.loop_states[3]) < 1e-12
+    assert trace_distance(rho_next, states[3]) < 1e-12
 
 
 def test_effective_transfer_matrix():

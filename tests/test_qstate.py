@@ -503,22 +503,35 @@ def test_vector_form_reads_equal_the_dense_route_bit_for_bit(modes, n_max, seed,
     _assert_same_floats(got, fidelities_gathered(dense[:3] + [coherent] + dense[3:], sigma))
 
 
-def test_a_state_whose_matrix_was_read_is_never_read_through_its_vector():
-    # an edit to .mat after the first read shows in every later read
+def test_a_state_keeps_its_vector_after_a_dense_read_and_neither_form_is_writable():
+    # reading .mat keeps the vector form, and every later read, through
+    # either form, gives the bits of the dense state
     setup = _LoopSetup(ExperimentConfig(modes=2, looped=1, iterations=1, haar_seed=22,
                                         input_occupation=(1,), n_max=8))
     channel = setup.channel
     rho = channel.apply(channel.apply(setup.vacuum_line()))
     sigma = channel.apply(rho)
-    assert rho.block0 is not None
+    vector = rho.block0
     mat = rho.mat
-    assert rho.block0 is None and rho.mat is mat
-    mat[1, 1] += 0.25
-    mat[2, 2] -= 0.25
-    edited = DensityMatrix(rho.basis, mat.copy(), check=False)
-    assert rho.sector_weights().tobytes() == edited.sector_weights().tobytes()
-    assert channel.apply(rho).mat.tobytes() == apply_dense(channel, edited).mat.tobytes()
-    _assert_same_floats(fidelities([rho], sigma), fidelities_gathered([edited], sigma))
+    assert rho.block0 is vector and rho.mat is mat and rho.charge0() is vector
+    for table in (vector, mat):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] += 0.25
+    dense = DensityMatrix(rho.basis, mat, check=False)
+    assert rho.sector_weights().tobytes() == dense.sector_weights().tobytes()
+    assert channel.apply(rho).mat.tobytes() == apply_dense(channel, dense).mat.tobytes()
+    _assert_same_floats(fidelities([rho], sigma), fidelities_gathered([dense], sigma))
+
+
+def test_a_state_keeps_a_read_only_copy_of_its_matrix():
+    m = np.zeros((3, 3), dtype=complex)
+    m[1, 1] = 1.0
+    rho = DensityMatrix(FockBasis(1, 2), m)
+    m[1, 1], m[0, 0] = 0.0, 1.0
+    assert rho.mat[1, 1] == 1.0 and rho.mat[0, 0] == 0.0
+    assert rho.max_populated_sector() == 1
+    assert not rho.mat.flags.writeable and m.flags.writeable
 
 
 @pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4), (4, 3)])
@@ -565,7 +578,8 @@ def test_charge0_equals_the_flat_gather(modes, n_max):
     basis = FockBasis(modes, n_max)
     vectors, dense = _charge0_states(basis, range(4), -0.0)
     read = DensityMatrix.from_block0(basis, vectors[0].block0.copy())
-    assert read.mat is not None and read.block0 is None
+    vector = read.block0
+    assert read.mat is not None and read.block0 is vector
     coherent = coherent_dm([0.6 + 0.4j, -0.3 + 0.5j, 0.2][:modes], n_max)
     for rho in vectors + dense + [read, coherent, random_density_matrix(basis, 5)]:
         got, want = rho.charge0(), charge0_by_take(rho)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonloop import reconstruct
 from bosonloop.errors import ReconstructionError
 from bosonloop.evolve import ExperimentConfig
 from bosonloop.fock import FockBasis
@@ -229,11 +230,11 @@ def test_convex_round_trip_mixed_state():
     assert uhlmann_fidelity(rec, rho) > 1 - 1e-6
 
 
-def test_convex_partial_moments_stay_feasible():
+def test_convex_partial_moments_stay_feasible(monkeypatch):
     basis = FockBasis(1, 4)
     rho = random_density_matrix(basis, 11)
-    rec, info = reconstruct_convex(full_system(rho, rank_cap=2), n_max=4,
-                                   max_iterations=200)
+    monkeypatch.setattr(reconstruct, "_CONVEX_CAP", 200)
+    rec, info = reconstruct_convex(full_system(rho, rank_cap=2), n_max=4)
     assert np.trace(rec.mat).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(rec.mat)[0] > -1e-10
     assert info.iterations <= 200
@@ -247,8 +248,8 @@ def test_project_psd_valid_state_unchanged():
 
 
 def test_project_psd_clip_and_renormalize():
-    out = project_psd(np.diag([1.2, -0.2]))
-    np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+    out = project_psd(np.diag([1.2, -0.2]), FockBasis(1, 1))
+    np.testing.assert_allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_project_psd_matches_grid_oracle():
@@ -257,14 +258,14 @@ def test_project_psd_matches_grid_oracle():
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = (h + h.conj().T) / 2
         h = h / np.trace(h).real if abs(np.trace(h)) > 0.3 else h + np.eye(2)
-        mine = project_psd(h)
+        mine = project_psd(h, FockBasis(1, 1)).mat
         grid = nearest_density_grid_2x2(h)
         assert np.linalg.norm(mine - h) <= np.linalg.norm(grid - h) + 1e-3
 
 
 def test_project_psd_rejects_negative_definite():
     with pytest.raises(ReconstructionError):
-        project_psd(np.diag([-1.0, -2.0]))
+        project_psd(np.diag([-1.0, -2.0]), FockBasis(1, 1))
 
 
 def test_project_simplex_cases():
