@@ -26,13 +26,14 @@ import numpy as np
 from .errors import DENSE_DIM_CAP, DegenerateFixedPointError, TruncationError, check_size
 from .fock import FockBasis, frozen_cache, read_only, tensor_index_map
 from .lift import LiftedUnitary
-from .qstate import POPULATED_CUTOFF, DensityMatrix, block0_layout, charge_split, joint_parts
+from .qstate import (LEAK_TOLERANCE, POPULATED_CUTOFF, DensityMatrix, block0_layout,
+                     charge_split, joint_parts)
 
 _EIG_CUTOFF = 1e-12       # eigenvalues of rho_ext below this are dropped
 _PRUNE_NORM = 1e-14       # Kraus operators with max |entry| below this are pruned
 _FIXED_POINT_RESIDUAL = 1e-10  # relative |G x - x| above which fixed_point gives up
 _DEGENERACY_GAP = 1e-8    # eigenvalues this close to the unit one count as degenerate
-_UNIT_TOL = 1e-6          # default distance of the principal eigenvalue from 1
+_UNIT_TOL = 1e-6          # largest distance of the principal eigenvalue from 1
 _PAIR_BATCH = 1 << 16     # Kraus nonzero pairs formed at once when building blocks
 
 
@@ -43,8 +44,8 @@ class QuantumChannel:
     owner), made read-only: operator after operator, each row by row as
     np.nonzero lists them, with owner the index of the operator each entry
     comes from; the owners run 0, 1, ... with every operator owning an
-    entry.  The dense list `kraus` is scattered from them the first time
-    something reads it, and each charge block of G is read-only once built.
+    entry.  The Kraus sum scatters one operator at a time from them, and
+    each charge block of G is read-only once built.
     """
 
     def __init__(self, basis: FockBasis, nonzeros: tuple, valid_max_photons: int,
@@ -57,17 +58,25 @@ class QuantumChannel:
 
     @cached_property
     def kraus(self) -> list:
-        """The dense operators, scattered from the nonzeros."""
+        """The dense operators, scattered from the nonzeros: a view that no
+        route reads."""
+        return [read_only(k) for k in self._operators()]
+
+    def _operators(self):
+        """The dense operators in order, each scattered from its run of
+        nonzeros when it is asked for, so that one is held at a time."""
         rows, cols, values, owner = self.nonzeros
         d = self.basis.size
-        stack = np.zeros((owner[-1] + 1, d, d), dtype=complex)
-        stack[owner, rows, cols] = values
-        return list(read_only(stack))
+        for start, count in zip(*(a.tolist() for a in _runs(owner))):
+            at = slice(start, start + count)
+            k = np.zeros((d, d), dtype=complex)
+            k[rows[at], cols[at]] = values[at]
+            yield k
 
     def completeness_operator(self) -> np.ndarray:
         """sum K^dag K, identity on the valid subspace."""
         out = np.zeros((self.basis.size, self.basis.size), dtype=complex)
-        for k in self.kraus:
+        for k in self._operators():
             out += k.conj().T @ k
         return out
 
@@ -120,9 +129,7 @@ class QuantumChannel:
         rows, cols, values, group = self.nonzeros
         if 0 in which and len(self.charge_blocks) > 1:
             group = group * (self.basis.n_max + 1) + self.basis.totals()[rows]
-        # the runs of nonzeros that share a group: where each starts, and its size
-        edges = np.concatenate(([0], np.flatnonzero(group[1:] != group[:-1]) + 1, [rows.size]))
-        first, counts = edges[:-1], edges[1:] - edges[:-1]
+        first, counts = _runs(group)
         conj = values.conj()
         pair_end = np.cumsum(counts ** 2)
         pair_start = pair_end - counts ** 2
@@ -142,30 +149,30 @@ class QuantumChannel:
         return [flat[o:o + m * m].reshape(m, m) for o, m in zip(offsets.tolist(), sizes)]
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Raw Kraus sum on an array, deterministic summation order."""
+        """Raw Kraus sum on an array, one operator at a time in operator order."""
         out = np.zeros_like(mat, dtype=complex)
-        for k in self.kraus:
+        for k in self._operators():
             out += k @ mat @ k.conj().T
         return out
 
-    def apply(self, rho: DensityMatrix, leak_tolerance: float = 0.0) -> DensityMatrix:
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply the channel to a state within the valid subspace.
 
         A state inside the charge-0 block of a charge-conserving channel takes
         one matrix-vector product with that block (`_step_block`), its
         `charge0()` entries, and comes out in the vector form of
         `DensityMatrix.from_block0`.  Every other state takes the Kraus sum.
-        Population above `valid_max_photons` exceeding
-        max(leak_tolerance, POPULATED_CUTOFF) raises TruncationError, whose
-        `required_n_max` is the state's top populated sector plus the slack
-        n_max - valid_max_photons (N_env for a loop channel); smaller amounts
-        are allowed to leak and the output trace is renormalized.
+        Population above `valid_max_photons` exceeding LEAK_TOLERANCE raises
+        TruncationError, whose `required_n_max` is the state's top populated
+        sector plus the slack n_max - valid_max_photons (N_env for a loop
+        channel); smaller amounts are allowed to leak and the output trace is
+        renormalized.
         """
         if rho.basis != self.basis:
             raise ValueError("state basis does not match the channel basis")
         above = rho.sector_weights(self.valid_max_photons)
         excess = float(np.add.reduce(above))
-        if excess > max(leak_tolerance, POPULATED_CUTOFF):
+        if excess > LEAK_TOLERANCE:
             # rho.max_populated_sector(), without a second pass when it lies past the bound
             populated = np.flatnonzero(above > POPULATED_CUTOFF)
             top = (self.valid_max_photons + 1 + int(populated[-1]) if populated.size
@@ -315,12 +322,17 @@ def loop_channel(lifted: LiftedUnitary, rho_ext: DensityMatrix) -> QuantumChanne
     )
 
 
+def _runs(group: np.ndarray) -> tuple:
+    """The runs of equal entries of `group`: where each starts, and its length."""
+    edges = np.concatenate(([0], np.flatnonzero(group[1:] != group[:-1]) + 1, [group.size]))
+    return edges[:-1], np.diff(edges)
+
+
 def _pruned(rows, cols, values, group) -> tuple:
     """The nonzeros of the operators that are runs of equal `group`, all but
     those whose largest |entry| is at most _PRUNE_NORM, with the kept
     operators numbered 0, 1, ... in run order."""
-    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    sizes = np.diff(np.append(starts, group.size))
+    starts, sizes = _runs(group)
     kept = np.maximum.reduceat(np.abs(values), starts) > _PRUNE_NORM
     keep = np.repeat(kept, sizes)
     owner = np.repeat(np.arange(np.count_nonzero(kept)), sizes[kept])
@@ -534,14 +546,13 @@ def _second_modulus(channel: QuantumChannel, evals: np.ndarray, i: int) -> float
     return float(moduli.max())
 
 
-def stationary_state(channel: QuantumChannel,
-                     eigenvalue_tol: float = _UNIT_TOL) -> StationaryResult:
+def stationary_state(channel: QuantumChannel) -> StationaryResult:
     """Unique fixed point of the channel via the eigenvalue-1 eigenvector of G.
 
     The eigenvector comes from the charge-0 block, which holds the spectral
     radius of a positive map and hence the eigenvalue closest to 1.  The
     checks run in this order: the principal eigenvalue must sit within
-    `eigenvalue_tol` of 1, since a larger drift means the truncation leaks
+    _UNIT_TOL of 1, since a larger drift means the truncation leaks
     the stationary state itself (TruncationError); no other charge-0
     eigenvalue may lie within _DEGENERACY_GAP of it; and the eigenvector
     must not be traceless.  Either of the last two raises
@@ -552,16 +563,14 @@ def stationary_state(channel: QuantumChannel,
     a_i1..a_ik conj(a_j1..a_jl), k - l = q, of eigenvalues a of the lossy
     loop block M_eff,LL, so a unit eigenvalue off charge 0 forces some
     |a| = 1, which puts |a|^2 = 1 in charge 0 too.  The q != 0 blocks are
-    built and diagonalized only if `second_modulus` is read.  Loosening the
-    tolerance computes the truncated model's own fixed point, which is exact
-    for the channel as built regardless of the leak.
+    built and diagonalized only if `second_modulus` is read.
     """
     evals, evecs = np.linalg.eig(channel.superop_block(0))
     i = int(np.argmin(np.abs(evals - 1.0)))
     lam = evals[i]
-    if abs(lam - 1.0) > eigenvalue_tol:
+    if abs(lam - 1.0) > _UNIT_TOL:
         raise TruncationError(
-            f"no superoperator eigenvalue within {eigenvalue_tol:.1e} of 1 "
+            f"no superoperator eigenvalue within {_UNIT_TOL:.1e} of 1 "
             f"(closest {complex(lam):.12g}); the truncated channel leaks too much, "
             "increase n_max"
         )

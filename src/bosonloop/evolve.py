@@ -35,12 +35,11 @@ from .errors import (ConfigError, ConvergenceError, DegenerateFixedPointError,
 from .fock import FockBasis, enumerate_sector, read_only, sector_size, total_size
 from .lift import lift, lift_apply_fock
 from .matrixkit import Interferometer, haar_random_unitary
-from .qstate import (DensityMatrix, ProbabilityDistribution, embed, fock_state_dm,
-                     fidelities, overflow_weight, partial_traces,
+from .qstate import (LEAK_TOLERANCE, DensityMatrix, ProbabilityDistribution, embed,
+                     fock_state_dm, fidelities, overflow_weight, partial_traces,
                      tensor_product_blocks, trace_distance)
 from .tensors import _check_spectral_radius
 
-LEAK_TOLERANCE = 1e-9          # per-iteration truncation leak allowed past n_max
 UNFOLD_SECTOR_CAP = 100_000
 _RETRY_DIM_CAP = 64            # loop-space dimension beyond which retries stop
 TRUNCATION_RETRIES = 3         # _grow_n_max rungs a Haar sample may climb
@@ -51,12 +50,9 @@ ITERATE_CAP = 1_000_000        # most channel steps stationary_loop_iterate take
 STABILIZATION_CAP = 100_000    # most iterations stabilization_time follows the loop state
 
 
-def _grow_n_max(n_max: int, looped: int) -> int:
-    """Next truncation rung for heavy-tailed samples; None when infeasible."""
-    nxt = int(np.ceil(n_max * 1.5))
-    if total_size(looped, nxt) > _RETRY_DIM_CAP:
-        return None
-    return nxt
+def _grow_n_max(n_max: int) -> int:
+    """Next truncation rung for heavy-tailed samples."""
+    return int(np.ceil(n_max * 1.5))
 
 
 @dataclass(frozen=True)
@@ -297,7 +293,7 @@ class _LoopSetup:
         channel, rho = self.channel, self.vacuum_line()
         while True:
             yield rho
-            rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+            rho = channel.apply(rho)
 
 
 def _stationary_setup(config: ExperimentConfig) -> _LoopSetup:
@@ -345,7 +341,7 @@ def _iterate(config: ExperimentConfig, kraus: bool) -> EvolutionTrace:
         rho_det, rho_next, leaked = setup.step(rho_line)
         # the Kraus route steps the line only where a later iteration reads it
         if kraus and i + 1 < config.iterations:
-            rho_next = setup.channel.apply(rho_line, leak_tolerance=LEAK_TOLERANCE)
+            rho_next = setup.channel.apply(rho_line)
         rho_line = rho_next
         max_leak = max(max_leak, leaked)
         dists.append(rho_det.diagonal_distribution())
@@ -537,8 +533,9 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
     bound is state-dependent, and near-decoupled matrices produce nearly
     thermal loop states far wider than the typical Haar draw.  The rungs are
     the sample's `at_n_max` configs, so a retry lifts only the sectors its
-    larger truncation adds.  The joint space of the first rung is checked
-    against its cap before any sample is drawn.
+    larger truncation adds; a rung past _RETRY_DIM_CAP loop states is not
+    run but required.  The joint space of the first rung is checked against
+    its cap before any sample is drawn.
     """
     check_size("the joint Fock space size", total_size(config.modes, config.resolve_n_max()))
 
@@ -548,10 +545,16 @@ def _haar_samples(config: ExperimentConfig, samples: int, seed: int, solve) -> l
         for attempt in range(TRUNCATION_RETRIES + 1):
             try:
                 return solve(sample.at_n_max(n_max))
-            except TruncationError:
-                n_max = _grow_n_max(n_max, config.looped)
-                if attempt == TRUNCATION_RETRIES or n_max is None:
+            except TruncationError as err:
+                if attempt == TRUNCATION_RETRIES:
                     raise
+                n_max = _grow_n_max(n_max)
+                size = total_size(config.looped, n_max)
+                if size > _RETRY_DIM_CAP:
+                    raise TruncationError(
+                        f"{err}; the next truncation rung n_max={n_max} has {size} loop "
+                        f"states, past the retry cap {_RETRY_DIM_CAP}",
+                        required_n_max=max(n_max, err.required_n_max or 0)) from err
             except (DegenerateFixedPointError, ConvergenceError):
                 return None
 

@@ -15,6 +15,7 @@ TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
 # below this diagonal mass a photon-number sector counts as unpopulated
 POPULATED_CUTOFF = 1e-12
+LEAK_TOLERANCE = 1e-9      # weight a step may leak past its truncation bound, renormalized
 _SAMPLE_CHUNK = 1 << 16    # shots drawn at once by ProbabilityDistribution.sample
 
 

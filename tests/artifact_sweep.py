@@ -80,6 +80,12 @@ CONFIGS = {
                 "input": {"type": "fock", "occupation": [1, 1, 0]},
                 "unitary": {"type": "haar", "seed": 9}, "losses": {"loop_T": 0.2},
                 "seed": 4},
+    # the first calls whose external loss channels take the Kraus sum on
+    # charge-0 states: their G_0 (width 11,934) is past the dense cap
+    "m6_lossy_ext": {"schema": 1, "M": 6, "L": 2, "n_max": 6, "iterations": 2,
+                     "input": {"type": "fock", "occupation": [1, 1, 1, 0]},
+                     "unitary": {"type": "haar", "seed": 3},
+                     "losses": {"t_out": [0.95] * 6}, "seed": 4},
 }
 
 _EVOLVE = [["evolve", "--method", m] for m in ("unfold", "pdm", "kraus")]
@@ -108,6 +114,7 @@ CALLS = (
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]
     + [("stab_ladder", ["stabilization", "--samples", "24", "--seed", "7"])]
     + [("m5_pure", argv) for argv in (_EVOLVE[2], _STATIONARY[0])]
+    + [("m6_lossy_ext", argv) for argv in _EVOLVE[1:]]
 )
 
 

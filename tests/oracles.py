@@ -26,6 +26,7 @@ property:
   charge layout  `charge_blocks_by_scans`; `charge0_layout_by_nonzero`,
                  with its reader `charge0_by_take`, and `block0_layout_before`
   composition    `compose_dense`, with `channel_from_kraus`
+  Kraus sum      `kraus_sum_stacked`, the bit-for-bit oracle of `apply_matrix`
 Every other routine here is the one reference of what it checks.
 """
 
@@ -38,10 +39,10 @@ import numpy as np
 from bosonloop.channels import QuantumChannel, _probe, fixed_point, stationary_state
 from bosonloop.errors import DENSE_DIM_CAP, ConvergenceError, TruncationError
 from bosonloop import evolve
-from bosonloop.evolve import LEAK_TOLERANCE, _LoopSetup
+from bosonloop.evolve import _LoopSetup
 from bosonloop.fock import FockBasis, enumerate_sector, sector_size, tensor_index_map
 from bosonloop.lift import _parent_columns, _raising_maps
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, joint_parts, overflow_weight,
+from bosonloop.qstate import (LEAK_TOLERANCE, DensityMatrix, joint_parts, overflow_weight,
                              tensor_product_blocks)
 from bosonloop.reconstruct import ReconstructionInfo, project_psd
 from bosonloop.tensors import (CorrelationTensor, TensorSet, _check_spectral_radius,
@@ -344,6 +345,20 @@ def coherent_dm(alphas, n_max: int) -> DensityMatrix:
     return DensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
+def kraus_sum_stacked(channel, mat: np.ndarray) -> np.ndarray:
+    """`QuantumChannel.apply_matrix` as the package ran it before it scattered
+    one operator at a time: every operator scattered into one K x d x d stack,
+    then k @ mat @ k^dag added up in operator order."""
+    rows, cols, values, owner = channel.nonzeros
+    d = channel.basis.size
+    stack = np.zeros((owner[-1] + 1, d, d), dtype=complex)
+    stack[owner, rows, cols] = values
+    out = np.zeros_like(mat, dtype=complex)
+    for k in stack:
+        out += k @ mat @ k.conj().T
+    return out
+
+
 def superop_block_dense(channel, b: int) -> np.ndarray:
     """Charge block `b` of G by two dense gathers per Kraus operator: the
     block builder as the package ran it before it paired Kraus nonzeros."""
@@ -634,7 +649,7 @@ def stabilization_time_stepwise(config, tolerance: float = 1e-6) -> int:
     for i in range(max_iterations + 1):
         if 1.0 - fidelities_gathered([rho], rho_stat)[0] < tolerance:
             return i
-        rho = channel.apply(rho, leak_tolerance=LEAK_TOLERANCE)
+        rho = channel.apply(rho)
     raise ConvergenceError(
         f"loop state did not stabilize within {max_iterations} iterations"
     )
@@ -736,7 +751,7 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.mat @ rho.mat).real)
 
 
-def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> DensityMatrix:
+def apply_dense(channel, rho: DensityMatrix) -> DensityMatrix:
     """`QuantumChannel.apply` as the package ran it before states stepped as
     charge-0 vectors: the charge-0 block gathered from the dense matrix,
     checked against it by two nonzero counts, multiplied and scattered back
@@ -747,7 +762,7 @@ def apply_dense(channel, rho: DensityMatrix, leak_tolerance: float = 0.0) -> Den
     excess = float(np.array([diag[rho.basis.sector_slice(n)].sum()
                              for n in range(channel.valid_max_photons + 1,
                                             rho.basis.n_max + 1)]).sum())
-    if excess > max(leak_tolerance, POPULATED_CUTOFF):
+    if excess > LEAK_TOLERANCE:
         raise TruncationError("state populates sectors above the channel validity bound")
     out = None
     if len(channel.charge_blocks) > 1 and channel.charge_blocks[0].size <= DENSE_DIM_CAP:

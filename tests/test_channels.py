@@ -1,3 +1,4 @@
+import json
 from functools import cached_property
 from unittest import mock
 
@@ -10,22 +11,25 @@ import bosonloop.channels
 from bosonloop import evolve
 from bosonloop.channels import (QuantumChannel, compose, fixed_point, loop_channel,
                                 loss_channel, stationary_state, to_superoperator)
+from bosonloop.cli import main
 from bosonloop.errors import (DENSE_DIM_CAP, DegenerateFixedPointError,
                               SizeCapError, SpectralRadiusError, TruncationError)
-from bosonloop.evolve import (LEAK_TOLERANCE, ExperimentConfig, LossSpec, _haar_samples,
+from bosonloop.evolve import (ExperimentConfig, LossSpec, _haar_samples,
                               _LoopSetup, effective_transfer_matrix, stabilization_samples,
                               stabilization_time, stationary_loop_state)
 from bosonloop.fock import FockBasis, enumerate_sector, tensor_index_map
 from bosonloop.lift import LiftedUnitary, lift
 from bosonloop.matrixkit import haar_random_unitary, unvec, vec
-from bosonloop.qstate import (POPULATED_CUTOFF, DensityMatrix, block0_layout, embed,
-                              fock_state_dm, partial_trace, random_density_matrix,
+from bosonloop.qstate import (LEAK_TOLERANCE, POPULATED_CUTOFF, DensityMatrix, block0_layout,
+                              embed, fock_state_dm, partial_trace, random_density_matrix,
                               tensor_product, trace_distance, uhlmann_fidelity)
 from bosonloop.tensors import _check_spectral_radius
 
+from artifact_sweep import _fingerprint
+from fileio import write_dm_json
 from oracles import (apply_dense, apply_loss_direct, block_charges, channel_from_kraus,
                      charge_blocks_by_scans, coherent_dm, compose_dense, fidelity_svd,
-                     fixed_point_dense, identity_channel,
+                     fixed_point_dense, identity_channel, kraus_sum_stacked,
                      kraus_pure_fock, loop_channel_per_sector, loop_kraus_from_full,
                      loss_kraus_loop, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, stationary_rho_by_unvec,
@@ -62,7 +66,7 @@ def _embed(mat, small, big):
     return out
 
 
-def test_loop_channel_decoupled_acts_as_loop_unitary():
+def test_loop_channel_decoupled_acts_as_loop_unitary(monkeypatch):
     # block-diagonal U: the loop evolves unitarily by the LL phase
     u = np.diag([1.0, np.exp(0.7j)])
     joint = FockBasis(2, 3)
@@ -71,7 +75,8 @@ def test_loop_channel_decoupled_acts_as_loop_unitary():
     chan = loop_channel(lifted, rho_ext)
     rho = random_density_matrix(FockBasis(1, 2), 4)
     rho_big = DensityMatrix(chan.basis, _embed(rho.mat, rho.basis, chan.basis))
-    out = chan.apply(rho_big, leak_tolerance=1.0)
+    monkeypatch.setattr(bosonloop.channels, "LEAK_TOLERANCE", 1.0)
+    out = chan.apply(rho_big)
     ull_lift = lift(np.array([[np.exp(0.7j)]]), chan.basis)
     expected = ull_lift.conjugate(rho_big.mat)
     np.testing.assert_allclose(out.mat, expected, atol=1e-12)
@@ -264,11 +269,12 @@ def test_positivity_preserved():
         assert np.linalg.eigvalsh(out.mat)[0] > -1e-8
 
 
-def test_stationary_state_is_fixed_point():
+def test_stationary_state_is_fixed_point(monkeypatch):
     _, joint, ext, lifted, rho_ext = _loop_pieces(2, 1, 10, 29, (1,))
     chan = loop_channel(lifted, rho_ext)
     result = stationary_state(chan)
-    again = chan.apply(result.rho, leak_tolerance=1.0)
+    monkeypatch.setattr(bosonloop.channels, "LEAK_TOLERANCE", 1.0)
+    again = chan.apply(result.rho)
     assert trace_distance(again, result.rho) < 1e-9
     assert result.second_modulus < 1.0
 
@@ -306,8 +312,8 @@ def test_swap_stationary_state_is_injected_photon():
     (2, 1, 10, 8, LossSpec(t_in=np.array([0.9, 0.8]), t_out=np.array([1.0, 0.7]),
                            loop_transmission=0.9)),
 ])
-def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
-                                                         haar_seed, losses):
+def test_charge_blocks_reproduce_the_whole_superoperator(monkeypatch, modes, looped,
+                                                         n_max, haar_seed, losses):
     setup = _LoopSetup(ExperimentConfig(
         modes=modes, looped=looped, iterations=1, haar_seed=haar_seed,
         input_occupation=(1,) + (0,) * (modes - looped - 1), n_max=n_max,
@@ -330,25 +336,27 @@ def test_charge_blocks_reproduce_the_whole_superoperator(modes, looped, n_max,
         np.testing.assert_allclose(fast.mat, rho, atol=1e-10)
 
     # iterates from the vacuum stay in the charge-0 block: block matvec = Kraus sum
+    monkeypatch.setattr(bosonloop.channels, "LEAK_TOLERANCE", 1.0)
     state = setup.vacuum_line()
     for _ in range(5):
-        nxt = chan.apply(state, leak_tolerance=1.0)
+        nxt = chan.apply(state)
         np.testing.assert_allclose(nxt.mat, chan.apply_matrix(state.mat), atol=1e-12)
         state = nxt
 
 
-def test_external_coherence_takes_the_one_block_route():
+def test_external_coherence_takes_the_one_block_route(monkeypatch):
     # injected (|0> + |1>)/sqrt(2): Kraus operators mix photon-number shifts;
     # at n_max 6 the truncation leaks past the bordered solve's bound, at 10
     # it does not
     ext = FockBasis(1, 1)
     rho_ext = DensityMatrix(ext, np.full((2, 2), 0.5))
+    monkeypatch.setattr(bosonloop.channels, "_UNIT_TOL", 0.05)
     for n_max in (6, 10):
         lifted = lift(haar_random_unitary(2, 9), FockBasis(2, n_max))
         chan = loop_channel(lifted, rho_ext)
         assert len(chan.charge_blocks) == 1
         rho, lam, second, n_unit = stationary_dense(superoperator_kron(chan.kraus))
-        result = stationary_state(chan, eigenvalue_tol=0.05)
+        result = stationary_state(chan)
         assert np.abs(result.rho.mat - np.diag(np.diag(result.rho.mat))).max() > 1e-3
         np.testing.assert_allclose(result.rho.mat, rho, atol=1e-12)
         assert abs(result.eigenvalue - lam) < 1e-12
@@ -871,6 +879,48 @@ def test_stabilization_never_builds_the_dense_kraus_list(monkeypatch, modes, loo
     assert len(chan.kraus) > 1 and built == [chan]
 
 
+_KRAUS_SUM_ROUTES = [["evolve", "--method", "pdm"], ["evolve", "--method", "kraus"],
+                     ["stationary", "--method", "superop"],
+                     ["stationary", "--method", "iterate"],
+                     ["sample", "--target", "stationary", "--shots", "50"]]
+
+
+@pytest.mark.parametrize("config, dense_cap", [
+    # the artifact sweep's lossy_dm: the injected coherences keep the states
+    # off the charge-0 block
+    ({"n_max": 12, "iterations": 2, "input": {"type": "dm", "path": "rho.json"},
+      "unitary": {"type": "haar", "seed": 20}}, DENSE_DIM_CAP),
+    # a Fock input, whose states stay in the charge-0 block, with no G_0 under the cap
+    ({"n_max": 6, "iterations": 3, "input": {"type": "fock", "occupation": [1]},
+      "unitary": {"type": "haar", "seed": 21}}, 0),
+], ids=["lossy_dm", "lossy_fock_no_dense_cap"])
+@pytest.mark.parametrize("argv", _KRAUS_SUM_ROUTES, ids=lambda argv: "_".join(argv[:3]))
+def test_the_kraus_sum_never_builds_the_dense_kraus_list(monkeypatch, tmp_path, config,
+                                                         dense_cap, argv):
+    # every route that takes the Kraus sum writes the bytes of the stacked sum
+    write_dm_json(random_density_matrix(FockBasis(1, 2), 4), tmp_path / "rho.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "M": 2, "L": 1, "seed": 3, **config,
+                                "losses": {"t_in": [0.9, 0.8], "t_out": [0.95, 0.85],
+                                           "loop_T": 0.7}}))
+    monkeypatch.setattr(bosonloop.channels, "DENSE_DIM_CAP", dense_cap)
+    built = _count_kraus_builds(monkeypatch)
+    sums, kraus_sum = [], QuantumChannel.apply_matrix
+
+    def counted(self, mat):
+        sums.append(self)
+        return kraus_sum(self, mat)
+
+    outputs = []
+    for route in (counted, kraus_sum_stacked):
+        monkeypatch.setattr(QuantumChannel, "apply_matrix", route)
+        out = tmp_path / route.__name__
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0
+        outputs.append(_fingerprint(out))
+    assert sums and built == []
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 @pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 14), (2, 7), (3, 4)])
 def test_charge_blocks_equal_one_scan_per_charge(modes, n_max):
     basis = FockBasis(modes, n_max)
@@ -910,14 +960,17 @@ def test_leak_sums_equal_the_tail_of_all_sector_weights(modes, n_max, above, see
     assert float(rho.sector_weights(above).sum()).hex() == expected.hex()
 
     chan = channel_from_kraus(basis, [np.eye(basis.size)], valid_max_photons=above)
-    if expected > POPULATED_CUTOFF:
-        with pytest.raises(TruncationError) as err:
-            chan.apply(rho)
-        assert str(err.value) == (
-            f"state populates sectors above the channel validity bound {above} "
-            f"with weight {expected:.3e}")
-    else:
-        assert chan.apply(rho).basis == basis
+    # the leak apply allows, and the stricter cutoff of a populated sector
+    for allowed in (LEAK_TOLERANCE, POPULATED_CUTOFF):
+        with mock.patch.object(bosonloop.channels, "LEAK_TOLERANCE", allowed):
+            if expected > allowed:
+                with pytest.raises(TruncationError) as err:
+                    chan.apply(rho)
+                assert str(err.value) == (
+                    f"state populates sectors above the channel validity bound {above} "
+                    f"with weight {expected:.3e}")
+            else:
+                assert chan.apply(rho).basis == basis
     if 0 <= above < n_max:
         cut = FockBasis(modes, above)
         if expected > POPULATED_CUTOFF:
@@ -946,10 +999,10 @@ def _test_channel(kind: str, seed: int, n_max: int) -> QuantumChannel:
     return _LoopSetup(cfg).channel
 
 
-def _outcome_bits(chan, rho, leak_tolerance):
+def _outcome_bits(chan, rho):
     """The bits of the channel output, or the error it raises."""
     try:
-        out = chan.apply(rho, leak_tolerance)
+        out = chan.apply(rho)
     except TruncationError as err:
         return str(err), None
     return out.mat.tobytes(), out
@@ -985,10 +1038,10 @@ def test_vector_apply_equals_the_dense_route_bit_for_bit(kind, seed, n_max, zero
         # the tables cached on `chan`
         fresh = QuantumChannel(basis, chan.nonzeros, chan.valid_max_photons,
                                chan.max_photon_gain)
-        outcomes = [_outcome_bits(c, rho, LEAK_TOLERANCE)
+        outcomes = [_outcome_bits(c, rho)
                     for c, rho in zip((chan, chan, fresh), routes)]
         try:
-            want = apply_dense(chan, want, LEAK_TOLERANCE)
+            want = apply_dense(chan, want)
         except TruncationError:
             assert all(out is None for _, out in outcomes)
             break

@@ -760,7 +760,8 @@ def test_a_truncation_error_reports_its_required_n_max(tmp_path, capsys, argv, o
 
 
 def test_a_sample_past_the_last_truncation_rung_exits_3(tmp_path, capsys):
-    # rungs 3, 5 and 8 leak; rung 12's loop space is past the retry cap
+    # rungs 3, 5 and 8 leak; rung 12's loop space is past the retry cap, so
+    # the error names it and asks for it
     path = write_config(tmp_path, M=3, L=2, n_max=3, iterations=1,
                         unitary={"type": "haar", "seed": 0})
     out = tmp_path / "o"
@@ -768,6 +769,8 @@ def test_a_sample_past_the_last_truncation_rung_exits_3(tmp_path, capsys):
     assert main(argv) == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["code"], err["type"]) == (3, "TruncationError")
+    assert err["required_n_max"] == 12
+    assert "past the retry cap 64" in err["message"]
     assert not out.exists()
 
 

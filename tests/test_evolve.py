@@ -494,7 +494,7 @@ def test_infidelity_eventually_monotone():
         infids = []
         for _ in range(max(6, setup_tau + 2)):
             infids.append(1 - uhlmann_fidelity(rho, stat))
-            rho = chan.apply(rho, leak_tolerance=1e-9)
+            rho = chan.apply(rho)
         tail = infids[len(infids) // 2:]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
@@ -514,11 +514,11 @@ def _count_steps(monkeypatch, fail_at=None):
     TruncationError instead of stepping."""
     calls = []
 
-    def counted(self, rho, leak_tolerance=0.0):
+    def counted(self, rho):
         calls.append(rho)
         if len(calls) == fail_at:
             raise TruncationError(f"injected at step {fail_at}")
-        return _STEP(self, rho, leak_tolerance)
+        return _STEP(self, rho)
 
     monkeypatch.setattr(QuantumChannel, "apply", counted)
     return calls
@@ -636,9 +636,9 @@ def _rung_events(monkeypatch):
         events.append(None if rho is None else "solved")
         return rho
 
-    def stepped(self, rho, leak_tolerance=0.0):
+    def stepped(self, rho):
         events.append("step")
-        return step(self, rho, leak_tolerance)
+        return step(self, rho)
 
     def requested(self, b):
         events.append(b)
@@ -918,7 +918,7 @@ def test_average_stationary_climbs_the_truncation_ladder():
 
 def test_the_ladder_runs_out_past_the_retry_cap(monkeypatch):
     # rungs 3, 5 and 8 leak, and rung 12's loop space of 91 states is past
-    # _RETRY_DIM_CAP, so the last rung's TruncationError surfaces
+    # _RETRY_DIM_CAP, so the ladder stops before rung 12 and requires it
     cfg = ExperimentConfig(modes=3, looped=2, iterations=1, haar_seed=0,
                            input_occupation=(1,), n_max=3)
     rungs, solve = [], evolve.stabilization_time
@@ -928,9 +928,10 @@ def test_the_ladder_runs_out_past_the_retry_cap(monkeypatch):
         return solve(rung, *args)
 
     monkeypatch.setattr(evolve, "stabilization_time", counted)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="has 91 loop states, past the retry cap 64") as err:
         stabilization_samples(cfg, 1, seed=0)
     assert rungs == [3, 5, 8]
+    assert err.value.required_n_max == 12
 
 
 def test_average_stationary_skips_degenerate_samples(monkeypatch):

@@ -51,7 +51,7 @@ SIGNATURES = {
     "compose": ("outer", "inner"),
     "loop_channel": ("lifted", "rho_ext"),
     "loss_channel": ("transmission", "modes", "n_max"),
-    "stationary_state": ("channel", "eigenvalue_tol"),
+    "stationary_state": ("channel",),
     # errors
     "BosonLoopError": None, "ConfigError": None, "ConvergenceError": None,
     "DegenerateFixedPointError": None, "OutOfBasisError": None, "OutputError": None,

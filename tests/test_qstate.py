@@ -9,7 +9,7 @@ import bosonloop.qstate
 from bosonloop.channels import stationary_state
 from bosonloop.cli import json_text
 from bosonloop.errors import TruncationError
-from bosonloop.evolve import LEAK_TOLERANCE, ExperimentConfig, LossSpec, _LoopSetup
+from bosonloop.evolve import ExperimentConfig, LossSpec, _LoopSetup
 from bosonloop.fock import FockBasis
 from bosonloop.lift import lift
 from bosonloop.matrixkit import haar_random_unitary
@@ -367,7 +367,7 @@ def _trajectory(modes, looped, haar_seed, n_max, steps):
     states = [setup.vacuum_line()]
     for _ in range(steps):
         try:
-            states.append(channel.apply(states[-1], leak_tolerance=LEAK_TOLERANCE))
+            states.append(channel.apply(states[-1]))
         except TruncationError:
             break
     return states, stationary_state(channel).rho
