@@ -148,9 +148,36 @@ class QuantumChannel:
             lo = hi
         return [flat[o:o + m * m].reshape(m, m) for o, m in zip(offsets.tolist(), sizes)]
 
+    @cached_property
+    def _real_monomial(self) -> bool:
+        """Whether every operator has real values and at most one nonzero
+        per row and per column: every loss channel and every composition of
+        loss channels."""
+        rows, cols, values, owner = self.nonzeros
+        d = self.basis.size
+        return not values.imag.any() and all(
+            np.unique(owner * d + at).size == at.size for at in (rows, cols))
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Raw Kraus sum on an array, one operator at a time in operator order."""
+        """Raw Kraus sum on an array, one operator at a time in operator order.
+
+        A `_real_monomial` set sums by gather: an operator's nonzeros v_i at
+        (r_i, c_i) add (v_i mat[c_i, c_j]) v_j at (r_i, r_j), the one real x
+        complex product k @ mat @ k^dag forms there; its other terms are
+        zeros, which leave a sum that starts at +0.0 as it is.  Any other
+        set takes two matrix products per operator."""
         out = np.zeros_like(mat, dtype=complex)
+        if self._real_monomial:
+            rows, cols, values, owner = self.nonzeros
+            for start, count in zip(*(a.tolist() for a in _runs(owner))):
+                at = slice(start, start + count)
+                c, v = cols[at], values.real[at]
+                part = np.asarray(mat[np.ix_(c, c)], dtype=complex)
+                parts = part.view(np.float64)
+                parts *= v[:, None]
+                parts *= np.repeat(v, 2)
+                out[np.ix_(rows[at], rows[at])] += part
+            return out
         for k in self._operators():
             out += k @ mat @ k.conj().T
         return out

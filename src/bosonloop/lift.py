@@ -195,11 +195,24 @@ class LiftedUnitary:
     def conjugate_blocks(self, blocks: dict):
         """Yield ((n, n'), block(n) @ R @ block(n')^dag) for each sector-pair
         block (n, n') -> R of rho that is not all zero, in sorted (n, n')
-        order: the nonzero blocks of L(U) rho L(U)^dag."""
+        order: the nonzero blocks of L(U) rho L(U)^dag.
+
+        It consumes `blocks`, dropping each R once T = block(n) @ R exists,
+        and forms conj(conj(T) @ block(n')^T) with both conjugations in
+        place, so no conjugated copy of a lifted block is made: conjugating
+        both factors negates every term's imaginary part exactly.  The
+        outer conjugation turns +0.0 zeros into -0.0; adding +0.0 undoes it."""
         for n, m in sorted(blocks):
-            r = blocks[n, m]
-            if r.any():
-                yield (n, m), self.block(n) @ r @ self.block(m).conj().T
+            r = blocks.pop((n, m))
+            if not r.any():
+                continue
+            t = self.block(n) @ r
+            del r
+            x = np.conjugate(t, out=t) @ self.block(m).T
+            del t
+            np.conjugate(x, out=x)
+            x += 0.0
+            yield (n, m), x
 
 
 def lift(matrix: np.ndarray, basis: FockBasis, blocks: dict | None = None) -> LiftedUnitary:

@@ -1,10 +1,12 @@
-"""Dense complex-matrix utilities: permanents, Haar sampling, vectorization, spectra.
+"""Dense complex-matrix utilities: permanents, Haar sampling, vectorization,
+an in-place LU solve, spectra.
 
 All reductions use a fixed, deterministic summation order so repeated runs
 produce identical floats on the same platform.
 """
 
 import csv
+import ctypes
 import json
 
 import numpy as np
@@ -77,6 +79,39 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise ValueError(f"cannot reshape length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
+
+
+def _lapack_zgesv():
+    """LAPACK's ILP64 zgesv in the OpenBLAS that numpy links, found through
+    numpy's own extension module; None where that symbol is missing."""
+    try:
+        routine = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_zgesv_64_
+    except (AttributeError, OSError):
+        return None
+    routine.restype = None
+    return routine
+
+
+_ZGESV = _lapack_zgesv()
+
+
+def solve_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b by LAPACK zgesv, which overwrites the complex,
+    Fortran-ordered `a` with its LU factors: the routine np.linalg.solve
+    runs on a column-major copy of `a`, so the same bits without the copy.
+    Without the symbol it is np.linalg.solve.  A singular `a` raises
+    np.linalg.LinAlgError on either path."""
+    if _ZGESV is None:
+        return np.linalg.solve(a, b)
+    x = np.array(b, dtype=complex)
+    n, nrhs, info = ctypes.c_int64(len(a)), ctypes.c_int64(1), ctypes.c_int64(0)
+    pivots = np.empty(len(a), dtype=np.int64)
+    _ZGESV(ctypes.byref(n), ctypes.byref(nrhs), ctypes.c_void_p(a.ctypes.data),
+           ctypes.byref(n), ctypes.c_void_p(pivots.ctypes.data),
+           ctypes.c_void_p(x.ctypes.data), ctypes.byref(n), ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def spectral_radius(a: np.ndarray) -> float:

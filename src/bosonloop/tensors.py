@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BosonLoopError, SpectralRadiusError, check_size
 from .fock import FockBasis
-from .matrixkit import spectral_radius
+from .matrixkit import solve_in_place, spectral_radius
 from .qstate import DensityMatrix
 
 _SOLVE_RESIDUAL = 1e-9
@@ -280,10 +280,14 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
 
     Assembles the source term S from the transformed known blocks and solves
     (I - conj(V_LL)^(x l) kron V_LL^(x k)) vec(C) = vec(S) by dense LU.  The
-    system matrix is the Kronecker product, turned in place into 0 - K off
-    the diagonal and 1 - K on it, the bits of I - K.  `context` carries what
-    the orders of one solve share (see `recursive_stationary`); without it
-    the order makes its own.
+    system is held once: K is built in Fortran order, as np.kron of the
+    contiguous transposes of conj(V_l) and V_k (the same products), turned
+    in place into 0 - K off the diagonal and 1 - K on it, the bits of
+    I - K, and factored in its own buffer by `solve_in_place`.  So the
+    residual gate reads the Kronecker identity, vec(C - V_k C V_l^dag) -
+    vec(S), and a singular system is a BosonLoopError naming the order.
+    `context` carries what the orders of one solve share (see
+    `recursive_stationary`); without it the order makes its own.
     """
     matrix = np.asarray(matrix, dtype=complex)
     modes = matrix.shape[0]
@@ -298,18 +302,22 @@ def stationary_order(k: int, l: int, matrix: np.ndarray, rho_ext: DensityMatrix,
     full = _transformed(CorrelationTensor(k, l, modes, c_in), v[k], v[l]).values
     source = full[(slice(m_ext, modes),) * (k + l)]
 
-    a = np.kron(v_ll[l].conj(), v_ll[k])
-    ones = 1 - a.diagonal()
-    np.subtract(0, a, out=a)
-    np.fill_diagonal(a, ones)
+    a_t = np.kron(np.ascontiguousarray(v_ll[l].conj().T), np.ascontiguousarray(v_ll[k].T))
+    ones = 1 - a_t.diagonal()
+    np.subtract(0, a_t, out=a_t)
+    np.fill_diagonal(a_t, ones)
     rhs = source.reshape(n_looped ** k, n_looped ** l).flatten(order="F")
-    sol = np.linalg.solve(a, rhs)
-    residual = np.linalg.norm(a @ sol - rhs)
+    try:
+        sol = solve_in_place(a_t.T, rhs)
+    except np.linalg.LinAlgError:
+        raise BosonLoopError(f"the stationary system of order ({k},{l}) is singular") from None
+    values = sol.reshape((n_looped ** k, n_looped ** l), order="F")
+    residual = np.linalg.norm(
+        (values - v_ll[k] @ values @ v_ll[l].conj().T).flatten(order="F") - rhs)
     if residual > _SOLVE_RESIDUAL * max(1.0, np.linalg.norm(rhs)):
         raise BosonLoopError(
             f"stationary solve for order ({k},{l}) left residual {residual:.3e}"
         )
-    values = sol.reshape((n_looped ** k, n_looped ** l), order="F")
     return CorrelationTensor(k, l, n_looped,
                              values.reshape((n_looped,) * (k + l)))
 

@@ -103,6 +103,8 @@ CALLS = (
     + [("lossy", argv) for argv in _LOOPED]
     + [("lossy", ["stabilization", "--samples", "4", "--seed", "12"])]
     + [("l2_json", argv) for argv in _LOOPED]
+    # the stationary_l2 benchmark's call shape: Kronecker systems up to 1024 wide
+    + [("l2_json", ["reconstruct", "--method", "analytic", "--rank-cap", "5"])]
     + [("l2_csv", argv) for argv in _EVOLVE + _STATIONARY[:1]]
     + [("lossy_l2", argv) for argv in _EVOLVE[1:] + _STATIONARY[:1]]
     + [("m4_leaking", _STATIONARY[0])]

@@ -9,7 +9,7 @@ the same bytes; to lay its data out as the package does, it may call
 package pieces that are checked on their own, such as the lift's index maps
 (`_raising_maps`, `_parent_columns`), `tensor_product_blocks`, the fixed
 point's `_probe`, `_check_spectral_radius`, the moment route's
-`_input_tensor` and `_MomentCache`, and `_LoopSetup`.
+`_input_tensor`, `_transformed` and `_MomentCache`, and `_LoopSetup`.
 
 Each layer keeps one reference of each kind, and an older generation is
 removed only where a kept one is checked on the same inputs for the same
@@ -27,6 +27,8 @@ property:
                  with its reader `charge0_by_take`, and `block0_layout_before`
   composition    `compose_dense`, with `channel_from_kraus`
   Kraus sum      `kraus_sum_stacked`, the bit-for-bit oracle of `apply_matrix`
+  tensor solve   `recursive_stationary_per_order`; `stationary_order_dense_lu`,
+                 the bit-for-bit oracle of one order's in-place solve
 Every other routine here is the one reference of what it checks.
 """
 
@@ -46,7 +48,7 @@ from bosonloop.qstate import (LEAK_TOLERANCE, DensityMatrix, joint_parts, overfl
                              tensor_product_blocks)
 from bosonloop.reconstruct import ReconstructionInfo, project_psd
 from bosonloop.tensors import (CorrelationTensor, TensorSet, _check_spectral_radius,
-                               _input_tensor, _MomentCache)
+                               _input_tensor, _MomentCache, _transformed)
 
 
 def same_bits(a, b) -> bool:
@@ -880,6 +882,29 @@ def stationary_order_per_order(k: int, l: int, matrix: np.ndarray, rho_ext, loop
     source = full.reshape(c_in.shape)[(slice(m_ext, modes),) * (k + l)]
     a = np.eye(n_looped ** (k + l), dtype=complex) - np.kron(
         _kron_power(v_ll, l).conj(), _kron_power(v_ll, k))
+    rhs = source.reshape(n_looped ** k, n_looped ** l).flatten(order="F")
+    sol = np.linalg.solve(a, rhs)
+    values = sol.reshape((n_looped ** k, n_looped ** l), order="F")
+    return CorrelationTensor(k, l, n_looped, values.reshape((n_looped,) * (k + l)))
+
+
+def stationary_order_dense_lu(k: int, l: int, matrix: np.ndarray, rho_ext, loop_set,
+                              context) -> CorrelationTensor:
+    """`tensors.stationary_order` as the package ran it before it factored
+    the Kronecker system in place: the system assembled in C order and
+    handed to np.linalg.solve, which copies it into LAPACK's column-major
+    buffer.  `context` is the solve's `tensors._SolveContext`."""
+    modes = matrix.shape[0]
+    m_ext = rho_ext.basis.modes
+    n_looped = modes - m_ext
+    v, v_ll = context.v, context.v_ll
+    c_in = _input_tensor(k, l, modes, m_ext, context.ext, loop_set, include_loop=False)
+    full = _transformed(CorrelationTensor(k, l, modes, c_in), v[k], v[l]).values
+    source = full[(slice(m_ext, modes),) * (k + l)]
+    a = np.kron(v_ll[l].conj(), v_ll[k])
+    ones = 1 - a.diagonal()
+    np.subtract(0, a, out=a)
+    np.fill_diagonal(a, ones)
     rhs = source.reshape(n_looped ** k, n_looped ** l).flatten(order="F")
     sol = np.linalg.solve(a, rhs)
     values = sol.reshape((n_looped ** k, n_looped ** l), order="F")

@@ -31,7 +31,7 @@ from oracles import (apply_dense, apply_loss_direct, block_charges, channel_from
                      charge_blocks_by_scans, coherent_dm, compose_dense, fidelity_svd,
                      fixed_point_dense, identity_channel, kraus_sum_stacked,
                      kraus_pure_fock, loop_channel_per_sector, loop_kraus_from_full,
-                     loss_kraus_loop, spectral_diagnostics_all_blocks,
+                     loss_kraus_loop, same_bits, spectral_diagnostics_all_blocks,
                      stabilization_time_stepwise, stationary_dense, stationary_rho_by_unvec,
                      superop_block_dense, superoperator_kron, unique_by_q_nonnegative_blocks)
 
@@ -214,6 +214,33 @@ def test_loss_channel_equals_the_double_loop(transmission, modes, n_max):
 def test_loss_channel_refuses_a_transmission_outside_the_unit_interval(transmission):
     with pytest.raises(ValueError, match="must lie in"):
         loss_channel((0.5, transmission), 2, 3)
+
+
+def _signed_matrix(d, seed):
+    """A complex d x d array whose parts include +0.0, -0.0 and negatives."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, d, d)) * rng.integers(0, 2, (2, d, d))
+    parts[:, rng.random((d, d)) < 0.2] = -0.0
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("transmission, modes, n_max", [
+    (0.6, 1, 9), ((0.9, 0.7), 2, 6), ((0.8, 0.9, 0.5), 3, 4),
+    # d = 330 with one lossy mode: eight operators
+    ((1.0, 0.75, 1.0, 1.0), 4, 7),
+])
+def test_a_loss_channel_sums_by_gather_with_the_kraus_sum_bits(transmission, modes, n_max):
+    chan = loss_channel(transmission, modes, n_max)
+    channels = [chan]
+    if chan.basis.size < 100:
+        channels.append(compose(loss_channel(0.45, modes, n_max), chan))
+    mat = _signed_matrix(chan.basis.size, modes)
+    for c in channels:
+        assert c._real_monomial
+        assert same_bits(c.apply_matrix(mat), kraus_sum_stacked(c, mat))
+    # the loop channel's operators are complex: it keeps the matrix products
+    _, _, _, lifted, rho_ext = _loop_pieces(2, 1, 4, 17, (1,))
+    assert not loop_channel(lifted, rho_ext)._real_monomial
 
 
 def test_loss_composition_law():

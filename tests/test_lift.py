@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from math import factorial, prod, sqrt
 
 import numpy as np
@@ -12,7 +13,7 @@ from bosonloop.matrixkit import haar_random_unitary, permanent
 from bosonloop.qstate import random_density_matrix
 
 from oracles import (conjugate_dense, lift_apply_fock_whole, lift_block_polynomial,
-                     lift_blocks_whole, submatrix_by_multiplicity)
+                     lift_blocks_whole, same_bits, submatrix_by_multiplicity)
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -240,3 +241,31 @@ def test_lift_apply_fock_over_several_panels_is_bit_identical():
     occ = (1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
     np.testing.assert_array_equal(_bits(lift_apply_fock(u, occ)),
                                   _bits(lift_apply_fock_whole(u, occ)))
+
+
+def test_the_joint_pass_makes_no_conjugated_copy_of_a_lifted_block():
+    # sector 5 of seven modes is 462 wide, 3.4 MB a block.  The pass forms
+    # T = block @ R and the result and conjugates both in place, two blocks
+    # at most; a conjugated copy of the lifted block would be a third.  The
+    # interferometer leaves four modes alone and R is sparse, so the result
+    # holds +0.0 zeros
+    u = np.eye(7, dtype=complex)
+    u[:3, :3] = haar_random_unitary(3, 90)
+    lifted = lift(u, FockBasis(7, 5))
+    block = lifted.block(5)
+    rng = np.random.default_rng(91)
+    r = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+    r *= rng.random(block.shape) < 0.1
+    want = block @ r @ block.conj().T
+    blocks = {(4, 4): np.zeros((210, 210), dtype=complex), (5, 5): r}
+    del r
+    tracemalloc.start()
+    try:
+        got = list(lifted.conjugate_blocks(blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == {}
+    assert [key for key, _ in got] == [(5, 5)]
+    assert (want.real == 0).any() and same_bits(got[0][1], want)
+    assert peak < 2.5 * block.nbytes

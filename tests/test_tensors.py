@@ -1,13 +1,20 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonloop import tensors
-from bosonloop.errors import DENSE_DIM_CAP, SizeCapError, SpectralRadiusError
+from bosonloop import matrixkit, tensors
+from bosonloop.cli import main
+from bosonloop.errors import (DENSE_DIM_CAP, BosonLoopError, SizeCapError,
+                             SpectralRadiusError)
 from bosonloop.evolve import (ExperimentConfig, LossSpec,
                               effective_transfer_matrix, stabilization_time,
                               stationary_loop_iterate, stationary_loop_state)
@@ -23,7 +30,9 @@ from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                stationary_output_tensor, tensor_set_from_dm,
                                transform)
 from oracles import (coherent_dm, input_tensor_loop, moment_tensor_loop,
-                     recursive_stationary_per_order, same_bits)
+                     recursive_stationary_per_order, same_bits, stationary_order_dense_lu)
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_vacuum_moments_vanish():
@@ -435,3 +444,111 @@ def test_an_order_over_the_power_cap_raises_before_its_power_is_built():
         tracemalloc.stop()
     assert (err.value.cap, err.value.required) == (DENSE_DIM_CAP, 32 ** 3)
     assert peak < 2 ** 20
+
+
+def _contractive_case(m_ext, looped, seed):
+    """A lossy transfer matrix, whose loop block is a random contraction,
+    and a mixed injected state with coherences."""
+    rng = np.random.default_rng(seed)
+    modes = m_ext + looped
+    losses = LossSpec(t_in=rng.uniform(0.3, 1.0, modes), t_out=rng.uniform(0.3, 1.0, modes),
+                      loop_transmission=rng.uniform(0.3, 1.0))
+    matrix = effective_transfer_matrix(haar_random_unitary(modes, seed), losses, looped)
+    return matrix, random_density_matrix(FockBasis(m_ext, 2), seed)
+
+
+def in_place_solves_match_the_dense_lu():
+    """Every order the caps allow up to rank 6: the in-place solve of
+    `recursive_stationary` against the dense LU of `stationary_order_dense_lu`
+    on the same lower orders, for the artifact sweep's l2_json loop (Haar
+    39, one photon injected) and random contractive loops at L = 1, 2, 3."""
+    cases = [(haar_random_unitary(3, 39), fock_state_dm(FockBasis(1, 9), (1,)), 6),
+             (*_contractive_case(1, 1, 61), 6), (*_contractive_case(1, 2, 62), 6),
+             (*_contractive_case(1, 3, 63), 3)]
+    for matrix, rho, rank in cases:
+        got = recursive_stationary(matrix, rho, rank)
+        context = tensors._SolveContext(matrix, rho, rank)
+        for key in got.keys():
+            want = stationary_order_dense_lu(*key, matrix, rho, got, context)
+            assert same_bits(got.get(*key).values, want.values), key
+
+
+def _run_fresh(code: str, threads: int) -> str:
+    """The output of `code` run in a fresh interpreter with BLAS at
+    `threads` threads, a count OpenBLAS reads only when it starts."""
+    path = os.pathsep.join([str(Path(tensors.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, "PYTHONPATH": path,
+           **{var: str(threads) for var in _BLAS_THREAD_VARS}}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_in_place_solve_writes_the_dense_lu_bits(threads):
+    _run_fresh("import test_tensors; test_tensors.in_place_solves_match_the_dense_lu()",
+               threads)
+
+
+def test_the_solve_without_the_lapack_symbol_gives_the_same_tensors(monkeypatch):
+    # with no zgesv to call, np.linalg.solve factors a copy of the system
+    cases = [(haar_random_unitary(3, 39), fock_state_dm(FockBasis(1, 9), (1,)), 4),
+             (*_contractive_case(2, 1, 64), 4), (*_contractive_case(1, 2, 65), 3)]
+    for matrix, rho, rank in cases:
+        want = recursive_stationary(matrix, rho, rank)
+        monkeypatch.setattr(matrixkit, "_ZGESV", None)
+        got = recursive_stationary(matrix, rho, rank)
+        monkeypatch.undo()
+        assert got.keys() == want.keys()
+        for key in want.keys():
+            assert same_bits(got.get(*key).values, want.get(*key).values), key
+
+
+@pytest.mark.parametrize("lapack", ["zgesv", "fallback"])
+def test_a_singular_stationary_system_names_its_order(monkeypatch, lapack):
+    # a decoupled lossless loop (V_LL = 1) makes order (1, 0)'s system 1 - 1 = 0;
+    # the spectral-radius refusal that guards against it is switched off
+    monkeypatch.setattr(tensors, "_check_spectral_radius", lambda matrix, n_looped: 0.0)
+    if lapack == "fallback":
+        monkeypatch.setattr(matrixkit, "_ZGESV", None)
+    ext = fock_state_dm(FockBasis(1, 1), (1,))
+    with pytest.raises(BosonLoopError, match=r"order \(1,0\) is singular"):
+        recursive_stationary(np.eye(2, dtype=complex), ext, 1)
+
+
+def test_a_singular_solve_reaches_the_cli_as_a_json_error(monkeypatch, tmp_path, capsys):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(tensors, "solve_in_place", singular)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "M": 2, "L": 1, "n_max": 6, "iterations": 1,
+                                "input": {"type": "fock", "occupation": [1]},
+                                "unitary": {"type": "haar", "seed": 20}}))
+    code = main(["stationary", str(path), "--method", "tensors", "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["code"], error["type"]) == (1, 1, "BosonLoopError")
+    assert "order (1,0) is singular" in error["message"]
+
+
+_GROWTH = """
+import resource
+from bosonloop.fock import FockBasis
+from bosonloop.matrixkit import haar_random_unitary
+from bosonloop.qstate import fock_state_dm
+from bosonloop.tensors import recursive_stationary
+u, ext = haar_random_unitary(3, 39), fock_state_dm(FockBasis(1, 7), (1,))
+recursive_stationary(u, ext, 4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+recursive_stationary(u, ext, 5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_a_rank_5_solve_holds_one_copy_of_its_largest_system():
+    # the stationary_l2 benchmark's solve, M=3, L=2, rank 5: order (5, 5)'s
+    # system is 1024 x 1024, 16 MiB; a solve that copies it grows by about
+    # twice that.  The rank-4 solve first pages in everything below order 5
+    growth_kib = int(_run_fresh(_GROWTH, threads=1))   # ru_maxrss is in KiB on Linux
+    assert growth_kib * 1024 < 1.5 * 1024 ** 2 * 16
