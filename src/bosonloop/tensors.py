@@ -17,13 +17,13 @@ order, which is what makes the order-by-order stationary solve closed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 from math import ceil, sqrt
 
 import numpy as np
 
 from .errors import BosonLoopError, SpectralRadiusError, check_size
-from .fock import FockBasis
+from .fock import FockBasis, frozen_cache
 from .matrixkit import solve_in_place, spectral_radius
 from .qstate import DensityMatrix
 
@@ -101,21 +101,34 @@ class _MomentCache:
         copied to every index tuple that sorts to that pair."""
         if (k, l) not in self._tensors:
             m = self.basis.modes
-            cre_sets, cre_of = _sorted_multisets(m, k)
-            ann_sets, ann_of = _sorted_multisets(m, l)
+            cre_sets, _, cre_of = _sorted_multisets(m, k)
+            ann_sets, _, ann_of = _sorted_multisets(m, l)
             values = np.array([[self.value(c, a) for a in ann_sets] for c in cre_sets],
                               dtype=complex)
             self._tensors[(k, l)] = values[np.ix_(cre_of, ann_of)].reshape((m,) * (k + l))
         return self._tensors[(k, l)]
 
 
+@frozen_cache
 def _sorted_multisets(modes: int, k: int):
-    """The sorted index tuples over (modes,)*k, and for each row-major flat
-    index the position of its sorted form in that list."""
+    """The sorted index tuples over (modes,)*k, in lexicographic order; the
+    row-major flat index of each, the first that sorts to it; and for each
+    row-major flat index the position of its sorted form in that tuple
+    (cached table)."""
     grid = np.sort(np.indices((modes,) * k).reshape(k, modes ** k), axis=0)
     codes = modes ** np.arange(k - 1, -1, -1) @ grid
     _, first, position = np.unique(codes, return_index=True, return_inverse=True)
-    return [tuple(grid[:, j].tolist()) for j in first], position
+    return tuple(tuple(grid[:, j].tolist()) for j in first), first, position
+
+
+@frozen_cache
+def _rank_vectors(modes: int, k: int) -> tuple:
+    """The per-mode rank vector of each sorted index tuple of
+    `_sorted_multisets(modes, k)`: a tuple of numpy ints, of Python ints at
+    k = 0 (cached table)."""
+    if not k:
+        return ((0,) * modes,)
+    return tuple(tuple(np.bincount(s, minlength=modes)) for s in _sorted_multisets(modes, k)[0])
 
 
 def expectations_from_dm(rho: DensityMatrix, k: int, l: int) -> CorrelationTensor:
@@ -194,23 +207,31 @@ def _check_spectral_radius(matrix: np.ndarray, n_looped: int) -> float:
     return radius
 
 
+@frozen_cache
 def _split_indices(k: int, l: int, modes: int, m_ext: int):
     """Per row-major entry of a rank-(k, l) tensor over `modes` modes: its
-    flat index into the E factor, its flat index into the L factor, and its
-    group cre_e * (l + 1) + ann_e (the numbers of E creation and annihilation
-    indices), by Horner's rule over the k + l index positions.  The tables
-    grow one position at a time: the entries of the first p + 1 positions
-    are the (entry of the first p, digit) pairs in row-major order."""
+    position in the E factors and in the L factors, and its group
+    cre_e * (l + 1) + ann_e (the numbers of E creation and annihilation
+    indices) (cached table).  Each factor's tables are concatenated flat in
+    group order: group g's are the E moments of rank (cre_e, ann_e) and the
+    L moments of rank (k - cre_e, l - ann_e).  The flat indices come by
+    Horner's rule over the k + l index positions: the entries of the first
+    p + 1 positions are the (entry of the first p, digit) pairs in row-major
+    order."""
+    n_looped = modes - m_ext
     digit = np.arange(modes)
     is_e = digit < m_ext
-    e_idx = l_idx = np.zeros(1, dtype=digit.dtype)
+    e_pos = l_pos = np.zeros(1, dtype=digit.dtype)
     group = np.zeros(1, dtype=np.int16)
     for pos in range(k + l):
-        e_idx = np.where(is_e, e_idx[:, None] * m_ext + digit, e_idx[:, None]).ravel()
-        l_idx = np.where(is_e, l_idx[:, None],
-                         l_idx[:, None] * (modes - m_ext) + digit - m_ext).ravel()
+        e_pos = np.where(is_e, e_pos[:, None] * m_ext + digit, e_pos[:, None]).ravel()
+        l_pos = np.where(is_e, l_pos[:, None],
+                         l_pos[:, None] * n_looped + digit - m_ext).ravel()
         group = (group[:, None] + is_e * np.int16(l + 1 if pos < k else 1)).ravel()
-    return e_idx, l_idx, group
+    e_rank = sum(np.divmod(np.arange((k + 1) * (l + 1)), l + 1))
+    for index, sizes in ((e_pos, m_ext ** e_rank), (l_pos, n_looped ** (k + l - e_rank))):
+        index += (np.cumsum(sizes) - sizes)[group]
+    return e_pos, l_pos, group
 
 
 def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
@@ -218,34 +239,32 @@ def _input_tensor(k: int, l: int, modes: int, m_ext: int, ext: _MomentCache,
     """Full-M tensor of the product state rho_ext (x) rho_loop.
 
     Entries factorize across the E/L split; the all-loop block is zeroed when
-    it is the unknown of the current stationary solve.  Entries are gathered
-    group by group (see `_split_indices`), so each factor is fetched once per
-    group.  The product is the textbook complex product that numpy's scalar
+    it is the unknown of the current stationary solve.  Each factor is one
+    gather from its groups' tables, concatenated (see `_split_indices`).
+    The product is the textbook complex product that numpy's scalar
     multiply computes (np.multiply on complex arrays may round the imaginary
-    part differently), and an entry whose E moment is zero stays exactly 0
-    without its L factor being looked up.
+    part differently), formed on the entries whose E moment is nonzero; the
+    others stay exactly 0, and a group with none of them never looks up its
+    L tensor.
     """
-    e_idx, l_idx, group = _split_indices(k, l, modes, m_ext)
-    n_groups = (k + 1) * (l + 1)
-    order = np.argsort(group, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_groups))))
-    one = np.ones(1, dtype=complex)  # the rank-(0, 0) moment of either factor
+    e_pos, l_pos, group = _split_indices(k, l, modes, m_ext)
+    groups = [divmod(g, l + 1) for g in range((k + 1) * (l + 1))]
+    # the rank-(0, 0) moment of either factor is 1; the all-loop group's E
+    # factor is 0 when that block is the unknown
+    one = np.ones(1, dtype=complex)
+    e_val = np.concatenate([one if include_loop else 0 * one]
+                           + [ext.tensor(c, a).reshape(-1) for c, a in groups[1:]])[e_pos]
+    kept = np.flatnonzero(e_val)
+    e_val = e_val[kept]
+    looked_up = np.bincount(group[kept], minlength=len(groups))
+    n_looped = modes - m_ext
+    l_val = np.concatenate(
+        [loop_set.get(k - c, l - a).values.reshape(-1) if looked_up[g]
+         else np.zeros(n_looped ** (k + l - c - a), dtype=complex)
+         for g, (c, a) in enumerate(groups[:-1])] + [one])[l_pos[kept]]
     out = np.zeros(group.size, dtype=complex)
-    for g in range(n_groups):
-        cre_e, ann_e = divmod(g, l + 1)
-        if g == 0 and not include_loop:
-            continue
-        sel = order[bounds[g]:bounds[g + 1]]
-        e_val = (ext.tensor(cre_e, ann_e).reshape(-1) if g else one)[e_idx[sel]]
-        keep = e_val != 0
-        sel, e_val = sel[keep], e_val[keep]
-        if not sel.size:
-            continue
-        looped = (loop_set.get(k - cre_e, l - ann_e).values.reshape(-1)
-                  if (cre_e, ann_e) != (k, l) else one)
-        l_val = looped[l_idx[sel]]
-        out.real[sel] = e_val.real * l_val.real - e_val.imag * l_val.imag
-        out.imag[sel] = e_val.real * l_val.imag + e_val.imag * l_val.real
+    out.real[kept] = e_val.real * l_val.real - e_val.imag * l_val.imag
+    out.imag[kept] = e_val.real * l_val.imag + e_val.imag * l_val.real
     return out.reshape((modes,) * (k + l))
 
 
@@ -397,19 +416,17 @@ def estimate_n_max(c11: CorrelationTensor, c22: CorrelationTensor) -> int:
 
 def moments_from_tensor_set(tensor_set: TensorSet) -> dict:
     """Flatten a tensor set and its conjugates into {(s_vec, r_vec): moment}
-    per-mode rank form."""
-    out = {}
+    per-mode rank form: each tensor is gathered once at its pairs of sorted
+    index tuples, creation tuples outer."""
     modes = tensor_set.modes
     zero = (0,) * modes
-    out[(zero, zero)] = 1.0 + 0j
+    out = {(zero, zero): 1.0 + 0j}
     pairs = set(tensor_set.keys()) | {(l, k) for k, l in tensor_set.keys()}
     for k, l in sorted(pairs):
-        tensor = tensor_set.get(k, l)
-        for cre in combinations_with_replacement(range(modes), k):
-            for ann in combinations_with_replacement(range(modes), l):
-                s_vec = tuple(np.bincount(cre, minlength=modes)) if k else zero
-                r_vec = tuple(np.bincount(ann, minlength=modes)) if l else zero
-                out[(s_vec, r_vec)] = complex(tensor.values[cre + ann])
+        cre_flat, ann_flat = _sorted_multisets(modes, k)[1], _sorted_multisets(modes, l)[1]
+        values = tensor_set.get(k, l).as_matrix()[np.ix_(cre_flat, ann_flat)]
+        keys = product(_rank_vectors(modes, k), _rank_vectors(modes, l))
+        out.update(zip(keys, values.ravel().tolist()))
     return out
 
 

@@ -115,7 +115,9 @@ CALLS = (
     + [("lossy_l0", argv) for argv in _EVOLVE]
     + [("default_n_max", argv) for argv in _EVOLVE + _SAMPLE[1:]]
     + [("stab_ladder", ["stabilization", "--samples", "24", "--seed", "7"])]
-    + [("m5_pure", argv) for argv in (_EVOLVE[2], _STATIONARY[0])]
+    # the tensor route with three external modes and a two-photon injection
+    + [("m5_pure", argv) for argv in (_EVOLVE[2], _STATIONARY[0], _RECONSTRUCT[0],
+                                      _STATIONARY[2] + ["--rank-cap", "4"])]
     + [("m6_lossy_ext", argv) for argv in _EVOLVE[1:]]
 )
 

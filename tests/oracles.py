@@ -29,6 +29,8 @@ property:
   Kraus sum      `kraus_sum_stacked`, the bit-for-bit oracle of `apply_matrix`
   tensor solve   `recursive_stationary_per_order`; `stationary_order_dense_lu`,
                  the bit-for-bit oracle of one order's in-place solve
+  moment table   `moments_from_tensor_set_loop`, the bit-for-bit oracle of
+                 `moments_from_tensor_set`
 Every other routine here is the one reference of what it checks.
 """
 
@@ -334,6 +336,25 @@ def moment_tensor_loop(cache, k: int, l: int) -> np.ndarray:
         if key not in values:
             values[key] = cache.value(*key)
         out[idx] = values[key]
+    return out
+
+
+def moments_from_tensor_set_loop(tensor_set) -> dict:
+    """`tensors.moments_from_tensor_set` one entry at a time: per pair of
+    sorted index tuples, its per-mode rank vectors by `np.bincount` and its
+    moment by a scalar read."""
+    out = {}
+    modes = tensor_set.modes
+    zero = (0,) * modes
+    out[(zero, zero)] = 1.0 + 0j
+    pairs = set(tensor_set.keys()) | {(l, k) for k, l in tensor_set.keys()}
+    for k, l in sorted(pairs):
+        tensor = tensor_set.get(k, l)
+        for cre in itertools.combinations_with_replacement(range(modes), k):
+            for ann in itertools.combinations_with_replacement(range(modes), l):
+                s_vec = tuple(np.bincount(cre, minlength=modes)) if k else zero
+                r_vec = tuple(np.bincount(ann, minlength=modes)) if l else zero
+                out[(s_vec, r_vec)] = complex(tensor.values[cre + ann])
     return out
 
 

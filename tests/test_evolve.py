@@ -834,8 +834,9 @@ def test_every_array_a_lossy_config_shares_is_read_only():
     # the calls each cache of the package, but the CLI's parser, serves this config
     ext, loop, joint = setup.ext, setup.loop, setup.joint
     modes, n_ext, sectors = cfg.modes, cfg.n_external, range(cfg.n_max + 1)
-    fock, qstate, channels, lift_ = (bosonloop.fock, bosonloop.qstate, bosonloop.channels,
-                                     bosonloop.lift)
+    fock, qstate, channels, lift_, tensors = (bosonloop.fock, bosonloop.qstate,
+                                              bosonloop.channels, bosonloop.lift,
+                                              bosonloop.tensors)
     calls = {
         fock.enumerate_sector: [(modes, n) for n in sectors],
         fock.tensor_index_map: [(ext, loop, joint)],
@@ -855,11 +856,15 @@ def test_every_array_a_lossy_config_shares_is_read_only():
         lift_._parent_columns: [(modes, n) for n in sectors[1:]],
         lift_._photon_panels: [(modes, n, sector_size(modes, n), lift_._PANEL)
                                for n in sectors[1:]],
+        # the tensor route's tables, as a rank-2 solve on this config reads them
+        tensors._split_indices: [(n, m, modes, n_ext) for n in (1, 2) for m in range(n + 1)],
+        tensors._sorted_multisets: [(n_ext, n) for n in range(3)],
+        tensors._rank_vectors: [(modes - n_ext, n) for n in range(3)],
     }
-    caches = {value for module in (fock, qstate, channels, lift_, evolve, bosonloop.tensors,
+    caches = {value for module in (fock, qstate, channels, lift_, evolve, tensors,
                                    bosonloop.reconstruct, bosonloop.matrixkit)
               for value in vars(module).values() if hasattr(value, "cache_info")}
-    assert caches == set(calls) and len(calls) == 15
+    assert caches == set(calls) and len(calls) == 18
     for func, args in calls.items():
         shared += [array for a in args for array in _arrays(func(*a))]
     assert [a for a in shared if a.flags.writeable] == []

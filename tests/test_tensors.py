@@ -26,11 +26,12 @@ from bosonloop.qstate import (DensityMatrix, fock_state_dm,
 from bosonloop.tensors import (ASSEMBLY_SIZE_CAP, CorrelationTensor,
                                TensorSet, _input_tensor, _MomentCache,
                                estimate_n_max, expectations_from_dm,
-                               recursive_stationary, stationary_order,
+                               moments_from_tensor_set, recursive_stationary, stationary_order,
                                stationary_output_tensor, tensor_set_from_dm,
                                transform)
 from oracles import (coherent_dm, input_tensor_loop, moment_tensor_loop,
-                     recursive_stationary_per_order, same_bits, stationary_order_dense_lu)
+                     moments_from_tensor_set_loop, recursive_stationary_per_order, same_bits,
+                     stationary_order_dense_lu)
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -356,6 +357,18 @@ def test_moment_tensor_matches_loop_oracle(modes):
             for l in range(4):
                 got = _MomentCache(rho).tensor(k, l)
                 assert same_bits(got, moment_tensor_loop(_MomentCache(rho), k, l))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(modes=st.integers(1, 3), top=st.integers(1, 4), seed=st.integers(0, 2 ** 31))
+def test_moments_from_tensor_set_matches_loop_oracle(modes, top, seed):
+    tensor_set = _random_loop_set(modes, top, np.random.default_rng(seed))
+    got = moments_from_tensor_set(tensor_set)
+    want = moments_from_tensor_set_loop(tensor_set)
+    assert list(got) == list(want)
+    for (s_got, r_got), (s_want, r_want) in zip(got, want):
+        assert [type(x) for x in s_got + r_got] == [type(x) for x in s_want + r_want]
+    assert same_bits(np.array(list(got.values())), np.array(list(want.values())))
 
 
 def test_input_tensor_memory_at_the_assembly_cap():
